@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _as_weight_matrix
+from .kernel import as_weight_matrix
 
 
 def _check_delta(delta: float):
@@ -140,7 +140,7 @@ def coverage_diagnostic_E(w, score_values: np.ndarray, q_hat: float, true_labels
     if score_values.ndim != 2:
         raise ValueError(f"score_values must be (n, c), got shape {score_values.shape}")
     n, c = score_values.shape
-    W = _as_weight_matrix(w, n, c)
+    W = as_weight_matrix(w, n, c)
     true_labels = np.asarray(true_labels, dtype=np.int64)
     if true_labels.shape != (n,):
         raise ValueError(f"true_labels length {true_labels.shape} != {n}")

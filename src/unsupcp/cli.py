@@ -8,7 +8,6 @@ errors. UNSUPCP_WORKERS sets the default worker count.
 """
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -31,10 +30,7 @@ def _cmd_run(args) -> int:
         cfg = ExperimentConfig.from_json(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        workers = args.workers
-        if workers is None:
-            workers = int(os.environ.get(WORKERS_ENV, "1"))
-        results = run_experiment(cfg, workers=workers)
+        results = run_experiment(cfg, workers=args.workers)
         paths = emit_results(results, args.out)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,15 +25,31 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import _accel
 from .bounds import BoundInputs, coverage_diagnostic_E, excess_gap_kernel
-from .classifier import estimate_loss_bound, predict_labels, train_logistic
+from .classifier import ProbModel, estimate_loss_bound, predict_labels, train_logistic
 from .data import Dataset, SplitSpec, SyntheticConfig, generate_synthetic, load_csv_dataset, split_dataset
-from .errors import EmptyInputError
-from .kernel import SELECTION_RIDGE, _blocked_interpolation, bandwidth_grid, build_context, mmd_objective, select_kernel
+from .errors import EmptyInputError, InterpolationError
+from .kernel import (
+    CG_MAX_ITERS,
+    SELECTION_RIDGE,
+    KernelContext,
+    KernelSpec,
+    bandwidth_grid,
+    build_context,
+    min_norm_interpolation,
+    mmd_objective,
+    select_kernel,
+)
 from .quantile import conformal_quantile_supervised, conformal_quantile_weighted, evaluate, prediction_mask
-from .scores import SCORE_KINDS, build_score_matrix
-from .solver import SolverOptions, build_loss_constraints, naive_weights, solve_label_weights
+from .scores import SCORE_KINDS, ScoreMatrix, build_score_matrix
+from .solver import (
+    LabelWeights,
+    SolverOptions,
+    SolverReport,
+    build_loss_constraints,
+    naive_weights,
+    solve_label_weights,
+)
 
 METHODS = ("supervised", "unsupervised", "naive")
 VALIDATION_FRACTION = 0.2
@@ -91,6 +107,14 @@ class ExperimentConfig:
             raise ValueError("test_size must be >= 1 and train_size >= 2")
         if self.selection_ridge < 0:
             raise ValueError(f"selection_ridge must be nonnegative, got {self.selection_ridge}")
+        if self.m is not None and self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        if self.solver_max_iters < 1:
+            raise ValueError(f"solver_max_iters must be >= 1, got {self.solver_max_iters}")
+        if not self.solver_rel_tol > 0:
+            raise ValueError(f"solver_rel_tol must be positive, got {self.solver_rel_tol}")
         fit_size = self.train_size - _val_count(self.train_size)
         if "unsupervised" in self.methods:
             for n in self.cal_sizes:
@@ -147,40 +171,8 @@ class MethodResult:
     kernel_bound: float | None = None
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    cal_size: int
-    trial_index: int
-    classifier_error: float
-    loss_bound: float
-    results: tuple = field(default_factory=tuple)
-
-    def rows(self) -> list[dict]:
-        out = []
-        for r in self.results:
-            row = {
-                "cal_size": self.cal_size,
-                "trial": self.trial_index,
-                "method": r.method,
-                "coverage": r.coverage,
-                "mean_size": r.mean_size,
-                "q_hat": r.q_hat,
-                "sigma": r.sigma,
-                "mmd": r.mmd,
-                "solver_objective": r.solver_objective,
-                "solver_iterations": r.solver_iterations,
-                "solver_slack": r.solver_slack,
-                "solver_converged": r.solver_converged,
-                "e_diag": r.e_diag,
-                "kernel_bound": r.kernel_bound,
-                "classifier_error": self.classifier_error,
-                "loss_bound": self.loss_bound,
-                "wall_seconds": r.wall_seconds,
-            }
-            out.append(row)
-        return out
-
-
+# trials.csv columns, in order; "trial" is TrialRecord.trial_index, the
+# other names are TrialRecord or MethodResult fields
 TRIAL_COLUMNS = (
     "cal_size",
     "trial",
@@ -201,7 +193,23 @@ TRIAL_COLUMNS = (
     "wall_seconds",
 )
 
-TIMING_COLUMNS = ("wall_seconds",)
+
+@dataclass(frozen=True)
+class TrialRecord:
+    cal_size: int
+    trial_index: int
+    classifier_error: float
+    loss_bound: float
+    results: tuple = field(default_factory=tuple)
+
+    def rows(self) -> list[dict]:
+        trial = {
+            "cal_size": self.cal_size,
+            "trial": self.trial_index,
+            "classifier_error": self.classifier_error,
+            "loss_bound": self.loss_bound,
+        }
+        return [{k: trial[k] if k in trial else getattr(r, k) for k in TRIAL_COLUMNS} for r in self.results]
 
 
 def _trial_seeds(cfg: ExperimentConfig, cal_size: int, trial_index: int) -> np.ndarray:
@@ -222,58 +230,94 @@ def _get_dataset(cfg: ExperimentConfig, total: int, data_seed: int) -> Dataset:
     return load_csv_dataset(spec["path"], labeled=True)
 
 
-def _unsupervised_qhat(cfg, model, cal, fit, cal_scores, loss_bound, mdraw_seed):
-    """Bandwidth selection, context build, constrained QP, threshold."""
-    n = len(cal)
-    m = cfg.m if cfg.m is not None else n
-    rng = np.random.default_rng(mdraw_seed)
-    idx = rng.choice(len(fit), size=m, replace=False)
-    train_sub = Dataset(fit.instances[idx], fit.labels[idx], fit.num_classes)
-    naive_w = naive_weights(model, cal.instances)
-    grid = bandwidth_grid(cal.instances.shape[1], cfg.bandwidth_scales)
-    spec, sel_diag = select_kernel(grid, cal.instances, cal_scores, naive_w.matrix, cfg.alpha,
-                                   ridge=cfg.selection_ridge)
-    ctx = build_context(cal.instances, train_sub, spec)
-    constraints = build_loss_constraints(model, cal.instances, loss_bound.value)
-    opts = SolverOptions(max_iters=cfg.solver_max_iters, rel_tol=cfg.solver_rel_tol)
-    weights, report = solve_label_weights(ctx, constraints, opts, init=naive_w)
-    q_hat = conformal_quantile_weighted(cal_scores.values, weights.matrix, cfg.alpha)
-    return q_hat, weights, report, ctx, spec, len(grid)
+@dataclass(frozen=True)
+class CalibrationResult:
+    """Everything one unsupervised calibration produced.
 
-
-def _tightest_kernel_bound(ctx, u_final, cfg, grid_size: int) -> float | None:
-    """Smallest coverage-gap bound over a short path of penalized fits.
-
-    Every fit f of the final inclusion indicator certifies the bound
-    approx_error(f) + 2 kappa (1 + sqrt(log(2s/delta))) sqrt(1/n + 1/m)
-    ||f||, so the minimum over a few ridge values is itself certified. The
-    measured ingredients are the fit's L1 error averaged per instance and
-    its RKHS norm. Returns None when no fit on the path converges.
+    ``selection`` is the diagnostics dict of ``select_kernel``; ``mmd`` the
+    final discrepancy ``mmd_objective(weights, context)``; ``kernel_bound``
+    the tightest certified coverage-gap bound, None when no fit on the ridge
+    path converged.
     """
-    base = cfg.selection_ridge if cfg.selection_ridge > 0 else SELECTION_RIDGE
-    best = None
+
+    q_hat: float
+    weights: LabelWeights
+    report: SolverReport
+    spec: KernelSpec
+    context: KernelContext
+    selection: dict
+    mmd: float
+    kernel_bound: float | None
+
+
+def calibrate_unsupervised(
+    model: ProbModel,
+    cal_instances: np.ndarray,
+    train: Dataset,
+    cal_scores: ScoreMatrix,
+    alpha: float,
+    loss_bound: float,
+    *,
+    bandwidth_scales=None,
+    selection_ridge: float = SELECTION_RIDGE,
+    solver_options: SolverOptions | None = None,
+    delta: float = 0.1,
+) -> CalibrationResult:
+    """Threshold unlabeled calibration scores without calibration labels.
+
+    Starts from one-hot weights at the classifier's predictions, selects the
+    bandwidth, builds the kernel context against the labeled ``train``
+    sample, solves the weight QP under the constraint that the mean
+    cross-entropy stays below ``loss_bound``, and takes the weighted
+    conformal quantile. The coverage-gap bound is the smallest one certified
+    over a short path of penalized fits of the final inclusion indicator:
+    every fit f certifies approx_error(f) + 2 kappa (1 + sqrt(log(2s/delta)))
+    sqrt(1/n + 1/m) ||f||, with s the number of bandwidth candidates, so the
+    minimum over the path is itself certified.
+    """
+    naive_w = naive_weights(model, cal_instances)
+    grid = bandwidth_grid(cal_instances.shape[1], bandwidth_scales)
+    spec, selection = select_kernel(grid, cal_instances, cal_scores, naive_w.matrix, alpha, ridge=selection_ridge)
+    ctx = build_context(cal_instances, train, spec)
+    constraints = build_loss_constraints(model, cal_instances, loss_bound)
+    weights, report = solve_label_weights(ctx, constraints, solver_options, init=naive_w)
+    q_hat = conformal_quantile_weighted(cal_scores.values, weights.matrix, alpha)
+    mmd = mmd_objective(weights, ctx)
+
+    u_final = (cal_scores.values <= q_hat).astype(np.float64)
+    base = selection_ridge if selection_ridge > 0 else SELECTION_RIDGE
+    kernel_bound = None
     for ridge in (base / 10.0, base, base * 10.0):
-        Gam, stat, _, _, converged = _blocked_interpolation(
-            ctx.base_gram, u_final, tol=1e-8, max_iters=1500, ridge=ridge)
-        if not converged:
+        try:
+            fit = min_norm_interpolation(ctx.base_gram, u_final, tol=1e-8, max_iters=CG_MAX_ITERS, ridge=ridge)
+        except InterpolationError:
             continue
-        fitted = ctx.base_gram @ Gam
-        norm_sq = max(float(np.sum(Gam * fitted)), 0.0)
+        fitted = ctx.base_gram @ fit.gamma
+        norm_sq = max(float(np.sum(fit.gamma * fitted)), 0.0)
         approx = float(np.abs(u_final - fitted).sum()) / ctx.n
         value = excess_gap_kernel(
             BoundInputs(
                 n=ctx.n,
                 m=ctx.m,
-                delta=cfg.delta,
+                delta=delta,
                 kappa=ctx.kappa,
                 rkhs_norm=math.sqrt(norm_sq),
                 approx_error=approx,
-                num_candidates=grid_size,
+                num_candidates=len(grid),
             )
         )
-        if best is None or value < best:
-            best = value
-    return best
+        if kernel_bound is None or value < kernel_bound:
+            kernel_bound = value
+    return CalibrationResult(
+        q_hat=q_hat,
+        weights=weights,
+        report=report,
+        spec=spec,
+        context=ctx,
+        selection=selection,
+        mmd=mmd,
+        kernel_bound=kernel_bound,
+    )
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int, cal_size: int | None = None) -> TrialRecord:
@@ -308,23 +352,32 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, cal_size: int | None = No
             if cal.hidden_labels is not None:
                 extra["e_diag"] = coverage_diagnostic_E(w.matrix, cal_scores.values, q_hat, cal.hidden_labels)
         else:
-            q_hat, weights, report, ctx, spec, grid_size = _unsupervised_qhat(
-                cfg, model, cal, fit, cal_scores, loss_bound, int(seeds[4])
+            m = cfg.m if cfg.m is not None else n
+            idx = np.random.default_rng(int(seeds[4])).choice(len(fit), size=m, replace=False)
+            out = calibrate_unsupervised(
+                model,
+                cal.instances,
+                Dataset(fit.instances[idx], fit.labels[idx], fit.num_classes),
+                cal_scores,
+                cfg.alpha,
+                loss_bound.value,
+                bandwidth_scales=cfg.bandwidth_scales,
+                selection_ridge=cfg.selection_ridge,
+                solver_options=SolverOptions(max_iters=cfg.solver_max_iters, rel_tol=cfg.solver_rel_tol),
+                delta=cfg.delta,
             )
+            q_hat = out.q_hat
             extra = {
-                "sigma": spec.sigma,
-                "mmd": mmd_objective(weights, ctx),
-                "solver_objective": report.objective_value,
-                "solver_iterations": report.iterations,
-                "solver_slack": report.inequality_slack,
-                "solver_converged": report.converged,
+                "sigma": out.spec.sigma,
+                "mmd": out.mmd,
+                "solver_objective": out.report.objective_value,
+                "solver_iterations": out.report.iterations,
+                "solver_slack": out.report.inequality_slack,
+                "solver_converged": out.report.converged,
+                "kernel_bound": out.kernel_bound,
             }
-            u_final = (cal_scores.values <= q_hat).astype(np.float64)
-            bound = _tightest_kernel_bound(ctx, u_final, cfg, grid_size)
-            if bound is not None:
-                extra["kernel_bound"] = bound
             if cal.hidden_labels is not None:
-                extra["e_diag"] = coverage_diagnostic_E(weights.matrix, cal_scores.values, q_hat, cal.hidden_labels)
+                extra["e_diag"] = coverage_diagnostic_E(out.weights.matrix, cal_scores.values, q_hat, cal.hidden_labels)
         rep = evaluate(prediction_mask(test_scores.values, q_hat), test.labels)
         results.append(
             MethodResult(
@@ -359,7 +412,7 @@ def _environment() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "backend": _accel.active_backend(),
+        "backend": "numpy",
         "package_version": __version__,
     }
 

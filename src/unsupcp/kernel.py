@@ -21,6 +21,7 @@ from .quantile import conformal_quantile_weighted
 BASE_BANDWIDTH_SCALES = tuple(10.0 ** (-1.0 + t / 3.0) for t in range(10))
 CG_JITTER_SCALE = 1e-10
 SELECTION_RIDGE = 3.0
+CG_MAX_ITERS = 1500  # iteration cap of the bandwidth-selection and bound fits
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,9 @@ def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec) -
     )
 
 
-def _as_weight_matrix(w, n: int, c: int) -> np.ndarray:
+def as_weight_matrix(w, n: int, c: int) -> np.ndarray:
+    """View label weights (LabelWeights, flat pair-major vector or (n, c)
+    matrix) as an (n, c) matrix, checking the shape."""
     W = np.asarray(getattr(w, "w", w), dtype=np.float64)
     if W.ndim == 1:
         if W.size != n * c:
@@ -157,7 +160,7 @@ def _as_weight_matrix(w, n: int, c: int) -> np.ndarray:
 def mmd_objective(w, ctx: KernelContext) -> float:
     """Root of the clamped squared MMD between the weighted calibration
     embedding and the training sample embedding."""
-    W = _as_weight_matrix(w, ctx.n, ctx.c)
+    W = as_weight_matrix(w, ctx.n, ctx.c)
     quad = float(np.sum(W * (ctx.base_gram @ W)))
     cross = float(np.sum(W * ctx.cross_v))
     sq = quad / ctx.n**2 - 2.0 * cross / (ctx.n * ctx.m) + ctx.train_self
@@ -166,8 +169,9 @@ def mmd_objective(w, ctx: KernelContext) -> float:
 
 @dataclass(frozen=True)
 class InterpolationResult:
-    """Min-norm kernel interpolation of targets u: coefficients, squared
-    RKHS norm u^T gamma, residual of the jittered solve, iteration count."""
+    """Min-norm kernel interpolation of targets u: coefficients (shaped like
+    u), squared RKHS norm u^T gamma, largest column residual of the jittered
+    solve, iteration count."""
 
     gamma: np.ndarray
     min_norm_sq: float
@@ -205,54 +209,48 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int):
     return X, np.sqrt(rs), iters, not bool(active.any())
 
 
-def min_norm_interpolation(K: np.ndarray, u: np.ndarray, tol: float = 1e-8, max_iters: int | None = None) -> InterpolationResult:
-    """Solve (K + jitter I) gamma = u by conjugate gradients.
+def min_norm_interpolation(K: np.ndarray, u: np.ndarray, tol: float = 1e-8, max_iters: int | None = None,
+                           ridge: float = 0.0) -> InterpolationResult:
+    """Solve (K + (jitter + ridge) I) gamma = u by conjugate gradients.
 
-    The jitter is 1e-10 times the mean kernel diagonal. Non-convergence at
-    the iteration cap raises InterpolationError carrying the residual; the
-    reported min_norm_sq = u^T gamma is clamped at 0 (it is nonnegative in
-    exact arithmetic for PSD K).
+    ``u`` is one target vector or an (n, c) block of them; the block form
+    fits every label column against the shared base Gram at once, since the
+    pair kernel is block diagonal with identical blocks. The jitter is 1e-10
+    times the mean kernel diagonal. ``ridge`` zero asks for plain
+    interpolation; a positive value solves the penalized system, whose
+    statistic u^T gamma equals min_f ||f||^2 + ||f(Z) - u||^2 / ridge.
+
+    Non-convergence at the iteration cap (default 10 n + 100) raises
+    InterpolationError carrying the largest column residual. The reported
+    min_norm_sq = u^T gamma (summed over columns) is clamped at 0; it is
+    nonnegative in exact arithmetic for PSD K.
     """
     K = np.asarray(K, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"K must be square, got shape {K.shape}")
-    if u.shape != (K.shape[0],):
-        raise ValueError(f"u length {u.shape} != {K.shape[0]}")
+    if u.ndim not in (1, 2) or u.shape[0] != K.shape[0]:
+        raise ValueError(f"u shape {u.shape} does not match K of size {K.shape[0]}")
+    if ridge < 0:
+        raise ValueError(f"ridge must be nonnegative, got {ridge}")
     t = K.shape[0]
     if t == 0:
         raise EmptyInputError("empty system")
-    jitter = CG_JITTER_SCALE * float(np.mean(np.diag(K)))
+    shift = CG_JITTER_SCALE * float(np.mean(np.diag(K))) + ridge
     if max_iters is None:
         max_iters = 10 * t + 100
-    X, res, iters, converged = _cg_columns(lambda P: K @ P + jitter * P, u[:, None], tol, max_iters)
-    gamma = X[:, 0]
-    residual = float(res[0])
+    U = u if u.ndim == 2 else u[:, None]
+    X, res, iters, converged = _cg_columns(lambda P: K @ P + shift * P, U, tol, max_iters)
+    residual = float(res.max())
     if not converged:
         raise InterpolationError(f"CG did not converge in {max_iters} iterations", residual=residual)
     return InterpolationResult(
-        gamma=gamma,
-        min_norm_sq=max(float(u @ gamma), 0.0),
+        gamma=X if u.ndim == 2 else X[:, 0],
+        min_norm_sq=max(float(np.sum(U * X)), 0.0),
         residual=residual,
         iterations=iters,
         converged=converged,
     )
-
-
-def _blocked_interpolation(K0: np.ndarray, U: np.ndarray, tol: float, max_iters: int, ridge: float = 0.0):
-    """Fit all label columns of U against the shared base Gram.
-
-    The pair kernel is block diagonal with identical blocks, so K gamma = u
-    splits into c independent systems K0 gamma_y = u_y solved together.
-    ``ridge`` adds to the numerical jitter; zero asks for plain interpolation,
-    a positive value solves the penalized system (K0 + ridge I) gamma = u
-    whose statistic u^T gamma equals min_f ||f||^2 + ||f(Z) - u||^2 / ridge.
-    Returns (Gamma, statistic u^T gamma, max column residual, iterations,
-    converged).
-    """
-    shift = CG_JITTER_SCALE * float(np.mean(np.diag(K0))) + ridge
-    Gam, res, iters, converged = _cg_columns(lambda P: K0 @ P + shift * P, U, tol, max_iters)
-    return Gam, float(np.sum(U * Gam)), float(res.max()), iters, converged
 
 
 def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha: float,
@@ -278,7 +276,7 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     if ridge < 0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
     cal_instances = np.asarray(cal_instances, dtype=np.float64)
-    W = _as_weight_matrix(naive_weights, score_matrix.n, score_matrix.c)
+    W = as_weight_matrix(naive_weights, score_matrix.n, score_matrix.c)
     q0 = conformal_quantile_weighted(score_matrix.values, W, alpha)
     U = (score_matrix.values <= q0).astype(np.float64)
     D2 = _sq_dists(cal_instances, cal_instances)
@@ -287,12 +285,15 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     iteration_counts = np.zeros(len(candidates), dtype=np.int64)
     for j, spec in enumerate(candidates):
         K0 = _gram_from_sq_dists(D2, spec.sigma)
-        Gam, stat, res, iters, converged = _blocked_interpolation(
-            K0, U, tol=1e-8, max_iters=1500, ridge=ridge)
-        iteration_counts[j] = iters
-        residuals[j] = res
-        if converged:
-            stats[j] = stat
+        try:
+            fit = min_norm_interpolation(K0, U, tol=1e-8, max_iters=CG_MAX_ITERS, ridge=ridge)
+        except InterpolationError as exc:
+            iteration_counts[j] = CG_MAX_ITERS
+            residuals[j] = exc.residual
+            continue
+        iteration_counts[j] = fit.iterations
+        residuals[j] = fit.residual
+        stats[j] = fit.min_norm_sq
     if np.isnan(stats).all():
         raise InterpolationError("all kernel candidates failed to interpolate", residual=float(np.nanmin(residuals)))
     best = int(np.nanargmin(stats))
@@ -317,7 +318,7 @@ def rkhs_probe(w, ctx: KernelContext, coeff_cal: np.ndarray, coeff_train: np.nda
     when f vanishes. Kernel values are recomputed from raw instances, so the
     route shares nothing with ``mmd_objective`` beyond the kernel itself.
     """
-    W = _as_weight_matrix(w, ctx.n, ctx.c)
+    W = as_weight_matrix(w, ctx.n, ctx.c)
     Gcal = np.asarray(coeff_cal, dtype=np.float64)
     gtr = np.asarray(coeff_train, dtype=np.float64)
     if Gcal.shape != (ctx.n, ctx.c) or gtr.shape != (ctx.m,):
@@ -342,7 +343,7 @@ def rkhs_probe(w, ctx: KernelContext, coeff_cal: np.ndarray, coeff_train: np.nda
 def witness_probe(w, ctx: KernelContext) -> float:
     """Probe at the exact dual witness (the normalized embedding difference);
     equals the MMD objective up to roundoff."""
-    W = _as_weight_matrix(w, ctx.n, ctx.c)
+    W = as_weight_matrix(w, ctx.n, ctx.c)
     return rkhs_probe(w, ctx, W / ctx.n, np.full(ctx.m, -1.0 / ctx.m))
 
 

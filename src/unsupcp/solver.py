@@ -11,14 +11,14 @@ b - B w lands in [-1e-8 b, 0] (active within tolerance) or lambda = 0 is
 already feasible.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import _resolve, get_impls
 from .classifier import ProbModel, predict_labels, predict_proba_matrix
 from .errors import InfeasibleConstraintError
-from .kernel import KernelContext, _as_weight_matrix
+from .kernel import KernelContext, as_weight_matrix
 
 BLOCK_SUM_TOL = 1e-9
 SLACK_REL_TOL = 1e-8
@@ -80,8 +80,21 @@ def project_simplex_block(block: np.ndarray) -> np.ndarray:
         raise ValueError(f"block must be a non-empty vector, got shape {block.shape}")
     if not np.isfinite(block).all():
         raise ValueError("block must be finite")
-    proj = get_impls()[0]
-    return proj(np.ascontiguousarray(block[None, :]))[0]
+    return _project_rows(block[None, :])[0]
+
+
+def _project_rows(V: np.ndarray) -> np.ndarray:
+    """Project each row of V onto the probability simplex (sort-threshold)."""
+    n, c = V.shape
+    U = -np.sort(-V, axis=1)
+    css = np.cumsum(U, axis=1) - 1.0
+    ks = np.arange(1, c + 1, dtype=np.float64)
+    cond = U * ks > css
+    # cond holds on a prefix; rho = length of that prefix (>= 1 always)
+    not_cond = ~cond
+    rho = np.where(not_cond.any(axis=1), not_cond.argmax(axis=1), c)
+    theta = css[np.arange(n), rho - 1] / rho
+    return np.maximum(V - theta[:, None], 0.0)
 
 
 @dataclass(frozen=True)
@@ -118,7 +131,6 @@ def build_loss_constraints(model: ProbModel, instances: np.ndarray, loss_bound_v
 class SolverOptions:
     max_iters: int = 20000
     rel_tol: float = 1e-7
-    backend: str | None = None
 
 
 @dataclass(frozen=True)
@@ -137,8 +149,63 @@ class SolverReport:
     inequality_slack: float
     dual_lambda: float
     converged: bool
-    backend: str
     objective_history: np.ndarray
+
+
+def _fista(K0, G, W0, lip, max_iters, rel_tol):
+    """Accelerated projected gradient on h(W) = (1/n)<W, K0 W> - <G, W>.
+
+    Feasible set is the product of per-row simplices. Momentum restarts on a
+    function increase by redoing the step as plain projected gradient from the
+    previous iterate, which the descent lemma makes non-increasing, so the
+    recorded objective history is monotone. K0 @ y is recovered from cached
+    K0 @ x by linearity; normal iterations cost a single GEMM.
+
+    Returns (W, K0 @ W, objective, iterations, last relative change,
+    converged flag, objective history).
+    """
+    n = K0.shape[0]
+    inv_n = 1.0 / n
+    step = 1.0 / lip
+    X = _project_rows(W0)
+    KX = K0 @ X
+    f = inv_n * np.sum(KX * X) - np.sum(G * X)
+    hist = np.empty(max_iters + 1)
+    hist[0] = f
+    Xp = X
+    KXp = KX
+    t = 1.0
+    rel = math.inf
+    iters = 0
+    converged = False
+    for k in range(1, max_iters + 1):
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        Y = X + beta * (X - Xp)
+        KY = (1.0 + beta) * KX - beta * KXp
+        grad = (2.0 * inv_n) * KY - G
+        Z = _project_rows(Y - step * grad)
+        KZ = K0 @ Z
+        fz = inv_n * np.sum(KZ * Z) - np.sum(G * Z)
+        if fz > f:
+            grad = (2.0 * inv_n) * KX - G
+            Z = _project_rows(X - step * grad)
+            KZ = K0 @ Z
+            fz = inv_n * np.sum(KZ * Z) - np.sum(G * Z)
+            t_next = 1.0
+        rel = abs(f - fz) / max(1.0, abs(fz))
+        Xp = X
+        KXp = KX
+        X = Z
+        KX = KZ
+        f = fz
+        t = t_next
+        hist[k] = f
+        iters = k
+        if rel < rel_tol:
+            converged = True
+            break
+    return X, KX, f, iters, rel, converged, hist[: iters + 1]
 
 
 def _phi(K0: np.ndarray, V: np.ndarray, W: np.ndarray, n: int, m: int) -> float:
@@ -161,10 +228,8 @@ def solve_label_weights(
     n, m, c = ctx.n, ctx.m, ctx.c
     K0 = ctx.base_gram
     V = ctx.cross_v
-    fista = get_impls(options.backend)[1]
-    backend_name = _resolve(options.backend)
     lip = max(2.0 / n * float(K0.sum(axis=1).max()), 1e-12)
-    W0 = np.full((n, c), 1.0 / c) if init is None else _as_weight_matrix(init, n, c).copy()
+    W0 = np.full((n, c), 1.0 / c) if init is None else as_weight_matrix(init, n, c).copy()
     G_base = (2.0 / m) * V
 
     B = None
@@ -184,14 +249,7 @@ def solve_label_weights(
     def run(lam, W_init):
         nonlocal total_iters
         G = G_base if lam == 0.0 else G_base - lam * B
-        out = fista(
-            np.ascontiguousarray(K0),
-            np.ascontiguousarray(G),
-            np.ascontiguousarray(W_init),
-            lip,
-            options.max_iters,
-            options.rel_tol,
-        )
+        out = _fista(K0, G, W_init, lip, options.max_iters, options.rel_tol)
         total_iters += out[3]
         return out
 
@@ -252,7 +310,6 @@ def solve_label_weights(
         inequality_slack=float(slack),
         dual_lambda=float(lam),
         converged=bool(converged),
-        backend=backend_name,
         objective_history=hist,
     )
     return weights, report

@@ -16,8 +16,15 @@ from _oracles import mixture_logistic_model, qp_oracle
 from conftest import record_criterion
 from unsupcp.bounds import BoundInputs, excess_gap_kernel
 from unsupcp.classifier import ce_objective_grad, estimate_loss_bound, train_logistic
-from unsupcp.data import Dataset, SyntheticConfig, generate_synthetic
-from unsupcp.harness import ExperimentConfig, _unsupervised_qhat, _val_count, run_experiment, run_trial
+from unsupcp.data import Dataset, SyntheticConfig, generate_synthetic, split_dataset
+from unsupcp.harness import (
+    CalibrationResult,
+    ExperimentConfig,
+    _val_count,
+    calibrate_unsupervised,
+    run_experiment,
+    run_trial,
+)
 from unsupcp.kernel import KernelSpec, build_context, dual_witness_check, mmd_objective, witness_probe
 from unsupcp.quantile import conformal_quantile_supervised, conformal_quantile_weighted, evaluate, prediction_mask
 from unsupcp.scores import build_score_matrix
@@ -257,10 +264,17 @@ def test_criterion_08_supervised_reduction_identity(monkeypatch):
         q_s = conformal_quantile_supervised(values[np.arange(n), labels - 1], alpha)
         exact &= q_w == q_s or (math.isinf(q_w) and math.isinf(q_s))
 
-    def oracle_weights(cfg, model, cal, fit, cal_scores, loss_bound, mdraw_seed):
+    seen = {}
+
+    def capture_split(ds, spec):
+        parts = split_dataset(ds, spec)
+        seen["cal"] = parts[1]
+        return parts
+
+    def oracle_weights(model, cal_instances, train, cal_scores, alpha, loss_bound, **_):
+        cal = seen["cal"]
         w_star = supervised_weights(cal.hidden_labels, cal.num_classes)
-        q_hat = conformal_quantile_weighted(cal_scores.values, w_star.matrix, cfg.alpha)
-        ctx = build_context(cal.instances, Dataset(fit.instances[:4], fit.labels[:4], fit.num_classes), KernelSpec(1.0))
+        ctx = build_context(cal_instances, Dataset(train.instances[:4], train.labels[:4], train.num_classes), KernelSpec(1.0))
         report = SolverReport(
             objective_value=0.0,
             iterations=0,
@@ -268,12 +282,21 @@ def test_criterion_08_supervised_reduction_identity(monkeypatch):
             inequality_slack=np.inf,
             dual_lambda=0.0,
             converged=True,
-            backend="numpy",
             objective_history=np.zeros(1),
         )
-        return q_hat, w_star, report, ctx, KernelSpec(1.0), 1
+        return CalibrationResult(
+            q_hat=conformal_quantile_weighted(cal_scores.values, w_star.matrix, alpha),
+            weights=w_star,
+            report=report,
+            spec=KernelSpec(1.0),
+            context=ctx,
+            selection={},
+            mmd=mmd_objective(w_star, ctx),
+            kernel_bound=None,
+        )
 
-    monkeypatch.setattr("unsupcp.harness._unsupervised_qhat", oracle_weights)
+    monkeypatch.setattr("unsupcp.harness.split_dataset", capture_split)
+    monkeypatch.setattr("unsupcp.harness.calibrate_unsupervised", oracle_weights)
     cfg = ExperimentConfig(
         dataset=GRID_CFG.dataset,
         train_size=60,
@@ -324,8 +347,8 @@ def test_criterion_09_bound_monotone_and_calibrated(grid_results):
 
 
 def _timed_unsupervised_calibration(n: int, seed: int) -> float:
-    """Wall time of the unsupervised calibration stage (bandwidth selection,
-    kernel assembly, constrained weight solve, threshold) at c=10, d=10."""
+    """Wall time of ``calibrate_unsupervised`` (bandwidth selection, kernel
+    assembly, constrained weight solve, threshold, gap bound) at c=10, d=10."""
     c, d = 10, 10
     cfg = ExperimentConfig(
         dataset={
@@ -352,10 +375,12 @@ def _timed_unsupervised_calibration(n: int, seed: int) -> float:
     model = train_logistic(fit, l2=cfg.l2, max_iters=cfg.classifier_max_iters)
     loss_bound = estimate_loss_bound(model, val)
     cal_scores = build_score_matrix(model, cal_ds.instances, "adaptive", seed + 2)
+    # m = n training samples; the synthetic draw is i.i.d., so its first n serve
+    train = Dataset(fit.instances[:n], fit.labels[:n], c)
     t0 = time.perf_counter()
-    _, _, report, _, _, _ = _unsupervised_qhat(cfg, model, cal_ds, fit, cal_scores, loss_bound, seed + 3)
+    out = calibrate_unsupervised(model, cal_ds.instances, train, cal_scores, cfg.alpha, loss_bound.value)
     elapsed = time.perf_counter() - t0
-    assert report.converged
+    assert out.report.converged
     return elapsed
 
 

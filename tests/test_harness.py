@@ -8,7 +8,9 @@ import jsonschema
 import numpy as np
 import pytest
 
+from unsupcp.classifier import estimate_loss_bound, train_logistic
 from unsupcp.cli import main
+from unsupcp.data import Dataset, SplitSpec, SyntheticConfig, generate_synthetic, split_dataset
 from unsupcp.errors import EmptyInputError
 from unsupcp.harness import (
     METHODS,
@@ -18,12 +20,16 @@ from unsupcp.harness import (
     ExperimentResults,
     MethodResult,
     TrialRecord,
+    _trial_seeds,
     _val_count,
     aggregate,
+    calibrate_unsupervised,
     emit_results,
     run_experiment,
     run_trial,
 )
+from unsupcp.scores import build_score_matrix
+from unsupcp.solver import SolverOptions
 
 TINY_DATASET = {
     "type": "synthetic",
@@ -93,6 +99,12 @@ class TestExperimentConfig:
             dict(test_size=0),
             dict(train_size=1),
             dict(selection_ridge=-1.0),
+            dict(delta=1.5),
+            dict(delta=0.0),
+            dict(m=0),
+            dict(solver_max_iters=0),
+            dict(solver_rel_tol=0.0),
+            dict(solver_rel_tol=-1e-7),
         ],
     )
     def test_validation(self, overrides):
@@ -141,6 +153,50 @@ class TestRunTrial:
         assert 0.0 <= unsup.coverage <= 1.0
         for row in rec.rows():
             assert set(row) == set(TRIAL_COLUMNS)
+
+
+class TestCalibrateUnsupervised:
+    def test_matches_harness_row(self):
+        """The harness's unsupervised row reports exactly what a direct call
+        on the same trial's inputs returns."""
+        cfg = _tiny_config(trials=1, m=10, bandwidth_scales=(0.3, 1.0, 3.0), selection_ridge=1.5, delta=0.2)
+        n = 12
+        seeds = _trial_seeds(cfg, n, 0)
+        syn = SyntheticConfig(
+            class_means=np.asarray(TINY_DATASET["class_means"]),
+            cov_scale=TINY_DATASET["cov_scale"],
+            priors=np.asarray(TINY_DATASET["priors"]),
+        )
+        ds, _ = generate_synthetic(syn, cfg.train_size + n + cfg.test_size, int(seeds[0]))
+        train, cal, _ = split_dataset(ds, SplitSpec(cfg.train_size, n, cfg.test_size, int(seeds[1])))
+        vc = _val_count(cfg.train_size)
+        fit = Dataset(train.instances[:-vc], train.labels[:-vc], train.num_classes)
+        val = Dataset(train.instances[-vc:], train.labels[-vc:], train.num_classes)
+        model = train_logistic(fit, l2=cfg.l2, max_iters=cfg.classifier_max_iters)
+        cal_scores = build_score_matrix(model, cal.instances, cfg.score, int(seeds[2]), cfg.noise_epsilon)
+        idx = np.random.default_rng(int(seeds[4])).choice(len(fit), size=cfg.m, replace=False)
+        out = calibrate_unsupervised(
+            model,
+            cal.instances,
+            Dataset(fit.instances[idx], fit.labels[idx], fit.num_classes),
+            cal_scores,
+            cfg.alpha,
+            estimate_loss_bound(model, val).value,
+            bandwidth_scales=cfg.bandwidth_scales,
+            selection_ridge=cfg.selection_ridge,
+            solver_options=SolverOptions(max_iters=cfg.solver_max_iters, rel_tol=cfg.solver_rel_tol),
+            delta=cfg.delta,
+        )
+        row = next(r for r in run_trial(cfg, 0, n).results if r.method == "unsupervised")
+        assert out.kernel_bound is not None
+        assert out.q_hat == row.q_hat
+        assert out.spec.sigma == row.sigma
+        assert out.mmd == row.mmd
+        assert out.report.objective_value == row.solver_objective
+        assert out.report.iterations == row.solver_iterations
+        assert out.report.inequality_slack == row.solver_slack
+        assert out.report.converged == row.solver_converged
+        assert out.kernel_bound == row.kernel_bound
 
 
 class TestRunExperiment:

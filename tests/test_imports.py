@@ -1,0 +1,35 @@
+"""Package modules use only each other's public names."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "unsupcp"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_imports(path: Path) -> list[str]:
+    """Underscore names (and names from underscore modules) that one package
+    module imports from the package."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "unsupcp"):
+            parts = [p for p in (node.module or "").split(".") if p != "unsupcp"]
+            if any(_private(p) for p in parts):
+                found.append(f"module {node.module}")
+            found += [alias.name for alias in node.names if _private(alias.name)]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "unsupcp" and any(_private(p) for p in parts[1:]):
+                    found.append(f"module {alias.name}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_sibling_imports(path):
+    assert _private_imports(path) == []

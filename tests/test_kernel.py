@@ -186,6 +186,31 @@ class TestMinNormInterpolation:
         with pytest.raises(InterpolationError, match="converge"):
             min_norm_interpolation(np.eye(3), np.ones(3), max_iters=0)
 
+    def test_block_matches_columns(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((6, 2))
+        K = gaussian_gram(X, X, 0.8)
+        U = rng.uniform(0.0, 1.0, (6, 3))
+        block = min_norm_interpolation(K, U, ridge=0.5)
+        cols = [min_norm_interpolation(K, U[:, y], ridge=0.5) for y in range(3)]
+        assert block.gamma.shape == (6, 3)
+        for y, col in enumerate(cols):
+            np.testing.assert_allclose(block.gamma[:, y], col.gamma, rtol=1e-7, atol=1e-10)
+        assert abs(block.min_norm_sq - sum(col.min_norm_sq for col in cols)) < 1e-8
+
+    def test_ridge_shifts_the_system(self):
+        u = np.array([1.0, -2.0, 0.5])
+        res = min_norm_interpolation(np.eye(3), u, ridge=3.0)
+        np.testing.assert_allclose(res.gamma, u / 4.0, rtol=1e-9)
+
+    def test_target_shape_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            min_norm_interpolation(np.eye(3), np.ones((2, 2)))
+
+    def test_negative_ridge_rejected(self):
+        with pytest.raises(ValueError, match="ridge"):
+            min_norm_interpolation(np.eye(3), np.ones(3), ridge=-1.0)
+
 
 class TestSelectKernel:
     def _all_ones_fixture(self, n, c, alpha):
@@ -236,10 +261,10 @@ class TestSelectKernel:
     def test_all_candidates_failing_raises(self, monkeypatch):
         cal, scores, weights, alpha = self._all_ones_fixture(2, 2, 0.1)
 
-        def never_converges(K0, U, tol, max_iters, ridge=0.0):
-            return np.zeros_like(U), 0.0, 1.0, max_iters, False
+        def never_converges(K, u, tol=1e-8, max_iters=None, ridge=0.0):
+            raise InterpolationError("CG did not converge", residual=1.0)
 
-        monkeypatch.setattr(kernel_mod, "_blocked_interpolation", never_converges)
+        monkeypatch.setattr(kernel_mod, "min_norm_interpolation", never_converges)
         with pytest.raises(InterpolationError, match="candidates"):
             select_kernel([KernelSpec(1.0), KernelSpec(2.0)], cal, scores, weights, alpha)
 
@@ -250,6 +275,7 @@ class TestSelectKernel:
         assert diag["ridge"] == kernel_mod.SELECTION_RIDGE
         assert len(diag["statistics"]) == 3
         assert len(diag["residuals"]) == 3
+        assert set(diag) == {"q_hat0", "ridge", "sigmas", "statistics", "residuals", "iterations", "selected_index"}
         assert diag["sigmas"][diag["selected_index"]] == spec.sigma
 
 

@@ -14,6 +14,7 @@ from unsupcp.solver import (
     ConstraintSet,
     LabelWeights,
     SolverOptions,
+    _project_rows,
     build_loss_constraints,
     naive_weights,
     project_simplex_block,
@@ -123,6 +124,27 @@ class TestProjectSimplexBlock:
         for _ in range(20):
             q = rng.dirichlet(np.ones(k))
             assert dist <= np.sum((z - q) ** 2) + 1e-9
+
+
+class TestProjectRows:
+    def test_simplex_rows_fixed(self):
+        rows = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
+        np.testing.assert_allclose(_project_rows(rows), rows, atol=1e-12)
+
+    def test_noncontiguous_input(self):
+        rng = np.random.default_rng(1)
+        V = rng.standard_normal((8, 6))[::2, ::2]
+        out = _project_rows(V)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), c=st.integers(2, 7))
+    def test_rows_land_on_simplex(self, seed, c):
+        rng = np.random.default_rng(seed)
+        V = rng.uniform(-5.0, 5.0, (4, c))
+        out = _project_rows(V)
+        assert out.min() >= 0.0
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestConstraintSet:
