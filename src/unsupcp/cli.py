@@ -4,14 +4,14 @@
 runs the configured experiment and writes summary.json, trials.csv, and
 gapcurve.csv under the output directory. Exit codes: 0 on success, 2 when
 some trials failed but results were still emitted, 1 on config or I/O
-errors. UNSUPCP_WORKERS sets the default worker count.
+errors. ``--workers`` defaults to 1 (trials run in this process).
 """
 
 import argparse
 import sys
 from dataclasses import replace
 
-from .harness import WORKERS_ENV, ExperimentConfig, emit_results, run_experiment
+from .harness import ExperimentConfig, emit_results, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -20,7 +20,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run an experiment from a JSON config")
     run_p.add_argument("--config", required=True, help="path to the experiment config JSON")
     run_p.add_argument("--seed", type=int, default=None, help="override the config's base seed")
-    run_p.add_argument("--workers", type=int, default=None, help=f"worker processes (default ${WORKERS_ENV} or 1)")
+    run_p.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     run_p.add_argument("--out", default="results", help="output directory (default ./results)")
     return parser
 

@@ -53,7 +53,6 @@ from .solver import (
 
 METHODS = ("supervised", "unsupervised", "naive")
 VALIDATION_FRACTION = 0.2
-WORKERS_ENV = "UNSUPCP_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -109,6 +108,14 @@ class ExperimentConfig:
             raise ValueError(f"selection_ridge must be nonnegative, got {self.selection_ridge}")
         if self.m is not None and self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
+        if self.bandwidth_scales is not None and not (
+            self.bandwidth_scales and all(math.isfinite(v) and v > 0 for v in self.bandwidth_scales)
+        ):
+            raise ValueError(f"bandwidth_scales must be non-empty, finite and positive, got {self.bandwidth_scales}")
+        if self.l2 < 0:
+            raise ValueError(f"l2 must be nonnegative, got {self.l2}")
+        if self.noise_epsilon is not None and self.noise_epsilon < 0:
+            raise ValueError(f"noise_epsilon must be nonnegative, got {self.noise_epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.solver_max_iters < 1:
@@ -192,6 +199,24 @@ TRIAL_COLUMNS = (
     "loss_bound",
     "wall_seconds",
 )
+
+# summary.json aggregate fields, in order, with their JSON types
+AGGREGATE_COLUMNS = {
+    "cal_size": "integer",
+    "method": "string",
+    "trials": "integer",
+    "coverage_mean": "number",
+    "coverage_q25": "number",
+    "coverage_q75": "number",
+    "size_mean": "number",
+    "size_q25": "number",
+    "size_q75": "number",
+    "mean_abs_gap": "number",
+    "gap_q25": "number",
+    "gap_q75": "number",
+}
+# gapcurve.csv columns: the (cal_size, method) key and the gap statistics
+GAPCURVE_COLUMNS = ("cal_size", "method") + tuple(k for k in AGGREGATE_COLUMNS if "gap" in k)
 
 
 @dataclass(frozen=True)
@@ -424,15 +449,13 @@ def _trial_task(cfg: ExperimentConfig, n: int, t: int):
         return (n, t, None, f"{type(exc).__name__}: {exc}")
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentResults:
+def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResults:
     """Run the full (cal_size x trial) grid, optionally in worker processes.
 
     Trial outcomes are deterministic per (cal_size, trial) regardless of
     scheduling; records come back sorted. Per-trial exceptions become
     failure entries instead of aborting the run.
     """
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     grid = [(n, t) for n in cfg.cal_sizes for t in range(cfg.trials)]
@@ -449,31 +472,26 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     return ExperimentResults(config=cfg, records=records, failures=failures, environment=_environment())
 
 
+def _mean_quartiles(x: np.ndarray) -> tuple:
+    return float(np.mean(x)), float(np.percentile(x, 25)), float(np.percentile(x, 75))
+
+
 def aggregate(records, alpha: float) -> list[dict]:
-    """Mean and quartile summaries per (cal_size, method)."""
-    rows = [row for rec in records for row in rec.rows()]
-    keys = sorted({(r["cal_size"], r["method"]) for r in rows})
+    """Mean and quartile summaries per (cal_size, method), keyed by
+    AGGREGATE_COLUMNS."""
+    groups = {}
+    for rec in records:
+        for row in rec.rows():
+            groups.setdefault((row["cal_size"], row["method"]), []).append(row)
     out = []
-    for cal_size, method in keys:
-        cov = np.array([r["coverage"] for r in rows if r["cal_size"] == cal_size and r["method"] == method])
-        size = np.array([r["mean_size"] for r in rows if r["cal_size"] == cal_size and r["method"] == method])
+    for cal_size, method in sorted(groups):
+        rows = groups[cal_size, method]
+        cov = np.array([r["coverage"] for r in rows])
+        size = np.array([r["mean_size"] for r in rows])
         gaps = np.abs(cov - (1.0 - alpha))
-        out.append(
-            {
-                "cal_size": int(cal_size),
-                "method": method,
-                "trials": int(cov.size),
-                "coverage_mean": float(np.mean(cov)),
-                "coverage_q25": float(np.percentile(cov, 25)),
-                "coverage_q75": float(np.percentile(cov, 75)),
-                "size_mean": float(np.mean(size)),
-                "size_q25": float(np.percentile(size, 25)),
-                "size_q75": float(np.percentile(size, 75)),
-                "mean_abs_gap": float(np.mean(gaps)),
-                "gap_q25": float(np.percentile(gaps, 25)),
-                "gap_q75": float(np.percentile(gaps, 75)),
-            }
-        )
+        values = (int(cal_size), method, int(cov.size), *_mean_quartiles(cov), *_mean_quartiles(size),
+                  *_mean_quartiles(gaps))
+        out.append(dict(zip(AGGREGATE_COLUMNS, values, strict=True)))
     return out
 
 
@@ -496,34 +514,8 @@ RESULTS_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": [
-                    "cal_size",
-                    "method",
-                    "trials",
-                    "coverage_mean",
-                    "coverage_q25",
-                    "coverage_q75",
-                    "size_mean",
-                    "size_q25",
-                    "size_q75",
-                    "mean_abs_gap",
-                    "gap_q25",
-                    "gap_q75",
-                ],
-                "properties": {
-                    "cal_size": {"type": "integer"},
-                    "method": {"type": "string"},
-                    "trials": {"type": "integer"},
-                    "coverage_mean": {"type": "number"},
-                    "coverage_q25": {"type": "number"},
-                    "coverage_q75": {"type": "number"},
-                    "size_mean": {"type": "number"},
-                    "size_q25": {"type": "number"},
-                    "size_q75": {"type": "number"},
-                    "mean_abs_gap": {"type": "number"},
-                    "gap_q25": {"type": "number"},
-                    "gap_q75": {"type": "number"},
-                },
+                "required": list(AGGREGATE_COLUMNS),
+                "properties": {k: {"type": t} for k, t in AGGREGATE_COLUMNS.items()},
             },
         },
         "failures": {
@@ -547,41 +539,39 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def emit_results(results: ExperimentResults, out_dir: str, formats=("json", "csv")) -> dict:
+def emit_results(results: ExperimentResults, out_dir: str) -> dict:
     """Write summary.json (config, environment, aggregates, failures),
     trials.csv (one row per trial per method), and gapcurve.csv (mean
     absolute gap per calibration size). Floats in CSV use shortest
-    round-trip formatting so re-parsing reproduces them bit for bit."""
+    round-trip formatting so re-parsing reproduces them bit for bit.
+    Returns the paths written, keyed "summary", "trials" and "gapcurve"."""
     if not results.records and not results.failures:
         raise EmptyInputError("no records to emit")
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
+    paths = {
+        "summary": os.path.join(out_dir, "summary.json"),
+        "trials": os.path.join(out_dir, "trials.csv"),
+        "gapcurve": os.path.join(out_dir, "gapcurve.csv"),
+    }
     aggs = aggregate(results.records, results.config.alpha)
-    if "json" in formats:
-        paths["summary"] = os.path.join(out_dir, "summary.json")
-        payload = {
-            "config": results.config.to_dict(),
-            "environment": results.environment,
-            "aggregates": aggs,
-            "failures": list(results.failures),
-        }
-        with open(paths["summary"], "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    if "csv" in formats:
-        paths["trials"] = os.path.join(out_dir, "trials.csv")
-        with open(paths["trials"], "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRIAL_COLUMNS)
-            for rec in results.records:
-                for row in rec.rows():
-                    writer.writerow([_csv_cell(row[k]) for k in TRIAL_COLUMNS])
-        paths["gapcurve"] = os.path.join(out_dir, "gapcurve.csv")
-        with open(paths["gapcurve"], "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cal_size", "method", "mean_abs_gap", "gap_q25", "gap_q75"])
-            for a in aggs:
-                writer.writerow(
-                    [a["cal_size"], a["method"], repr(a["mean_abs_gap"]), repr(a["gap_q25"]), repr(a["gap_q75"])]
-                )
+    payload = {
+        "config": results.config.to_dict(),
+        "environment": results.environment,
+        "aggregates": aggs,
+        "failures": list(results.failures),
+    }
+    with open(paths["summary"], "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    with open(paths["trials"], "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRIAL_COLUMNS)
+        for rec in results.records:
+            for row in rec.rows():
+                writer.writerow([_csv_cell(row[k]) for k in TRIAL_COLUMNS])
+    with open(paths["gapcurve"], "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(GAPCURVE_COLUMNS)
+        for a in aggs:
+            writer.writerow([_csv_cell(a[k]) for k in GAPCURVE_COLUMNS])
     return paths

@@ -128,8 +128,10 @@ def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec) -
     onehot[np.arange(m), train.labels - 1] = 1.0
     cross = gaussian_gram(cal_instances, train.instances, spec.sigma)
     V = cross @ onehot
-    Kt = gaussian_gram(train.instances, train.instances, spec.sigma)
-    train_self = float(np.sum((Kt @ onehot) * onehot)) / (m * m)
+    # the pair kernel vanishes across labels, so the training sample's mean
+    # kernel needs only its same-label Gram blocks
+    blocks = (train.instances[train.labels == y] for y in np.unique(train.labels))
+    train_self = sum(float(np.sum(gaussian_gram(T, T, spec.sigma))) for T in blocks) / (m * m)
     return KernelContext(
         spec=spec,
         base_gram=K0,
@@ -177,7 +179,6 @@ class InterpolationResult:
     min_norm_sq: float
     residual: float
     iterations: int
-    converged: bool
 
 
 def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int):
@@ -249,7 +250,6 @@ def min_norm_interpolation(K: np.ndarray, u: np.ndarray, tol: float = 1e-8, max_
         min_norm_sq=max(float(np.sum(U * X)), 0.0),
         residual=residual,
         iterations=iters,
-        converged=converged,
     )
 
 

@@ -12,7 +12,7 @@ already feasible.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,7 +152,24 @@ class SolverReport:
     objective_history: np.ndarray
 
 
-def _fista(K0, G, W0, lip, max_iters, rel_tol):
+@dataclass(frozen=True)
+class _InnerSolve:
+    """One FISTA solve at a fixed multiplier: the iterate W with its K0 @ W,
+    the iteration count, the last relative change, the converged flag and the
+    objective history. ``lam`` and ``slack`` (b - B W, +inf unconstrained)
+    are filled in by the multiplier search."""
+
+    W: np.ndarray
+    KW: np.ndarray
+    iterations: int
+    rel_change: float
+    converged: bool
+    history: np.ndarray
+    lam: float = 0.0
+    slack: float = math.inf
+
+
+def _fista(K0, G, W0, lip, max_iters, rel_tol) -> _InnerSolve:
     """Accelerated projected gradient on h(W) = (1/n)<W, K0 W> - <G, W>.
 
     Feasible set is the product of per-row simplices. Momentum restarts on a
@@ -160,9 +177,6 @@ def _fista(K0, G, W0, lip, max_iters, rel_tol):
     previous iterate, which the descent lemma makes non-increasing, so the
     recorded objective history is monotone. K0 @ y is recovered from cached
     K0 @ x by linearity; normal iterations cost a single GEMM.
-
-    Returns (W, K0 @ W, objective, iterations, last relative change,
-    converged flag, objective history).
     """
     n = K0.shape[0]
     inv_n = 1.0 / n
@@ -205,11 +219,7 @@ def _fista(K0, G, W0, lip, max_iters, rel_tol):
         if rel < rel_tol:
             converged = True
             break
-    return X, KX, f, iters, rel, converged, hist[: iters + 1]
-
-
-def _phi(K0: np.ndarray, V: np.ndarray, W: np.ndarray, n: int, m: int) -> float:
-    return float(np.sum(W * (K0 @ W)) / n - 2.0 * np.sum(V * W) / m)
+    return _InnerSolve(W=X, KW=KX, iterations=iters, rel_change=rel, converged=converged, history=hist[: iters + 1])
 
 
 def solve_label_weights(
@@ -223,6 +233,12 @@ def solve_label_weights(
     ``init`` seeds the iteration (the pipeline passes the naive weights);
     None starts from uniform blocks. Raises InfeasibleConstraintError when
     even the per-block loss-minimizing vertices violate the bound.
+
+    When the unconstrained optimum violates the loss bound, the multiplier
+    is bracketed by doubling from 1 (each solve warm-started from the last
+    iterate), then bisected (each solve warm-started from the best feasible
+    one) until the slack is active within tolerance. The report's iteration
+    count sums every inner solve.
     """
     options = options or SolverOptions()
     n, m, c = ctx.n, ctx.m, ctx.c
@@ -243,73 +259,64 @@ def solve_label_weights(
             raise InfeasibleConstraintError(
                 f"loss constraint unsatisfiable: even the minimum-loss vertex costs {B.min(axis=1).sum():.6g} > {b:.6g}"
             )
+    slack_tol = SLACK_REL_TOL * b
 
-    total_iters = 0
+    def linear_term(lam):
+        return G_base if lam == 0.0 else G_base - lam * B
 
-    def run(lam, W_init):
-        nonlocal total_iters
-        G = G_base if lam == 0.0 else G_base - lam * B
-        out = _fista(K0, G, W_init, lip, options.max_iters, options.rel_tol)
-        total_iters += out[3]
-        return out
+    def solve(lam, W_init) -> _InnerSolve:
+        out = _fista(K0, linear_term(lam), W_init, lip, options.max_iters, options.rel_tol)
+        slack = np.inf if B is None else b - float(np.sum(B * out.W))
+        return replace(out, lam=lam, slack=slack)
 
-    W, KW, _, _, rel, converged, hist = run(0.0, W0)
-    lam = 0.0
-    slack = np.inf if B is None else b - float(np.sum(B * W))
-
-    if B is not None and slack < -SLACK_REL_TOL * b:
-        slack_tol = SLACK_REL_TOL * b
-        lam_lo = 0.0
-        lam_hi = 1.0
-        best = None
+    run = solve(0.0, W0)
+    iterations = run.iterations
+    if B is not None and run.slack < -slack_tol:
+        lam_lo, lam_hi = 0.0, 1.0
         for _ in range(200):
-            W, KW, _, _, rel, converged, hist = run(lam_hi, W)
-            slack = b - float(np.sum(B * W))
-            if slack >= -slack_tol:
-                best = (W, KW, rel, converged, hist, lam_hi, slack)
+            run = solve(lam_hi, run.W)
+            iterations += run.iterations
+            if run.slack >= -slack_tol:
                 break
-            lam_lo = lam_hi
-            lam_hi *= 2.0
-        if best is None:
+            lam_lo, lam_hi = lam_hi, 2.0 * lam_hi
+        else:
             raise InfeasibleConstraintError("bisection failed to bracket a feasible multiplier")
-        if not (-slack_tol <= best[6] <= 0.0):
+        best = run
+        if best.slack > 0.0:
             for _ in range(100):
-                mid = 0.5 * (lam_lo + lam_hi)
-                W_mid, KW_mid, _, _, rel_mid, conv_mid, hist_mid = run(mid, best[0])
-                s_mid = b - float(np.sum(B * W_mid))
-                if -slack_tol <= s_mid <= 0.0:
-                    best = (W_mid, KW_mid, rel_mid, conv_mid, hist_mid, mid, s_mid)
-                    break
-                if s_mid > 0.0:
-                    lam_hi = mid
-                    best = (W_mid, KW_mid, rel_mid, conv_mid, hist_mid, mid, s_mid)
+                run = solve(0.5 * (lam_lo + lam_hi), best.W)
+                iterations += run.iterations
+                if run.slack >= -slack_tol:
+                    best = run
+                    if run.slack <= 0.0:
+                        break
+                    lam_hi = run.lam
                 else:
-                    lam_lo = mid
+                    lam_lo = run.lam
                 if lam_hi - lam_lo <= 1e-12 * max(1.0, lam_hi):
                     break
-        W, KW, rel, converged, hist, lam, slack = best
+        run = best
 
     # flat blocks (gradient constant within the block) are optimum-indifferent;
     # resolve them to uniform when that keeps the constraint satisfied
-    G_lin = G_base if lam == 0.0 else G_base - lam * B
-    grad = (2.0 / n) * KW - G_lin
+    W, KW, slack = run.W, run.KW, run.slack
+    grad = (2.0 / n) * KW - linear_term(run.lam)
     flat = (grad.max(axis=1) - grad.min(axis=1)) == 0.0
     if bool(flat.any()):
         W_alt = W.copy()
         W_alt[flat] = 1.0 / c
         alt_slack = np.inf if B is None else b - float(np.sum(B * W_alt))
-        if B is None or alt_slack >= -SLACK_REL_TOL * b:
-            W = W_alt
-            slack = alt_slack
+        if B is None or alt_slack >= -slack_tol:
+            W, KW, slack = W_alt, K0 @ W_alt, alt_slack
 
     weights = LabelWeights(w=W.ravel(), n=n, c=c)
     report = SolverReport(
-        objective_value=_phi(K0, V, W, n, m),
-        iterations=total_iters,
-        final_rel_change=float(rel),
+        objective_value=float(np.sum(W * KW) / n - 2.0 * np.sum(V * W) / m),
+        iterations=iterations,
+        final_rel_change=float(run.rel_change),
         inequality_slack=float(slack),
-        dual_lambda=float(lam),
-        converged=bool(converged),
-        objective_history=hist,
+        dual_lambda=float(run.lam),
+        converged=bool(run.converged),
+        objective_history=run.history,
     )
     return weights, report

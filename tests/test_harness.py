@@ -105,6 +105,13 @@ class TestExperimentConfig:
             dict(solver_max_iters=0),
             dict(solver_rel_tol=0.0),
             dict(solver_rel_tol=-1e-7),
+            dict(bandwidth_scales=()),
+            dict(bandwidth_scales=(1.0, 0.0)),
+            dict(bandwidth_scales=(-0.5,)),
+            dict(bandwidth_scales=(float("inf"),)),
+            dict(bandwidth_scales=(float("nan"),)),
+            dict(l2=-1e-3),
+            dict(noise_epsilon=-0.1),
         ],
     )
     def test_validation(self, overrides):
@@ -377,8 +384,3 @@ class TestCli:
         assert "SplitSizeError" in captured.err
         with open(os.path.join(out_dir, "summary.json"), encoding="utf-8") as fh:
             assert len(json.load(fh)["failures"]) == 1
-
-    def test_workers_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("UNSUPCP_WORKERS", "1")
-        cfg_path = self._write_config(tmp_path, methods=("supervised",))
-        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0

