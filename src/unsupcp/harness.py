@@ -36,8 +36,8 @@ from .kernel import (
     KernelSpec,
     bandwidth_grid,
     build_context,
-    min_norm_interpolation,
     mmd_objective,
+    ridge_path,
     select_kernel,
 )
 from .quantile import conformal_quantile_supervised, conformal_quantile_weighted, evaluate, prediction_mask
@@ -262,7 +262,10 @@ class CalibrationResult:
     ``selection`` is the diagnostics dict of ``select_kernel``; ``mmd`` the
     final discrepancy ``mmd_objective(weights, context)``; ``kernel_bound``
     the tightest certified coverage-gap bound, None when no fit on the ridge
-    path converged.
+    path converged. ``bound_path`` records that path: the ``ridges``, and per
+    ridge the CG ``iterations`` and ``residuals`` and the certified
+    ``bounds`` (NaN where the fit did not converge, whose iterations read
+    CG_MAX_ITERS).
     """
 
     q_hat: float
@@ -273,6 +276,7 @@ class CalibrationResult:
     selection: dict
     mmd: float
     kernel_bound: float | None
+    bound_path: dict
 
 
 def calibrate_unsupervised(
@@ -311,28 +315,34 @@ def calibrate_unsupervised(
 
     u_final = (cal_scores.values <= q_hat).astype(np.float64)
     base = selection_ridge if selection_ridge > 0 else SELECTION_RIDGE
-    kernel_bound = None
-    for ridge in (base / 10.0, base, base * 10.0):
-        try:
-            fit = min_norm_interpolation(ctx.base_gram, u_final, tol=1e-8, max_iters=CG_MAX_ITERS, ridge=ridge)
-        except InterpolationError:
-            continue
-        fitted = ctx.base_gram @ fit.gamma
-        norm_sq = max(float(np.sum(fit.gamma * fitted)), 0.0)
-        approx = float(np.abs(u_final - fitted).sum()) / ctx.n
-        value = excess_gap_kernel(
-            BoundInputs(
-                n=ctx.n,
-                m=ctx.m,
-                delta=delta,
-                kappa=ctx.kappa,
-                rkhs_norm=math.sqrt(norm_sq),
-                approx_error=approx,
-                num_candidates=len(grid),
+    ridges = np.array([base / 10.0, base, base * 10.0])
+    fits = ridge_path(ctx.base_gram, u_final, ridges, tol=1e-8, max_iters=CG_MAX_ITERS)
+    ok = [j for j, fit in enumerate(fits) if not isinstance(fit, InterpolationError)]
+    bounds = np.full(len(ridges), np.nan)
+    if ok:
+        c = u_final.shape[1]
+        fitted = ctx.base_gram @ np.hstack([fits[j].gamma for j in ok])
+        for k, j in enumerate(ok):
+            F = fitted[:, k * c:(k + 1) * c]
+            norm_sq = max(float(np.sum(fits[j].gamma * F)), 0.0)
+            bounds[j] = excess_gap_kernel(
+                BoundInputs(
+                    n=ctx.n,
+                    m=ctx.m,
+                    delta=delta,
+                    kappa=ctx.kappa,
+                    rkhs_norm=math.sqrt(norm_sq),
+                    approx_error=float(np.abs(u_final - F).sum()) / ctx.n,
+                    num_candidates=len(grid),
+                )
             )
-        )
-        if kernel_bound is None or value < kernel_bound:
-            kernel_bound = value
+    bound_path = {
+        "ridges": ridges,
+        "iterations": np.array([CG_MAX_ITERS if isinstance(fit, InterpolationError) else fit.iterations
+                                for fit in fits]),
+        "residuals": np.array([fit.residual for fit in fits]),
+        "bounds": bounds,
+    }
     return CalibrationResult(
         q_hat=q_hat,
         weights=weights,
@@ -341,7 +351,8 @@ def calibrate_unsupervised(
         context=ctx,
         selection=selection,
         mmd=mmd,
-        kernel_bound=kernel_bound,
+        kernel_bound=float(np.nanmin(bounds)) if ok else None,
+        bound_path=bound_path,
     )
 
 

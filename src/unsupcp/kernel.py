@@ -22,6 +22,9 @@ BASE_BANDWIDTH_SCALES = tuple(10.0 ** (-1.0 + t / 3.0) for t in range(10))
 CG_JITTER_SCALE = 1e-10
 SELECTION_RIDGE = 3.0
 CG_MAX_ITERS = 1500  # iteration cap of the bandwidth-selection and bound fits
+GRAM_BLOCK_ENTRIES = 2**17  # entries per row block while a Gram is exponentiated
+# exponents below this give subnormal kernel values, which are set to 0
+_EXP_FLOOR = float(np.log(np.finfo(np.float64).tiny))
 
 
 @dataclass(frozen=True)
@@ -57,20 +60,48 @@ def kernel_eval(x1, y1: int, x2, y2: int, spec: KernelSpec) -> float:
 
 
 def _sq_dists(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped at 0."""
+    """Pairwise squared Euclidean distances, clipped at 0. Holds the result
+    and one product buffer of the same shape, nothing more."""
     n1 = np.sum(X1 * X1, axis=1)
     n2 = np.sum(X2 * X2, axis=1)
-    D2 = n1[:, None] + n2[None, :] - 2.0 * (X1 @ X2.T)
-    return np.maximum(D2, 0.0)
+    D2 = np.add.outer(n1, n2)
+    prod = X1 @ X2.T
+    prod *= 2.0
+    D2 -= prod
+    del prod
+    return np.maximum(D2, 0.0, out=D2)
 
 
-def _gram_from_sq_dists(D2: np.ndarray, sigma: float) -> np.ndarray:
-    return np.exp(D2 / (-2.0 * sigma**2))
+def _gram_from_sq_dists(D2: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(D2 / (-2 sigma^2)) without subnormal entries, into ``out`` (which
+    may be D2 itself) or a new array.
+
+    An entry whose exponent lies below log(tiny) would come out subnormal:
+    it is set to exactly 0, and exp never sees it, since subnormal results
+    take exp's slow path and make every later product with the Gram slow
+    too. Every other entry keeps the bits of the plain formula. The work
+    runs over row blocks small enough to stay in cache.
+    """
+    K = np.empty_like(D2) if out is None else out
+    scale = -2.0 * sigma**2
+    step = max(1, GRAM_BLOCK_ENTRIES // max(1, D2.shape[1]))
+    for i in range(0, D2.shape[0], step):
+        rows = np.divide(D2[i:i + step], scale, out=K[i:i + step])
+        if rows.size and rows.min() < _EXP_FLOOR:
+            low = rows < _EXP_FLOOR
+            np.maximum(rows, _EXP_FLOOR, out=rows)
+            np.exp(rows, out=rows)
+            rows[low] = 0.0
+        else:
+            np.exp(rows, out=rows)
+    return K
 
 
 def gaussian_gram(X1: np.ndarray, X2: np.ndarray, sigma: float) -> np.ndarray:
-    """Feature-space Gaussian Gram matrix between two point sets."""
-    return _gram_from_sq_dists(_sq_dists(np.asarray(X1, np.float64), np.asarray(X2, np.float64)), sigma)
+    """Feature-space Gaussian Gram matrix between two point sets, built in
+    place over its squared distances."""
+    D2 = _sq_dists(np.asarray(X1, np.float64), np.asarray(X2, np.float64))
+    return _gram_from_sq_dists(D2, sigma, out=D2)
 
 
 @dataclass(frozen=True)
@@ -123,15 +154,16 @@ def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec) -
             f"feature dimension mismatch: calibration {cal_instances.shape[1]}, training {train.num_features}"
         )
     n, m, c = cal_instances.shape[0], len(train), train.num_classes
-    K0 = gaussian_gram(cal_instances, cal_instances, spec.sigma)
+    # one Gram at a time, each freed before the next is built: the cross Gram
+    # collapses to V, the same-label training blocks to train_self, then K0
     onehot = np.zeros((m, c))
     onehot[np.arange(m), train.labels - 1] = 1.0
-    cross = gaussian_gram(cal_instances, train.instances, spec.sigma)
-    V = cross @ onehot
+    V = gaussian_gram(cal_instances, train.instances, spec.sigma) @ onehot
     # the pair kernel vanishes across labels, so the training sample's mean
     # kernel needs only its same-label Gram blocks
     blocks = (train.instances[train.labels == y] for y in np.unique(train.labels))
     train_self = sum(float(np.sum(gaussian_gram(T, T, spec.sigma))) for T in blocks) / (m * m)
+    K0 = gaussian_gram(cal_instances, cal_instances, spec.sigma)
     return KernelContext(
         spec=spec,
         base_gram=K0,
@@ -181,18 +213,40 @@ class InterpolationResult:
     iterations: int
 
 
-def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int):
-    """Conjugate gradients on an SPD operator, all columns of B at once.
+def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, shifts=(0.0,)):
+    """Conjugate gradients on an SPD operator A, all columns of B at once,
+    for (A + s I) X = B at every s of ``shifts`` in one Krylov space.
 
-    Converged columns freeze (their alpha and beta are forced to 0) so slow
-    columns can keep iterating without disturbing finished ones.
+    ``shifts[0]`` is 0: that seed system, A itself, is plain CG at one
+    ``matvec`` per step. Its converged columns freeze (their alpha and beta
+    are forced to 0) so slow columns can keep iterating without disturbing
+    finished ones. Every further shift, nonnegative, rides on the seed's
+    residuals (multi-shift CG, Jegerlehner 1996, hep-lat/9612014): its
+    residual is zeta_s r, so it costs vector updates but no product, and,
+    better conditioned, it meets its test |zeta_s| ||r|| <= tol ||b|| no
+    later than the seed. A rider keeps refining while its column's seed
+    iterates; its iteration count and residual are those at which it first
+    met the test.
+
+    Returns the solutions (a leading shift axis), the residual norms
+    (shift, column), the iterations per shift and whether each shift
+    converged within ``max_iters``.
     """
+    extra = np.asarray(shifts, dtype=np.float64)[1:, None]  # (rider, 1) against per-column scalars
     X = np.zeros_like(B)
     R = B.copy()
     P = R.copy()
     rs = np.sum(R * R, axis=0)
     thresh = tol * np.maximum(np.sqrt(np.sum(B * B, axis=0)), 1e-300)
-    active = np.sqrt(rs) > thresh
+    root = np.sqrt(rs)
+    active = root > thresh
+    if len(extra):
+        X_s = np.zeros(extra.shape[:1] + B.shape)
+        P_s = np.repeat(P[None], len(extra), axis=0)
+        zeta = np.ones((len(extra), B.shape[1]))
+        ratio = np.ones_like(zeta)  # zeta_k / zeta_(k-1)
+        alpha_old, beta_old = np.ones_like(rs), np.zeros_like(rs)
+        res_s = [zeta * root]
     iters = 0
     while bool(active.any()) and iters < max_iters:
         AP = matvec(P)
@@ -200,14 +254,84 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int):
         safe = np.where(pAp <= 0.0, 1.0, pAp)
         alpha = np.where(active & (pAp > 0.0), rs / safe, 0.0)
         X += alpha * P
+        if len(extra):
+            ratio = 1.0 / (1.0 + extra * alpha + (alpha * beta_old / alpha_old) * (1.0 - ratio))
+            zeta = zeta * ratio
+            X_s += (alpha * ratio)[:, None, :] * P_s
         R -= alpha * AP
         rs_new = np.sum(R * R, axis=0)
         beta = np.where(active, rs_new / np.where(rs == 0.0, 1.0, rs), 0.0)
         P = R + beta * P
         rs = rs_new
-        active = np.sqrt(rs) > thresh
+        root = np.sqrt(rs)
+        active = root > thresh
         iters += 1
-    return X, np.sqrt(rs), iters, not bool(active.any())
+        if len(extra):
+            P_s = zeta[:, None, :] * R + (beta * ratio * ratio)[:, None, :] * P_s
+            alpha_old, beta_old = np.maximum(alpha, 1e-300), beta  # a frozen column's alpha is 0
+            res_s.append(zeta * root)
+    X = X[None]
+    res = root[None]
+    counts = np.array([iters])
+    converged = np.array([not active.any()])
+    if len(extra):
+        hist = np.array(res_s)  # (step, rider, column)
+        met = hist <= thresh
+        first = met.argmax(axis=0)
+        ok = met.any(axis=0)
+        at_first = np.take_along_axis(hist, first[None], axis=0)[0]
+        X = np.concatenate([X, X_s])
+        res = np.concatenate([res, np.where(ok, at_first, hist[-1])])
+        counts = np.concatenate([counts, np.where(ok.all(axis=1), first.max(axis=1), iters)])
+        converged = np.concatenate([converged, ok.all(axis=1)])
+    return X, res, counts, converged
+
+
+def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8, max_iters: int | None = None) -> list:
+    """``min_norm_interpolation`` at every ridge of ``ridges`` from one
+    multi-shift CG run, at one product with K per iteration.
+
+    The smallest ridge is the seed system; the larger ones share its Krylov
+    space and converge no later. Returns one entry per ridge, in the given
+    order: an InterpolationResult, or for a ridge whose solve did not
+    converge within the cap, the InterpolationError (carrying its residual)
+    that ``min_norm_interpolation`` would raise. The other ridges are
+    unaffected by a failure.
+    """
+    K = np.asarray(K, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    ridges = np.asarray(ridges, dtype=np.float64)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError(f"K must be square, got shape {K.shape}")
+    if u.ndim not in (1, 2) or u.shape[0] != K.shape[0]:
+        raise ValueError(f"u shape {u.shape} does not match K of size {K.shape[0]}")
+    if ridges.ndim != 1 or ridges.size == 0:
+        raise ValueError(f"ridges must be a non-empty sequence, got {ridges!r}")
+    if not (ridges >= 0).all():
+        raise ValueError(f"ridge must be nonnegative, got {ridges}")
+    t = K.shape[0]
+    if t == 0:
+        raise EmptyInputError("empty system")
+    order = np.argsort(ridges, kind="stable")
+    base = float(ridges[order[0]])
+    shift = CG_JITTER_SCALE * float(np.mean(np.diag(K))) + base
+    if max_iters is None:
+        max_iters = 10 * t + 100
+    U = u if u.ndim == 2 else u[:, None]
+    X, res, iters, converged = _cg_columns(lambda P: K @ P + shift * P, U, tol, max_iters, ridges[order] - base)
+    fits = [None] * ridges.size
+    for j, k in enumerate(order):
+        residual = float(res[j].max())
+        if not converged[j]:
+            fits[k] = InterpolationError(f"CG did not converge in {max_iters} iterations", residual=residual)
+            continue
+        fits[k] = InterpolationResult(
+            gamma=X[j] if u.ndim == 2 else X[j, :, 0],
+            min_norm_sq=max(float(np.sum(U * X[j])), 0.0),
+            residual=residual,
+            iterations=int(iters[j]),
+        )
+    return fits
 
 
 def min_norm_interpolation(K: np.ndarray, u: np.ndarray, tol: float = 1e-8, max_iters: int | None = None,
@@ -226,31 +350,10 @@ def min_norm_interpolation(K: np.ndarray, u: np.ndarray, tol: float = 1e-8, max_
     min_norm_sq = u^T gamma (summed over columns) is clamped at 0; it is
     nonnegative in exact arithmetic for PSD K.
     """
-    K = np.asarray(K, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError(f"K must be square, got shape {K.shape}")
-    if u.ndim not in (1, 2) or u.shape[0] != K.shape[0]:
-        raise ValueError(f"u shape {u.shape} does not match K of size {K.shape[0]}")
-    if ridge < 0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
-    t = K.shape[0]
-    if t == 0:
-        raise EmptyInputError("empty system")
-    shift = CG_JITTER_SCALE * float(np.mean(np.diag(K))) + ridge
-    if max_iters is None:
-        max_iters = 10 * t + 100
-    U = u if u.ndim == 2 else u[:, None]
-    X, res, iters, converged = _cg_columns(lambda P: K @ P + shift * P, U, tol, max_iters)
-    residual = float(res.max())
-    if not converged:
-        raise InterpolationError(f"CG did not converge in {max_iters} iterations", residual=residual)
-    return InterpolationResult(
-        gamma=X if u.ndim == 2 else X[:, 0],
-        min_norm_sq=max(float(np.sum(U * X)), 0.0),
-        residual=residual,
-        iterations=iters,
-    )
+    (fit,) = ridge_path(K, u, (ridge,), tol, max_iters)
+    if isinstance(fit, InterpolationError):
+        raise fit
+    return fit
 
 
 def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha: float,
@@ -280,11 +383,12 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     q0 = conformal_quantile_weighted(score_matrix.values, W, alpha)
     U = (score_matrix.values <= q0).astype(np.float64)
     D2 = _sq_dists(cal_instances, cal_instances)
+    K0 = np.empty_like(D2)  # every candidate's Gram is built into this one buffer
     stats = np.full(len(candidates), np.nan)
     residuals = np.full(len(candidates), np.nan)
     iteration_counts = np.zeros(len(candidates), dtype=np.int64)
     for j, spec in enumerate(candidates):
-        K0 = _gram_from_sq_dists(D2, spec.sigma)
+        _gram_from_sq_dists(D2, spec.sigma, out=K0)
         try:
             fit = min_norm_interpolation(K0, U, tol=1e-8, max_iters=CG_MAX_ITERS, ridge=ridge)
         except InterpolationError as exc:

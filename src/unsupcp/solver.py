@@ -297,9 +297,14 @@ def solve_label_weights(
                     break
         run = best
 
-    # flat blocks (gradient constant within the block) are optimum-indifferent;
-    # resolve them to uniform when that keeps the constraint satisfied
+    def objective(W, KW):
+        return float(np.sum(W * KW) / n - 2.0 * np.sum(V * W) / m)
+
+    # a flat block (gradient constant within the block) is first-order
+    # indifferent; resolve flat blocks to uniform when that keeps the
+    # constraint satisfied and does not raise the objective
     W, KW, slack = run.W, run.KW, run.slack
+    value = objective(W, KW)
     grad = (2.0 / n) * KW - linear_term(run.lam)
     flat = (grad.max(axis=1) - grad.min(axis=1)) == 0.0
     if bool(flat.any()):
@@ -307,11 +312,13 @@ def solve_label_weights(
         W_alt[flat] = 1.0 / c
         alt_slack = np.inf if B is None else b - float(np.sum(B * W_alt))
         if B is None or alt_slack >= -slack_tol:
-            W, KW, slack = W_alt, K0 @ W_alt, alt_slack
+            alt_value = objective(W_alt, K0 @ W_alt)
+            if alt_value <= value:
+                W, slack, value = W_alt, alt_slack, alt_value
 
     weights = LabelWeights(w=W.ravel(), n=n, c=c)
     report = SolverReport(
-        objective_value=float(np.sum(W * KW) / n - 2.0 * np.sum(V * W) / m),
+        objective_value=value,
         iterations=iterations,
         final_rel_change=float(run.rel_change),
         inequality_slack=float(slack),

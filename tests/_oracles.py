@@ -107,3 +107,31 @@ def qp_oracle(K, v, n, m, c, loss_row=None, bound=None):
     if not np.isfinite(best):
         raise AssertionError("oracle found no feasible candidate")
     return best
+
+
+def plain_cg_columns(matvec, B, tol, max_iters):
+    """Single-system block CG exactly as the package ran it before the
+    multi-shift form: one system per column of B, converged columns frozen
+    by forcing their alpha and beta to 0. Returns (X, residual norms,
+    iterations, converged)."""
+    X = np.zeros_like(B)
+    R = B.copy()
+    P = R.copy()
+    rs = np.sum(R * R, axis=0)
+    thresh = tol * np.maximum(np.sqrt(np.sum(B * B, axis=0)), 1e-300)
+    active = np.sqrt(rs) > thresh
+    iters = 0
+    while bool(active.any()) and iters < max_iters:
+        AP = matvec(P)
+        pAp = np.sum(P * AP, axis=0)
+        safe = np.where(pAp <= 0.0, 1.0, pAp)
+        alpha = np.where(active & (pAp > 0.0), rs / safe, 0.0)
+        X += alpha * P
+        R -= alpha * AP
+        rs_new = np.sum(R * R, axis=0)
+        beta = np.where(active, rs_new / np.where(rs == 0.0, 1.0, rs), 0.0)
+        P = R + beta * P
+        rs = rs_new
+        active = np.sqrt(rs) > thresh
+        iters += 1
+    return X, np.sqrt(rs), iters, not bool(active.any())

@@ -293,6 +293,7 @@ def test_criterion_08_supervised_reduction_identity(monkeypatch):
             selection={},
             mmd=mmd_objective(w_star, ctx),
             kernel_bound=None,
+            bound_path={},
         )
 
     monkeypatch.setattr("unsupcp.harness.split_dataset", capture_split)

@@ -2,12 +2,14 @@
 
 import csv
 import json
+import math
 import os
 
 import jsonschema
 import numpy as np
 import pytest
 
+from unsupcp import harness
 from unsupcp.classifier import estimate_loss_bound, train_logistic
 from unsupcp.cli import main
 from unsupcp.data import Dataset, SplitSpec, SyntheticConfig, generate_synthetic, split_dataset
@@ -162,38 +164,45 @@ class TestRunTrial:
             assert set(row) == set(TRIAL_COLUMNS)
 
 
+def _direct_calibration(cfg, n):
+    """Rebuild trial 0's unsupervised inputs by hand and calibrate them."""
+    seeds = _trial_seeds(cfg, n, 0)
+    syn = SyntheticConfig(
+        class_means=np.asarray(TINY_DATASET["class_means"]),
+        cov_scale=TINY_DATASET["cov_scale"],
+        priors=np.asarray(TINY_DATASET["priors"]),
+    )
+    ds, _ = generate_synthetic(syn, cfg.train_size + n + cfg.test_size, int(seeds[0]))
+    train, cal, _ = split_dataset(ds, SplitSpec(cfg.train_size, n, cfg.test_size, int(seeds[1])))
+    vc = _val_count(cfg.train_size)
+    fit = Dataset(train.instances[:-vc], train.labels[:-vc], train.num_classes)
+    val = Dataset(train.instances[-vc:], train.labels[-vc:], train.num_classes)
+    model = train_logistic(fit, l2=cfg.l2, max_iters=cfg.classifier_max_iters)
+    cal_scores = build_score_matrix(model, cal.instances, cfg.score, int(seeds[2]), cfg.noise_epsilon)
+    idx = np.random.default_rng(int(seeds[4])).choice(len(fit), size=cfg.m, replace=False)
+    return calibrate_unsupervised(
+        model,
+        cal.instances,
+        Dataset(fit.instances[idx], fit.labels[idx], fit.num_classes),
+        cal_scores,
+        cfg.alpha,
+        estimate_loss_bound(model, val).value,
+        bandwidth_scales=cfg.bandwidth_scales,
+        selection_ridge=cfg.selection_ridge,
+        solver_options=SolverOptions(max_iters=cfg.solver_max_iters, rel_tol=cfg.solver_rel_tol),
+        delta=cfg.delta,
+    )
+
+
 class TestCalibrateUnsupervised:
+    CFG = dict(trials=1, m=10, bandwidth_scales=(0.3, 1.0, 3.0), selection_ridge=1.5, delta=0.2)
+
     def test_matches_harness_row(self):
         """The harness's unsupervised row reports exactly what a direct call
         on the same trial's inputs returns."""
-        cfg = _tiny_config(trials=1, m=10, bandwidth_scales=(0.3, 1.0, 3.0), selection_ridge=1.5, delta=0.2)
+        cfg = _tiny_config(**self.CFG)
         n = 12
-        seeds = _trial_seeds(cfg, n, 0)
-        syn = SyntheticConfig(
-            class_means=np.asarray(TINY_DATASET["class_means"]),
-            cov_scale=TINY_DATASET["cov_scale"],
-            priors=np.asarray(TINY_DATASET["priors"]),
-        )
-        ds, _ = generate_synthetic(syn, cfg.train_size + n + cfg.test_size, int(seeds[0]))
-        train, cal, _ = split_dataset(ds, SplitSpec(cfg.train_size, n, cfg.test_size, int(seeds[1])))
-        vc = _val_count(cfg.train_size)
-        fit = Dataset(train.instances[:-vc], train.labels[:-vc], train.num_classes)
-        val = Dataset(train.instances[-vc:], train.labels[-vc:], train.num_classes)
-        model = train_logistic(fit, l2=cfg.l2, max_iters=cfg.classifier_max_iters)
-        cal_scores = build_score_matrix(model, cal.instances, cfg.score, int(seeds[2]), cfg.noise_epsilon)
-        idx = np.random.default_rng(int(seeds[4])).choice(len(fit), size=cfg.m, replace=False)
-        out = calibrate_unsupervised(
-            model,
-            cal.instances,
-            Dataset(fit.instances[idx], fit.labels[idx], fit.num_classes),
-            cal_scores,
-            cfg.alpha,
-            estimate_loss_bound(model, val).value,
-            bandwidth_scales=cfg.bandwidth_scales,
-            selection_ridge=cfg.selection_ridge,
-            solver_options=SolverOptions(max_iters=cfg.solver_max_iters, rel_tol=cfg.solver_rel_tol),
-            delta=cfg.delta,
-        )
+        out = _direct_calibration(cfg, n)
         row = next(r for r in run_trial(cfg, 0, n).results if r.method == "unsupervised")
         assert out.kernel_bound is not None
         assert out.q_hat == row.q_hat
@@ -204,6 +213,29 @@ class TestCalibrateUnsupervised:
         assert out.report.inequality_slack == row.solver_slack
         assert out.report.converged == row.solver_converged
         assert out.kernel_bound == row.kernel_bound
+
+    def test_bound_path_records_each_ridge(self):
+        out = _direct_calibration(_tiny_config(**self.CFG), 12)
+        path = out.bound_path
+        assert set(path) == {"ridges", "iterations", "residuals", "bounds"}
+        np.testing.assert_allclose(path["ridges"], [0.15, 1.5, 15.0], rtol=1e-15)
+        assert np.all(path["iterations"] >= 1)
+        assert np.all(np.diff(path["iterations"]) <= 0)  # larger ridges converge no later
+        assert np.all(path["residuals"] <= 1e-8 * math.sqrt(12))
+        assert np.all(np.isfinite(path["bounds"]))
+        assert out.kernel_bound == float(np.min(path["bounds"]))
+
+    def test_failed_ridge_reads_nan(self, monkeypatch):
+        cfg = _tiny_config(**self.CFG)
+        counts = _direct_calibration(cfg, 12).bound_path["iterations"]
+        assert counts[0] > counts[1]
+        monkeypatch.setattr(harness, "CG_MAX_ITERS", int(counts[1]))
+        out = _direct_calibration(cfg, 12)
+        path = out.bound_path
+        assert math.isnan(path["bounds"][0]) and path["iterations"][0] == counts[1]
+        assert path["residuals"][0] > 1e-8
+        assert np.all(np.isfinite(path["bounds"][1:]))
+        assert out.kernel_bound == float(np.min(path["bounds"][1:]))
 
 
 class TestRunExperiment:

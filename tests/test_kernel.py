@@ -1,15 +1,20 @@
 """Separable kernel assembly, MMD objective, interpolation, selection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import unsupcp.kernel as kernel_mod
+from _oracles import plain_cg_columns
 from unsupcp.data import Dataset, SyntheticConfig, generate_synthetic
 from unsupcp.errors import EmptyInputError, InterpolationError
 from unsupcp.kernel import (
     KernelSpec,
+    _cg_columns,
+    _gram_from_sq_dists,
+    _sq_dists,
     bandwidth_grid,
     build_context,
     dual_witness_check,
@@ -17,6 +22,7 @@ from unsupcp.kernel import (
     kernel_eval,
     min_norm_interpolation,
     mmd_objective,
+    ridge_path,
     select_kernel,
     witness_probe,
 )
@@ -325,3 +331,152 @@ class TestGaussianGram:
         X2 = np.ones((1, 3))
         val = gaussian_gram(X1, X2, sigma=1.0)[0, 0]
         assert abs(val - math.exp(-1.5)) < 1e-12
+
+    def test_sq_dists_matches_broadcast_formula(self):
+        rng = np.random.default_rng(31)
+        X1, X2 = rng.standard_normal((37, 4)), rng.standard_normal((23, 4))
+        n1, n2 = np.sum(X1 * X1, axis=1), np.sum(X2 * X2, axis=1)
+        want = np.maximum(n1[:, None] + n2[None, :] - 2.0 * (X1 @ X2.T), 0.0)
+        assert _sq_dists(X1, X2).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [7, kernel_mod.GRAM_BLOCK_ENTRIES])
+    @pytest.mark.parametrize("sigma", [0.05, 0.1, 1.0])
+    def test_no_subnormals_and_plain_bits_elsewhere(self, monkeypatch, sigma, block):
+        monkeypatch.setattr(kernel_mod, "GRAM_BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(32)
+        X1, X2 = 1.5 * rng.standard_normal((300, 2)), 1.5 * rng.standard_normal((450, 2))
+        D2 = _sq_dists(X1, X2)
+        plain = np.exp(D2 / (-2.0 * sigma**2))
+        tiny = np.finfo(np.float64).tiny
+        if sigma < 1.0:  # the fixture reaches the subnormal range
+            assert np.any((plain > 0.0) & (plain < tiny))
+        K = gaussian_gram(X1, X2, sigma)
+        assert not np.any((K > 0.0) & (K < tiny))
+        normal = plain >= tiny
+        assert K[normal].tobytes() == plain[normal].tobytes()
+        assert np.all(K[~normal] == 0.0)
+
+    def test_out_buffer_gives_same_bits(self):
+        rng = np.random.default_rng(33)
+        X = rng.standard_normal((60, 3))
+        D2 = _sq_dists(X, X)
+        fresh = _gram_from_sq_dists(D2, 0.4)
+        buf = np.full_like(D2, np.nan)
+        assert _gram_from_sq_dists(D2, 0.4, out=buf) is buf
+        assert buf.tobytes() == fresh.tobytes()
+        assert _gram_from_sq_dists(D2, 0.4, out=D2) is D2
+        assert D2.tobytes() == fresh.tobytes()
+        assert gaussian_gram(X, X, 0.4).tobytes() == fresh.tobytes()
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestGramMemory:
+    """A dense calibration holds at most two n x n float64 arrays at once."""
+
+    N = 1500
+
+    def _inputs(self, n, c=3, d=2, seed=34):
+        rng = np.random.default_rng(seed)
+        cal = rng.standard_normal((n, d))
+        train = Dataset(rng.standard_normal((n, d)), rng.integers(1, c + 1, n), num_classes=c)
+        scores = ScoreMatrix(values=rng.uniform(0, 1, (n, c)), kind="adaptive", noise_epsilon=1e-9, seed=0)
+        weights = np.zeros((n, c))
+        weights[np.arange(n), rng.integers(0, c, n)] = 1.0
+        return cal, train, scores, weights
+
+    def _warm_up(self):
+        # first calls import lazily; keep that out of the trace
+        cal, train, scores, weights = self._inputs(20)
+        spec, _ = select_kernel(bandwidth_grid(2)[2:5], cal, scores, weights, 0.1)
+        build_context(cal, train, spec)
+
+    def test_select_kernel_peak(self):
+        self._warm_up()
+        cal, _, scores, weights = self._inputs(self.N)
+        peak = _traced_peak(lambda: select_kernel(bandwidth_grid(2)[2:5], cal, scores, weights, 0.1))
+        assert peak <= 2.1 * 8 * self.N**2
+
+    def test_build_context_peak(self):
+        self._warm_up()
+        cal, train, _, _ = self._inputs(self.N)
+        peak = _traced_peak(lambda: build_context(cal, train, KernelSpec(0.5)))
+        assert peak <= 2.1 * 8 * self.N**2
+
+
+def _ridge_fixture(c=None, n=80, seed=35):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 2))
+    K = gaussian_gram(X, X, 0.6)
+    shape = (n,) if c is None else (n, c)
+    return K, (rng.uniform(0.0, 1.0, shape) < 0.7).astype(np.float64)
+
+
+class TestRidgePath:
+    RIDGES = (0.3, 3.0, 30.0)
+
+    @pytest.mark.parametrize("c", [None, 3])
+    def test_each_ridge_matches_its_own_solve(self, c):
+        K, u = _ridge_fixture(c)
+        path = ridge_path(K, u, self.RIDGES)
+        for ridge, fit in zip(self.RIDGES, path):
+            alone = min_norm_interpolation(K, u, ridge=ridge)
+            assert fit.gamma.shape == u.shape
+            assert np.linalg.norm(fit.gamma - alone.gamma) <= 1e-6 * np.linalg.norm(alone.gamma)
+            assert abs(fit.min_norm_sq - alone.min_norm_sq) <= 1e-6 * alone.min_norm_sq
+            assert abs(fit.iterations - alone.iterations) <= 1
+            assert fit.residual <= 1e-8 * np.linalg.norm(u, axis=0).max()
+
+    def test_order_follows_the_input(self):
+        K, u = _ridge_fixture(3)
+        fwd = ridge_path(K, u, self.RIDGES)
+        rev = ridge_path(K, u, self.RIDGES[::-1])
+        assert [f.iterations for f in rev] == [f.iterations for f in fwd][::-1]
+        for a, b in zip(fwd, rev[::-1]):
+            np.testing.assert_allclose(a.gamma, b.gamma, rtol=1e-12, atol=0.0)
+
+    def test_small_cap_fails_only_the_smallest_ridge(self):
+        K, u = _ridge_fixture(3)
+        counts = [min_norm_interpolation(K, u, ridge=r).iterations for r in self.RIDGES]
+        assert counts[0] > counts[1] + 2
+        cap = counts[1] + 1
+        path = ridge_path(K, u, self.RIDGES, max_iters=cap)
+        assert isinstance(path[0], InterpolationError)
+        assert path[0].residual > 0.0
+        for ridge, fit in zip(self.RIDGES[1:], path[1:]):
+            assert not isinstance(fit, InterpolationError)
+            alone = min_norm_interpolation(K, u, ridge=ridge)
+            assert np.linalg.norm(fit.gamma - alone.gamma) <= 1e-6 * np.linalg.norm(alone.gamma)
+        with pytest.raises(InterpolationError, match="converge"):
+            min_norm_interpolation(K, u, ridge=self.RIDGES[0], max_iters=cap)
+
+    def test_single_shift_is_plain_cg_bit_for_bit(self):
+        K, u = _ridge_fixture(4, n=120, seed=36)
+        shift = 0.3 + 1e-10
+
+        def matvec(P):
+            return K @ P + shift * P
+
+        for max_iters in (1500, 7):
+            X, res, iters, converged = _cg_columns(matvec, u, 1e-8, max_iters)
+            X0, res0, iters0, converged0 = plain_cg_columns(matvec, u, 1e-8, max_iters)
+            assert X.shape == (1,) + u.shape
+            assert X[0].tobytes() == X0.tobytes()
+            assert res[0].tobytes() == res0.tobytes()
+            assert (int(iters[0]), bool(converged[0])) == (iters0, converged0)
+
+    def test_ridges_validated(self):
+        K, u = _ridge_fixture()
+        with pytest.raises(ValueError, match="ridge"):
+            ridge_path(K, u, (0.3, -1.0))
+        with pytest.raises(ValueError, match="ridges"):
+            ridge_path(K, u, ())

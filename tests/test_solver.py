@@ -264,6 +264,15 @@ class TestSolveLabelWeights:
         np.testing.assert_array_equal(weights.matrix, [[0.5, 0.5]])
         assert report.converged
 
+    def test_flat_block_kept_when_uniform_is_worse(self):
+        # one-hot init at the optimum [1, 0]: the block gradient 2 K0 w - 2 v
+        # is exactly flat there, but uniform weights score -0.5 against -1
+        init = supervised_weights(np.array([1]), 2)
+        weights, report = solve_label_weights(_point_context(), options=TIGHT, init=init)
+        np.testing.assert_array_equal(weights.matrix, [[1.0, 0.0]])
+        assert report.objective_value == -1.0
+        assert report.objective_history[-1] == -1.0
+
     def test_matches_enumeration_oracle(self):
         for seed in range(5):
             rng = np.random.default_rng(1000 + seed)
