@@ -106,7 +106,7 @@ def train_logistic(train: Dataset, l2: float = 1e-3, max_iters: int = 500, tol: 
         raise EmptyInputError("training dataset is empty")
     if l2 < 0:
         raise ValueError(f"l2 must be nonnegative, got {l2}")
-    observed = np.unique(train.labels)
+    observed = np.flatnonzero(np.bincount(train.labels))
     if observed.size < 2:
         raise DegenerateTrainingError(f"only class {observed[0]} observed in training data")
     c, d = train.num_classes, train.num_features

@@ -484,7 +484,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResults
 
 
 def _mean_quartiles(x: np.ndarray) -> tuple:
-    return float(np.mean(x)), float(np.percentile(x, 25)), float(np.percentile(x, 75))
+    """Mean and quartiles, bit for bit as np.percentile interpolates them; its
+    np.unique call imports numpy.ma (tens of ms) in every fresh process."""
+    s = np.sort(x)
+    pos = (s.size - 1) * np.array([0.25, 0.75])
+    i = pos.astype(np.intp)
+    lo, hi, t = s[i], s[np.minimum(i + 1, s.size - 1)], pos - i
+    q = np.where(t >= 0.5, hi - (hi - lo) * (1.0 - t), lo + (hi - lo) * t)
+    return float(np.mean(x)), float(q[0]), float(q[1])
 
 
 def aggregate(records, alpha: float) -> list[dict]:

@@ -161,7 +161,7 @@ def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec) -
     V = gaussian_gram(cal_instances, train.instances, spec.sigma) @ onehot
     # the pair kernel vanishes across labels, so the training sample's mean
     # kernel needs only its same-label Gram blocks
-    blocks = (train.instances[train.labels == y] for y in np.unique(train.labels))
+    blocks = (train.instances[train.labels == y] for y in np.flatnonzero(np.bincount(train.labels)))
     train_self = sum(float(np.sum(gaussian_gram(T, T, spec.sigma))) for T in blocks) / (m * m)
     K0 = gaussian_gram(cal_instances, cal_instances, spec.sigma)
     return KernelContext(
@@ -226,7 +226,8 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, shifts=(0.0,)
     better conditioned, it meets its test |zeta_s| ||r|| <= tol ||b|| no
     later than the seed. A rider keeps refining while its column's seed
     iterates; its iteration count and residual are those at which it first
-    met the test.
+    met the test. A non-finite residual stops the iteration; its column
+    counts as not converged.
 
     Returns the solutions (a leading shift axis), the residual norms
     (shift, column), the iterations per shift and whether each shift
@@ -239,7 +240,7 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, shifts=(0.0,)
     rs = np.sum(R * R, axis=0)
     thresh = tol * np.maximum(np.sqrt(np.sum(B * B, axis=0)), 1e-300)
     root = np.sqrt(rs)
-    active = root > thresh
+    active = ~(root <= thresh)  # a NaN residual is not converged
     if len(extra):
         X_s = np.zeros(extra.shape[:1] + B.shape)
         P_s = np.repeat(P[None], len(extra), axis=0)
@@ -248,7 +249,7 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, shifts=(0.0,)
         alpha_old, beta_old = np.ones_like(rs), np.zeros_like(rs)
         res_s = [zeta * root]
     iters = 0
-    while bool(active.any()) and iters < max_iters:
+    while bool(active.any()) and iters < max_iters and bool(np.isfinite(rs).all()):
         AP = matvec(P)
         pAp = np.sum(P * AP, axis=0)
         safe = np.where(pAp <= 0.0, 1.0, pAp)
@@ -264,7 +265,7 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, shifts=(0.0,)
         P = R + beta * P
         rs = rs_new
         root = np.sqrt(rs)
-        active = root > thresh
+        active = ~(root <= thresh)
         iters += 1
         if len(extra):
             P_s = zeta[:, None, :] * R + (beta * ratio * ratio)[:, None, :] * P_s
@@ -323,7 +324,7 @@ def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8, max_iter
     for j, k in enumerate(order):
         residual = float(res[j].max())
         if not converged[j]:
-            fits[k] = InterpolationError(f"CG did not converge in {max_iters} iterations", residual=residual)
+            fits[k] = InterpolationError(f"CG did not converge in {int(iters[j])} iterations", residual=residual)
             continue
         fits[k] = InterpolationResult(
             gamma=X[j] if u.ndim == 2 else X[j, :, 0],

@@ -113,6 +113,6 @@ def build_score_matrix(
         raise ValueError(f"noise_epsilon must be nonnegative, got {noise_epsilon}")
     if noise_epsilon > 0:
         values = values + rng.uniform(0.0, noise_epsilon, size=values.shape)
-        if np.unique(values).size != values.size:
+        if bool((np.diff(np.sort(values, axis=None)) == 0.0).any()):
             raise ValueError("tie-break noise failed to separate scores; increase noise_epsilon")
     return ScoreMatrix(values=values, kind=kind, noise_epsilon=float(noise_epsilon), seed=seed)

@@ -5,14 +5,14 @@ instance's label weights lying on the simplex and an optional scalar loss
 constraint B w <= b. The quadratic couples instances only through the shared
 base Gram, so iterations run on (n, c) matrices with one GEMM each.
 
-The inequality is enforced by bisection on a multiplier lambda >= 0 whose
-term lambda * B joins the gradient; the bisection stops when the slack
-b - B w lands in [-1e-8 b, 0] (active within tolerance) or lambda = 0 is
-already feasible.
+The inequality is part of the feasible set: one FISTA run projects every
+step onto the simplices cut by B w <= b, a projection that costs a short
+one-dimensional search over row projections. The cut's multiplier at the
+last projection is the reported Lagrange multiplier lambda.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .kernel import KernelContext, as_weight_matrix
 
 BLOCK_SUM_TOL = 1e-9
 SLACK_REL_TOL = 1e-8
+CUT_RESOLUTION = 1e6  # largest mu * max(B) at which V - mu B resolves weights to BLOCK_SUM_TOL
+CUT_STEPS = 100  # projections per multiplier search
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,8 @@ class LabelWeights:
         w = np.asarray(self.w, dtype=np.float64)
         if w.shape != (self.n * self.c,):
             raise ValueError(f"w length {w.shape} != n*c = {self.n * self.c}")
-        if w.min() < 0:
-            raise ValueError("weights must be nonnegative")
+        if not np.isfinite(w).all() or w.min() < 0:
+            raise ValueError("weights must be finite and nonnegative")
         sums = w.reshape(self.n, self.c).sum(axis=1)
         worst = float(np.abs(sums - 1.0).max())
         if worst > BLOCK_SUM_TOL:
@@ -138,9 +140,10 @@ class SolverReport:
     """Diagnostics of one solve.
 
     ``objective_value`` is the un-rooted quadratic form Phi(w); the history
-    (one value per accepted iterate of the final inner solve) is monotone
+    (one value per accepted iterate, at most ``max_iters``) is monotone
     non-increasing. ``inequality_slack`` is b - B w, +inf when unconstrained;
-    it never drops below -1e-8 b.
+    it never drops below -1e-8 b. ``dual_lambda`` is the loss constraint's
+    multiplier at the last projection, 0 when the cut was slack there.
     """
 
     objective_value: float
@@ -154,10 +157,9 @@ class SolverReport:
 
 @dataclass(frozen=True)
 class _InnerSolve:
-    """One FISTA solve at a fixed multiplier: the iterate W with its K0 @ W,
-    the iteration count, the last relative change, the converged flag and the
-    objective history. ``lam`` and ``slack`` (b - B W, +inf unconstrained)
-    are filled in by the multiplier search."""
+    """One FISTA solve: the iterate W with its K0 @ W, the iteration count,
+    the last relative change, the converged flag, the objective history and
+    the loss constraint's multiplier at the last projection."""
 
     W: np.ndarray
     KW: np.ndarray
@@ -165,23 +167,67 @@ class _InnerSolve:
     rel_change: float
     converged: bool
     history: np.ndarray
-    lam: float = 0.0
-    slack: float = math.inf
+    multiplier: float
 
 
-def _fista(K0, G, W0, lip, max_iters, rel_tol) -> _InnerSolve:
+def _project_cut(V: np.ndarray, cut: ConstraintSet | None, mu: float = 0.0):
+    """Project V onto the row simplices cut by <B, W> <= b; returns (W, mu).
+
+    W is ``_project_rows(V - mu B)`` at the smallest mu >= 0 whose loss
+    g(mu) = <B, W> meets the cut: mu = 0, leaving the plain projection
+    unchanged, when g(0) <= b + SLACK_REL_TOL b, else the root of g = b, found
+    with its slack in [-SLACK_REL_TOL b, 0]. g is continuous, non-increasing
+    and piecewise linear: mu is bracketed by doubling from the guess, then
+    found by regula falsi (Illinois) aimed at the middle of that band, exact
+    once the bracket spans one piece. Each step costs one row projection.
+    Raises InfeasibleConstraintError when no mu with mu max(B) <=
+    CUT_RESOLUTION meets the cut.
+    """
+    W = _project_rows(V)
+    if cut is None:
+        return W, 0.0
+    B, b = cut.loss_matrix, cut.bound
+    half = 0.5 * SLACK_REL_TOL * b
+    f_lo = float(np.vdot(B, W)) - b - half
+    if f_lo <= half:
+        return W, 0.0
+    mu_cap = CUT_RESOLUTION / float(B.max())
+    lo, hi, f_hi, W_hi, side = 0.0, math.inf, math.nan, W, 0
+    mu = max(mu, 1e-12 * mu_cap)  # so the doubling takes at most 41 of the CUT_STEPS
+    for _ in range(CUT_STEPS):
+        W = _project_rows(V - mu * B)
+        f = float(np.vdot(B, W)) - b - half
+        if f > half:
+            if mu >= mu_cap:
+                raise InfeasibleConstraintError(f"loss constraint unsatisfiable: no multiplier up to {mu:.3g} meets {b:.6g}")
+            if side < 0:
+                f_hi *= 0.5  # Illinois: halve the value of an end kept twice in a row
+            lo, f_lo, side = mu, f, -1
+        elif f >= -half:
+            return W, mu
+        else:
+            if side > 0:
+                f_lo *= 0.5
+            hi, f_hi, W_hi, side = mu, f, W, 1
+        mu = min(2.0 * mu, mu_cap) if hi == math.inf else hi - f_hi * (hi - lo) / (f_hi - f_lo)
+    return W_hi, hi
+
+
+def _fista(K0, G, W0, lip, max_iters, rel_tol, cut=None) -> _InnerSolve:
     """Accelerated projected gradient on h(W) = (1/n)<W, K0 W> - <G, W>.
 
-    Feasible set is the product of per-row simplices. Momentum restarts on a
-    function increase by redoing the step as plain projected gradient from the
-    previous iterate, which the descent lemma makes non-increasing, so the
-    recorded objective history is monotone. K0 @ y is recovered from cached
-    K0 @ x by linearity; normal iterations cost a single GEMM.
+    Feasible set is the product of per-row simplices, cut by the loss
+    constraint when ``cut`` is given (see ``_project_cut``). Momentum
+    restarts on a function increase by redoing the step as plain projected
+    gradient from the previous iterate, which the descent lemma makes
+    non-increasing, so the recorded objective history is monotone. K0 @ y is
+    recovered from cached K0 @ x by linearity; normal iterations cost a
+    single GEMM. Each multiplier search starts from the last one's mu.
     """
     n = K0.shape[0]
     inv_n = 1.0 / n
     step = 1.0 / lip
-    X = _project_rows(W0)
+    X, mu = _project_cut(W0, cut)
     KX = K0 @ X
     f = inv_n * np.sum(KX * X) - np.sum(G * X)
     hist = np.empty(max_iters + 1)
@@ -191,19 +237,18 @@ def _fista(K0, G, W0, lip, max_iters, rel_tol) -> _InnerSolve:
     t = 1.0
     rel = math.inf
     iters = 0
-    converged = False
-    for k in range(1, max_iters + 1):
+    for iters in range(1, max_iters + 1):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         Y = X + beta * (X - Xp)
         KY = (1.0 + beta) * KX - beta * KXp
         grad = (2.0 * inv_n) * KY - G
-        Z = _project_rows(Y - step * grad)
+        Z, mu = _project_cut(Y - step * grad, cut, mu)
         KZ = K0 @ Z
         fz = inv_n * np.sum(KZ * Z) - np.sum(G * Z)
         if fz > f:
             grad = (2.0 * inv_n) * KX - G
-            Z = _project_rows(X - step * grad)
+            Z, mu = _project_cut(X - step * grad, cut, mu)
             KZ = K0 @ Z
             fz = inv_n * np.sum(KZ * Z) - np.sum(G * Z)
             t_next = 1.0
@@ -214,12 +259,11 @@ def _fista(K0, G, W0, lip, max_iters, rel_tol) -> _InnerSolve:
         KX = KZ
         f = fz
         t = t_next
-        hist[k] = f
-        iters = k
+        hist[iters] = f
         if rel < rel_tol:
-            converged = True
             break
-    return _InnerSolve(W=X, KW=KX, iterations=iters, rel_change=rel, converged=converged, history=hist[: iters + 1])
+    return _InnerSolve(W=X, KW=KX, iterations=iters, rel_change=rel, converged=rel < rel_tol,
+                       history=hist[: iters + 1], multiplier=mu / step)
 
 
 def solve_label_weights(
@@ -231,14 +275,13 @@ def solve_label_weights(
     """Solve the weight QP. Returns (LabelWeights, SolverReport).
 
     ``init`` seeds the iteration (the pipeline passes the naive weights);
-    None starts from uniform blocks. Raises InfeasibleConstraintError when
-    even the per-block loss-minimizing vertices violate the bound.
+    None starts from uniform blocks. Raises InfeasibleConstraintError (from
+    the first projection) when even the per-block loss-minimizing vertices
+    violate the bound.
 
-    When the unconstrained optimum violates the loss bound, the multiplier
-    is bracketed by doubling from 1 (each solve warm-started from the last
-    iterate), then bisected (each solve warm-started from the best feasible
-    one) until the slack is active within tolerance. The report's iteration
-    count sums every inner solve.
+    One FISTA run whose every step projects onto the simplices cut by the
+    loss constraint; ``options.max_iters`` caps the whole solve. The
+    report's multiplier is the cut's multiplier at the last projection.
     """
     options = options or SolverOptions()
     n, m, c = ctx.n, ctx.m, ctx.c
@@ -246,72 +289,32 @@ def solve_label_weights(
     V = ctx.cross_v
     lip = max(2.0 / n * float(K0.sum(axis=1).max()), 1e-12)
     W0 = np.full((n, c), 1.0 / c) if init is None else as_weight_matrix(init, n, c).copy()
-    G_base = (2.0 / m) * V
+    G = (2.0 / m) * V
 
-    B = None
-    b = np.inf
-    if constraints is not None:
-        B = constraints.loss_matrix
-        if B.shape != (n, c):
-            raise ValueError(f"loss_matrix shape {B.shape} != ({n}, {c})")
-        b = constraints.bound
-        if float(B.min(axis=1).sum()) > b * (1.0 + SLACK_REL_TOL):
-            raise InfeasibleConstraintError(
-                f"loss constraint unsatisfiable: even the minimum-loss vertex costs {B.min(axis=1).sum():.6g} > {b:.6g}"
-            )
-    slack_tol = SLACK_REL_TOL * b
+    B, b = (None, np.inf) if constraints is None else (constraints.loss_matrix, constraints.bound)
+    if B is not None and B.shape != (n, c):
+        raise ValueError(f"loss_matrix shape {B.shape} != ({n}, {c})")
 
-    def linear_term(lam):
-        return G_base if lam == 0.0 else G_base - lam * B
-
-    def solve(lam, W_init) -> _InnerSolve:
-        out = _fista(K0, linear_term(lam), W_init, lip, options.max_iters, options.rel_tol)
-        slack = np.inf if B is None else b - float(np.sum(B * out.W))
-        return replace(out, lam=lam, slack=slack)
-
-    run = solve(0.0, W0)
-    iterations = run.iterations
-    if B is not None and run.slack < -slack_tol:
-        lam_lo, lam_hi = 0.0, 1.0
-        for _ in range(200):
-            run = solve(lam_hi, run.W)
-            iterations += run.iterations
-            if run.slack >= -slack_tol:
-                break
-            lam_lo, lam_hi = lam_hi, 2.0 * lam_hi
-        else:
-            raise InfeasibleConstraintError("bisection failed to bracket a feasible multiplier")
-        best = run
-        if best.slack > 0.0:
-            for _ in range(100):
-                run = solve(0.5 * (lam_lo + lam_hi), best.W)
-                iterations += run.iterations
-                if run.slack >= -slack_tol:
-                    best = run
-                    if run.slack <= 0.0:
-                        break
-                    lam_hi = run.lam
-                else:
-                    lam_lo = run.lam
-                if lam_hi - lam_lo <= 1e-12 * max(1.0, lam_hi):
-                    break
-        run = best
+    run = _fista(K0, G, W0, lip, options.max_iters, options.rel_tol, constraints)
 
     def objective(W, KW):
         return float(np.sum(W * KW) / n - 2.0 * np.sum(V * W) / m)
 
-    # a flat block (gradient constant within the block) is first-order
-    # indifferent; resolve flat blocks to uniform when that keeps the
-    # constraint satisfied and does not raise the objective
-    W, KW, slack = run.W, run.KW, run.slack
+    # a flat block (gradient of the Lagrangian constant within the block) is
+    # first-order indifferent; resolve flat blocks to uniform when that keeps
+    # the constraint satisfied and does not raise the objective
+    W, KW = run.W, run.KW
+    slack = np.inf if B is None else b - float(np.sum(B * W))
     value = objective(W, KW)
-    grad = (2.0 / n) * KW - linear_term(run.lam)
+    grad = (2.0 / n) * KW - G
+    if B is not None:
+        grad += run.multiplier * B
     flat = (grad.max(axis=1) - grad.min(axis=1)) == 0.0
     if bool(flat.any()):
         W_alt = W.copy()
         W_alt[flat] = 1.0 / c
         alt_slack = np.inf if B is None else b - float(np.sum(B * W_alt))
-        if B is None or alt_slack >= -slack_tol:
+        if B is None or alt_slack >= -SLACK_REL_TOL * b:
             alt_value = objective(W_alt, K0 @ W_alt)
             if alt_value <= value:
                 W, slack, value = W_alt, alt_slack, alt_value
@@ -319,10 +322,10 @@ def solve_label_weights(
     weights = LabelWeights(w=W.ravel(), n=n, c=c)
     report = SolverReport(
         objective_value=value,
-        iterations=iterations,
+        iterations=run.iterations,
         final_rel_change=float(run.rel_change),
         inequality_slack=float(slack),
-        dual_lambda=float(run.lam),
+        dual_lambda=float(run.multiplier),
         converged=bool(run.converged),
         objective_history=run.history,
     )

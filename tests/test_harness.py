@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -22,6 +24,7 @@ from unsupcp.harness import (
     ExperimentResults,
     MethodResult,
     TrialRecord,
+    _mean_quartiles,
     _trial_seeds,
     _val_count,
     aggregate,
@@ -31,7 +34,7 @@ from unsupcp.harness import (
     run_trial,
 )
 from unsupcp.scores import build_score_matrix
-from unsupcp.solver import SolverOptions
+from unsupcp.solver import SolverOptions, build_loss_constraints
 
 TINY_DATASET = {
     "type": "synthetic",
@@ -164,8 +167,11 @@ class TestRunTrial:
             assert set(row) == set(TRIAL_COLUMNS)
 
 
-def _direct_calibration(cfg, n):
-    """Rebuild trial 0's unsupervised inputs by hand and calibrate them."""
+def _direct_calibration(cfg, n, loss_bound=None):
+    """Rebuild trial 0's unsupervised inputs by hand and calibrate them.
+
+    ``loss_bound`` maps the naive predictions' mean cross-entropy to the
+    bound; None uses the held-out estimate, as the harness does."""
     seeds = _trial_seeds(cfg, n, 0)
     syn = SyntheticConfig(
         class_means=np.asarray(TINY_DATASET["class_means"]),
@@ -180,13 +186,17 @@ def _direct_calibration(cfg, n):
     model = train_logistic(fit, l2=cfg.l2, max_iters=cfg.classifier_max_iters)
     cal_scores = build_score_matrix(model, cal.instances, cfg.score, int(seeds[2]), cfg.noise_epsilon)
     idx = np.random.default_rng(int(seeds[4])).choice(len(fit), size=cfg.m, replace=False)
+    if loss_bound is None:
+        bound = estimate_loss_bound(model, val).value
+    else:
+        bound = loss_bound(float(build_loss_constraints(model, cal.instances, 1.0).loss_matrix.min(axis=1).mean()))
     return calibrate_unsupervised(
         model,
         cal.instances,
         Dataset(fit.instances[idx], fit.labels[idx], fit.num_classes),
         cal_scores,
         cfg.alpha,
-        estimate_loss_bound(model, val).value,
+        bound,
         bandwidth_scales=cfg.bandwidth_scales,
         selection_ridge=cfg.selection_ridge,
         solver_options=SolverOptions(max_iters=cfg.solver_max_iters, rel_tol=cfg.solver_rel_tol),
@@ -224,6 +234,23 @@ class TestCalibrateUnsupervised:
         assert np.all(path["residuals"] <= 1e-8 * math.sqrt(12))
         assert np.all(np.isfinite(path["bounds"]))
         assert out.kernel_bound == float(np.min(path["bounds"]))
+
+    def test_active_loss_constraint(self):
+        """A bound just above the naive predictions' mean loss binds: the one
+        weight solve lands on it with a positive multiplier."""
+        bounds = []
+
+        def just_above_naive(naive_mean):
+            bounds.append(naive_mean + 0.01)
+            return bounds[-1]
+
+        n = 12
+        out = _direct_calibration(_tiny_config(**self.CFG), n, loss_bound=just_above_naive)
+        b = n * bounds[0]
+        assert out.report.dual_lambda > 0.0
+        assert out.report.converged
+        assert -1e-8 * b <= out.report.inequality_slack <= 1e-8 * b
+        assert math.isfinite(out.q_hat)
 
     def test_failed_ridge_reads_nan(self, monkeypatch):
         cfg = _tiny_config(**self.CFG)
@@ -305,6 +332,13 @@ class TestAggregate:
         assert abs(row["mean_abs_gap"] - 0.1) < 1e-15
         assert row["size_mean"] == 1.5
 
+    def test_quartiles_match_numpy_percentile(self):
+        rng = np.random.default_rng(4)
+        for size in range(1, 41):
+            x = np.round(rng.uniform(0.0, 1.0, size), int(rng.integers(1, 4)))  # ties included
+            want = (float(np.mean(x)), float(np.percentile(x, 25)), float(np.percentile(x, 75)))
+            assert _mean_quartiles(x) == want, size
+
     def test_groups_sorted(self, tiny_results):
         rows = aggregate(tiny_results.records, 0.1)
         assert [r["method"] for r in rows] == sorted(METHODS)
@@ -341,6 +375,22 @@ class TestEmitResults:
         aggs = aggregate(tiny_results.records, tiny_results.config.alpha)
         for row, agg in zip(rows, aggs):
             assert float(row["mean_abs_gap"]) == agg["mean_abs_gap"]
+
+    def test_trial_does_not_import_numpy_ma(self, tmp_path):
+        """A fresh process that runs one trial and emits it never pays the
+        numpy.ma import (np.unique triggers it)."""
+        script = f"""
+import sys
+from unsupcp.harness import ExperimentConfig, ExperimentResults, _environment, emit_results, run_trial
+cfg = ExperimentConfig(**{_tiny_config(trials=1).to_dict()!r})
+results = ExperimentResults(cfg, (run_trial(cfg, 0, 12),), (), _environment())
+emit_results(results, {str(tmp_path / "out")!r})
+print("numpy.ma" in sys.modules)
+"""
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_nothing_to_emit(self, tiny_results, tmp_path):
         empty = ExperimentResults(

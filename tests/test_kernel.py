@@ -203,6 +203,13 @@ class TestMinNormInterpolation:
         with pytest.raises(InterpolationError, match="converge"):
             min_norm_interpolation(np.eye(3), np.ones(3), max_iters=0)
 
+    def test_nan_residual_raises(self):
+        K = np.eye(3)
+        K[0, 1] = K[1, 0] = np.nan
+        with pytest.raises(InterpolationError, match="converge in 1 iterations") as info:
+            min_norm_interpolation(K, np.ones(3))
+        assert math.isnan(info.value.residual)
+
     def test_block_matches_columns(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((6, 2))

@@ -102,6 +102,14 @@ class TestScoreMatrix:
         assert sm.values.size == 1002
         assert np.unique(sm.values).size == sm.values.size
 
+    def test_unseparated_ties_rejected(self):
+        # a flat model scores every pair 1 - 1/3; noise below the spacing of
+        # floats near that value leaves the ties in place
+        model = ProbModel(weights=np.zeros((3, 3)), num_classes=3, num_features=2)
+        X = np.random.default_rng(6).standard_normal((4, 2))
+        with pytest.raises(ValueError, match="separate"):
+            build_score_matrix(model, X, "probability", seed=0, noise_epsilon=1e-300)
+
     def test_noise_stays_below_epsilon(self):
         model = self._model()
         X = np.random.default_rng(5).standard_normal((4, 2))

@@ -15,6 +15,7 @@ from unsupcp.solver import (
     ConstraintSet,
     LabelWeights,
     SolverOptions,
+    _project_cut,
     _project_rows,
     build_loss_constraints,
     naive_weights,
@@ -35,7 +36,8 @@ def _context_from_seed(seed, n, m, c, d=2, sigma=1.0):
 
 def _tight_constraint_fixture():
     # a bound 1% above the cheapest vertices binds hard: the multiplier ends
-    # near 5.8, so the search doubles 1 -> 2 -> 4 -> 8 before bisecting
+    # near 6, far above the first projection's starting guess, so that search
+    # doubles its bracket many times before it refines it
     ctx = _context_from_seed(3012, n=3, m=5, c=3)
     B = np.random.default_rng(12).uniform(0.2, 2.5, (3, 3))
     bound = float(B.min(axis=1).sum()) * 1.01 + 0.01
@@ -57,6 +59,11 @@ class TestLabelWeights:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             LabelWeights(w=np.array([1.2, -0.2]), n=1, c=2)
+
+    @pytest.mark.parametrize("w", [[np.nan, np.nan], [np.inf, 0.0], [0.5, np.nan]])
+    def test_nonfinite_rejected(self, w):
+        with pytest.raises(ValueError, match="finite"):
+            LabelWeights(w=np.array(w), n=1, c=2)
 
     def test_block_sum_rejected(self):
         with pytest.raises(ValueError, match="block sums"):
@@ -157,6 +164,42 @@ class TestProjectRows:
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
 
+class TestProjectCut:
+    def test_slack_cut_keeps_plain_projection(self):
+        V = np.random.default_rng(2).uniform(-2.0, 2.0, (5, 3))
+        cut = ConstraintSet(loss_matrix=np.ones((5, 3)), bound=5.0)
+        for c in (None, cut):
+            W, mu = _project_cut(V, c)
+            np.testing.assert_array_equal(W, _project_rows(V))
+            assert mu == 0.0
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), c=st.integers(2, 4), mu0=st.sampled_from([0.0, 0.01, 3.0, 1e4]))
+    def test_projection_is_closest_cut_point(self, seed, c, mu0):
+        rng = np.random.default_rng(seed)
+        V = rng.uniform(-2.0, 2.0, (3, c))
+        B = rng.uniform(0.1, 2.0, (3, c))
+        floor = float(B.min(axis=1).sum())
+        plain = float(np.sum(B * _project_rows(V)))
+        if plain <= floor * (1.0 + 1e-6):
+            return
+        cut = ConstraintSet(loss_matrix=B, bound=floor + rng.uniform(0.05, 0.95) * (plain - floor))
+        W, mu = _project_cut(V, cut, mu0)
+        assert mu > 0.0
+        np.testing.assert_array_equal(W, _project_rows(V - mu * B))
+        assert abs(cut.bound - float(np.sum(B * W))) <= 1e-8 * cut.bound
+        dist = np.sum((V - W) ** 2)
+        for _ in range(50):
+            Q = rng.dirichlet(np.ones(c), size=3)
+            if float(np.sum(B * Q)) <= cut.bound:
+                assert dist <= np.sum((V - Q) ** 2) + 1e-9
+
+    def test_unreachable_cut_raises(self):
+        cut = ConstraintSet(loss_matrix=np.array([[3.0, 2.0]]), bound=1.0)
+        with pytest.raises(InfeasibleConstraintError, match="multiplier"):
+            _project_cut(np.array([[0.5, 0.5]]), cut)
+
+
 class TestConstraintSet:
     def test_flat_layout(self):
         cs = ConstraintSet(loss_matrix=np.array([[1.0, 2.0], [3.0, 4.0]]), bound=5.0)
@@ -221,7 +264,7 @@ class TestSolveLabelWeights:
         expect = qp_oracle(ctx.dense_K(), ctx.v_flat, ctx.n, ctx.m, ctx.c, loss_row=constraints.flat, bound=b)
         assert abs(report.objective_value - expect) < 1e-6
 
-    def test_iterations_sum_inner_solves(self, monkeypatch):
+    def test_one_fista_run(self, monkeypatch):
         inner = []
         fista = solver._fista
 
@@ -233,8 +276,39 @@ class TestSolveLabelWeights:
         monkeypatch.setattr(solver, "_fista", counted)
         ctx, constraints = _tight_constraint_fixture()
         _, report = solve_label_weights(ctx, constraints=constraints, options=TIGHT)
-        assert len(inner) > 4  # the free solve, four bracket steps, then bisection
-        assert report.iterations == sum(inner)
+        assert report.dual_lambda > 0.0
+        assert len(inner) == 1
+        assert report.iterations == inner[0]
+
+    @pytest.mark.parametrize("seed", [4, 5, 7])
+    def test_tight_bound_lands_on_the_cut(self, seed):
+        # a bound 1% above the cheapest vertices puts the optimum on the cut,
+        # and the solve must land there to within 1e-8 b
+        ctx = _context_from_seed(3000 + seed, n=3, m=5, c=3)
+        B = np.random.default_rng(seed).uniform(0.2, 2.5, (3, 3))
+        constraints = ConstraintSet(loss_matrix=B, bound=float(B.min(axis=1).sum()) * 1.01 + 0.01)
+        _, report = solve_label_weights(ctx, constraints=constraints)
+        assert report.dual_lambda > 0.0
+        assert abs(report.inequality_slack) <= 1e-8 * constraints.bound
+
+    def test_midway_bound_is_active_at_default_options(self):
+        # b halfway between the cheapest vertices and the free optimum's loss,
+        # so the free optimum is infeasible and the optimum sits on the cut,
+        # which the solve must reach under the default stopping rule
+        rng = np.random.default_rng(5)
+        n, c = 40, 3
+        cal = rng.standard_normal((n, 2))
+        train = Dataset(rng.standard_normal((n, 2)), 1 + rng.integers(0, c, n), num_classes=c)
+        B = -np.log(rng.dirichlet(np.ones(c), size=n))
+        ctx = build_context(cal, train, KernelSpec(1.0))
+        free_w, _ = solve_label_weights(ctx)
+        free_loss = float(np.sum(B * free_w.matrix))
+        bound = 0.5 * (float(B.min(axis=1).sum()) + free_loss)
+        weights, report = solve_label_weights(ctx, constraints=ConstraintSet(loss_matrix=B, bound=bound))
+        assert report.converged
+        assert report.dual_lambda > 0.0
+        assert abs(report.inequality_slack) <= 1e-8 * bound
+        assert report.inequality_slack == bound - float(np.sum(B * weights.matrix))
 
     def test_loose_constraint_stays_inactive(self):
         constraints = ConstraintSet(loss_matrix=np.array([[3.0, 0.1]]), bound=10.0)
