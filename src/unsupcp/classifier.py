@@ -104,7 +104,7 @@ def train_logistic(train: Dataset, l2: float = 1e-3, max_iters: int = 500, tol: 
         raise ValueError("training dataset must be labeled")
     if len(train) == 0:
         raise EmptyInputError("training dataset is empty")
-    if l2 < 0:
+    if not l2 >= 0:
         raise ValueError(f"l2 must be nonnegative, got {l2}")
     observed = np.flatnonzero(np.bincount(train.labels))
     if observed.size < 2:

@@ -104,7 +104,7 @@ class SyntheticConfig:
         priors = np.asarray(self.priors, dtype=np.float64)
         if priors.shape != (means.shape[0],):
             raise ValueError("priors length must equal number of classes")
-        if priors.min() < 0 or abs(priors.sum() - 1.0) > 1e-9:
+        if not ((priors >= 0).all() and abs(priors.sum() - 1.0) <= 1e-9):
             raise ValueError("priors must be nonnegative and sum to 1")
         object.__setattr__(self, "class_means", _frozen(means))
         object.__setattr__(self, "priors", _frozen(priors))

@@ -91,9 +91,13 @@ class ExperimentConfig:
             object.__setattr__(self, "bandwidth_scales", tuple(float(v) for v in self.bandwidth_scales))
         if not isinstance(self.dataset, dict) or self.dataset.get("type") not in ("synthetic", "csv"):
             raise ValueError("dataset must be a dict with type 'synthetic' or 'csv'")
+        if self.dataset["type"] == "synthetic":
+            _synthetic_config(self.dataset)
+        elif not isinstance(self.dataset.get("path"), str):
+            raise ValueError("a csv dataset needs a string 'path'")
         if not self.cal_sizes or min(self.cal_sizes) < 1:
             raise ValueError("cal_sizes must be non-empty positive ints")
-        if self.trials < 1:
+        if not self.trials >= 1:
             raise ValueError("trials must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
@@ -102,23 +106,23 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(METHODS)
         if not self.methods or unknown:
             raise ValueError(f"methods must be a non-empty subset of {METHODS}, got {self.methods}")
-        if self.test_size < 1 or self.train_size < 2:
+        if not (self.test_size >= 1 and self.train_size >= 2):
             raise ValueError("test_size must be >= 1 and train_size >= 2")
-        if self.selection_ridge < 0:
+        if not self.selection_ridge >= 0:
             raise ValueError(f"selection_ridge must be nonnegative, got {self.selection_ridge}")
-        if self.m is not None and self.m < 1:
+        if self.m is not None and not self.m >= 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.bandwidth_scales is not None and not (
             self.bandwidth_scales and all(math.isfinite(v) and v > 0 for v in self.bandwidth_scales)
         ):
             raise ValueError(f"bandwidth_scales must be non-empty, finite and positive, got {self.bandwidth_scales}")
-        if self.l2 < 0:
+        if not self.l2 >= 0:
             raise ValueError(f"l2 must be nonnegative, got {self.l2}")
-        if self.noise_epsilon is not None and self.noise_epsilon < 0:
+        if self.noise_epsilon is not None and not self.noise_epsilon >= 0:
             raise ValueError(f"noise_epsilon must be nonnegative, got {self.noise_epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.solver_max_iters < 1:
+        if not self.solver_max_iters >= 1:
             raise ValueError(f"solver_max_iters must be >= 1, got {self.solver_max_iters}")
         if not self.solver_rel_tol > 0:
             raise ValueError(f"solver_rel_tol must be positive, got {self.solver_rel_tol}")
@@ -242,15 +246,21 @@ def _trial_seeds(cfg: ExperimentConfig, cal_size: int, trial_index: int) -> np.n
     return ss.generate_state(5, dtype=np.uint64)
 
 
+def _synthetic_config(spec: dict) -> SyntheticConfig:
+    missing = {"class_means", "cov_scale", "priors"} - set(spec)
+    if missing:
+        raise ValueError(f"synthetic dataset is missing {sorted(missing)}")
+    return SyntheticConfig(
+        class_means=np.asarray(spec["class_means"], dtype=np.float64),
+        cov_scale=float(spec["cov_scale"]),
+        priors=np.asarray(spec["priors"], dtype=np.float64),
+    )
+
+
 def _get_dataset(cfg: ExperimentConfig, total: int, data_seed: int) -> Dataset:
     spec = cfg.dataset
     if spec["type"] == "synthetic":
-        syn = SyntheticConfig(
-            class_means=np.asarray(spec["class_means"], dtype=np.float64),
-            cov_scale=float(spec["cov_scale"]),
-            priors=np.asarray(spec["priors"], dtype=np.float64),
-        )
-        ds, _ = generate_synthetic(syn, total, data_seed)
+        ds, _ = generate_synthetic(_synthetic_config(spec), total, data_seed)
         return ds
     return load_csv_dataset(spec["path"], labeled=True)
 
@@ -300,7 +310,7 @@ def calibrate_unsupervised(
     cross-entropy stays below ``loss_bound``, and takes the weighted
     conformal quantile. The coverage-gap bound is the smallest one certified
     over a short path of penalized fits of the final inclusion indicator:
-    every fit f certifies approx_error(f) + 2 kappa (1 + sqrt(log(2s/delta)))
+    every fit f certifies approx_error(f) + 2 (1 + sqrt(log(2s/delta)))
     sqrt(1/n + 1/m) ||f||, with s the number of bandwidth candidates, so the
     minimum over the path is itself certified.
     """
@@ -330,7 +340,6 @@ def calibrate_unsupervised(
                     n=ctx.n,
                     m=ctx.m,
                     delta=delta,
-                    kappa=ctx.kappa,
                     rkhs_norm=math.sqrt(norm_sq),
                     approx_error=float(np.abs(u_final - F).sum()) / ctx.n,
                     num_candidates=len(grid),

@@ -1,12 +1,11 @@
 """Separable Gaussian kernels on (instance, label) pairs.
 
 The kernel is K((x,y),(x',y')) = exp(-||x-x'||^2 / (2 sigma^2)) * 1{y = y'},
-bounded by kappa = 1. Ordering pairs as (i, y) -> i*c + (y-1) makes the full
+bounded by 1. Ordering pairs as (i, y) -> i*c + (y-1) makes the full
 (n*c) x (n*c) Gram matrix block-diagonal after grouping by label, and every
 label block equals the single n x n calibration Gram. The context therefore
 stores that one block plus the label-collapsed cross statistics against the
-training sample; nothing at desk scale ever materializes the full matrix
-except ``dense_K`` for small sanity checks.
+training sample; the full matrix is never materialized.
 """
 
 import math
@@ -29,17 +28,13 @@ _EXP_FLOOR = float(np.log(np.finfo(np.float64).tiny))
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Bandwidth of the separable Gaussian kernel. kappa = sup sqrt(K) = 1."""
+    """Bandwidth of the separable Gaussian kernel."""
 
     sigma: float
 
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-
-    @property
-    def kappa(self) -> float:
-        return 1.0
 
 
 def bandwidth_grid(num_features: int, scales=None) -> list[KernelSpec]:
@@ -49,14 +44,6 @@ def bandwidth_grid(num_features: int, scales=None) -> list[KernelSpec]:
     scales = BASE_BANDWIDTH_SCALES if scales is None else tuple(scales)
     root = math.sqrt(num_features / 2.0)
     return [KernelSpec(sigma=s * root) for s in sorted(scales)]
-
-
-def kernel_eval(x1, y1: int, x2, y2: int, spec: KernelSpec) -> float:
-    """Pointwise kernel between two (instance, label) pairs."""
-    if y1 != y2:
-        return 0.0
-    diff = np.asarray(x1, dtype=np.float64) - np.asarray(x2, dtype=np.float64)
-    return float(math.exp(-float(diff @ diff) / (2.0 * spec.sigma**2)))
 
 
 def _sq_dists(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
@@ -106,13 +93,14 @@ def gaussian_gram(X1: np.ndarray, X2: np.ndarray, sigma: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelContext:
-    """Everything the weight solver and bound evaluators need.
+    """Everything the weight solver, the gap bound and the RKHS probes need.
 
     ``base_gram`` is the n x n calibration Gram K0 (each label block of the
     full pair kernel). ``cross_v``[i, y-1] collapses the cross Gram against
     training pairs with label y, so the objective's linear term v is its
     row-major flattening. ``train_self`` is the training sample's own mean
-    kernel, the constant completing the squared-MMD objective.
+    kernel, the constant completing the squared-MMD objective. The raw
+    samples are kept for ``rkhs_probe``, which recomputes kernel values.
     """
 
     spec: KernelSpec
@@ -125,18 +113,6 @@ class KernelContext:
     cal_instances: np.ndarray
     train_instances: np.ndarray
     train_labels: np.ndarray
-
-    @property
-    def kappa(self) -> float:
-        return self.spec.kappa
-
-    @property
-    def v_flat(self) -> np.ndarray:
-        return self.cross_v.ravel()
-
-    def dense_K(self) -> np.ndarray:
-        """Materialize the full (n*c) x (n*c) pair kernel. Small n only."""
-        return np.kron(self.base_gram, np.eye(self.c))
 
 
 def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec) -> KernelContext:
@@ -377,7 +353,7 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     candidates = sorted(candidates, key=lambda s: s.sigma)
     if not candidates:
         raise EmptyInputError("no kernel candidates")
-    if ridge < 0:
+    if not ridge >= 0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
     cal_instances = np.asarray(cal_instances, dtype=np.float64)
     W = as_weight_matrix(naive_weights, score_matrix.n, score_matrix.c)

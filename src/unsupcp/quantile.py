@@ -48,7 +48,7 @@ def weighted_quantile(values: np.ndarray, masses: np.ndarray, beta: float) -> fl
         raise EmptyInputError("no values")
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
-    if masses.min() < 0:
+    if not (masses >= 0).all():
         raise ValueError("masses must be nonnegative")
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")

@@ -48,32 +48,6 @@ class ScoreMatrix:
     def c(self) -> int:
         return self.values.shape[1]
 
-    def flat(self) -> np.ndarray:
-        return self.values.ravel()
-
-
-def aps_score(probs: np.ndarray, y: int, u: float) -> float:
-    """Adaptive score: mass strictly above p_y plus u * p_y.
-
-    ``u`` in [0, 1] randomizes the candidate's own mass; u=0 gives the open
-    tail mass, u=1 the closed one.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    if not 1 <= y <= probs.shape[0]:
-        raise ValueError(f"label {y} outside 1..{probs.shape[0]}")
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"u must be in [0, 1], got {u}")
-    py = probs[y - 1]
-    return float(np.sum(probs[probs > py]) + u * py)
-
-
-def prob_score(probs: np.ndarray, y: int) -> float:
-    """Probability score 1 - p_y."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if not 1 <= y <= probs.shape[0]:
-        raise ValueError(f"label {y} outside 1..{probs.shape[0]}")
-    return float(1.0 - probs[y - 1])
-
 
 def _raw_scores(P: np.ndarray, kind: str, rng: np.random.Generator) -> np.ndarray:
     if kind == "probability":
@@ -109,7 +83,7 @@ def build_score_matrix(
     if noise_epsilon is None:
         spread = float(values.max() - values.min())
         noise_epsilon = DEFAULT_NOISE_SCALE * max(spread, 1.0)
-    if noise_epsilon < 0:
+    if not noise_epsilon >= 0:
         raise ValueError(f"noise_epsilon must be nonnegative, got {noise_epsilon}")
     if noise_epsilon > 0:
         values = values + rng.uniform(0.0, noise_epsilon, size=values.shape)

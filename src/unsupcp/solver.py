@@ -75,16 +75,6 @@ def naive_weights(model: ProbModel, instances: np.ndarray) -> LabelWeights:
     return supervised_weights(preds, model.num_classes)
 
 
-def project_simplex_block(block: np.ndarray) -> np.ndarray:
-    """Euclidean projection of one coefficient block onto the simplex."""
-    block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 1 or block.size == 0:
-        raise ValueError(f"block must be a non-empty vector, got shape {block.shape}")
-    if not np.isfinite(block).all():
-        raise ValueError("block must be finite")
-    return _project_rows(block[None, :])[0]
-
-
 def _project_rows(V: np.ndarray) -> np.ndarray:
     """Project each row of V onto the probability simplex (sort-threshold)."""
     n, c = V.shape
@@ -117,10 +107,6 @@ class ConstraintSet:
         B = B.copy()
         B.flags.writeable = False
         object.__setattr__(self, "loss_matrix", B)
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.loss_matrix.ravel()
 
 
 def build_loss_constraints(model: ProbModel, instances: np.ndarray, loss_bound_value: float) -> ConstraintSet:

@@ -1,12 +1,14 @@
 """Reference implementations used as test oracles.
 
 Everything here favors transparency over speed: the QP oracle enumerates
-active sets exhaustively and the mixture model writes the exact Bayes
+active sets exhaustively, the mixture model writes the exact Bayes
 posterior of a spherical Gaussian mixture into logistic-regression weights,
-so both give ground truth that is independent of the code under test.
+and the pointwise kernel and scores evaluate one pair at a time, so each
+gives ground truth that is independent of the vectorised code under test.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -31,6 +33,43 @@ def mixture_logistic_model(config: SyntheticConfig) -> ProbModel:
         num_classes=config.num_classes,
         num_features=config.num_features,
     )
+
+
+def kernel_eval(x1, y1: int, x2, y2: int, spec) -> float:
+    """Separable Gaussian kernel between two (instance, label) pairs."""
+    if y1 != y2:
+        return 0.0
+    diff = np.asarray(x1, dtype=np.float64) - np.asarray(x2, dtype=np.float64)
+    return float(math.exp(-float(diff @ diff) / (2.0 * spec.sigma**2)))
+
+
+def dense_pair_kernel(ctx) -> np.ndarray:
+    """The full (n*c) x (n*c) pair kernel of a KernelContext, pairs ordered
+    (i, y) -> i*c + (y-1). Small n only."""
+    return np.kron(ctx.base_gram, np.eye(ctx.c))
+
+
+def aps_score(probs, y: int, u: float) -> float:
+    """Adaptive score: mass strictly above p_y plus u * p_y.
+
+    ``u`` in [0, 1] randomizes the candidate's own mass; u=0 gives the open
+    tail mass, u=1 the closed one.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    if not 1 <= y <= probs.shape[0]:
+        raise ValueError(f"label {y} outside 1..{probs.shape[0]}")
+    if not 0.0 <= u <= 1.0:
+        raise ValueError(f"u must be in [0, 1], got {u}")
+    py = probs[y - 1]
+    return float(np.sum(probs[probs > py]) + u * py)
+
+
+def prob_score(probs, y: int) -> float:
+    """Probability score 1 - p_y."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if not 1 <= y <= probs.shape[0]:
+        raise ValueError(f"label {y} outside 1..{probs.shape[0]}")
+    return float(1.0 - probs[y - 1])
 
 
 def _kkt_candidate(K, v, n, m, idx, block_rows, extra_row=None, extra_rhs=None):

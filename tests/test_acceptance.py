@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from _oracles import mixture_logistic_model, qp_oracle
+from _oracles import dense_pair_kernel, mixture_logistic_model, qp_oracle
 from conftest import record_criterion
 from unsupcp.bounds import BoundInputs, excess_gap_kernel
 from unsupcp.classifier import ce_objective_grad, estimate_loss_bound, train_logistic
@@ -217,7 +217,7 @@ def test_criterion_06_qp_matches_enumeration_oracle():
         assert np.abs(weights.matrix.sum(axis=1) - 1.0).max() <= 1e-9
         if constraints is not None:
             assert report.inequality_slack >= -1e-8 * bound - 1e-15
-        expect = qp_oracle(ctx.dense_K(), ctx.v_flat, n, ctx.m, c, loss_row=loss_row, bound=bound)
+        expect = qp_oracle(dense_pair_kernel(ctx), ctx.cross_v.ravel(), n, ctx.m, c, loss_row=loss_row, bound=bound)
         worst = max(worst, abs(report.objective_value - expect))
     ok = worst <= 1e-6
     record_criterion(6, ok, f"max |objective - oracle| {worst:.2e} over 50 instances")

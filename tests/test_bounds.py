@@ -1,51 +1,18 @@
-"""Bound evaluators: pinned values, monotonicity, and the E diagnostic."""
+"""The kernel gap bound: pinned values, monotonicity, and the E diagnostic."""
 
 import math
 
 import numpy as np
 import pytest
 
-from unsupcp.bounds import (
-    BoundInputs,
-    coverage_diagnostic_E,
-    excess_gap_general,
-    excess_gap_kernel,
-    objective_value_bound,
-    rademacher_kernel_bound,
-    supervised_coverage_bounds,
-)
+from unsupcp.bounds import BoundInputs, coverage_diagnostic_E, excess_gap_kernel
 from unsupcp.solver import supervised_weights
-
-
-class TestSupervisedCoverageBounds:
-    def test_marginal_bracket(self):
-        b = supervised_coverage_bounds(99, alpha=0.1, delta=0.1)
-        assert b.marginal_low == 0.9
-        assert abs(b.marginal_high - 0.91) < 1e-12
-
-    def test_conditional_widening(self):
-        # dev = sqrt(log(2/0.1) / (2 * 2000)) = 0.027366641525559867
-        b = supervised_coverage_bounds(2000, alpha=0.1, delta=0.1)
-        dev = 0.027366641525559867
-        assert abs((b.marginal_low - b.conditional_low) - dev) < 1e-12
-        assert abs((b.conditional_high - b.marginal_high) - dev) < 1e-12
-
-    def test_bracket_width_shrinks_with_n(self):
-        wide = supervised_coverage_bounds(50, 0.1, 0.1)
-        tight = supervised_coverage_bounds(5000, 0.1, 0.1)
-        assert tight.marginal_high - tight.marginal_low < wide.marginal_high - wide.marginal_low
-        assert tight.conditional_high - tight.conditional_low < wide.conditional_high - wide.conditional_low
-
-    @pytest.mark.parametrize("n,alpha,delta", [(0, 0.1, 0.1), (10, 0.0, 0.1), (10, 1.0, 0.1), (10, 0.1, 0.0), (10, 0.1, 1.0)])
-    def test_input_validation(self, n, alpha, delta):
-        with pytest.raises(ValueError):
-            supervised_coverage_bounds(n, alpha, delta)
 
 
 class TestBoundInputs:
     def test_defaults(self):
         inp = BoundInputs(n=10, m=20, delta=0.1)
-        assert inp.kappa == 1.0 and inp.rkhs_norm == 1.0 and inp.num_candidates == 1
+        assert inp.rkhs_norm == 1.0 and inp.approx_error == 0.0 and inp.num_candidates == 1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -53,10 +20,10 @@ class TestBoundInputs:
             dict(n=0, m=1, delta=0.1),
             dict(n=1, m=0, delta=0.1),
             dict(n=1, m=1, delta=1.5),
-            dict(n=1, m=1, delta=0.1, kappa=0.0),
+            dict(n=1, m=1, delta=0.1, rkhs_norm=math.nan),
             dict(n=1, m=1, delta=0.1, rkhs_norm=-1.0),
             dict(n=1, m=1, delta=0.1, approx_error=-0.1),
-            dict(n=1, m=1, delta=0.1, v_opt=-0.1),
+            dict(n=1, m=1, delta=0.1, approx_error=math.nan),
             dict(n=1, m=1, delta=0.1, num_candidates=0),
         ],
     )
@@ -96,49 +63,6 @@ class TestExcessGapKernel:
             excess_gap_kernel(BoundInputs(n=100, m=100, delta=0.1, rkhs_norm=2.0, approx_error=0.01, num_candidates=10))
             > excess_gap_kernel(ref)
         )
-
-
-class TestExcessGapGeneral:
-    def test_pinned_value(self):
-        # 0.01 + 0.02 + 2 (1/sqrt(1000) + 1/sqrt(500))
-        #   + 2 sqrt((1/1000 + 1/500) log(2/0.1) / 2) = 0.31675688772592536
-        inp = BoundInputs(n=1000, m=500, delta=0.1, v_opt=0.01, approx_error=0.02)
-        rn = rademacher_kernel_bound(1.0, 1.0, 1000)
-        rm = rademacher_kernel_bound(1.0, 1.0, 500)
-        assert abs(excess_gap_general(inp, rn, rm, sup_bound=2.0) - 0.31675688772592536) < 1e-12
-
-    def test_negative_complexity_rejected(self):
-        inp = BoundInputs(n=10, m=10, delta=0.1)
-        with pytest.raises(ValueError, match="nonnegative"):
-            excess_gap_general(inp, -0.1, 0.0, 1.0)
-
-
-class TestRademacherKernelBound:
-    def test_exact_value(self):
-        assert rademacher_kernel_bound(2.0, 3.0, 4) == 3.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="t must"):
-            rademacher_kernel_bound(1.0, 1.0, 0)
-        with pytest.raises(ValueError, match="kappa"):
-            rademacher_kernel_bound(0.0, 1.0, 1)
-
-
-class TestObjectiveValueBound:
-    def test_pinned_value(self):
-        # 0.01 + 4 (1/10 + 1/sqrt(200)) + 4 sqrt(0.015 log 20 / 2) = 1.2924157879428884
-        val = objective_value_bound(kappa=1.0, rkhs_norm=2.0, n=100, m=200, delta=0.05, eps_opt=0.01)
-        assert abs(val - 1.2924157879428884) < 1e-12
-
-    def test_eps_opt_is_additive(self):
-        base = objective_value_bound(1.0, 1.0, 50, 50, 0.1)
-        assert abs(objective_value_bound(1.0, 1.0, 50, 50, 0.1, eps_opt=1e-3) - base - 1e-3) < 1e-15
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            objective_value_bound(1.0, 1.0, 0, 10, 0.1)
-        with pytest.raises(ValueError):
-            objective_value_bound(1.0, -1.0, 10, 10, 0.1)
 
 
 class TestCoverageDiagnosticE:

@@ -47,6 +47,11 @@ class TestTraining:
         with pytest.raises(ValueError, match="labeled"):
             train_logistic(ds)
 
+    @pytest.mark.parametrize("l2", [-1e-3, float("nan")])
+    def test_l2_validated(self, toy_labeled, l2):
+        with pytest.raises(ValueError, match="l2"):
+            train_logistic(toy_labeled, l2=l2)
+
     def test_fit_improves_on_initial_objective(self, toy_labeled):
         model = train_logistic(toy_labeled, l2=1e-3)
         zero = np.zeros_like(model.weights)

@@ -134,6 +134,11 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="cov_scale"):
             SyntheticConfig(class_means=np.eye(2), cov_scale=0.0, priors=np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("priors", [[0.75, 0.75], [-0.5, 1.5], [np.nan, np.nan]])
+    def test_bad_priors_rejected(self, priors):
+        with pytest.raises(ValueError, match="priors"):
+            SyntheticConfig(class_means=np.eye(2), cov_scale=1.0, priors=np.array(priors))
+
     def test_nonpositive_count_rejected(self):
         cfg = SyntheticConfig(class_means=np.eye(2), cov_scale=1.0, priors=np.array([0.5, 0.5]))
         with pytest.raises(EmptyInputError):

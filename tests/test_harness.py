@@ -117,6 +117,14 @@ class TestExperimentConfig:
             dict(bandwidth_scales=(float("nan"),)),
             dict(l2=-1e-3),
             dict(noise_epsilon=-0.1),
+            dict(l2=math.nan),
+            dict(selection_ridge=math.nan),
+            dict(noise_epsilon=math.nan),
+            dict(dataset={**TINY_DATASET, "priors": [0.75, 0.75]}),
+            dict(dataset={**TINY_DATASET, "priors": [math.nan, math.nan]}),
+            dict(dataset={"type": "synthetic", "class_means": [[0.0], [1.0]]}),
+            dict(dataset={"type": "csv"}),
+            dict(dataset={"type": "csv", "path": 3}),
         ],
     )
     def test_validation(self, overrides):
@@ -437,6 +445,15 @@ class TestCli:
         path.write_text(json.dumps(payload))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "alpha" in capsys.readouterr().err
+
+    def test_nan_l2_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        payload = _tiny_config().to_dict()
+        payload["l2"] = math.nan
+        path.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "l2" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
 
     def test_partial_failures_exit_two(self, tmp_path, capsys):
         data = tmp_path / "small.csv"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import unsupcp.kernel as kernel_mod
-from _oracles import plain_cg_columns
+from _oracles import dense_pair_kernel, kernel_eval, plain_cg_columns
 from unsupcp.data import Dataset, SyntheticConfig, generate_synthetic
 from unsupcp.errors import EmptyInputError, InterpolationError
 from unsupcp.kernel import (
@@ -19,7 +19,6 @@ from unsupcp.kernel import (
     build_context,
     dual_witness_check,
     gaussian_gram,
-    kernel_eval,
     min_norm_interpolation,
     mmd_objective,
     ridge_path,
@@ -86,8 +85,8 @@ class TestBuildContext:
         x0 = np.array([[0.3, -0.2]])
         train = Dataset(x0, np.array([1]), num_classes=2)
         ctx = build_context(x0, train, KernelSpec(1.0))
-        np.testing.assert_allclose(ctx.dense_K(), np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(ctx.v_flat, [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(dense_pair_kernel(ctx), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(ctx.cross_v.ravel(), [1.0, 0.0], atol=1e-15)
         assert ctx.train_self == 1.0
 
     def test_train_self_matches_full_gram(self):
@@ -109,16 +108,22 @@ class TestBuildContext:
         np.testing.assert_allclose(np.diag(K0), 1.0, atol=1e-15)
         assert K0.min() >= 0.0 and K0.max() <= 1.0
 
+    def test_dense_pair_kernel_matches_kernel_eval(self):
+        ctx = _context(n=4, c=3, sigma=0.9, seed=6)
+        pairs = [(x, y) for x in ctx.cal_instances for y in range(1, ctx.c + 1)]  # (i, y) -> i*c + (y-1)
+        want = [[kernel_eval(a, y, b, y2, ctx.spec) for b, y2 in pairs] for a, y in pairs]
+        np.testing.assert_allclose(dense_pair_kernel(ctx), want, rtol=0.0, atol=1e-15)
+
     def test_block_sparsity_fraction(self):
         ctx = _context(n=3, c=3)
-        D = ctx.dense_K()
+        D = dense_pair_kernel(ctx)
         nonzero = D != 0.0
         assert nonzero.sum() == ctx.n**2 * ctx.c
         assert nonzero.sum() / D.size == 1.0 / ctx.c
 
     def test_psd_with_jitter_slack(self):
         ctx = _context(n=8, c=2, sigma=0.5, seed=3)
-        D = ctx.dense_K()
+        D = dense_pair_kernel(ctx)
         rng = np.random.default_rng(4)
         for _ in range(20):
             w = rng.standard_normal(ctx.n * ctx.c)
@@ -281,6 +286,8 @@ class TestSelectKernel:
         cal, scores, weights, alpha = self._all_ones_fixture(2, 2, 0.1)
         with pytest.raises(ValueError, match="ridge"):
             select_kernel([KernelSpec(1.0)], cal, scores, weights, alpha, ridge=-0.5)
+        with pytest.raises(ValueError, match="ridge"):
+            select_kernel([KernelSpec(1.0)], cal, scores, weights, alpha, ridge=math.nan)
 
     def test_all_candidates_failing_raises(self, monkeypatch):
         cal, scores, weights, alpha = self._all_ones_fixture(2, 2, 0.1)
@@ -338,6 +345,14 @@ class TestGaussianGram:
         X2 = np.ones((1, 3))
         val = gaussian_gram(X1, X2, sigma=1.0)[0, 0]
         assert abs(val - math.exp(-1.5)) < 1e-12
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5])
+    def test_matches_kernel_eval(self, sigma):
+        rng = np.random.default_rng(30)
+        X1, X2 = rng.standard_normal((6, 3)), rng.standard_normal((5, 3))
+        K = gaussian_gram(X1, X2, sigma)
+        want = [[kernel_eval(a, 1, b, 1, KernelSpec(sigma)) for b in X2] for a in X1]
+        np.testing.assert_allclose(K, want, rtol=1e-13, atol=0.0)
 
     def test_sq_dists_matches_broadcast_formula(self):
         rng = np.random.default_rng(31)

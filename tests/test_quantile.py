@@ -51,6 +51,8 @@ class TestWeightedQuantile:
     def test_negative_mass(self):
         with pytest.raises(ValueError, match="nonnegative"):
             weighted_quantile(np.array([1.0]), np.array([-0.1]), 0.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            conformal_quantile_weighted(np.array([[0.1, 0.9]]), np.array([[np.nan, np.nan]]), 0.1)
 
     def test_empty_values(self):
         with pytest.raises(EmptyInputError):

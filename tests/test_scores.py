@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import aps_score, prob_score
 from unsupcp.classifier import ProbModel, predict_proba_matrix
 from unsupcp.errors import EmptyInputError
-from unsupcp.scores import aps_score, build_score_matrix, prob_score
+from unsupcp.scores import build_score_matrix
 
 
 def _simplex(values):
@@ -76,10 +77,13 @@ class TestScoreMatrix:
         return ProbModel(weights=rng.standard_normal((c, d + 1)), num_classes=c, num_features=d)
 
     def test_probability_kind_is_one_minus_p(self):
+        # the batch path must agree with prob_score pair by pair
         model = self._model()
         X = np.random.default_rng(2).standard_normal((2, 2))
+        P = predict_proba_matrix(model, X)
         sm = build_score_matrix(model, X, "probability", seed=0, noise_epsilon=0.0)
-        np.testing.assert_allclose(sm.values, 1.0 - predict_proba_matrix(model, X), atol=1e-15)
+        want = np.array([[prob_score(P[i], y + 1) for y in range(3)] for i in range(2)])
+        np.testing.assert_array_equal(sm.values, want)
 
     def test_same_seed_same_matrix(self):
         model = self._model()
@@ -134,7 +138,7 @@ class TestScoreMatrix:
         model = self._model()
         X = np.random.default_rng(8).standard_normal((4, 2))
         sm = build_score_matrix(model, X, "adaptive", seed=1)
-        flat = sm.flat()
+        flat = sm.values.ravel()
         for i in range(4):
             for y in range(3):
                 assert flat[i * 3 + y] == sm.values[i, y]
@@ -150,3 +154,5 @@ class TestScoreMatrix:
     def test_negative_epsilon(self):
         with pytest.raises(ValueError, match="noise_epsilon"):
             build_score_matrix(self._model(), np.zeros((1, 2)), "adaptive", seed=0, noise_epsilon=-1e-9)
+        with pytest.raises(ValueError, match="noise_epsilon"):
+            build_score_matrix(self._model(), np.zeros((1, 2)), "adaptive", seed=0, noise_epsilon=float("nan"))

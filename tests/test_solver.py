@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import qp_oracle
+from _oracles import dense_pair_kernel, qp_oracle
 from unsupcp import solver
 from unsupcp.classifier import ProbModel
 from unsupcp.data import Dataset
@@ -19,7 +19,6 @@ from unsupcp.solver import (
     _project_rows,
     build_loss_constraints,
     naive_weights,
-    project_simplex_block,
     solve_label_weights,
     supervised_weights,
 )
@@ -109,32 +108,24 @@ class TestNaiveWeights:
         np.testing.assert_array_equal(lw.matrix, [[1, 0, 0]])
 
 
-class TestProjectSimplexBlock:
+class TestProjectRows:
     def test_outside_vertex(self):
-        np.testing.assert_allclose(project_simplex_block(np.array([2.0, 0.0])), [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(_project_rows(np.array([[2.0, 0.0]])), [[1.0, 0.0]], atol=1e-15)
 
     def test_uniform_shift(self):
-        np.testing.assert_allclose(project_simplex_block(np.array([0.6, 0.6])), [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(_project_rows(np.array([[0.6, 0.6]])), [[0.5, 0.5]], atol=1e-15)
 
     def test_idempotent(self):
-        z = np.array([0.3, -0.8, 1.9, 0.1])
-        once = project_simplex_block(z)
-        np.testing.assert_allclose(project_simplex_block(once), once, atol=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            project_simplex_block(np.array([]))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            project_simplex_block(np.array([1.0, np.inf]))
+        z = np.array([[0.3, -0.8, 1.9, 0.1]])
+        once = _project_rows(z)
+        np.testing.assert_allclose(_project_rows(once), once, atol=1e-12)
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6))
     def test_projection_is_closest_simplex_point(self, seed, k):
         rng = np.random.default_rng(seed)
         z = rng.uniform(-4.0, 4.0, k)
-        p = project_simplex_block(z)
+        p = _project_rows(z[None, :])[0]
         assert p.min() >= 0.0
         assert abs(p.sum() - 1.0) < 1e-9
         dist = np.sum((z - p) ** 2)
@@ -142,8 +133,6 @@ class TestProjectSimplexBlock:
             q = rng.dirichlet(np.ones(k))
             assert dist <= np.sum((z - q) ** 2) + 1e-9
 
-
-class TestProjectRows:
     def test_simplex_rows_fixed(self):
         rows = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
         np.testing.assert_allclose(_project_rows(rows), rows, atol=1e-12)
@@ -203,7 +192,7 @@ class TestProjectCut:
 class TestConstraintSet:
     def test_flat_layout(self):
         cs = ConstraintSet(loss_matrix=np.array([[1.0, 2.0], [3.0, 4.0]]), bound=5.0)
-        np.testing.assert_array_equal(cs.flat, [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(cs.loss_matrix.ravel(), [1.0, 2.0, 3.0, 4.0])
 
     def test_negative_loss_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -261,7 +250,8 @@ class TestSolveLabelWeights:
         assert report.dual_lambda > 2.0
         b = constraints.bound
         assert -1e-8 * b <= report.inequality_slack <= 0.0
-        expect = qp_oracle(ctx.dense_K(), ctx.v_flat, ctx.n, ctx.m, ctx.c, loss_row=constraints.flat, bound=b)
+        expect = qp_oracle(dense_pair_kernel(ctx), ctx.cross_v.ravel(), ctx.n, ctx.m, ctx.c,
+                           loss_row=constraints.loss_matrix.ravel(), bound=b)
         assert abs(report.objective_value - expect) < 1e-6
 
     def test_one_fista_run(self, monkeypatch):
@@ -365,5 +355,5 @@ class TestSolveLabelWeights:
                 constraints = ConstraintSet(loss_matrix=B, bound=bound)
                 loss_row = B.ravel()
             _, report = solve_label_weights(ctx, constraints=constraints, options=TIGHT)
-            expect = qp_oracle(ctx.dense_K(), ctx.v_flat, n, ctx.m, c, loss_row=loss_row, bound=bound)
+            expect = qp_oracle(dense_pair_kernel(ctx), ctx.cross_v.ravel(), n, ctx.m, c, loss_row=loss_row, bound=bound)
             assert abs(report.objective_value - expect) < 1e-6, f"seed {seed}"
