@@ -20,6 +20,7 @@ import math
 import os
 import platform
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -53,6 +54,8 @@ from .solver import (
 
 METHODS = ("supervised", "unsupervised", "naive")
 VALIDATION_FRACTION = 0.2
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+TRACEBACK_TAIL = 6  # traceback entries a failure keeps: the last five frames and the error line
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,7 @@ class ExperimentConfig:
     l2: float = 1e-3
     classifier_max_iters: int = 500
     solver_max_iters: int = 20000
-    solver_rel_tol: float = 1e-7
+    solver_rel_tol: float = 1e-4
     delta: float = 0.1
 
     def __post_init__(self):
@@ -178,6 +181,7 @@ class MethodResult:
     solver_iterations: int | None = None
     solver_slack: float | None = None
     solver_converged: bool | None = None
+    solver_gap: float | None = None
     e_diag: float | None = None
     kernel_bound: float | None = None
 
@@ -197,6 +201,7 @@ TRIAL_COLUMNS = (
     "solver_iterations",
     "solver_slack",
     "solver_converged",
+    "solver_gap",
     "e_diag",
     "kernel_bound",
     "classifier_error",
@@ -419,6 +424,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, cal_size: int | None = No
                 "solver_iterations": out.report.iterations,
                 "solver_slack": out.report.inequality_slack,
                 "solver_converged": out.report.converged,
+                "solver_gap": out.report.gap,
                 "kernel_bound": out.kernel_bound,
             }
             if cal.hidden_labels is not None:
@@ -459,14 +465,20 @@ def _environment() -> dict:
         "numpy": np.__version__,
         "backend": "numpy",
         "package_version": __version__,
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
     }
 
 
 def _trial_task(cfg: ExperimentConfig, n: int, t: int):
+    """(cal_size, trial, record, failure); a failure is None or a dict with
+    the exception's ``error`` line and the last TRACEBACK_TAIL entries of
+    its ``traceback``."""
     try:
         return (n, t, run_trial(cfg, t, n), None)
     except Exception as exc:  # pragma: no cover - exercised via failure path test
-        return (n, t, None, f"{type(exc).__name__}: {exc}")
+        tail = "".join(traceback.format_exception(exc)[-TRACEBACK_TAIL:])
+        return (n, t, None, {"error": f"{type(exc).__name__}: {exc}", "traceback": tail})
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResults:
@@ -488,7 +500,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResults
             outcomes = list(pool.map(_trial_task, [cfg] * len(grid), [g[0] for g in grid], [g[1] for g in grid]))
     outcomes.sort(key=lambda o: (o[0], o[1]))
     records = tuple(o[2] for o in outcomes if o[2] is not None)
-    failures = tuple({"cal_size": o[0], "trial": o[1], "error": o[3]} for o in outcomes if o[3] is not None)
+    failures = tuple({"cal_size": o[0], "trial": o[1], **o[3]} for o in outcomes if o[3] is not None)
     return ExperimentResults(config=cfg, records=records, failures=failures, environment=_environment())
 
 
@@ -529,12 +541,18 @@ RESULTS_SCHEMA = {
         "config": {"type": "object"},
         "environment": {
             "type": "object",
-            "required": ["python", "numpy", "backend", "package_version"],
+            "required": ["python", "numpy", "backend", "package_version", "cpu_count", "blas_threads"],
             "properties": {
                 "python": {"type": "string"},
                 "numpy": {"type": "string"},
                 "backend": {"type": "string"},
                 "package_version": {"type": "string"},
+                "cpu_count": {"type": ["integer", "null"]},
+                "blas_threads": {
+                    "type": "object",
+                    "required": list(BLAS_THREAD_VARS),
+                    "properties": {v: {"type": ["string", "null"]} for v in BLAS_THREAD_VARS},
+                },
             },
         },
         "aggregates": {
@@ -550,6 +568,7 @@ RESULTS_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["cal_size", "trial", "error"],
+                "properties": {"error": {"type": "string"}, "traceback": {"type": "string"}},
             },
         },
     },

@@ -9,6 +9,14 @@ The inequality is part of the feasible set: one FISTA run projects every
 step onto the simplices cut by B w <= b, a projection that costs a short
 one-dimensional search over row projections. The cut's multiplier at the
 last projection is the reported Lagrange multiplier lambda.
+
+The run stops on a certificate, the Frank-Wolfe duality gap on the cut set
+(Jaggi 2013), which bounds Phi(w) - Phi* and costs O(nc) per iteration from
+the cached K0 w. The products are memory-bound, so they run on a float32
+copy of K0 while the gap tolerance sits above float32's reach, and move to
+float64 for good once float32 rounding stalls progress; the certificate is
+always evaluated in float64, in the spirit of mixed-precision refinement
+(Carson & Higham 2018).
 """
 
 import math
@@ -24,6 +32,10 @@ BLOCK_SUM_TOL = 1e-9
 SLACK_REL_TOL = 1e-8
 CUT_RESOLUTION = 1e6  # largest mu * max(B) at which V - mu B resolves weights to BLOCK_SUM_TOL
 CUT_STEPS = 100  # projections per multiplier search
+FLOAT32_GAP_FLOOR = 1e-6  # relative gap tolerances below this run float64 products from the start
+STALL_REL = 1e-12  # float64 relative change in Phi below which roundoff has stalled the solve
+POWER_STEPS = 30  # power-iteration steps behind the gradient step
+POWER_MARGIN = 1.01  # headroom over the power-iteration estimate of lambda_max
 
 
 @dataclass(frozen=True)
@@ -117,19 +129,34 @@ def build_loss_constraints(model: ProbModel, instances: np.ndarray, loss_bound_v
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Stopping rule of the weight QP.
+
+    ``rel_tol`` is the relative duality-gap tolerance: the solve is
+    converged once its Frank-Wolfe gap certifies Phi(w) - Phi* <= rel_tol
+    max(1, |Phi|). Tolerances below FLOAT32_GAP_FLOOR run every product in
+    float64; above it the products start in float32. ``max_iters`` caps the
+    solve's iterations.
+    """
+
     max_iters: int = 20000
-    rel_tol: float = 1e-7
+    rel_tol: float = 1e-4
 
 
 @dataclass(frozen=True)
 class SolverReport:
     """Diagnostics of one solve.
 
-    ``objective_value`` is the un-rooted quadratic form Phi(w); the history
-    (one value per accepted iterate, at most ``max_iters``) is monotone
-    non-increasing. ``inequality_slack`` is b - B w, +inf when unconstrained;
-    it never drops below -1e-8 b. ``dual_lambda`` is the loss constraint's
-    multiplier at the last projection, 0 when the cut was slack there.
+    ``objective_value`` is the un-rooted quadratic form Phi(w). ``gap`` is
+    the Frank-Wolfe duality gap at w on the loss-cut set, evaluated with a
+    float64 K0 w and the last projection's multiplier; it bounds Phi(w) -
+    Phi* from above, and ``converged`` is exactly gap <= rel_tol max(1,
+    |Phi|). ``step`` is the gradient step 1/L. ``switch_iteration`` is the
+    iteration at which the products moved from float32 to float64, 0 when
+    they never did. The history holds the starting value and one value per
+    iteration (see ``_fista`` for its monotonicity). ``inequality_slack``
+    is b - B w, +inf when unconstrained; it never drops below -1e-8 b.
+    ``dual_lambda`` is the loss constraint's multiplier at the last
+    projection, 0 when the cut was slack there.
     """
 
     objective_value: float
@@ -139,21 +166,25 @@ class SolverReport:
     dual_lambda: float
     converged: bool
     objective_history: np.ndarray
+    gap: float = math.inf
+    step: float = math.nan
+    switch_iteration: int = 0
 
 
 @dataclass(frozen=True)
 class _InnerSolve:
-    """One FISTA solve: the iterate W with its K0 @ W, the iteration count,
-    the last relative change, the converged flag, the objective history and
-    the loss constraint's multiplier at the last projection."""
+    """One FISTA solve: the iterate W with its float64 K0 @ W, the iteration
+    count, the last relative change, the objective history, the loss
+    constraint's multiplier at the last projection and the iteration of the
+    float64 switch (0 when none)."""
 
     W: np.ndarray
     KW: np.ndarray
     iterations: int
     rel_change: float
-    converged: bool
     history: np.ndarray
     multiplier: float
+    switch_iteration: int
 
 
 def _project_cut(V: np.ndarray, cut: ConstraintSet | None, mu: float = 0.0):
@@ -199,57 +230,120 @@ def _project_cut(V: np.ndarray, cut: ConstraintSet | None, mu: float = 0.0):
     return W_hi, hi
 
 
-def _fista(K0, G, W0, lip, max_iters, rel_tol, cut=None) -> _InnerSolve:
+def _power_lip(K: np.ndarray) -> float:
+    """Step constant L for the gradient (2/n) K W - G: POWER_MARGIN times
+    2/n the Rayleigh quotient after POWER_STEPS steps of power iteration on
+    K, started at the all-ones vector (close to a nonnegative Gram's Perron
+    vector). The quotient approaches lambda_max from below; a plain
+    projected-gradient step 1/L stays non-increasing for any L above half
+    the true constant, so a residual underestimate costs no monotonicity."""
+    n = K.shape[0]
+    v = np.full(n, 1.0 / math.sqrt(n), dtype=K.dtype)
+    for _ in range(POWER_STEPS):
+        Kv = K @ v  # K has a unit diagonal and v > 0, so Kv never vanishes
+        lam = float(v @ Kv)
+        v = Kv / np.linalg.norm(Kv)
+    return POWER_MARGIN * 2.0 / n * lam
+
+
+def _value_and_gap(W, KW, G, cut, lam):
+    """(Phi, gap, gradient) at W from its K0 @ W, in O(nc).
+
+    The gap is the cut-set Frank-Wolfe gap under weak duality with the cut's
+    multiplier lam >= 0: <grad, W> - (sum_i min_y (grad + lam B)_iy - lam b),
+    an upper bound on Phi(W) - Phi* (Jaggi 2013).
+    """
+    inv_n = 1.0 / W.shape[0]
+    q = inv_n * float(np.vdot(KW, W))
+    s = float(np.vdot(G, W))
+    grad = (2.0 * inv_n) * KW - G
+    if lam > 0.0:
+        lower = float((grad + lam * cut.loss_matrix).min(axis=1).sum()) - lam * cut.bound
+    else:
+        lower = float(grad.min(axis=1).sum())
+    return q - s, 2.0 * q - s - lower, grad
+
+
+def _fista(K0, G, W0, lip, max_iters, rel_tol, cut=None, K32=None) -> _InnerSolve:
     """Accelerated projected gradient on h(W) = (1/n)<W, K0 W> - <G, W>.
 
     Feasible set is the product of per-row simplices, cut by the loss
-    constraint when ``cut`` is given (see ``_project_cut``). Momentum
-    restarts on a function increase by redoing the step as plain projected
-    gradient from the previous iterate, which the descent lemma makes
-    non-increasing, so the recorded objective history is monotone. K0 @ y is
-    recovered from cached K0 @ x by linearity; normal iterations cost a
-    single GEMM. Each multiplier search starts from the last one's mu.
+    constraint when ``cut`` is given (see ``_project_cut``). Each iteration
+    costs one (n, n) @ (n, c) product for the new iterate; gradients at the
+    momentum point follow by linearity, and the gap from the same product.
+    Each multiplier search starts from the last accepted one's mu.
+
+    Products run on ``K32``, a float32 copy of K0, when given; iterates,
+    gradients and sums stay float64. The switch to float64 products is one
+    way and happens when float32 rounding stalls progress: a restart's plain
+    step fails to lower h, or the float32 gap certifies (or the change
+    stalls) while the float64 gap at the same iterate does not. The solve
+    stops when the gap certifies in float64, when a float64 step changes h
+    by less than STALL_REL relative (roundoff), or after ``max_iters``
+    iterations; the returned K0 @ W is float64 in every case.
+
+    Momentum restarts on a function increase by redoing the step as plain
+    projected gradient from the previous iterate, which the descent lemma
+    makes non-increasing. The history (one value per iteration) is therefore
+    monotone within each precision: in float32 a step is kept only if it
+    does not raise h, and a float64 plain step can rise only by roundoff or
+    by the cut's 1e-8 b slack band. Either switch re-evaluates the current
+    iterate in float64 and takes a plain step from it, so the first float64
+    value is at most that iterate's float64 value, which differs from its
+    recorded float32 value by the product's float32 rounding (about 1e-7
+    relative): across a switch the history is monotone to that rounding.
     """
-    n = K0.shape[0]
-    inv_n = 1.0 / n
     step = 1.0 / lip
+    K = K0 if K32 is None else K32
+
+    def evaluate(W, mu):
+        KW = K0 @ W if K is K0 else (K32 @ W.astype(np.float32)).astype(np.float64)
+        return (KW, *_value_and_gap(W, KW, G, cut, mu / step))
+
     X, mu = _project_cut(W0, cut)
-    KX = K0 @ X
-    f = inv_n * np.sum(KX * X) - np.sum(G * X)
+    KX, f, gap, gX = evaluate(X, mu)
     hist = np.empty(max_iters + 1)
     hist[0] = f
-    Xp = X
-    KXp = KX
-    t = 1.0
-    rel = math.inf
-    iters = 0
-    for iters in range(1, max_iters + 1):
+    Xp, gXp, t = X, gX, 1.0
+    rel, iters, switch = math.inf, 0, 0
+    while True:
+        certified = gap <= rel_tol * max(1.0, abs(f))
+        if K is not K0 and (certified or rel < STALL_REL):
+            # a float32 certificate or stall is checked with float64 products,
+            # which stay on unless they certify
+            K = K0
+            KX, f, gap, gX = evaluate(X, mu)
+            certified = gap <= rel_tol * max(1.0, abs(f))
+            if not certified:
+                switch, rel = iters + 1, math.inf
+                Xp, gXp, t = X, gX, 1.0
+        if certified or rel < STALL_REL or iters == max_iters:
+            break
+        iters += 1
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         Y = X + beta * (X - Xp)
-        KY = (1.0 + beta) * KX - beta * KXp
-        grad = (2.0 * inv_n) * KY - G
-        Z, mu = _project_cut(Y - step * grad, cut, mu)
-        KZ = K0 @ Z
-        fz = inv_n * np.sum(KZ * Z) - np.sum(G * Z)
+        Z, mu_z = _project_cut(Y - step * (gX + beta * (gX - gXp)), cut, mu)
+        KZ, fz, gap_z, gZ = evaluate(Z, mu_z)
         if fz > f:
-            grad = (2.0 * inv_n) * KX - G
-            Z, mu = _project_cut(X - step * grad, cut, mu)
-            KZ = K0 @ Z
-            fz = inv_n * np.sum(KZ * Z) - np.sum(G * Z)
+            Z, mu_z = _project_cut(X - step * gX, cut, mu)
+            KZ, fz, gap_z, gZ = evaluate(Z, mu_z)
+            if fz > f and K is not K0:
+                # float32 rounding stalls progress: redo the step in float64
+                K, switch = K0, iters
+                KX, f, gap, gX = evaluate(X, mu)
+                Z, mu_z = _project_cut(X - step * gX, cut, mu)
+                KZ, fz, gap_z, gZ = evaluate(Z, mu_z)
             t_next = 1.0
         rel = abs(f - fz) / max(1.0, abs(fz))
-        Xp = X
-        KXp = KX
-        X = Z
-        KX = KZ
-        f = fz
+        Xp, gXp = X, gX
+        X, KX, f, gap, gX, mu = Z, KZ, fz, gap_z, gZ, mu_z
         t = t_next
         hist[iters] = f
-        if rel < rel_tol:
-            break
-    return _InnerSolve(W=X, KW=KX, iterations=iters, rel_change=rel, converged=rel < rel_tol,
-                       history=hist[: iters + 1], multiplier=mu / step)
+    if K is not K0:
+        KX = K0 @ X
+    return _InnerSolve(W=X, KW=KX, iterations=iters, rel_change=rel, history=hist[: iters + 1],
+                       multiplier=mu / step, switch_iteration=switch)
 
 
 def solve_label_weights(
@@ -266,14 +360,16 @@ def solve_label_weights(
     violate the bound.
 
     One FISTA run whose every step projects onto the simplices cut by the
-    loss constraint; ``options.max_iters`` caps the whole solve. The
-    report's multiplier is the cut's multiplier at the last projection.
+    loss constraint; ``options.max_iters`` caps the whole solve. Its step
+    comes from power iteration (``_power_lip``). At ``options.rel_tol`` >=
+    FLOAT32_GAP_FLOOR its products start on a float32 copy of K0 that lives
+    only during the solve. The reported gap, objective and ``converged``
+    are evaluated at the returned weights with a float64 K0 @ W.
     """
     options = options or SolverOptions()
     n, m, c = ctx.n, ctx.m, ctx.c
     K0 = ctx.base_gram
     V = ctx.cross_v
-    lip = max(2.0 / n * float(K0.sum(axis=1).max()), 1e-12)
     W0 = np.full((n, c), 1.0 / c) if init is None else as_weight_matrix(init, n, c).copy()
     G = (2.0 / m) * V
 
@@ -281,29 +377,27 @@ def solve_label_weights(
     if B is not None and B.shape != (n, c):
         raise ValueError(f"loss_matrix shape {B.shape} != ({n}, {c})")
 
-    run = _fista(K0, G, W0, lip, options.max_iters, options.rel_tol, constraints)
-
-    def objective(W, KW):
-        return float(np.sum(W * KW) / n - 2.0 * np.sum(V * W) / m)
+    K32 = K0.astype(np.float32) if options.rel_tol >= FLOAT32_GAP_FLOOR else None
+    lip = _power_lip(K0 if K32 is None else K32)
+    run = _fista(K0, G, W0, lip, options.max_iters, options.rel_tol, constraints, K32)
 
     # a flat block (gradient of the Lagrangian constant within the block) is
     # first-order indifferent; resolve flat blocks to uniform when that keeps
     # the constraint satisfied and does not raise the objective
-    W, KW = run.W, run.KW
+    W, lam = run.W, run.multiplier
     slack = np.inf if B is None else b - float(np.sum(B * W))
-    value = objective(W, KW)
-    grad = (2.0 / n) * KW - G
+    value, gap, grad = _value_and_gap(W, run.KW, G, constraints, lam)
     if B is not None:
-        grad += run.multiplier * B
+        grad += lam * B
     flat = (grad.max(axis=1) - grad.min(axis=1)) == 0.0
     if bool(flat.any()):
         W_alt = W.copy()
         W_alt[flat] = 1.0 / c
         alt_slack = np.inf if B is None else b - float(np.sum(B * W_alt))
         if B is None or alt_slack >= -SLACK_REL_TOL * b:
-            alt_value = objective(W_alt, K0 @ W_alt)
+            alt_value, alt_gap, _ = _value_and_gap(W_alt, K0 @ W_alt, G, constraints, lam)
             if alt_value <= value:
-                W, slack, value = W_alt, alt_slack, alt_value
+                W, slack, value, gap = W_alt, alt_slack, alt_value, alt_gap
 
     weights = LabelWeights(w=W.ravel(), n=n, c=c)
     report = SolverReport(
@@ -311,8 +405,11 @@ def solve_label_weights(
         iterations=run.iterations,
         final_rel_change=float(run.rel_change),
         inequality_slack=float(slack),
-        dual_lambda=float(run.multiplier),
-        converged=bool(run.converged),
+        dual_lambda=float(lam),
+        converged=bool(gap <= options.rel_tol * max(1.0, abs(value))),
         objective_history=run.history,
+        gap=gap,
+        step=1.0 / lip,
+        switch_iteration=run.switch_iteration,
     )
     return weights, report

@@ -169,6 +169,8 @@ class TestRunTrial:
         assert naive.e_diag is not None
         assert unsup.sigma is not None and unsup.mmd is not None
         assert unsup.solver_converged
+        assert unsup.solver_gap <= _tiny_config().solver_rel_tol * max(1.0, abs(unsup.solver_objective))
+        assert sup.solver_gap is None and naive.solver_gap is None
         assert unsup.kernel_bound is not None and unsup.kernel_bound > 0
         assert 0.0 <= unsup.coverage <= 1.0
         for row in rec.rows():
@@ -230,6 +232,7 @@ class TestCalibrateUnsupervised:
         assert out.report.iterations == row.solver_iterations
         assert out.report.inequality_slack == row.solver_slack
         assert out.report.converged == row.solver_converged
+        assert out.report.gap == row.solver_gap
         assert out.kernel_bound == row.kernel_bound
 
     def test_bound_path_records_each_ridge(self):
@@ -317,6 +320,8 @@ class TestRunExperiment:
         assert len(out.failures) == 1
         assert out.failures[0]["cal_size"] == 500
         assert "SplitSizeError" in out.failures[0]["error"]
+        tail = out.failures[0]["traceback"]
+        assert "split_dataset" in tail and tail.rstrip().endswith(out.failures[0]["error"])
 
 
 class TestAggregate:
@@ -360,6 +365,9 @@ class TestEmitResults:
             payload = json.load(fh)
         jsonschema.validate(payload, RESULTS_SCHEMA)
         assert payload["config"] == tiny_results.config.to_dict()
+        env = payload["environment"]
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["blas_threads"] == {v: os.environ.get(v) for v in harness.BLAS_THREAD_VARS}
 
     def test_trials_csv_floats_round_trip(self, tiny_results, tmp_path):
         paths = emit_results(tiny_results, str(tmp_path / "out"))

@@ -12,9 +12,12 @@ from unsupcp.data import Dataset
 from unsupcp.errors import InfeasibleConstraintError
 from unsupcp.kernel import KernelSpec, build_context
 from unsupcp.solver import (
+    FLOAT32_GAP_FLOOR,
     ConstraintSet,
     LabelWeights,
     SolverOptions,
+    _fista,
+    _power_lip,
     _project_cut,
     _project_rows,
     build_loss_constraints,
@@ -357,3 +360,155 @@ class TestSolveLabelWeights:
             _, report = solve_label_weights(ctx, constraints=constraints, options=TIGHT)
             expect = qp_oracle(dense_pair_kernel(ctx), ctx.cross_v.ravel(), n, ctx.m, c, loss_row=loss_row, bound=bound)
             assert abs(report.objective_value - expect) < 1e-6, f"seed {seed}"
+
+
+def _float64_gap(ctx, constraints, W, lam):
+    """(Phi, Frank-Wolfe gap) at W through the dense pair kernel, with the
+    cut's multiplier lam: the certificate recomputed independently."""
+    n, m, c = ctx.n, ctx.m, ctx.c
+    w = W.ravel()
+    v = ctx.cross_v.ravel()
+    Kw = dense_pair_kernel(ctx) @ w
+    grad = (2.0 * Kw / n - 2.0 * v / m).reshape(n, c)
+    value = float(w @ Kw / n - 2.0 * (v @ w) / m)
+    if constraints is None or lam == 0.0:
+        lower = float(grad.min(axis=1).sum())
+    else:
+        lower = float((grad + lam * constraints.loss_matrix).min(axis=1).sum()) - lam * constraints.bound
+    return value, float(grad.ravel() @ w) - lower
+
+
+@pytest.fixture(scope="module")
+def oracle_fixtures():
+    """Criterion-6-style instances (n <= 5, c <= 3), every other one with a
+    loss cut between the cheapest vertices and the free optimum's loss,
+    each with its enumerated optimum."""
+    rng = np.random.default_rng(606)
+    out = []
+    for i in range(12):
+        n, c = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+        m = n + int(rng.integers(1, 4))
+        ctx = _context_from_seed(int(rng.integers(2**31)), n, m, c, sigma=float(rng.choice([0.7, 1.0, 2.0])))
+        constraints = None
+        if i % 2:
+            B = rng.uniform(0.2, 2.5, (n, c))
+            free_w, _ = solve_label_weights(ctx, options=TIGHT)
+            free_loss = float(np.sum(B * free_w.matrix))
+            feas_min = float(B.min(axis=1).sum())
+            constraints = ConstraintSet(loss_matrix=B, bound=max(0.5 * (feas_min + free_loss), feas_min * 1.05 + 0.05))
+        expect = qp_oracle(dense_pair_kernel(ctx), ctx.cross_v.ravel(), n, m, c,
+                           loss_row=None if constraints is None else constraints.loss_matrix.ravel(),
+                           bound=None if constraints is None else constraints.bound)
+        out.append((ctx, constraints, expect))
+    return out
+
+
+def _gaussian_instance(seed, n, c, d=2):
+    """A pipeline-shaped QP: Gaussian classes, m = n training points, K0 at
+    sigma 1 and the naive one-hot start."""
+    rng = np.random.default_rng(seed)
+    means = 1.5 * rng.standard_normal((c, d))
+    train_labels = 1 + rng.integers(0, c, n)
+    cal_labels = 1 + rng.integers(0, c, n)
+    train = Dataset(means[train_labels - 1] + rng.standard_normal((n, d)), train_labels, num_classes=c)
+    ctx = build_context(means[cal_labels - 1] + rng.standard_normal((n, d)), train, KernelSpec(1.0))
+    return ctx, supervised_weights(cal_labels, c)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-7, 1e-12])
+    def test_gap_bounds_suboptimality(self, oracle_fixtures, tol):
+        options = SolverOptions(max_iters=50000, rel_tol=tol)
+        for k, (ctx, constraints, expect) in enumerate(oracle_fixtures):
+            _, report = solve_label_weights(ctx, constraints=constraints, options=options)
+            excess = report.objective_value - expect
+            assert report.gap >= excess - 1e-12, f"fixture {k}"
+            if report.converged:
+                assert excess <= tol * max(1.0, abs(report.objective_value)), f"fixture {k}"
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-7, 1e-12])
+    def test_converged_is_the_float64_gap(self, oracle_fixtures, tol):
+        seen = set()
+        for ctx, constraints, _ in oracle_fixtures:
+            weights, report = solve_label_weights(ctx, constraints=constraints,
+                                                  options=SolverOptions(max_iters=50000, rel_tol=tol))
+            value, gap = _float64_gap(ctx, constraints, weights.matrix, report.dual_lambda)
+            assert abs(value - report.objective_value) <= 1e-12 * max(1.0, abs(value))
+            assert abs(gap - report.gap) <= 1e-12 * max(1.0, abs(value))
+            assert report.converged == (report.gap <= tol * max(1.0, abs(report.objective_value)))
+            seen.add(report.converged)
+        if tol >= 1e-5:
+            assert seen == {True}
+
+    def test_power_step_bounds_lambda_max(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            n, d = int(rng.integers(2, 120)), int(rng.integers(1, 6))
+            X = rng.standard_normal((n, d)) * rng.uniform(0.2, 3.0)
+            D2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+            K = np.exp(-D2 / (2.0 * rng.uniform(0.3, 3.0) ** 2))
+            bound = 2.0 * float(np.linalg.eigvalsh(K)[-1]) / n
+            assert _power_lip(K) >= bound
+            assert _power_lip(K.astype(np.float32)) >= bound
+            # and within the margin: the estimate is a step, not a loose bound
+            assert _power_lip(K) <= 1.0101 * bound
+
+    def test_reported_step_is_the_power_step(self):
+        ctx, init = _gaussian_instance(8, 60, 3)
+        _, report = solve_label_weights(ctx, init=init)
+        lam_max = float(np.linalg.eigvalsh(ctx.base_gram)[-1])
+        assert 2.0 * lam_max / ctx.n <= 1.0 / report.step <= 1.0101 * 2.0 * lam_max / ctx.n
+
+    def test_forced_float32_stall_switches_and_certifies(self):
+        # a float16-rounded copy stands in for the float32 one: its products
+        # are too coarse to certify 1e-5, so the solve must switch to float64
+        # products and certify there
+        ctx, init = _gaussian_instance(3, 200, 3)
+        K0 = ctx.base_gram
+        G = (2.0 / ctx.m) * ctx.cross_v
+        coarse = K0.astype(np.float16).astype(np.float32)
+        tol = 1e-5
+        run = _fista(K0, G, init.matrix, _power_lip(K0), 20000, tol, None, coarse)
+        assert run.switch_iteration > 0
+        np.testing.assert_array_equal(run.KW, K0 @ run.W)
+        value, gap = _float64_gap(ctx, None, run.W, 0.0)
+        assert gap <= tol * max(1.0, abs(value))
+        hist = run.history
+        assert np.all(np.diff(hist[: run.switch_iteration]) <= 0.0)
+        assert np.all(np.diff(hist[run.switch_iteration:]) <= 1e-12 * abs(hist[-1]))
+
+    def test_tolerance_past_float32_reach_switches_and_certifies(self):
+        # float32 products cannot certify a 2e-6 gap here; the solve starts in
+        # float32 (2e-6 is above the floor) and must finish in float64
+        ctx, init = _gaussian_instance(3, 200, 3)
+        weights, report = solve_label_weights(ctx, options=SolverOptions(rel_tol=2e-6), init=init)
+        assert report.switch_iteration > 0
+        assert report.converged
+        value, gap = _float64_gap(ctx, None, weights.matrix, 0.0)
+        assert gap <= 2e-6 * max(1.0, abs(value))
+
+    def test_default_options_certify_without_switch(self):
+        ctx, init = _gaussian_instance(5, 500, 3)
+        weights, report = solve_label_weights(ctx, init=init)
+        assert report.converged
+        assert report.switch_iteration == 0
+        value, gap = _float64_gap(ctx, None, weights.matrix, 0.0)
+        assert gap <= 1e-4 * max(1.0, abs(value))
+
+    @pytest.mark.parametrize("tol", [FLOAT32_GAP_FLOOR / 10, FLOAT32_GAP_FLOOR, 1e-4])
+    def test_float32_products_only_above_the_floor(self, monkeypatch, tol):
+        seen = []
+        fista = solver._fista
+
+        def spy(*args):
+            seen.append(args[7])
+            return fista(*args)
+
+        monkeypatch.setattr(solver, "_fista", spy)
+        ctx, init = _gaussian_instance(6, 40, 3)
+        solve_label_weights(ctx, options=SolverOptions(rel_tol=tol), init=init)
+        if tol < FLOAT32_GAP_FLOOR:
+            assert seen == [None]
+        else:
+            assert seen[0].dtype == np.float32
+            np.testing.assert_array_equal(seen[0], ctx.base_gram.astype(np.float32))
