@@ -14,7 +14,6 @@ from .classifier import (
     ce_objective_grad,
     estimate_loss_bound,
     predict_labels,
-    predict_proba,
     predict_proba_matrix,
     train_logistic,
 )
@@ -47,7 +46,6 @@ from .kernel import (
     build_context,
     dual_witness_check,
     gaussian_gram,
-    min_norm_interpolation,
     mmd_objective,
     ridge_path,
     rkhs_probe,
@@ -56,13 +54,11 @@ from .kernel import (
 )
 from .quantile import (
     CoverageReport,
-    PredictionSet,
     conformal_level,
     conformal_quantile_supervised,
     conformal_quantile_weighted,
     evaluate,
     prediction_mask,
-    prediction_set,
     weighted_quantile,
 )
 from .scores import ScoreMatrix, build_score_matrix
@@ -94,7 +90,6 @@ __all__ = [
     "LossBound",
     "MethodResult",
     "PosteriorOracle",
-    "PredictionSet",
     "ProbModel",
     "ScoreMatrix",
     "SolverOptions",
@@ -121,13 +116,10 @@ __all__ = [
     "gaussian_gram",
     "generate_synthetic",
     "load_csv_dataset",
-    "min_norm_interpolation",
     "mmd_objective",
     "naive_weights",
     "prediction_mask",
-    "prediction_set",
     "predict_labels",
-    "predict_proba",
     "predict_proba_matrix",
     "ridge_path",
     "rkhs_probe",

@@ -140,14 +140,6 @@ def predict_proba_matrix(model: ProbModel, X: np.ndarray) -> np.ndarray:
     return _softmax_rows(_design(X) @ model.weights.T)
 
 
-def predict_proba(model: ProbModel, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for a single instance, shape (c,)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.num_features,):
-        raise ValueError(f"expected ({model.num_features},) instance, got {x.shape}")
-    return predict_proba_matrix(model, x[None, :])[0]
-
-
 def predict_labels(model: ProbModel, X: np.ndarray) -> np.ndarray:
     """Hard 1-based predictions; probability ties resolve to the smaller label."""
     return np.argmax(predict_proba_matrix(model, X), axis=1) + 1

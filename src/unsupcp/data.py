@@ -124,11 +124,8 @@ class PosteriorOracle:
     def __init__(self, config: SyntheticConfig):
         self.config = config
 
-    def posterior(self, x: np.ndarray) -> np.ndarray:
-        """P(Y = y | X = x) for all y, as a length-c vector."""
-        return self.posterior_batch(np.asarray(x, dtype=np.float64)[None, :])[0]
-
     def posterior_batch(self, X: np.ndarray) -> np.ndarray:
+        """P(Y = y | X = x) for every row x of X and every y, shape (N, c)."""
         cfg = self.config
         diff = X[:, None, :] - cfg.class_means[None, :, :]
         sq = np.sum(diff * diff, axis=2)

@@ -24,7 +24,8 @@ class DegenerateTrainingError(ValueError):
 
 
 class InterpolationError(RuntimeError):
-    """Iterative solve failed to reach tolerance. Carries the last residual."""
+    """No kernel candidate's CG solve reached tolerance. Carries the
+    smallest residual."""
 
     def __init__(self, message: str, residual: float):
         self.residual = residual

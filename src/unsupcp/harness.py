@@ -29,7 +29,7 @@ import numpy as np
 from .bounds import BoundInputs, coverage_diagnostic_E, excess_gap_kernel
 from .classifier import ProbModel, estimate_loss_bound, predict_labels, train_logistic
 from .data import Dataset, SplitSpec, SyntheticConfig, generate_synthetic, load_csv_dataset, split_dataset
-from .errors import EmptyInputError, InterpolationError
+from .errors import EmptyInputError
 from .kernel import (
     CG_MAX_ITERS,
     SELECTION_RIDGE,
@@ -144,10 +144,6 @@ class ExperimentConfig:
         extra = set(d) - known
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
-        d = dict(d)
-        for key in ("cal_sizes", "methods", "bandwidth_scales"):
-            if key in d and d[key] is not None:
-                d[key] = tuple(d[key])
         return ExperimentConfig(**d)
 
     @staticmethod
@@ -274,13 +270,13 @@ def _get_dataset(cfg: ExperimentConfig, total: int, data_seed: int) -> Dataset:
 class CalibrationResult:
     """Everything one unsupervised calibration produced.
 
-    ``selection`` is the diagnostics dict of ``select_kernel``; ``mmd`` the
+    ``selection`` is the diagnostics dict of ``select_kernel`` (statistic
+    NaN for a bandwidth whose fit did not converge); ``mmd`` the
     final discrepancy ``mmd_objective(weights, context)``; ``kernel_bound``
     the tightest certified coverage-gap bound, None when no fit on the ridge
     path converged. ``bound_path`` records that path: the ``ridges``, and per
     ridge the CG ``iterations`` and ``residuals`` and the certified
-    ``bounds`` (NaN where the fit did not converge, whose iterations read
-    CG_MAX_ITERS).
+    ``bounds`` (NaN where the fit did not converge within CG_MAX_ITERS).
     """
 
     q_hat: float
@@ -332,7 +328,7 @@ def calibrate_unsupervised(
     base = selection_ridge if selection_ridge > 0 else SELECTION_RIDGE
     ridges = np.array([base / 10.0, base, base * 10.0])
     fits = ridge_path(ctx.base_gram, u_final, ridges, tol=1e-8, max_iters=CG_MAX_ITERS)
-    ok = [j for j, fit in enumerate(fits) if not isinstance(fit, InterpolationError)]
+    ok = [j for j, fit in enumerate(fits) if fit.converged]
     bounds = np.full(len(ridges), np.nan)
     if ok:
         c = u_final.shape[1]
@@ -352,8 +348,7 @@ def calibrate_unsupervised(
             )
     bound_path = {
         "ridges": ridges,
-        "iterations": np.array([CG_MAX_ITERS if isinstance(fit, InterpolationError) else fit.iterations
-                                for fit in fits]),
+        "iterations": np.array([fit.iterations for fit in fits]),
         "residuals": np.array([fit.residual for fit in fits]),
         "bounds": bounds,
     }

@@ -179,14 +179,16 @@ def mmd_objective(w, ctx: KernelContext) -> float:
 
 @dataclass(frozen=True)
 class InterpolationResult:
-    """Min-norm kernel interpolation of targets u: coefficients (shaped like
-    u), squared RKHS norm u^T gamma, largest column residual of the jittered
-    solve, iteration count."""
+    """Kernel-ridge fit of targets u: coefficients (shaped like u), squared
+    RKHS norm u^T gamma, largest column residual of the jittered solve,
+    iteration count, and whether every column met the CG tolerance within
+    the cap. An unconverged fit holds the last iterate."""
 
     gamma: np.ndarray
     min_norm_sq: float
     residual: float
     iterations: int
+    converged: bool
 
 
 def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, shifts=(0.0,)):
@@ -264,16 +266,25 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, shifts=(0.0,)
     return X, res, counts, converged
 
 
-def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8, max_iters: int | None = None) -> list:
-    """``min_norm_interpolation`` at every ridge of ``ridges`` from one
-    multi-shift CG run, at one product with K per iteration.
+def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
+               max_iters: int | None = None) -> list[InterpolationResult]:
+    """Solve (K + (jitter + ridge) I) gamma = u at every ridge of ``ridges``
+    from one multi-shift CG run, at one product with K per iteration.
+
+    ``u`` is one target vector or an (n, c) block of them; the block form
+    fits every label column against the shared base Gram at once, since the
+    pair kernel is block diagonal with identical blocks. The jitter is 1e-10
+    times the mean kernel diagonal. A zero ridge asks for plain
+    interpolation; a positive one solves the penalized system, whose
+    statistic u^T gamma equals min_f ||f||^2 + ||f(Z) - u||^2 / ridge. The
+    reported min_norm_sq = u^T gamma (summed over columns) is clamped at 0;
+    it is nonnegative in exact arithmetic for PSD K.
 
     The smallest ridge is the seed system; the larger ones share its Krylov
-    space and converge no later. Returns one entry per ridge, in the given
-    order: an InterpolationResult, or for a ridge whose solve did not
-    converge within the cap, the InterpolationError (carrying its residual)
-    that ``min_norm_interpolation`` would raise. The other ridges are
-    unaffected by a failure.
+    space and converge no later. Returns one InterpolationResult per ridge,
+    in the given order. A ridge whose solve misses the tolerance within the
+    cap (default 10 n + 100) reads ``converged`` False with its own residual
+    and iteration count; the other ridges are unaffected.
     """
     K = np.asarray(K, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
@@ -298,39 +309,14 @@ def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8, max_iter
     X, res, iters, converged = _cg_columns(lambda P: K @ P + shift * P, U, tol, max_iters, ridges[order] - base)
     fits = [None] * ridges.size
     for j, k in enumerate(order):
-        residual = float(res[j].max())
-        if not converged[j]:
-            fits[k] = InterpolationError(f"CG did not converge in {int(iters[j])} iterations", residual=residual)
-            continue
         fits[k] = InterpolationResult(
             gamma=X[j] if u.ndim == 2 else X[j, :, 0],
             min_norm_sq=max(float(np.sum(U * X[j])), 0.0),
-            residual=residual,
+            residual=float(res[j].max()),
             iterations=int(iters[j]),
+            converged=bool(converged[j]),
         )
     return fits
-
-
-def min_norm_interpolation(K: np.ndarray, u: np.ndarray, tol: float = 1e-8, max_iters: int | None = None,
-                           ridge: float = 0.0) -> InterpolationResult:
-    """Solve (K + (jitter + ridge) I) gamma = u by conjugate gradients.
-
-    ``u`` is one target vector or an (n, c) block of them; the block form
-    fits every label column against the shared base Gram at once, since the
-    pair kernel is block diagonal with identical blocks. The jitter is 1e-10
-    times the mean kernel diagonal. ``ridge`` zero asks for plain
-    interpolation; a positive value solves the penalized system, whose
-    statistic u^T gamma equals min_f ||f||^2 + ||f(Z) - u||^2 / ridge.
-
-    Non-convergence at the iteration cap (default 10 n + 100) raises
-    InterpolationError carrying the largest column residual. The reported
-    min_norm_sq = u^T gamma (summed over columns) is clamped at 0; it is
-    nonnegative in exact arithmetic for PSD K.
-    """
-    (fit,) = ridge_path(K, u, (ridge,), tol, max_iters)
-    if isinstance(fit, InterpolationError):
-        raise fit
-    return fit
 
 
 def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha: float,
@@ -366,15 +352,11 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     iteration_counts = np.zeros(len(candidates), dtype=np.int64)
     for j, spec in enumerate(candidates):
         _gram_from_sq_dists(D2, spec.sigma, out=K0)
-        try:
-            fit = min_norm_interpolation(K0, U, tol=1e-8, max_iters=CG_MAX_ITERS, ridge=ridge)
-        except InterpolationError as exc:
-            iteration_counts[j] = CG_MAX_ITERS
-            residuals[j] = exc.residual
-            continue
+        (fit,) = ridge_path(K0, U, (ridge,), tol=1e-8, max_iters=CG_MAX_ITERS)
         iteration_counts[j] = fit.iterations
         residuals[j] = fit.residual
-        stats[j] = fit.min_norm_sq
+        if fit.converged:
+            stats[j] = fit.min_norm_sq
     if np.isnan(stats).all():
         raise InterpolationError("all kernel candidates failed to interpolate", residual=float(np.nanmin(residuals)))
     best = int(np.nanargmin(stats))

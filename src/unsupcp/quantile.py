@@ -99,37 +99,9 @@ def conformal_quantile_weighted(score_values: np.ndarray, weights: np.ndarray, a
     return weighted_quantile(score_values.ravel(), weights.ravel() / n, level)
 
 
-@dataclass(frozen=True)
-class PredictionSet:
-    """Labels whose score is at or below the threshold, sorted ascending."""
-
-    labels: np.ndarray
-    q_hat: float
-
-    def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=np.int64)
-        lab = np.sort(lab)
-        lab.flags.writeable = False
-        object.__setattr__(self, "labels", lab)
-
-    def __contains__(self, y: int) -> bool:
-        return bool(np.isin(y, self.labels))
-
-    def __len__(self) -> int:
-        return self.labels.size
-
-
-def prediction_set(score_row: np.ndarray, q_hat: float) -> PredictionSet:
-    """Set {y : S(x, y) <= q_hat} for one instance's score row."""
-    score_row = np.asarray(score_row, dtype=np.float64)
-    if score_row.ndim != 1:
-        raise ValueError(f"score_row must be a vector, got shape {score_row.shape}")
-    labels = np.nonzero(score_row <= q_hat)[0] + 1
-    return PredictionSet(labels=labels, q_hat=float(q_hat))
-
-
 def prediction_mask(score_values: np.ndarray, q_hat: float) -> np.ndarray:
-    """Boolean inclusion matrix for many instances at once."""
+    """Prediction sets {y : S(x, y) <= q_hat} of many instances at once, as
+    an (N, c) boolean inclusion matrix; the +inf sentinel gives full sets."""
     score_values = np.asarray(score_values, dtype=np.float64)
     if score_values.ndim != 2:
         raise ValueError(f"score_values must be (N, c), got shape {score_values.shape}")

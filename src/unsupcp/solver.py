@@ -90,13 +90,11 @@ def naive_weights(model: ProbModel, instances: np.ndarray) -> LabelWeights:
 def _project_rows(V: np.ndarray) -> np.ndarray:
     """Project each row of V onto the probability simplex (sort-threshold)."""
     n, c = V.shape
-    U = -np.sort(-V, axis=1)
+    U = np.sort(V, axis=1)[:, ::-1]
     css = np.cumsum(U, axis=1) - 1.0
     ks = np.arange(1, c + 1, dtype=np.float64)
-    cond = U * ks > css
-    # cond holds on a prefix; rho = length of that prefix (>= 1 always)
-    not_cond = ~cond
-    rho = np.where(not_cond.any(axis=1), not_cond.argmax(axis=1), c)
+    # the test holds on a prefix; rho = length of that prefix (>= 1 always)
+    rho = np.count_nonzero(U * ks > css, axis=1)
     theta = css[np.arange(n), rho - 1] / rho
     return np.maximum(V - theta[:, None], 0.0)
 
@@ -144,7 +142,7 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolverReport:
-    """Diagnostics of one solve.
+    """Diagnostics of one solve, whose weights are its last iterate.
 
     ``objective_value`` is the un-rooted quadratic form Phi(w). ``gap`` is
     the Frank-Wolfe duality gap at w on the loss-cut set, evaluated with a
@@ -161,7 +159,6 @@ class SolverReport:
 
     objective_value: float
     iterations: int
-    final_rel_change: float
     inequality_slack: float
     dual_lambda: float
     converged: bool
@@ -174,14 +171,12 @@ class SolverReport:
 @dataclass(frozen=True)
 class _InnerSolve:
     """One FISTA solve: the iterate W with its float64 K0 @ W, the iteration
-    count, the last relative change, the objective history, the loss
-    constraint's multiplier at the last projection and the iteration of the
-    float64 switch (0 when none)."""
+    count, the objective history, the loss constraint's multiplier at the
+    last projection and the iteration of the float64 switch (0 when none)."""
 
     W: np.ndarray
     KW: np.ndarray
     iterations: int
-    rel_change: float
     history: np.ndarray
     multiplier: float
     switch_iteration: int
@@ -342,8 +337,8 @@ def _fista(K0, G, W0, lip, max_iters, rel_tol, cut=None, K32=None) -> _InnerSolv
         hist[iters] = f
     if K is not K0:
         KX = K0 @ X
-    return _InnerSolve(W=X, KW=KX, iterations=iters, rel_change=rel, history=hist[: iters + 1],
-                       multiplier=mu / step, switch_iteration=switch)
+    return _InnerSolve(W=X, KW=KX, iterations=iters, history=hist[: iters + 1], multiplier=mu / step,
+                       switch_iteration=switch)
 
 
 def solve_label_weights(
@@ -381,29 +376,14 @@ def solve_label_weights(
     lip = _power_lip(K0 if K32 is None else K32)
     run = _fista(K0, G, W0, lip, options.max_iters, options.rel_tol, constraints, K32)
 
-    # a flat block (gradient of the Lagrangian constant within the block) is
-    # first-order indifferent; resolve flat blocks to uniform when that keeps
-    # the constraint satisfied and does not raise the objective
     W, lam = run.W, run.multiplier
+    value, gap, _ = _value_and_gap(W, run.KW, G, constraints, lam)
     slack = np.inf if B is None else b - float(np.sum(B * W))
-    value, gap, grad = _value_and_gap(W, run.KW, G, constraints, lam)
-    if B is not None:
-        grad += lam * B
-    flat = (grad.max(axis=1) - grad.min(axis=1)) == 0.0
-    if bool(flat.any()):
-        W_alt = W.copy()
-        W_alt[flat] = 1.0 / c
-        alt_slack = np.inf if B is None else b - float(np.sum(B * W_alt))
-        if B is None or alt_slack >= -SLACK_REL_TOL * b:
-            alt_value, alt_gap, _ = _value_and_gap(W_alt, K0 @ W_alt, G, constraints, lam)
-            if alt_value <= value:
-                W, slack, value, gap = W_alt, alt_slack, alt_value, alt_gap
 
     weights = LabelWeights(w=W.ravel(), n=n, c=c)
     report = SolverReport(
         objective_value=value,
         iterations=run.iterations,
-        final_rel_change=float(run.rel_change),
         inequality_slack=float(slack),
         dual_lambda=float(lam),
         converged=bool(gap <= options.rel_tol * max(1.0, abs(value))),

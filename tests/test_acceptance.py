@@ -278,7 +278,6 @@ def test_criterion_08_supervised_reduction_identity(monkeypatch):
         report = SolverReport(
             objective_value=0.0,
             iterations=0,
-            final_rel_change=0.0,
             inequality_slack=np.inf,
             dual_lambda=0.0,
             converged=True,

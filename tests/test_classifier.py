@@ -10,7 +10,6 @@ from unsupcp.classifier import (
     ce_objective_grad,
     estimate_loss_bound,
     predict_labels,
-    predict_proba,
     predict_proba_matrix,
     train_logistic,
 )
@@ -63,11 +62,11 @@ class TestTraining:
 class TestPrediction:
     def test_zero_weights_give_uniform(self):
         model = ProbModel(weights=np.zeros((4, 3)), num_classes=4, num_features=2)
-        np.testing.assert_allclose(predict_proba(model, np.array([1.0, -2.0])), 0.25, atol=1e-15)
+        np.testing.assert_allclose(predict_proba_matrix(model, np.array([[1.0, -2.0]])), 0.25, atol=1e-15)
 
     def test_saturated_margin_clamps(self):
         model = ProbModel(weights=np.array([[100.0, 0.0], [-100.0, 0.0]]), num_classes=2, num_features=1)
-        p = predict_proba(model, np.array([5.0]))
+        p = predict_proba_matrix(model, np.array([[5.0]]))[0]
         assert p[0] <= 1.0 - 1e-12
         assert p[0] > 1.0 - 1e-9
 

@@ -128,7 +128,7 @@ class TestSynthetic:
     def test_symmetric_posterior_at_origin(self):
         cfg = SyntheticConfig(class_means=np.array([[-1.0, 0.0], [1.0, 0.0]]), cov_scale=1.0, priors=np.array([0.5, 0.5]))
         oracle = PosteriorOracle(cfg)
-        np.testing.assert_allclose(oracle.posterior(np.zeros(2)), [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(oracle.posterior_batch(np.zeros((1, 2))), [[0.5, 0.5]], atol=1e-15)
 
     def test_degenerate_scale_rejected(self):
         with pytest.raises(ValueError, match="cov_scale"):
@@ -168,7 +168,7 @@ class TestSynthetic:
         box = np.all(np.abs(ds.instances - center) < 0.15, axis=1)
         assert box.sum() > 500
         frac = np.mean(ds.labels[box] == 1)
-        want = oracle.posterior(center)[0]
+        want = oracle.posterior_batch(center[None, :])[0, 0]
         assert abs(frac - want) < 0.05
 
 

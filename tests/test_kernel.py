@@ -19,7 +19,6 @@ from unsupcp.kernel import (
     build_context,
     dual_witness_check,
     gaussian_gram,
-    min_norm_interpolation,
     mmd_objective,
     ridge_path,
     select_kernel,
@@ -27,6 +26,12 @@ from unsupcp.kernel import (
 )
 from unsupcp.scores import ScoreMatrix
 from unsupcp.solver import supervised_weights
+
+
+def _fit(K, u, ridge=0.0, **kwargs):
+    """The kernel-ridge fit at one ridge."""
+    (fit,) = ridge_path(K, u, (ridge,), **kwargs)
+    return fit
 
 
 def _context(n=4, m=5, c=3, d=2, sigma=1.0, seed=0):
@@ -185,43 +190,46 @@ class TestMmdObjective:
 class TestMinNormInterpolation:
     def test_identity_system(self):
         u = np.array([1.0, -2.0, 0.5])
-        res = min_norm_interpolation(np.eye(3), u)
+        res = _fit(np.eye(3), u)
         np.testing.assert_allclose(res.gamma, u, rtol=1e-9)
         assert abs(res.min_norm_sq - float(u @ u)) < 1e-8
 
     def test_two_by_two_hand_solve(self):
         K = np.array([[1.0, 0.5], [0.5, 1.0]])
-        res = min_norm_interpolation(K, np.array([1.0, 1.0]))
+        res = _fit(K, np.array([1.0, 1.0]))
         np.testing.assert_allclose(res.gamma, [2 / 3, 2 / 3], rtol=1e-8)
         assert abs(res.min_norm_sq - 4 / 3) < 1e-8
 
     def test_zero_targets(self):
-        res = min_norm_interpolation(np.eye(4), np.zeros(4))
+        res = _fit(np.eye(4), np.zeros(4))
         np.testing.assert_array_equal(res.gamma, 0.0)
         assert res.min_norm_sq == 0.0
 
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError, match="square"):
-            min_norm_interpolation(np.zeros((2, 3)), np.zeros(2))
+            _fit(np.zeros((2, 3)), np.zeros(2))
 
-    def test_iteration_cap_raises(self):
-        with pytest.raises(InterpolationError, match="converge"):
-            min_norm_interpolation(np.eye(3), np.ones(3), max_iters=0)
+    def test_iteration_cap_is_unconverged(self):
+        res = _fit(np.eye(3), np.ones(3), max_iters=0)
+        assert res.converged is False
+        assert res.iterations == 0
+        assert res.residual == math.sqrt(3.0)
 
-    def test_nan_residual_raises(self):
+    def test_nan_residual_is_unconverged(self):
         K = np.eye(3)
         K[0, 1] = K[1, 0] = np.nan
-        with pytest.raises(InterpolationError, match="converge in 1 iterations") as info:
-            min_norm_interpolation(K, np.ones(3))
-        assert math.isnan(info.value.residual)
+        res = _fit(K, np.ones(3))
+        assert res.converged is False
+        assert res.iterations == 1
+        assert math.isnan(res.residual)
 
     def test_block_matches_columns(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((6, 2))
         K = gaussian_gram(X, X, 0.8)
         U = rng.uniform(0.0, 1.0, (6, 3))
-        block = min_norm_interpolation(K, U, ridge=0.5)
-        cols = [min_norm_interpolation(K, U[:, y], ridge=0.5) for y in range(3)]
+        block = _fit(K, U, ridge=0.5)
+        cols = [_fit(K, U[:, y], ridge=0.5) for y in range(3)]
         assert block.gamma.shape == (6, 3)
         for y, col in enumerate(cols):
             np.testing.assert_allclose(block.gamma[:, y], col.gamma, rtol=1e-7, atol=1e-10)
@@ -229,16 +237,16 @@ class TestMinNormInterpolation:
 
     def test_ridge_shifts_the_system(self):
         u = np.array([1.0, -2.0, 0.5])
-        res = min_norm_interpolation(np.eye(3), u, ridge=3.0)
+        res = _fit(np.eye(3), u, ridge=3.0)
         np.testing.assert_allclose(res.gamma, u / 4.0, rtol=1e-9)
 
     def test_target_shape_checked(self):
         with pytest.raises(ValueError, match="shape"):
-            min_norm_interpolation(np.eye(3), np.ones((2, 2)))
+            _fit(np.eye(3), np.ones((2, 2)))
 
     def test_negative_ridge_rejected(self):
         with pytest.raises(ValueError, match="ridge"):
-            min_norm_interpolation(np.eye(3), np.ones(3), ridge=-1.0)
+            _fit(np.eye(3), np.ones(3), ridge=-1.0)
 
 
 class TestSelectKernel:
@@ -292,12 +300,34 @@ class TestSelectKernel:
     def test_all_candidates_failing_raises(self, monkeypatch):
         cal, scores, weights, alpha = self._all_ones_fixture(2, 2, 0.1)
 
-        def never_converges(K, u, tol=1e-8, max_iters=None, ridge=0.0):
-            raise InterpolationError("CG did not converge", residual=1.0)
+        def never_converges(K, u, ridges, tol=1e-8, max_iters=None):
+            return [kernel_mod.InterpolationResult(np.zeros_like(u), 0.0, 1.0, max_iters, False) for _ in ridges]
 
-        monkeypatch.setattr(kernel_mod, "min_norm_interpolation", never_converges)
+        monkeypatch.setattr(kernel_mod, "ridge_path", never_converges)
         with pytest.raises(InterpolationError, match="candidates"):
             select_kernel([KernelSpec(1.0), KernelSpec(2.0)], cal, scores, weights, alpha)
+
+    def test_capped_candidate_is_skipped(self, monkeypatch):
+        # on a mixed coverage indicator the smallest sigma needs the most CG
+        # steps: a cap just below its count fails it alone
+        rng = np.random.default_rng(11)
+        n, c = 40, 3
+        cal = rng.standard_normal((n, 2))
+        scores = ScoreMatrix(values=rng.uniform(0, 1, (n, c)), kind="adaptive", noise_epsilon=1e-9, seed=0)
+        weights = supervised_weights(1 + rng.integers(0, c, n), c).matrix
+        specs = [KernelSpec(0.3), KernelSpec(3.0), KernelSpec(30.0)]
+        _, free = select_kernel(specs, cal, scores, weights, 0.1)
+        counts = free["iterations"]
+        assert counts[0] > counts[1:].max()
+        cap = int(counts[1:].max())
+        monkeypatch.setattr(kernel_mod, "CG_MAX_ITERS", cap)
+        spec, diag = select_kernel(specs, cal, scores, weights, 0.1)
+        assert math.isnan(diag["statistics"][0])
+        assert diag["iterations"][0] == cap
+        assert diag["residuals"][0] > 1e-8 * math.sqrt(n)
+        np.testing.assert_array_equal(diag["statistics"][1:], free["statistics"][1:])
+        assert diag["selected_index"] in (1, 2)
+        assert spec.sigma == diag["sigmas"][diag["selected_index"]]
 
     def test_diagnostics_shape(self):
         cal, scores, weights, alpha = self._all_ones_fixture(2, 3, 0.1)
@@ -451,7 +481,7 @@ class TestRidgePath:
         K, u = _ridge_fixture(c)
         path = ridge_path(K, u, self.RIDGES)
         for ridge, fit in zip(self.RIDGES, path):
-            alone = min_norm_interpolation(K, u, ridge=ridge)
+            alone = _fit(K, u, ridge)
             assert fit.gamma.shape == u.shape
             assert np.linalg.norm(fit.gamma - alone.gamma) <= 1e-6 * np.linalg.norm(alone.gamma)
             assert abs(fit.min_norm_sq - alone.min_norm_sq) <= 1e-6 * alone.min_norm_sq
@@ -468,18 +498,20 @@ class TestRidgePath:
 
     def test_small_cap_fails_only_the_smallest_ridge(self):
         K, u = _ridge_fixture(3)
-        counts = [min_norm_interpolation(K, u, ridge=r).iterations for r in self.RIDGES]
+        counts = [_fit(K, u, r).iterations for r in self.RIDGES]
         assert counts[0] > counts[1] + 2
         cap = counts[1] + 1
         path = ridge_path(K, u, self.RIDGES, max_iters=cap)
-        assert isinstance(path[0], InterpolationError)
-        assert path[0].residual > 0.0
+        assert path[0].converged is False
+        assert path[0].iterations == cap
+        assert path[0].residual > 1e-8 * np.linalg.norm(u, axis=0).max()
         for ridge, fit in zip(self.RIDGES[1:], path[1:]):
-            assert not isinstance(fit, InterpolationError)
-            alone = min_norm_interpolation(K, u, ridge=ridge)
+            assert fit.converged is True
+            alone = _fit(K, u, ridge)
             assert np.linalg.norm(fit.gamma - alone.gamma) <= 1e-6 * np.linalg.norm(alone.gamma)
-        with pytest.raises(InterpolationError, match="converge"):
-            min_norm_interpolation(K, u, ridge=self.RIDGES[0], max_iters=cap)
+        capped = _fit(K, u, self.RIDGES[0], max_iters=cap)
+        assert capped.converged is False
+        assert (capped.iterations, capped.residual) == (path[0].iterations, path[0].residual)
 
     def test_single_shift_is_plain_cg_bit_for_bit(self):
         K, u = _ridge_fixture(4, n=120, seed=36)

@@ -12,7 +12,6 @@ from unsupcp.quantile import (
     conformal_quantile_weighted,
     evaluate,
     prediction_mask,
-    prediction_set,
     weighted_quantile,
 )
 from unsupcp.solver import supervised_weights
@@ -158,16 +157,16 @@ class TestWeightedQuantileConformal:
 
 class TestPredictionSets:
     def test_sentinel_gives_full_set(self):
-        ps = prediction_set(np.array([0.1, 0.5, 0.9]), np.inf)
-        np.testing.assert_array_equal(ps.labels, [1, 2, 3])
+        mask = prediction_mask(np.array([[0.1, 0.5, 0.9], [2.0, -1.0, 7.5]]), np.inf)
+        assert mask.all()
 
     def test_threshold_below_all(self):
-        assert len(prediction_set(np.array([0.1, 0.5]), 0.0)) == 0
+        assert not prediction_mask(np.array([[0.1, 0.5]]), 0.0).any()
 
     def test_threshold_inclusion(self):
-        ps = prediction_set(np.array([0.1, 0.5, 0.9]), 0.5)
-        np.testing.assert_array_equal(ps.labels, [1, 2])
-        assert 1 in ps and 3 not in ps
+        # a score equal to the threshold is in the set
+        mask = prediction_mask(np.array([[0.1, 0.5, 0.9]]), 0.5)
+        np.testing.assert_array_equal(mask, [[True, True, False]])
 
     def test_mask_matches_sets(self):
         scores = np.array([[0.1, 0.9], [0.7, 0.2]])

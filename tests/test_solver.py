@@ -111,6 +111,14 @@ class TestNaiveWeights:
         np.testing.assert_array_equal(lw.matrix, [[1, 0, 0]])
 
 
+def _rows(rng, n, c, scale, tied):
+    """Uniform rows on [-scale, scale]; ``tied`` draws them from a grid of
+    step 1/2, so most rows hold exactly equal entries."""
+    if tied:
+        return rng.integers(-2 * int(scale), 2 * int(scale) + 1, (n, c)) / 2.0
+    return rng.uniform(-scale, scale, (n, c))
+
+
 class TestProjectRows:
     def test_outside_vertex(self):
         np.testing.assert_allclose(_project_rows(np.array([[2.0, 0.0]])), [[1.0, 0.0]], atol=1e-15)
@@ -124,10 +132,10 @@ class TestProjectRows:
         np.testing.assert_allclose(_project_rows(once), once, atol=1e-12)
 
     @settings(max_examples=50, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6))
-    def test_projection_is_closest_simplex_point(self, seed, k):
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6), tied=st.booleans())
+    def test_projection_is_closest_simplex_point(self, seed, k, tied):
         rng = np.random.default_rng(seed)
-        z = rng.uniform(-4.0, 4.0, k)
+        z = _rows(rng, 1, k, 4.0, tied)[0]
         p = _project_rows(z[None, :])[0]
         assert p.min() >= 0.0
         assert abs(p.sum() - 1.0) < 1e-9
@@ -147,10 +155,10 @@ class TestProjectRows:
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), c=st.integers(2, 7))
-    def test_rows_land_on_simplex(self, seed, c):
+    @given(seed=st.integers(0, 2**32 - 1), c=st.integers(2, 7), tied=st.booleans())
+    def test_rows_land_on_simplex(self, seed, c, tied):
         rng = np.random.default_rng(seed)
-        V = rng.uniform(-5.0, 5.0, (4, c))
+        V = _rows(rng, 4, c, 5.0, tied)
         out = _project_rows(V)
         assert out.min() >= 0.0
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
