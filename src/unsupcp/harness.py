@@ -111,8 +111,8 @@ class ExperimentConfig:
             raise ValueError(f"methods must be a non-empty subset of {METHODS}, got {self.methods}")
         if not (self.test_size >= 1 and self.train_size >= 2):
             raise ValueError("test_size must be >= 1 and train_size >= 2")
-        if not self.selection_ridge >= 0:
-            raise ValueError(f"selection_ridge must be nonnegative, got {self.selection_ridge}")
+        if not self.selection_ridge > 0:
+            raise ValueError(f"selection_ridge must be positive, got {self.selection_ridge}")
         if self.m is not None and not self.m >= 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.bandwidth_scales is not None and not (
@@ -274,8 +274,9 @@ class CalibrationResult:
     NaN for a bandwidth whose fit did not converge); ``mmd`` the
     final discrepancy ``mmd_objective(weights, context)``; ``kernel_bound``
     the tightest certified coverage-gap bound, None when no fit on the ridge
-    path converged. ``bound_path`` records that path: the ``ridges``, and per
-    ridge the CG ``iterations`` and ``residuals`` and the certified
+    path converged. ``bound_path`` records that path: the ``ridges``, the
+    ``rank`` of its CG preconditioner's factor (0 when plain CG ran), and
+    per ridge the CG ``iterations`` and ``residuals`` and the certified
     ``bounds`` (NaN where the fit did not converge within CG_MAX_ITERS).
     """
 
@@ -313,8 +314,11 @@ def calibrate_unsupervised(
     over a short path of penalized fits of the final inclusion indicator:
     every fit f certifies approx_error(f) + 2 (1 + sqrt(log(2s/delta)))
     sqrt(1/n + 1/m) ||f||, with s the number of bandwidth candidates, so the
-    minimum over the path is itself certified.
+    minimum over the path is itself certified. The path's ridges are
+    ``selection_ridge`` times 0.1, 1 and 10, so it must be positive.
     """
+    if not selection_ridge > 0:
+        raise ValueError(f"selection_ridge must be positive, got {selection_ridge}")
     naive_w = naive_weights(model, cal_instances)
     grid = bandwidth_grid(cal_instances.shape[1], bandwidth_scales)
     spec, selection = select_kernel(grid, cal_instances, cal_scores, naive_w.matrix, alpha, ridge=selection_ridge)
@@ -325,8 +329,7 @@ def calibrate_unsupervised(
     mmd = mmd_objective(weights, ctx)
 
     u_final = (cal_scores.values <= q_hat).astype(np.float64)
-    base = selection_ridge if selection_ridge > 0 else SELECTION_RIDGE
-    ridges = np.array([base / 10.0, base, base * 10.0])
+    ridges = np.array([selection_ridge / 10.0, selection_ridge, selection_ridge * 10.0])
     fits = ridge_path(ctx.base_gram, u_final, ridges, tol=1e-8, max_iters=CG_MAX_ITERS)
     ok = [j for j, fit in enumerate(fits) if fit.converged]
     bounds = np.full(len(ridges), np.nan)
@@ -350,6 +353,7 @@ def calibrate_unsupervised(
         "ridges": ridges,
         "iterations": np.array([fit.iterations for fit in fits]),
         "residuals": np.array([fit.residual for fit in fits]),
+        "rank": fits[0].rank,
         "bounds": bounds,
     }
     return CalibrationResult(

@@ -6,6 +6,13 @@ bounded by 1. Ordering pairs as (i, y) -> i*c + (y-1) makes the full
 label block equals the single n x n calibration Gram. The context therefore
 stores that one block plus the label-collapsed cross statistics against the
 training sample; the full matrix is never materialized.
+
+Kernel-ridge fits (bandwidth selection and the bound's ridge path) run
+conjugate gradients preconditioned by a greedy pivoted Cholesky factor of
+the Gram they solve against: at most n // 16 of its rows, read in place,
+give a Nystrom preconditioner for any ridge (Diaz, Epperly, Frangella,
+Tropp & Webber, arXiv:2304.12465). Where the factor cannot pay for itself,
+plain CG runs.
 """
 
 import math
@@ -21,6 +28,8 @@ BASE_BANDWIDTH_SCALES = tuple(10.0 ** (-1.0 + t / 3.0) for t in range(10))
 CG_JITTER_SCALE = 1e-10
 SELECTION_RIDGE = 3.0
 CG_MAX_ITERS = 1500  # iteration cap of the bandwidth-selection and bound fits
+PRECOND_RANK_DIVISOR = 16  # a CG preconditioner's factor has rank at most n // 16
+PRECOND_STOP = 1e-3  # its factor stops once the residual diagonal is <= this times the smallest shift
 GRAM_BLOCK_ENTRIES = 2**17  # entries per row block while a Gram is exponentiated
 # exponents below this give subnormal kernel values, which are set to 0
 _EXP_FLOOR = float(np.log(np.finfo(np.float64).tiny))
@@ -181,95 +190,138 @@ def mmd_objective(w, ctx: KernelContext) -> float:
 class InterpolationResult:
     """Kernel-ridge fit of targets u: coefficients (shaped like u), squared
     RKHS norm u^T gamma, largest column residual of the jittered solve,
-    iteration count, and whether every column met the CG tolerance within
-    the cap. An unconverged fit holds the last iterate."""
+    iteration count, whether every column met the CG tolerance within the
+    cap, and the rank of the preconditioner's factor (0 when plain CG ran).
+    An unconverged fit holds the last iterate."""
 
     gamma: np.ndarray
     min_norm_sq: float
     residual: float
     iterations: int
     converged: bool
+    rank: int = 0
 
 
-def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, shifts=(0.0,)):
-    """Conjugate gradients on an SPD operator A, all columns of B at once,
-    for (A + s I) X = B at every s of ``shifts`` in one Krylov space.
+def _pivoted_cholesky(K: np.ndarray, mu: float):
+    """Greedy pivoted partial Cholesky factor F, of shape (r, n), with
+    K ~ F^T F for a symmetric PSD K.
 
-    ``shifts[0]`` is 0: that seed system, A itself, is plain CG at one
-    ``matvec`` per step. Its converged columns freeze (their alpha and beta
-    are forced to 0) so slow columns can keep iterating without disturbing
-    finished ones. Every further shift, nonnegative, rides on the seed's
-    residuals (multi-shift CG, Jegerlehner 1996, hep-lat/9612014): its
-    residual is zeta_s r, so it costs vector updates but no product, and,
-    better conditioned, it meets its test |zeta_s| ||r|| <= tol ||b|| no
-    later than the seed. A rider keeps refining while its column's seed
-    iterates; its iteration count and residual are those at which it first
-    met the test. A non-finite residual stops the iteration; its column
-    counts as not converged.
-
-    Returns the solutions (a leading shift axis), the residual norms
-    (shift, column), the iterations per shift and whether each shift
-    converged within ``max_iters``.
+    Each step pivots on the largest diagonal entry of the residual
+    K - F^T F (the first such index on ties, so the factor is deterministic)
+    and reads that one row of K, which is contiguous. It stops once no
+    residual diagonal entry exceeds 1e-3 mu, or at rank n // 16, so the
+    factor takes at most n^2 / 2 bytes. Returns the factor (a view of its
+    buffer), its pivots and the residual trace.
     """
-    extra = np.asarray(shifts, dtype=np.float64)[1:, None]  # (rider, 1) against per-column scalars
+    n = K.shape[0]
+    cap = n // PRECOND_RANK_DIVISOR
+    F = np.empty((cap, n))
+    pivots = np.empty(cap, dtype=np.int64)
+    d = K.diagonal().astype(np.float64)  # the residual diagonal, up to roundoff below 0
+    r = 0
+    while r < cap:
+        p = int(d.argmax())
+        if not d[p] > PRECOND_STOP * mu:
+            break
+        row = np.subtract(K[p], F[:r, p] @ F[:r], out=F[r])
+        row /= math.sqrt(d[p])
+        d -= row * row
+        d[p] = 0.0
+        pivots[r] = p
+        r += 1
+    return F[:r], pivots[:r], float(np.maximum(d, 0.0).sum())
+
+
+def _nystrom_preconditioner(K: np.ndarray, shifts: np.ndarray, width: int):
+    """Approximate inverse of K + s I for every shift s of ``shifts``, from
+    one pivoted Cholesky factor F of K built at the smallest shift.
+
+    It acts on an (n, k width) block whose j-th run of ``width`` columns
+    carries shift ``shifts[j]``, and maps each column x of shift s to
+    (x - F^T (s I + F F^T)^-1 F x) / s, the exact inverse of F^T F + s I by
+    Woodbury (Frangella, Tropp & Udell, arXiv:2110.02820). Only the (r, n)
+    factor and k (r, r) inverses are stored. Returns (preconditioner,
+    rank), or (None, 0) where the factor cannot pay for itself: a
+    rank-capped factor that still leaves over 3/4 of K's trace. A flat
+    spectrum leaves 15/16 at rank n / 16, and deflating it saves no CG
+    steps; such near-diagonal Grams (small sigma) are the ones plain CG
+    already solves in a few steps.
+    """
+    F, _, residual_trace = _pivoted_cholesky(K, float(shifts.min()))
+    rank = F.shape[0]
+    if rank == 0 or (rank == K.shape[0] // PRECOND_RANK_DIVISOR and residual_trace > 0.75 * K.trace()):
+        return None, 0
+    inverses = np.linalg.inv(F @ F.T + shifts[:, None, None] * np.eye(rank))  # (k, r, r), symmetric
+    mu = shifts.repeat(width)[:, None]
+
+    def apply(R):
+        T = (R.T @ F.T).reshape(len(shifts), width, rank) @ inverses
+        Z = T.reshape(-1, rank) @ F
+        np.subtract(R.T, Z, out=Z)
+        Z /= mu
+        return Z.T
+
+    return apply, rank
+
+
+def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None):
+    """Preconditioned conjugate gradients on an SPD operator A, every column
+    of B at once.
+
+    ``B`` is one (n, c) block of targets or a (k, n, c) stack of k blocks;
+    ``matvec`` and ``precond`` act on the (n, k c) matrix of all columns,
+    block after block, so each column may carry its own shift. ``precond``
+    applies an SPD approximation of A^-1; None runs plain CG, bit for bit
+    the unpreconditioned recurrence. Each column stops on its residual r
+    (b - A x by the recurrence) once ||r|| <= tol ||b||, whatever the
+    preconditioner, and then freezes (its alpha and beta are forced to 0)
+    so slow columns can keep iterating without disturbing finished ones. A
+    non-finite residual stops the iteration; its column counts as not
+    converged.
+
+    Returns the solutions (k, n, c), the residual norms (k, c), and per
+    block the iterations its slowest column ran and whether all its columns
+    converged within ``max_iters``. A 2-d ``B`` is one block (k = 1).
+    """
+    stack = B if B.ndim == 3 else B[None]
+    k, n, c = stack.shape
+    B = stack.transpose(1, 0, 2).reshape(n, k * c)
     X = np.zeros_like(B)
     R = B.copy()
-    P = R.copy()
-    rs = np.sum(R * R, axis=0)
-    thresh = tol * np.maximum(np.sqrt(np.sum(B * B, axis=0)), 1e-300)
-    root = np.sqrt(rs)
-    active = ~(root <= thresh)  # a NaN residual is not converged
-    if len(extra):
-        X_s = np.zeros(extra.shape[:1] + B.shape)
-        P_s = np.repeat(P[None], len(extra), axis=0)
-        zeta = np.ones((len(extra), B.shape[1]))
-        ratio = np.ones_like(zeta)  # zeta_k / zeta_(k-1)
-        alpha_old, beta_old = np.ones_like(rs), np.zeros_like(rs)
-        res_s = [zeta * root]
+    Z = R if precond is None else precond(R)
+    P = Z.copy()
+    rr = (R * R).sum(axis=0)
+    rz = rr if precond is None else (R * Z).sum(axis=0)
+    thresh = tol * np.maximum(np.sqrt((B * B).sum(axis=0)), 1e-300)
+    active = ~(np.sqrt(rr) <= thresh)  # a NaN residual is not converged
+    steps = np.zeros(k * c, dtype=np.int64)
     iters = 0
-    while bool(active.any()) and iters < max_iters and bool(np.isfinite(rs).all()):
+    while bool(active.any()) and iters < max_iters and bool(np.isfinite(rr).all()):
         AP = matvec(P)
-        pAp = np.sum(P * AP, axis=0)
+        pAp = (P * AP).sum(axis=0)
         safe = np.where(pAp <= 0.0, 1.0, pAp)
-        alpha = np.where(active & (pAp > 0.0), rs / safe, 0.0)
+        alpha = np.where(active & (pAp > 0.0), rz / safe, 0.0)
         X += alpha * P
-        if len(extra):
-            ratio = 1.0 / (1.0 + extra * alpha + (alpha * beta_old / alpha_old) * (1.0 - ratio))
-            zeta = zeta * ratio
-            X_s += (alpha * ratio)[:, None, :] * P_s
         R -= alpha * AP
-        rs_new = np.sum(R * R, axis=0)
-        beta = np.where(active, rs_new / np.where(rs == 0.0, 1.0, rs), 0.0)
-        P = R + beta * P
-        rs = rs_new
-        root = np.sqrt(rs)
-        active = ~(root <= thresh)
+        Z = R if precond is None else precond(R)
+        rr = (R * R).sum(axis=0)
+        rz_new = rr if precond is None else (R * Z).sum(axis=0)
+        beta = np.where(active, rz_new / np.where(rz == 0.0, 1.0, rz), 0.0)
+        P *= beta
+        P += Z
+        rz = rz_new
+        steps += active
+        active = ~(np.sqrt(rr) <= thresh)
         iters += 1
-        if len(extra):
-            P_s = zeta[:, None, :] * R + (beta * ratio * ratio)[:, None, :] * P_s
-            alpha_old, beta_old = np.maximum(alpha, 1e-300), beta  # a frozen column's alpha is 0
-            res_s.append(zeta * root)
-    X = X[None]
-    res = root[None]
-    counts = np.array([iters])
-    converged = np.array([not active.any()])
-    if len(extra):
-        hist = np.array(res_s)  # (step, rider, column)
-        met = hist <= thresh
-        first = met.argmax(axis=0)
-        ok = met.any(axis=0)
-        at_first = np.take_along_axis(hist, first[None], axis=0)[0]
-        X = np.concatenate([X, X_s])
-        res = np.concatenate([res, np.where(ok, at_first, hist[-1])])
-        counts = np.concatenate([counts, np.where(ok.all(axis=1), first.max(axis=1), iters)])
-        converged = np.concatenate([converged, ok.all(axis=1)])
-    return X, res, counts, converged
+    X = X.reshape(n, k, c).transpose(1, 0, 2)
+    res = np.sqrt(rr).reshape(k, c)
+    return X, res, steps.reshape(k, c).max(axis=1), ~active.reshape(k, c).any(axis=1)
 
 
 def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
                max_iters: int | None = None) -> list[InterpolationResult]:
     """Solve (K + (jitter + ridge) I) gamma = u at every ridge of ``ridges``
-    from one multi-shift CG run, at one product with K per iteration.
+    in one preconditioned CG run.
 
     ``u`` is one target vector or an (n, c) block of them; the block form
     fits every label column against the shared base Gram at once, since the
@@ -280,11 +332,15 @@ def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
     reported min_norm_sq = u^T gamma (summed over columns) is clamped at 0;
     it is nonnegative in exact arithmetic for PSD K.
 
-    The smallest ridge is the seed system; the larger ones share its Krylov
-    space and converge no later. Returns one InterpolationResult per ridge,
-    in the given order. A ridge whose solve misses the tolerance within the
-    cap (default 10 n + 100) reads ``converged`` False with its own residual
-    and iteration count; the other ridges are unaffected.
+    The targets of every ridge are stacked into one (n, k c) block, each
+    column with its own shift, and solved at one product with K per
+    iteration, preconditioned by one pivoted Cholesky factor of K built at
+    the smallest ridge (plain CG where that factor cannot pay for itself).
+    Returns one InterpolationResult per ridge, in the given order, with the
+    iterations of its slowest column and the factor's rank. A ridge whose
+    solve misses the tolerance within the cap (default 10 n + 100) reads
+    ``converged`` False with its own residual; the other ridges are
+    unaffected.
     """
     K = np.asarray(K, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
@@ -301,12 +357,16 @@ def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
     if t == 0:
         raise EmptyInputError("empty system")
     order = np.argsort(ridges, kind="stable")
-    base = float(ridges[order[0]])
-    shift = CG_JITTER_SCALE * float(np.mean(np.diag(K))) + base
+    shifts = CG_JITTER_SCALE * float(K.trace() / t) + ridges[order]
     if max_iters is None:
         max_iters = 10 * t + 100
     U = u if u.ndim == 2 else u[:, None]
-    X, res, iters, converged = _cg_columns(lambda P: K @ P + shift * P, U, tol, max_iters, ridges[order] - base)
+    mu = np.repeat(shifts, U.shape[1])
+    precond, rank = _nystrom_preconditioner(K, shifts, U.shape[1])
+    stack = U[None].repeat(ridges.size, axis=0)
+    # K is symmetric: the product is taken as (P^T K)^T, which BLAS runs about
+    # twice as fast as K P on thin P
+    X, res, iters, converged = _cg_columns(lambda P: (P.T @ K).T + mu * P, stack, tol, max_iters, precond)
     fits = [None] * ridges.size
     for j, k in enumerate(order):
         fits[k] = InterpolationResult(
@@ -315,6 +375,7 @@ def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
             residual=float(res[j].max()),
             iterations=int(iters[j]),
             converged=bool(converged[j]),
+            rank=rank,
         )
     return fits
 
@@ -333,8 +394,12 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     penalized statistic trades fit against norm instead, so rough kernels pay
     for their large norms and overly smooth ones pay for their residuals.
 
-    Candidates whose solve fails to converge are skipped; equal statistics
-    break toward the smaller sigma. Returns (KernelSpec, diagnostics dict).
+    Each candidate's Gram is built into one shared buffer, and its solve is
+    preconditioned by a pivoted Cholesky factor of that Gram at shift
+    ``ridge`` (see ``ridge_path``); the diagnostics record each factor's
+    rank, 0 where plain CG ran. Candidates whose solve fails to converge are
+    skipped; equal statistics break toward the smaller sigma. Returns
+    (KernelSpec, diagnostics dict).
     """
     candidates = sorted(candidates, key=lambda s: s.sigma)
     if not candidates:
@@ -350,10 +415,12 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     stats = np.full(len(candidates), np.nan)
     residuals = np.full(len(candidates), np.nan)
     iteration_counts = np.zeros(len(candidates), dtype=np.int64)
+    ranks = np.zeros(len(candidates), dtype=np.int64)
     for j, spec in enumerate(candidates):
         _gram_from_sq_dists(D2, spec.sigma, out=K0)
         (fit,) = ridge_path(K0, U, (ridge,), tol=1e-8, max_iters=CG_MAX_ITERS)
         iteration_counts[j] = fit.iterations
+        ranks[j] = fit.rank
         residuals[j] = fit.residual
         if fit.converged:
             stats[j] = fit.min_norm_sq
@@ -367,6 +434,7 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
         "statistics": stats,
         "residuals": residuals,
         "iterations": iteration_counts,
+        "ranks": ranks,
         "selected_index": best,
     }
     return candidates[best], diagnostics

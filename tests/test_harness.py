@@ -125,6 +125,7 @@ class TestExperimentConfig:
             dict(dataset={"type": "synthetic", "class_means": [[0.0], [1.0]]}),
             dict(dataset={"type": "csv"}),
             dict(dataset={"type": "csv", "path": 3}),
+            dict(selection_ridge=0.0),
         ],
     )
     def test_validation(self, overrides):
@@ -238,7 +239,7 @@ class TestCalibrateUnsupervised:
     def test_bound_path_records_each_ridge(self):
         out = _direct_calibration(_tiny_config(**self.CFG), 12)
         path = out.bound_path
-        assert set(path) == {"ridges", "iterations", "residuals", "bounds"}
+        assert set(path) == {"ridges", "iterations", "residuals", "rank", "bounds"}
         np.testing.assert_allclose(path["ridges"], [0.15, 1.5, 15.0], rtol=1e-15)
         assert np.all(path["iterations"] >= 1)
         assert np.all(np.diff(path["iterations"]) <= 0)  # larger ridges converge no later
@@ -262,6 +263,12 @@ class TestCalibrateUnsupervised:
         assert out.report.converged
         assert -1e-8 * b <= out.report.inequality_slack <= 1e-8 * b
         assert math.isfinite(out.q_hat)
+
+    @pytest.mark.parametrize("ridge", [0.0, -1.0, math.nan])
+    def test_nonpositive_selection_ridge_rejected(self, ridge):
+        # checked before any work: the bound's ridge path is scaled from it
+        with pytest.raises(ValueError, match="selection_ridge"):
+            calibrate_unsupervised(None, np.zeros((2, 2)), None, None, 0.1, 1.0, selection_ridge=ridge)
 
     def test_failed_ridge_reads_nan(self, monkeypatch):
         cfg = _tiny_config(**self.CFG)
@@ -461,6 +468,15 @@ class TestCli:
         path.write_text(json.dumps(payload))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "l2" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_zero_selection_ridge_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        payload = _tiny_config().to_dict()
+        payload["selection_ridge"] = 0.0
+        path.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "selection_ridge" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
     def test_partial_failures_exit_two(self, tmp_path, capsys):

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import unsupcp.kernel as kernel_mod
 from _oracles import dense_pair_kernel, kernel_eval, plain_cg_columns
@@ -14,6 +16,8 @@ from unsupcp.kernel import (
     KernelSpec,
     _cg_columns,
     _gram_from_sq_dists,
+    _nystrom_preconditioner,
+    _pivoted_cholesky,
     _sq_dists,
     bandwidth_grid,
     build_context,
@@ -329,6 +333,33 @@ class TestSelectKernel:
         assert diag["selected_index"] in (1, 2)
         assert spec.sigma == diag["sigmas"][diag["selected_index"]]
 
+    @staticmethod
+    def _mixture_fixture(seed, d, spread):
+        rng = np.random.default_rng(seed)
+        n, c = 400, 3
+        labels = rng.integers(0, c, n)
+        means = spread * rng.standard_normal((c, d))
+        cal = means[labels] + rng.standard_normal((n, d))
+        scores = ScoreMatrix(values=rng.uniform(0, 1, (n, c)), kind="adaptive", noise_epsilon=1e-9, seed=0)
+        return cal, scores, supervised_weights(labels + 1, c).matrix
+
+    @pytest.mark.parametrize("seed, d, spread", [(40, 2, 1.5), (41, 2, 3.0), (42, 10, 2.2)])
+    def test_preconditioning_keeps_the_selection(self, monkeypatch, seed, d, spread):
+        cal, scores, weights = self._mixture_fixture(seed, d, spread)
+        grid = bandwidth_grid(d)
+        spec, diag = select_kernel(grid, cal, scores, weights, 0.1)
+        assert diag["ranks"].max() > 0
+        assert np.all((diag["ranks"] >= 0) & (diag["ranks"] <= 400 // 16))
+        monkeypatch.setattr(kernel_mod, "_nystrom_preconditioner", lambda K, shifts, width: (None, 0))
+        plain_spec, plain = select_kernel(grid, cal, scores, weights, 0.1)
+        assert np.all(plain["ranks"] == 0)
+        assert diag["selected_index"] == plain["selected_index"]
+        assert spec == plain_spec
+        np.testing.assert_allclose(diag["statistics"], plain["statistics"], rtol=1e-9, atol=0.0)
+        # the factor pays where it is built: never more CG steps than plain
+        used = diag["ranks"] > 0
+        assert np.all(diag["iterations"][used] <= plain["iterations"][used])
+
     def test_diagnostics_shape(self):
         cal, scores, weights, alpha = self._all_ones_fixture(2, 3, 0.1)
         specs = [KernelSpec(0.5), KernelSpec(1.0), KernelSpec(2.0)]
@@ -336,7 +367,7 @@ class TestSelectKernel:
         assert diag["ridge"] == kernel_mod.SELECTION_RIDGE
         assert len(diag["statistics"]) == 3
         assert len(diag["residuals"]) == 3
-        assert set(diag) == {"q_hat0", "ridge", "sigmas", "statistics", "residuals", "iterations", "selected_index"}
+        assert set(diag) == {"q_hat0", "ridge", "sigmas", "statistics", "residuals", "iterations", "ranks", "selected_index"}
         assert diag["sigmas"][diag["selected_index"]] == spec.sigma
 
 
@@ -528,9 +559,113 @@ class TestRidgePath:
             assert res[0].tobytes() == res0.tobytes()
             assert (int(iters[0]), bool(converged[0])) == (iters0, converged0)
 
+    def test_path_records_its_rank(self):
+        rng = np.random.default_rng(37)
+        X = rng.standard_normal((320, 2))
+        K = gaussian_gram(X, X, 1.0)
+        u = (rng.uniform(0.0, 1.0, (320, 3)) < 0.7).astype(np.float64)
+        path = ridge_path(K, u, self.RIDGES)
+        assert 0 < path[0].rank <= 320 // 16
+        assert {fit.rank for fit in path} == {path[0].rank}
+        assert all(fit.converged for fit in path)
+        # the factor is built at the smallest shift, and each column of the
+        # stacked solve stops on its own residual
+        for ridge, fit in zip(self.RIDGES, path):
+            true_res = u - (K @ fit.gamma + (ridge + 1e-10) * fit.gamma)
+            assert np.all(np.linalg.norm(true_res, axis=0) <= 1e-8 * np.linalg.norm(u, axis=0))
+
     def test_ridges_validated(self):
         K, u = _ridge_fixture()
         with pytest.raises(ValueError, match="ridge"):
             ridge_path(K, u, (0.3, -1.0))
         with pytest.raises(ValueError, match="ridges"):
             ridge_path(K, u, ())
+
+
+def _ill_conditioned_system(n=300, c=3, ridge=0.3, seed=38):
+    """A smooth 2-d Gaussian Gram at ridge 0.3: plain CG needs many steps."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 2))
+    K = gaussian_gram(X, X, 1.0)
+    u = (rng.uniform(0.0, 1.0, (n, c)) < 0.7).astype(np.float64)
+    mu = ridge + 1e-10
+    return K, u, mu, lambda P: K @ P + mu * P
+
+
+class TestPreconditionedCG:
+    def test_matches_plain_cg(self):
+        K, u, mu, matvec = _ill_conditioned_system()
+        precond, rank = _nystrom_preconditioner(K, np.array([mu]), u.shape[1])
+        assert precond is not None and rank == 300 // 16
+        X, res, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, precond)
+        X0, res0, iters0, converged0 = plain_cg_columns(matvec, u, 1e-8, 1500)
+        assert bool(converged[0]) and converged0
+        assert int(iters[0]) < iters0
+        gamma = X[0]
+        assert np.linalg.norm(gamma - X0) <= 1e-6 * np.linalg.norm(X0)
+        stat, stat0 = float(np.sum(u * gamma)), float(np.sum(u * X0))
+        assert abs(stat - stat0) <= 1e-10 * abs(stat0)
+        true_res = np.linalg.norm(u - matvec(gamma), axis=0)
+        assert np.all(true_res <= 1e-8 * np.linalg.norm(u, axis=0))
+        assert np.all(res[0] <= 1e-8 * np.linalg.norm(u, axis=0))
+
+    def test_flat_spectrum_falls_back_to_plain_cg(self):
+        # a near-identity Gram: n // 16 pivots leave about 15/16 of the trace
+        X = np.random.default_rng(40).standard_normal((320, 10))
+        shifts = np.array([3.0])
+        assert _nystrom_preconditioner(gaussian_gram(X, X, 0.3), shifts, 3) == (None, 0)
+        precond, rank = _nystrom_preconditioner(gaussian_gram(X, X, 10.0), shifts, 3)
+        assert precond is not None and 0 < rank <= 320 // 16
+
+    def test_poor_preconditioner_still_meets_the_tolerance(self):
+        K, u, mu, matvec = _ill_conditioned_system()
+        F = np.random.default_rng(39).standard_normal((18, 300))
+        M = F.T @ F + mu * np.eye(300)  # SPD, but unrelated to K
+
+        def precond(R):
+            return np.linalg.solve(M, R)
+
+        X, res, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, precond)
+        assert bool(converged[0])
+        assert np.all(res[0] <= 1e-8 * np.linalg.norm(u, axis=0))
+        true_res = np.linalg.norm(u - matvec(X[0]), axis=0)
+        assert np.all(true_res <= 1e-8 * np.linalg.norm(u, axis=0))
+
+    def test_stacked_blocks_report_per_block(self):
+        K, u, _, _ = _ill_conditioned_system(n=120, c=2)
+        shifts = np.repeat([0.3, 30.0], 2) + 1e-10
+        X, res, iters, converged = _cg_columns(lambda P: K @ P + shifts * P, np.stack([u, u]), 1e-8, 1500)
+        assert X.shape == (2, 120, 2) and res.shape == (2, 2)
+        assert iters[0] > iters[1]  # the larger ridge converges sooner
+        assert converged.tolist() == [True, True]
+        for j, ridge in enumerate((0.3, 30.0)):
+            true_res = u - (K @ X[j] + (ridge + 1e-10) * X[j])
+            assert np.all(np.linalg.norm(true_res, axis=0) <= 1e-8 * np.linalg.norm(u, axis=0))
+
+
+class TestPivotedCholesky:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 200),
+        d=st.sampled_from([1, 2, 10]),
+        scale=st.sampled_from(kernel_mod.BASE_BANDWIDTH_SCALES),
+        duplicates=st.integers(0, 50),
+        mu=st.sampled_from([1e-10, 0.3, 3.0]),
+    )
+    def test_factor(self, seed, n, d, scale, duplicates, mu):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d))
+        X[rng.integers(0, n, duplicates)] = X[rng.integers(0, n, duplicates)]  # duplicated points
+        sigma = scale * math.sqrt(d / 2.0)
+        K = gaussian_gram(X, X, sigma)
+        F, pivots, trace = _pivoted_cholesky(K, mu)
+        r = F.shape[0]
+        assert r <= n // 16 and pivots.shape == (r,)
+        assert len(set(pivots.tolist())) == r
+        E = K - F.T @ F
+        assert np.linalg.eigvalsh(E).min() >= -1e-10 * n
+        assert abs(trace - np.trace(E)) <= 1e-9 * n
+        assert r == n // 16 or np.diag(E).max() <= 1e-3 * mu + 1e-12
+        F2, pivots2, trace2 = _pivoted_cholesky(K, mu)
+        assert F2.tobytes() == F.tobytes() and pivots2.tobytes() == pivots.tobytes() and trace2 == trace
