@@ -56,6 +56,7 @@ METHODS = ("supervised", "unsupervised", "naive")
 VALIDATION_FRACTION = 0.2
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 TRACEBACK_TAIL = 6  # traceback entries a failure keeps: the last five frames and the error line
+BOUND_RIDGES = (30.0, 300.0, 3000.0)  # ridges of the penalized fits the coverage-gap bound is minimized over
 
 
 @dataclass(frozen=True)
@@ -271,13 +272,15 @@ class CalibrationResult:
     """Everything one unsupervised calibration produced.
 
     ``selection`` is the diagnostics dict of ``select_kernel`` (statistic
-    NaN for a bandwidth whose fit did not converge); ``mmd`` the
-    final discrepancy ``mmd_objective(weights, context)``; ``kernel_bound``
-    the tightest certified coverage-gap bound, None when no fit on the ridge
-    path converged. ``bound_path`` records that path: the ``ridges``, the
-    ``rank`` of its CG preconditioner's factor (0 when plain CG ran), and
-    per ridge the CG ``iterations`` and ``residuals`` and the certified
-    ``bounds`` (NaN where the fit did not converge within CG_MAX_ITERS).
+    NaN for a bandwidth that was pruned or whose fit did not converge);
+    ``mmd`` the final discrepancy ``mmd_objective(weights, context)``;
+    ``kernel_bound`` the tightest certified coverage-gap bound over the
+    fits of the ridge path and the zero function. ``bound_path`` records
+    them: the ``ridges`` (BOUND_RIDGES), the ``rank`` of the path's CG
+    preconditioner factor (0 when plain CG ran), per ridge the CG
+    ``iterations`` and ``residuals`` and the certified ``bounds`` (NaN where
+    the fit did not converge within CG_MAX_ITERS), and the ``zero``
+    function's bound.
     """
 
     q_hat: float
@@ -287,7 +290,7 @@ class CalibrationResult:
     context: KernelContext
     selection: dict
     mmd: float
-    kernel_bound: float | None
+    kernel_bound: float
     bound_path: dict
 
 
@@ -311,11 +314,14 @@ def calibrate_unsupervised(
     sample, solves the weight QP under the constraint that the mean
     cross-entropy stays below ``loss_bound``, and takes the weighted
     conformal quantile. The coverage-gap bound is the smallest one certified
-    over a short path of penalized fits of the final inclusion indicator:
-    every fit f certifies approx_error(f) + 2 (1 + sqrt(log(2s/delta)))
+    by a few comparison functions f of the final inclusion indicator u:
+    every f certifies approx_error(f) + 2 (1 + sqrt(log(2s/delta)))
     sqrt(1/n + 1/m) ||f||, with s the number of bandwidth candidates, so the
-    minimum over the path is itself certified. The path's ridges are
-    ``selection_ridge`` times 0.1, 1 and 10, so it must be positive.
+    minimum over them is itself certified. They are the penalized fits of u
+    at the ridges BOUND_RIDGES, which do not depend on ``selection_ridge``,
+    and f = 0, whose bound sum(u) / n costs no kernel product.
+    ``selection_ridge`` must be positive: at 0 the smooth candidates'
+    selection solves run to the CG cap.
     """
     if not selection_ridge > 0:
         raise ValueError(f"selection_ridge must be positive, got {selection_ridge}")
@@ -329,13 +335,13 @@ def calibrate_unsupervised(
     mmd = mmd_objective(weights, ctx)
 
     u_final = (cal_scores.values <= q_hat).astype(np.float64)
-    ridges = np.array([selection_ridge / 10.0, selection_ridge, selection_ridge * 10.0])
-    fits = ridge_path(ctx.base_gram, u_final, ridges, tol=1e-8, max_iters=CG_MAX_ITERS)
+    fits = ridge_path(ctx.base_gram, u_final, BOUND_RIDGES, tol=1e-8, max_iters=CG_MAX_ITERS)
     ok = [j for j, fit in enumerate(fits) if fit.converged]
-    bounds = np.full(len(ridges), np.nan)
+    bounds = np.full(len(BOUND_RIDGES), np.nan)
     if ok:
         c = u_final.shape[1]
-        fitted = ctx.base_gram @ np.hstack([fits[j].gamma for j in ok])
+        # K is symmetric: (Gamma^T K)^T runs about twice as fast as K Gamma on thin Gamma
+        fitted = (np.hstack([fits[j].gamma for j in ok]).T @ ctx.base_gram).T
         for k, j in enumerate(ok):
             F = fitted[:, k * c:(k + 1) * c]
             norm_sq = max(float(np.sum(fits[j].gamma * F)), 0.0)
@@ -349,12 +355,14 @@ def calibrate_unsupervised(
                     num_candidates=len(grid),
                 )
             )
+    zero = float(u_final.sum()) / ctx.n  # f = 0 has norm 0, so its bound is its approximation error
     bound_path = {
-        "ridges": ridges,
+        "ridges": np.array(BOUND_RIDGES),
         "iterations": np.array([fit.iterations for fit in fits]),
         "residuals": np.array([fit.residual for fit in fits]),
         "rank": fits[0].rank,
         "bounds": bounds,
+        "zero": zero,
     }
     return CalibrationResult(
         q_hat=q_hat,
@@ -364,7 +372,7 @@ def calibrate_unsupervised(
         context=ctx,
         selection=selection,
         mmd=mmd,
-        kernel_bound=float(np.nanmin(bounds)) if ok else None,
+        kernel_bound=float(np.nanmin([*bounds, zero])),
         bound_path=bound_path,
     )
 

@@ -12,7 +12,9 @@ conjugate gradients preconditioned by a greedy pivoted Cholesky factor of
 the Gram they solve against: at most n // 16 of its rows, read in place,
 give a Nystrom preconditioner for any ridge (Diaz, Epperly, Frangella,
 Tropp & Webber, arXiv:2304.12465). Where the factor cannot pay for itself,
-plain CG runs.
+plain CG runs. Bandwidth selection stops a candidate's solve as soon as the
+CG error bracket on its statistic shows that it cannot win, and builds a
+candidate's factor only after one plain step has not settled it.
 """
 
 import math
@@ -28,6 +30,7 @@ BASE_BANDWIDTH_SCALES = tuple(10.0 ** (-1.0 + t / 3.0) for t in range(10))
 CG_JITTER_SCALE = 1e-10
 SELECTION_RIDGE = 3.0
 CG_MAX_ITERS = 1500  # iteration cap of the bandwidth-selection and bound fits
+PRUNE_MARGIN = 1e-9  # relative margin by which a pruned candidate's lower end beats the best upper end
 PRECOND_RANK_DIVISOR = 16  # a CG preconditioner's factor has rank at most n // 16
 PRECOND_STOP = 1e-3  # its factor stops once the residual diagonal is <= this times the smallest shift
 GRAM_BLOCK_ENTRIES = 2**17  # entries per row block while a Gram is exponentiated
@@ -180,7 +183,7 @@ def mmd_objective(w, ctx: KernelContext) -> float:
     """Root of the clamped squared MMD between the weighted calibration
     embedding and the training sample embedding."""
     W = as_weight_matrix(w, ctx.n, ctx.c)
-    quad = float(np.sum(W * (ctx.base_gram @ W)))
+    quad = float(np.sum(W * (W.T @ ctx.base_gram).T))  # K0 is symmetric; this form is the faster GEMM
     cross = float(np.sum(W * ctx.cross_v))
     sq = quad / ctx.n**2 - 2.0 * cross / (ctx.n * ctx.m) + ctx.train_self
     return math.sqrt(max(sq, 0.0))
@@ -264,7 +267,7 @@ def _nystrom_preconditioner(K: np.ndarray, shifts: np.ndarray, width: int):
     return apply, rank
 
 
-def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None):
+def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None, X0=None, R0=None, stop=None):
     """Preconditioned conjugate gradients on an SPD operator A, every column
     of B at once.
 
@@ -272,22 +275,36 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None)
     ``matvec`` and ``precond`` act on the (n, k c) matrix of all columns,
     block after block, so each column may carry its own shift. ``precond``
     applies an SPD approximation of A^-1; None runs plain CG, bit for bit
-    the unpreconditioned recurrence. Each column stops on its residual r
-    (b - A x by the recurrence) once ||r|| <= tol ||b||, whatever the
-    preconditioner, and then freezes (its alpha and beta are forced to 0)
-    so slow columns can keep iterating without disturbing finished ones. A
-    non-finite residual stops the iteration; its column counts as not
-    converged.
+    the unpreconditioned recurrence. ``X0``, shaped like ``B``, starts the
+    run from that iterate, whose residual B - A X0 is ``R0`` when given and
+    costs one product otherwise; None starts from 0. Each column stops on
+    its residual r (b - A x by the recurrence) once ||r|| <= tol ||b||,
+    whatever the preconditioner, and then freezes (its alpha and beta are
+    forced to 0) so slow columns can keep iterating without disturbing
+    finished ones. A non-finite residual stops the iteration; its column
+    counts as not converged.
 
-    Returns the solutions (k, n, c), the residual norms (k, c), and per
-    block the iterations its slowest column ran and whether all its columns
-    converged within ``max_iters``. A 2-d ``B`` is one block (k = 1).
+    ``stop(X, R)``, when given, sees the iterate X after every step, with
+    its recurrence residual R, both (n, k c). If it returns True while a
+    column is still running, it is asked again on the true residual
+    B - A X (one product), so recurrence drift cannot stop the run, and the
+    run stops if it holds there too.
+
+    Returns the solutions and their recurrence residuals, both (k, n, c),
+    and per block the iterations its slowest column ran and whether all its
+    columns converged within ``max_iters``. A 2-d ``B`` is one block (k = 1).
     """
-    stack = B if B.ndim == 3 else B[None]
-    k, n, c = stack.shape
-    B = stack.transpose(1, 0, 2).reshape(n, k * c)
-    X = np.zeros_like(B)
-    R = B.copy()
+    k, n, c = B.shape if B.ndim == 3 else (1, *B.shape)
+
+    def columns(Y):  # (k, n, c) or (n, c) -> (n, k c), a view where the layout allows
+        return Y.reshape(k, n, c).transpose(1, 0, 2).reshape(n, k * c)
+
+    B = columns(B)
+    if X0 is None:
+        X, R = np.zeros_like(B), B.copy()
+    else:
+        X = columns(X0).copy()
+        R = B - matvec(X) if R0 is None else columns(R0).copy()
     Z = R if precond is None else precond(R)
     P = Z.copy()
     rr = (R * R).sum(axis=0)
@@ -313,9 +330,11 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None)
         steps += active
         active = ~(np.sqrt(rr) <= thresh)
         iters += 1
+        if stop is not None and stop(X, R) and bool(active.any()) and stop(X, B - matvec(X)):
+            break
     X = X.reshape(n, k, c).transpose(1, 0, 2)
-    res = np.sqrt(rr).reshape(k, c)
-    return X, res, steps.reshape(k, c).max(axis=1), ~active.reshape(k, c).any(axis=1)
+    R = R.reshape(n, k, c).transpose(1, 0, 2)
+    return X, R, steps.reshape(k, c).max(axis=1), ~active.reshape(k, c).any(axis=1)
 
 
 def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
@@ -366,7 +385,8 @@ def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
     stack = U[None].repeat(ridges.size, axis=0)
     # K is symmetric: the product is taken as (P^T K)^T, which BLAS runs about
     # twice as fast as K P on thin P
-    X, res, iters, converged = _cg_columns(lambda P: (P.T @ K).T + mu * P, stack, tol, max_iters, precond)
+    X, R, iters, converged = _cg_columns(lambda P: (P.T @ K).T + mu * P, stack, tol, max_iters, precond)
+    res = np.sqrt((R * R).sum(axis=1))
     fits = [None] * ridges.size
     for j, k in enumerate(order):
         fits[k] = InterpolationResult(
@@ -394,12 +414,23 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     penalized statistic trades fit against norm instead, so rough kernels pay
     for their large norms and overly smooth ones pay for their residuals.
 
-    Each candidate's Gram is built into one shared buffer, and its solve is
-    preconditioned by a pivoted Cholesky factor of that Gram at shift
-    ``ridge`` (see ``ridge_path``); the diagnostics record each factor's
-    rank, 0 where plain CG ran. Candidates whose solve fails to converge are
-    skipped; equal statistics break toward the smaller sigma. Returns
-    (KernelSpec, diagnostics dict).
+    Candidates are visited from the largest sigma down, each Gram built into
+    one shared buffer. Every CG iterate x, with residual r = u - A x and
+    A = K + s I (s the jittered ridge), brackets the statistic:
+    u^T A^-1 u = u^T x + r^T x + r^T A^-1 r, with 0 <= r^T A^-1 r <=
+    ||r||^2 / s (Strakos & Tichy, ETNA 13, 2002). A candidate is pruned,
+    its statistic NaN, once its lower end exceeds (1 + PRUNE_MARGIN) times
+    the smallest upper end of the candidates solved so far, a decision CG
+    confirms on the true residual; a pruned candidate cannot be the argmin.
+    Each candidate takes one plain CG step first, and only then builds the
+    pivoted Cholesky factor of its Gram (see ``ridge_path``) to continue,
+    preconditioned, from that iterate, so one pruned or solved at its first
+    step builds none. The diagnostics record per candidate the factor's
+    rank (0 where none was used), CG steps, residual, whether it was
+    ``pruned``, and the ``lower`` and ``upper`` ends of its bracket at its
+    last iterate. Candidates whose solve fails to converge are skipped;
+    equal statistics break toward the smaller sigma. Returns (KernelSpec,
+    diagnostics dict).
     """
     candidates = sorted(candidates, key=lambda s: s.sigma)
     if not candidates:
@@ -412,18 +443,38 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     U = (score_matrix.values <= q0).astype(np.float64)
     D2 = _sq_dists(cal_instances, cal_instances)
     K0 = np.empty_like(D2)  # every candidate's Gram is built into this one buffer
-    stats = np.full(len(candidates), np.nan)
-    residuals = np.full(len(candidates), np.nan)
-    iteration_counts = np.zeros(len(candidates), dtype=np.int64)
-    ranks = np.zeros(len(candidates), dtype=np.int64)
-    for j, spec in enumerate(candidates):
-        _gram_from_sq_dists(D2, spec.sigma, out=K0)
-        (fit,) = ridge_path(K0, U, (ridge,), tol=1e-8, max_iters=CG_MAX_ITERS)
-        iteration_counts[j] = fit.iterations
-        ranks[j] = fit.rank
-        residuals[j] = fit.residual
-        if fit.converged:
-            stats[j] = fit.min_norm_sq
+    count = len(candidates)
+    stats, residuals, lower, upper = (np.full(count, np.nan) for _ in range(4))
+    iteration_counts = np.zeros(count, dtype=np.int64)
+    ranks = np.zeros(count, dtype=np.int64)
+    pruned = np.zeros(count, dtype=bool)
+    best_upper = math.inf  # smallest upper end among the candidates solved so far
+    for j in reversed(range(count)):
+        _gram_from_sq_dists(D2, candidates[j].sigma, out=K0)
+        shift = CG_JITTER_SCALE * float(K0.trace() / K0.shape[0]) + ridge
+        limit = (1.0 + PRUNE_MARGIN) * best_upper
+
+        def matvec(P):
+            return (P.T @ K0).T + shift * P
+
+        def beaten(X, R):
+            lower[j] = float(np.vdot(U + R, X))
+            upper[j] = lower[j] + float(np.vdot(R, R)) / shift
+            return lower[j] > limit
+
+        X, R, steps, done = _cg_columns(matvec, U, 1e-8, min(1, CG_MAX_ITERS), stop=beaten)
+        if not (done[0] or lower[j] > limit) and steps[0] < CG_MAX_ITERS:
+            precond, ranks[j] = _nystrom_preconditioner(K0, np.array([shift]), U.shape[1])
+            X, R, more, done = _cg_columns(matvec, U, 1e-8, CG_MAX_ITERS - 1, precond, X, R, beaten)
+            steps += more
+            del precond  # the factor is freed before the next candidate's is built
+        iteration_counts[j] = steps[0]
+        residuals[j] = math.sqrt((R * R).sum(axis=1).max())
+        if done[0]:
+            stats[j] = max(float(np.sum(U * X[0])), 0.0)
+            best_upper = min(best_upper, upper[j])
+        else:
+            pruned[j] = lower[j] > limit
     if np.isnan(stats).all():
         raise InterpolationError("all kernel candidates failed to interpolate", residual=float(np.nanmin(residuals)))
     best = int(np.nanargmin(stats))
@@ -435,6 +486,9 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
         "residuals": residuals,
         "iterations": iteration_counts,
         "ranks": ranks,
+        "pruned": pruned,
+        "lower": lower,
+        "upper": upper,
         "selected_index": best,
     }
     return candidates[best], diagnostics

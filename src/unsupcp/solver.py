@@ -292,7 +292,8 @@ def _fista(K0, G, W0, lip, max_iters, rel_tol, cut=None, K32=None) -> _InnerSolv
     K = K0 if K32 is None else K32
 
     def evaluate(W, mu):
-        KW = K0 @ W if K is K0 else (K32 @ W.astype(np.float32)).astype(np.float64)
+        # K0 is symmetric: (W^T K0)^T runs about twice as fast as K0 W on thin W
+        KW = (W.T @ K0).T if K is K0 else (K32 @ W.astype(np.float32)).astype(np.float64)
         return (KW, *_value_and_gap(W, KW, G, cut, mu / step))
 
     X, mu = _project_cut(W0, cut)
@@ -336,7 +337,7 @@ def _fista(K0, G, W0, lip, max_iters, rel_tol, cut=None, K32=None) -> _InnerSolv
         t = t_next
         hist[iters] = f
     if K is not K0:
-        KX = K0 @ X
+        KX = (X.T @ K0).T
     return _InnerSolve(W=X, KW=KX, iterations=iters, history=hist[: iters + 1], multiplier=mu / step,
                        switch_iteration=switch)
 

@@ -33,6 +33,7 @@ from unsupcp.harness import (
     run_experiment,
     run_trial,
 )
+from unsupcp.kernel import ridge_path
 from unsupcp.scores import build_score_matrix
 from unsupcp.solver import SolverOptions, build_loss_constraints
 
@@ -236,16 +237,32 @@ class TestCalibrateUnsupervised:
         assert out.report.gap == row.solver_gap
         assert out.kernel_bound == row.kernel_bound
 
-    def test_bound_path_records_each_ridge(self):
-        out = _direct_calibration(_tiny_config(**self.CFG), 12)
+    @staticmethod
+    def _spied_calibration(monkeypatch, cfg, n):
+        """The direct calibration plus the inclusion indicator its bound fits."""
+        seen = []
+
+        def spy(K, u, ridges, **kwargs):
+            seen.append(u)
+            return ridge_path(K, u, ridges, **kwargs)
+
+        monkeypatch.setattr(harness, "ridge_path", spy)
+        out = _direct_calibration(cfg, n)
+        (u,) = seen
+        return out, u
+
+    def test_bound_path_records_each_ridge(self, monkeypatch):
+        out, u = self._spied_calibration(monkeypatch, _tiny_config(**self.CFG), 12)
         path = out.bound_path
-        assert set(path) == {"ridges", "iterations", "residuals", "rank", "bounds"}
-        np.testing.assert_allclose(path["ridges"], [0.15, 1.5, 15.0], rtol=1e-15)
+        assert set(path) == {"ridges", "iterations", "residuals", "rank", "bounds", "zero"}
+        np.testing.assert_array_equal(path["ridges"], harness.BOUND_RIDGES)  # whatever the selection ridge
         assert np.all(path["iterations"] >= 1)
         assert np.all(np.diff(path["iterations"]) <= 0)  # larger ridges converge no later
         assert np.all(path["residuals"] <= 1e-8 * math.sqrt(12))
         assert np.all(np.isfinite(path["bounds"]))
-        assert out.kernel_bound == float(np.min(path["bounds"]))
+        assert u.shape == (12, 2) and set(np.unique(u)) <= {0.0, 1.0}
+        assert path["zero"] == u.sum() / 12
+        assert out.kernel_bound == min(float(np.nanmin(path["bounds"])), path["zero"])
 
     def test_active_loss_constraint(self):
         """A bound just above the naive predictions' mean loss binds: the one
@@ -266,7 +283,8 @@ class TestCalibrateUnsupervised:
 
     @pytest.mark.parametrize("ridge", [0.0, -1.0, math.nan])
     def test_nonpositive_selection_ridge_rejected(self, ridge):
-        # checked before any work: the bound's ridge path is scaled from it
+        # checked before any work: at a zero ridge the smooth candidates'
+        # selection solves run to the CG cap
         with pytest.raises(ValueError, match="selection_ridge"):
             calibrate_unsupervised(None, np.zeros((2, 2)), None, None, 0.1, 1.0, selection_ridge=ridge)
 
@@ -280,7 +298,14 @@ class TestCalibrateUnsupervised:
         assert math.isnan(path["bounds"][0]) and path["iterations"][0] == counts[1]
         assert path["residuals"][0] > 1e-8
         assert np.all(np.isfinite(path["bounds"][1:]))
-        assert out.kernel_bound == float(np.min(path["bounds"][1:]))
+        assert out.kernel_bound == min(float(np.min(path["bounds"][1:])), path["zero"])
+
+    def test_capped_path_keeps_the_zero_function(self, monkeypatch):
+        monkeypatch.setattr(harness, "CG_MAX_ITERS", 0)  # no fit on the path converges
+        out, u = self._spied_calibration(monkeypatch, _tiny_config(**self.CFG), 12)
+        path = out.bound_path
+        assert np.all(np.isnan(path["bounds"])) and np.all(path["iterations"] == 0)
+        assert out.kernel_bound == path["zero"] == u.sum() / 12
 
 
 class TestRunExperiment:

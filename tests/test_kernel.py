@@ -303,62 +303,112 @@ class TestSelectKernel:
 
     def test_all_candidates_failing_raises(self, monkeypatch):
         cal, scores, weights, alpha = self._all_ones_fixture(2, 2, 0.1)
-
-        def never_converges(K, u, ridges, tol=1e-8, max_iters=None):
-            return [kernel_mod.InterpolationResult(np.zeros_like(u), 0.0, 1.0, max_iters, False) for _ in ridges]
-
-        monkeypatch.setattr(kernel_mod, "ridge_path", never_converges)
+        monkeypatch.setattr(kernel_mod, "CG_MAX_ITERS", 0)  # no candidate takes a step
         with pytest.raises(InterpolationError, match="candidates"):
             select_kernel([KernelSpec(1.0), KernelSpec(2.0)], cal, scores, weights, alpha)
 
     def test_capped_candidate_is_skipped(self, monkeypatch):
-        # on a mixed coverage indicator the smallest sigma needs the most CG
-        # steps: a cap just below its count fails it alone
+        # on this mixed coverage indicator sigma = 3 wins but needs more CG
+        # steps than sigma = 30, which is visited first: a cap at sigma =
+        # 30's count fails sigma = 3 alone, which is capped, not pruned
         rng = np.random.default_rng(11)
         n, c = 40, 3
         cal = rng.standard_normal((n, 2))
         scores = ScoreMatrix(values=rng.uniform(0, 1, (n, c)), kind="adaptive", noise_epsilon=1e-9, seed=0)
         weights = supervised_weights(1 + rng.integers(0, c, n), c).matrix
         specs = [KernelSpec(0.3), KernelSpec(3.0), KernelSpec(30.0)]
-        _, free = select_kernel(specs, cal, scores, weights, 0.1)
+        _, free = select_kernel(specs, cal, scores, weights, 0.5)
         counts = free["iterations"]
-        assert counts[0] > counts[1:].max()
-        cap = int(counts[1:].max())
+        assert free["selected_index"] == 1
+        assert counts[1] > counts[2]
+        cap = int(counts[2])
         monkeypatch.setattr(kernel_mod, "CG_MAX_ITERS", cap)
-        spec, diag = select_kernel(specs, cal, scores, weights, 0.1)
-        assert math.isnan(diag["statistics"][0])
-        assert diag["iterations"][0] == cap
-        assert diag["residuals"][0] > 1e-8 * math.sqrt(n)
-        np.testing.assert_array_equal(diag["statistics"][1:], free["statistics"][1:])
-        assert diag["selected_index"] in (1, 2)
+        spec, diag = select_kernel(specs, cal, scores, weights, 0.5)
+        assert math.isnan(diag["statistics"][1]) and not diag["pruned"][1]
+        assert diag["iterations"][1] == cap
+        assert diag["residuals"][1] > 1e-8 * math.sqrt(n)
+        assert diag["statistics"][2] == free["statistics"][2]
+        assert diag["selected_index"] in (0, 2)
         assert spec.sigma == diag["sigmas"][diag["selected_index"]]
 
     @staticmethod
-    def _mixture_fixture(seed, d, spread):
+    def _mixture_fixture(seed, d, spread, posterior=False):
+        """n=400 points of a 3-class mixture, scored uniformly at random (the
+        smoothest kernels win) or by one minus the mixture posterior, whose
+        inclusion indicator has a boundary in x that a mid-grid sigma fits."""
         rng = np.random.default_rng(seed)
         n, c = 400, 3
         labels = rng.integers(0, c, n)
         means = spread * rng.standard_normal((c, d))
         cal = means[labels] + rng.standard_normal((n, d))
-        scores = ScoreMatrix(values=rng.uniform(0, 1, (n, c)), kind="adaptive", noise_epsilon=1e-9, seed=0)
-        return cal, scores, supervised_weights(labels + 1, c).matrix
+        if not posterior:
+            scores = ScoreMatrix(values=rng.uniform(0, 1, (n, c)), kind="adaptive", noise_epsilon=1e-9, seed=0)
+            return cal, scores, supervised_weights(labels + 1, c).matrix
+        logits = -0.5 * ((cal[:, None, :] - means[None]) ** 2).sum(axis=2)
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        values = 1.0 - p + 1e-3 * rng.uniform(0, 1, (n, c))
+        scores = ScoreMatrix(values=values, kind="probability", noise_epsilon=1e-3, seed=0)
+        return cal, scores, supervised_weights(p.argmax(axis=1) + 1, c).matrix
 
-    @pytest.mark.parametrize("seed, d, spread", [(40, 2, 1.5), (41, 2, 3.0), (42, 10, 2.2)])
-    def test_preconditioning_keeps_the_selection(self, monkeypatch, seed, d, spread):
-        cal, scores, weights = self._mixture_fixture(seed, d, spread)
+    @staticmethod
+    def _check_against_plain_cg(cal, scores, weights, d, ridge=kernel_mod.SELECTION_RIDGE):
+        """Selection with pruning and preconditioning against every candidate
+        solved by plain CG from 0; returns the selected index."""
         grid = bandwidth_grid(d)
-        spec, diag = select_kernel(grid, cal, scores, weights, 0.1)
+        spec, diag = select_kernel(grid, cal, scores, weights, 0.1, ridge=ridge)
         assert diag["ranks"].max() > 0
         assert np.all((diag["ranks"] >= 0) & (diag["ranks"] <= 400 // 16))
-        monkeypatch.setattr(kernel_mod, "_nystrom_preconditioner", lambda K, shifts, width: (None, 0))
-        plain_spec, plain = select_kernel(grid, cal, scores, weights, 0.1)
-        assert np.all(plain["ranks"] == 0)
-        assert diag["selected_index"] == plain["selected_index"]
-        assert spec == plain_spec
-        np.testing.assert_allclose(diag["statistics"], plain["statistics"], rtol=1e-9, atol=0.0)
-        # the factor pays where it is built: never more CG steps than plain
-        used = diag["ranks"] > 0
-        assert np.all(diag["iterations"][used] <= plain["iterations"][used])
+        U = (scores.values <= diag["q_hat0"]).astype(np.float64)
+        D2 = _sq_dists(cal, cal)
+        plain, plain_iters = np.empty(len(grid)), np.empty(len(grid), dtype=np.int64)
+        for j, s in enumerate(grid):
+            K = _gram_from_sq_dists(D2, s.sigma)
+            shift = ridge + 1e-10
+            X, _, plain_iters[j], converged = plain_cg_columns(lambda P: K @ P + shift * P, U, 1e-8, 1500)
+            assert converged
+            plain[j] = float(np.sum(U * X))
+        pruned = diag["pruned"]
+        assert pruned.any() and not pruned[-1]  # the largest sigma is visited first
+        assert np.all(np.isnan(diag["statistics"][pruned]))
+        np.testing.assert_allclose(diag["statistics"][~pruned], plain[~pruned], rtol=1e-9, atol=0.0)
+        assert np.all(diag["lower"][pruned] <= plain[pruned])
+        assert np.all(plain[pruned] <= diag["upper"][pruned])
+        assert spec == grid[int(np.argmin(plain))]
+        # the factor pays where it is built: a solved candidate takes no more
+        # CG steps, its first plain one included, than plain CG
+        used = (diag["ranks"] > 0) & ~pruned
+        assert np.all(diag["iterations"][used] <= plain_iters[used])
+        return diag["selected_index"]
+
+    @pytest.mark.parametrize("seed, d, spread", [(40, 2, 1.5), (41, 2, 3.0), (42, 10, 2.2)])
+    def test_preconditioning_keeps_the_selection(self, seed, d, spread):
+        self._check_against_plain_cg(*self._mixture_fixture(seed, d, spread), d)
+
+    @pytest.mark.parametrize("seed, d, spread, ridge", [(40, 2, 1.5, 3.0), (42, 10, 2.2, 3.0), (40, 2, 1.5, 0.3),
+                                                        (42, 10, 2.2, 0.1)])
+    def test_pruning_keeps_a_mid_grid_selection(self, seed, d, spread, ridge):
+        # the argmin sits inside the grid, with pruned candidates below it;
+        # at the small ridges the brackets of early iterates are wide, so
+        # pruning on anything but the certified lower end drops the winner
+        best = self._check_against_plain_cg(*self._mixture_fixture(seed, d, spread, posterior=True), d, ridge)
+        assert 0 < best < len(bandwidth_grid(d)) - 2
+
+    def test_candidate_pruned_at_its_first_step_builds_no_factor(self, monkeypatch):
+        cal, scores, weights = self._mixture_fixture(40, 2, 1.5)
+        built = []
+
+        def counted(K, mu):
+            built.append(mu)
+            return _pivoted_cholesky(K, mu)
+
+        monkeypatch.setattr(kernel_mod, "_pivoted_cholesky", counted)
+        _, diag = select_kernel(bandwidth_grid(2), cal, scores, weights, 0.1)
+        first = diag["pruned"] & (diag["iterations"] == 1)
+        assert first.any()
+        assert np.all(diag["ranks"][first] == 0)
+        # a factor is built for exactly the candidates that went past their first step
+        assert len(built) == int(np.sum(diag["iterations"] > 1))
 
     def test_diagnostics_shape(self):
         cal, scores, weights, alpha = self._all_ones_fixture(2, 3, 0.1)
@@ -367,7 +417,10 @@ class TestSelectKernel:
         assert diag["ridge"] == kernel_mod.SELECTION_RIDGE
         assert len(diag["statistics"]) == 3
         assert len(diag["residuals"]) == 3
-        assert set(diag) == {"q_hat0", "ridge", "sigmas", "statistics", "residuals", "iterations", "ranks", "selected_index"}
+        assert set(diag) == {"q_hat0", "ridge", "sigmas", "statistics", "residuals", "iterations", "ranks", "pruned",
+                             "lower", "upper", "selected_index"}
+        assert diag["pruned"].dtype == bool and len(diag["pruned"]) == 3
+        assert len(diag["lower"]) == 3 and len(diag["upper"]) == 3
         assert diag["sigmas"][diag["selected_index"]] == spec.sigma
 
 
@@ -552,11 +605,11 @@ class TestRidgePath:
             return K @ P + shift * P
 
         for max_iters in (1500, 7):
-            X, res, iters, converged = _cg_columns(matvec, u, 1e-8, max_iters)
+            X, R, iters, converged = _cg_columns(matvec, u, 1e-8, max_iters)
             X0, res0, iters0, converged0 = plain_cg_columns(matvec, u, 1e-8, max_iters)
-            assert X.shape == (1,) + u.shape
+            assert X.shape == R.shape == (1,) + u.shape
             assert X[0].tobytes() == X0.tobytes()
-            assert res[0].tobytes() == res0.tobytes()
+            assert np.sqrt(np.sum(R[0] * R[0], axis=0)).tobytes() == res0.tobytes()
             assert (int(iters[0]), bool(converged[0])) == (iters0, converged0)
 
     def test_path_records_its_rank(self):
@@ -597,7 +650,7 @@ class TestPreconditionedCG:
         K, u, mu, matvec = _ill_conditioned_system()
         precond, rank = _nystrom_preconditioner(K, np.array([mu]), u.shape[1])
         assert precond is not None and rank == 300 // 16
-        X, res, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, precond)
+        X, R, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, precond)
         X0, res0, iters0, converged0 = plain_cg_columns(matvec, u, 1e-8, 1500)
         assert bool(converged[0]) and converged0
         assert int(iters[0]) < iters0
@@ -607,7 +660,7 @@ class TestPreconditionedCG:
         assert abs(stat - stat0) <= 1e-10 * abs(stat0)
         true_res = np.linalg.norm(u - matvec(gamma), axis=0)
         assert np.all(true_res <= 1e-8 * np.linalg.norm(u, axis=0))
-        assert np.all(res[0] <= 1e-8 * np.linalg.norm(u, axis=0))
+        assert np.all(np.linalg.norm(R[0], axis=0) <= 1e-8 * np.linalg.norm(u, axis=0))
 
     def test_flat_spectrum_falls_back_to_plain_cg(self):
         # a near-identity Gram: n // 16 pivots leave about 15/16 of the trace
@@ -625,22 +678,65 @@ class TestPreconditionedCG:
         def precond(R):
             return np.linalg.solve(M, R)
 
-        X, res, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, precond)
+        X, R, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, precond)
         assert bool(converged[0])
-        assert np.all(res[0] <= 1e-8 * np.linalg.norm(u, axis=0))
+        assert np.all(np.linalg.norm(R[0], axis=0) <= 1e-8 * np.linalg.norm(u, axis=0))
         true_res = np.linalg.norm(u - matvec(X[0]), axis=0)
         assert np.all(true_res <= 1e-8 * np.linalg.norm(u, axis=0))
 
     def test_stacked_blocks_report_per_block(self):
         K, u, _, _ = _ill_conditioned_system(n=120, c=2)
         shifts = np.repeat([0.3, 30.0], 2) + 1e-10
-        X, res, iters, converged = _cg_columns(lambda P: K @ P + shifts * P, np.stack([u, u]), 1e-8, 1500)
-        assert X.shape == (2, 120, 2) and res.shape == (2, 2)
+        X, R, iters, converged = _cg_columns(lambda P: K @ P + shifts * P, np.stack([u, u]), 1e-8, 1500)
+        assert X.shape == R.shape == (2, 120, 2)
         assert iters[0] > iters[1]  # the larger ridge converges sooner
         assert converged.tolist() == [True, True]
         for j, ridge in enumerate((0.3, 30.0)):
             true_res = u - (K @ X[j] + (ridge + 1e-10) * X[j])
             assert np.all(np.linalg.norm(true_res, axis=0) <= 1e-8 * np.linalg.norm(u, axis=0))
+            np.testing.assert_allclose(R[j], true_res, rtol=0.0, atol=1e-8 * np.linalg.norm(u))
+
+    def test_warm_start(self):
+        K, u, mu, matvec = _ill_conditioned_system()
+        exact = np.linalg.solve(K + mu * np.eye(300), u)
+        X, _, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, X0=exact)
+        assert int(iters[0]) == 0 and bool(converged[0])
+        assert X[0].tobytes() == exact.tobytes()
+        # one plain step, then preconditioned CG from that iterate, with its
+        # recurrence residual or with the one the start computes
+        cold, _, _, _ = _cg_columns(matvec, u, 1e-8, 1500)
+        X1, R1, one, _ = _cg_columns(matvec, u, 1e-8, 1)
+        assert int(one[0]) == 1
+        precond, _ = _nystrom_preconditioner(K, np.array([mu]), u.shape[1])
+        stat0 = float(np.sum(u * cold[0]))
+        for R0 in (R1, None):
+            X, R, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, precond, X1, R0)
+            assert bool(converged[0]) and int(iters[0]) >= 1
+            assert abs(float(np.sum(u * X[0])) - stat0) <= 1e-10 * abs(stat0)
+            true_res = np.linalg.norm(u - matvec(X[0]), axis=0)
+            assert np.all(true_res <= 1e-8 * np.linalg.norm(u, axis=0))
+
+    def test_stop_is_confirmed_on_the_true_residual(self):
+        K, u, mu, matvec = _ill_conditioned_system(n=120)
+        seen = []
+
+        def refused(X, R):  # yes on every recurrence residual, no on its check
+            seen.append((X.copy(), R.copy()))
+            return len(seen) % 2 == 1
+
+        X, R, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, stop=refused)
+        X0, R0, iters0, converged0 = _cg_columns(matvec, u, 1e-8, 1500)
+        assert X.tobytes() == X0.tobytes() and R.tobytes() == R0.tobytes()
+        assert int(iters[0]) == int(iters0[0]) > 1 and bool(converged[0])
+        # every step but the last, which converged, is checked on B - A X
+        assert len(seen) == 2 * int(iters[0]) - 1
+        for Xk, Rk in seen[1::2]:
+            assert Rk.tobytes() == (u - matvec(Xk)).tobytes()
+
+        seen.clear()
+        X, _, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, stop=lambda X, R: seen.append(R) or True)
+        assert int(iters[0]) == 1 and not bool(converged[0]) and len(seen) == 2
+        assert X[0].tobytes() == _cg_columns(matvec, u, 1e-8, 1)[0][0].tobytes()
 
 
 class TestPivotedCholesky:

@@ -478,7 +478,7 @@ class TestCertificate:
         tol = 1e-5
         run = _fista(K0, G, init.matrix, _power_lip(K0), 20000, tol, None, coarse)
         assert run.switch_iteration > 0
-        np.testing.assert_array_equal(run.KW, K0 @ run.W)
+        np.testing.assert_array_equal(run.KW, (run.W.T @ K0).T)
         value, gap = _float64_gap(ctx, None, run.W, 0.0)
         assert gap <= tol * max(1.0, abs(value))
         hist = run.history
