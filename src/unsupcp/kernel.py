@@ -14,7 +14,8 @@ give a Nystrom preconditioner for any ridge (Diaz, Epperly, Frangella,
 Tropp & Webber, arXiv:2304.12465). Where the factor cannot pay for itself,
 plain CG runs. Bandwidth selection stops a candidate's solve as soon as the
 CG error bracket on its statistic shows that it cannot win, and builds a
-candidate's factor only after one plain step has not settled it.
+candidate's factor only after its plain steps (one, or two when the first
+brings it halfway to pruning) have not settled it.
 """
 
 import math
@@ -267,7 +268,8 @@ def _nystrom_preconditioner(K: np.ndarray, shifts: np.ndarray, width: int):
     return apply, rank
 
 
-def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None, X0=None, R0=None, stop=None):
+def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None, X0=None, R0=None, stop=None,
+                go_on=None):
     """Preconditioned conjugate gradients on an SPD operator A, every column
     of B at once.
 
@@ -288,7 +290,8 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None,
     its recurrence residual R, both (n, k c). If it returns True while a
     column is still running, it is asked again on the true residual
     B - A X (one product), so recurrence drift cannot stop the run, and the
-    run stops if it holds there too.
+    run stops if it holds there too. ``go_on(X, R)``, when given, is asked
+    next, and the run ends, unconfirmed, once it returns False.
 
     Returns the solutions and their recurrence residuals, both (k, n, c),
     and per block the iterations its slowest column ran and whether all its
@@ -331,6 +334,8 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None,
         active = ~(np.sqrt(rr) <= thresh)
         iters += 1
         if stop is not None and stop(X, R) and bool(active.any()) and stop(X, B - matvec(X)):
+            break
+        if go_on is not None and not go_on(X, R):
             break
     X = X.reshape(n, k, c).transpose(1, 0, 2)
     R = R.reshape(n, k, c).transpose(1, 0, 2)
@@ -422,10 +427,12 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     its statistic NaN, once its lower end exceeds (1 + PRUNE_MARGIN) times
     the smallest upper end of the candidates solved so far, a decision CG
     confirms on the true residual; a pruned candidate cannot be the argmin.
-    Each candidate takes one plain CG step first, and only then builds the
-    pivoted Cholesky factor of its Gram (see ``ridge_path``) to continue,
-    preconditioned, from that iterate, so one pruned or solved at its first
-    step builds none. The diagnostics record per candidate the factor's
+    Each candidate takes one plain CG step first, and a second one when the
+    first has taken its lower end past half the limit, where the next step
+    is likely to prune it. Only then does it build the pivoted Cholesky
+    factor of its Gram (see ``ridge_path``) to continue, preconditioned,
+    from that iterate, so one pruned or solved in its plain steps builds
+    none. The diagnostics record per candidate the factor's
     rank (0 where none was used), CG steps, residual, whether it was
     ``pruned``, and the ``lower`` and ``upper`` ends of its bracket at its
     last iterate. Candidates whose solve fails to converge are skipped;
@@ -462,10 +469,13 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
             upper[j] = lower[j] + float(np.vdot(R, R)) / shift
             return lower[j] > limit
 
-        X, R, steps, done = _cg_columns(matvec, U, 1e-8, min(1, CG_MAX_ITERS), stop=beaten)
+        def halfway(X, R):  # the first step took the lower end past half the limit: a second likely prunes
+            return 2.0 * lower[j] > limit
+
+        X, R, steps, done = _cg_columns(matvec, U, 1e-8, min(2, CG_MAX_ITERS), stop=beaten, go_on=halfway)
         if not (done[0] or lower[j] > limit) and steps[0] < CG_MAX_ITERS:
             precond, ranks[j] = _nystrom_preconditioner(K0, np.array([shift]), U.shape[1])
-            X, R, more, done = _cg_columns(matvec, U, 1e-8, CG_MAX_ITERS - 1, precond, X, R, beaten)
+            X, R, more, done = _cg_columns(matvec, U, 1e-8, CG_MAX_ITERS - steps[0], precond, X, R, beaten)
             steps += more
             del precond  # the factor is freed before the next candidate's is built
         iteration_counts[j] = steps[0]

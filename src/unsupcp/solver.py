@@ -10,6 +10,17 @@ step onto the simplices cut by B w <= b, a projection that costs a short
 one-dimensional search over row projections. The cut's multiplier at the
 last projection is the reported Lagrange multiplier lambda.
 
+The step is 1/L, with L from the largest eigenvalue of K0, whose
+eigenvector is the near-constant Perron vector.
+For n >= METRIC_MIN_N, when lambda_1 / lambda_2 >= METRIC_RATIO, every
+step is taken in the metric M = L_2 I + (L_1 - L_2) v v^T instead, the
+rank-one-corrected prox of Becker & Fadili (NeurIPS 2012): the Perron
+direction keeps the step 1/L_1 while every other direction steps 1/L_2.
+The rank-one term is dualized into c variables whose c x c linear system
+comes from the last projection's row supports, so a step still costs one
+row projection. A plain metric step that fails to lower the objective
+drops the metric for good.
+
 The run stops on a certificate, the Frank-Wolfe duality gap on the cut set
 (Jaggi 2013), which bounds Phi(w) - Phi* and costs O(nc) per iteration from
 the cached K0 w. The products are memory-bound, so they run on a float32
@@ -36,6 +47,9 @@ FLOAT32_GAP_FLOOR = 1e-6  # relative gap tolerances below this run float64 produ
 STALL_REL = 1e-12  # float64 relative change in Phi below which roundoff has stalled the solve
 POWER_STEPS = 30  # power-iteration steps behind the gradient step
 POWER_MARGIN = 1.01  # headroom over the power-iteration estimate of lambda_max
+METRIC_MIN_N = 1000  # smallest n at which the step may run in the Perron metric (below, call overhead leads)
+METRIC_RATIO = 2.0  # smallest lambda_1 / lambda_2 at which it does
+LAMBDA2_MARGIN = 1.05  # headroom over the deflated power-iteration estimate of lambda_2
 
 
 @dataclass(frozen=True)
@@ -154,7 +168,14 @@ class SolverReport:
     iteration (see ``_fista`` for its monotonicity). ``inequality_slack``
     is b - B w, +inf when unconstrained; it never drops below -1e-8 b.
     ``dual_lambda`` is the loss constraint's multiplier at the last
-    projection, 0 when the cut was slack there.
+    projection, 0 when the cut was slack there. ``restarts`` counts the
+    momentum restarts. ``perron_ratio`` is the estimate of lambda_1 /
+    lambda_2 of K0: NaN below METRIC_MIN_N, where lambda_2 is not
+    estimated (or for a rank-one K0), and below METRIC_RATIO the value at
+    which its estimate stopped (see ``_power_lip``), which overstates the
+    ratio. ``metric_iteration`` is the
+    iteration at which the Perron metric was dropped: 0 when it stayed on
+    to the end, -1 when it never ran.
     """
 
     objective_value: float
@@ -166,13 +187,17 @@ class SolverReport:
     gap: float = math.inf
     step: float = math.nan
     switch_iteration: int = 0
+    restarts: int = 0
+    perron_ratio: float = math.nan
+    metric_iteration: int = -1
 
 
 @dataclass(frozen=True)
 class _InnerSolve:
     """One FISTA solve: the iterate W with its float64 K0 @ W, the iteration
     count, the objective history, the loss constraint's multiplier at the
-    last projection and the iteration of the float64 switch (0 when none)."""
+    last projection, the iteration of the float64 switch (0 when none), the
+    momentum restarts and the metric's drop iteration (see ``_fista``)."""
 
     W: np.ndarray
     KW: np.ndarray
@@ -180,6 +205,8 @@ class _InnerSolve:
     history: np.ndarray
     multiplier: float
     switch_iteration: int
+    restarts: int
+    metric_iteration: int
 
 
 def _project_cut(V: np.ndarray, cut: ConstraintSet | None, mu: float = 0.0):
@@ -225,20 +252,94 @@ def _project_cut(V: np.ndarray, cut: ConstraintSet | None, mu: float = 0.0):
     return W_hi, hi
 
 
-def _power_lip(K: np.ndarray) -> float:
-    """Step constant L for the gradient (2/n) K W - G: POWER_MARGIN times
-    2/n the Rayleigh quotient after POWER_STEPS steps of power iteration on
-    K, started at the all-ones vector (close to a nonnegative Gram's Perron
-    vector). The quotient approaches lambda_max from below; a plain
-    projected-gradient step 1/L stays non-increasing for any L above half
-    the true constant, so a residual underestimate costs no monotonicity."""
+def _power_lip(K: np.ndarray, deflate: bool = False):
+    """Estimates (lambda_1, v, lambda_2) of a nonnegative PSD Gram K.
+
+    lambda_1 is the Rayleigh quotient after POWER_STEPS steps of power
+    iteration on K, started at the all-ones vector (close to a nonnegative
+    Gram's Perron vector), and v the unit vector of the last step. The
+    quotient approaches lambda_1 from below; a plain projected-gradient step
+    1/L stays non-increasing for any L above half the true constant, so a
+    residual underestimate costs no monotonicity.
+
+    lambda_2 is NaN unless ``deflate``. Then it is the Rayleigh quotient of
+    up to POWER_STEPS steps of power iteration kept orthogonal to v, from a
+    fixed pseudo-random start. The top eigenvalue of K compressed to v's
+    complement is at least lambda_2 (interlacing), and the quotient rises
+    towards it, so the iteration stops as soon as lambda_1 < METRIC_RATIO
+    times the quotient: the Perron metric is then off whatever the rest.
+    """
     n = K.shape[0]
     v = np.full(n, 1.0 / math.sqrt(n), dtype=K.dtype)
     for _ in range(POWER_STEPS):
         Kv = K @ v  # K has a unit diagonal and v > 0, so Kv never vanishes
         lam = float(v @ Kv)
         v = Kv / np.linalg.norm(Kv)
-    return POWER_MARGIN * 2.0 / n * lam
+    lam2 = math.nan
+    if deflate:
+        u = np.random.default_rng(0).standard_normal(n).astype(K.dtype)
+        for _ in range(POWER_STEPS):
+            u -= (v @ u) * v
+            u /= np.linalg.norm(u)
+            Ku = K @ u
+            lam2 = float(u @ Ku)
+            if lam < METRIC_RATIO * lam2:
+                break
+            u = Ku
+    return lam, v, lam2
+
+
+class _MetricStep:
+    """The projected step in the metric M = I / step + beta v v^T.
+
+    M acts on every column of an (n, c) matrix, and v is a unit n-vector.
+    A call returns the minimizer W of <g, W> + 1/2 <W - Y, M (W - Y)> over
+    the row simplices cut by the loss constraint, with its cut multiplier
+    mu as ``_project_cut`` scales it. With beta = 0 that is
+    ``_project_cut(Y - step g, cut, mu)``, bit for bit.
+
+    With beta > 0 the rank-one term is dualized (Becker & Fadili 2012): W =
+    ``_project_cut(Y - step (g + v y^T), cut, mu)`` for the y in R^c that
+    solves y = beta v^T (W - Y). On a fixed support each row's projection
+    is affine in y, so y solves one c x c linear system,
+    (I + beta step A) y = beta a, with A = sum_i v_i^2 P_i (P_i the
+    Jacobian of row i's projection on its support) and a = v^T (W - Y) at
+    y = 0 under that affine model. The supports are predicted from the
+    last projection, and the rows shifted by the warm-start multiplier's
+    mu B as the cut shifts them. A depends only on those supports and is
+    reused while they do not change. Each call costs one row projection
+    (more only while the cut's multiplier search runs); a wrong prediction
+    gives a point of the cut set, but not the exact minimizer.
+    """
+
+    def __init__(self, step, cut, v=None, beta=0.0):
+        self.step, self.cut, self.v, self.beta = step, cut, v, beta
+        self.support = None  # (n, c) 0/1 support of the last projection
+        self._key = self._inv = self._counts = None  # the system's support, inverse and row counts
+
+    def dual(self, V, Y, mu):
+        """y from the affine model of every row's projection of V - mu B on
+        ``self.support``; V = Y - step g."""
+        S = self.support
+        if not np.array_equal(S, self._key):
+            w2 = self.v * self.v
+            self._counts = S.sum(axis=1)
+            A = np.diag(w2 @ S) - (S * (w2 / self._counts)[:, None]).T @ S
+            self._inv = np.linalg.inv(np.eye(S.shape[1]) + (self.beta * self.step) * A)
+            self._key = S
+        Z = V - mu * self.cut.loss_matrix if mu > 0.0 else V
+        theta = ((Z * S).sum(axis=1) - 1.0) / self._counts
+        a = self.v @ (S * (Z - theta[:, None]) - Y)
+        return self._inv @ (self.beta * a)
+
+    def __call__(self, Y, g, mu):
+        V = Y - self.step * g
+        if self.beta == 0.0:
+            return _project_cut(V, self.cut, mu)
+        y = self.dual(V, Y, mu)
+        W, mu = _project_cut(V - np.outer(self.step * self.v, y), self.cut, mu)
+        self.support = (W > 0.0).astype(np.float64)
+        return W, mu
 
 
 def _value_and_gap(W, KW, G, cut, lam):
@@ -259,7 +360,7 @@ def _value_and_gap(W, KW, G, cut, lam):
     return q - s, 2.0 * q - s - lower, grad
 
 
-def _fista(K0, G, W0, lip, max_iters, rel_tol, cut=None, K32=None) -> _InnerSolve:
+def _fista(K0, G, W0, lip, max_iters, rel_tol, cut=None, K32=None, metric=None) -> _InnerSolve:
     """Accelerated projected gradient on h(W) = (1/n)<W, K0 W> - <G, W>.
 
     Feasible set is the product of per-row simplices, cut by the loss
@@ -268,19 +369,32 @@ def _fista(K0, G, W0, lip, max_iters, rel_tol, cut=None, K32=None) -> _InnerSolv
     momentum point follow by linearity, and the gap from the same product.
     Each multiplier search starts from the last accepted one's mu.
 
+    The step is 1/lip, with lip = 2/n times lambda_1's estimate. ``metric``
+    = (v, lip2), with v the Perron vector and lip2 the step constant of
+    lambda_2, steps in the metric M = lip2 I + (lip - lip2) v v^T instead
+    (see ``_MetricStep``): M still bounds the Hessian (2/n) K0, but its
+    Perron direction no longer sets the step in every other one. The cut's
+    multiplier is then mu lip2 rather than mu lip. If a plain metric step
+    fails to lower h (lambda_2 underestimated, or a wrong support
+    prediction), the metric is dropped for good and the step is 1/lip
+    again; the iteration of that drop is ``metric_iteration``, 0 when the
+    metric stayed on and -1 when it never ran.
+
     Products run on ``K32``, a float32 copy of K0, when given; iterates,
     gradients and sums stay float64. The switch to float64 products is one
     way and happens when float32 rounding stalls progress: a restart's plain
-    step fails to lower h, or the float32 gap certifies (or the change
-    stalls) while the float64 gap at the same iterate does not. The solve
-    stops when the gap certifies in float64, when a float64 step changes h
-    by less than STALL_REL relative (roundoff), or after ``max_iters``
-    iterations; the returned K0 @ W is float64 in every case.
+    step fails to lower h (after the metric was dropped), or the float32 gap
+    certifies (or the change stalls) while the float64 gap at the same
+    iterate does not. The solve stops when the gap certifies in float64,
+    when a float64 step changes h by less than STALL_REL relative
+    (roundoff), or after ``max_iters`` iterations; the returned K0 @ W is
+    float64 in every case.
 
-    Momentum restarts on a function increase by redoing the step as plain
-    projected gradient from the previous iterate, which the descent lemma
-    makes non-increasing. The history (one value per iteration) is therefore
-    monotone within each precision: in float32 a step is kept only if it
+    Momentum restarts (counted in ``restarts``) on a function increase by
+    redoing the step as plain projected gradient from the previous iterate,
+    which the descent lemma makes non-increasing. The history (one value per
+    iteration) is therefore monotone within each precision: in float32, and
+    in either precision while the metric is on, a step is kept only if it
     does not raise h, and a float64 plain step can rise only by roundoff or
     by the cut's 1e-8 b slack band. Either switch re-evaluates the current
     iterate in float64 and takes a plain step from it, so the first float64
@@ -290,18 +404,21 @@ def _fista(K0, G, W0, lip, max_iters, rel_tol, cut=None, K32=None) -> _InnerSolv
     """
     step = 1.0 / lip
     K = K0 if K32 is None else K32
+    prox = _MetricStep(step, cut) if metric is None else _MetricStep(1.0 / metric[1], cut, metric[0], lip - metric[1])
 
     def evaluate(W, mu):
         # K0 is symmetric: (W^T K0)^T runs about twice as fast as K0 W on thin W
         KW = (W.T @ K0).T if K is K0 else (K32 @ W.astype(np.float32)).astype(np.float64)
-        return (KW, *_value_and_gap(W, KW, G, cut, mu / step))
+        return (KW, *_value_and_gap(W, KW, G, cut, mu / prox.step))
 
     X, mu = _project_cut(W0, cut)
+    prox.support = (X > 0.0).astype(np.float64)
     KX, f, gap, gX = evaluate(X, mu)
     hist = np.empty(max_iters + 1)
     hist[0] = f
     Xp, gXp, t = X, gX, 1.0
-    rel, iters, switch = math.inf, 0, 0
+    rel, iters, switch, restarts = math.inf, 0, 0, 0
+    dropped = -1 if metric is None else 0
     while True:
         certified = gap <= rel_tol * max(1.0, abs(f))
         if K is not K0 and (certified or rel < STALL_REL):
@@ -319,16 +436,23 @@ def _fista(K0, G, W0, lip, max_iters, rel_tol, cut=None, K32=None) -> _InnerSolv
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         Y = X + beta * (X - Xp)
-        Z, mu_z = _project_cut(Y - step * (gX + beta * (gX - gXp)), cut, mu)
+        Z, mu_z = prox(Y, gX + beta * (gX - gXp), mu)
         KZ, fz, gap_z, gZ = evaluate(Z, mu_z)
         if fz > f:
-            Z, mu_z = _project_cut(X - step * gX, cut, mu)
+            restarts += 1
+            Z, mu_z = prox(X, gX, mu)
             KZ, fz, gap_z, gZ = evaluate(Z, mu_z)
+            if fz > f and prox.beta > 0.0:
+                # the metric overshoots: drop it for good, rescaling X's multiplier to the step 1/lip
+                mu *= step / prox.step
+                prox, dropped = _MetricStep(step, cut), iters
+                Z, mu_z = prox(X, gX, mu)
+                KZ, fz, gap_z, gZ = evaluate(Z, mu_z)
             if fz > f and K is not K0:
                 # float32 rounding stalls progress: redo the step in float64
                 K, switch = K0, iters
                 KX, f, gap, gX = evaluate(X, mu)
-                Z, mu_z = _project_cut(X - step * gX, cut, mu)
+                Z, mu_z = prox(X, gX, mu)
                 KZ, fz, gap_z, gZ = evaluate(Z, mu_z)
             t_next = 1.0
         rel = abs(f - fz) / max(1.0, abs(fz))
@@ -338,8 +462,8 @@ def _fista(K0, G, W0, lip, max_iters, rel_tol, cut=None, K32=None) -> _InnerSolv
         hist[iters] = f
     if K is not K0:
         KX = (X.T @ K0).T
-    return _InnerSolve(W=X, KW=KX, iterations=iters, history=hist[: iters + 1], multiplier=mu / step,
-                       switch_iteration=switch)
+    return _InnerSolve(W=X, KW=KX, iterations=iters, history=hist[: iters + 1], multiplier=mu / prox.step,
+                       switch_iteration=switch, restarts=restarts, metric_iteration=dropped)
 
 
 def solve_label_weights(
@@ -357,10 +481,16 @@ def solve_label_weights(
 
     One FISTA run whose every step projects onto the simplices cut by the
     loss constraint; ``options.max_iters`` caps the whole solve. Its step
-    comes from power iteration (``_power_lip``). At ``options.rel_tol`` >=
-    FLOAT32_GAP_FLOOR its products start on a float32 copy of K0 that lives
-    only during the solve. The reported gap, objective and ``converged``
-    are evaluated at the returned weights with a float64 K0 @ W.
+    comes from power iteration (``_power_lip``). At n >= METRIC_MIN_N that
+    also estimates lambda_2, and when lambda_1 / lambda_2 >= METRIC_RATIO
+    the steps run in the Perron metric (see ``_fista``) until a plain
+    metric step fails to lower the objective. Otherwise every step is the
+    plain 1/L step. At ``options.rel_tol`` >= FLOAT32_GAP_FLOOR its
+    products start on a float32 copy of K0 that lives only during the
+    solve. The reported gap, objective and ``converged`` are evaluated at
+    the returned weights with a float64 K0 @ W, and the gap's multiplier
+    is the last projection's mu times the Euclidean step constant it ran
+    at (L_2 in the metric).
     """
     options = options or SolverOptions()
     n, m, c = ctx.n, ctx.m, ctx.c
@@ -374,8 +504,11 @@ def solve_label_weights(
         raise ValueError(f"loss_matrix shape {B.shape} != ({n}, {c})")
 
     K32 = K0.astype(np.float32) if options.rel_tol >= FLOAT32_GAP_FLOOR else None
-    lip = _power_lip(K0 if K32 is None else K32)
-    run = _fista(K0, G, W0, lip, options.max_iters, options.rel_tol, constraints, K32)
+    lam1, v, lam2 = _power_lip(K0 if K32 is None else K32, deflate=n >= METRIC_MIN_N)
+    lip = POWER_MARGIN * 2.0 / n * lam1
+    ratio = lam1 / lam2 if lam2 > 0.0 else math.nan  # NaN below the n gate (or for a rank-one K0)
+    metric = (v.astype(np.float64), LAMBDA2_MARGIN * 2.0 / n * lam2) if ratio >= METRIC_RATIO else None
+    run = _fista(K0, G, W0, lip, options.max_iters, options.rel_tol, constraints, K32, metric)
 
     W, lam = run.W, run.multiplier
     value, gap, _ = _value_and_gap(W, run.KW, G, constraints, lam)
@@ -392,5 +525,8 @@ def solve_label_weights(
         gap=gap,
         step=1.0 / lip,
         switch_iteration=run.switch_iteration,
+        restarts=run.restarts,
+        perron_ratio=ratio,
+        metric_iteration=run.metric_iteration,
     )
     return weights, report

@@ -13,6 +13,8 @@ from unsupcp.errors import InfeasibleConstraintError
 from unsupcp.kernel import KernelSpec, build_context
 from unsupcp.solver import (
     FLOAT32_GAP_FLOOR,
+    METRIC_MIN_N,
+    POWER_MARGIN,
     ConstraintSet,
     LabelWeights,
     SolverOptions,
@@ -423,6 +425,11 @@ def _gaussian_instance(seed, n, c, d=2):
     return ctx, supervised_weights(cal_labels, c)
 
 
+def _lip(K):
+    """The solver's step constant: POWER_MARGIN times 2/n lambda_1's estimate."""
+    return POWER_MARGIN * 2.0 / K.shape[0] * _power_lip(K)[0]
+
+
 class TestCertificate:
     @pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-7, 1e-12])
     def test_gap_bounds_suboptimality(self, oracle_fixtures, tol):
@@ -456,10 +463,10 @@ class TestCertificate:
             D2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
             K = np.exp(-D2 / (2.0 * rng.uniform(0.3, 3.0) ** 2))
             bound = 2.0 * float(np.linalg.eigvalsh(K)[-1]) / n
-            assert _power_lip(K) >= bound
-            assert _power_lip(K.astype(np.float32)) >= bound
+            assert _lip(K) >= bound
+            assert _lip(K.astype(np.float32)) >= bound
             # and within the margin: the estimate is a step, not a loose bound
-            assert _power_lip(K) <= 1.0101 * bound
+            assert _lip(K) <= 1.0101 * bound
 
     def test_reported_step_is_the_power_step(self):
         ctx, init = _gaussian_instance(8, 60, 3)
@@ -476,7 +483,7 @@ class TestCertificate:
         G = (2.0 / ctx.m) * ctx.cross_v
         coarse = K0.astype(np.float16).astype(np.float32)
         tol = 1e-5
-        run = _fista(K0, G, init.matrix, _power_lip(K0), 20000, tol, None, coarse)
+        run = _fista(K0, G, init.matrix, _lip(K0), 20000, tol, None, coarse)
         assert run.switch_iteration > 0
         np.testing.assert_array_equal(run.KW, (run.W.T @ K0).T)
         value, gap = _float64_gap(ctx, None, run.W, 0.0)
@@ -520,3 +527,238 @@ class TestCertificate:
         else:
             assert seen[0].dtype == np.float32
             np.testing.assert_array_equal(seen[0], ctx.base_gram.astype(np.float32))
+
+
+def _metric_value(W, Y, g, v, step, beta):
+    """<g, W> + 1/2 <W - Y, M (W - Y)> with M = I / step + beta v v^T on columns."""
+    D = W - Y
+    return float(np.vdot(g, W) + 0.5 * (np.vdot(D, D) / step + beta * np.sum((v @ D) ** 2)))
+
+
+def _metric_oracle(Y, g, v, step, beta, cut):
+    """Minimum of the metric step's QP by support enumeration: the pair
+    matrix is M (x) I_c, fed to qp_oracle as (n / 2) M with m = 2."""
+    n, c = Y.shape
+    Mp = np.kron(np.eye(n) / step + beta * np.outer(v, v), np.eye(c))
+    y = Y.ravel()
+    lin = g.ravel() - Mp @ y
+    return 0.5 * y @ Mp @ y + qp_oracle(0.5 * n * Mp, -lin, n, 2, c,
+                                        loss_row=None if cut is None else cut.loss_matrix.ravel(),
+                                        bound=None if cut is None else cut.bound)
+
+
+def _exact_simplex_step(ms, Y, g):
+    """The metric step onto the row simplices with its dual iterated to
+    convergence: Newton on the concave dual D(y), each target from
+    ``ms.dual`` on the support at y, halved until D does not fall."""
+    V = Y - ms.step * g
+    vY = ms.v @ Y
+
+    def at(y):
+        W = _project_rows(V - np.outer(ms.step * ms.v, y))
+        D = W - Y
+        return W, float(np.vdot(g + np.outer(ms.v, y), W) + np.vdot(D, D) / (2 * ms.step) - y @ vY - y @ y / (2 * ms.beta))
+
+    y = np.zeros(Y.shape[1])
+    W, d = at(y)
+    for _ in range(200):
+        ms.support = (W > 0.0).astype(np.float64)
+        target = ms.dual(V, Y, 0.0)
+        if np.abs(target - y).max() <= 1e-10 * (1.0 + np.abs(y).max()):
+            return W
+        t = 1.0
+        while True:
+            W_t, d_t = at(y + t * (target - y))
+            if d_t >= d or t < 1e-12:
+                break
+            t *= 0.5
+        y, W, d = y + t * (target - y), W_t, d_t
+    raise AssertionError("the metric step's dual did not converge")
+
+
+def _exact_metric_step(step, v, beta, Y, g, cut):
+    """(W, lambda): the metric step onto the cut set, by bisection on the
+    cut's multiplier lambda around the exact simplex step of g + lambda B."""
+    ms = solver._MetricStep(step, None, v, beta)
+    W = _exact_simplex_step(ms, Y, g)
+    if cut is None or float(np.sum(cut.loss_matrix * W)) <= cut.bound:
+        return W, 0.0
+    lo, hi = 0.0, 1.0
+    while float(np.sum(cut.loss_matrix * _exact_simplex_step(ms, Y, g + hi * cut.loss_matrix))) > cut.bound:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if float(np.sum(cut.loss_matrix * _exact_simplex_step(ms, Y, g + mid * cut.loss_matrix))) > cut.bound:
+            lo = mid
+        else:
+            hi = mid
+    return _exact_simplex_step(ms, Y, g + hi * cut.loss_matrix), hi
+
+
+def _metric_problem(seed, n, c, with_cut):
+    """A random metric step: momentum point Y, gradient g, unit positive v,
+    step and beta, and (when ``with_cut``) a cut between the cheapest
+    vertices and the free step's loss, or None where the free step sits at
+    the cheapest vertices."""
+    rng = np.random.default_rng(seed)
+    Y = rng.dirichlet(np.ones(c), size=n) + 0.3 * rng.standard_normal((n, c))
+    g = rng.standard_normal((n, c))
+    v = rng.uniform(0.2, 1.0, n)
+    v /= np.linalg.norm(v)
+    step, beta = rng.uniform(0.2, 2.0), rng.uniform(0.5, 20.0)
+    cut = None
+    if with_cut:
+        B = rng.uniform(0.1, 2.0, (n, c))
+        floor = float(B.min(axis=1).sum())
+        free = float(np.sum(B * _exact_metric_step(step, v, beta, Y, g, None)[0]))
+        if free > floor * (1.0 + 1e-3):
+            cut = ConstraintSet(loss_matrix=B, bound=floor + rng.uniform(0.1, 0.9) * (free - floor))
+    return Y, g, v, step, beta, cut, rng
+
+
+class TestMetricStep:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), c=st.integers(2, 3), with_cut=st.booleans())
+    def test_converged_dual_solves_the_metric_qp(self, seed, n, c, with_cut):
+        Y, g, v, step, beta, cut, _ = _metric_problem(seed, n, c, with_cut)
+        W, lam = _exact_metric_step(step, v, beta, Y, g, cut)
+        value = _metric_value(W, Y, g, v, step, beta)
+        expect = _metric_oracle(Y, g, v, step, beta, cut)
+        # bisection leaves B W within roundoff of b on either side, which moves the value by lambda times that
+        over = 0.0 if cut is None else lam * abs(float(np.sum(cut.loss_matrix * W)) - cut.bound)
+        assert abs(value - expect) <= over + 1e-9 * max(1.0, abs(expect))
+        # given that step's supports, one projection of the solver's step is the same step
+        ms = solver._MetricStep(step, cut, v, beta)
+        ms.support = (W > 0.0).astype(np.float64)
+        W1, mu1 = ms(Y, g, lam * step)
+        np.testing.assert_allclose(W1, W, atol=1e-6)
+        assert abs(mu1 / step - lam) <= 1e-6 * max(1.0, lam)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), c=st.integers(2, 5), with_cut=st.booleans(),
+           mu=st.sampled_from([0.0, 0.05, 2.0]))
+    def test_single_projection_lands_in_the_cut_set(self, seed, n, c, with_cut, mu):
+        rng = np.random.default_rng(seed)
+        Y = rng.uniform(-1.0, 2.0, (n, c))
+        g = rng.standard_normal((n, c))
+        v = rng.uniform(0.1, 1.0, n)
+        v /= np.linalg.norm(v)
+        B = rng.uniform(0.1, 2.0, (n, c))
+        cut = ConstraintSet(loss_matrix=B, bound=float(B.min(axis=1).sum()) * 1.05 + 0.01) if with_cut else None
+        ms = solver._MetricStep(rng.uniform(0.1, 2.0), cut, v, rng.uniform(0.1, 50.0))
+        # any prediction, however wrong, still gives a feasible point
+        ms.support = (rng.random((n, c)) < 0.5).astype(np.float64)
+        ms.support[np.arange(n), rng.integers(0, c, n)] = 1.0
+        W, mu_out = ms(Y, g, mu * (cut is not None))
+        assert W.min() >= 0.0
+        np.testing.assert_allclose(W.sum(axis=1), 1.0, atol=1e-9)
+        if cut is not None:
+            assert float(np.sum(B * W)) <= cut.bound * (1.0 + 1e-8)
+        np.testing.assert_array_equal(ms.support, W > 0.0)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), with_cut=st.booleans(), mu=st.sampled_from([0.0, 0.01, 3.0]))
+    def test_zero_beta_is_the_plain_step_bit_for_bit(self, seed, with_cut, mu):
+        rng = np.random.default_rng(seed)
+        Y = rng.uniform(-1.0, 2.0, (5, 3))
+        g = rng.standard_normal((5, 3))
+        B = rng.uniform(0.1, 2.0, (5, 3))
+        cut = ConstraintSet(loss_matrix=B, bound=float(B.min(axis=1).sum()) * 1.1 + 0.01) if with_cut else None
+        step = 1.0 / rng.uniform(0.5, 5.0)
+        expect, mu_expect = _project_cut(Y - step * g, cut, mu)
+        for ms in (solver._MetricStep(step, cut), solver._MetricStep(step, cut, np.full(5, 5 ** -0.5), 0.0)):
+            W, mu_out = ms(Y, g, mu)
+            np.testing.assert_array_equal(W, expect)
+            assert mu_out == mu_expect
+
+
+def _perron_instance(seed, n=METRIC_MIN_N, c=10, d=10):
+    """The criterion-10 shape (class means 2.2 I, sigma 2.2) at n = m: its
+    Gram's lambda_1 / lambda_2 is about 4, so the metric runs."""
+    rng = np.random.default_rng(seed)
+    means = 2.2 * np.eye(c, d)
+    train_labels, cal_labels = 1 + rng.integers(0, c, n), 1 + rng.integers(0, c, n)
+    train = Dataset(means[train_labels - 1] + rng.standard_normal((n, d)), train_labels, num_classes=c)
+    ctx = build_context(means[cal_labels - 1] + rng.standard_normal((n, d)), train, KernelSpec(2.2))
+    return ctx, supervised_weights(cal_labels, c), rng
+
+
+def _gram_gap(ctx, constraints, W, lam):
+    """(Phi, Frank-Wolfe gap) at W from a float64 K0 @ W and the cut's
+    multiplier lam, for n too large for the dense pair kernel."""
+    grad = (2.0 / ctx.n) * (ctx.base_gram @ W) - (2.0 / ctx.m) * ctx.cross_v
+    value = float(np.sum(W * (ctx.base_gram @ W)) / ctx.n - 2.0 * np.sum(W * ctx.cross_v) / ctx.m)
+    lower = float((grad + lam * constraints.loss_matrix).min(axis=1).sum()) - lam * constraints.bound
+    return value, float(np.sum(grad * W)) - lower
+
+
+class TestPerronMetric:
+    def test_active_cut_certifies_with_the_metric_on(self):
+        ctx, init, rng = _perron_instance(1)
+        B = -np.log(rng.dirichlet(np.ones(ctx.c), size=ctx.n))
+        free_w, free = solve_label_weights(ctx, init=init)
+        assert free.metric_iteration == 0
+        bound = 0.5 * (float(B.min(axis=1).sum()) + float(np.sum(B * free_w.matrix)))
+        constraints = ConstraintSet(loss_matrix=B, bound=bound)
+        weights, report = solve_label_weights(ctx, constraints=constraints, init=init)
+        assert report.perron_ratio >= solver.METRIC_RATIO
+        assert report.metric_iteration == 0
+        assert report.converged
+        assert report.dual_lambda > 0.0
+        assert abs(report.inequality_slack) <= 1e-8 * bound
+        value, gap = _gram_gap(ctx, constraints, weights.matrix, report.dual_lambda)
+        assert abs(gap - report.gap) <= 1e-10 * max(1.0, abs(value))
+        assert gap <= 1e-4 * max(1.0, abs(value))
+
+    def test_metric_solve_matches_the_plain_one_in_fewer_iterations(self, monkeypatch):
+        ctx, init, _ = _perron_instance(2)
+        _, metric = solve_label_weights(ctx, init=init)
+        monkeypatch.setattr(solver, "METRIC_RATIO", np.inf)
+        _, plain = solve_label_weights(ctx, init=init)
+        assert (metric.metric_iteration, plain.metric_iteration) == (0, -1)
+        assert metric.step == plain.step
+        assert metric.converged and plain.converged
+        # both certify 1e-4, so their values differ by at most that
+        assert abs(metric.objective_value - plain.objective_value) <= 1e-4 * abs(plain.objective_value)
+        assert metric.iterations < 0.6 * plain.iterations
+
+    def test_lambda2_underestimate_drops_the_metric_for_good(self, monkeypatch):
+        # a fifth of the lambda_2 estimate lets the metric step overshoot; the
+        # solve must drop it at the first failed plain step and still certify
+        monkeypatch.setattr(solver, "LAMBDA2_MARGIN", 0.2)
+        ctx, init, _ = _perron_instance(3)
+        weights, report = solve_label_weights(ctx, init=init)
+        assert report.metric_iteration > 0
+        assert report.restarts >= 1
+        assert report.converged
+        hist = report.objective_history
+        cut = report.switch_iteration or hist.size
+        assert np.all(np.diff(hist[:cut]) <= 0.0)
+        assert np.all(np.diff(hist[cut:]) <= 1e-12 * abs(hist[-1]))
+
+    @pytest.mark.parametrize("n", [METRIC_MIN_N - 1, 40])
+    def test_below_the_n_gate_lambda2_is_never_computed(self, monkeypatch, n):
+        seen = []
+        power = solver._power_lip
+
+        def spy(K, deflate=False):
+            out = power(K, deflate)
+            seen.append((deflate, out[2]))
+            return out
+
+        monkeypatch.setattr(solver, "_power_lip", spy)
+        ctx, init, _ = _perron_instance(4, n=n)
+        _, report = solve_label_weights(ctx, init=init)
+        assert len(seen) == 1 and seen[0][0] is False and np.isnan(seen[0][1])
+        assert np.isnan(report.perron_ratio)
+        assert report.metric_iteration == -1
+        assert report.converged
+
+    def test_ratio_gate_keeps_the_plain_step(self):
+        # the acceptance-grid mixture at n = METRIC_MIN_N has lambda_1 / lambda_2
+        # near 1.6: lambda_2 is estimated, and the step stays 1/L
+        ctx, init = _gaussian_instance(9, METRIC_MIN_N, 3)
+        _, report = solve_label_weights(ctx, init=init)
+        assert 1.0 < report.perron_ratio < solver.METRIC_RATIO
+        assert report.metric_iteration == -1
+        assert report.converged
