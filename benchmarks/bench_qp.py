@@ -80,8 +80,8 @@ def main():
             _, report = u.solve_label_weights(ctx, cut, None, init)
             solver._project_rows, solver._value_and_gap = saved
             ratio = getattr(report, "perron_ratio", math.nan)
-            rows.append({  # the report's own gap reuses the solve's last product, hence products = calls - 1
-                "shape": shape, "seed": seed, "iterations": report.iterations, "products": counts["gap"] - 1,
+            rows.append({  # one (n, n) @ (n, c) product per gap evaluation
+                "shape": shape, "seed": seed, "iterations": report.iterations, "products": counts["gap"],
                 "projections": counts["proj"], "restarts": getattr(report, "restarts", None),
                 "perron_ratio": None if math.isnan(ratio) else round(ratio, 4),
                 "metric": getattr(report, "metric_iteration", -1) >= 0, "converged": report.converged,

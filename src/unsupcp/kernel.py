@@ -14,8 +14,7 @@ give a Nystrom preconditioner for any ridge (Diaz, Epperly, Frangella,
 Tropp & Webber, arXiv:2304.12465). Where the factor cannot pay for itself,
 plain CG runs. Bandwidth selection stops a candidate's solve as soon as the
 CG error bracket on its statistic shows that it cannot win, and builds a
-candidate's factor only after its plain steps (one, or two when the first
-brings it halfway to pruning) have not settled it.
+candidate's factor only after one plain step has not settled it.
 """
 
 import math
@@ -215,12 +214,11 @@ def _pivoted_cholesky(K: np.ndarray, mu: float):
     and reads that one row of K, which is contiguous. It stops once no
     residual diagonal entry exceeds 1e-3 mu, or at rank n // 16, so the
     factor takes at most n^2 / 2 bytes. Returns the factor (a view of its
-    buffer), its pivots and the residual trace.
+    buffer) and the residual trace.
     """
     n = K.shape[0]
     cap = n // PRECOND_RANK_DIVISOR
     F = np.empty((cap, n))
-    pivots = np.empty(cap, dtype=np.int64)
     d = K.diagonal().astype(np.float64)  # the residual diagonal, up to roundoff below 0
     r = 0
     while r < cap:
@@ -231,9 +229,8 @@ def _pivoted_cholesky(K: np.ndarray, mu: float):
         row /= math.sqrt(d[p])
         d -= row * row
         d[p] = 0.0
-        pivots[r] = p
         r += 1
-    return F[:r], pivots[:r], float(np.maximum(d, 0.0).sum())
+    return F[:r], float(np.maximum(d, 0.0).sum())
 
 
 def _nystrom_preconditioner(K: np.ndarray, shifts: np.ndarray, width: int):
@@ -251,7 +248,7 @@ def _nystrom_preconditioner(K: np.ndarray, shifts: np.ndarray, width: int):
     steps; such near-diagonal Grams (small sigma) are the ones plain CG
     already solves in a few steps.
     """
-    F, _, residual_trace = _pivoted_cholesky(K, float(shifts.min()))
+    F, residual_trace = _pivoted_cholesky(K, float(shifts.min()))
     rank = F.shape[0]
     if rank == 0 or (rank == K.shape[0] // PRECOND_RANK_DIVISOR and residual_trace > 0.75 * K.trace()):
         return None, 0
@@ -268,8 +265,7 @@ def _nystrom_preconditioner(K: np.ndarray, shifts: np.ndarray, width: int):
     return apply, rank
 
 
-def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None, X0=None, R0=None, stop=None,
-                go_on=None):
+def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None, X0=None, R0=None, stop=None):
     """Preconditioned conjugate gradients on an SPD operator A, every column
     of B at once.
 
@@ -290,8 +286,7 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None,
     its recurrence residual R, both (n, k c). If it returns True while a
     column is still running, it is asked again on the true residual
     B - A X (one product), so recurrence drift cannot stop the run, and the
-    run stops if it holds there too. ``go_on(X, R)``, when given, is asked
-    next, and the run ends, unconfirmed, once it returns False.
+    run stops if it holds there too.
 
     Returns the solutions and their recurrence residuals, both (k, n, c),
     and per block the iterations its slowest column ran and whether all its
@@ -334,8 +329,6 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None,
         active = ~(np.sqrt(rr) <= thresh)
         iters += 1
         if stop is not None and stop(X, R) and bool(active.any()) and stop(X, B - matvec(X)):
-            break
-        if go_on is not None and not go_on(X, R):
             break
     X = X.reshape(n, k, c).transpose(1, 0, 2)
     R = R.reshape(n, k, c).transpose(1, 0, 2)
@@ -418,6 +411,8 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     statistic would always hand the argmin to the spikiest candidate. The
     penalized statistic trades fit against norm instead, so rough kernels pay
     for their large norms and overly smooth ones pay for their residuals.
+    The ridge must be positive: at 0 the smooth candidates' solves run to
+    the CG cap.
 
     Candidates are visited from the largest sigma down, each Gram built into
     one shared buffer. Every CG iterate x, with residual r = u - A x and
@@ -427,13 +422,11 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     its statistic NaN, once its lower end exceeds (1 + PRUNE_MARGIN) times
     the smallest upper end of the candidates solved so far, a decision CG
     confirms on the true residual; a pruned candidate cannot be the argmin.
-    Each candidate takes one plain CG step first, and a second one when the
-    first has taken its lower end past half the limit, where the next step
-    is likely to prune it. Only then does it build the pivoted Cholesky
-    factor of its Gram (see ``ridge_path``) to continue, preconditioned,
-    from that iterate, so one pruned or solved in its plain steps builds
-    none. The diagnostics record per candidate the factor's
-    rank (0 where none was used), CG steps, residual, whether it was
+    Each candidate takes one plain CG step first. Only then does it build
+    the pivoted Cholesky factor of its Gram (see ``ridge_path``) to
+    continue, preconditioned, from that iterate, so one pruned or solved in
+    its plain step builds none. The diagnostics record per candidate the
+    factor's rank (0 where none was used), CG steps, residual, whether it was
     ``pruned``, and the ``lower`` and ``upper`` ends of its bracket at its
     last iterate. Candidates whose solve fails to converge are skipped;
     equal statistics break toward the smaller sigma. Returns (KernelSpec,
@@ -442,8 +435,8 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     candidates = sorted(candidates, key=lambda s: s.sigma)
     if not candidates:
         raise EmptyInputError("no kernel candidates")
-    if not ridge >= 0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
+    if not ridge > 0:
+        raise ValueError(f"ridge must be positive, got {ridge}")
     cal_instances = np.asarray(cal_instances, dtype=np.float64)
     W = as_weight_matrix(naive_weights, score_matrix.n, score_matrix.c)
     q0 = conformal_quantile_weighted(score_matrix.values, W, alpha)
@@ -469,10 +462,7 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
             upper[j] = lower[j] + float(np.vdot(R, R)) / shift
             return lower[j] > limit
 
-        def halfway(X, R):  # the first step took the lower end past half the limit: a second likely prunes
-            return 2.0 * lower[j] > limit
-
-        X, R, steps, done = _cg_columns(matvec, U, 1e-8, min(2, CG_MAX_ITERS), stop=beaten, go_on=halfway)
+        X, R, steps, done = _cg_columns(matvec, U, 1e-8, min(1, CG_MAX_ITERS), stop=beaten)
         if not (done[0] or lower[j] > limit) and steps[0] < CG_MAX_ITERS:
             precond, ranks[j] = _nystrom_preconditioner(K0, np.array([shift]), U.shape[1])
             X, R, more, done = _cg_columns(matvec, U, 1e-8, CG_MAX_ITERS - steps[0], precond, X, R, beaten)

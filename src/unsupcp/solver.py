@@ -169,13 +169,13 @@ class SolverReport:
     is b - B w, +inf when unconstrained; it never drops below -1e-8 b.
     ``dual_lambda`` is the loss constraint's multiplier at the last
     projection, 0 when the cut was slack there. ``restarts`` counts the
-    momentum restarts. ``perron_ratio`` is the estimate of lambda_1 /
-    lambda_2 of K0: NaN below METRIC_MIN_N, where lambda_2 is not
-    estimated (or for a rank-one K0), and below METRIC_RATIO the value at
-    which its estimate stopped (see ``_power_lip``), which overstates the
-    ratio. ``metric_iteration`` is the
-    iteration at which the Perron metric was dropped: 0 when it stayed on
-    to the end, -1 when it never ran.
+    momentum restarts, each after a step with nonzero momentum raised Phi.
+    ``perron_ratio`` is the estimate of lambda_1 / lambda_2 of K0: NaN
+    below METRIC_MIN_N, where lambda_2 is not estimated (or for a rank-one
+    K0), and below METRIC_RATIO the value at which its estimate stopped
+    (see ``_power_lip``), which overstates the ratio. ``metric_iteration``
+    is the iteration at which the Perron metric was dropped: 0 when it
+    stayed on to the end, -1 when it never ran.
     """
 
     objective_value: float
@@ -190,23 +190,6 @@ class SolverReport:
     restarts: int = 0
     perron_ratio: float = math.nan
     metric_iteration: int = -1
-
-
-@dataclass(frozen=True)
-class _InnerSolve:
-    """One FISTA solve: the iterate W with its float64 K0 @ W, the iteration
-    count, the objective history, the loss constraint's multiplier at the
-    last projection, the iteration of the float64 switch (0 when none), the
-    momentum restarts and the metric's drop iteration (see ``_fista``)."""
-
-    W: np.ndarray
-    KW: np.ndarray
-    iterations: int
-    history: np.ndarray
-    multiplier: float
-    switch_iteration: int
-    restarts: int
-    metric_iteration: int
 
 
 def _project_cut(V: np.ndarray, cut: ConstraintSet | None, mu: float = 0.0):
@@ -360,8 +343,9 @@ def _value_and_gap(W, KW, G, cut, lam):
     return q - s, 2.0 * q - s - lower, grad
 
 
-def _fista(K0, G, W0, lip, max_iters, rel_tol, cut=None, K32=None, metric=None) -> _InnerSolve:
+def _fista(K0, G, W0, max_iters, rel_tol, cut=None, K32=None):
     """Accelerated projected gradient on h(W) = (1/n)<W, K0 W> - <G, W>.
+    Returns the last iterate W and its SolverReport.
 
     Feasible set is the product of per-row simplices, cut by the loss
     constraint when ``cut`` is given (see ``_project_cut``). Each iteration
@@ -369,31 +353,35 @@ def _fista(K0, G, W0, lip, max_iters, rel_tol, cut=None, K32=None, metric=None) 
     momentum point follow by linearity, and the gap from the same product.
     Each multiplier search starts from the last accepted one's mu.
 
-    The step is 1/lip, with lip = 2/n times lambda_1's estimate. ``metric``
-    = (v, lip2), with v the Perron vector and lip2 the step constant of
-    lambda_2, steps in the metric M = lip2 I + (lip - lip2) v v^T instead
-    (see ``_MetricStep``): M still bounds the Hessian (2/n) K0, but its
-    Perron direction no longer sets the step in every other one. The cut's
-    multiplier is then mu lip2 rather than mu lip. If a plain metric step
-    fails to lower h (lambda_2 underestimated, or a wrong support
-    prediction), the metric is dropped for good and the step is 1/lip
-    again; the iteration of that drop is ``metric_iteration``, 0 when the
-    metric stayed on and -1 when it never ran.
+    The step is 1/L, with L = POWER_MARGIN 2/n lambda_1 from power
+    iteration (``_power_lip``). At n >= METRIC_MIN_N that also estimates
+    lambda_2, and when lambda_1 / lambda_2 >= METRIC_RATIO the steps run in
+    the Perron metric M = L_2 I + (L - L_2) v v^T instead, with v the Perron
+    vector and L_2 = LAMBDA2_MARGIN 2/n lambda_2 (see ``_MetricStep``): M
+    still bounds the Hessian (2/n) K0, but its Perron direction no longer
+    sets the step in every other one. The cut's multiplier is then mu L_2
+    rather than mu L.
 
-    Products run on ``K32``, a float32 copy of K0, when given; iterates,
-    gradients and sums stay float64. The switch to float64 products is one
-    way and happens when float32 rounding stalls progress: a restart's plain
-    step fails to lower h (after the metric was dropped), or the float32 gap
-    certifies (or the change stalls) while the float64 gap at the same
-    iterate does not. The solve stops when the gap certifies in float64,
-    when a float64 step changes h by less than STALL_REL relative
-    (roundoff), or after ``max_iters`` iterations; the returned K0 @ W is
-    float64 in every case.
+    Products run on ``K32``, a float32 copy of K0, when given (power
+    iteration too); iterates, gradients and sums stay float64. The solve
+    stops when the gap certifies in float64, when a float64 step changes h
+    by less than STALL_REL relative (roundoff), or after ``max_iters``
+    iterations. The reported objective,
+    gap and ``converged`` are evaluated at W with a float64 K0 @ W.
 
-    Momentum restarts (counted in ``restarts``) on a function increase by
-    redoing the step as plain projected gradient from the previous iterate,
-    which the descent lemma makes non-increasing. The history (one value per
-    iteration) is therefore monotone within each precision: in float32, and
+    A step that raises h runs a fallback ladder, each rung followed by a
+    plain step from the previous iterate, until one lowers h:
+    1. a momentum restart, only when the momentum was nonzero (otherwise the
+       plain step is the step that failed); ``restarts`` counts these;
+    2. the Perron metric is dropped for good (lambda_2 underestimated, or a
+       wrong support prediction) and the step is 1/L again; its iteration
+       is ``metric_iteration``, 0 when the metric stayed on and -1 when it
+       never ran;
+    3. float32 rounding stalls progress: the products move to float64 for
+       good, and the iterate is re-evaluated in float64.
+    The momentum restarts from the next step whenever the ladder runs. The
+    descent lemma makes the plain step non-increasing, so the history (one
+    value per iteration) is monotone within each precision: in float32, and
     in either precision while the metric is on, a step is kept only if it
     does not raise h, and a float64 plain step can rise only by roundoff or
     by the cut's 1e-8 b slack band. Either switch re-evaluates the current
@@ -402,30 +390,37 @@ def _fista(K0, G, W0, lip, max_iters, rel_tol, cut=None, K32=None, metric=None) 
     recorded float32 value by the product's float32 rounding (about 1e-7
     relative): across a switch the history is monotone to that rounding.
     """
-    step = 1.0 / lip
+    n = K0.shape[0]
     K = K0 if K32 is None else K32
-    prox = _MetricStep(step, cut) if metric is None else _MetricStep(1.0 / metric[1], cut, metric[0], lip - metric[1])
+    lam1, v, lam2 = _power_lip(K, deflate=n >= METRIC_MIN_N)
+    lip = POWER_MARGIN * 2.0 / n * lam1
+    step = 1.0 / lip
+    ratio = lam1 / lam2 if lam2 > 0.0 else math.nan  # NaN below the n gate (or for a rank-one K0)
+    if ratio >= METRIC_RATIO:
+        lip2 = LAMBDA2_MARGIN * 2.0 / n * lam2
+        prox, dropped = _MetricStep(1.0 / lip2, cut, v.astype(np.float64), lip - lip2), 0
+    else:
+        prox, dropped = _MetricStep(step, cut), -1
 
     def evaluate(W, mu):
         # K0 is symmetric: (W^T K0)^T runs about twice as fast as K0 W on thin W
         KW = (W.T @ K0).T if K is K0 else (K32 @ W.astype(np.float32)).astype(np.float64)
-        return (KW, *_value_and_gap(W, KW, G, cut, mu / prox.step))
+        return _value_and_gap(W, KW, G, cut, mu / prox.step)
 
     X, mu = _project_cut(W0, cut)
     prox.support = (X > 0.0).astype(np.float64)
-    KX, f, gap, gX = evaluate(X, mu)
+    f, gap, gX = evaluate(X, mu)
     hist = np.empty(max_iters + 1)
     hist[0] = f
     Xp, gXp, t = X, gX, 1.0
     rel, iters, switch, restarts = math.inf, 0, 0, 0
-    dropped = -1 if metric is None else 0
     while True:
         certified = gap <= rel_tol * max(1.0, abs(f))
         if K is not K0 and (certified or rel < STALL_REL):
             # a float32 certificate or stall is checked with float64 products,
             # which stay on unless they certify
             K = K0
-            KX, f, gap, gX = evaluate(X, mu)
+            f, gap, gX = evaluate(X, mu)
             certified = gap <= rel_tol * max(1.0, abs(f))
             if not certified:
                 switch, rel = iters + 1, math.inf
@@ -437,33 +432,49 @@ def _fista(K0, G, W0, lip, max_iters, rel_tol, cut=None, K32=None, metric=None) 
         beta = (t - 1.0) / t_next
         Y = X + beta * (X - Xp)
         Z, mu_z = prox(Y, gX + beta * (gX - gXp), mu)
-        KZ, fz, gap_z, gZ = evaluate(Z, mu_z)
+        fz, gap_z, gZ = evaluate(Z, mu_z)
         if fz > f:
-            restarts += 1
-            Z, mu_z = prox(X, gX, mu)
-            KZ, fz, gap_z, gZ = evaluate(Z, mu_z)
-            if fz > f and prox.beta > 0.0:
-                # the metric overshoots: drop it for good, rescaling X's multiplier to the step 1/lip
-                mu *= step / prox.step
-                prox, dropped = _MetricStep(step, cut), iters
+            for rung in range(3):
+                if rung == 0 and beta > 0.0:
+                    restarts += 1
+                elif rung == 1 and prox.beta > 0.0:
+                    # the metric overshoots: drop it for good, rescaling X's multiplier to the step 1/L
+                    mu *= step / prox.step
+                    prox, dropped = _MetricStep(step, cut), iters
+                elif rung == 2 and K is not K0:
+                    # float32 rounding stalls progress: redo the step in float64
+                    K, switch = K0, iters
+                    f, gap, gX = evaluate(X, mu)
+                else:
+                    continue
                 Z, mu_z = prox(X, gX, mu)
-                KZ, fz, gap_z, gZ = evaluate(Z, mu_z)
-            if fz > f and K is not K0:
-                # float32 rounding stalls progress: redo the step in float64
-                K, switch = K0, iters
-                KX, f, gap, gX = evaluate(X, mu)
-                Z, mu_z = prox(X, gX, mu)
-                KZ, fz, gap_z, gZ = evaluate(Z, mu_z)
+                fz, gap_z, gZ = evaluate(Z, mu_z)
+                if fz <= f:
+                    break
             t_next = 1.0
         rel = abs(f - fz) / max(1.0, abs(fz))
         Xp, gXp = X, gX
-        X, KX, f, gap, gX, mu = Z, KZ, fz, gap_z, gZ, mu_z
+        X, f, gap, gX, mu = Z, fz, gap_z, gZ, mu_z
         t = t_next
         hist[iters] = f
     if K is not K0:
-        KX = (X.T @ K0).T
-    return _InnerSolve(W=X, KW=KX, iterations=iters, history=hist[: iters + 1], multiplier=mu / prox.step,
-                       switch_iteration=switch, restarts=restarts, metric_iteration=dropped)
+        K = K0
+        f, gap, _ = evaluate(X, mu)
+    slack = math.inf if cut is None else cut.bound - float(np.sum(cut.loss_matrix * X))
+    return X, SolverReport(
+        objective_value=f,
+        iterations=iters,
+        inequality_slack=slack,
+        dual_lambda=mu / prox.step,
+        converged=bool(gap <= rel_tol * max(1.0, abs(f))),
+        objective_history=hist[: iters + 1],
+        gap=gap,
+        step=step,
+        switch_iteration=switch,
+        restarts=restarts,
+        perron_ratio=ratio,
+        metric_iteration=dropped,
+    )
 
 
 def solve_label_weights(
@@ -479,54 +490,20 @@ def solve_label_weights(
     the first projection) when even the per-block loss-minimizing vertices
     violate the bound.
 
-    One FISTA run whose every step projects onto the simplices cut by the
-    loss constraint; ``options.max_iters`` caps the whole solve. Its step
-    comes from power iteration (``_power_lip``). At n >= METRIC_MIN_N that
-    also estimates lambda_2, and when lambda_1 / lambda_2 >= METRIC_RATIO
-    the steps run in the Perron metric (see ``_fista``) until a plain
-    metric step fails to lower the objective. Otherwise every step is the
-    plain 1/L step. At ``options.rel_tol`` >= FLOAT32_GAP_FLOOR its
-    products start on a float32 copy of K0 that lives only during the
-    solve. The reported gap, objective and ``converged`` are evaluated at
-    the returned weights with a float64 K0 @ W, and the gap's multiplier
-    is the last projection's mu times the Euclidean step constant it ran
-    at (L_2 in the metric).
+    One FISTA run (``_fista``) whose every step projects onto the simplices
+    cut by the loss constraint; ``options.max_iters`` caps the whole solve.
+    At ``options.rel_tol`` >= FLOAT32_GAP_FLOOR its products start on a
+    float32 copy of K0 that lives only during the solve. The reported gap,
+    objective and ``converged`` are evaluated at the returned weights with
+    a float64 K0 @ W, and the gap's multiplier is the last projection's mu
+    times the Euclidean step constant it ran at (L_2 in the metric).
     """
     options = options or SolverOptions()
-    n, m, c = ctx.n, ctx.m, ctx.c
-    K0 = ctx.base_gram
-    V = ctx.cross_v
+    n, c = ctx.n, ctx.c
     W0 = np.full((n, c), 1.0 / c) if init is None else as_weight_matrix(init, n, c).copy()
-    G = (2.0 / m) * V
-
-    B, b = (None, np.inf) if constraints is None else (constraints.loss_matrix, constraints.bound)
-    if B is not None and B.shape != (n, c):
-        raise ValueError(f"loss_matrix shape {B.shape} != ({n}, {c})")
-
+    if constraints is not None and constraints.loss_matrix.shape != (n, c):
+        raise ValueError(f"loss_matrix shape {constraints.loss_matrix.shape} != ({n}, {c})")
+    K0 = ctx.base_gram
     K32 = K0.astype(np.float32) if options.rel_tol >= FLOAT32_GAP_FLOOR else None
-    lam1, v, lam2 = _power_lip(K0 if K32 is None else K32, deflate=n >= METRIC_MIN_N)
-    lip = POWER_MARGIN * 2.0 / n * lam1
-    ratio = lam1 / lam2 if lam2 > 0.0 else math.nan  # NaN below the n gate (or for a rank-one K0)
-    metric = (v.astype(np.float64), LAMBDA2_MARGIN * 2.0 / n * lam2) if ratio >= METRIC_RATIO else None
-    run = _fista(K0, G, W0, lip, options.max_iters, options.rel_tol, constraints, K32, metric)
-
-    W, lam = run.W, run.multiplier
-    value, gap, _ = _value_and_gap(W, run.KW, G, constraints, lam)
-    slack = np.inf if B is None else b - float(np.sum(B * W))
-
-    weights = LabelWeights(w=W.ravel(), n=n, c=c)
-    report = SolverReport(
-        objective_value=value,
-        iterations=run.iterations,
-        inequality_slack=float(slack),
-        dual_lambda=float(lam),
-        converged=bool(gap <= options.rel_tol * max(1.0, abs(value))),
-        objective_history=run.history,
-        gap=gap,
-        step=1.0 / lip,
-        switch_iteration=run.switch_iteration,
-        restarts=run.restarts,
-        perron_ratio=ratio,
-        metric_iteration=run.metric_iteration,
-    )
-    return weights, report
+    W, report = _fista(K0, (2.0 / ctx.m) * ctx.cross_v, W0, options.max_iters, options.rel_tol, constraints, K32)
+    return LabelWeights(w=W.ravel(), n=n, c=c), report

@@ -276,10 +276,11 @@ class TestSelectKernel:
         assert np.isinf(diag["q_hat0"])
         assert diag["statistics"][1] < diag["statistics"][0]
 
-    def test_smoother_also_wins_without_ridge(self):
+    def test_zero_ridge_rejected(self):
+        # without a ridge the smooth candidates' solves run to the CG cap
         cal, scores, weights, alpha = self._all_ones_fixture(2, 2, 0.1)
-        spec, _ = select_kernel([KernelSpec(0.05), KernelSpec(5.0)], cal, scores, weights, alpha, ridge=0.0)
-        assert spec.sigma == 5.0
+        with pytest.raises(ValueError, match="ridge must be positive"):
+            select_kernel([KernelSpec(0.05), KernelSpec(5.0)], cal, scores, weights, alpha, ridge=0.0)
 
     def test_equal_statistics_tie_to_smaller_sigma(self):
         # n=1 blocks are 1x1, so the penalized statistic is sigma-independent
@@ -408,32 +409,8 @@ class TestSelectKernel:
         assert first.any()
         assert np.all(diag["ranks"][first] == 0)
         # a factor is built for exactly the candidates that went past their
-        # plain steps, and on this fixture every such factor is kept
+        # plain step, and on this fixture every such factor is kept
         assert len(built) == int(np.sum(diag["iterations"] > 1)) == int(np.sum(diag["ranks"] > 0))
-
-    def test_candidate_halfway_to_the_limit_takes_a_second_plain_step(self, monkeypatch):
-        # a candidate whose first step takes its lower end past half the best
-        # upper end takes a second plain CG step, continuing the recurrence,
-        # before it builds a factor; on this fixture that step prunes one
-        cal, scores, weights = self._mixture_fixture(41, 2, 3.0)
-        built = []
-
-        def counted(K, mu):
-            built.append(mu)
-            return _pivoted_cholesky(K, mu)
-
-        monkeypatch.setattr(kernel_mod, "_pivoted_cholesky", counted)
-        grid = bandwidth_grid(2)
-        _, diag = select_kernel(grid, cal, scores, weights, 0.1)
-        second = np.flatnonzero(diag["pruned"] & (diag["iterations"] == 2) & (diag["ranks"] == 0))
-        assert second.size > 0
-        assert len(built) == int(np.sum(diag["ranks"] > 0))
-        U = (scores.values <= diag["q_hat0"]).astype(np.float64)
-        for j in second:
-            K = gaussian_gram(cal, cal, grid[j].sigma)
-            shift = kernel_mod.CG_JITTER_SCALE * float(K.trace() / K.shape[0]) + kernel_mod.SELECTION_RIDGE
-            X, R, _, _ = _cg_columns(lambda P: K @ P + shift * P, U, 1e-8, 2)
-            np.testing.assert_allclose(diag["lower"][j], float(np.vdot(U + R[0], X[0])), rtol=1e-9)
 
     def test_diagnostics_shape(self):
         cal, scores, weights, alpha = self._all_ones_fixture(2, 3, 0.1)
@@ -764,23 +741,6 @@ class TestPreconditionedCG:
         assert X[0].tobytes() == _cg_columns(matvec, u, 1e-8, 1)[0][0].tobytes()
 
 
-    def test_go_on_ends_the_run_unconfirmed(self):
-        K, u, mu, matvec = _ill_conditioned_system(n=120)
-        products = []
-
-        def counted(P):
-            products.append(1)
-            return matvec(P)
-
-        X, R, iters, converged = _cg_columns(counted, u, 1e-8, 1500, go_on=lambda X, R: False)
-        assert int(iters[0]) == 1 and not bool(converged[0]) and len(products) == 1
-        one = _cg_columns(matvec, u, 1e-8, 1)
-        assert X.tobytes() == one[0].tobytes() and R.tobytes() == one[1].tobytes()
-        X, _, iters, _ = _cg_columns(matvec, u, 1e-8, 1500, go_on=lambda X, R: True)
-        X0, _, iters0, _ = _cg_columns(matvec, u, 1e-8, 1500)
-        assert X.tobytes() == X0.tobytes() and int(iters[0]) == int(iters0[0])
-
-
 class TestPivotedCholesky:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -797,13 +757,12 @@ class TestPivotedCholesky:
         X[rng.integers(0, n, duplicates)] = X[rng.integers(0, n, duplicates)]  # duplicated points
         sigma = scale * math.sqrt(d / 2.0)
         K = gaussian_gram(X, X, sigma)
-        F, pivots, trace = _pivoted_cholesky(K, mu)
+        F, trace = _pivoted_cholesky(K, mu)
         r = F.shape[0]
-        assert r <= n // 16 and pivots.shape == (r,)
-        assert len(set(pivots.tolist())) == r
+        assert r <= n // 16
         E = K - F.T @ F
         assert np.linalg.eigvalsh(E).min() >= -1e-10 * n
         assert abs(trace - np.trace(E)) <= 1e-9 * n
         assert r == n // 16 or np.diag(E).max() <= 1e-3 * mu + 1e-12
-        F2, pivots2, trace2 = _pivoted_cholesky(K, mu)
-        assert F2.tobytes() == F.tobytes() and pivots2.tobytes() == pivots.tobytes() and trace2 == trace
+        F2, trace2 = _pivoted_cholesky(K, mu)
+        assert F2.tobytes() == F.tobytes() and trace2 == trace
