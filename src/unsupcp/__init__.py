@@ -7,7 +7,7 @@ scores exactly as in the supervised procedure; one-hot weights at the true
 labels recover it bit for bit.
 """
 
-from .bounds import BoundInputs, coverage_diagnostic_E, excess_gap_kernel
+from .bounds import coverage_diagnostic_E, coverage_gap_bound, excess_gap_kernel
 from .classifier import (
     LossBound,
     ProbModel,
@@ -76,7 +76,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundInputs",
     "CalibrationResult",
     "ConstraintSet",
     "CoverageReport",
@@ -108,6 +107,7 @@ __all__ = [
     "conformal_quantile_supervised",
     "conformal_quantile_weighted",
     "coverage_diagnostic_E",
+    "coverage_gap_bound",
     "dual_witness_check",
     "emit_results",
     "estimate_loss_bound",

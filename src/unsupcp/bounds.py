@@ -3,55 +3,87 @@
 The bound is arithmetic on validated inputs; nothing here is estimated. It
 takes the Gaussian pair kernel's sup K = 1 as its kernel bound and
 optionally union-corrects over the number of bandwidth candidates searched
-(log(2s/delta) with s = num_candidates).
+(log(2s/delta) with s = num_candidates). ``coverage_gap_bound`` certifies
+one calibration: it fits the comparison functions and takes the tightest
+of their bounds.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import as_weight_matrix
+from .kernel import CG_MAX_ITERS, KernelContext, as_weight_matrix, ridge_path
+
+BOUND_RIDGES = (30.0, 300.0, 3000.0)  # ridges of the penalized fits the coverage-gap bound is minimized over
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Ingredients of the kernel coverage-gap bound.
-
-    ``rkhs_norm`` is the radius R of the comparison function, ``approx_error``
-    its average approximation error to the set indicator, and
-    ``num_candidates`` the size of the kernel grid the union bound must cover
-    (1 = no selection).
-    """
-
-    n: int
-    m: int
-    delta: float
-    rkhs_norm: float = 1.0
-    approx_error: float = 0.0
-    num_candidates: int = 1
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be >= 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if not (self.rkhs_norm >= 0 and self.approx_error >= 0):
-            raise ValueError("rkhs_norm and approx_error must be nonnegative")
-        if self.num_candidates < 1:
-            raise ValueError("num_candidates must be >= 1")
-
-
-def excess_gap_kernel(inp: BoundInputs) -> float:
+def excess_gap_kernel(n: int, m: int, delta: float, rkhs_norm: float = 1.0, approx_error: float = 0.0,
+                      num_candidates: int = 1) -> float:
     """Kernel-family coverage-gap bound.
 
     approx_error + 2 (1 + sqrt(log(2 s / delta))) sqrt(1/n + 1/m) R for a
     kernel bounded by 1, holding with probability 1 - delta over both
-    samples, union-corrected over s candidate kernels.
+    samples, union-corrected over s candidate kernels. ``rkhs_norm`` is the
+    radius R of the comparison function, ``approx_error`` its average
+    approximation error to the set indicator, and ``num_candidates`` the
+    size s of the kernel grid the union bound must cover (1 = no selection).
     """
-    dev = 1.0 + math.sqrt(math.log(2.0 * inp.num_candidates / inp.delta))
-    rate = math.sqrt(1.0 / inp.n + 1.0 / inp.m)
-    return inp.approx_error + 2.0 * dev * rate * inp.rkhs_norm
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be >= 1")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    if not (rkhs_norm >= 0 and approx_error >= 0):
+        raise ValueError("rkhs_norm and approx_error must be nonnegative")
+    if num_candidates < 1:
+        raise ValueError("num_candidates must be >= 1")
+    dev = 1.0 + math.sqrt(math.log(2.0 * num_candidates / delta))
+    rate = math.sqrt(1.0 / n + 1.0 / m)
+    return approx_error + 2.0 * dev * rate * rkhs_norm
+
+
+def coverage_gap_bound(ctx: KernelContext, u, delta: float, num_candidates: int) -> tuple[float, dict]:
+    """The tightest certified coverage-gap bound for the inclusion indicator
+    ``u`` (n, c) of one calibration, and the path it was minimized over.
+
+    Every comparison function f of u certifies ``excess_gap_kernel`` with
+    its norm and its approximation error, union-corrected over the
+    ``num_candidates`` bandwidths searched, so the minimum over several f is
+    itself certified. They are the penalized fits of u against
+    ``ctx.base_gram`` at the ridges BOUND_RIDGES, solved in one
+    ``ridge_path`` run, and f = 0, whose bound sum(u) / n costs no kernel
+    product, so a bound always exists.
+
+    Returns (bound, bound_path). ``bound_path`` records the ``ridges``
+    (BOUND_RIDGES), the ``rank`` of the path's CG preconditioner factor (0
+    when plain CG ran), per ridge the CG ``iterations`` and ``residuals``
+    and the certified ``bounds`` (NaN where the fit did not converge within
+    CG_MAX_ITERS), and the ``zero`` function's bound.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != (ctx.n, ctx.c):
+        raise ValueError(f"u shape {u.shape} != ({ctx.n}, {ctx.c})")
+    fits = ridge_path(ctx.base_gram, u, BOUND_RIDGES, max_iters=CG_MAX_ITERS)
+    ok = [j for j, fit in enumerate(fits) if fit.converged]
+    bounds = np.full(len(BOUND_RIDGES), np.nan)
+    if ok:
+        # K is symmetric: (Gamma^T K)^T runs about twice as fast as K Gamma on thin Gamma
+        fitted = (np.hstack([fits[j].gamma for j in ok]).T @ ctx.base_gram).T
+        for k, j in enumerate(ok):
+            F = fitted[:, k * ctx.c:(k + 1) * ctx.c]
+            norm_sq = max(float(np.sum(fits[j].gamma * F)), 0.0)
+            bounds[j] = excess_gap_kernel(ctx.n, ctx.m, delta, rkhs_norm=math.sqrt(norm_sq),
+                                          approx_error=float(np.abs(u - F).sum()) / ctx.n,
+                                          num_candidates=num_candidates)
+    zero = float(u.sum()) / ctx.n  # f = 0 has norm 0, so its bound is its approximation error
+    bound_path = {
+        "ridges": np.array(BOUND_RIDGES),
+        "iterations": np.array([fit.iterations for fit in fits]),
+        "residuals": np.array([fit.residual for fit in fits]),
+        "rank": fits[0].rank,
+        "bounds": bounds,
+        "zero": zero,
+    }
+    return float(np.nanmin([*bounds, zero])), bound_path
 
 
 def coverage_diagnostic_E(w, score_values: np.ndarray, q_hat: float, true_labels: np.ndarray) -> float:

@@ -17,6 +17,7 @@ instances, then runs each requested method:
 import csv
 import json
 import math
+import numbers
 import os
 import platform
 import time
@@ -26,19 +27,17 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bounds import BoundInputs, coverage_diagnostic_E, excess_gap_kernel
+from .bounds import coverage_diagnostic_E, coverage_gap_bound
 from .classifier import ProbModel, estimate_loss_bound, predict_labels, train_logistic
 from .data import Dataset, SplitSpec, SyntheticConfig, generate_synthetic, load_csv_dataset, split_dataset
 from .errors import EmptyInputError
 from .kernel import (
-    CG_MAX_ITERS,
     SELECTION_RIDGE,
     KernelContext,
     KernelSpec,
     bandwidth_grid,
     build_context,
     mmd_objective,
-    ridge_path,
     select_kernel,
 )
 from .quantile import conformal_quantile_supervised, conformal_quantile_weighted, evaluate, prediction_mask
@@ -56,7 +55,6 @@ METHODS = ("supervised", "unsupervised", "naive")
 VALIDATION_FRACTION = 0.2
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 TRACEBACK_TAIL = 6  # traceback entries a failure keeps: the last five frames and the error line
-BOUND_RIDGES = (30.0, 300.0, 3000.0)  # ridges of the penalized fits the coverage-gap bound is minimized over
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,11 @@ class ExperimentConfig:
     delta: float = 0.1
 
     def __post_init__(self):
-        object.__setattr__(self, "cal_sizes", tuple(int(v) for v in self.cal_sizes))
+        for name in ("train_size", "test_size", "trials", "seed", "classifier_max_iters", "solver_max_iters"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        if self.m is not None:
+            object.__setattr__(self, "m", _count("m", self.m))
+        object.__setattr__(self, "cal_sizes", tuple(_count("cal_sizes", v) for v in self.cal_sizes))
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.bandwidth_scales is not None:
             object.__setattr__(self, "bandwidth_scales", tuple(float(v) for v in self.bandwidth_scales))
@@ -159,6 +161,14 @@ class ExperimentConfig:
         if self.bandwidth_scales is not None:
             d["bandwidth_scales"] = list(self.bandwidth_scales)
         return d
+
+
+def _count(name: str, v) -> int:
+    """A config count as an int. An integral float such as 2000.0 passes; a
+    bool, a fractional value or a non-number raises, naming the field."""
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool) or isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
 def _val_count(train_size: int) -> int:
@@ -274,13 +284,7 @@ class CalibrationResult:
     ``selection`` is the diagnostics dict of ``select_kernel`` (statistic
     NaN for a bandwidth that was pruned or whose fit did not converge);
     ``mmd`` the final discrepancy ``mmd_objective(weights, context)``;
-    ``kernel_bound`` the tightest certified coverage-gap bound over the
-    fits of the ridge path and the zero function. ``bound_path`` records
-    them: the ``ridges`` (BOUND_RIDGES), the ``rank`` of the path's CG
-    preconditioner factor (0 when plain CG ran), per ridge the CG
-    ``iterations`` and ``residuals`` and the certified ``bounds`` (NaN where
-    the fit did not converge within CG_MAX_ITERS), and the ``zero``
-    function's bound.
+    ``kernel_bound`` and ``bound_path`` the pair ``coverage_gap_bound`` returns.
     """
 
     q_hat: float
@@ -313,13 +317,9 @@ def calibrate_unsupervised(
     bandwidth, builds the kernel context against the labeled ``train``
     sample, solves the weight QP under the constraint that the mean
     cross-entropy stays below ``loss_bound``, and takes the weighted
-    conformal quantile. The coverage-gap bound is the smallest one certified
-    by a few comparison functions f of the final inclusion indicator u:
-    every f certifies approx_error(f) + 2 (1 + sqrt(log(2s/delta)))
-    sqrt(1/n + 1/m) ||f||, with s the number of bandwidth candidates, so the
-    minimum over them is itself certified. They are the penalized fits of u
-    at the ridges BOUND_RIDGES, which do not depend on ``selection_ridge``,
-    and f = 0, whose bound sum(u) / n costs no kernel product.
+    conformal quantile. ``coverage_gap_bound`` certifies the final
+    inclusion indicator u = 1{score <= q_hat}, union-corrected over the
+    bandwidth candidates; its ridges do not depend on ``selection_ridge``.
     ``selection_ridge`` must be positive: at 0 the smooth candidates'
     selection solves run to the CG cap.
     """
@@ -333,37 +333,7 @@ def calibrate_unsupervised(
     weights, report = solve_label_weights(ctx, constraints, solver_options, init=naive_w)
     q_hat = conformal_quantile_weighted(cal_scores.values, weights.matrix, alpha)
     mmd = mmd_objective(weights, ctx)
-
-    u_final = (cal_scores.values <= q_hat).astype(np.float64)
-    fits = ridge_path(ctx.base_gram, u_final, BOUND_RIDGES, tol=1e-8, max_iters=CG_MAX_ITERS)
-    ok = [j for j, fit in enumerate(fits) if fit.converged]
-    bounds = np.full(len(BOUND_RIDGES), np.nan)
-    if ok:
-        c = u_final.shape[1]
-        # K is symmetric: (Gamma^T K)^T runs about twice as fast as K Gamma on thin Gamma
-        fitted = (np.hstack([fits[j].gamma for j in ok]).T @ ctx.base_gram).T
-        for k, j in enumerate(ok):
-            F = fitted[:, k * c:(k + 1) * c]
-            norm_sq = max(float(np.sum(fits[j].gamma * F)), 0.0)
-            bounds[j] = excess_gap_kernel(
-                BoundInputs(
-                    n=ctx.n,
-                    m=ctx.m,
-                    delta=delta,
-                    rkhs_norm=math.sqrt(norm_sq),
-                    approx_error=float(np.abs(u_final - F).sum()) / ctx.n,
-                    num_candidates=len(grid),
-                )
-            )
-    zero = float(u_final.sum()) / ctx.n  # f = 0 has norm 0, so its bound is its approximation error
-    bound_path = {
-        "ridges": np.array(BOUND_RIDGES),
-        "iterations": np.array([fit.iterations for fit in fits]),
-        "residuals": np.array([fit.residual for fit in fits]),
-        "rank": fits[0].rank,
-        "bounds": bounds,
-        "zero": zero,
-    }
+    kernel_bound, bound_path = coverage_gap_bound(ctx, cal_scores.values <= q_hat, delta, len(grid))
     return CalibrationResult(
         q_hat=q_hat,
         weights=weights,
@@ -372,7 +342,7 @@ def calibrate_unsupervised(
         context=ctx,
         selection=selection,
         mmd=mmd,
-        kernel_bound=float(np.nanmin([*bounds, zero])),
+        kernel_bound=kernel_bound,
         bound_path=bound_path,
     )
 

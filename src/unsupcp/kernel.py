@@ -191,14 +191,13 @@ def mmd_objective(w, ctx: KernelContext) -> float:
 
 @dataclass(frozen=True)
 class InterpolationResult:
-    """Kernel-ridge fit of targets u: coefficients (shaped like u), squared
-    RKHS norm u^T gamma, largest column residual of the jittered solve,
-    iteration count, whether every column met the CG tolerance within the
-    cap, and the rank of the preconditioner's factor (0 when plain CG ran).
-    An unconverged fit holds the last iterate."""
+    """Kernel-ridge fit of targets u: coefficients (shaped like u), largest
+    column residual of the jittered solve, iteration count, whether every
+    column met the CG tolerance within the cap, and the rank of the
+    preconditioner's factor (0 when plain CG ran). An unconverged fit holds
+    the last iterate."""
 
     gamma: np.ndarray
-    min_norm_sq: float
     residual: float
     iterations: int
     converged: bool
@@ -336,7 +335,7 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None,
 
 
 def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
-               max_iters: int | None = None) -> list[InterpolationResult]:
+               max_iters: int = CG_MAX_ITERS) -> list[InterpolationResult]:
     """Solve (K + (jitter + ridge) I) gamma = u at every ridge of ``ridges``
     in one preconditioned CG run.
 
@@ -345,9 +344,7 @@ def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
     pair kernel is block diagonal with identical blocks. The jitter is 1e-10
     times the mean kernel diagonal. A zero ridge asks for plain
     interpolation; a positive one solves the penalized system, whose
-    statistic u^T gamma equals min_f ||f||^2 + ||f(Z) - u||^2 / ridge. The
-    reported min_norm_sq = u^T gamma (summed over columns) is clamped at 0;
-    it is nonnegative in exact arithmetic for PSD K.
+    statistic u^T gamma equals min_f ||f||^2 + ||f(Z) - u||^2 / ridge.
 
     The targets of every ridge are stacked into one (n, k c) block, each
     column with its own shift, and solved at one product with K per
@@ -355,7 +352,7 @@ def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
     the smallest ridge (plain CG where that factor cannot pay for itself).
     Returns one InterpolationResult per ridge, in the given order, with the
     iterations of its slowest column and the factor's rank. A ridge whose
-    solve misses the tolerance within the cap (default 10 n + 100) reads
+    solve misses the tolerance within the cap (default CG_MAX_ITERS) reads
     ``converged`` False with its own residual; the other ridges are
     unaffected.
     """
@@ -373,10 +370,7 @@ def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
     t = K.shape[0]
     if t == 0:
         raise EmptyInputError("empty system")
-    order = np.argsort(ridges, kind="stable")
-    shifts = CG_JITTER_SCALE * float(K.trace() / t) + ridges[order]
-    if max_iters is None:
-        max_iters = 10 * t + 100
+    shifts = CG_JITTER_SCALE * float(K.trace() / t) + ridges
     U = u if u.ndim == 2 else u[:, None]
     mu = np.repeat(shifts, U.shape[1])
     precond, rank = _nystrom_preconditioner(K, shifts, U.shape[1])
@@ -385,17 +379,16 @@ def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
     # twice as fast as K P on thin P
     X, R, iters, converged = _cg_columns(lambda P: (P.T @ K).T + mu * P, stack, tol, max_iters, precond)
     res = np.sqrt((R * R).sum(axis=1))
-    fits = [None] * ridges.size
-    for j, k in enumerate(order):
-        fits[k] = InterpolationResult(
+    return [
+        InterpolationResult(
             gamma=X[j] if u.ndim == 2 else X[j, :, 0],
-            min_norm_sq=max(float(np.sum(U * X[j])), 0.0),
             residual=float(res[j].max()),
             iterations=int(iters[j]),
             converged=bool(converged[j]),
             rank=rank,
         )
-    return fits
+        for j in range(ridges.size)
+    ]
 
 
 def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha: float,

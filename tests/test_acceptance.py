@@ -14,7 +14,7 @@ from scipy import stats
 
 from _oracles import dense_pair_kernel, mixture_logistic_model, qp_oracle
 from conftest import record_criterion
-from unsupcp.bounds import BoundInputs, excess_gap_kernel
+from unsupcp.bounds import excess_gap_kernel
 from unsupcp.classifier import ce_objective_grad, estimate_loss_bound, train_logistic
 from unsupcp.data import Dataset, SyntheticConfig, generate_synthetic, split_dataset
 from unsupcp.harness import (
@@ -322,15 +322,15 @@ def test_criterion_09_bound_monotone_and_calibrated(grid_results):
     """The kernel gap bound is monotone in each input as documented, and the
     measured |E| diagnostic exceeds the per-trial evaluated bound in at most a
     0.1 + 3 SE fraction of trials."""
-    ref = BoundInputs(n=100, m=100, delta=0.1, rkhs_norm=2.0, approx_error=0.01)
+    ref = dict(n=100, m=100, delta=0.1, rkhs_norm=2.0, approx_error=0.01)
     monotone = (
-        excess_gap_kernel(BoundInputs(n=400, m=100, delta=0.1, rkhs_norm=2.0, approx_error=0.01)) < excess_gap_kernel(ref)
-        and excess_gap_kernel(BoundInputs(n=100, m=400, delta=0.1, rkhs_norm=2.0, approx_error=0.01)) < excess_gap_kernel(ref)
-        and excess_gap_kernel(BoundInputs(n=100, m=100, delta=0.1, rkhs_norm=4.0, approx_error=0.01)) > excess_gap_kernel(ref)
-        and excess_gap_kernel(BoundInputs(n=100, m=100, delta=0.1, rkhs_norm=2.0, approx_error=0.5)) > excess_gap_kernel(ref)
-        and excess_gap_kernel(BoundInputs(n=100, m=100, delta=0.01, rkhs_norm=2.0, approx_error=0.01)) > excess_gap_kernel(ref)
-        and excess_gap_kernel(BoundInputs(n=100, m=100, delta=0.1, rkhs_norm=2.0, approx_error=0.01, num_candidates=10))
-        > excess_gap_kernel(ref)
+        excess_gap_kernel(n=400, m=100, delta=0.1, rkhs_norm=2.0, approx_error=0.01) < excess_gap_kernel(**ref)
+        and excess_gap_kernel(n=100, m=400, delta=0.1, rkhs_norm=2.0, approx_error=0.01) < excess_gap_kernel(**ref)
+        and excess_gap_kernel(n=100, m=100, delta=0.1, rkhs_norm=4.0, approx_error=0.01) > excess_gap_kernel(**ref)
+        and excess_gap_kernel(n=100, m=100, delta=0.1, rkhs_norm=2.0, approx_error=0.5) > excess_gap_kernel(**ref)
+        and excess_gap_kernel(n=100, m=100, delta=0.01, rkhs_norm=2.0, approx_error=0.01) > excess_gap_kernel(**ref)
+        and excess_gap_kernel(n=100, m=100, delta=0.1, rkhs_norm=2.0, approx_error=0.01, num_candidates=10)
+        > excess_gap_kernel(**ref)
     )
     rows = _method_rows(grid_results, "unsupervised")
     assert len(rows) >= 200

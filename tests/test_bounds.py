@@ -1,18 +1,24 @@
-"""The kernel gap bound: pinned values, monotonicity, and the E diagnostic."""
+"""The kernel gap bound: pinned values, monotonicity, the certified bound of
+one calibration, and the E diagnostic."""
 
 import math
 
 import numpy as np
 import pytest
 
-from unsupcp.bounds import BoundInputs, coverage_diagnostic_E, excess_gap_kernel
+from unsupcp import bounds
+from unsupcp.bounds import BOUND_RIDGES, coverage_diagnostic_E, coverage_gap_bound, excess_gap_kernel
+from unsupcp.data import Dataset
+from unsupcp.kernel import KernelSpec, build_context, ridge_path
 from unsupcp.solver import supervised_weights
 
 
 class TestBoundInputs:
+    """The keyword inputs of excess_gap_kernel: defaults and checks."""
+
     def test_defaults(self):
-        inp = BoundInputs(n=10, m=20, delta=0.1)
-        assert inp.rkhs_norm == 1.0 and inp.approx_error == 0.0 and inp.num_candidates == 1
+        explicit = excess_gap_kernel(n=10, m=20, delta=0.1, rkhs_norm=1.0, approx_error=0.0, num_candidates=1)
+        assert excess_gap_kernel(n=10, m=20, delta=0.1) == explicit
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -29,40 +35,94 @@ class TestBoundInputs:
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
-            BoundInputs(**kwargs)
+            excess_gap_kernel(**kwargs)
 
 
 class TestExcessGapKernel:
     def test_pinned_value(self):
         # 2 * (1 + sqrt(log(2/0.1))) * sqrt(2/1000) * 10 = 2.4425182150818956
-        inp = BoundInputs(n=1000, m=1000, delta=0.1, rkhs_norm=10.0)
-        assert abs(excess_gap_kernel(inp) - 2.4425182150818956) < 1e-12
+        assert abs(excess_gap_kernel(n=1000, m=1000, delta=0.1, rkhs_norm=10.0) - 2.4425182150818956) < 1e-12
 
     def test_pinned_value_with_selection(self):
         # 0.03 + 2 * (1 + sqrt(log(10/0.1))) * sqrt(1/400 + 1/900) * 1.5
-        inp = BoundInputs(n=400, m=900, delta=0.1, rkhs_norm=1.5, approx_error=0.03, num_candidates=5)
-        assert abs(excess_gap_kernel(inp) - 0.5971470909326966) < 1e-12
+        value = excess_gap_kernel(n=400, m=900, delta=0.1, rkhs_norm=1.5, approx_error=0.03, num_candidates=5)
+        assert abs(value - 0.5971470909326966) < 1e-12
 
     def test_zero_radius_leaves_approx_error(self):
-        inp = BoundInputs(n=10, m=10, delta=0.1, rkhs_norm=0.0, approx_error=0.25)
-        assert excess_gap_kernel(inp) == 0.25
+        assert excess_gap_kernel(n=10, m=10, delta=0.1, rkhs_norm=0.0, approx_error=0.25) == 0.25
 
     def test_root_two_scaling_in_sample_sizes(self):
-        base = BoundInputs(n=250, m=400, delta=0.1, rkhs_norm=3.0)
-        doubled = BoundInputs(n=500, m=800, delta=0.1, rkhs_norm=3.0)
-        assert abs(excess_gap_kernel(doubled) * math.sqrt(2.0) - excess_gap_kernel(base)) < 1e-12
+        base = dict(n=250, m=400, delta=0.1, rkhs_norm=3.0)
+        doubled = dict(n=500, m=800, delta=0.1, rkhs_norm=3.0)
+        assert abs(excess_gap_kernel(**doubled) * math.sqrt(2.0) - excess_gap_kernel(**base)) < 1e-12
 
     def test_monotonicity(self):
-        ref = BoundInputs(n=100, m=100, delta=0.1, rkhs_norm=2.0, approx_error=0.01)
-        assert excess_gap_kernel(BoundInputs(n=400, m=100, delta=0.1, rkhs_norm=2.0, approx_error=0.01)) < excess_gap_kernel(ref)
-        assert excess_gap_kernel(BoundInputs(n=100, m=400, delta=0.1, rkhs_norm=2.0, approx_error=0.01)) < excess_gap_kernel(ref)
-        assert excess_gap_kernel(BoundInputs(n=100, m=100, delta=0.1, rkhs_norm=4.0, approx_error=0.01)) > excess_gap_kernel(ref)
-        assert excess_gap_kernel(BoundInputs(n=100, m=100, delta=0.1, rkhs_norm=2.0, approx_error=0.5)) > excess_gap_kernel(ref)
-        assert excess_gap_kernel(BoundInputs(n=100, m=100, delta=0.01, rkhs_norm=2.0, approx_error=0.01)) > excess_gap_kernel(ref)
+        ref = dict(n=100, m=100, delta=0.1, rkhs_norm=2.0, approx_error=0.01)
+        assert excess_gap_kernel(n=400, m=100, delta=0.1, rkhs_norm=2.0, approx_error=0.01) < excess_gap_kernel(**ref)
+        assert excess_gap_kernel(n=100, m=400, delta=0.1, rkhs_norm=2.0, approx_error=0.01) < excess_gap_kernel(**ref)
+        assert excess_gap_kernel(n=100, m=100, delta=0.1, rkhs_norm=4.0, approx_error=0.01) > excess_gap_kernel(**ref)
+        assert excess_gap_kernel(n=100, m=100, delta=0.1, rkhs_norm=2.0, approx_error=0.5) > excess_gap_kernel(**ref)
+        assert excess_gap_kernel(n=100, m=100, delta=0.01, rkhs_norm=2.0, approx_error=0.01) > excess_gap_kernel(**ref)
         assert (
-            excess_gap_kernel(BoundInputs(n=100, m=100, delta=0.1, rkhs_norm=2.0, approx_error=0.01, num_candidates=10))
-            > excess_gap_kernel(ref)
+            excess_gap_kernel(n=100, m=100, delta=0.1, rkhs_norm=2.0, approx_error=0.01, num_candidates=10)
+            > excess_gap_kernel(**ref)
         )
+
+
+def _bound_inputs(n=40, m=50, c=3, seed=2):
+    rng = np.random.default_rng(seed)
+    train = Dataset(rng.standard_normal((m, 2)), rng.integers(1, c + 1, m), num_classes=c)
+    ctx = build_context(rng.standard_normal((n, 2)), train, KernelSpec(sigma=1.0))
+    return ctx, rng.uniform(0.0, 1.0, (n, c)) < 0.6
+
+
+class TestCoverageGapBound:
+    def test_each_ridge_certifies_its_fit(self, monkeypatch):
+        ctx, u = _bound_inputs()
+        U = u.astype(np.float64)
+        fits = []
+
+        def spy(*args, **kwargs):
+            fits.extend(ridge_path(*args, **kwargs))
+            return fits
+
+        monkeypatch.setattr(bounds, "ridge_path", spy)
+        bound, path = coverage_gap_bound(ctx, u, 0.1, 10)
+        assert len(fits) == len(BOUND_RIDGES)
+        np.testing.assert_array_equal(path["ridges"], BOUND_RIDGES)
+        for fit, certified in zip(fits, path["bounds"]):
+            assert fit.converged
+            F = ctx.base_gram @ fit.gamma  # dense float64 K gamma
+            expected = excess_gap_kernel(
+                n=ctx.n,
+                m=ctx.m,
+                delta=0.1,
+                rkhs_norm=math.sqrt(max(float(np.sum(fit.gamma * F)), 0.0)),
+                approx_error=float(np.abs(U - F).sum()) / ctx.n,
+                num_candidates=10,
+            )
+            assert abs(certified - expected) <= 1e-12 * expected
+        assert path["zero"] == U.sum() / ctx.n
+        assert bound == min(*path["bounds"], path["zero"])
+
+    def test_capped_fit_reads_nan_and_zero_still_bounds(self, monkeypatch):
+        ctx, u = _bound_inputs()
+        counts = coverage_gap_bound(ctx, u, 0.1, 10)[1]["iterations"]
+        assert counts[0] > counts[1]
+        monkeypatch.setattr(bounds, "CG_MAX_ITERS", int(counts[1]))
+        bound, path = coverage_gap_bound(ctx, u, 0.1, 10)
+        assert math.isnan(path["bounds"][0]) and path["iterations"][0] == counts[1]
+        assert np.all(np.isfinite(path["bounds"][1:]))
+        assert bound == min(float(np.min(path["bounds"][1:])), path["zero"])
+        monkeypatch.setattr(bounds, "CG_MAX_ITERS", 0)  # no fit converges
+        bound, path = coverage_gap_bound(ctx, u, 0.1, 10)
+        assert np.all(np.isnan(path["bounds"]))
+        assert bound == path["zero"] == u.sum() / ctx.n
+
+    def test_shape_checked(self):
+        ctx, u = _bound_inputs()
+        with pytest.raises(ValueError, match="u shape"):
+            coverage_gap_bound(ctx, u[:, :2], 0.1, 10)
 
 
 class TestCoverageDiagnosticE:

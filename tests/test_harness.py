@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from unsupcp import harness
+from unsupcp import bounds, harness
 from unsupcp.classifier import estimate_loss_bound, train_logistic
 from unsupcp.cli import main
 from unsupcp.data import Dataset, SplitSpec, SyntheticConfig, generate_synthetic, split_dataset
@@ -43,6 +43,20 @@ TINY_DATASET = {
     "cov_scale": 1.0,
     "priors": [0.5, 0.5],
 }
+
+
+# counts that are not integers, each rejected with an error naming its field
+NON_INTEGER_COUNTS = [
+    dict(cal_sizes=(20.7,)),
+    dict(m=10.5),
+    dict(trials=1.5),
+    dict(trials=True),
+    dict(train_size=60.5),
+    dict(test_size=15.5),
+    dict(seed=7.5),
+    dict(classifier_max_iters=500.5),
+    dict(solver_max_iters=10.5),
+]
 
 
 def _tiny_config(**overrides):
@@ -127,11 +141,24 @@ class TestExperimentConfig:
             dict(dataset={"type": "csv"}),
             dict(dataset={"type": "csv", "path": 3}),
             dict(selection_ridge=0.0),
+            *NON_INTEGER_COUNTS,
         ],
     )
     def test_validation(self, overrides):
         with pytest.raises(ValueError):
             _tiny_config(**overrides)
+
+    @pytest.mark.parametrize("overrides", NON_INTEGER_COUNTS)
+    def test_non_integer_count_names_its_field(self, overrides):
+        (name,) = overrides
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            _tiny_config(**overrides)
+
+    def test_integral_float_counts_stored_as_ints(self):
+        cfg = _tiny_config(train_size=60.0, cal_sizes=(12.0,), m=10.0, trials=2.0)
+        assert (cfg.train_size, cfg.cal_sizes, cfg.m, cfg.trials) == (60, (12,), 10, 2)
+        assert all(type(v) is int for v in (cfg.train_size, *cfg.cal_sizes, cfg.m, cfg.trials))
+        assert cfg == _tiny_config(m=10)
 
     def test_m_capped_by_fit_size(self):
         # train 60 keeps 48 after the 20% validation holdout
@@ -246,7 +273,7 @@ class TestCalibrateUnsupervised:
             seen.append(u)
             return ridge_path(K, u, ridges, **kwargs)
 
-        monkeypatch.setattr(harness, "ridge_path", spy)
+        monkeypatch.setattr(bounds, "ridge_path", spy)
         out = _direct_calibration(cfg, n)
         (u,) = seen
         return out, u
@@ -255,7 +282,7 @@ class TestCalibrateUnsupervised:
         out, u = self._spied_calibration(monkeypatch, _tiny_config(**self.CFG), 12)
         path = out.bound_path
         assert set(path) == {"ridges", "iterations", "residuals", "rank", "bounds", "zero"}
-        np.testing.assert_array_equal(path["ridges"], harness.BOUND_RIDGES)  # whatever the selection ridge
+        np.testing.assert_array_equal(path["ridges"], bounds.BOUND_RIDGES)  # whatever the selection ridge
         assert np.all(path["iterations"] >= 1)
         assert np.all(np.diff(path["iterations"]) <= 0)  # larger ridges converge no later
         assert np.all(path["residuals"] <= 1e-8 * math.sqrt(12))
@@ -292,7 +319,7 @@ class TestCalibrateUnsupervised:
         cfg = _tiny_config(**self.CFG)
         counts = _direct_calibration(cfg, 12).bound_path["iterations"]
         assert counts[0] > counts[1]
-        monkeypatch.setattr(harness, "CG_MAX_ITERS", int(counts[1]))
+        monkeypatch.setattr(bounds, "CG_MAX_ITERS", int(counts[1]))
         out = _direct_calibration(cfg, 12)
         path = out.bound_path
         assert math.isnan(path["bounds"][0]) and path["iterations"][0] == counts[1]
@@ -301,7 +328,7 @@ class TestCalibrateUnsupervised:
         assert out.kernel_bound == min(float(np.min(path["bounds"][1:])), path["zero"])
 
     def test_capped_path_keeps_the_zero_function(self, monkeypatch):
-        monkeypatch.setattr(harness, "CG_MAX_ITERS", 0)  # no fit on the path converges
+        monkeypatch.setattr(bounds, "CG_MAX_ITERS", 0)  # no fit on the path converges
         out, u = self._spied_calibration(monkeypatch, _tiny_config(**self.CFG), 12)
         path = out.bound_path
         assert np.all(np.isnan(path["bounds"])) and np.all(path["iterations"] == 0)
@@ -502,6 +529,15 @@ class TestCli:
         path.write_text(json.dumps(payload))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "selection_ridge" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_fractional_m_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        payload = _tiny_config().to_dict()
+        payload["m"] = 10.5
+        path.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "m must be an integer" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
     def test_partial_failures_exit_two(self, tmp_path, capsys):
