@@ -7,6 +7,7 @@ accident; evaluation code reads them explicitly.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +100,10 @@ class SyntheticConfig:
         means = np.asarray(self.class_means, dtype=np.float64)
         if means.ndim != 2 or means.shape[0] < 2:
             raise ValueError("class_means must be a (c, d) matrix with c >= 2")
-        if not self.cov_scale > 0:
-            raise ValueError(f"cov_scale must be positive, got {self.cov_scale}")
+        if not np.isfinite(means).all():
+            raise ValueError("class_means must be finite")
+        if not 0 < self.cov_scale < math.inf:
+            raise ValueError(f"cov_scale must be positive and finite, got {self.cov_scale}")
         priors = np.asarray(self.priors, dtype=np.float64)
         if priors.shape != (means.shape[0],):
             raise ValueError("priors length must equal number of classes")
@@ -238,6 +241,8 @@ def load_csv_dataset(path: str, labeled: bool) -> Dataset:
                 rows.append([float(v) for v in fields[:d]])
             except ValueError:
                 raise CsvParseError(f"non-numeric feature value in {fields[:d]!r}", line=lineno) from None
+            if not all(map(math.isfinite, rows[-1])):
+                raise CsvParseError(f"non-finite feature value in {fields[:d]!r}", line=lineno)
             if has_label:
                 try:
                     labs.append(int(fields[d]))

@@ -105,6 +105,8 @@ class ExperimentConfig:
             raise ValueError("cal_sizes must be non-empty positive ints")
         if not self.trials >= 1:
             raise ValueError("trials must be >= 1")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.score not in SCORE_KINDS:
@@ -114,24 +116,26 @@ class ExperimentConfig:
             raise ValueError(f"methods must be a non-empty subset of {METHODS}, got {self.methods}")
         if not (self.test_size >= 1 and self.train_size >= 2):
             raise ValueError("test_size must be >= 1 and train_size >= 2")
-        if not self.selection_ridge > 0:
-            raise ValueError(f"selection_ridge must be positive, got {self.selection_ridge}")
+        if not 0 < self.selection_ridge < math.inf:
+            raise ValueError(f"selection_ridge must be positive and finite, got {self.selection_ridge}")
         if self.m is not None and not self.m >= 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.bandwidth_scales is not None and not (
             self.bandwidth_scales and all(math.isfinite(v) and v > 0 for v in self.bandwidth_scales)
         ):
             raise ValueError(f"bandwidth_scales must be non-empty, finite and positive, got {self.bandwidth_scales}")
-        if not self.l2 >= 0:
-            raise ValueError(f"l2 must be nonnegative, got {self.l2}")
-        if self.noise_epsilon is not None and not self.noise_epsilon >= 0:
-            raise ValueError(f"noise_epsilon must be nonnegative, got {self.noise_epsilon}")
+        if not 0 <= self.l2 < math.inf:
+            raise ValueError(f"l2 must be nonnegative and finite, got {self.l2}")
+        if self.noise_epsilon is not None and not 0 <= self.noise_epsilon < math.inf:
+            raise ValueError(f"noise_epsilon must be nonnegative and finite, got {self.noise_epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        if not self.classifier_max_iters >= 1:
+            raise ValueError(f"classifier_max_iters must be >= 1, got {self.classifier_max_iters}")
         if not self.solver_max_iters >= 1:
             raise ValueError(f"solver_max_iters must be >= 1, got {self.solver_max_iters}")
-        if not self.solver_rel_tol > 0:
-            raise ValueError(f"solver_rel_tol must be positive, got {self.solver_rel_tol}")
+        if not 0 < self.solver_rel_tol < math.inf:
+            raise ValueError(f"solver_rel_tol must be positive and finite, got {self.solver_rel_tol}")
         fit_size = self.train_size - _val_count(self.train_size)
         if "unsupervised" in self.methods:
             for n in self.cal_sizes:
@@ -320,11 +324,11 @@ def calibrate_unsupervised(
     conformal quantile. ``coverage_gap_bound`` certifies the final
     inclusion indicator u = 1{score <= q_hat}, union-corrected over the
     bandwidth candidates; its ridges do not depend on ``selection_ridge``.
-    ``selection_ridge`` must be positive: at 0 the smooth candidates'
-    selection solves run to the CG cap.
+    ``selection_ridge`` must be positive and finite: at 0 the smooth
+    candidates' selection solves run to the CG cap.
     """
-    if not selection_ridge > 0:
-        raise ValueError(f"selection_ridge must be positive, got {selection_ridge}")
+    if not 0 < selection_ridge < math.inf:
+        raise ValueError(f"selection_ridge must be positive and finite, got {selection_ridge}")
     naive_w = naive_weights(model, cal_instances)
     grid = bandwidth_grid(cal_instances.shape[1], bandwidth_scales)
     spec, selection = select_kernel(grid, cal_instances, cal_scores, naive_w.matrix, alpha, ridge=selection_ridge)
@@ -463,10 +467,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResults
 
     Trial outcomes are deterministic per (cal_size, trial) regardless of
     scheduling; records come back sorted. Per-trial exceptions become
-    failure entries instead of aborting the run.
+    failure entries instead of aborting the run; a CSV dataset that does not
+    load raises before any trial runs.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if cfg.dataset["type"] == "csv":
+        load_csv_dataset(cfg.dataset["path"], labeled=True)
     grid = [(n, t) for n in cfg.cal_sizes for t in range(cfg.trials)]
     outcomes = []
     if workers == 1:

@@ -404,8 +404,8 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     statistic would always hand the argmin to the spikiest candidate. The
     penalized statistic trades fit against norm instead, so rough kernels pay
     for their large norms and overly smooth ones pay for their residuals.
-    The ridge must be positive: at 0 the smooth candidates' solves run to
-    the CG cap.
+    The ridge must be positive and finite: at 0 the smooth candidates'
+    solves run to the CG cap.
 
     Candidates are visited from the largest sigma down, each Gram built into
     one shared buffer. Every CG iterate x, with residual r = u - A x and
@@ -428,8 +428,8 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     candidates = sorted(candidates, key=lambda s: s.sigma)
     if not candidates:
         raise EmptyInputError("no kernel candidates")
-    if not ridge > 0:
-        raise ValueError(f"ridge must be positive, got {ridge}")
+    if not 0 < ridge < math.inf:
+        raise ValueError(f"ridge must be positive and finite, got {ridge}")
     cal_instances = np.asarray(cal_instances, dtype=np.float64)
     W = as_weight_matrix(naive_weights, score_matrix.n, score_matrix.c)
     q0 = conformal_quantile_weighted(score_matrix.values, W, alpha)

@@ -23,10 +23,11 @@ drops the metric for good.
 
 The run stops on a certificate, the Frank-Wolfe duality gap on the cut set
 (Jaggi 2013), which bounds Phi(w) - Phi* and costs O(nc) per iteration from
-the cached K0 w. The products are memory-bound, so they run on a float32
-copy of K0 while the gap tolerance sits above float32's reach, and move to
-float64 for good once float32 rounding stalls progress; the certificate is
-always evaluated in float64, in the spirit of mixed-precision refinement
+the cached K0 w. The products are memory-bound, so while the gap tolerance
+sits above float32's reach the run has two phases: a float32 phase on a
+float32 copy of K0 until it certifies, stalls in float32 rounding or is
+capped, then a float64 phase from its iterate. The reported certificate is
+always the float64 phase's, in the spirit of mixed-precision refinement
 (Carson & Higham 2018).
 """
 
@@ -146,7 +147,7 @@ class SolverOptions:
     ``rel_tol`` is the relative duality-gap tolerance: the solve is
     converged once its Frank-Wolfe gap certifies Phi(w) - Phi* <= rel_tol
     max(1, |Phi|). Tolerances below FLOAT32_GAP_FLOOR run every product in
-    float64; above it the products start in float32. ``max_iters`` caps the
+    float64; at or above it a float32 phase runs first. ``max_iters`` caps the
     solve's iterations.
     """
 
@@ -163,13 +164,14 @@ class SolverReport:
     float64 K0 w and the last projection's multiplier; it bounds Phi(w) -
     Phi* from above, and ``converged`` is exactly gap <= rel_tol max(1,
     |Phi|). ``step`` is the gradient step 1/L. ``switch_iteration`` is the
-    iteration at which the products moved from float32 to float64, 0 when
-    they never did. The history holds the starting value and one value per
-    iteration (see ``_fista`` for its monotonicity). ``inequality_slack``
-    is b - B w, +inf when unconstrained; it never drops below -1e-8 b.
-    ``dual_lambda`` is the loss constraint's multiplier at the last
-    projection, 0 when the cut was slack there. ``restarts`` counts the
-    momentum restarts, each after a step with nonzero momentum raised Phi.
+    first iteration of the float64 phase that follows a float32 one, 0 when
+    that phase took no step or no float32 phase ran. The history holds the
+    starting value and one value per iteration (see ``_fista`` for its
+    monotonicity within each phase). ``inequality_slack`` is b - B w, +inf
+    when unconstrained; it never drops below -1e-8 b. ``dual_lambda`` is
+    the loss constraint's multiplier at the last projection, 0 when the cut
+    was slack there. ``restarts`` counts the momentum restarts over both
+    phases, each after a step with nonzero momentum raised Phi.
     ``perron_ratio`` is the estimate of lambda_1 / lambda_2 of K0: NaN
     below METRIC_MIN_N, where lambda_2 is not estimated (or for a rank-one
     K0), and below METRIC_RATIO the value at which its estimate stopped
@@ -362,37 +364,40 @@ def _fista(K0, G, W0, max_iters, rel_tol, cut=None, K32=None):
     sets the step in every other one. The cut's multiplier is then mu L_2
     rather than mu L.
 
-    Products run on ``K32``, a float32 copy of K0, when given (power
-    iteration too); iterates, gradients and sums stay float64. The solve
-    stops when the gap certifies in float64, when a float64 step changes h
-    by less than STALL_REL relative (roundoff), or after ``max_iters``
-    iterations. The reported objective,
-    gap and ``converged`` are evaluated at W with a float64 K0 @ W.
+    With ``K32``, a float32 copy of K0, the solve runs a float32 phase whose
+    products (power iteration too) run on K32, then a float64 phase on K0;
+    without it, only the float64 phase. Iterates, gradients and sums stay
+    float64. Each phase evaluates its starting iterate with its own
+    products, restarts the momentum, and iterates until the gap certifies,
+    a step changes h by less than STALL_REL relative, or the solve reaches
+    ``max_iters`` iterations in all. The reported objective, gap and
+    ``converged`` are the float64 phase's, at the returned W.
 
-    A step that raises h runs a fallback ladder, each rung followed by a
-    plain step from the previous iterate, until one lowers h:
+    A step that raises h runs a two-rung fallback ladder, each rung followed
+    by a plain step from the previous iterate, until one does not raise h:
     1. a momentum restart, only when the momentum was nonzero (otherwise the
        plain step is the step that failed); ``restarts`` counts these;
     2. the Perron metric is dropped for good (lambda_2 underestimated, or a
        wrong support prediction) and the step is 1/L again; its iteration
        is ``metric_iteration``, 0 when the metric stayed on and -1 when it
-       never ran;
-    3. float32 rounding stalls progress: the products move to float64 for
-       good, and the iterate is re-evaluated in float64.
-    The momentum restarts from the next step whenever the ladder runs. The
-    descent lemma makes the plain step non-increasing, so the history (one
-    value per iteration) is monotone within each precision: in float32, and
-    in either precision while the metric is on, a step is kept only if it
-    does not raise h, and a float64 plain step can rise only by roundoff or
-    by the cut's 1e-8 b slack band. Either switch re-evaluates the current
-    iterate in float64 and takes a plain step from it, so the first float64
-    value is at most that iterate's float64 value, which differs from its
-    recorded float32 value by the product's float32 rounding (about 1e-7
-    relative): across a switch the history is monotone to that rounding.
+       never ran.
+    A float32 step that still raises h ends the float32 phase untaken
+    (float32 rounding stalls progress); the float64 phase keeps its step
+    whatever its value. The momentum restarts from the next step whenever
+    the ladder runs.
+
+    The history is the first phase's starting value, then one value per
+    iteration in the products that took it. It is monotone within each
+    phase by the descent lemma: a float32 step, or any step while the
+    metric is on, is kept only if it does not raise h, and a float64 plain
+    step rises only by roundoff or the cut's 1e-8 b slack band. Across the
+    phases it is monotone to float32 rounding (about 1e-7 relative): the
+    float64 phase steps from the last iterate's float64 value, which is not
+    recorded.
     """
     n = K0.shape[0]
-    K = K0 if K32 is None else K32
-    lam1, v, lam2 = _power_lip(K, deflate=n >= METRIC_MIN_N)
+    phases = (K0,) if K32 is None else (K32, K0)
+    lam1, v, lam2 = _power_lip(phases[0], deflate=n >= METRIC_MIN_N)
     lip = POWER_MARGIN * 2.0 / n * lam1
     step = 1.0 / lip
     ratio = lam1 / lam2 if lam2 > 0.0 else math.nan  # NaN below the n gate (or for a rank-one K0)
@@ -403,63 +408,48 @@ def _fista(K0, G, W0, max_iters, rel_tol, cut=None, K32=None):
         prox, dropped = _MetricStep(step, cut), -1
 
     def evaluate(W, mu):
-        # K0 is symmetric: (W^T K0)^T runs about twice as fast as K0 W on thin W
+        # in the current phase's K; K0 is symmetric: (W^T K0)^T runs about twice as fast as K0 W on thin W
         KW = (W.T @ K0).T if K is K0 else (K32 @ W.astype(np.float32)).astype(np.float64)
         return _value_and_gap(W, KW, G, cut, mu / prox.step)
 
+    def plain():
+        # the step from X with no momentum, in the current metric
+        Z, mu_z = prox(X, gX, mu)
+        return (Z, mu_z) + evaluate(Z, mu_z)
+
     X, mu = _project_cut(W0, cut)
     prox.support = (X > 0.0).astype(np.float64)
-    f, gap, gX = evaluate(X, mu)
-    hist = np.empty(max_iters + 1)
-    hist[0] = f
-    Xp, gXp, t = X, gX, 1.0
-    rel, iters, switch, restarts = math.inf, 0, 0, 0
-    while True:
-        certified = gap <= rel_tol * max(1.0, abs(f))
-        if K is not K0 and (certified or rel < STALL_REL):
-            # a float32 certificate or stall is checked with float64 products,
-            # which stay on unless they certify
-            K = K0
-            f, gap, gX = evaluate(X, mu)
-            certified = gap <= rel_tol * max(1.0, abs(f))
-            if not certified:
-                switch, rel = iters + 1, math.inf
-                Xp, gXp, t = X, gX, 1.0
-        if certified or rel < STALL_REL or iters == max_iters:
-            break
-        iters += 1
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_next
-        Y = X + beta * (X - Xp)
-        Z, mu_z = prox(Y, gX + beta * (gX - gXp), mu)
-        fz, gap_z, gZ = evaluate(Z, mu_z)
-        if fz > f:
-            for rung in range(3):
-                if rung == 0 and beta > 0.0:
+    hist, iters, restarts = [], 0, 0
+    for K in phases:
+        start = iters
+        f, gap, gX = evaluate(X, mu)
+        if not hist:
+            hist.append(f)
+        Xp, gXp, t, rel = X, gX, 1.0, math.inf
+        while not (gap <= rel_tol * max(1.0, abs(f)) or rel < STALL_REL or iters == max_iters):
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_next
+            Y = X + beta * (X - Xp)
+            Z, mu_z = prox(Y, gX + beta * (gX - gXp), mu)
+            fz, gap_z, gZ = evaluate(Z, mu_z)
+            if fz > f:
+                t_next = 1.0
+                if beta > 0.0:
                     restarts += 1
-                elif rung == 1 and prox.beta > 0.0:
+                    Z, mu_z, fz, gap_z, gZ = plain()
+                if fz > f and prox.beta > 0.0:
                     # the metric overshoots: drop it for good, rescaling X's multiplier to the step 1/L
                     mu *= step / prox.step
-                    prox, dropped = _MetricStep(step, cut), iters
-                elif rung == 2 and K is not K0:
-                    # float32 rounding stalls progress: redo the step in float64
-                    K, switch = K0, iters
-                    f, gap, gX = evaluate(X, mu)
-                else:
-                    continue
-                Z, mu_z = prox(X, gX, mu)
-                fz, gap_z, gZ = evaluate(Z, mu_z)
-                if fz <= f:
-                    break
-            t_next = 1.0
-        rel = abs(f - fz) / max(1.0, abs(fz))
-        Xp, gXp = X, gX
-        X, f, gap, gX, mu = Z, fz, gap_z, gZ, mu_z
-        t = t_next
-        hist[iters] = f
-    if K is not K0:
-        K = K0
-        f, gap, _ = evaluate(X, mu)
+                    prox, dropped = _MetricStep(step, cut), iters + 1
+                    Z, mu_z, fz, gap_z, gZ = plain()
+                if fz > f and K is not K0:
+                    break  # float32 rounding stalls progress: float64 products take this step
+            iters += 1
+            rel = abs(f - fz) / max(1.0, abs(fz))
+            Xp, gXp = X, gX
+            X, f, gap, gX, mu = Z, fz, gap_z, gZ, mu_z
+            t = t_next
+            hist.append(f)
     slack = math.inf if cut is None else cut.bound - float(np.sum(cut.loss_matrix * X))
     return X, SolverReport(
         objective_value=f,
@@ -467,10 +457,10 @@ def _fista(K0, G, W0, max_iters, rel_tol, cut=None, K32=None):
         inequality_slack=slack,
         dual_lambda=mu / prox.step,
         converged=bool(gap <= rel_tol * max(1.0, abs(f))),
-        objective_history=hist[: iters + 1],
+        objective_history=np.array(hist),
         gap=gap,
         step=step,
-        switch_iteration=switch,
+        switch_iteration=start + 1 if K32 is not None and iters > start else 0,
         restarts=restarts,
         perron_ratio=ratio,
         metric_iteration=dropped,
@@ -490,13 +480,14 @@ def solve_label_weights(
     the first projection) when even the per-block loss-minimizing vertices
     violate the bound.
 
-    One FISTA run (``_fista``) whose every step projects onto the simplices
-    cut by the loss constraint; ``options.max_iters`` caps the whole solve.
-    At ``options.rel_tol`` >= FLOAT32_GAP_FLOOR its products start on a
-    float32 copy of K0 that lives only during the solve. The reported gap,
-    objective and ``converged`` are evaluated at the returned weights with
-    a float64 K0 @ W, and the gap's multiplier is the last projection's mu
-    times the Euclidean step constant it ran at (L_2 in the metric).
+    One FISTA solve (``_fista``) whose every step projects onto the
+    simplices cut by the loss constraint; ``options.max_iters`` caps the
+    whole solve. At ``options.rel_tol`` >= FLOAT32_GAP_FLOOR it runs a
+    float32 phase, on a float32 copy of K0 that lives only during the solve,
+    before its float64 phase; below, only the float64 phase. The reported
+    gap, objective and ``converged`` are evaluated at the returned weights
+    with a float64 K0 @ W, and the gap's multiplier is the last projection's
+    mu times the Euclidean step constant it ran at (L_2 in the metric).
     """
     options = options or SolverOptions()
     n, c = ctx.n, ctx.c

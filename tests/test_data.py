@@ -1,5 +1,7 @@
 """CSV loading, seeded partitioning, and the synthetic mixture generator."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,12 @@ class TestLoadCsv:
             load_csv_dataset(path, labeled=True)
         except CsvParseError as exc:
             assert exc.line == 3
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_line(self, tmp_path, cell):
+        path = _write(tmp_path, f"f1,f2,label\n0.0,1.0,1\n1.0,{cell},2\n")
+        with pytest.raises(CsvParseError, match="line 3: non-finite"):
+            load_csv_dataset(path, labeled=True)
 
     def test_wrong_arity_row(self, tmp_path):
         path = _write(tmp_path, "f1,f2,label\n0.0,1.0,1\n2.0,2\n")
@@ -133,6 +141,16 @@ class TestSynthetic:
     def test_degenerate_scale_rejected(self):
         with pytest.raises(ValueError, match="cov_scale"):
             SyntheticConfig(class_means=np.eye(2), cov_scale=0.0, priors=np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="cov_scale"):
+            SyntheticConfig(class_means=np.eye(2), cov_scale=scale, priors=np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_means_rejected(self, bad):
+        with pytest.raises(ValueError, match="class_means"):
+            SyntheticConfig(class_means=np.array([[0.0, bad], [1.0, 0.0]]), cov_scale=1.0, priors=np.array([0.5, 0.5]))
 
     @pytest.mark.parametrize("priors", [[0.75, 0.75], [-0.5, 1.5], [np.nan, np.nan]])
     def test_bad_priors_rejected(self, priors):

@@ -59,6 +59,19 @@ NON_INTEGER_COUNTS = [
 ]
 
 
+# values that would fail every trial or quietly degrade the run, each
+# rejected with an error naming its field
+OUT_OF_RANGE_VALUES = [
+    dict(seed=-1),
+    dict(classifier_max_iters=0),
+    dict(classifier_max_iters=-3),
+    dict(selection_ridge=math.inf),
+    dict(noise_epsilon=math.inf),
+    dict(l2=math.inf),
+    dict(solver_rel_tol=math.inf),
+]
+
+
 def _tiny_config(**overrides):
     base = dict(
         dataset=TINY_DATASET,
@@ -142,6 +155,9 @@ class TestExperimentConfig:
             dict(dataset={"type": "csv", "path": 3}),
             dict(selection_ridge=0.0),
             *NON_INTEGER_COUNTS,
+            *OUT_OF_RANGE_VALUES,
+            dict(dataset={**TINY_DATASET, "cov_scale": math.inf}),
+            dict(dataset={**TINY_DATASET, "class_means": [[-1.2, math.nan], [1.2, 0.0]]}),
         ],
     )
     def test_validation(self, overrides):
@@ -152,6 +168,12 @@ class TestExperimentConfig:
     def test_non_integer_count_names_its_field(self, overrides):
         (name,) = overrides
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            _tiny_config(**overrides)
+
+    @pytest.mark.parametrize("overrides", OUT_OF_RANGE_VALUES)
+    def test_out_of_range_value_names_its_field(self, overrides):
+        ((name, value),) = overrides.items()
+        with pytest.raises(ValueError, match=f"{name} must be .*, got {value}"):
             _tiny_config(**overrides)
 
     def test_integral_float_counts_stored_as_ints(self):
@@ -308,7 +330,7 @@ class TestCalibrateUnsupervised:
         assert -1e-8 * b <= out.report.inequality_slack <= 1e-8 * b
         assert math.isfinite(out.q_hat)
 
-    @pytest.mark.parametrize("ridge", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("ridge", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_selection_ridge_rejected(self, ridge):
         # checked before any work: at a zero ridge the smooth candidates'
         # selection solves run to the CG cap
@@ -539,6 +561,25 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "m must be an integer" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        cfg_path = self._write_config(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", cfg_path, "--seed", "-1", "--out", str(out_dir)]) == 1
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
+
+    def test_non_finite_csv_cell_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text("f1,f2,label:2\n" + "0.5,1.0,1\n-0.5,-1.0,2\n" * 20 + "0.1,nan,1\n")
+        cfg = dict(dataset={"type": "csv", "path": str(data)}, train_size=10, cal_sizes=[4], test_size=5,
+                   alpha=0.2, trials=1, seed=3, methods=["supervised"])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        assert "line 42: non-finite" in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
 
     def test_partial_failures_exit_two(self, tmp_path, capsys):
         data = tmp_path / "small.csv"

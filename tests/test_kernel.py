@@ -303,6 +303,9 @@ class TestSelectKernel:
             select_kernel([KernelSpec(1.0)], cal, scores, weights, alpha, ridge=-0.5)
         with pytest.raises(ValueError, match="ridge"):
             select_kernel([KernelSpec(1.0)], cal, scores, weights, alpha, ridge=math.nan)
+        # an infinite ridge would leave every candidate's statistic NaN
+        with pytest.raises(ValueError, match="ridge must be positive and finite"):
+            select_kernel([KernelSpec(1.0)], cal, scores, weights, alpha, ridge=math.inf)
 
     def test_all_candidates_failing_raises(self, monkeypatch):
         cal, scores, weights, alpha = self._all_ones_fixture(2, 2, 0.1)

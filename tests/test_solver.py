@@ -505,6 +505,18 @@ class TestCertificate:
         value, gap = _float64_gap(ctx, None, weights.matrix, 0.0)
         assert gap <= 2e-6 * max(1.0, abs(value))
 
+    def test_solve_capped_in_float32_reports_float64(self):
+        # the cap stops the float32 phase; the float64 phase evaluates the
+        # last iterate and takes no step, so the report is the float64
+        # certificate there while the history holds only float32 values
+        ctx, init = _gaussian_instance(4, 200, 3)
+        weights, report = solve_label_weights(ctx, options=SolverOptions(max_iters=3), init=init)
+        assert (report.iterations, report.converged, report.switch_iteration) == (3, False, 0)
+        assert len(report.objective_history) == 4
+        value, gap = _float64_gap(ctx, None, weights.matrix, 0.0)
+        assert abs(report.objective_value - value) <= 1e-12 * abs(value)
+        assert abs(report.gap - gap) <= 1e-12 * gap
+
     def test_default_options_certify_without_switch(self):
         ctx, init = _gaussian_instance(5, 500, 3)
         weights, report = solve_label_weights(ctx, init=init)
