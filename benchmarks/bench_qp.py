@@ -35,7 +35,7 @@ def qp_inputs(u, c, d, n, train_size, spread, seed):
     # the acceptance-grid mixture (three classes on a circle) or the criterion-10 shape (class means spread * I)
     angles = 2.0 * math.pi * np.arange(3) / 3.0
     means = spread * (np.stack([np.cos(angles), np.sin(angles)], axis=1) if c == 3 else np.eye(c, d))
-    ds, _ = u.generate_synthetic(u.SyntheticConfig(means, 1.0, np.full(c, 1.0 / c)), train_size + n, seed)
+    ds = u.generate_synthetic(u.SyntheticConfig(means, 1.0, np.full(c, 1.0 / c)), train_size + n, seed)
     X, y, fit = ds.instances, ds.labels, train_size - train_size // 5
     model = u.train_logistic(u.Dataset(X[:fit], y[:fit], c))
     bound = u.estimate_loss_bound(model, u.Dataset(X[fit:train_size], y[fit:train_size], c))

@@ -19,7 +19,6 @@ from .classifier import (
 )
 from .data import (
     Dataset,
-    PosteriorOracle,
     SplitSpec,
     SyntheticConfig,
     generate_synthetic,
@@ -44,13 +43,10 @@ from .kernel import (
     KernelSpec,
     bandwidth_grid,
     build_context,
-    dual_witness_check,
     gaussian_gram,
     mmd_objective,
     ridge_path,
-    rkhs_probe,
     select_kernel,
-    witness_probe,
 )
 from .quantile import (
     CoverageReport,
@@ -88,7 +84,6 @@ __all__ = [
     "LabelWeights",
     "LossBound",
     "MethodResult",
-    "PosteriorOracle",
     "ProbModel",
     "ScoreMatrix",
     "SolverOptions",
@@ -108,7 +103,6 @@ __all__ = [
     "conformal_quantile_weighted",
     "coverage_diagnostic_E",
     "coverage_gap_bound",
-    "dual_witness_check",
     "emit_results",
     "estimate_loss_bound",
     "evaluate",
@@ -122,7 +116,6 @@ __all__ = [
     "predict_labels",
     "predict_proba_matrix",
     "ridge_path",
-    "rkhs_probe",
     "run_experiment",
     "run_trial",
     "select_kernel",
@@ -131,5 +124,4 @@ __all__ = [
     "supervised_weights",
     "train_logistic",
     "weighted_quantile",
-    "witness_probe",
 ]

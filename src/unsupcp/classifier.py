@@ -8,6 +8,7 @@ dataset. The penalty covers the intercept column as well, so an extreme l2
 drives every logit to zero and predictions to the uniform 1/c vector.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +105,8 @@ def train_logistic(train: Dataset, l2: float = 1e-3, max_iters: int = 500, tol: 
         raise ValueError("training dataset must be labeled")
     if len(train) == 0:
         raise EmptyInputError("training dataset is empty")
-    if not l2 >= 0:
-        raise ValueError(f"l2 must be nonnegative, got {l2}")
+    if not 0 <= l2 < math.inf:
+        raise ValueError(f"l2 must be nonnegative and finite, got {l2}")
     observed = np.flatnonzero(np.bincount(train.labels))
     if observed.size < 2:
         raise DegenerateTrainingError(f"only class {observed[0]} observed in training data")

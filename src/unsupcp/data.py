@@ -121,32 +121,9 @@ class SyntheticConfig:
         return self.class_means.shape[1]
 
 
-class PosteriorOracle:
-    """Closed-form Bayes posterior of a SyntheticConfig mixture."""
-
-    def __init__(self, config: SyntheticConfig):
-        self.config = config
-
-    def posterior_batch(self, X: np.ndarray) -> np.ndarray:
-        """P(Y = y | X = x) for every row x of X and every y, shape (N, c)."""
-        cfg = self.config
-        diff = X[:, None, :] - cfg.class_means[None, :, :]
-        sq = np.sum(diff * diff, axis=2)
-        logits = np.log(cfg.priors)[None, :] - sq / (2.0 * cfg.cov_scale**2)
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        return p / p.sum(axis=1, keepdims=True)
-
-
-def generate_synthetic(config: SyntheticConfig, count: int, seed: int):
-    """Draw `count` labeled samples from the mixture.
-
-    Returns
-    -------
-    (Dataset, PosteriorOracle)
-        The dataset is fully labeled; the oracle evaluates the exact
-        posterior of the generating distribution.
-    """
+def generate_synthetic(config: SyntheticConfig, count: int, seed: int) -> Dataset:
+    """Draw `count` labeled samples from the mixture, as a fully labeled
+    Dataset; (config, count, seed) fixes every value."""
     if count < 1:
         raise EmptyInputError("count must be >= 1")
     rng = np.random.default_rng(seed)
@@ -154,8 +131,7 @@ def generate_synthetic(config: SyntheticConfig, count: int, seed: int):
     labels = rng.choice(c, size=count, p=config.priors) + 1
     noise = rng.standard_normal((count, config.num_features))
     X = config.class_means[labels - 1] + config.cov_scale * noise
-    ds = Dataset(instances=X, labels=labels, num_classes=c)
-    return ds, PosteriorOracle(config)
+    return Dataset(instances=X, labels=labels, num_classes=c)
 
 
 def split_dataset(dataset: Dataset, spec: SplitSpec):

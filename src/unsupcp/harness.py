@@ -33,7 +33,6 @@ from .data import Dataset, SplitSpec, SyntheticConfig, generate_synthetic, load_
 from .errors import EmptyInputError
 from .kernel import (
     SELECTION_RIDGE,
-    KernelContext,
     KernelSpec,
     bandwidth_grid,
     build_context,
@@ -276,8 +275,7 @@ def _synthetic_config(spec: dict) -> SyntheticConfig:
 def _get_dataset(cfg: ExperimentConfig, total: int, data_seed: int) -> Dataset:
     spec = cfg.dataset
     if spec["type"] == "synthetic":
-        ds, _ = generate_synthetic(_synthetic_config(spec), total, data_seed)
-        return ds
+        return generate_synthetic(_synthetic_config(spec), total, data_seed)
     return load_csv_dataset(spec["path"], labeled=True)
 
 
@@ -287,15 +285,15 @@ class CalibrationResult:
 
     ``selection`` is the diagnostics dict of ``select_kernel`` (statistic
     NaN for a bandwidth that was pruned or whose fit did not converge);
-    ``mmd`` the final discrepancy ``mmd_objective(weights, context)``;
+    ``mmd`` the final discrepancy ``mmd_objective`` of the weights;
     ``kernel_bound`` and ``bound_path`` the pair ``coverage_gap_bound`` returns.
+    The kernel context is not kept, so a result does not hold the n x n Gram.
     """
 
     q_hat: float
     weights: LabelWeights
     report: SolverReport
     spec: KernelSpec
-    context: KernelContext
     selection: dict
     mmd: float
     kernel_bound: float
@@ -343,7 +341,6 @@ def calibrate_unsupervised(
         weights=weights,
         report=report,
         spec=spec,
-        context=ctx,
         selection=selection,
         mmd=mmd,
         kernel_bound=kernel_bound,
@@ -351,13 +348,19 @@ def calibrate_unsupervised(
     )
 
 
-def run_trial(cfg: ExperimentConfig, trial_index: int, cal_size: int | None = None) -> TrialRecord:
+def run_trial(cfg: ExperimentConfig, trial_index: int, cal_size: int | None = None,
+              data: Dataset | None = None) -> TrialRecord:
     """One seeded trial at one calibration size. Deterministic in
-    (config, seed, trial_index, cal_size)."""
+    (config, seed, trial_index, cal_size).
+
+    ``data`` is the labeled dataset the trial partitions, as
+    ``run_experiment`` passes a CSV dataset it loaded once; None draws it
+    from the trial seed (synthetic) or loads it from the config's path (CSV).
+    """
     n = int(cal_size if cal_size is not None else cfg.cal_sizes[0])
     seeds = _trial_seeds(cfg, n, trial_index)
     total = cfg.train_size + n + cfg.test_size
-    ds = _get_dataset(cfg, total, int(seeds[0]))
+    ds = data if data is not None else _get_dataset(cfg, total, int(seeds[0]))
     train, cal, test = split_dataset(ds, SplitSpec(cfg.train_size, n, cfg.test_size, int(seeds[1])))
     vc = _val_count(cfg.train_size)
     fit = Dataset(train.instances[:-vc], train.labels[:-vc], train.num_classes)
@@ -451,12 +454,12 @@ def _environment() -> dict:
     }
 
 
-def _trial_task(cfg: ExperimentConfig, n: int, t: int):
+def _trial_task(cfg: ExperimentConfig, n: int, t: int, data: Dataset | None):
     """(cal_size, trial, record, failure); a failure is None or a dict with
     the exception's ``error`` line and the last TRACEBACK_TAIL entries of
     its ``traceback``."""
     try:
-        return (n, t, run_trial(cfg, t, n), None)
+        return (n, t, run_trial(cfg, t, n, data), None)
     except Exception as exc:  # pragma: no cover - exercised via failure path test
         tail = "".join(traceback.format_exception(exc)[-TRACEBACK_TAIL:])
         return (n, t, None, {"error": f"{type(exc).__name__}: {exc}", "traceback": tail})
@@ -467,21 +470,22 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResults
 
     Trial outcomes are deterministic per (cal_size, trial) regardless of
     scheduling; records come back sorted. Per-trial exceptions become
-    failure entries instead of aborting the run; a CSV dataset that does not
-    load raises before any trial runs.
+    failure entries instead of aborting the run. A CSV dataset is loaded
+    once, before any trial runs (so one that does not load raises), and
+    every trial partitions that copy; synthetic data is drawn per trial.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if cfg.dataset["type"] == "csv":
-        load_csv_dataset(cfg.dataset["path"], labeled=True)
+    data = load_csv_dataset(cfg.dataset["path"], labeled=True) if cfg.dataset["type"] == "csv" else None
     grid = [(n, t) for n in cfg.cal_sizes for t in range(cfg.trials)]
     outcomes = []
     if workers == 1:
         for n, t in grid:
-            outcomes.append(_trial_task(cfg, n, t))
+            outcomes.append(_trial_task(cfg, n, t, data))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_trial_task, [cfg] * len(grid), [g[0] for g in grid], [g[1] for g in grid]))
+            outcomes = list(pool.map(_trial_task, [cfg] * len(grid), [g[0] for g in grid], [g[1] for g in grid],
+                                     [data] * len(grid)))
     outcomes.sort(key=lambda o: (o[0], o[1]))
     records = tuple(o[2] for o in outcomes if o[2] is not None)
     failures = tuple({"cal_size": o[0], "trial": o[1], **o[3]} for o in outcomes if o[3] is not None)

@@ -3,9 +3,11 @@
 The kernel is K((x,y),(x',y')) = exp(-||x-x'||^2 / (2 sigma^2)) * 1{y = y'},
 bounded by 1. Ordering pairs as (i, y) -> i*c + (y-1) makes the full
 (n*c) x (n*c) Gram matrix block-diagonal after grouping by label, and every
-label block equals the single n x n calibration Gram. The context therefore
+label block equals the single n x n calibration Gram. The context, which
+the weight QP's MMD objective and the coverage-gap bound read, therefore
 stores that one block plus the label-collapsed cross statistics against the
-training sample; the full matrix is never materialized.
+training sample; the full matrix is never materialized, and the raw samples
+are not kept.
 
 Kernel-ridge fits (bandwidth selection and the bound's ridge path) run
 conjugate gradients preconditioned by a greedy pivoted Cholesky factor of
@@ -105,14 +107,14 @@ def gaussian_gram(X1: np.ndarray, X2: np.ndarray, sigma: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelContext:
-    """Everything the weight solver, the gap bound and the RKHS probes need.
+    """What the MMD objective of the weight QP and the coverage-gap bound read.
 
     ``base_gram`` is the n x n calibration Gram K0 (each label block of the
     full pair kernel). ``cross_v``[i, y-1] collapses the cross Gram against
     training pairs with label y, so the objective's linear term v is its
     row-major flattening. ``train_self`` is the training sample's own mean
-    kernel, the constant completing the squared-MMD objective. The raw
-    samples are kept for ``rkhs_probe``, which recomputes kernel values.
+    kernel, the constant completing the squared-MMD objective. ``n`` and
+    ``m`` count the calibration and training samples, ``c`` the labels.
     """
 
     spec: KernelSpec
@@ -122,9 +124,6 @@ class KernelContext:
     n: int
     m: int
     c: int
-    cal_instances: np.ndarray
-    train_instances: np.ndarray
-    train_labels: np.ndarray
 
 
 def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec) -> KernelContext:
@@ -160,9 +159,6 @@ def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec) -
         n=n,
         m=m,
         c=c,
-        cal_instances=cal_instances,
-        train_instances=np.asarray(train.instances, dtype=np.float64),
-        train_labels=np.asarray(train.labels, dtype=np.int64),
     )
 
 
@@ -486,60 +482,3 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     }
     return candidates[best], diagnostics
 
-
-def rkhs_probe(w, ctx: KernelContext, coeff_cal: np.ndarray, coeff_train: np.ndarray) -> float:
-    """Evaluate one normalized RKHS probe against the embedding difference.
-
-    The probe is f = sum of kernel sections at the calibration pairs (one
-    coefficient per (instance, label)) and at the training pairs. Its value
-    is |weighted calibration mean of f - training mean of f| / ||f||, zero
-    when f vanishes. Kernel values are recomputed from raw instances, so the
-    route shares nothing with ``mmd_objective`` beyond the kernel itself.
-    """
-    W = as_weight_matrix(w, ctx.n, ctx.c)
-    Gcal = np.asarray(coeff_cal, dtype=np.float64)
-    gtr = np.asarray(coeff_train, dtype=np.float64)
-    if Gcal.shape != (ctx.n, ctx.c) or gtr.shape != (ctx.m,):
-        raise ValueError("probe coefficient shapes must be (n, c) and (m,)")
-    sigma = ctx.spec.sigma
-    Kcc = gaussian_gram(ctx.cal_instances, ctx.cal_instances, sigma)
-    Kct = gaussian_gram(ctx.cal_instances, ctx.train_instances, sigma)
-    Ktt = gaussian_gram(ctx.train_instances, ctx.train_instances, sigma)
-    onehot = np.zeros((ctx.m, ctx.c))
-    onehot[np.arange(ctx.m), ctx.train_labels - 1] = 1.0
-    scaled = gtr[:, None] * onehot
-    F_cal = Kcc @ Gcal + Kct @ scaled
-    rows = np.arange(ctx.m)
-    F_tr = (Kct.T @ Gcal)[rows, ctx.train_labels - 1] + (Ktt @ scaled)[rows, ctx.train_labels - 1]
-    norm_sq = float(np.sum(Gcal * F_cal) + gtr @ F_tr)
-    if norm_sq <= 0.0:
-        return 0.0
-    numer = float(np.sum(W * F_cal) / ctx.n - np.sum(F_tr) / ctx.m)
-    return abs(numer) / math.sqrt(norm_sq)
-
-
-def witness_probe(w, ctx: KernelContext) -> float:
-    """Probe at the exact dual witness (the normalized embedding difference);
-    equals the MMD objective up to roundoff."""
-    W = as_weight_matrix(w, ctx.n, ctx.c)
-    return rkhs_probe(w, ctx, W / ctx.n, np.full(ctx.m, -1.0 / ctx.m))
-
-
-def dual_witness_check(w, ctx: KernelContext, probe_count: int = 16, seed: int = 0) -> dict:
-    """Random unit-norm RKHS probes; each lower-bounds the MMD objective.
-
-    Returns the objective, the best random probe value, and all probe
-    values. Cauchy-Schwarz makes objective >= every probe, with equality
-    approached only by probes aligned with the witness.
-    """
-    if probe_count < 1:
-        raise ValueError("probe_count must be >= 1")
-    rng = np.random.default_rng(seed)
-    probes = np.empty(probe_count)
-    for k in range(probe_count):
-        probes[k] = rkhs_probe(w, ctx, rng.standard_normal((ctx.n, ctx.c)), rng.standard_normal(ctx.m))
-    return {
-        "objective": mmd_objective(w, ctx),
-        "best_probe": float(probes.max()),
-        "probes": probes,
-    }

@@ -7,6 +7,7 @@ both. The score matrix evaluates every (instance, label) pair and adds a tiny
 additive tie-break noise so all entries are pairwise distinct.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +84,8 @@ def build_score_matrix(
     if noise_epsilon is None:
         spread = float(values.max() - values.min())
         noise_epsilon = DEFAULT_NOISE_SCALE * max(spread, 1.0)
-    if not noise_epsilon >= 0:
-        raise ValueError(f"noise_epsilon must be nonnegative, got {noise_epsilon}")
+    if not 0 <= noise_epsilon < math.inf:
+        raise ValueError(f"noise_epsilon must be nonnegative and finite, got {noise_epsilon}")
     if noise_epsilon > 0:
         values = values + rng.uniform(0.0, noise_epsilon, size=values.shape)
         if bool((np.diff(np.sort(values, axis=None)) == 0.0).any()):

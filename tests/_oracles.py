@@ -1,10 +1,12 @@
 """Reference implementations used as test oracles.
 
 Everything here favors transparency over speed: the QP oracle enumerates
-active sets exhaustively, the mixture model writes the exact Bayes
-posterior of a spherical Gaussian mixture into logistic-regression weights,
-and the pointwise kernel and scores evaluate one pair at a time, so each
-gives ground truth that is independent of the vectorised code under test.
+active sets exhaustively, the posterior oracle evaluates the Bayes posterior
+of a spherical Gaussian mixture in closed form and the mixture model writes
+it into logistic-regression weights, the pointwise kernel and scores
+evaluate one pair at a time, and the RKHS probes recompute every kernel
+value from the raw calibration and training samples. Each gives ground
+truth that is independent of the vectorised code under test.
 """
 
 import itertools
@@ -14,6 +16,24 @@ import numpy as np
 
 from unsupcp.classifier import ProbModel
 from unsupcp.data import SyntheticConfig
+from unsupcp.kernel import as_weight_matrix, gaussian_gram, mmd_objective
+
+
+class PosteriorOracle:
+    """Closed-form Bayes posterior of a SyntheticConfig mixture."""
+
+    def __init__(self, config: SyntheticConfig):
+        self.config = config
+
+    def posterior_batch(self, X: np.ndarray) -> np.ndarray:
+        """P(Y = y | X = x) for every row x of X and every y, shape (N, c)."""
+        cfg = self.config
+        diff = X[:, None, :] - cfg.class_means[None, :, :]
+        sq = np.sum(diff * diff, axis=2)
+        logits = np.log(cfg.priors)[None, :] - sq / (2.0 * cfg.cov_scale**2)
+        logits -= logits.max(axis=1, keepdims=True)
+        p = np.exp(logits)
+        return p / p.sum(axis=1, keepdims=True)
 
 
 def mixture_logistic_model(config: SyntheticConfig) -> ProbModel:
@@ -47,6 +67,61 @@ def dense_pair_kernel(ctx) -> np.ndarray:
     """The full (n*c) x (n*c) pair kernel of a KernelContext, pairs ordered
     (i, y) -> i*c + (y-1). Small n only."""
     return np.kron(ctx.base_gram, np.eye(ctx.c))
+
+
+def rkhs_probe(w, ctx, cal_instances, train, coeff_cal, coeff_train) -> float:
+    """Evaluate one normalized RKHS probe against the embedding difference.
+
+    The probe is f = sum of kernel sections at the calibration pairs (one
+    coefficient per (instance, label), an (n, c) matrix) and at the labeled
+    training pairs of ``train`` (one coefficient each). Its value is
+    |weighted calibration mean of f - training mean of f| / ||f||, zero when
+    f vanishes. Kernel values are recomputed from ``cal_instances`` and
+    ``train`` at ``ctx.spec``, so the route shares nothing with
+    ``mmd_objective`` beyond the kernel itself.
+    """
+    n, m, c = ctx.n, ctx.m, ctx.c
+    W = as_weight_matrix(w, n, c)
+    Gcal = np.asarray(coeff_cal, dtype=np.float64)
+    gtr = np.asarray(coeff_train, dtype=np.float64)
+    sigma = ctx.spec.sigma
+    Kcc = gaussian_gram(cal_instances, cal_instances, sigma)
+    Kct = gaussian_gram(cal_instances, train.instances, sigma)
+    Ktt = gaussian_gram(train.instances, train.instances, sigma)
+    onehot = np.zeros((m, c))
+    onehot[np.arange(m), train.labels - 1] = 1.0
+    scaled = gtr[:, None] * onehot
+    F_cal = Kcc @ Gcal + Kct @ scaled
+    rows = np.arange(m)
+    F_tr = (Kct.T @ Gcal)[rows, train.labels - 1] + (Ktt @ scaled)[rows, train.labels - 1]
+    norm_sq = float(np.sum(Gcal * F_cal) + gtr @ F_tr)
+    if norm_sq <= 0.0:
+        return 0.0
+    numer = float(np.sum(W * F_cal) / n - np.sum(F_tr) / m)
+    return abs(numer) / math.sqrt(norm_sq)
+
+
+def witness_probe(w, ctx, cal_instances, train) -> float:
+    """Probe at the exact dual witness (the normalized embedding difference);
+    equals the MMD objective up to roundoff."""
+    W = as_weight_matrix(w, ctx.n, ctx.c)
+    return rkhs_probe(w, ctx, cal_instances, train, W / ctx.n, np.full(ctx.m, -1.0 / ctx.m))
+
+
+def dual_witness_check(w, ctx, cal_instances, train, probe_count: int = 16, seed: int = 0) -> dict:
+    """Random RKHS probes; by Cauchy-Schwarz each lower-bounds the MMD
+    objective, with equality approached only by probes aligned with the
+    witness. Returns the objective, the best probe value and all of them."""
+    rng = np.random.default_rng(seed)
+    probes = np.empty(probe_count)
+    for k in range(probe_count):
+        G, g = rng.standard_normal((ctx.n, ctx.c)), rng.standard_normal(ctx.m)
+        probes[k] = rkhs_probe(w, ctx, cal_instances, train, G, g)
+    return {
+        "objective": mmd_objective(w, ctx),
+        "best_probe": float(probes.max()),
+        "probes": probes,
+    }
 
 
 def aps_score(probs, y: int, u: float) -> float:

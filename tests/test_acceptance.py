@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from _oracles import dense_pair_kernel, mixture_logistic_model, qp_oracle
+from _oracles import dense_pair_kernel, dual_witness_check, mixture_logistic_model, qp_oracle, witness_probe
 from conftest import record_criterion
 from unsupcp.bounds import excess_gap_kernel
 from unsupcp.classifier import ce_objective_grad, estimate_loss_bound, train_logistic
@@ -25,7 +25,7 @@ from unsupcp.harness import (
     run_experiment,
     run_trial,
 )
-from unsupcp.kernel import KernelSpec, build_context, dual_witness_check, mmd_objective, witness_probe
+from unsupcp.kernel import KernelSpec, build_context, mmd_objective
 from unsupcp.quantile import conformal_quantile_supervised, conformal_quantile_weighted, evaluate, prediction_mask
 from unsupcp.scores import build_score_matrix
 from unsupcp.solver import (
@@ -102,8 +102,8 @@ def test_criterion_01_supervised_marginal_coverage(three_class_mixture):
     coverages = np.empty(trials)
     for t, child in enumerate(root.spawn(trials)):
         s_data, s_cal, s_test = child.generate_state(3)
-        cal, _ = generate_synthetic(three_class_mixture, n, int(s_data))
-        test, _ = generate_synthetic(three_class_mixture, n, int(s_test))
+        cal = generate_synthetic(three_class_mixture, n, int(s_data))
+        test = generate_synthetic(three_class_mixture, n, int(s_test))
         cal_scores = build_score_matrix(model, cal.instances, "adaptive", int(s_cal))
         true_scores = cal_scores.values[np.arange(n), cal.labels - 1]
         q_hat = conformal_quantile_supervised(true_scores, alpha)
@@ -239,8 +239,8 @@ def test_criterion_07_dual_witness_equivalence():
         train = Dataset(rng.standard_normal((m, 2)), 1 + rng.integers(0, c, m), num_classes=c)
         ctx = build_context(cal, train, KernelSpec(sigma))
         w = rng.dirichlet(np.ones(c), size=n)
-        worst = max(worst, abs(witness_probe(w, ctx) - mmd_objective(w, ctx)))
-        out = dual_witness_check(w, ctx, probe_count=16, seed=i)
+        worst = max(worst, abs(witness_probe(w, ctx, cal, train) - mmd_objective(w, ctx)))
+        out = dual_witness_check(w, ctx, cal, train, probe_count=16, seed=i)
         probes_bounded &= bool(np.all(out["probes"] <= out["objective"] + 1e-10))
     ok = worst <= 1e-8 and probes_bounded
     record_criterion(7, ok, f"max |witness - objective| {worst:.2e}; random probes bounded: {probes_bounded}")
@@ -288,7 +288,6 @@ def test_criterion_08_supervised_reduction_identity(monkeypatch):
             weights=w_star,
             report=report,
             spec=KernelSpec(1.0),
-            context=ctx,
             selection={},
             mmd=mmd_objective(w_star, ctx),
             kernel_bound=None,
@@ -367,8 +366,8 @@ def _timed_unsupervised_calibration(n: int, seed: int) -> float:
     syn = SyntheticConfig(
         class_means=2.2 * np.eye(d), cov_scale=1.0, priors=np.full(c, 1.0 / c)
     )
-    train_ds, _ = generate_synthetic(syn, cfg.train_size, seed)
-    cal_ds, _ = generate_synthetic(syn, n, seed + 1)
+    train_ds = generate_synthetic(syn, cfg.train_size, seed)
+    cal_ds = generate_synthetic(syn, n, seed + 1)
     vc = _val_count(cfg.train_size)
     fit = Dataset(train_ds.instances[:-vc], train_ds.labels[:-vc], c)
     val = Dataset(train_ds.instances[-vc:], train_ds.labels[-vc:], c)

@@ -16,7 +16,7 @@ from unsupcp.classifier import (
 from unsupcp.data import Dataset, SyntheticConfig
 from unsupcp.errors import DegenerateTrainingError, EmptyInputError
 
-from _oracles import mixture_logistic_model
+from _oracles import PosteriorOracle, mixture_logistic_model
 
 
 class TestTraining:
@@ -46,7 +46,7 @@ class TestTraining:
         with pytest.raises(ValueError, match="labeled"):
             train_logistic(ds)
 
-    @pytest.mark.parametrize("l2", [-1e-3, float("nan")])
+    @pytest.mark.parametrize("l2", [-1e-3, float("nan"), float("inf")])
     def test_l2_validated(self, toy_labeled, l2):
         with pytest.raises(ValueError, match="l2"):
             train_logistic(toy_labeled, l2=l2)
@@ -98,8 +98,6 @@ class TestPrediction:
             cov_scale=0.8,
             priors=np.array([0.5, 0.3, 0.2]),
         )
-        from unsupcp.data import PosteriorOracle
-
         model = mixture_logistic_model(cfg)
         X = np.random.default_rng(5).standard_normal((40, 2))
         np.testing.assert_allclose(

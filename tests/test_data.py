@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import PosteriorOracle
 from unsupcp.data import (
     Dataset,
-    PosteriorOracle,
     SplitSpec,
     SyntheticConfig,
     generate_synthetic,
@@ -165,7 +165,7 @@ class TestSynthetic:
     def test_label_histogram_matches_priors(self):
         priors = np.array([0.2, 0.3, 0.5])
         cfg = SyntheticConfig(class_means=np.eye(3), cov_scale=1.0, priors=priors)
-        ds, _ = generate_synthetic(cfg, 1000, seed=11)
+        ds = generate_synthetic(cfg, 1000, seed=11)
         counts = np.bincount(ds.labels, minlength=4)[1:]
         # 4 sigma binomial band per class
         sigma = np.sqrt(1000 * priors * (1 - priors))
@@ -173,15 +173,15 @@ class TestSynthetic:
 
     def test_posterior_rows_normalize(self):
         cfg = SyntheticConfig(class_means=np.array([[0.0, 0.0], [2.0, 1.0], [-1.0, 3.0]]), cov_scale=0.7, priors=np.array([0.2, 0.3, 0.5]))
-        _, oracle = generate_synthetic(cfg, 5, seed=1)
-        P = oracle.posterior_batch(np.random.default_rng(2).standard_normal((50, 2)))
+        P = PosteriorOracle(cfg).posterior_batch(np.random.default_rng(2).standard_normal((50, 2)))
         np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
         assert P.min() >= 0.0
 
     def test_empirical_posterior_matches_oracle(self):
         # P(Y=1 | X in a small box) estimated from 200k draws vs the oracle
         cfg = SyntheticConfig(class_means=np.array([[-1.0, 0.0], [1.0, 0.0]]), cov_scale=1.0, priors=np.array([0.5, 0.5]))
-        ds, oracle = generate_synthetic(cfg, 200_000, seed=3)
+        ds = generate_synthetic(cfg, 200_000, seed=3)
+        oracle = PosteriorOracle(cfg)
         center = np.array([0.6, 0.0])
         box = np.all(np.abs(ds.instances - center) < 0.15, axis=1)
         assert box.sum() > 500

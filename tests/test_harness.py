@@ -14,7 +14,7 @@ import pytest
 from unsupcp import bounds, harness
 from unsupcp.classifier import estimate_loss_bound, train_logistic
 from unsupcp.cli import main
-from unsupcp.data import Dataset, SplitSpec, SyntheticConfig, generate_synthetic, split_dataset
+from unsupcp.data import Dataset, SplitSpec, SyntheticConfig, generate_synthetic, load_csv_dataset, split_dataset
 from unsupcp.errors import EmptyInputError
 from unsupcp.harness import (
     METHODS,
@@ -90,6 +90,26 @@ def _tiny_config(**overrides):
 @pytest.fixture(scope="module")
 def tiny_results():
     return run_experiment(_tiny_config(), workers=1)
+
+
+def _two_blob_csv(path, seed, count=30, centre=2.0):
+    """Write a labeled 2-class CSV of ``count`` points, the classes centred
+    at -centre and centre; returns the path as a string."""
+    rows = ["f1,f2,label:2"]
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        y = 1 + i % 2
+        x = rng.normal(loc=(-centre if y == 1 else centre), scale=0.8, size=2)
+        rows.append(f"{float(x[0])!r},{float(x[1])!r},{y}")
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def _csv_config(tmp_path):
+    """A CSV run of 2 calibration sizes x 3 trials with every method."""
+    path = _two_blob_csv(tmp_path / "blobs.csv", 2, count=120, centre=0.5)
+    return ExperimentConfig(dataset={"type": "csv", "path": path}, train_size=60, cal_sizes=(6, 8), test_size=20,
+                            alpha=0.2, trials=3, seed=5)
 
 
 def _rows_without_timing(records):
@@ -239,7 +259,7 @@ def _direct_calibration(cfg, n, loss_bound=None):
         cov_scale=TINY_DATASET["cov_scale"],
         priors=np.asarray(TINY_DATASET["priors"]),
     )
-    ds, _ = generate_synthetic(syn, cfg.train_size + n + cfg.test_size, int(seeds[0]))
+    ds = generate_synthetic(syn, cfg.train_size + n + cfg.test_size, int(seeds[0]))
     train, cal, _ = split_dataset(ds, SplitSpec(cfg.train_size, n, cfg.test_size, int(seeds[1])))
     vc = _val_count(cfg.train_size)
     fit = Dataset(train.instances[:-vc], train.labels[:-vc], train.num_classes)
@@ -377,17 +397,28 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="workers"):
             run_experiment(_tiny_config(), workers=0)
 
+    def test_csv_workers_do_not_change_results(self, tmp_path):
+        cfg = _csv_config(tmp_path)
+        serial = run_experiment(cfg, workers=1)
+        parallel = run_experiment(cfg, workers=2)
+        assert len(serial.records) == 6 and serial.failures == parallel.failures == ()
+        assert _rows_without_timing(parallel.records) == _rows_without_timing(serial.records)
+
+    def test_csv_loaded_once_per_run(self, tmp_path, monkeypatch):
+        loads = []
+
+        def counted(path, labeled):
+            loads.append(path)
+            return load_csv_dataset(path, labeled)
+
+        monkeypatch.setattr(harness, "load_csv_dataset", counted)
+        out = run_experiment(_csv_config(tmp_path), workers=1)
+        assert len(out.records) == 6
+        assert len(loads) == 1
+
     def test_failures_recorded_not_raised(self, tmp_path):
-        path = tmp_path / "small.csv"
-        rows = ["f1,f2,label:2"]
-        rng = np.random.default_rng(0)
-        for i in range(30):
-            y = 1 + i % 2
-            x = rng.normal(loc=(-2.0 if y == 1 else 2.0), scale=0.8, size=2)
-            rows.append(f"{float(x[0])!r},{float(x[1])!r},{y}")
-        path.write_text("\n".join(rows) + "\n")
         cfg = ExperimentConfig(
-            dataset={"type": "csv", "path": str(path)},
+            dataset={"type": "csv", "path": _two_blob_csv(tmp_path / "small.csv", 0)},
             train_size=10,
             cal_sizes=(4, 500),
             test_size=5,
@@ -582,16 +613,8 @@ class TestCli:
         assert not os.path.exists(out_dir)
 
     def test_partial_failures_exit_two(self, tmp_path, capsys):
-        data = tmp_path / "small.csv"
-        rows = ["f1,f2,label:2"]
-        rng = np.random.default_rng(1)
-        for i in range(30):
-            y = 1 + i % 2
-            x = rng.normal(loc=(-2.0 if y == 1 else 2.0), scale=0.8, size=2)
-            rows.append(f"{float(x[0])!r},{float(x[1])!r},{y}")
-        data.write_text("\n".join(rows) + "\n")
         cfg = dict(
-            dataset={"type": "csv", "path": str(data)},
+            dataset={"type": "csv", "path": _two_blob_csv(tmp_path / "small.csv", 1)},
             train_size=10,
             cal_sizes=[4, 500],
             test_size=5,

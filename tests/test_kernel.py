@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unsupcp.kernel as kernel_mod
-from _oracles import dense_pair_kernel, kernel_eval, plain_cg_columns
+from _oracles import dense_pair_kernel, dual_witness_check, kernel_eval, plain_cg_columns, witness_probe
 from unsupcp.data import Dataset, SyntheticConfig, generate_synthetic
 from unsupcp.errors import EmptyInputError, InterpolationError
 from unsupcp.kernel import (
@@ -21,12 +21,10 @@ from unsupcp.kernel import (
     _sq_dists,
     bandwidth_grid,
     build_context,
-    dual_witness_check,
     gaussian_gram,
     mmd_objective,
     ridge_path,
     select_kernel,
-    witness_probe,
 )
 from unsupcp.scores import ScoreMatrix
 from unsupcp.solver import supervised_weights
@@ -38,11 +36,15 @@ def _fit(K, u, ridge=0.0, **kwargs):
     return fit
 
 
-def _context(n=4, m=5, c=3, d=2, sigma=1.0, seed=0):
+def _samples(n=4, m=5, c=3, d=2, seed=0):
+    """Calibration instances and a labeled training sample."""
     rng = np.random.default_rng(seed)
     cal = rng.standard_normal((n, d))
-    train = Dataset(rng.standard_normal((m, d)), rng.integers(1, c + 1, m), num_classes=c)
-    return build_context(cal, train, KernelSpec(sigma=sigma))
+    return cal, Dataset(rng.standard_normal((m, d)), rng.integers(1, c + 1, m), num_classes=c)
+
+
+def _context(n=4, m=5, c=3, d=2, sigma=1.0, seed=0):
+    return build_context(*_samples(n, m, c, d, seed), KernelSpec(sigma=sigma))
 
 
 def _simplex_weights(n, c, seed):
@@ -118,8 +120,9 @@ class TestBuildContext:
         assert K0.min() >= 0.0 and K0.max() <= 1.0
 
     def test_dense_pair_kernel_matches_kernel_eval(self):
-        ctx = _context(n=4, c=3, sigma=0.9, seed=6)
-        pairs = [(x, y) for x in ctx.cal_instances for y in range(1, ctx.c + 1)]  # (i, y) -> i*c + (y-1)
+        cal, train = _samples(n=4, c=3, seed=6)
+        ctx = build_context(cal, train, KernelSpec(0.9))
+        pairs = [(x, y) for x in cal for y in range(1, ctx.c + 1)]  # (i, y) -> i*c + (y-1)
         want = [[kernel_eval(a, y, b, y2, ctx.spec) for b, y2 in pairs] for a, y in pairs]
         np.testing.assert_allclose(dense_pair_kernel(ctx), want, rtol=0.0, atol=1e-15)
 
@@ -183,8 +186,8 @@ class TestMmdObjective:
         for n in (20, 80, 320):
             vals = []
             for seed in range(5):
-                cal, _ = generate_synthetic(cfg, n, seed=100 + seed)
-                train, _ = generate_synthetic(cfg, n, seed=200 + seed)
+                cal = generate_synthetic(cfg, n, seed=100 + seed)
+                train = generate_synthetic(cfg, n, seed=200 + seed)
                 ctx = build_context(cal.instances, train, KernelSpec(1.0))
                 vals.append(mmd_objective(supervised_weights(cal.labels, 2), ctx))
             means.append(np.mean(vals))
@@ -433,14 +436,16 @@ class TestSelectKernel:
 
 class TestDualWitness:
     def test_witness_probe_matches_objective(self):
-        ctx = _context(n=5, m=4, c=2, sigma=1.2, seed=9)
+        cal, train = _samples(n=5, m=4, c=2, seed=9)
+        ctx = build_context(cal, train, KernelSpec(1.2))
         w = _simplex_weights(5, 2, seed=10)
-        assert abs(witness_probe(w, ctx) - mmd_objective(w, ctx)) < 1e-8
+        assert abs(witness_probe(w, ctx, cal, train) - mmd_objective(w, ctx)) < 1e-8
 
     def test_random_probes_never_exceed_objective(self):
-        ctx = _context(n=4, m=6, c=3, sigma=0.8, seed=11)
+        cal, train = _samples(n=4, m=6, c=3, seed=11)
+        ctx = build_context(cal, train, KernelSpec(0.8))
         w = _simplex_weights(4, 3, seed=12)
-        out = dual_witness_check(w, ctx, probe_count=32, seed=13)
+        out = dual_witness_check(w, ctx, cal, train, probe_count=32, seed=13)
         assert out["best_probe"] <= out["objective"] + 1e-10
         assert np.all(out["probes"] <= out["objective"] + 1e-10)
 
@@ -448,16 +453,12 @@ class TestDualWitness:
         rng = np.random.default_rng(14)
         X = rng.standard_normal((5, 2))
         labels = rng.integers(1, 3, 5)
-        ctx = build_context(X, Dataset(X, labels, num_classes=2), KernelSpec(1.0))
+        train = Dataset(X, labels, num_classes=2)
+        ctx = build_context(X, train, KernelSpec(1.0))
         w = supervised_weights(labels, 2)
-        out = dual_witness_check(w, ctx, probe_count=8, seed=15)
+        out = dual_witness_check(w, ctx, X, train, probe_count=8, seed=15)
         assert out["objective"] < 1e-7
         assert np.all(out["probes"] <= 1e-7)
-
-    def test_probe_count_validated(self):
-        ctx = _context()
-        with pytest.raises(ValueError, match="probe_count"):
-            dual_witness_check(_simplex_weights(4, 3, 0), ctx, probe_count=0)
 
 
 class TestGaussianGram:

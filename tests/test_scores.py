@@ -156,3 +156,5 @@ class TestScoreMatrix:
             build_score_matrix(self._model(), np.zeros((1, 2)), "adaptive", seed=0, noise_epsilon=-1e-9)
         with pytest.raises(ValueError, match="noise_epsilon"):
             build_score_matrix(self._model(), np.zeros((1, 2)), "adaptive", seed=0, noise_epsilon=float("nan"))
+        with pytest.raises(ValueError, match="noise_epsilon"):
+            build_score_matrix(self._model(), np.zeros((1, 2)), "adaptive", seed=0, noise_epsilon=float("inf"))
