@@ -37,6 +37,7 @@ from .kernel import (
     bandwidth_grid,
     build_context,
     mmd_objective,
+    pairwise_sq_dists,
     select_kernel,
 )
 from .quantile import conformal_quantile_supervised, conformal_quantile_weighted, evaluate, prediction_mask
@@ -315,23 +316,29 @@ def calibrate_unsupervised(
 ) -> CalibrationResult:
     """Threshold unlabeled calibration scores without calibration labels.
 
-    Starts from one-hot weights at the classifier's predictions, selects the
-    bandwidth, builds the kernel context against the labeled ``train``
-    sample, solves the weight QP under the constraint that the mean
-    cross-entropy stays below ``loss_bound``, and takes the weighted
-    conformal quantile. ``coverage_gap_bound`` certifies the final
-    inclusion indicator u = 1{score <= q_hat}, union-corrected over the
-    bandwidth candidates; its ridges do not depend on ``selection_ridge``.
+    Starts from one-hot weights at the classifier's predictions and the
+    constraint that the mean cross-entropy stays below ``loss_bound`` (an
+    unsatisfiable one raises InfeasibleConstraintError before any Gram is
+    built), selects the bandwidth, builds the kernel context against the
+    labeled ``train`` sample, solves the weight QP under that constraint,
+    and takes the weighted conformal quantile. ``coverage_gap_bound``
+    certifies the final inclusion indicator u = 1{score <= q_hat},
+    union-corrected over the bandwidth candidates; its ridges do not depend
+    on ``selection_ridge``.
     ``selection_ridge`` must be positive and finite: at 0 the smooth
     candidates' selection solves run to the CG cap.
     """
     if not 0 < selection_ridge < math.inf:
         raise ValueError(f"selection_ridge must be positive and finite, got {selection_ridge}")
     naive_w = naive_weights(model, cal_instances)
-    grid = bandwidth_grid(cal_instances.shape[1], bandwidth_scales)
-    spec, selection = select_kernel(grid, cal_instances, cal_scores, naive_w.matrix, alpha, ridge=selection_ridge)
-    ctx = build_context(cal_instances, train, spec)
     constraints = build_loss_constraints(model, cal_instances, loss_bound)
+    grid = bandwidth_grid(cal_instances.shape[1], bandwidth_scales)
+    # the calibration's squared distances are built once, read by selection,
+    # then overwritten by K0 in the context build, so they add no n x n array
+    D2 = pairwise_sq_dists(cal_instances, cal_instances)
+    spec, selection = select_kernel(grid, cal_instances, cal_scores, naive_w.matrix, alpha, ridge=selection_ridge,
+                                    sq_dists=D2)
+    ctx = build_context(cal_instances, train, spec, sq_dists=D2)
     weights, report = solve_label_weights(ctx, constraints, solver_options, init=naive_w)
     q_hat = conformal_quantile_weighted(cal_scores.values, weights.matrix, alpha)
     mmd = mmd_objective(weights, ctx)

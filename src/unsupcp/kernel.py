@@ -9,6 +9,14 @@ stores that one block plus the label-collapsed cross statistics against the
 training sample; the full matrix is never materialized, and the raw samples
 are not kept.
 
+Squared distances and Gaussian Grams are built one row block of
+GRAM_BLOCK_ENTRIES entries at a time, while the block is in cache: a GEMM
+into the block, then the distances, and for a Gram the bandwidth scale and
+exp. No temporary of the result's size is made, and entries that would be
+subnormal are exactly 0. A calibration's squared distances are built once:
+bandwidth selection reads them, and the context build overwrites them with
+K0.
+
 Kernel-ridge fits (bandwidth selection and the bound's ridge path) run
 conjugate gradients preconditioned by a greedy pivoted Cholesky factor of
 the Gram they solve against: at most n // 16 of its rows, read in place,
@@ -35,7 +43,7 @@ CG_MAX_ITERS = 1500  # iteration cap of the bandwidth-selection and bound fits
 PRUNE_MARGIN = 1e-9  # relative margin by which a pruned candidate's lower end beats the best upper end
 PRECOND_RANK_DIVISOR = 16  # a CG preconditioner's factor has rank at most n // 16
 PRECOND_STOP = 1e-3  # its factor stops once the residual diagonal is <= this times the smallest shift
-GRAM_BLOCK_ENTRIES = 2**17  # entries per row block while a Gram is exponentiated
+GRAM_BLOCK_ENTRIES = 2**17  # entries per row block while squared distances or a Gram are built
 # exponents below this give subnormal kernel values, which are set to 0
 _EXP_FLOOR = float(np.log(np.finfo(np.float64).tiny))
 
@@ -60,49 +68,97 @@ def bandwidth_grid(num_features: int, scales=None) -> list[KernelSpec]:
     return [KernelSpec(sigma=s * root) for s in sorted(scales)]
 
 
-def _sq_dists(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped at 0. Holds the result
-    and one product buffer of the same shape, nothing more."""
+def _row_blocks(shape):
+    """Row slices of a (rows, cols) array of about GRAM_BLOCK_ENTRIES
+    entries each, so one block stays in cache. No block is a single row
+    unless the array is one: numpy takes a one-row product through GEMV,
+    whose bits can differ from GEMM's by an ulp."""
+    rows, step = shape[0], max(2, GRAM_BLOCK_ENTRIES // max(1, shape[1]))
+    starts = list(range(0, rows, step))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()  # the last row joins the block before it
+    return [slice(i, j) for i, j in zip(starts, starts[1:] + [rows])]
+
+
+def _sq_dist_blocks(X1: np.ndarray, X2: np.ndarray, out: np.ndarray):
+    """Write the squared distances between the rows of X1 and X2 into
+    ``out`` one row block at a time, yielding each block once it is done.
+
+    Each entry is (|x1|^2 + |x2|^2) - 2 <x1, x2>, clipped at 0, in that
+    order, so it keeps the bits of the single-GEMM formula wherever BLAS
+    computes a row block of the product as it computes the full product.
+    Beyond ``out``, only one block of norm sums is held.
+    """
     n1 = np.sum(X1 * X1, axis=1)
     n2 = np.sum(X2 * X2, axis=1)
-    D2 = np.add.outer(n1, n2)
-    prod = X1 @ X2.T
-    prod *= 2.0
-    D2 -= prod
-    del prod
-    return np.maximum(D2, 0.0, out=D2)
+    blocks = _row_blocks(out.shape)
+    norms = np.empty((max((b.stop - b.start for b in blocks), default=0), out.shape[1]))
+    for rows in blocks:
+        D = out[rows]
+        np.matmul(X1[rows], X2.T, out=D)
+        D *= 2.0
+        np.subtract(np.add(n1[rows, None], n2, out=norms[:D.shape[0]]), D, out=D)
+        np.maximum(D, 0.0, out=D)
+        yield D
+
+
+def pairwise_sq_dists(X1, X2) -> np.ndarray:
+    """Pairwise squared Euclidean distances between the rows of X1 and X2,
+    clipped at 0. No temporary of the result's size is made."""
+    X1, X2 = np.asarray(X1, np.float64), np.asarray(X2, np.float64)
+    D2 = np.empty((X1.shape[0], X2.shape[0]))
+    for _ in _sq_dist_blocks(X1, X2, D2):
+        pass
+    return D2
+
+
+def _exp_block(D: np.ndarray, scale: float, out: np.ndarray) -> None:
+    """exp(D / scale) into ``out`` (which may be D itself), with every entry
+    whose exponent lies below _EXP_FLOOR set to exactly 0.
+
+    Such an entry would come out subnormal, and subnormal values make exp
+    and every later product with the Gram slow. On a block that holds one,
+    its exponent is zeroed by a 0/1 mask before exp (so exp never sees a
+    near-floor input) and its result after; every other entry keeps the bits
+    of the plain formula. A block without one takes plain exp, which is
+    about twice as fast as the masked pass.
+    """
+    rows = np.divide(D, scale, out=out)
+    if rows.size and rows.min() < _EXP_FLOOR:
+        keep = rows >= _EXP_FLOOR
+        np.multiply(rows, keep, out=rows)
+        np.exp(rows, out=rows)
+        np.multiply(rows, keep, out=rows)
+    else:
+        np.exp(rows, out=rows)
 
 
 def _gram_from_sq_dists(D2: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
     """exp(D2 / (-2 sigma^2)) without subnormal entries, into ``out`` (which
-    may be D2 itself) or a new array.
+    may be D2 itself) or a new array, one row block at a time.
 
-    An entry whose exponent lies below log(tiny) would come out subnormal:
-    it is set to exactly 0, and exp never sees it, since subnormal results
-    take exp's slow path and make every later product with the Gram slow
-    too. Every other entry keeps the bits of the plain formula. The work
-    runs over row blocks small enough to stay in cache.
+    This is the exp half of ``gaussian_gram``, for squared distances that
+    are already built (``pairwise_sq_dists``): on them it gives the bits of
+    ``gaussian_gram`` on the same points. Each block takes plain exp, or the
+    masked pass of ``_exp_block`` when it holds an entry below the floor.
     """
     K = np.empty_like(D2) if out is None else out
     scale = -2.0 * sigma**2
-    step = max(1, GRAM_BLOCK_ENTRIES // max(1, D2.shape[1]))
-    for i in range(0, D2.shape[0], step):
-        rows = np.divide(D2[i:i + step], scale, out=K[i:i + step])
-        if rows.size and rows.min() < _EXP_FLOOR:
-            low = rows < _EXP_FLOOR
-            np.maximum(rows, _EXP_FLOOR, out=rows)
-            np.exp(rows, out=rows)
-            rows[low] = 0.0
-        else:
-            np.exp(rows, out=rows)
+    for rows in _row_blocks(D2.shape):
+        _exp_block(D2[rows], scale, K[rows])
     return K
 
 
 def gaussian_gram(X1: np.ndarray, X2: np.ndarray, sigma: float) -> np.ndarray:
     """Feature-space Gaussian Gram matrix between two point sets, built in
-    place over its squared distances."""
-    D2 = _sq_dists(np.asarray(X1, np.float64), np.asarray(X2, np.float64))
-    return _gram_from_sq_dists(D2, sigma, out=D2)
+    one pass per row block: product, squared distances, then exp. No
+    temporary of the result's size is made."""
+    X1, X2 = np.asarray(X1, np.float64), np.asarray(X2, np.float64)
+    K = np.empty((X1.shape[0], X2.shape[0]))
+    scale = -2.0 * sigma**2
+    for rows in _sq_dist_blocks(X1, X2, K):
+        _exp_block(rows, scale, rows)
+    return K
 
 
 @dataclass(frozen=True)
@@ -126,9 +182,28 @@ class KernelContext:
     c: int
 
 
-def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec) -> KernelContext:
+def _calibration_sq_dists(cal_instances: np.ndarray, sq_dists) -> np.ndarray:
+    """The calibration's (n, n) squared distances: ``sq_dists`` as handed
+    in, checked, or built here when it is None."""
+    if sq_dists is None:
+        return pairwise_sq_dists(cal_instances, cal_instances)
+    n = cal_instances.shape[0]
+    if not (isinstance(sq_dists, np.ndarray) and sq_dists.dtype == np.float64 and sq_dists.shape == (n, n)):
+        raise ValueError(f"sq_dists must be a float64 ({n}, {n}) array, got {getattr(sq_dists, 'shape', sq_dists)!r}")
+    return sq_dists
+
+
+def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec, *,
+                  sq_dists: np.ndarray | None = None) -> KernelContext:
     """Assemble the kernel context from calibration features and a labeled
-    training sample."""
+    training sample.
+
+    ``sq_dists``, when given, holds the calibration's pairwise squared
+    distances (``pairwise_sq_dists(cal_instances, cal_instances)``); K0 is
+    written over it in place and becomes ``base_gram``, so the caller must
+    not read it as distances afterwards. Without it, the distances are
+    built here, with the same bits.
+    """
     cal_instances = np.asarray(cal_instances, dtype=np.float64)
     if cal_instances.ndim != 2 or cal_instances.shape[0] == 0:
         raise EmptyInputError("calibration instances must be a non-empty (n, d) matrix")
@@ -150,7 +225,8 @@ def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec) -
     # kernel needs only its same-label Gram blocks
     blocks = (train.instances[train.labels == y] for y in np.flatnonzero(np.bincount(train.labels)))
     train_self = sum(float(np.sum(gaussian_gram(T, T, spec.sigma))) for T in blocks) / (m * m)
-    K0 = gaussian_gram(cal_instances, cal_instances, spec.sigma)
+    D2 = _calibration_sq_dists(cal_instances, sq_dists)
+    K0 = _gram_from_sq_dists(D2, spec.sigma, out=D2)
     return KernelContext(
         spec=spec,
         base_gram=K0,
@@ -388,7 +464,7 @@ def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
 
 
 def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha: float,
-                  ridge: float = SELECTION_RIDGE):
+                  ridge: float = SELECTION_RIDGE, *, sq_dists: np.ndarray | None = None):
     """Pick the bandwidth whose kernel fits the naive coverage indicator
     with the smallest penalized squared RKHS norm.
 
@@ -418,8 +494,10 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     factor's rank (0 where none was used), CG steps, residual, whether it was
     ``pruned``, and the ``lower`` and ``upper`` ends of its bracket at its
     last iterate. Candidates whose solve fails to converge are skipped;
-    equal statistics break toward the smaller sigma. Returns (KernelSpec,
-    diagnostics dict).
+    equal statistics break toward the smaller sigma. ``sq_dists``, when
+    given, holds the calibration's pairwise squared distances, which are
+    read and left as they are; without it they are built here. Returns
+    (KernelSpec, diagnostics dict).
     """
     candidates = sorted(candidates, key=lambda s: s.sigma)
     if not candidates:
@@ -430,7 +508,7 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     W = as_weight_matrix(naive_weights, score_matrix.n, score_matrix.c)
     q0 = conformal_quantile_weighted(score_matrix.values, W, alpha)
     U = (score_matrix.values <= q0).astype(np.float64)
-    D2 = _sq_dists(cal_instances, cal_instances)
+    D2 = _calibration_sq_dists(cal_instances, sq_dists)
     K0 = np.empty_like(D2)  # every candidate's Gram is built into this one buffer
     count = len(candidates)
     stats, residuals, lower, upper = (np.full(count, np.nan) for _ in range(4))

@@ -135,9 +135,20 @@ class ConstraintSet:
 
 
 def build_loss_constraints(model: ProbModel, instances: np.ndarray, loss_bound_value: float) -> ConstraintSet:
-    """Per-pair cross-entropy losses with right-hand side n * loss bound."""
+    """Per-pair cross-entropy losses with right-hand side n * loss bound.
+
+    Raises InfeasibleConstraintError when no weights on the row simplices
+    meet the bound: the smallest loss they reach is sum_i min_y B_iy, and
+    the cut search accepts nothing above b (1 + SLACK_REL_TOL).
+    """
     P = predict_proba_matrix(model, instances)
-    return ConstraintSet(loss_matrix=-np.log(P), bound=instances.shape[0] * loss_bound_value)
+    cut = ConstraintSet(loss_matrix=-np.log(P), bound=instances.shape[0] * loss_bound_value)
+    floor = float(cut.loss_matrix.min(axis=1).sum())
+    if floor > cut.bound * (1.0 + SLACK_REL_TOL):
+        raise InfeasibleConstraintError(
+            f"loss constraint unsatisfiable: the smallest reachable loss {floor:.6g} exceeds {cut.bound:.6g}"
+        )
+    return cut
 
 
 @dataclass(frozen=True)

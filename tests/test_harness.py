@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from unsupcp import bounds, harness
+from unsupcp import kernel as kernel_mod
 from unsupcp.classifier import estimate_loss_bound, train_logistic
 from unsupcp.cli import main
 from unsupcp.data import Dataset, SplitSpec, SyntheticConfig, generate_synthetic, load_csv_dataset, split_dataset
@@ -33,7 +34,7 @@ from unsupcp.harness import (
     run_experiment,
     run_trial,
 )
-from unsupcp.kernel import ridge_path
+from unsupcp.kernel import ridge_path, select_kernel
 from unsupcp.scores import build_score_matrix
 from unsupcp.solver import SolverOptions, build_loss_constraints
 
@@ -350,6 +351,19 @@ class TestCalibrateUnsupervised:
         assert -1e-8 * b <= out.report.inequality_slack <= 1e-8 * b
         assert math.isfinite(out.q_hat)
 
+    def test_calibration_distances_built_once(self, monkeypatch):
+        # selection and the context build share one build of the n x n distances
+        builds = []
+        blocks = kernel_mod._sq_dist_blocks
+
+        def counted(X1, X2, out):
+            builds.append((X1.shape[0], X2.shape[0], bool(np.array_equal(X1, X2))))
+            return blocks(X1, X2, out)
+
+        monkeypatch.setattr(kernel_mod, "_sq_dist_blocks", counted)
+        _direct_calibration(_tiny_config(**self.CFG), 12)  # m = 10, so only the calibration is 12 x 12
+        assert builds.count((12, 12, True)) == 1
+
     @pytest.mark.parametrize("ridge", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_selection_ridge_rejected(self, ridge):
         # checked before any work: at a zero ridge the smooth candidates'
@@ -415,6 +429,25 @@ class TestRunExperiment:
         out = run_experiment(_csv_config(tmp_path), workers=1)
         assert len(out.records) == 6
         assert len(loads) == 1
+
+    def test_unsatisfiable_loss_bound_fails_before_selection(self, tmp_path, monkeypatch):
+        # 5 well-separated validation points give a loss bound below the
+        # smallest loss any weights reach on two of these calibration sets
+        selected = []
+
+        def counted(candidates, cal_instances, *args, **kwargs):
+            selected.append(len(cal_instances))
+            return select_kernel(candidates, cal_instances, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "select_kernel", counted)
+        path = _two_blob_csv(tmp_path / "blobs.csv", 2, count=60)
+        cfg = ExperimentConfig(dataset={"type": "csv", "path": path}, train_size=24, cal_sizes=(6, 8), test_size=10,
+                               alpha=0.1, trials=3, seed=5)
+        out = run_experiment(cfg, workers=1)
+        assert [(f["cal_size"], f["trial"]) for f in out.failures] == [(6, 1), (8, 2)]
+        assert all(f["error"].startswith("InfeasibleConstraintError") and "unsatisfiable" in f["error"]
+                   for f in out.failures)
+        assert sorted(selected) == [6, 6, 8, 8]  # once per trial that ran, never for the two that failed
 
     def test_failures_recorded_not_raised(self, tmp_path):
         cfg = ExperimentConfig(

@@ -18,11 +18,11 @@ from unsupcp.kernel import (
     _gram_from_sq_dists,
     _nystrom_preconditioner,
     _pivoted_cholesky,
-    _sq_dists,
     bandwidth_grid,
     build_context,
     gaussian_gram,
     mmd_objective,
+    pairwise_sq_dists,
     ridge_path,
     select_kernel,
 )
@@ -369,7 +369,7 @@ class TestSelectKernel:
         assert diag["ranks"].max() > 0
         assert np.all((diag["ranks"] >= 0) & (diag["ranks"] <= 400 // 16))
         U = (scores.values <= diag["q_hat0"]).astype(np.float64)
-        D2 = _sq_dists(cal, cal)
+        D2 = pairwise_sq_dists(cal, cal)
         plain, plain_iters = np.empty(len(grid)), np.empty(len(grid), dtype=np.int64)
         for j, s in enumerate(grid):
             K = _gram_from_sq_dists(D2, s.sigma)
@@ -461,6 +461,42 @@ class TestDualWitness:
         assert np.all(out["probes"] <= 1e-7)
 
 
+class TestHandedDistances:
+    """select_kernel and build_context read the calibration's squared
+    distances when handed them, with the bits of their own build."""
+
+    def test_select_kernel_same_diagnostics(self):
+        cal, scores, weights = TestSelectKernel._mixture_fixture(40, 2, 1.5, posterior=True)
+        D2 = pairwise_sq_dists(cal, cal)
+        kept = D2.copy()
+        spec, diag = select_kernel(bandwidth_grid(2), cal, scores, weights, 0.1)
+        spec_h, diag_h = select_kernel(bandwidth_grid(2), cal, scores, weights, 0.1, sq_dists=D2)
+        assert spec_h == spec
+        assert repr(diag_h) == repr(diag)
+        assert D2.tobytes() == kept.tobytes()  # selection only reads them
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.9])
+    def test_build_context_same_bytes_in_place(self, sigma):
+        cal, train = _samples(n=50, m=40, c=3, seed=37)
+        ctx = build_context(cal, train, KernelSpec(sigma))
+        D2 = pairwise_sq_dists(cal, cal)
+        ctx_h = build_context(cal, train, KernelSpec(sigma), sq_dists=D2)
+        assert ctx_h.base_gram is D2  # K0 overwrites the distances
+        assert ctx_h.base_gram.tobytes() == ctx.base_gram.tobytes()
+        assert ctx.base_gram.tobytes() == gaussian_gram(cal, cal, sigma).tobytes()  # one exp path
+        assert ctx_h.cross_v.tobytes() == ctx.cross_v.tobytes()
+        assert repr(ctx_h.train_self) == repr(ctx.train_self)
+
+    @pytest.mark.parametrize("bad", [np.zeros((5, 6)), np.zeros((6, 6), np.float32), [[0.0] * 6] * 6])
+    def test_wrong_distances_rejected(self, bad):
+        cal, train = _samples(n=6, m=5, c=3, seed=38)
+        with pytest.raises(ValueError, match="sq_dists"):
+            build_context(cal, train, KernelSpec(1.0), sq_dists=bad)
+        scores = ScoreMatrix(values=np.full((6, 3), 0.5), kind="adaptive", noise_epsilon=1e-9, seed=0)
+        with pytest.raises(ValueError, match="sq_dists"):
+            select_kernel([KernelSpec(1.0)], cal, scores, np.full((6, 3), 1 / 3), 0.1, sq_dists=bad)
+
+
 class TestGaussianGram:
     def test_cross_gram_value(self):
         X1 = np.zeros((1, 3))
@@ -481,7 +517,7 @@ class TestGaussianGram:
         X1, X2 = rng.standard_normal((37, 4)), rng.standard_normal((23, 4))
         n1, n2 = np.sum(X1 * X1, axis=1), np.sum(X2 * X2, axis=1)
         want = np.maximum(n1[:, None] + n2[None, :] - 2.0 * (X1 @ X2.T), 0.0)
-        assert _sq_dists(X1, X2).tobytes() == want.tobytes()
+        assert pairwise_sq_dists(X1, X2).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("block", [7, kernel_mod.GRAM_BLOCK_ENTRIES])
     @pytest.mark.parametrize("sigma", [0.05, 0.1, 1.0])
@@ -489,7 +525,7 @@ class TestGaussianGram:
         monkeypatch.setattr(kernel_mod, "GRAM_BLOCK_ENTRIES", block)
         rng = np.random.default_rng(32)
         X1, X2 = 1.5 * rng.standard_normal((300, 2)), 1.5 * rng.standard_normal((450, 2))
-        D2 = _sq_dists(X1, X2)
+        D2 = pairwise_sq_dists(X1, X2)
         plain = np.exp(D2 / (-2.0 * sigma**2))
         tiny = np.finfo(np.float64).tiny
         if sigma < 1.0:  # the fixture reaches the subnormal range
@@ -503,7 +539,7 @@ class TestGaussianGram:
     def test_out_buffer_gives_same_bits(self):
         rng = np.random.default_rng(33)
         X = rng.standard_normal((60, 3))
-        D2 = _sq_dists(X, X)
+        D2 = pairwise_sq_dists(X, X)
         fresh = _gram_from_sq_dists(D2, 0.4)
         buf = np.full_like(D2, np.nan)
         assert _gram_from_sq_dists(D2, 0.4, out=buf) is buf
@@ -511,6 +547,34 @@ class TestGaussianGram:
         assert _gram_from_sq_dists(D2, 0.4, out=D2) is D2
         assert D2.tobytes() == fresh.tobytes()
         assert gaussian_gram(X, X, 0.4).tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("block", [7, 64])
+    @pytest.mark.parametrize("d", [2, 10])
+    @pytest.mark.parametrize("m", [5, 23])
+    def test_row_blocks_match_single_gemm(self, monkeypatch, block, d, m):
+        # 37 rows make a ragged last block whenever a block holds several rows
+        monkeypatch.setattr(kernel_mod, "GRAM_BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(39)
+        X1, X2 = 1.5 * rng.standard_normal((37, d)), 1.5 * rng.standard_normal((m, d))
+        n1, n2 = np.sum(X1 * X1, axis=1), np.sum(X2 * X2, axis=1)
+        want = np.add.outer(n1, n2)
+        want -= 2.0 * (X1 @ X2.T)
+        np.maximum(want, 0.0, out=want)
+        assert pairwise_sq_dists(X1, X2).tobytes() == want.tobytes()
+        floor = math.log(np.finfo(np.float64).tiny)
+        for sigma in (0.1 * math.sqrt(d / 2), 1.0):
+            E = want / (-2.0 * sigma**2)
+            plain = np.where(E >= floor, np.exp(np.maximum(E, floor)), 0.0)
+            assert gaussian_gram(X1, X2, sigma).tobytes() == plain.tobytes()
+
+    def test_exp_floor_boundary_on_masked_branch(self):
+        # sigma = 0.5 makes the exponent D2 / -0.5 exact; the first entry puts
+        # the block on the masked branch
+        floor = kernel_mod._EXP_FLOOR
+        E = np.array([[np.nextafter(floor, -np.inf), floor, np.nextafter(floor, np.inf), -1.0]])
+        K = _gram_from_sq_dists(-0.5 * E, 0.5)
+        assert K[0, 0] == 0.0 and not np.signbit(K[0, 0])
+        assert K[0, 1:].tobytes() == np.exp(E[0, 1:]).tobytes()
 
 
 def _traced_peak(fn):
@@ -555,6 +619,20 @@ class TestGramMemory:
         cal, train, _, _ = self._inputs(self.N)
         peak = _traced_peak(lambda: build_context(cal, train, KernelSpec(0.5)))
         assert peak <= 2.1 * 8 * self.N**2
+
+    def test_gaussian_gram_makes_no_full_temporary(self):
+        self._warm_up()
+        cal, train, _, _ = self._inputs(self.N)
+        peak = _traced_peak(lambda: gaussian_gram(cal, train.instances[: self.N // 2], 0.5))
+        # the result plus one row block of norm sums and one of the floor's mask
+        assert peak <= 8 * self.N * (self.N // 2) + 2 * 8 * kernel_mod.GRAM_BLOCK_ENTRIES
+
+    def test_handed_distances_add_only_the_cross_gram(self):
+        self._warm_up()
+        cal, train, _, _ = self._inputs(self.N)
+        D2 = pairwise_sq_dists(cal, cal)
+        peak = _traced_peak(lambda: build_context(cal, train, KernelSpec(0.5), sq_dists=D2))
+        assert peak <= 1.1 * 8 * self.N**2
 
 
 def _ridge_fixture(c=None, n=80, seed=35):

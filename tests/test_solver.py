@@ -227,6 +227,16 @@ class TestBuildLossConstraints:
         np.testing.assert_allclose(cs.loss_matrix, np.log(2.0), atol=1e-12)
         assert cs.bound == 3 * 0.7
 
+    def test_unreachable_bound_raises_at_build(self):
+        # every pair loses log 2, so no weights reach a total loss below 3 log 2
+        model = ProbModel(weights=np.zeros((2, 2)), num_classes=2, num_features=1)
+        X = np.zeros((3, 1))
+        with pytest.raises(InfeasibleConstraintError, match="unsatisfiable"):
+            build_loss_constraints(model, X, loss_bound_value=(1.0 - 1e-6) * np.log(2.0))
+        cs = build_loss_constraints(model, X, loss_bound_value=(1.0 - 1e-9) * np.log(2.0))  # within SLACK_REL_TOL
+        W, mu = _project_cut(np.full((3, 2), 0.5), cs)  # which the cut search accepts too
+        assert mu == 0.0
+
 
 class TestSolveLabelWeights:
     def test_single_instance_analytic_optimum(self):
