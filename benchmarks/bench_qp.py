@@ -31,7 +31,9 @@ SHAPES = {"c3-d2-n2000": (3, 2, 2000, 2700, 1.45), "c10-d10-n3000": (10, 10, 300
 SEEDS = (1, 7, 8)
 
 
-def qp_inputs(u, c, d, n, train_size, spread, seed):
+def calibration_inputs(u, c, d, n, train_size, spread, seed):
+    """One unsupervised calibration's inputs: the logistic fit, the n
+    calibration points, the m = n training sample and the loss bound."""
     # the acceptance-grid mixture (three classes on a circle) or the criterion-10 shape (class means spread * I)
     angles = 2.0 * math.pi * np.arange(3) / 3.0
     means = spread * (np.stack([np.cos(angles), np.sin(angles)], axis=1) if c == 3 else np.eye(c, d))
@@ -39,10 +41,14 @@ def qp_inputs(u, c, d, n, train_size, spread, seed):
     X, y, fit = ds.instances, ds.labels, train_size - train_size // 5
     model = u.train_logistic(u.Dataset(X[:fit], y[:fit], c))
     bound = u.estimate_loss_bound(model, u.Dataset(X[fit:train_size], y[fit:train_size], c))
-    cal = X[train_size:]
     idx = np.random.default_rng(seed).choice(fit, size=n, replace=False)
-    ctx = u.build_context(cal, u.Dataset(X[idx], y[idx], c), u.KernelSpec(math.sqrt(d / 2.0)))
-    return ctx, u.build_loss_constraints(model, cal, bound.value), u.naive_weights(model, cal)
+    return model, X[train_size:], u.Dataset(X[idx], y[idx], c), bound.value
+
+
+def qp_inputs(u, c, d, n, train_size, spread, seed):
+    model, cal, train, bound = calibration_inputs(u, c, d, n, train_size, spread, seed)
+    ctx = u.build_context(cal, train, u.KernelSpec(math.sqrt(d / 2.0)))
+    return ctx, u.build_loss_constraints(model, cal, bound), u.naive_weights(model, cal)
 
 
 def median_seconds(call, repeats):

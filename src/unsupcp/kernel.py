@@ -22,9 +22,11 @@ conjugate gradients preconditioned by a greedy pivoted Cholesky factor of
 the Gram they solve against: at most n // 16 of its rows, read in place,
 give a Nystrom preconditioner for any ridge (Diaz, Epperly, Frangella,
 Tropp & Webber, arXiv:2304.12465). Where the factor cannot pay for itself,
-plain CG runs. Bandwidth selection stops a candidate's solve as soon as the
-CG error bracket on its statistic shows that it cannot win, and builds a
-candidate's factor only after one plain step has not settled it.
+plain CG runs. Bandwidth selection solves the likely winner first, the
+candidate nearest sigma = sqrt(d/2), then stops every other candidate's
+solve as soon as the CG error bracket on its statistic shows that it cannot
+win, and builds a candidate's factor only after one plain step has not
+settled it.
 """
 
 import math
@@ -479,9 +481,14 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     The ridge must be positive and finite: at 0 the smooth candidates'
     solves run to the CG cap.
 
-    Candidates are visited from the largest sigma down, each Gram built into
-    one shared buffer. Every CG iterate x, with residual r = u - A x and
-    A = K + s I (s the jittered ridge), brackets the statistic:
+    Candidates are visited outward from the likely winner: first the one
+    nearest sqrt(d/2) in log sigma (the base scale of ``bandwidth_grid``),
+    then the rest by their distance from it in the ascending list, ties to
+    the larger sigma. Each Gram is built into one shared buffer. The order
+    sets only how much work is done, not the selection: a candidate that is
+    not pruned runs the same CG in any order. Every CG iterate x, with
+    residual r = u - A x and A = K + s I (s the jittered ridge), brackets
+    the statistic:
     u^T A^-1 u = u^T x + r^T x + r^T A^-1 r, with 0 <= r^T A^-1 r <=
     ||r||^2 / s (Strakos & Tichy, ETNA 13, 2002). A candidate is pruned,
     its statistic NaN, once its lower end exceeds (1 + PRUNE_MARGIN) times
@@ -490,14 +497,14 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     Each candidate takes one plain CG step first. Only then does it build
     the pivoted Cholesky factor of its Gram (see ``ridge_path``) to
     continue, preconditioned, from that iterate, so one pruned or solved in
-    its plain step builds none. The diagnostics record per candidate the
-    factor's rank (0 where none was used), CG steps, residual, whether it was
-    ``pruned``, and the ``lower`` and ``upper`` ends of its bracket at its
-    last iterate. Candidates whose solve fails to converge are skipped;
-    equal statistics break toward the smaller sigma. ``sq_dists``, when
-    given, holds the calibration's pairwise squared distances, which are
-    read and left as they are; without it they are built here. Returns
-    (KernelSpec, diagnostics dict).
+    its plain step builds none. The diagnostics record, by ascending sigma,
+    each candidate's factor rank (0 where none was used), CG steps,
+    residual, whether it was ``pruned``, and the ``lower`` and ``upper``
+    ends of its bracket at its last iterate. Candidates whose solve fails
+    to converge are skipped; equal statistics break toward the smaller
+    sigma. ``sq_dists``, when given, holds the calibration's pairwise
+    squared distances, which are read and left as they are; without it they
+    are built here. Returns (KernelSpec, diagnostics dict).
     """
     candidates = sorted(candidates, key=lambda s: s.sigma)
     if not candidates:
@@ -516,7 +523,11 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     ranks = np.zeros(count, dtype=np.int64)
     pruned = np.zeros(count, dtype=bool)
     best_upper = math.inf  # smallest upper end among the candidates solved so far
-    for j in reversed(range(count)):
+    # the likely winner first, the candidate nearest sqrt(d/2) in log sigma (the grid's base scale), then
+    # outward by grid distance, ties to the larger sigma: once the winner is solved the rest are pruned
+    root = math.sqrt(cal_instances.shape[1] / 2.0)
+    start = min(range(count), key=lambda j: (abs(math.log(candidates[j].sigma / root)), -j))
+    for j in sorted(range(count), key=lambda j: (abs(j - start), -j)):
         _gram_from_sq_dists(D2, candidates[j].sigma, out=K0)
         shift = CG_JITTER_SCALE * float(K0.trace() / K0.shape[0]) + ridge
         limit = (1.0 + PRUNE_MARGIN) * best_upper

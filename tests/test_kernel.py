@@ -317,9 +317,11 @@ class TestSelectKernel:
             select_kernel([KernelSpec(1.0), KernelSpec(2.0)], cal, scores, weights, alpha)
 
     def test_capped_candidate_is_skipped(self, monkeypatch):
-        # on this mixed coverage indicator sigma = 3 wins but needs more CG
-        # steps than sigma = 30, which is visited first: a cap at sigma =
-        # 30's count fails sigma = 3 alone, which is capped, not pruned
+        # on this mixed coverage indicator sigma = 3 wins, is visited first
+        # (nearest sqrt(d/2) = 1 in log sigma), and needs more CG steps than
+        # sigma = 30 takes to be solved outright: a cap at that count fails
+        # sigma = 3 alone, which is capped, not pruned, and leaves sigma = 30
+        # nothing solved to be pruned against
         rng = np.random.default_rng(11)
         n, c = 40, 3
         cal = rng.standard_normal((n, 2))
@@ -327,16 +329,17 @@ class TestSelectKernel:
         weights = supervised_weights(1 + rng.integers(0, c, n), c).matrix
         specs = [KernelSpec(0.3), KernelSpec(3.0), KernelSpec(30.0)]
         _, free = select_kernel(specs, cal, scores, weights, 0.5)
+        _, alone = select_kernel(specs[2:], cal, scores, weights, 0.5)
         counts = free["iterations"]
         assert free["selected_index"] == 1
-        assert counts[1] > counts[2]
-        cap = int(counts[2])
+        assert counts[1] > alone["iterations"][0]
+        cap = int(alone["iterations"][0])
         monkeypatch.setattr(kernel_mod, "CG_MAX_ITERS", cap)
         spec, diag = select_kernel(specs, cal, scores, weights, 0.5)
         assert math.isnan(diag["statistics"][1]) and not diag["pruned"][1]
         assert diag["iterations"][1] == cap
         assert diag["residuals"][1] > 1e-8 * math.sqrt(n)
-        assert diag["statistics"][2] == free["statistics"][2]
+        assert diag["statistics"][2] == alone["statistics"][0]
         assert diag["selected_index"] in (0, 2)
         assert spec.sigma == diag["sigmas"][diag["selected_index"]]
 
@@ -370,20 +373,24 @@ class TestSelectKernel:
         assert np.all((diag["ranks"] >= 0) & (diag["ranks"] <= 400 // 16))
         U = (scores.values <= diag["q_hat0"]).astype(np.float64)
         D2 = pairwise_sq_dists(cal, cal)
-        plain, plain_iters = np.empty(len(grid)), np.empty(len(grid), dtype=np.int64)
+        # the statistics come from direct solves: plain CG at 1e-8 can land
+        # just past a pruned candidate's certified bracket; its iteration
+        # counts are kept for the factor's check below
+        exact, plain_iters = np.empty(len(grid)), np.empty(len(grid), dtype=np.int64)
         for j, s in enumerate(grid):
             K = _gram_from_sq_dists(D2, s.sigma)
             shift = ridge + 1e-10
-            X, _, plain_iters[j], converged = plain_cg_columns(lambda P: K @ P + shift * P, U, 1e-8, 1500)
+            _, _, plain_iters[j], converged = plain_cg_columns(lambda P: K @ P + shift * P, U, 1e-8, 1500)
             assert converged
-            plain[j] = float(np.sum(U * X))
+            exact[j] = float(np.sum(U * np.linalg.solve(K + shift * np.eye(len(K)), U)))
         pruned = diag["pruned"]
-        assert pruned.any() and not pruned[-1]  # the largest sigma is visited first
+        first = [s.sigma for s in grid].index(math.sqrt(d / 2.0))  # the candidate visited first
+        assert pruned.any() and not pruned[first]
         assert np.all(np.isnan(diag["statistics"][pruned]))
-        np.testing.assert_allclose(diag["statistics"][~pruned], plain[~pruned], rtol=1e-9, atol=0.0)
-        assert np.all(diag["lower"][pruned] <= plain[pruned])
-        assert np.all(plain[pruned] <= diag["upper"][pruned])
-        assert spec == grid[int(np.argmin(plain))]
+        np.testing.assert_allclose(diag["statistics"][~pruned], exact[~pruned], rtol=1e-9, atol=0.0)
+        assert np.all(diag["lower"][pruned] <= exact[pruned])
+        assert np.all(exact[pruned] <= diag["upper"][pruned])
+        assert spec == grid[int(np.argmin(exact))]
         # the factor pays where it is built: a solved candidate takes no more
         # CG steps, its first plain one included, than plain CG
         used = (diag["ranks"] > 0) & ~pruned
@@ -402,6 +409,60 @@ class TestSelectKernel:
         # pruning on anything but the certified lower end drops the winner
         best = self._check_against_plain_cg(*self._mixture_fixture(seed, d, spread, posterior=True), d, ridge)
         assert 0 < best < len(bandwidth_grid(d)) - 2
+
+    # the default grid's visit order: sqrt(d/2) first, then outward, ties to the larger sigma
+    DEFAULT_VISIT_ORDER = [3, 4, 2, 5, 1, 6, 0, 7, 8, 9]
+
+    @staticmethod
+    def _visited_sigmas(monkeypatch, specs, d):
+        """The sigmas whose Grams select_kernel builds, in order, on random
+        points in d dimensions."""
+        built = []
+
+        def spy(D2, sigma, out=None):
+            built.append(sigma)
+            return _gram_from_sq_dists(D2, sigma, out=out)
+
+        monkeypatch.setattr(kernel_mod, "_gram_from_sq_dists", spy)
+        rng = np.random.default_rng(5)
+        n, c = 30, 3
+        cal = rng.standard_normal((n, d))
+        scores = ScoreMatrix(values=rng.uniform(0, 1, (n, c)), kind="adaptive", noise_epsilon=1e-9, seed=0)
+        select_kernel(specs, cal, scores, supervised_weights(1 + rng.integers(0, c, n), c).matrix, 0.1)
+        return built
+
+    @pytest.mark.parametrize("d", [2, 10])
+    def test_default_grid_visited_outward_from_the_base_scale(self, monkeypatch, d):
+        grid = bandwidth_grid(d)
+        built = self._visited_sigmas(monkeypatch, grid, d)
+        assert built == [grid[j].sigma for j in self.DEFAULT_VISIT_ORDER]
+
+    @pytest.mark.parametrize("d, sigmas, visited", [
+        # sqrt(8/2) = 2: 1.5 is nearest in log sigma; 3.0 and 0.5 are one grid step away, the larger first
+        (8, [0.5, 1.5, 3.0, 10.0], [1.5, 3.0, 0.5, 10.0]),
+        # sqrt(2/2) = 1: 0.5 and 2.0 are equally near in log sigma, so the larger starts
+        (2, [0.25, 0.5, 2.0, 4.0], [2.0, 4.0, 0.5, 0.25]),
+    ])
+    def test_custom_grid_starts_nearest_the_base_scale(self, monkeypatch, d, sigmas, visited):
+        specs = [KernelSpec(s) for s in reversed(sigmas)]  # the given order does not matter
+        assert self._visited_sigmas(monkeypatch, specs, d) == visited
+
+    @pytest.mark.parametrize("seed, d, spread, ridge, unpruned", [(40, 2, 1.5, 3.0, 0), (42, 10, 2.2, 3.0, 1),
+                                                                  (40, 2, 1.5, 0.3, 0), (42, 10, 2.2, 0.1, 0)])
+    def test_candidates_after_the_winner_are_pruned(self, seed, d, spread, ridge, unpruned):
+        # once the winner is solved, the candidates visited after it are
+        # pruned, except at (42, 10, ridge 3): there the winner is index 4,
+        # and sigma = 0.22, whose Gram is nearly the identity, is solved by
+        # its single plain step
+        cal, scores, weights = self._mixture_fixture(seed, d, spread, posterior=True)
+        _, diag = select_kernel(bandwidth_grid(d), cal, scores, weights, 0.1, ridge=ridge)
+        order = self.DEFAULT_VISIT_ORDER
+        after = np.array(order[order.index(diag["selected_index"]) + 1:])
+        assert len(after) > 0
+        kept = after[~diag["pruned"][after]]
+        assert len(kept) == unpruned
+        assert np.all(diag["iterations"][kept] == 1) and not np.isnan(diag["statistics"][kept]).any()
+        assert np.all(diag["iterations"][after] <= 2)
 
     def test_candidate_pruned_at_its_first_step_builds_no_factor(self, monkeypatch):
         cal, scores, weights = self._mixture_fixture(40, 2, 1.5)
