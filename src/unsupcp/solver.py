@@ -11,8 +11,9 @@ one-dimensional search over row projections. The cut's multiplier at the
 last projection is the reported Lagrange multiplier lambda.
 
 The step is 1/L, with L from the largest eigenvalue of K0, whose
-eigenvector is the near-constant Perron vector.
-For n >= METRIC_MIN_N, when lambda_1 / lambda_2 >= METRIC_RATIO, every
+eigenvector is the near-constant Perron vector; one Lanczos run estimates
+it, the second eigenvalue and v. For n >= METRIC_MIN_N, whenever L_1 > L_2
+> 0 (the constants of lambda_1 and lambda_2 with their margins), every
 step is taken in the metric M = L_2 I + (L_1 - L_2) v v^T instead, the
 rank-one-corrected prox of Becker & Fadili (NeurIPS 2012): the Perron
 direction keeps the step 1/L_1 while every other direction steps 1/L_2.
@@ -46,11 +47,10 @@ CUT_RESOLUTION = 1e6  # largest mu * max(B) at which V - mu B resolves weights t
 CUT_STEPS = 100  # projections per multiplier search
 FLOAT32_GAP_FLOOR = 1e-6  # relative gap tolerances below this run float64 products from the start
 STALL_REL = 1e-12  # float64 relative change in Phi below which roundoff has stalled the solve
-POWER_STEPS = 30  # power-iteration steps behind the gradient step
-POWER_MARGIN = 1.01  # headroom over the power-iteration estimate of lambda_max
+LANCZOS_STEPS = 16  # most Lanczos steps behind the step constants
+POWER_MARGIN = 1.01  # headroom over the Lanczos estimate of lambda_max
 METRIC_MIN_N = 1000  # smallest n at which the step may run in the Perron metric (below, call overhead leads)
-METRIC_RATIO = 2.0  # smallest lambda_1 / lambda_2 at which it does
-LAMBDA2_MARGIN = 1.05  # headroom over the deflated power-iteration estimate of lambda_2
+LAMBDA2_MARGIN = 1.05  # headroom over the Lanczos estimate of lambda_2
 
 
 @dataclass(frozen=True)
@@ -183,12 +183,11 @@ class SolverReport:
     the loss constraint's multiplier at the last projection, 0 when the cut
     was slack there. ``restarts`` counts the momentum restarts over both
     phases, each after a step with nonzero momentum raised Phi.
-    ``perron_ratio`` is the estimate of lambda_1 / lambda_2 of K0: NaN
-    below METRIC_MIN_N, where lambda_2 is not estimated (or for a rank-one
-    K0), and below METRIC_RATIO the value at which its estimate stopped
-    (see ``_power_lip``), which overstates the ratio. ``metric_iteration``
-    is the iteration at which the Perron metric was dropped: 0 when it
-    stayed on to the end, -1 when it never ran.
+    ``perron_ratio`` is the ratio of the top two Ritz values of K0 (see
+    ``_lanczos``), at every n: NaN when the second is not positive (a
+    rank-one K0, n <= 2). ``metric_iteration`` is the iteration at which the
+    Perron metric was dropped: 0 when it stayed on to the end, -1 when it
+    never ran.
     """
 
     objective_value: float
@@ -248,41 +247,40 @@ def _project_cut(V: np.ndarray, cut: ConstraintSet | None, mu: float = 0.0):
     return W_hi, hi
 
 
-def _power_lip(K: np.ndarray, deflate: bool = False):
+def _lanczos(K: np.ndarray):
     """Estimates (lambda_1, v, lambda_2) of a nonnegative PSD Gram K.
 
-    lambda_1 is the Rayleigh quotient after POWER_STEPS steps of power
-    iteration on K, started at the all-ones vector (close to a nonnegative
-    Gram's Perron vector), and v the unit vector of the last step. The
-    quotient approaches lambda_1 from below; a plain projected-gradient step
+    One Lanczos run of at most LANCZOS_STEPS products with K, in K's dtype,
+    on float64 vectors fully reorthogonalized (twice), from the all-ones
+    vector (close to a nonnegative Gram's Perron vector). It stops early at
+    n steps or when the next vector's norm falls to K's rounding. lambda_1
+    and lambda_2 are the top two Ritz values (lambda_2 NaN after one step),
+    v the unit top Ritz vector with a positive sum. By interlacing each sits
+    at or below its eigenvalue, and on a clustered spectrum the second
+    converges far faster than power iteration kept orthogonal to v
+    (Kaniel-Paige; Golub & Van Loan 10.1). A plain projected-gradient step
     1/L stays non-increasing for any L above half the true constant, so a
-    residual underestimate costs no monotonicity.
-
-    lambda_2 is NaN unless ``deflate``. Then it is the Rayleigh quotient of
-    up to POWER_STEPS steps of power iteration kept orthogonal to v, from a
-    fixed pseudo-random start. The top eigenvalue of K compressed to v's
-    complement is at least lambda_2 (interlacing), and the quotient rises
-    towards it, so the iteration stops as soon as lambda_1 < METRIC_RATIO
-    times the quotient: the Perron metric is then off whatever the rest.
+    residual underestimate of lambda_1 costs no monotonicity.
     """
     n = K.shape[0]
-    v = np.full(n, 1.0 / math.sqrt(n), dtype=K.dtype)
-    for _ in range(POWER_STEPS):
-        Kv = K @ v  # K has a unit diagonal and v > 0, so Kv never vanishes
-        lam = float(v @ Kv)
-        v = Kv / np.linalg.norm(Kv)
-    lam2 = math.nan
-    if deflate:
-        u = np.random.default_rng(0).standard_normal(n).astype(K.dtype)
-        for _ in range(POWER_STEPS):
-            u -= (v @ u) * v
-            u /= np.linalg.norm(u)
-            Ku = K @ u
-            lam2 = float(u @ Ku)
-            if lam < METRIC_RATIO * lam2:
-                break
-            u = Ku
-    return lam, v, lam2
+    k = min(LANCZOS_STEPS, n)
+    Q, alpha, beta = np.empty((k, n)), np.empty(k), np.empty(k)
+    q = np.full(n, 1.0 / math.sqrt(n))
+    for j in range(k):
+        Q[j] = q
+        w = (K @ q.astype(K.dtype)).astype(np.float64)
+        alpha[j] = q @ w
+        for _ in range(2):
+            w -= (Q[: j + 1] @ w) @ Q[: j + 1]
+        beta[j] = np.linalg.norm(w)
+        if beta[j] <= math.sqrt(n) * np.finfo(K.dtype).eps * alpha[0]:
+            break  # an invariant subspace, to K's rounding: alpha[0] >= 1 on a unit diagonal
+        q = w / beta[j]
+    k = j + 1
+    theta, S = np.linalg.eigh(np.diag(alpha[:k]) + np.diag(beta[: k - 1], 1) + np.diag(beta[: k - 1], -1))
+    v = S[:, -1] @ Q[:k]  # its sum is S[0, -1] sqrt(n), nonzero: T is unreduced
+    lam2 = float(theta[-2]) if k > 1 else math.nan
+    return float(theta[-1]), v / math.copysign(np.linalg.norm(v), v.sum()), lam2
 
 
 class _MetricStep:
@@ -366,17 +364,16 @@ def _fista(K0, G, W0, max_iters, rel_tol, cut=None, K32=None):
     momentum point follow by linearity, and the gap from the same product.
     Each multiplier search starts from the last accepted one's mu.
 
-    The step is 1/L, with L = POWER_MARGIN 2/n lambda_1 from power
-    iteration (``_power_lip``). At n >= METRIC_MIN_N that also estimates
-    lambda_2, and when lambda_1 / lambda_2 >= METRIC_RATIO the steps run in
-    the Perron metric M = L_2 I + (L - L_2) v v^T instead, with v the Perron
-    vector and L_2 = LAMBDA2_MARGIN 2/n lambda_2 (see ``_MetricStep``): M
-    still bounds the Hessian (2/n) K0, but its Perron direction no longer
-    sets the step in every other one. The cut's multiplier is then mu L_2
-    rather than mu L.
+    The step is 1/L, with L = POWER_MARGIN 2/n lambda_1 from one Lanczos
+    run (``_lanczos``), which also estimates lambda_2 and v. At n >=
+    METRIC_MIN_N, whenever L > L_2 > 0 with L_2 = LAMBDA2_MARGIN 2/n
+    lambda_2, the steps run in the Perron metric M = L_2 I + (L - L_2) v v^T
+    instead, with v the Perron vector (see ``_MetricStep``): M still bounds
+    the Hessian (2/n) K0, but its Perron direction no longer sets the step
+    in every other one. The cut's multiplier is then mu L_2 rather than mu L.
 
     With ``K32``, a float32 copy of K0, the solve runs a float32 phase whose
-    products (power iteration too) run on K32, then a float64 phase on K0;
+    products (the Lanczos run too) run on K32, then a float64 phase on K0;
     without it, only the float64 phase. Iterates, gradients and sums stay
     float64. Each phase evaluates its starting iterate with its own
     products, restarts the momentum, and iterates until the gap certifies,
@@ -408,13 +405,12 @@ def _fista(K0, G, W0, max_iters, rel_tol, cut=None, K32=None):
     """
     n = K0.shape[0]
     phases = (K0,) if K32 is None else (K32, K0)
-    lam1, v, lam2 = _power_lip(phases[0], deflate=n >= METRIC_MIN_N)
-    lip = POWER_MARGIN * 2.0 / n * lam1
+    lam1, v, lam2 = _lanczos(phases[0])
+    lip, lip2 = POWER_MARGIN * 2.0 / n * lam1, LAMBDA2_MARGIN * 2.0 / n * lam2
     step = 1.0 / lip
-    ratio = lam1 / lam2 if lam2 > 0.0 else math.nan  # NaN below the n gate (or for a rank-one K0)
-    if ratio >= METRIC_RATIO:
-        lip2 = LAMBDA2_MARGIN * 2.0 / n * lam2
-        prox, dropped = _MetricStep(1.0 / lip2, cut, v.astype(np.float64), lip - lip2), 0
+    ratio = lam1 / lam2 if lam2 > 0.0 else math.nan  # NaN for a rank-one K0 or n <= 2
+    if n >= METRIC_MIN_N and lip > lip2 > 0.0:
+        prox, dropped = _MetricStep(1.0 / lip2, cut, v, lip - lip2), 0
     else:
         prox, dropped = _MetricStep(step, cut), -1
 

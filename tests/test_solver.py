@@ -1,5 +1,7 @@
 """Weight structures, simplex projection, and the label-weight QP."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,13 +15,14 @@ from unsupcp.errors import InfeasibleConstraintError
 from unsupcp.kernel import KernelSpec, build_context
 from unsupcp.solver import (
     FLOAT32_GAP_FLOOR,
+    LAMBDA2_MARGIN,
     METRIC_MIN_N,
     POWER_MARGIN,
     ConstraintSet,
     LabelWeights,
     SolverOptions,
     _fista,
-    _power_lip,
+    _lanczos,
     _project_cut,
     _project_rows,
     build_loss_constraints,
@@ -437,7 +440,7 @@ def _gaussian_instance(seed, n, c, d=2):
 
 def _lip(K):
     """The solver's step constant: POWER_MARGIN times 2/n lambda_1's estimate."""
-    return POWER_MARGIN * 2.0 / K.shape[0] * _power_lip(K)[0]
+    return POWER_MARGIN * 2.0 / K.shape[0] * _lanczos(K)[0]
 
 
 class TestCertificate:
@@ -726,7 +729,7 @@ class TestPerronMetric:
         bound = 0.5 * (float(B.min(axis=1).sum()) + float(np.sum(B * free_w.matrix)))
         constraints = ConstraintSet(loss_matrix=B, bound=bound)
         weights, report = solve_label_weights(ctx, constraints=constraints, init=init)
-        assert report.perron_ratio >= solver.METRIC_RATIO
+        assert report.perron_ratio > LAMBDA2_MARGIN / POWER_MARGIN
         assert report.metric_iteration == 0
         assert report.converged
         assert report.dual_lambda > 0.0
@@ -738,7 +741,7 @@ class TestPerronMetric:
     def test_metric_solve_matches_the_plain_one_in_fewer_iterations(self, monkeypatch):
         ctx, init, _ = _perron_instance(2)
         _, metric = solve_label_weights(ctx, init=init)
-        monkeypatch.setattr(solver, "METRIC_RATIO", np.inf)
+        monkeypatch.setattr(solver, "METRIC_MIN_N", np.inf)
         _, plain = solve_label_weights(ctx, init=init)
         assert (metric.metric_iteration, plain.metric_iteration) == (0, -1)
         assert metric.step == plain.step
@@ -769,28 +772,83 @@ class TestPerronMetric:
         assert np.all(np.diff(hist[cut:]) <= 1e-12 * abs(hist[-1]))
 
     @pytest.mark.parametrize("n", [METRIC_MIN_N - 1, 40])
-    def test_below_the_n_gate_lambda2_is_never_computed(self, monkeypatch, n):
+    def test_below_the_n_gate_the_metric_stays_off(self, monkeypatch, n):
         seen = []
-        power = solver._power_lip
+        lanczos = solver._lanczos
 
-        def spy(K, deflate=False):
-            out = power(K, deflate)
-            seen.append((deflate, out[2]))
-            return out
+        def spy(K):
+            seen.append(lanczos(K))
+            return seen[-1]
 
-        monkeypatch.setattr(solver, "_power_lip", spy)
+        monkeypatch.setattr(solver, "_lanczos", spy)
         ctx, init, _ = _perron_instance(4, n=n)
         _, report = solve_label_weights(ctx, init=init)
-        assert len(seen) == 1 and seen[0][0] is False and np.isnan(seen[0][1])
-        assert np.isnan(report.perron_ratio)
+        # one Lanczos run estimates both eigenvalues at every n; only the gate keeps the step 1/L
+        assert len(seen) == 1
+        assert report.perron_ratio == seen[0][0] / seen[0][2] > LAMBDA2_MARGIN / POWER_MARGIN
         assert report.metric_iteration == -1
         assert report.converged
 
-    def test_ratio_gate_keeps_the_plain_step(self):
+    def test_grid_mixture_runs_the_metric_in_fewer_iterations(self, monkeypatch):
         # the acceptance-grid mixture at n = METRIC_MIN_N has lambda_1 / lambda_2
-        # near 1.6: lambda_2 is estimated, and the step stays 1/L
+        # near 1.6, above the margins' ratio: the metric runs and certifies
         ctx, init = _gaussian_instance(9, METRIC_MIN_N, 3)
-        _, report = solve_label_weights(ctx, init=init)
-        assert 1.0 < report.perron_ratio < solver.METRIC_RATIO
+        _, metric = solve_label_weights(ctx, init=init)
+        monkeypatch.setattr(solver, "METRIC_MIN_N", np.inf)
+        _, plain = solve_label_weights(ctx, init=init)
+        assert 1.0 < metric.perron_ratio < 2.0
+        assert (metric.metric_iteration, plain.metric_iteration) == (0, -1)
+        assert metric.converged and plain.converged
+        assert metric.iterations < plain.iterations
+
+    def test_flat_spectrum_keeps_the_plain_step(self, monkeypatch):
+        # points 1 apart at sigma 0.25 give K0 within 1e-3 of I: L_1 <= L_2,
+        # so the metric stays off even with no n gate
+        monkeypatch.setattr(solver, "METRIC_MIN_N", 1)
+        cal = np.stack([np.arange(60.0), np.zeros(60)], axis=1)
+        train = Dataset(np.random.default_rng(0).standard_normal((8, 2)), 1 + np.arange(8) % 3, num_classes=3)
+        _, report = solve_label_weights(build_context(cal, train, KernelSpec(0.25)))
+        assert 1.0 < report.perron_ratio < LAMBDA2_MARGIN / POWER_MARGIN
+        assert report.metric_iteration == -1
+        assert report.converged
+
+
+class TestLanczos:
+    @pytest.mark.parametrize("c", [3, 10])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_ritz_values_bracket_the_top_eigenvalues(self, c, dtype):
+        # Gaussian Grams of both benchmark shapes at n = 400
+        for seed in (1, 2):
+            K = (_gaussian_instance(seed, 400, 3) if c == 3 else _perron_instance(seed, n=400))[0].base_gram
+            exact, U = np.linalg.eigh(K)
+            exact = exact[::-1]
+            lam1, v, lam2 = _lanczos(K.astype(dtype))
+            # interlacing: at or below the exact values, up to the products' rounding
+            slack = 10.0 * np.finfo(dtype).eps * exact[0]
+            assert lam1 <= exact[0] + slack and lam2 <= exact[1] + slack
+            assert lam1 >= 0.9999 * exact[0]
+            assert lam2 >= 0.99 * exact[1]
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+            assert v.sum() > 0.0
+            assert abs(float(v @ U[:, -1])) >= 1.0 - 1e-6  # v is the Perron vector
+
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_rank_one_and_tiny_grams_keep_the_plain_step(self, monkeypatch, n):
+        # n identical points (so a rank-one K0) or n <= 2 points: lambda_2 is
+        # 0 or NaN without a warning, and the metric stays off even with no n gate
+        monkeypatch.setattr(solver, "METRIC_MIN_N", 1)
+        rng = np.random.default_rng(n)
+        cal = np.zeros((n, 2)) if n == 50 else rng.standard_normal((n, 2))
+        train = Dataset(rng.standard_normal((8, 2)), 1 + np.arange(8) % 3, num_classes=3)
+        ctx = build_context(cal, train, KernelSpec(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for K in (ctx.base_gram, ctx.base_gram.astype(np.float32)):
+                lam1, v, lam2 = _lanczos(K)
+                assert np.isnan(lam2) or lam2 == 0.0
+                assert abs(lam1 - np.linalg.eigvalsh(ctx.base_gram)[-1]) <= 1e-6 * lam1
+                assert v.sum() > 0.0
+            _, report = solve_label_weights(ctx)
+        assert np.isnan(report.perron_ratio)
         assert report.metric_iteration == -1
         assert report.converged
