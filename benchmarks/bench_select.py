@@ -10,17 +10,21 @@ scores from ``build_score_matrix`` and the naive weights, then runs
 squared distances, built once, as ``calibrate_unsupervised`` does. It
 records the selected sigma, per candidate (by ascending sigma) the CG steps,
 the preconditioner's rank (0 where no factor was used) and whether it was
-pruned, the total steps, the number of factors, and the median seconds of
-``--repeats`` runs. The median of a fixed float64 (3000, 3000) @ (3000, 10)
-GEMM is recorded too, so machines of different speed compare through
-select_s / ref_gemm_s. The run is appended to ``--out``; ``--src`` times
-another checkout's package.
+pruned, the total steps, the winner's steps, the number of factors, and the
+median seconds of ``--repeats`` runs. ``peak_bytes`` is the tracemalloc peak
+of one more ``select_kernel`` call that builds the distances itself, so it
+counts every array selection holds; ``peak_ratio`` divides it by the 8 n^2
+bytes of one (n, n) float64 array. The median of a fixed float64
+(3000, 3000) @ (3000, 10) GEMM is recorded too, so machines of different
+speed compare through select_s / ref_gemm_s. The run is appended to
+``--out``; ``--src`` times another checkout's package.
 """
 import argparse
 import importlib
 import json
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 from bench_qp import SHAPES, calibration_inputs, median_seconds  # sets the BLAS threads before numpy
@@ -55,13 +59,19 @@ def main():
                 return u.select_kernel(grid, cal, scores, naive, ALPHA, sq_dists=D2)
 
             spec, diag = select()
+            select_s = median_seconds(select, args.repeats)
+            del D2
+            tracemalloc.start()
+            u.select_kernel(grid, cal, scores, naive, ALPHA)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
             rows.append({
-                "shape": shape, "seed": seed, "sigma": spec.sigma,
+                "shape": shape, "seed": seed, "n": n, "sigma": spec.sigma,
                 "iterations": diag["iterations"].tolist(), "ranks": diag["ranks"].tolist(),
                 "pruned": diag["pruned"].tolist(), "total_iterations": int(diag["iterations"].sum()),
+                "winner_iterations": int(diag["iterations"][diag["selected_index"]]),
                 "factors": int(np.count_nonzero(diag["ranks"])),
-                "select_s": round(median_seconds(select, args.repeats), 4)})
-            del D2
+                "select_s": round(select_s, 4), "peak_bytes": peak, "peak_ratio": round(peak / (8 * n * n), 4)})
             print(json.dumps(rows[-1]), flush=True)
     out = Path(args.out)  # older runs are kept, so parent and change sit side by side
     record = json.loads(out.read_text()) if out.exists() else {"runs": []}

@@ -15,7 +15,8 @@ into the block, then the distances, and for a Gram the bandwidth scale and
 exp. No temporary of the result's size is made, and entries that would be
 subnormal are exactly 0. A calibration's squared distances are built once:
 bandwidth selection reads them, and the context build overwrites them with
-K0.
+K0. The context's cross statistics against the training sample are reduced
+one row block of their Gram at a time, so no n x m or m x m array is made.
 
 Kernel-ridge fits (bandwidth selection and the bound's ridge path) run
 conjugate gradients preconditioned by a greedy pivoted Cholesky factor of
@@ -26,7 +27,10 @@ plain CG runs. Bandwidth selection solves the likely winner first, the
 candidate nearest sigma = sqrt(d/2), then stops every other candidate's
 solve as soon as the CG error bracket on its statistic shows that it cannot
 win, and builds a candidate's factor only after one plain step has not
-settled it.
+settled it. Selection runs on float32 Grams with float32 CG products;
+the residuals behind its decisions are taken with float64 products on the
+same float32 Gram, so what pruning certifies is the float32 Gram's
+statistic, which differs from the float64 Gram's by float32 rounding.
 """
 
 import math
@@ -46,8 +50,11 @@ PRUNE_MARGIN = 1e-9  # relative margin by which a pruned candidate's lower end b
 PRECOND_RANK_DIVISOR = 16  # a CG preconditioner's factor has rank at most n // 16
 PRECOND_STOP = 1e-3  # its factor stops once the residual diagonal is <= this times the smallest shift
 GRAM_BLOCK_ENTRIES = 2**17  # entries per row block while squared distances or a Gram are built
-# exponents below this give subnormal kernel values, which are set to 0
+SELECTION_CG_TOL = 1e-6  # relative CG residual of bandwidth selection, which float32 products can certify
+# exponents below these give subnormal kernel values in float64 or float32, which are set to 0
 _EXP_FLOOR = float(np.log(np.finfo(np.float64).tiny))
+_EXP_FLOOR32 = float(np.log(np.finfo(np.float32).tiny))
+_SQRT_TINY32 = math.sqrt(float(np.finfo(np.float32).tiny))
 
 
 @dataclass(frozen=True)
@@ -82,26 +89,32 @@ def _row_blocks(shape):
     return [slice(i, j) for i, j in zip(starts, starts[1:] + [rows])]
 
 
-def _sq_dist_blocks(X1: np.ndarray, X2: np.ndarray, out: np.ndarray):
-    """Write the squared distances between the rows of X1 and X2 into
-    ``out`` one row block at a time, yielding each block once it is done.
+def _sq_dist_blocks(X1: np.ndarray, X2: np.ndarray, out: np.ndarray | None):
+    """Write the squared distances between the rows of X1 and X2 one row
+    block at a time, yielding (rows, block) once each block is done: into
+    ``out`` in blocks of GRAM_BLOCK_ENTRIES, or, when it is None, into one
+    buffer that every block reuses, so a block must be read before the next
+    is asked for. That buffer and the norm sums hold GRAM_BLOCK_ENTRIES
+    together.
 
     Each entry is (|x1|^2 + |x2|^2) - 2 <x1, x2>, clipped at 0, in that
     order, so it keeps the bits of the single-GEMM formula wherever BLAS
     computes a row block of the product as it computes the full product.
-    Beyond ``out``, only one block of norm sums is held.
+    Beyond ``out`` (or the reused buffer), only one block of norm sums is
+    held.
     """
     n1 = np.sum(X1 * X1, axis=1)
     n2 = np.sum(X2 * X2, axis=1)
-    blocks = _row_blocks(out.shape)
-    norms = np.empty((max((b.stop - b.start for b in blocks), default=0), out.shape[1]))
+    blocks = _row_blocks((X1.shape[0], X2.shape[0] * (1 if out is not None else 2)))
+    norms = np.empty((max((b.stop - b.start for b in blocks), default=0), X2.shape[0]))
+    buffer = np.empty_like(norms) if out is None else None
     for rows in blocks:
-        D = out[rows]
+        D = out[rows] if out is not None else buffer[:rows.stop - rows.start]
         np.matmul(X1[rows], X2.T, out=D)
         D *= 2.0
         np.subtract(np.add(n1[rows, None], n2, out=norms[:D.shape[0]]), D, out=D)
         np.maximum(D, 0.0, out=D)
-        yield D
+        yield rows, D
 
 
 def pairwise_sq_dists(X1, X2) -> np.ndarray:
@@ -114,9 +127,11 @@ def pairwise_sq_dists(X1, X2) -> np.ndarray:
     return D2
 
 
-def _exp_block(D: np.ndarray, scale: float, out: np.ndarray) -> None:
+def _exp_block(D: np.ndarray, scale: float, out: np.ndarray, floor: float = _EXP_FLOOR, exponents=None) -> None:
     """exp(D / scale) into ``out`` (which may be D itself), with every entry
-    whose exponent lies below _EXP_FLOOR set to exactly 0.
+    whose exponent lies below ``floor`` set to exactly 0. ``exponents``,
+    when given, is a float64 block of D's shape for D / scale, so a float32
+    ``out`` gets float64 exp rounded once.
 
     Such an entry would come out subnormal, and subnormal values make exp
     and every later product with the Gram slow. On a block that holds one,
@@ -125,14 +140,14 @@ def _exp_block(D: np.ndarray, scale: float, out: np.ndarray) -> None:
     of the plain formula. A block without one takes plain exp, which is
     about twice as fast as the masked pass.
     """
-    rows = np.divide(D, scale, out=out)
-    if rows.size and rows.min() < _EXP_FLOOR:
-        keep = rows >= _EXP_FLOOR
+    rows = np.divide(D, scale, out=out if exponents is None else exponents)
+    if rows.size and rows.min() < floor:
+        keep = rows >= floor
         np.multiply(rows, keep, out=rows)
-        np.exp(rows, out=rows)
-        np.multiply(rows, keep, out=rows)
+        np.exp(rows, out=out)
+        np.multiply(out, keep, out=out)
     else:
-        np.exp(rows, out=rows)
+        np.exp(rows, out=out)
 
 
 def _gram_from_sq_dists(D2: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -143,11 +158,22 @@ def _gram_from_sq_dists(D2: np.ndarray, sigma: float, out: np.ndarray | None = N
     are already built (``pairwise_sq_dists``): on them it gives the bits of
     ``gaussian_gram`` on the same points. Each block takes plain exp, or the
     masked pass of ``_exp_block`` when it holds an entry below the floor.
+
+    A float32 ``out`` receives each block exponentiated in float64, in one
+    block of scratch, and then rounded once, so every entry is the float64
+    Gram's rounded to float32; entries that would be subnormal in float32
+    are exactly 0.
     """
     K = np.empty_like(D2) if out is None else out
     scale = -2.0 * sigma**2
-    for rows in _row_blocks(D2.shape):
-        _exp_block(D2[rows], scale, K[rows])
+    blocks = _row_blocks(D2.shape)
+    if K.dtype == np.float64:
+        for rows in blocks:
+            _exp_block(D2[rows], scale, K[rows])
+        return K
+    scratch = np.empty((max((b.stop - b.start for b in blocks), default=0), D2.shape[1]))
+    for rows in blocks:
+        _exp_block(D2[rows], scale, K[rows], _EXP_FLOOR32, scratch[:rows.stop - rows.start])
     return K
 
 
@@ -158,8 +184,8 @@ def gaussian_gram(X1: np.ndarray, X2: np.ndarray, sigma: float) -> np.ndarray:
     X1, X2 = np.asarray(X1, np.float64), np.asarray(X2, np.float64)
     K = np.empty((X1.shape[0], X2.shape[0]))
     scale = -2.0 * sigma**2
-    for rows in _sq_dist_blocks(X1, X2, K):
-        _exp_block(rows, scale, rows)
+    for _, block in _sq_dist_blocks(X1, X2, K):
+        _exp_block(block, scale, block)
     return K
 
 
@@ -182,6 +208,17 @@ class KernelContext:
     n: int
     m: int
     c: int
+
+
+def _gram_row_blocks(X1: np.ndarray, X2: np.ndarray, sigma: float):
+    """Yield (rows, block) over row blocks of the Gaussian Gram between X1
+    and X2, each with the bits of ``gaussian_gram(X1[rows], X2, sigma)`` and
+    built in one buffer that every block reuses, so the full Gram is never
+    made."""
+    scale = -2.0 * sigma**2
+    for rows, block in _sq_dist_blocks(X1, X2, None):
+        _exp_block(block, scale, block)
+        yield rows, block
 
 
 def _calibration_sq_dists(cal_instances: np.ndarray, sq_dists) -> np.ndarray:
@@ -218,15 +255,21 @@ def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec, *
             f"feature dimension mismatch: calibration {cal_instances.shape[1]}, training {train.num_features}"
         )
     n, m, c = cal_instances.shape[0], len(train), train.num_classes
-    # one Gram at a time, each freed before the next is built: the cross Gram
-    # collapses to V, the same-label training blocks to train_self, then K0
+    # the cross Gram collapses to V and the same-label training Grams to
+    # train_self one row block at a time, so neither is ever whole; then K0
     onehot = np.zeros((m, c))
     onehot[np.arange(m), train.labels - 1] = 1.0
-    V = gaussian_gram(cal_instances, train.instances, spec.sigma) @ onehot
+    V = np.empty((n, c))
+    for rows, block in _gram_row_blocks(cal_instances, train.instances, spec.sigma):
+        np.matmul(block, onehot, out=V[rows])
+    del block  # the block buffer is freed before the next one is made
     # the pair kernel vanishes across labels, so the training sample's mean
     # kernel needs only its same-label Gram blocks
-    blocks = (train.instances[train.labels == y] for y in np.flatnonzero(np.bincount(train.labels)))
-    train_self = sum(float(np.sum(gaussian_gram(T, T, spec.sigma))) for T in blocks) / (m * m)
+    train_self = 0.0
+    for y in np.flatnonzero(np.bincount(train.labels)):
+        T = train.instances[train.labels == y]
+        train_self += sum(float(np.sum(block)) for _, block in _gram_row_blocks(T, T, spec.sigma))
+    train_self /= m * m
     D2 = _calibration_sq_dists(cal_instances, sq_dists)
     K0 = _gram_from_sq_dists(D2, spec.sigma, out=D2)
     return KernelContext(
@@ -285,13 +328,14 @@ def _pivoted_cholesky(K: np.ndarray, mu: float):
     Each step pivots on the largest diagonal entry of the residual
     K - F^T F (the first such index on ties, so the factor is deterministic)
     and reads that one row of K, which is contiguous. It stops once no
-    residual diagonal entry exceeds 1e-3 mu, or at rank n // 16, so the
-    factor takes at most n^2 / 2 bytes. Returns the factor (a view of its
-    buffer) and the residual trace.
+    residual diagonal entry exceeds 1e-3 mu, or at rank n // 16. The factor
+    is held and built in K's dtype, so it takes at most n^2 / 2 bytes, or
+    n^2 / 4 for a float32 K. Returns the factor (a view of its buffer) and
+    the residual trace.
     """
     n = K.shape[0]
     cap = n // PRECOND_RANK_DIVISOR
-    F = np.empty((cap, n))
+    F = np.empty((cap, n), K.dtype)
     d = K.diagonal().astype(np.float64)  # the residual diagonal, up to roundoff below 0
     r = 0
     while r < cap:
@@ -300,6 +344,8 @@ def _pivoted_cholesky(K: np.ndarray, mu: float):
             break
         row = np.subtract(K[p], F[:r, p] @ F[:r], out=F[r])
         row /= math.sqrt(d[p])
+        if row.dtype == np.float32:  # products of smaller entries would be subnormal, which GEMV runs slowly
+            row[np.abs(row) < _SQRT_TINY32] = 0.0
         d -= row * row
         d[p] = 0.0
         r += 1
@@ -314,7 +360,8 @@ def _nystrom_preconditioner(K: np.ndarray, shifts: np.ndarray, width: int):
     carries shift ``shifts[j]``, and maps each column x of shift s to
     (x - F^T (s I + F F^T)^-1 F x) / s, the exact inverse of F^T F + s I by
     Woodbury (Frangella, Tropp & Udell, arXiv:2110.02820). Only the (r, n)
-    factor and k (r, r) inverses are stored. Returns (preconditioner,
+    factor, in K's dtype, and k float64 (r, r) inverses are stored; the
+    products with the factor run in its dtype. Returns (preconditioner,
     rank), or (None, 0) where the factor cannot pay for itself: a
     rank-capped factor that still leaves over 3/4 of K's trace. A flat
     spectrum leaves 15/16 at rank n / 16, and deflating it saves no CG
@@ -323,14 +370,14 @@ def _nystrom_preconditioner(K: np.ndarray, shifts: np.ndarray, width: int):
     """
     F, residual_trace = _pivoted_cholesky(K, float(shifts.min()))
     rank = F.shape[0]
-    if rank == 0 or (rank == K.shape[0] // PRECOND_RANK_DIVISOR and residual_trace > 0.75 * K.trace()):
+    if rank == 0 or (rank == K.shape[0] // PRECOND_RANK_DIVISOR and residual_trace > 0.75 * K.trace(dtype=np.float64)):
         return None, 0
     inverses = np.linalg.inv(F @ F.T + shifts[:, None, None] * np.eye(rank))  # (k, r, r), symmetric
     mu = shifts.repeat(width)[:, None]
 
     def apply(R):
-        T = (R.T @ F.T).reshape(len(shifts), width, rank) @ inverses
-        Z = T.reshape(-1, rank) @ F
+        T = (R.T.astype(F.dtype, copy=False) @ F.T).reshape(len(shifts), width, rank) @ inverses
+        Z = (T.reshape(-1, rank).astype(F.dtype, copy=False) @ F).astype(np.float64, copy=False)
         np.subtract(R.T, Z, out=Z)
         Z /= mu
         return Z.T
@@ -338,7 +385,30 @@ def _nystrom_preconditioner(K: np.ndarray, shifts: np.ndarray, width: int):
     return apply, rank
 
 
-def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None, X0=None, R0=None, stop=None):
+def _product64(K: np.ndarray, shift: float, P: np.ndarray) -> np.ndarray:
+    """(K + shift I) P in float64 arithmetic for a float32 K, whose entries
+    float64 holds exactly: one row block of K, of a quarter of
+    GRAM_BLOCK_ENTRIES, is upcast at a time into one scratch block, so no
+    float64 copy of K is made."""
+    out = np.empty((K.shape[0], P.shape[1]))
+    blocks = _row_blocks((K.shape[0], 4 * K.shape[1]))
+    scratch = np.empty((max((b.stop - b.start for b in blocks), default=0), K.shape[1]))
+    for rows in blocks:
+        block = scratch[:rows.stop - rows.start]
+        block[...] = K[rows]
+        np.matmul(block, P, out=out[rows])
+        out[rows] += shift * P[rows]
+    return out
+
+
+def _residual(product, B: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """B - product(X), written over the product."""
+    AX = product(X)
+    return np.subtract(B, AX, out=AX)
+
+
+def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None, X0=None, R0=None, stop=None,
+                exact=None):
     """Preconditioned conjugate gradients on an SPD operator A, every column
     of B at once.
 
@@ -358,8 +428,9 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None,
     ``stop(X, R)``, when given, sees the iterate X after every step, with
     its recurrence residual R, both (n, k c). If it returns True while a
     column is still running, it is asked again on the true residual
-    B - A X (one product), so recurrence drift cannot stop the run, and the
-    run stops if it holds there too.
+    B - A X (one product, by ``exact`` when given, else by ``matvec``), so
+    neither recurrence drift nor the rounding of cheaper products can stop
+    the run, and the run stops if it holds there too.
 
     Returns the solutions and their recurrence residuals, both (k, n, c),
     and per block the iterations its slowest column ran and whether all its
@@ -401,7 +472,7 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None,
         steps += active
         active = ~(np.sqrt(rr) <= thresh)
         iters += 1
-        if stop is not None and stop(X, R) and bool(active.any()) and stop(X, B - matvec(X)):
+        if stop is not None and stop(X, R) and bool(active.any()) and stop(X, _residual(exact or matvec, B, X)):
             break
     X = X.reshape(n, k, c).transpose(1, 0, 2)
     R = R.reshape(n, k, c).transpose(1, 0, 2)
@@ -484,7 +555,8 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     Candidates are visited outward from the likely winner: first the one
     nearest sqrt(d/2) in log sigma (the base scale of ``bandwidth_grid``),
     then the rest by their distance from it in the ascending list, ties to
-    the larger sigma. Each Gram is built into one shared buffer. The order
+    the larger sigma. Each Gram is built in float32 (every entry the
+    float64 Gram's rounded once) into one shared buffer. The order
     sets only how much work is done, not the selection: a candidate that is
     not pruned runs the same CG in any order. Every CG iterate x, with
     residual r = u - A x and A = K + s I (s the jittered ridge), brackets
@@ -494,6 +566,15 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     its statistic NaN, once its lower end exceeds (1 + PRUNE_MARGIN) times
     the smallest upper end of the candidates solved so far, a decision CG
     confirms on the true residual; a pruned candidate cannot be the argmin.
+    CG runs its products as float32 GEMMs on float64 vectors and stops at
+    a relative residual of SELECTION_CG_TOL, but the true residuals, of the
+    pruning confirmations and of each solved candidate's last iterate, come
+    from float64 products with the float32 Gram (``_product64``). So the
+    brackets, a solved candidate's statistic (the lower end of its bracket,
+    within ||r||^2 / s of the solve) and the pruning all certify the float32
+    Gram's statistic up to float64 rounding; it differs from the float64
+    Gram's by float32 rounding (about 1e-8 relative), far below the gaps
+    between candidates that decide the argmin.
     Each candidate takes one plain CG step first. Only then does it build
     the pivoted Cholesky factor of its Gram (see ``ridge_path``) to
     continue, preconditioned, from that iterate, so one pruned or solved in
@@ -516,7 +597,7 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     q0 = conformal_quantile_weighted(score_matrix.values, W, alpha)
     U = (score_matrix.values <= q0).astype(np.float64)
     D2 = _calibration_sq_dists(cal_instances, sq_dists)
-    K0 = np.empty_like(D2)  # every candidate's Gram is built into this one buffer
+    K0 = np.empty(D2.shape, np.float32)  # every candidate's float32 Gram is built into this one buffer
     count = len(candidates)
     stats, residuals, lower, upper = (np.full(count, np.nan) for _ in range(4))
     iteration_counts = np.zeros(count, dtype=np.int64)
@@ -529,30 +610,38 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     start = min(range(count), key=lambda j: (abs(math.log(candidates[j].sigma / root)), -j))
     for j in sorted(range(count), key=lambda j: (abs(j - start), -j)):
         _gram_from_sq_dists(D2, candidates[j].sigma, out=K0)
-        shift = CG_JITTER_SCALE * float(K0.trace() / K0.shape[0]) + ridge
+        shift = CG_JITTER_SCALE * float(K0.trace(dtype=np.float64) / K0.shape[0]) + ridge
         limit = (1.0 + PRUNE_MARGIN) * best_upper
 
-        def matvec(P):
-            return (P.T @ K0).T + shift * P
+        def matvec(P):  # a float32 GEMM; the CG recurrence stays in float64
+            KP = (P.T.astype(np.float32) @ K0).T.astype(np.float64)
+            KP += shift * P
+            return KP
+
+        def exact(P):  # the same product in float64 arithmetic, for the brackets that decide
+            return _product64(K0, shift, P)
 
         def beaten(X, R):
             lower[j] = float(np.vdot(U + R, X))
             upper[j] = lower[j] + float(np.vdot(R, R)) / shift
             return lower[j] > limit
 
-        X, R, steps, done = _cg_columns(matvec, U, 1e-8, min(1, CG_MAX_ITERS), stop=beaten)
+        X, R, steps, done = _cg_columns(matvec, U, SELECTION_CG_TOL, min(1, CG_MAX_ITERS), stop=beaten, exact=exact)
         if not (done[0] or lower[j] > limit) and steps[0] < CG_MAX_ITERS:
             precond, ranks[j] = _nystrom_preconditioner(K0, np.array([shift]), U.shape[1])
-            X, R, more, done = _cg_columns(matvec, U, 1e-8, CG_MAX_ITERS - steps[0], precond, X, R, beaten)
+            X, R, more, done = _cg_columns(matvec, U, SELECTION_CG_TOL, CG_MAX_ITERS - steps[0], precond, X, R,
+                                           beaten, exact)
             steps += more
             del precond  # the factor is freed before the next candidate's is built
-        iteration_counts[j] = steps[0]
-        residuals[j] = math.sqrt((R * R).sum(axis=1).max())
-        if done[0]:
-            stats[j] = max(float(np.sum(U * X[0])), 0.0)
+        if done[0]:  # a solved candidate's bracket, and so its statistic, comes from its true residual
+            R = _residual(exact, U, X[0])[None]
+            beaten(X[0], R[0])
+            stats[j] = max(lower[j], 0.0)
             best_upper = min(best_upper, upper[j])
         else:
             pruned[j] = lower[j] > limit
+        iteration_counts[j] = steps[0]
+        residuals[j] = math.sqrt((R * R).sum(axis=1).max())
     if np.isnan(stats).all():
         raise InterpolationError("all kernel candidates failed to interpolate", residual=float(np.nanmin(residuals)))
     best = int(np.nanargmin(stats))

@@ -51,6 +51,7 @@ LANCZOS_STEPS = 16  # most Lanczos steps behind the step constants
 POWER_MARGIN = 1.01  # headroom over the Lanczos estimate of lambda_max
 METRIC_MIN_N = 1000  # smallest n at which the step may run in the Perron metric (below, call overhead leads)
 LAMBDA2_MARGIN = 1.05  # headroom over the Lanczos estimate of lambda_2
+EPS64, TINY64 = float(np.finfo(np.float64).eps), float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -247,6 +248,111 @@ def _project_cut(V: np.ndarray, cut: ConstraintSet | None, mu: float = 0.0):
     return W_hi, hi
 
 
+def _sturm(a: list, b2: list, x: float, pivmin: float):
+    """(below, g) at x for the symmetric tridiagonal T with diagonal ``a``
+    and squared off-diagonal ``b2`` (plain float lists, ``b2[0]`` = 0).
+
+    ``below`` counts the negative pivots q_i of the LDL^T factorization of
+    T - x I: the eigenvalues of T below x, exactly for a T within a few ulps
+    of it (Sturm; Demmel, Applied Numerical Linear Algebra, 5.3.4). A pivot
+    within ``pivmin`` of 0 is taken as -pivmin. g = sum_i q_i' / q_i is the
+    derivative of log |det(T - x I)|, sum_j 1 / (x - lambda_j).
+    """
+    below, q, dq, g = 0, 1.0, 0.0, 0.0
+    for ai, bi in zip(a, b2):
+        t = bi / q / q
+        q, dq = ai - x - bi / q, t * dq - 1.0
+        if q < pivmin:
+            below += 1
+            if q > -pivmin:
+                q = -pivmin
+        g += dq / q
+    return below, g
+
+
+def _ritz_value(a: list, b2: list, index: int, lo: float, hi: float, width: float, pivmin: float,
+                deflate: float | None = None):
+    """The eigenvalue of T with ``index`` eigenvalues below it, in (lo, hi],
+    to ``width``, and the upper end of its last bracket.
+
+    Newton's method on det(x I - T), with the eigenvalue ``deflate`` (above
+    the target) divided out when given, runs from hi down: above the target
+    every remaining root lies below x, so the Newton iterate x - 1/g stays
+    above the target and x - (index + 1)/g lies below it (g = sum_j
+    1 / (x - lambda_j)), which brackets it quadratically. Sturm counts check
+    every point, and a Newton point off the bracket falls back to
+    bisection. A lower end that a count refutes (the divided-out root is
+    inexact) is dropped, and the search goes on from the counted ends
+    alone.
+    """
+    sure, x, newton_lo = lo, hi if deflate is None else 0.5 * (lo + hi), True  # sure: a lower end counted
+    while True:
+        while hi - lo > width:
+            below, g = _sturm(a, b2, x, pivmin)
+            if deflate is not None:  # Newton needs x below the divided-out root
+                g = g - 1.0 / (x - deflate) if x < deflate else 0.0
+            if below > index:
+                hi = x
+                if g > 0.0:
+                    if newton_lo:
+                        lo = max(lo, x - (index + 1) / g - width)
+                    x -= 1.0 / g
+                    if lo < x < hi:
+                        continue
+            else:
+                sure = lo = x
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        if lo == sure or _sturm(a, b2, lo, pivmin)[0] <= index:
+            return 0.5 * (lo + hi), hi
+        lo, x, newton_lo = sure, 0.5 * (sure + hi), False
+
+
+def _top_ritz(alpha: np.ndarray, beta: np.ndarray):
+    """(theta_1, s, theta_2): the top two eigenvalues of the unreduced
+    symmetric tridiagonal T with diagonal ``alpha`` and off-diagonal
+    ``beta`` >= 0 (theta_2 NaN for a 1 x 1 T), and the unit eigenvector s of
+    theta_1, oriented by s[0] > 0.
+
+    Each eigenvalue comes from ``_ritz_value`` to 2 ulps of ||T||, theta_1
+    from the top of T's Gershgorin interval, theta_2 below theta_1 with
+    theta_1 divided out. s comes from inverse iteration from e_1 with the
+    shift hi, the upper end of theta_1's last bracket: every pivot of
+    T - hi I is negative there, so hi I - T is positive definite, its LDL^T
+    solve is stable, and every entry of s is positive. One solve amplifies
+    theta_1's component by about gap / ulp(||T||); the second covers an e_1
+    nearly orthogonal to s. Plain Python floats on at most LANCZOS_STEPS
+    entries, so no LAPACK routine is loaded.
+    """
+    a, b = [float(x) for x in alpha], [abs(float(x)) for x in beta]
+    k, b2 = len(a), [0.0] + [x * x for x in b]
+    radius = [(b[i - 1] if i else 0.0) + (b[i] if i < k - 1 else 0.0) for i in range(k)]
+    floor, top = min(x - r for x, r in zip(a, radius)), max(x + r for x, r in zip(a, radius))
+    width = 2.0 * EPS64 * max(-floor, top, 1e-300)
+    pivmin = TINY64 * max(b2 + [1.0])
+    theta1, hi = _ritz_value(a, b2, k - 1, floor - width, top + width, width, pivmin)
+    theta2 = _ritz_value(a, b2, k - 2, floor - width, theta1, width, pivmin, theta1)[0] if k > 1 else math.nan
+    # hi I - T = L diag(u) L^T with every u > 0; a last pivot at rounding level is raised to 2 ulps of ||T||
+    u, q = [], 1.0
+    for ai, bi in zip(a, b2):
+        q = hi - ai - bi / q
+        u.append(max(q, width))
+        q = u[-1]
+    s = np.zeros(k)
+    s[0] = 1.0
+    for _ in range(2):  # L y = s, then diag(u) z = y and L^T s = z, from e_1 twice
+        y = [float(s[0])]
+        for i in range(k - 1):
+            y.append(float(s[i + 1]) + y[-1] * b[i] / u[i])
+        z = [y[-1] / u[-1]]
+        for i in range(k - 2, -1, -1):
+            z.append((y[i] + b[i] * z[-1]) / u[i])
+        s = np.array(z[::-1])
+        s /= np.linalg.norm(s)
+    return theta1, s, theta2
+
+
 def _lanczos(K: np.ndarray):
     """Estimates (lambda_1, v, lambda_2) of a nonnegative PSD Gram K.
 
@@ -277,10 +383,9 @@ def _lanczos(K: np.ndarray):
             break  # an invariant subspace, to K's rounding: alpha[0] >= 1 on a unit diagonal
         q = w / beta[j]
     k = j + 1
-    theta, S = np.linalg.eigh(np.diag(alpha[:k]) + np.diag(beta[: k - 1], 1) + np.diag(beta[: k - 1], -1))
-    v = S[:, -1] @ Q[:k]  # its sum is S[0, -1] sqrt(n), nonzero: T is unreduced
-    lam2 = float(theta[-2]) if k > 1 else math.nan
-    return float(theta[-1]), v / math.copysign(np.linalg.norm(v), v.sum()), lam2
+    lam1, s, lam2 = _top_ritz(alpha[:k], beta[: k - 1])
+    v = s @ Q[:k]  # its sum is s[0] sqrt(n), positive: T is unreduced
+    return lam1, v / math.copysign(np.linalg.norm(v), v.sum()), lam2
 
 
 class _MetricStep:

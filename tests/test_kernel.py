@@ -373,16 +373,20 @@ class TestSelectKernel:
         assert np.all((diag["ranks"] >= 0) & (diag["ranks"] <= 400 // 16))
         U = (scores.values <= diag["q_hat0"]).astype(np.float64)
         D2 = pairwise_sq_dists(cal, cal)
-        # the statistics come from direct solves: plain CG at 1e-8 can land
-        # just past a pruned candidate's certified bracket; its iteration
-        # counts are kept for the factor's check below
-        exact, plain_iters = np.empty(len(grid)), np.empty(len(grid), dtype=np.int64)
+        # the statistics come from direct solves on selection's float32 Gram,
+        # upcast: plain CG at 1e-8 can land just past a pruned candidate's
+        # certified bracket; its iteration counts are kept for the factor's
+        # check below. The float64 Gram's statistics must pick the same sigma
+        exact, exact64 = np.empty(len(grid)), np.empty(len(grid))
+        plain_iters = np.empty(len(grid), dtype=np.int64)
         for j, s in enumerate(grid):
-            K = _gram_from_sq_dists(D2, s.sigma)
+            K = _gram_from_sq_dists(D2, s.sigma, out=np.empty(D2.shape, np.float32)).astype(np.float64)
             shift = ridge + 1e-10
             _, _, plain_iters[j], converged = plain_cg_columns(lambda P: K @ P + shift * P, U, 1e-8, 1500)
             assert converged
             exact[j] = float(np.sum(U * np.linalg.solve(K + shift * np.eye(len(K)), U)))
+            K = _gram_from_sq_dists(D2, s.sigma)
+            exact64[j] = float(np.sum(U * np.linalg.solve(K + shift * np.eye(len(K)), U)))
         pruned = diag["pruned"]
         first = [s.sigma for s in grid].index(math.sqrt(d / 2.0))  # the candidate visited first
         assert pruned.any() and not pruned[first]
@@ -390,7 +394,7 @@ class TestSelectKernel:
         np.testing.assert_allclose(diag["statistics"][~pruned], exact[~pruned], rtol=1e-9, atol=0.0)
         assert np.all(diag["lower"][pruned] <= exact[pruned])
         assert np.all(exact[pruned] <= diag["upper"][pruned])
-        assert spec == grid[int(np.argmin(exact))]
+        assert spec == grid[int(np.argmin(exact))] == grid[int(np.argmin(exact64))]
         # the factor pays where it is built: a solved candidate takes no more
         # CG steps, its first plain one included, than plain CG
         used = (diag["ranks"] > 0) & ~pruned
@@ -448,12 +452,13 @@ class TestSelectKernel:
         assert self._visited_sigmas(monkeypatch, specs, d) == visited
 
     @pytest.mark.parametrize("seed, d, spread, ridge, unpruned", [(40, 2, 1.5, 3.0, 0), (42, 10, 2.2, 3.0, 1),
-                                                                  (40, 2, 1.5, 0.3, 0), (42, 10, 2.2, 0.1, 0)])
+                                                                  (40, 2, 1.5, 0.3, 0), (42, 10, 2.2, 0.1, 1)])
     def test_candidates_after_the_winner_are_pruned(self, seed, d, spread, ridge, unpruned):
         # once the winner is solved, the candidates visited after it are
-        # pruned, except at (42, 10, ridge 3): there the winner is index 4,
-        # and sigma = 0.22, whose Gram is nearly the identity, is solved by
-        # its single plain step
+        # pruned, except at d = 10: there sigma = 0.22, whose Gram is nearly
+        # the identity, is solved by its single plain step (at ridge 0.1 one
+        # column's residual after it is 1.5e-8 relative, inside
+        # SELECTION_CG_TOL)
         cal, scores, weights = self._mixture_fixture(seed, d, spread, posterior=True)
         _, diag = select_kernel(bandwidth_grid(d), cal, scores, weights, 0.1, ridge=ridge)
         order = self.DEFAULT_VISIT_ORDER
@@ -597,6 +602,26 @@ class TestGaussianGram:
         assert K[normal].tobytes() == plain[normal].tobytes()
         assert np.all(K[~normal] == 0.0)
 
+    @pytest.mark.parametrize("block", [7, kernel_mod.GRAM_BLOCK_ENTRIES])
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, 1.0])
+    def test_float32_exp_pass_has_no_subnormals_and_rounds_once(self, monkeypatch, sigma, block):
+        # selection's float32 Gram: exponents in float64, each entry the float64 Gram's rounded to float32
+        monkeypatch.setattr(kernel_mod, "GRAM_BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(32)
+        X1, X2 = 1.5 * rng.standard_normal((300, 2)), 1.5 * rng.standard_normal((450, 2))
+        D2 = pairwise_sq_dists(X1, X2)
+        kept = D2.copy()
+        K64 = _gram_from_sq_dists(D2, sigma)
+        K = _gram_from_sq_dists(D2, sigma, out=np.full(D2.shape, np.nan, np.float32))
+        assert K.dtype == np.float32 and D2.tobytes() == kept.tobytes()
+        tiny = np.finfo(np.float32).tiny
+        if sigma < 1.0:  # the fixture reaches float32's subnormal range
+            assert np.any((K64 > 0.0) & (K64 < tiny))
+        assert not np.any((K > 0.0) & (K < tiny))
+        normal = D2 / (-2.0 * sigma**2) >= kernel_mod._EXP_FLOOR32
+        assert np.all(K[~normal] == 0.0)
+        assert np.all(np.abs(K[normal] - K64[normal]) <= np.spacing(K[normal]))
+
     def test_out_buffer_gives_same_bits(self):
         rng = np.random.default_rng(33)
         X = rng.standard_normal((60, 3))
@@ -650,7 +675,8 @@ def _traced_peak(fn):
 
 
 class TestGramMemory:
-    """A dense calibration holds at most two n x n float64 arrays at once."""
+    """A dense calibration holds at most one n x n float64 array and one
+    n x n float32 array at once."""
 
     N = 1500
 
@@ -673,13 +699,25 @@ class TestGramMemory:
         self._warm_up()
         cal, _, scores, weights = self._inputs(self.N)
         peak = _traced_peak(lambda: select_kernel(bandwidth_grid(2)[2:5], cal, scores, weights, 0.1))
-        assert peak <= 2.1 * 8 * self.N**2
+        # the distances, the float32 Gram buffer and one factor of n / 16 rows
+        assert peak <= 1.6 * 8 * self.N**2
 
     def test_build_context_peak(self):
         self._warm_up()
         cal, train, _, _ = self._inputs(self.N)
         peak = _traced_peak(lambda: build_context(cal, train, KernelSpec(0.5)))
-        assert peak <= 2.1 * 8 * self.N**2
+        assert peak <= 1.1 * 8 * self.N**2
+
+    def test_one_large_label_makes_no_training_gram(self):
+        # m = 4n training points of a single label: their Gram would hold 16
+        # times K0's bytes, and only row blocks of it are built
+        rng = np.random.default_rng(36)
+        n = self.N
+        cal = rng.standard_normal((n, 2))
+        train = Dataset(rng.standard_normal((4 * n, 2)), np.ones(4 * n, dtype=np.int64), num_classes=2)
+        self._warm_up()
+        peak = _traced_peak(lambda: build_context(cal, train, KernelSpec(0.5)))
+        assert peak <= 1.1 * 8 * n**2
 
     def test_gaussian_gram_makes_no_full_temporary(self):
         self._warm_up()
@@ -688,12 +726,13 @@ class TestGramMemory:
         # the result plus one row block of norm sums and one of the floor's mask
         assert peak <= 8 * self.N * (self.N // 2) + 2 * 8 * kernel_mod.GRAM_BLOCK_ENTRIES
 
-    def test_handed_distances_add_only_the_cross_gram(self):
+    def test_handed_distances_add_no_full_array(self):
+        # K0 overwrites the distances, and the cross statistics are built by row block
         self._warm_up()
         cal, train, _, _ = self._inputs(self.N)
         D2 = pairwise_sq_dists(cal, cal)
         peak = _traced_peak(lambda: build_context(cal, train, KernelSpec(0.5), sq_dists=D2))
-        assert peak <= 1.1 * 8 * self.N**2
+        assert peak <= 0.1 * 8 * self.N**2
 
 
 def _ridge_fixture(c=None, n=80, seed=35):
