@@ -36,11 +36,12 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     done = len(results.records)
-    failed = len(results.failures)
+    failed = len({(f["cal_size"], f["trial"]) for f in results.failures})  # trials, not failing methods
     print(f"completed {done} trials ({failed} failed); wrote {', '.join(sorted(paths.values()))}")
     if failed:
         for f in results.failures[:10]:
-            print(f"  failed n={f['cal_size']} trial={f['trial']}: {f['error']}", file=sys.stderr)
+            where = f" method={f['method']}" if "method" in f else ""
+            print(f"  failed n={f['cal_size']} trial={f['trial']}{where}: {f['error']}", file=sys.stderr)
         return 2
     return 0
 

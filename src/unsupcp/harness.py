@@ -241,11 +241,16 @@ GAPCURVE_COLUMNS = ("cal_size", "method") + tuple(k for k in AGGREGATE_COLUMNS i
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial's rows, one MethodResult per method that ran through, and
+    one ``failures`` dict per method that raised: its ``method``, ``error``
+    line and ``traceback`` tail (see ``_failure``)."""
+
     cal_size: int
     trial_index: int
     classifier_error: float
     loss_bound: float
     results: tuple = field(default_factory=tuple)
+    failures: tuple = field(default_factory=tuple)
 
     def rows(self) -> list[dict]:
         trial = {
@@ -363,6 +368,9 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, cal_size: int | None = No
     ``data`` is the labeled dataset the trial partitions, as
     ``run_experiment`` passes a CSV dataset it loaded once; None draws it
     from the trial seed (synthetic) or loads it from the config's path (CSV).
+    An exception in one method's block goes to the record's ``failures`` and
+    the other methods still run; one raised before any method runs (split,
+    fit, scores) propagates.
     """
     n = int(cal_size if cal_size is not None else cfg.cal_sizes[0])
     seeds = _trial_seeds(cfg, n, trial_index)
@@ -378,49 +386,55 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, cal_size: int | None = No
     cal_scores = build_score_matrix(model, cal.instances, cfg.score, int(seeds[2]), cfg.noise_epsilon)
     test_scores = build_score_matrix(model, test.instances, cfg.score, int(seeds[3]), 0.0)
 
-    results = []
+    results, failures = [], []
     for method in cfg.methods:
         t0 = time.perf_counter()
         extra = {}
-        if method == "supervised":
-            if cal.hidden_labels is None:
-                raise ValueError("supervised method requires calibration labels")
-            true_scores = cal_scores.values[np.arange(len(cal)), cal.hidden_labels - 1]
-            q_hat = conformal_quantile_supervised(true_scores, cfg.alpha)
-        elif method == "naive":
-            w = naive_weights(model, cal.instances)
-            q_hat = conformal_quantile_weighted(cal_scores.values, w.matrix, cfg.alpha)
-            if cal.hidden_labels is not None:
-                extra["e_diag"] = coverage_diagnostic_E(w.matrix, cal_scores.values, q_hat, cal.hidden_labels)
-        else:
-            m = cfg.m if cfg.m is not None else n
-            idx = np.random.default_rng(int(seeds[4])).choice(len(fit), size=m, replace=False)
-            out = calibrate_unsupervised(
-                model,
-                cal.instances,
-                Dataset(fit.instances[idx], fit.labels[idx], fit.num_classes),
-                cal_scores,
-                cfg.alpha,
-                loss_bound.value,
-                bandwidth_scales=cfg.bandwidth_scales,
-                selection_ridge=cfg.selection_ridge,
-                solver_options=SolverOptions(max_iters=cfg.solver_max_iters, rel_tol=cfg.solver_rel_tol),
-                delta=cfg.delta,
-            )
-            q_hat = out.q_hat
-            extra = {
-                "sigma": out.spec.sigma,
-                "mmd": out.mmd,
-                "solver_objective": out.report.objective_value,
-                "solver_iterations": out.report.iterations,
-                "solver_slack": out.report.inequality_slack,
-                "solver_converged": out.report.converged,
-                "solver_gap": out.report.gap,
-                "kernel_bound": out.kernel_bound,
-            }
-            if cal.hidden_labels is not None:
-                extra["e_diag"] = coverage_diagnostic_E(out.weights.matrix, cal_scores.values, q_hat, cal.hidden_labels)
-        rep = evaluate(prediction_mask(test_scores.values, q_hat), test.labels)
+        try:
+            if method == "supervised":
+                if cal.hidden_labels is None:
+                    raise ValueError("supervised method requires calibration labels")
+                true_scores = cal_scores.values[np.arange(len(cal)), cal.hidden_labels - 1]
+                q_hat = conformal_quantile_supervised(true_scores, cfg.alpha)
+            elif method == "naive":
+                w = naive_weights(model, cal.instances)
+                q_hat = conformal_quantile_weighted(cal_scores.values, w.matrix, cfg.alpha)
+                if cal.hidden_labels is not None:
+                    extra["e_diag"] = coverage_diagnostic_E(w.matrix, cal_scores.values, q_hat, cal.hidden_labels)
+            else:
+                m = cfg.m if cfg.m is not None else n
+                idx = np.random.default_rng(int(seeds[4])).choice(len(fit), size=m, replace=False)
+                out = calibrate_unsupervised(
+                    model,
+                    cal.instances,
+                    Dataset(fit.instances[idx], fit.labels[idx], fit.num_classes),
+                    cal_scores,
+                    cfg.alpha,
+                    loss_bound.value,
+                    bandwidth_scales=cfg.bandwidth_scales,
+                    selection_ridge=cfg.selection_ridge,
+                    solver_options=SolverOptions(max_iters=cfg.solver_max_iters, rel_tol=cfg.solver_rel_tol),
+                    delta=cfg.delta,
+                )
+                q_hat = out.q_hat
+                extra = {
+                    "sigma": out.spec.sigma,
+                    "mmd": out.mmd,
+                    "solver_objective": out.report.objective_value,
+                    "solver_iterations": out.report.iterations,
+                    "solver_slack": out.report.inequality_slack,
+                    "solver_converged": out.report.converged,
+                    "solver_gap": out.report.gap,
+                    "kernel_bound": out.kernel_bound,
+                }
+                if cal.hidden_labels is not None:
+                    extra["e_diag"] = coverage_diagnostic_E(out.weights.matrix, cal_scores.values, q_hat,
+                                                            cal.hidden_labels)
+            rep = evaluate(prediction_mask(test_scores.values, q_hat), test.labels)
+        except Exception as exc:
+            # the trial keeps the other methods' rows; a failure before this loop loses the whole trial
+            failures.append({"method": method, **_failure(exc)})
+            continue
         results.append(
             MethodResult(
                 method=method,
@@ -437,6 +451,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, cal_size: int | None = No
         classifier_error=classifier_error,
         loss_bound=loss_bound.value,
         results=tuple(results),
+        failures=tuple(failures),
     )
 
 
@@ -461,23 +476,31 @@ def _environment() -> dict:
     }
 
 
-def _trial_task(cfg: ExperimentConfig, n: int, t: int, data: Dataset | None):
-    """(cal_size, trial, record, failure); a failure is None or a dict with
-    the exception's ``error`` line and the last TRACEBACK_TAIL entries of
+def _failure(exc: Exception) -> dict:
+    """The exception's ``error`` line and the last TRACEBACK_TAIL entries of
     its ``traceback``."""
+    tail = "".join(traceback.format_exception(exc)[-TRACEBACK_TAIL:])
+    return {"error": f"{type(exc).__name__}: {exc}", "traceback": tail}
+
+
+def _trial_task(cfg: ExperimentConfig, n: int, t: int, data: Dataset | None):
+    """(cal_size, trial, record, failures): the record (None when the trial
+    raised before any method ran) and its failure dicts."""
     try:
-        return (n, t, run_trial(cfg, t, n, data), None)
+        record = run_trial(cfg, t, n, data)
+        return (n, t, record, record.failures)
     except Exception as exc:  # pragma: no cover - exercised via failure path test
-        tail = "".join(traceback.format_exception(exc)[-TRACEBACK_TAIL:])
-        return (n, t, None, {"error": f"{type(exc).__name__}: {exc}", "traceback": tail})
+        return (n, t, None, (_failure(exc),))
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResults:
     """Run the full (cal_size x trial) grid, optionally in worker processes.
 
     Trial outcomes are deterministic per (cal_size, trial) regardless of
-    scheduling; records come back sorted. Per-trial exceptions become
-    failure entries instead of aborting the run. A CSV dataset is loaded
+    scheduling; records come back sorted. Exceptions become failure entries
+    instead of aborting the run: one raised inside a method's block names
+    its ``method`` and the trial keeps its other methods' rows, one raised
+    before any method ran loses the trial's record. A CSV dataset is loaded
     once, before any trial runs (so one that does not load raises), and
     every trial partitions that copy; synthetic data is drawn per trial.
     """
@@ -495,7 +518,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResults
                                      [data] * len(grid)))
     outcomes.sort(key=lambda o: (o[0], o[1]))
     records = tuple(o[2] for o in outcomes if o[2] is not None)
-    failures = tuple({"cal_size": o[0], "trial": o[1], **o[3]} for o in outcomes if o[3] is not None)
+    failures = tuple({"cal_size": o[0], "trial": o[1], **f} for o in outcomes for f in o[3])
     return ExperimentResults(config=cfg, records=records, failures=failures, environment=_environment())
 
 
@@ -563,7 +586,8 @@ RESULTS_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["cal_size", "trial", "error"],
-                "properties": {"error": {"type": "string"}, "traceback": {"type": "string"}},
+                "properties": {"error": {"type": "string"}, "traceback": {"type": "string"},
+                               "method": {"type": "string"}},
             },
         },
     },

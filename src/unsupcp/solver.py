@@ -33,6 +33,7 @@ always the float64 phase's, in the spirit of mixed-precision refinement
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,11 +161,20 @@ class SolverOptions:
     converged once its Frank-Wolfe gap certifies Phi(w) - Phi* <= rel_tol
     max(1, |Phi|). Tolerances below FLOAT32_GAP_FLOOR run every product in
     float64; at or above it a float32 phase runs first. ``max_iters`` caps the
-    solve's iterations.
+    solve's iterations. Construction checks both: ``max_iters`` must be an
+    integer >= 1 and ``rel_tol`` positive and finite, since a NaN or
+    negative tolerance never certifies and runs until stalled, and a cap
+    of 0 returns the start point unconverged.
     """
 
     max_iters: int = 20000
     rel_tol: float = 1e-4
+
+    def __post_init__(self):
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -248,65 +258,33 @@ def _project_cut(V: np.ndarray, cut: ConstraintSet | None, mu: float = 0.0):
     return W_hi, hi
 
 
-def _sturm(a: list, b2: list, x: float, pivmin: float):
-    """(below, g) at x for the symmetric tridiagonal T with diagonal ``a``
-    and squared off-diagonal ``b2`` (plain float lists, ``b2[0]`` = 0).
-
-    ``below`` counts the negative pivots q_i of the LDL^T factorization of
-    T - x I: the eigenvalues of T below x, exactly for a T within a few ulps
-    of it (Sturm; Demmel, Applied Numerical Linear Algebra, 5.3.4). A pivot
-    within ``pivmin`` of 0 is taken as -pivmin. g = sum_i q_i' / q_i is the
-    derivative of log |det(T - x I)|, sum_j 1 / (x - lambda_j).
+def _count_below(a: list, b2: list, x: float, pivmin: float) -> int:
+    """The number of eigenvalues below x of the symmetric tridiagonal T with
+    diagonal ``a`` and squared off-diagonal ``b2`` (plain float lists,
+    ``b2[0]`` = 0): the negative pivots of the LDL^T factorization of
+    T - x I, exact for a T within a few ulps of it (Sturm; Demmel, Applied
+    Numerical Linear Algebra, 5.3.4). A pivot within ``pivmin`` of 0 is
+    taken as -pivmin.
     """
-    below, q, dq, g = 0, 1.0, 0.0, 0.0
+    below, q = 0, 1.0
     for ai, bi in zip(a, b2):
-        t = bi / q / q
-        q, dq = ai - x - bi / q, t * dq - 1.0
+        q = ai - x - bi / q
         if q < pivmin:
             below += 1
             if q > -pivmin:
                 q = -pivmin
-        g += dq / q
-    return below, g
+    return below
 
 
-def _ritz_value(a: list, b2: list, index: int, lo: float, hi: float, width: float, pivmin: float,
-                deflate: float | None = None):
-    """The eigenvalue of T with ``index`` eigenvalues below it, in (lo, hi],
-    to ``width``, and the upper end of its last bracket.
-
-    Newton's method on det(x I - T), with the eigenvalue ``deflate`` (above
-    the target) divided out when given, runs from hi down: above the target
-    every remaining root lies below x, so the Newton iterate x - 1/g stays
-    above the target and x - (index + 1)/g lies below it (g = sum_j
-    1 / (x - lambda_j)), which brackets it quadratically. Sturm counts check
-    every point, and a Newton point off the bracket falls back to
-    bisection. A lower end that a count refutes (the divided-out root is
-    inexact) is dropped, and the search goes on from the counted ends
-    alone.
-    """
-    sure, x, newton_lo = lo, hi if deflate is None else 0.5 * (lo + hi), True  # sure: a lower end counted
-    while True:
-        while hi - lo > width:
-            below, g = _sturm(a, b2, x, pivmin)
-            if deflate is not None:  # Newton needs x below the divided-out root
-                g = g - 1.0 / (x - deflate) if x < deflate else 0.0
-            if below > index:
-                hi = x
-                if g > 0.0:
-                    if newton_lo:
-                        lo = max(lo, x - (index + 1) / g - width)
-                    x -= 1.0 / g
-                    if lo < x < hi:
-                        continue
-            else:
-                sure = lo = x
-            x = 0.5 * (lo + hi)
-            if not lo < x < hi:
-                break
-        if lo == sure or _sturm(a, b2, lo, pivmin)[0] <= index:
-            return 0.5 * (lo + hi), hi
-        lo, x, newton_lo = sure, 0.5 * (sure + hi), False
+def _bisect(a: list, b2: list, index: int, lo: float, hi: float, width: float, pivmin: float):
+    """The bracket (lo, hi], at most ``width`` wide, of the eigenvalue of T
+    with ``index`` eigenvalues below it, by bisection on Sturm counts."""
+    while hi - lo > width and lo < (x := 0.5 * (lo + hi)) < hi:
+        if _count_below(a, b2, x, pivmin) > index:
+            hi = x
+        else:
+            lo = x
+    return lo, hi
 
 
 def _top_ritz(alpha: np.ndarray, beta: np.ndarray):
@@ -315,15 +293,15 @@ def _top_ritz(alpha: np.ndarray, beta: np.ndarray):
     ``beta`` >= 0 (theta_2 NaN for a 1 x 1 T), and the unit eigenvector s of
     theta_1, oriented by s[0] > 0.
 
-    Each eigenvalue comes from ``_ritz_value`` to 2 ulps of ||T||, theta_1
-    from the top of T's Gershgorin interval, theta_2 below theta_1 with
-    theta_1 divided out. s comes from inverse iteration from e_1 with the
-    shift hi, the upper end of theta_1's last bracket: every pivot of
-    T - hi I is negative there, so hi I - T is positive definite, its LDL^T
-    solve is stable, and every entry of s is positive. One solve amplifies
-    theta_1's component by about gap / ulp(||T||); the second covers an e_1
-    nearly orthogonal to s. Plain Python floats on at most LANCZOS_STEPS
-    entries, so no LAPACK routine is loaded.
+    Each eigenvalue is the midpoint of a bisection bracket 2 ulps of ||T||
+    wide: theta_1 from T's Gershgorin interval, then theta_2 from below the
+    upper end hi of theta_1's bracket. s is inverse iteration from e_1, two
+    solves with (hi + width) I - T: positive definite with nonpositive
+    off-diagonal, so its inverse is entrywise positive, and so is every
+    entry of s. One solve amplifies theta_1's component by about
+    gap / ulp(||T||); the second covers an e_1 nearly orthogonal to s. The
+    counts run on plain Python floats over at most LANCZOS_STEPS entries, and
+    ``np.linalg.solve`` loads no LAPACK eigensolver.
     """
     a, b = [float(x) for x in alpha], [abs(float(x)) for x in beta]
     k, b2 = len(a), [0.0] + [x * x for x in b]
@@ -331,26 +309,15 @@ def _top_ritz(alpha: np.ndarray, beta: np.ndarray):
     floor, top = min(x - r for x, r in zip(a, radius)), max(x + r for x, r in zip(a, radius))
     width = 2.0 * EPS64 * max(-floor, top, 1e-300)
     pivmin = TINY64 * max(b2 + [1.0])
-    theta1, hi = _ritz_value(a, b2, k - 1, floor - width, top + width, width, pivmin)
-    theta2 = _ritz_value(a, b2, k - 2, floor - width, theta1, width, pivmin, theta1)[0] if k > 1 else math.nan
-    # hi I - T = L diag(u) L^T with every u > 0; a last pivot at rounding level is raised to 2 ulps of ||T||
-    u, q = [], 1.0
-    for ai, bi in zip(a, b2):
-        q = hi - ai - bi / q
-        u.append(max(q, width))
-        q = u[-1]
+    lo, hi = _bisect(a, b2, k - 1, floor - width, top + width, width, pivmin)
+    theta2 = 0.5 * sum(_bisect(a, b2, k - 2, floor - width, hi, width, pivmin)) if k > 1 else math.nan
+    M = np.diag(hi + width - np.array(a)) - np.diag(b, 1) - np.diag(b, -1)
     s = np.zeros(k)
     s[0] = 1.0
-    for _ in range(2):  # L y = s, then diag(u) z = y and L^T s = z, from e_1 twice
-        y = [float(s[0])]
-        for i in range(k - 1):
-            y.append(float(s[i + 1]) + y[-1] * b[i] / u[i])
-        z = [y[-1] / u[-1]]
-        for i in range(k - 2, -1, -1):
-            z.append((y[i] + b[i] * z[-1]) / u[i])
-        s = np.array(z[::-1])
+    for _ in range(2):
+        s = np.linalg.solve(M, s)
         s /= np.linalg.norm(s)
-    return theta1, s, theta2
+    return 0.5 * (lo + hi), s, theta2
 
 
 def _lanczos(K: np.ndarray):
@@ -361,12 +328,15 @@ def _lanczos(K: np.ndarray):
     vector (close to a nonnegative Gram's Perron vector). It stops early at
     n steps or when the next vector's norm falls to K's rounding. lambda_1
     and lambda_2 are the top two Ritz values (lambda_2 NaN after one step),
-    v the unit top Ritz vector with a positive sum. By interlacing each sits
-    at or below its eigenvalue, and on a clustered spectrum the second
-    converges far faster than power iteration kept orthogonal to v
-    (Kaniel-Paige; Golub & Van Loan 10.1). A plain projected-gradient step
-    1/L stays non-increasing for any L above half the true constant, so a
-    residual underestimate of lambda_1 costs no monotonicity.
+    v the unit top Ritz vector with a positive sum, all read off the
+    tridiagonal by ``_top_ritz`` (Sturm bisection, then two linear solves;
+    no LAPACK eigensolver, whose first call pages in about 0.75 MB). By
+    interlacing each sits at or below its eigenvalue, and on a clustered
+    spectrum the second converges far faster than power iteration kept
+    orthogonal to v (Kaniel-Paige; Golub & Van Loan 10.1). A plain
+    projected-gradient step 1/L stays non-increasing for any L above half
+    the true constant, so a residual underestimate of lambda_1 costs no
+    monotonicity.
     """
     n = K.shape[0]
     k = min(LANCZOS_STEPS, n)

@@ -448,6 +448,15 @@ class TestRunExperiment:
         assert all(f["error"].startswith("InfeasibleConstraintError") and "unsatisfiable" in f["error"]
                    for f in out.failures)
         assert sorted(selected) == [6, 6, 8, 8]  # once per trial that ran, never for the two that failed
+        # the failure is the unsupervised method's alone: those trials keep their supervised and naive rows
+        assert [f["method"] for f in out.failures] == ["unsupervised", "unsupervised"]
+        assert all(f["traceback"].rstrip().endswith(f["error"]) for f in out.failures)
+        kept = {(r.cal_size, r.trial_index): [row["method"] for row in r.rows()] for r in out.records}
+        assert kept[6, 1] == kept[8, 2] == ["supervised", "naive"]
+        assert kept[6, 0] == ["supervised", "unsupervised", "naive"]
+        paths = emit_results(out, str(tmp_path / "out"))
+        with open(paths["summary"], encoding="utf-8") as fh:
+            jsonschema.validate(json.load(fh), RESULTS_SCHEMA)
 
     def test_failures_recorded_not_raised(self, tmp_path):
         cfg = ExperimentConfig(
@@ -465,6 +474,7 @@ class TestRunExperiment:
         assert len(out.failures) == 1
         assert out.failures[0]["cal_size"] == 500
         assert "SplitSizeError" in out.failures[0]["error"]
+        assert "method" not in out.failures[0]  # the split runs before any method: the whole trial failed
         tail = out.failures[0]["traceback"]
         assert "split_dataset" in tail and tail.rstrip().endswith(out.failures[0]["error"])
 
@@ -665,3 +675,14 @@ class TestCli:
         assert "SplitSizeError" in captured.err
         with open(os.path.join(out_dir, "summary.json"), encoding="utf-8") as fh:
             assert len(json.load(fh)["failures"]) == 1
+
+    def test_method_failure_names_its_method(self, tmp_path, capsys):
+        # the unsatisfiable loss bound of two of these trials fails their unsupervised method alone
+        cfg = dict(dataset={"type": "csv", "path": _two_blob_csv(tmp_path / "blobs.csv", 2, count=60)}, train_size=24,
+                   cal_sizes=[6, 8], test_size=10, alpha=0.1, trials=3, seed=5)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert "completed 6 trials (2 failed)" in captured.out
+        assert captured.err.count("method=unsupervised: InfeasibleConstraintError") == 2

@@ -224,6 +224,16 @@ class TestConstraintSet:
             ConstraintSet(loss_matrix=np.ones(4), bound=1.0)
 
 
+class TestSolverOptions:
+    # a NaN or negative tolerance never certifies, and a cap of 0 returns the start point unconverged
+    @pytest.mark.parametrize("name, value", [("rel_tol", np.nan), ("rel_tol", -1.0), ("rel_tol", 0.0),
+                                             ("rel_tol", np.inf), ("max_iters", 0), ("max_iters", -3),
+                                             ("max_iters", 2.5), ("max_iters", True)])
+    def test_bad_values_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolverOptions(**{name: value})
+
+
 class TestBuildLossConstraints:
     def test_uniform_model_losses(self):
         model = ProbModel(weights=np.zeros((2, 2)), num_classes=2, num_features=1)
@@ -853,15 +863,18 @@ class TestLanczos:
     @pytest.mark.parametrize("k", [1, 2, 5, 16])
     def test_top_ritz_on_random_tridiagonals(self, k):
         rng = np.random.default_rng(k)
-        for _ in range(50):
-            alpha, beta = rng.uniform(0.0, 10.0, k), rng.uniform(0.01, 3.0, k - 1)
+        inputs = [(rng.uniform(0.0, 10.0, k), rng.uniform(0.01, 3.0, k - 1)) for _ in range(50)]
+        # Wilkinson's W+ (diagonal |i - w // 2|, off-diagonal 1): top gaps of 3e-2, 7e-5 and 4e-8 at ||T||
+        # of 3.8, 5.7 and 7.7, near-degenerate pairs that uniform random inputs almost never give
+        inputs += [(np.abs(np.arange(w) - w // 2).astype(float), np.ones(w - 1)) for w in (7, 11, 15)]
+        for alpha, beta in inputs:
             theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
             lam1, s, lam2 = _top_ritz(alpha, beta)
             ulps = 8.0 * np.finfo(np.float64).eps * np.abs(theta).max()
             assert abs(lam1 - theta[-1]) <= ulps
-            assert (np.isnan(lam2) if k == 1 else abs(lam2 - theta[-2]) <= ulps)
+            assert (np.isnan(lam2) if alpha.size == 1 else abs(lam2 - theta[-2]) <= ulps)
             assert abs(np.linalg.norm(s) - 1.0) <= 1e-15 and np.all(s > 0.0)
-            gap = theta[-1] - theta[-2] if k > 1 else 1.0
+            gap = theta[-1] - theta[-2] if alpha.size > 1 else 1.0
             assert float(s @ S[:, -1]) * np.sign(S[0, -1]) >= 1.0 - 1e-12 * (theta[-1] / gap) ** 2
 
     def test_lanczos_calls_no_eigensolver(self, monkeypatch):
