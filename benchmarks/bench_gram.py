@@ -7,7 +7,9 @@ it draws n calibration and n training points and times, best of
 ``--repeats``: the calibration's squared distances (what bandwidth
 selection reads), K0 and the n x n cross Gram at sigma = sqrt(d/2) (the
 bandwidth selection picks on both shapes), and the exp pass over the
-squared distances at every candidate sigma of the bandwidth grid. The best
+squared distances at every candidate sigma of the bandwidth grid, into a
+float64 Gram (``exp_s``, the context's K0) and into a float32 one
+(``exp32_s``, what bandwidth selection builds for each candidate). The best
 of 20 runs of a fixed float64 (3000, 10) @ (10, 3000) GEMM is recorded
 too, so machines of different speed compare through seconds / ref_gemm_s.
 The run is appended to ``--out``; ``--src`` times another checkout's package.
@@ -67,7 +69,7 @@ def main():
             X, T = points(u, c, d, n, spread, seed)
             sigma = math.sqrt(d / 2.0)
             D2 = sq_dists(X, X)
-            K = np.empty_like(D2)
+            K, K32 = np.empty_like(D2), np.empty(D2.shape, np.float32)
             rows.append({
                 "shape": shape, "seed": seed,
                 "sq_dists_s": best_seconds(lambda: sq_dists(X, X), args.repeats),
@@ -75,8 +77,11 @@ def main():
                 "cross_s": best_seconds(lambda: u.gaussian_gram(X, T, sigma), args.repeats),
                 "exp_s": {f"{s.sigma:.4g}": best_seconds(lambda s=s: kernel._gram_from_sq_dists(D2, s.sigma, out=K),
                                                          args.repeats)
-                          for s in u.bandwidth_grid(d)}})
-            del D2, K
+                          for s in u.bandwidth_grid(d)},
+                "exp32_s": {f"{s.sigma:.4g}": best_seconds(lambda s=s: kernel._gram_from_sq_dists(D2, s.sigma, out=K32),
+                                                           args.repeats)
+                            for s in u.bandwidth_grid(d)}})
+            del D2, K, K32
             print(json.dumps(rows[-1]), flush=True)
     out = Path(args.out)  # older runs are kept, so parent and change sit side by side
     record = json.loads(out.read_text()) if out.exists() else {"runs": []}

@@ -12,8 +12,9 @@ are not kept.
 Squared distances and Gaussian Grams are built one row block of
 GRAM_BLOCK_ENTRIES entries at a time, while the block is in cache: a GEMM
 into the block, then the distances, and for a Gram the bandwidth scale and
-exp. No temporary of the result's size is made, and entries that would be
-subnormal are exactly 0. A calibration's squared distances are built once:
+exp, in the Gram's dtype. No temporary of the result's size is made, and
+entries that would be subnormal in that dtype are exactly 0. A
+calibration's squared distances are built once:
 bandwidth selection reads them, and the context build overwrites them with
 K0. The context's cross statistics against the training sample are reduced
 one row block of their Gram at a time, so no n x m or m x m array is made.
@@ -27,10 +28,11 @@ plain CG runs. Bandwidth selection solves the likely winner first, the
 candidate nearest sigma = sqrt(d/2), then stops every other candidate's
 solve as soon as the CG error bracket on its statistic shows that it cannot
 win, and builds a candidate's factor only after one plain step has not
-settled it. Selection runs on float32 Grams with float32 CG products;
-the residuals behind its decisions are taken with float64 products on the
-same float32 Gram, so what pruning certifies is the float32 Gram's
-statistic, which differs from the float64 Gram's by float32 rounding.
+settled it. Selection's Grams are exponentiated in float32 and its CG
+products are float32 GEMMs; the residuals behind its decisions are taken
+with float64 products on the same float32 Gram, so what pruning certifies
+is the float32 Gram's statistic, which differs from the float64 Gram's by
+float32 rounding and exp error.
 """
 
 import math
@@ -51,21 +53,24 @@ PRECOND_RANK_DIVISOR = 16  # a CG preconditioner's factor has rank at most n // 
 PRECOND_STOP = 1e-3  # its factor stops once the residual diagonal is <= this times the smallest shift
 GRAM_BLOCK_ENTRIES = 2**17  # entries per row block while squared distances or a Gram are built
 SELECTION_CG_TOL = 1e-6  # relative CG residual of bandwidth selection, which float32 products can certify
-# exponents below these give subnormal kernel values in float64 or float32, which are set to 0
+# exponents below these would give subnormal kernel values in float64 or float32, so their entries are set to 0.
+# The float32 floor is 1e-4 above log(float32 tiny), rounded to float32: the smallest kept entry is then about
+# 800 float32 ulps above tiny, far beyond the few ulps by which numpy's float32 exp can miss
 _EXP_FLOOR = float(np.log(np.finfo(np.float64).tiny))
-_EXP_FLOOR32 = float(np.log(np.finfo(np.float32).tiny))
+_EXP_FLOOR32 = float(np.float32(math.log(float(np.finfo(np.float32).tiny)) + 1e-4))
 _SQRT_TINY32 = math.sqrt(float(np.finfo(np.float32).tiny))
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Bandwidth of the separable Gaussian kernel."""
+    """Bandwidth of the separable Gaussian kernel: positive, with 2 sigma^2,
+    which scales every exponent, positive and finite."""
 
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (self.sigma > 0 and 0 < 2.0 * self.sigma * self.sigma < math.inf):
+            raise ValueError(f"sigma must be positive with 2 sigma^2 positive and finite, got {self.sigma}")
 
 
 def bandwidth_grid(num_features: int, scales=None) -> list[KernelSpec]:
@@ -127,11 +132,11 @@ def pairwise_sq_dists(X1, X2) -> np.ndarray:
     return D2
 
 
-def _exp_block(D: np.ndarray, scale: float, out: np.ndarray, floor: float = _EXP_FLOOR, exponents=None) -> None:
-    """exp(D / scale) into ``out`` (which may be D itself), with every entry
-    whose exponent lies below ``floor`` set to exactly 0. ``exponents``,
-    when given, is a float64 block of D's shape for D / scale, so a float32
-    ``out`` gets float64 exp rounded once.
+def _exp_block(D: np.ndarray, scale: float, out: np.ndarray) -> None:
+    """exp(D / scale) into ``out`` (which may be D itself), in ``out``'s
+    dtype, with every entry whose exponent lies below that dtype's floor
+    (``_EXP_FLOOR`` or ``_EXP_FLOOR32``) set to exactly 0. A float32 ``out``
+    takes the float64 quotient rounded once, then float32 exp.
 
     Such an entry would come out subnormal, and subnormal values make exp
     and every later product with the Gram slow. On a block that holds one,
@@ -140,40 +145,33 @@ def _exp_block(D: np.ndarray, scale: float, out: np.ndarray, floor: float = _EXP
     of the plain formula. A block without one takes plain exp, which is
     about twice as fast as the masked pass.
     """
-    rows = np.divide(D, scale, out=out if exponents is None else exponents)
-    if rows.size and rows.min() < floor:
-        keep = rows >= floor
-        np.multiply(rows, keep, out=rows)
-        np.exp(rows, out=out)
+    floor = _EXP_FLOOR if out.dtype == np.float64 else _EXP_FLOOR32
+    np.divide(D, scale, out=out)
+    if out.size and out.min() < floor:
+        keep = out >= floor
+        np.multiply(out, keep, out=out)
+        np.exp(out, out=out)
         np.multiply(out, keep, out=out)
     else:
-        np.exp(rows, out=out)
+        np.exp(out, out=out)
 
 
 def _gram_from_sq_dists(D2: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
     """exp(D2 / (-2 sigma^2)) without subnormal entries, into ``out`` (which
-    may be D2 itself) or a new array, one row block at a time.
+    may be D2 itself) or a new float64 array, one row block at a time.
 
     This is the exp half of ``gaussian_gram``, for squared distances that
-    are already built (``pairwise_sq_dists``): on them it gives the bits of
-    ``gaussian_gram`` on the same points. Each block takes plain exp, or the
-    masked pass of ``_exp_block`` when it holds an entry below the floor.
-
-    A float32 ``out`` receives each block exponentiated in float64, in one
-    block of scratch, and then rounded once, so every entry is the float64
-    Gram's rounded to float32; entries that would be subnormal in float32
-    are exactly 0.
+    are already built (``pairwise_sq_dists``): on them a float64 ``out``
+    gets the bits of ``gaussian_gram`` on the same points. Each block takes
+    plain exp, or the masked pass of ``_exp_block`` when it holds an entry
+    below the floor. A float32 ``out`` is exponentiated in place in float32:
+    each entry is within |x| 2^-24 relative plus a few float32 ulps of the
+    float64 Gram's, x its exponent, and is 0 or normal.
     """
     K = np.empty_like(D2) if out is None else out
     scale = -2.0 * sigma**2
-    blocks = _row_blocks(D2.shape)
-    if K.dtype == np.float64:
-        for rows in blocks:
-            _exp_block(D2[rows], scale, K[rows])
-        return K
-    scratch = np.empty((max((b.stop - b.start for b in blocks), default=0), D2.shape[1]))
-    for rows in blocks:
-        _exp_block(D2[rows], scale, K[rows], _EXP_FLOOR32, scratch[:rows.stop - rows.start])
+    for rows in _row_blocks(D2.shape):
+        _exp_block(D2[rows], scale, K[rows])
     return K
 
 
@@ -555,12 +553,11 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     Candidates are visited outward from the likely winner: first the one
     nearest sqrt(d/2) in log sigma (the base scale of ``bandwidth_grid``),
     then the rest by their distance from it in the ascending list, ties to
-    the larger sigma. Each Gram is built in float32 (every entry the
-    float64 Gram's rounded once) into one shared buffer. The order
-    sets only how much work is done, not the selection: a candidate that is
-    not pruned runs the same CG in any order. Every CG iterate x, with
-    residual r = u - A x and A = K + s I (s the jittered ridge), brackets
-    the statistic:
+    the larger sigma. Each Gram is exponentiated in float32 into one
+    shared buffer. The order sets only how much work is done, not the
+    selection: a candidate that is not pruned runs the same CG in any
+    order. Every CG iterate x, with residual r = u - A x and A = K + s I
+    (s the jittered ridge), brackets the statistic:
     u^T A^-1 u = u^T x + r^T x + r^T A^-1 r, with 0 <= r^T A^-1 r <=
     ||r||^2 / s (Strakos & Tichy, ETNA 13, 2002). A candidate is pruned,
     its statistic NaN, once its lower end exceeds (1 + PRUNE_MARGIN) times
@@ -573,8 +570,8 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     brackets, a solved candidate's statistic (the lower end of its bracket,
     within ||r||^2 / s of the solve) and the pruning all certify the float32
     Gram's statistic up to float64 rounding; it differs from the float64
-    Gram's by float32 rounding (about 1e-8 relative), far below the gaps
-    between candidates that decide the argmin.
+    Gram's by float32 rounding and exp error (about 1e-8 relative), far
+    below the gaps between candidates that decide the argmin.
     Each candidate takes one plain CG step first. Only then does it build
     the pivoted Cholesky factor of its Gram (see ``ridge_path``) to
     continue, preconditioned, from that iterate, so one pruned or solved in

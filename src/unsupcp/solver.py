@@ -375,31 +375,28 @@ class _MetricStep:
     Jacobian of row i's projection on its support) and a = v^T (W - Y) at
     y = 0 under that affine model. The supports are predicted from the
     last projection, and the rows shifted by the warm-start multiplier's
-    mu B as the cut shifts them. A depends only on those supports and is
-    reused while they do not change. Each call costs one row projection
-    (more only while the cut's multiplier search runs); a wrong prediction
-    gives a point of the cut set, but not the exact minimizer.
+    mu B as the cut shifts them. A depends only on those supports, which
+    change at nearly every step, so it is built on every call. Each call
+    costs one row projection (more only while the cut's multiplier search
+    runs) and one c x c inverse; a wrong prediction gives a point of the
+    cut set, but not the exact minimizer.
     """
 
     def __init__(self, step, cut, v=None, beta=0.0):
         self.step, self.cut, self.v, self.beta = step, cut, v, beta
         self.support = None  # (n, c) 0/1 support of the last projection
-        self._key = self._inv = self._counts = None  # the system's support, inverse and row counts
 
     def dual(self, V, Y, mu):
         """y from the affine model of every row's projection of V - mu B on
         ``self.support``; V = Y - step g."""
         S = self.support
-        if not np.array_equal(S, self._key):
-            w2 = self.v * self.v
-            self._counts = S.sum(axis=1)
-            A = np.diag(w2 @ S) - (S * (w2 / self._counts)[:, None]).T @ S
-            self._inv = np.linalg.inv(np.eye(S.shape[1]) + (self.beta * self.step) * A)
-            self._key = S
+        w2 = self.v * self.v
+        counts = S.sum(axis=1)
+        A = np.diag(w2 @ S) - (S * (w2 / counts)[:, None]).T @ S
         Z = V - mu * self.cut.loss_matrix if mu > 0.0 else V
-        theta = ((Z * S).sum(axis=1) - 1.0) / self._counts
+        theta = ((Z * S).sum(axis=1) - 1.0) / counts
         a = self.v @ (S * (Z - theta[:, None]) - Y)
-        return self._inv @ (self.beta * a)
+        return np.linalg.inv(np.eye(S.shape[1]) + (self.beta * self.step) * A) @ (self.beta * a)
 
     def __call__(self, Y, g, mu):
         V = Y - self.step * g

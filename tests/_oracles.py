@@ -16,7 +16,7 @@ import numpy as np
 
 from unsupcp.classifier import ProbModel
 from unsupcp.data import SyntheticConfig
-from unsupcp.kernel import as_weight_matrix, gaussian_gram, mmd_objective
+from unsupcp.kernel import as_weight_matrix, mmd_objective
 
 
 class PosteriorOracle:
@@ -69,6 +69,13 @@ def dense_pair_kernel(ctx) -> np.ndarray:
     return np.kron(ctx.base_gram, np.eye(ctx.c))
 
 
+def _plain_gram(X1, X2, sigma: float) -> np.ndarray:
+    """exp(-||x1 - x2||^2 / (2 sigma^2)) from the explicit differences of
+    every pair of rows; small inputs only."""
+    diff = np.asarray(X1, dtype=np.float64)[:, None, :] - np.asarray(X2, dtype=np.float64)[None, :, :]
+    return np.exp(-np.sum(diff * diff, axis=2) / (2.0 * sigma**2))
+
+
 def rkhs_probe(w, ctx, cal_instances, train, coeff_cal, coeff_train) -> float:
     """Evaluate one normalized RKHS probe against the embedding difference.
 
@@ -77,17 +84,18 @@ def rkhs_probe(w, ctx, cal_instances, train, coeff_cal, coeff_train) -> float:
     training pairs of ``train`` (one coefficient each). Its value is
     |weighted calibration mean of f - training mean of f| / ||f||, zero when
     f vanishes. Kernel values are recomputed from ``cal_instances`` and
-    ``train`` at ``ctx.spec``, so the route shares nothing with
-    ``mmd_objective`` beyond the kernel itself.
+    ``train`` at ``ctx.spec``, by exp of plain pairwise differences
+    (``_plain_gram``), so the route shares none of the package's Gram
+    code, squared distances or subnormal floor with ``mmd_objective``.
     """
     n, m, c = ctx.n, ctx.m, ctx.c
     W = as_weight_matrix(w, n, c)
     Gcal = np.asarray(coeff_cal, dtype=np.float64)
     gtr = np.asarray(coeff_train, dtype=np.float64)
     sigma = ctx.spec.sigma
-    Kcc = gaussian_gram(cal_instances, cal_instances, sigma)
-    Kct = gaussian_gram(cal_instances, train.instances, sigma)
-    Ktt = gaussian_gram(train.instances, train.instances, sigma)
+    Kcc = _plain_gram(cal_instances, cal_instances, sigma)
+    Kct = _plain_gram(cal_instances, train.instances, sigma)
+    Ktt = _plain_gram(train.instances, train.instances, sigma)
     onehot = np.zeros((m, c))
     onehot[np.arange(m), train.labels - 1] = 1.0
     scaled = gtr[:, None] * onehot

@@ -74,6 +74,12 @@ class TestKernelEval:
         with pytest.raises(ValueError, match="sigma"):
             KernelSpec(sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [math.inf, 1e200, 1e-200])
+    def test_unscalable_sigma_rejected(self, sigma):
+        # 2 sigma^2 scales every exponent: inf or overflowing, or underflowing to 0, it cannot
+        with pytest.raises(ValueError, match="sigma"):
+            KernelSpec(sigma=sigma)
+
 
 class TestBandwidthGrid:
     def test_decade_grid(self):
@@ -605,7 +611,7 @@ class TestGaussianGram:
     @pytest.mark.parametrize("block", [7, kernel_mod.GRAM_BLOCK_ENTRIES])
     @pytest.mark.parametrize("sigma", [0.05, 0.5, 1.0])
     def test_float32_exp_pass_has_no_subnormals_and_rounds_once(self, monkeypatch, sigma, block):
-        # selection's float32 Gram: exponents in float64, each entry the float64 Gram's rounded to float32
+        # selection's float32 Gram: each exponent is the float64 quotient rounded once to float32, then float32 exp
         monkeypatch.setattr(kernel_mod, "GRAM_BLOCK_ENTRIES", block)
         rng = np.random.default_rng(32)
         X1, X2 = 1.5 * rng.standard_normal((300, 2)), 1.5 * rng.standard_normal((450, 2))
@@ -618,9 +624,34 @@ class TestGaussianGram:
         if sigma < 1.0:  # the fixture reaches float32's subnormal range
             assert np.any((K64 > 0.0) & (K64 < tiny))
         assert not np.any((K > 0.0) & (K < tiny))
-        normal = D2 / (-2.0 * sigma**2) >= kernel_mod._EXP_FLOOR32
+        E = D2 / (-2.0 * sigma**2)
+        normal = E.astype(np.float32) >= kernel_mod._EXP_FLOOR32
         assert np.all(K[~normal] == 0.0)
-        assert np.all(np.abs(K[normal] - K64[normal]) <= np.spacing(K[normal]))
+        assert K[normal].tobytes() == np.exp(E[normal].astype(np.float32)).tobytes()
+        # against the float64 Gram: rounding the exponent x to float32 moves it by at most |x| 2^-24, so the entry
+        # by a factor within exp(+-|x| 2^-24), and exp(t) - 1 <= t (1 + t) for t <= 88 * 2^-24; numpy's float32 exp
+        # adds at most 3 ulps (2.42 the worst over 2e8 sampled exponents), and the second-order term t^2 <= 3e-11
+        # and the float64 Gram's own rounding stay below one more ulp: 4 ulps in all
+        err = np.abs(K[normal] - K64[normal])
+        assert np.all(err <= np.abs(E[normal]) * 2.0**-24 * K64[normal] + 4 * np.spacing(K[normal]))
+
+    def test_float32_floor_keeps_no_subnormal(self):
+        # sigma = 0.5 makes each exponent D2 / -0.5 exact; a sweep of float64 exponents across log(float32 tiny)
+        # and the floor, and every float32 exponent from 20 below the floor to 2000 above it (about 0.015),
+        # each through the masked pass and, above the floor alone, the plain one
+        floor = kernel_mod._EXP_FLOOR32
+        tiny = np.finfo(np.float32).tiny
+        sweep64 = np.linspace(-87.3367, -87.3363, 4001)
+        bits = np.float32(floor).view(np.int32) + np.arange(20, -2000, -1, dtype=np.int32)  # negative: up is down
+        sweep32 = bits.view(np.float32).astype(np.float64)
+        for E in (sweep64, sweep32):
+            for block in (E, E[E >= floor]):
+                K = _gram_from_sq_dists(-0.5 * block[None, :], 0.5, out=np.empty((1, block.size), np.float32))
+                assert not np.any((K > 0.0) & (K < tiny))
+                np.testing.assert_array_equal(K[0] > 0.0, block.astype(np.float32) >= floor)
+        # the floor is a float32 value, so both branches compare against it exactly, and it zeroes only entries
+        # within 2e-4 relative of tiny
+        assert float(np.float32(floor)) == floor and 0.0 < floor - math.log(tiny) < 2e-4
 
     def test_out_buffer_gives_same_bits(self):
         rng = np.random.default_rng(33)
