@@ -5,11 +5,13 @@
 For each shape (c=3, d=2, n=2000 and c=10, d=10, n=3000) and seed (1, 7)
 it draws n calibration and n training points and times, best of
 ``--repeats``: the calibration's squared distances (what bandwidth
-selection reads), K0 and the n x n cross Gram at sigma = sqrt(d/2) (the
-bandwidth selection picks on both shapes), and the exp pass over the
-squared distances at every candidate sigma of the bandwidth grid, into a
-float64 Gram (``exp_s``, the context's K0) and into a float32 one
-(``exp32_s``, what bandwidth selection builds for each candidate). The best
+selection reads), the float64 ``gaussian_gram`` of the calibration points
+and their n x n cross Gram at sigma = sqrt(d/2) (the bandwidth selection
+picks on both shapes), and the exp pass at every candidate sigma of the
+bandwidth grid: into a float64 Gram from the distances in float64
+(``exp_s``, as the cross Gram's row blocks) and into a float32 one from the
+calibration's distances as built (``exp32_s``, what bandwidth selection
+builds for each candidate, and the context's K0). The best
 of 20 runs of a fixed float64 (3000, 10) @ (10, 3000) GEMM is recorded
 too, so machines of different speed compare through seconds / ref_gemm_s.
 The run is appended to ``--out``; ``--src`` times another checkout's package.
@@ -69,19 +71,19 @@ def main():
             X, T = points(u, c, d, n, spread, seed)
             sigma = math.sqrt(d / 2.0)
             D2 = sq_dists(X, X)
-            K, K32 = np.empty_like(D2), np.empty(D2.shape, np.float32)
+            D64, K, K32 = D2.astype(np.float64), np.empty(D2.shape), np.empty(D2.shape, np.float32)
             rows.append({
                 "shape": shape, "seed": seed,
                 "sq_dists_s": best_seconds(lambda: sq_dists(X, X), args.repeats),
                 "k0_s": best_seconds(lambda: u.gaussian_gram(X, X, sigma), args.repeats),
                 "cross_s": best_seconds(lambda: u.gaussian_gram(X, T, sigma), args.repeats),
-                "exp_s": {f"{s.sigma:.4g}": best_seconds(lambda s=s: kernel._gram_from_sq_dists(D2, s.sigma, out=K),
+                "exp_s": {f"{s.sigma:.4g}": best_seconds(lambda s=s: kernel._gram_from_sq_dists(D64, s.sigma, out=K),
                                                          args.repeats)
                           for s in u.bandwidth_grid(d)},
                 "exp32_s": {f"{s.sigma:.4g}": best_seconds(lambda s=s: kernel._gram_from_sq_dists(D2, s.sigma, out=K32),
                                                            args.repeats)
                             for s in u.bandwidth_grid(d)}})
-            del D2, K, K32
+            del D2, D64, K, K32
             print(json.dumps(rows[-1]), flush=True)
     out = Path(args.out)  # older runs are kept, so parent and change sit side by side
     record = json.loads(out.read_text()) if out.exists() else {"runs": []}

@@ -7,7 +7,10 @@ it builds one unsupervised calibration's QP (logistic fit, loss constraint,
 naive start, context against m = n training points at sigma = sqrt(d/2), the
 bandwidth selection picks on both shapes). One counted solve records
 iterations, (n, n) @ (n, c) products, row projections and restarts; then
-``--repeats`` solves give the median QP seconds. The median of a fixed
+``--repeats`` solves give the median QP seconds. ``peak_ratio`` is the
+QP's memory peak over the 8 n^2 bytes of one (n, n) float64 array: the
+bytes of the context's Gram, which the solve reads throughout, plus the
+tracemalloc peak of one more solve. The median of a fixed
 float32 (3000, 3000) @ (3000, 10) GEMM is recorded too, so machines of
 different speed compare through qp_s / ref_gemm_s. The run is appended to
 ``--out``; ``--src`` times another checkout's package.
@@ -20,6 +23,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))  # before numpy
@@ -85,14 +89,18 @@ def main():
             solver._project_rows, solver._value_and_gap = (counted(k, f) for k, f in zip(("proj", "gap"), saved))
             _, report = u.solve_label_weights(ctx, cut, None, init)
             solver._project_rows, solver._value_and_gap = saved
+            qp_s = median_seconds(lambda: u.solve_label_weights(ctx, cut, None, init), args.repeats)
+            tracemalloc.start()
+            u.solve_label_weights(ctx, cut, None, init)
+            peak = ctx.base_gram.nbytes + tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
             ratio = getattr(report, "perron_ratio", math.nan)
             rows.append({  # one (n, n) @ (n, c) product per gap evaluation
                 "shape": shape, "seed": seed, "iterations": report.iterations, "products": counts["gap"],
                 "projections": counts["proj"], "restarts": getattr(report, "restarts", None),
                 "perron_ratio": None if math.isnan(ratio) else round(ratio, 4),
                 "metric": getattr(report, "metric_iteration", -1) >= 0, "converged": report.converged,
-                "objective": report.objective_value,
-                "qp_s": round(median_seconds(lambda: u.solve_label_weights(ctx, cut, None, init), args.repeats), 4)})
+                "objective": report.objective_value, "qp_s": round(qp_s, 4), "peak_ratio": round(peak / (8 * n * n), 4)})
             print(json.dumps(rows[-1]), flush=True)
     out = Path(args.out)  # older runs are kept, so parent and change sit side by side
     record = json.loads(out.read_text()) if out.exists() else {"runs": []}

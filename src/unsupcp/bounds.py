@@ -5,14 +5,26 @@ takes the Gaussian pair kernel's sup K = 1 as its kernel bound and
 optionally union-corrects over the number of bandwidth candidates searched
 (log(2s/delta) with s = num_candidates). ``coverage_gap_bound`` certifies
 one calibration: it fits the comparison functions and takes the tightest
-of their bounds.
+of their bounds. A fit's norm and approximation error hold for the Gram K
+of the calibration's float64 distances, although only its float32 rounding
+K~ is stored: with |K - K~| <= eps K~ + tau entrywise (GRAM32_REL_ERR and
+GRAM32_ABS_ERR), |(K - K~) g| <= eps K~|g| + tau ||g||_1 and
+|g^T (K - K~) g| <= eps |g|^T K~ |g| + tau ||g||_1^2 for any g.
 """
 
 import math
 
 import numpy as np
 
-from .kernel import CG_MAX_ITERS, KernelContext, as_weight_matrix, ridge_path
+from .kernel import (
+    CG_MAX_ITERS,
+    GRAM32_ABS_ERR,
+    GRAM32_REL_ERR,
+    KernelContext,
+    as_weight_matrix,
+    product64,
+    ridge_path,
+)
 
 BOUND_RIDGES = (30.0, 300.0, 3000.0)  # ridges of the penalized fits the coverage-gap bound is minimized over
 
@@ -41,6 +53,25 @@ def excess_gap_kernel(n: int, m: int, delta: float, rkhs_norm: float = 1.0, appr
     return approx_error + 2.0 * dev * rate * rkhs_norm
 
 
+def _fit_terms(K: np.ndarray, u: np.ndarray, gammas: list) -> list:
+    """(squared RKHS norm, approximation error) of each fit f = sum_i
+    gamma_i k(x_i, .) to the (n, c) indicator u, one label column per
+    column of its (n, c) gamma, that hold for the exact Gram K of which
+    ``K`` is the float32 rounding: each term is its value in ``K`` plus the
+    rounding terms of the module docstring. Every fit is read off one
+    float64-accumulated product of ``K`` with [Gamma, |Gamma|]."""
+    n, c = u.shape
+    G = np.hstack(gammas)
+    A = np.abs(G)
+    FS = product64(K, 0.0, np.hstack([G, A]))
+    F, S = FS[:, :G.shape[1]], FS[:, G.shape[1]:]
+    l1 = A.sum(axis=0)  # ||gamma||_1 of each column
+    norm_sq = (G * F).sum(axis=0) + GRAM32_REL_ERR * (A * S).sum(axis=0) + GRAM32_ABS_ERR * l1 * l1
+    approx = np.abs(np.tile(u, len(gammas)) - F).sum(axis=0) + GRAM32_REL_ERR * S.sum(axis=0) + GRAM32_ABS_ERR * n * l1
+    norm_sq, approx = (x.reshape(len(gammas), c).sum(axis=1) for x in (norm_sq, approx))
+    return [(max(float(a), 0.0), float(b) / n) for a, b in zip(norm_sq, approx)]
+
+
 def coverage_gap_bound(ctx: KernelContext, u, delta: float, num_candidates: int) -> tuple[float, dict]:
     """The tightest certified coverage-gap bound for the inclusion indicator
     ``u`` (n, c) of one calibration, and the path it was minimized over.
@@ -50,7 +81,9 @@ def coverage_gap_bound(ctx: KernelContext, u, delta: float, num_candidates: int)
     ``num_candidates`` bandwidths searched, so the minimum over several f is
     itself certified. They are the penalized fits of u against
     ``ctx.base_gram`` at the ridges BOUND_RIDGES, solved in one
-    ``ridge_path`` run, and f = 0, whose bound sum(u) / n costs no kernel
+    ``ridge_path`` run in float32, whose norm and error are then taken
+    exactly in ``ctx.base_gram`` and widened by its rounding terms
+    (``_fit_terms``), and f = 0, whose bound sum(u) / n costs no kernel
     product, so a bound always exists.
 
     Returns (bound, bound_path). ``bound_path`` records the ``ridges``
@@ -66,13 +99,8 @@ def coverage_gap_bound(ctx: KernelContext, u, delta: float, num_candidates: int)
     ok = [j for j, fit in enumerate(fits) if fit.converged]
     bounds = np.full(len(BOUND_RIDGES), np.nan)
     if ok:
-        # K is symmetric: (Gamma^T K)^T runs about twice as fast as K Gamma on thin Gamma
-        fitted = (np.hstack([fits[j].gamma for j in ok]).T @ ctx.base_gram).T
-        for k, j in enumerate(ok):
-            F = fitted[:, k * ctx.c:(k + 1) * ctx.c]
-            norm_sq = max(float(np.sum(fits[j].gamma * F)), 0.0)
-            bounds[j] = excess_gap_kernel(ctx.n, ctx.m, delta, rkhs_norm=math.sqrt(norm_sq),
-                                          approx_error=float(np.abs(u - F).sum()) / ctx.n,
+        for j, (norm_sq, approx) in zip(ok, _fit_terms(ctx.base_gram, u, [fits[j].gamma for j in ok])):
+            bounds[j] = excess_gap_kernel(ctx.n, ctx.m, delta, rkhs_norm=math.sqrt(norm_sq), approx_error=approx,
                                           num_candidates=num_candidates)
     zero = float(u.sum()) / ctx.n  # f = 0 has norm 0, so its bound is its approximation error
     bound_path = {

@@ -97,9 +97,8 @@ class ExperimentConfig:
             object.__setattr__(self, "bandwidth_scales", tuple(float(v) for v in self.bandwidth_scales))
         if not isinstance(self.dataset, dict) or self.dataset.get("type") not in ("synthetic", "csv"):
             raise ValueError("dataset must be a dict with type 'synthetic' or 'csv'")
-        if self.dataset["type"] == "synthetic":
-            _synthetic_config(self.dataset)
-        elif not isinstance(self.dataset.get("path"), str):
+        synthetic = _synthetic_config(self.dataset) if self.dataset["type"] == "synthetic" else None
+        if synthetic is None and not isinstance(self.dataset.get("path"), str):
             raise ValueError("a csv dataset needs a string 'path'")
         if not self.cal_sizes or min(self.cal_sizes) < 1:
             raise ValueError("cal_sizes must be non-empty positive ints")
@@ -124,6 +123,8 @@ class ExperimentConfig:
             self.bandwidth_scales and all(math.isfinite(v) and v > 0 for v in self.bandwidth_scales)
         ):
             raise ValueError(f"bandwidth_scales must be non-empty, finite and positive, got {self.bandwidth_scales}")
+        if synthetic is not None:
+            bandwidth_grid(synthetic.num_features, self.bandwidth_scales)  # every sigma must pass KernelSpec
         if not 0 <= self.l2 < math.inf:
             raise ValueError(f"l2 must be nonnegative and finite, got {self.l2}")
         if self.noise_epsilon is not None and not 0 <= self.noise_epsilon < math.inf:
@@ -338,8 +339,9 @@ def calibrate_unsupervised(
     naive_w = naive_weights(model, cal_instances)
     constraints = build_loss_constraints(model, cal_instances, loss_bound)
     grid = bandwidth_grid(cal_instances.shape[1], bandwidth_scales)
-    # the calibration's squared distances are built once, read by selection,
-    # then overwritten by K0 in the context build, so they add no n x n array
+    # the calibration's float32 squared distances are built once, read by
+    # selection, then overwritten by K0 in the context build: the QP and the
+    # bound read that one float32 n x n array
     D2 = pairwise_sq_dists(cal_instances, cal_instances)
     spec, selection = select_kernel(grid, cal_instances, cal_scores, naive_w.matrix, alpha, ridge=selection_ridge,
                                     sq_dists=D2)

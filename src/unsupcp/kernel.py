@@ -13,11 +13,20 @@ Squared distances and Gaussian Grams are built one row block of
 GRAM_BLOCK_ENTRIES entries at a time, while the block is in cache: a GEMM
 into the block, then the distances, and for a Gram the bandwidth scale and
 exp, in the Gram's dtype. No temporary of the result's size is made, and
-entries that would be subnormal in that dtype are exactly 0. A
-calibration's squared distances are built once:
-bandwidth selection reads them, and the context build overwrites them with
-K0. The context's cross statistics against the training sample are reduced
-one row block of their Gram at a time, so no n x m or m x m array is made.
+entries that would be subnormal in that dtype are exactly 0.
+
+A calibration's one lasting n x n array is float32. Its squared distances
+are built once, each row block in float64 and rounded once into it;
+bandwidth selection exponentiates them in float32 into one more float32
+buffer, candidate after candidate, and the context build overwrites them in
+place with K0, which the QP, the MMD objective and the bound all read. Entrywise,
+|K - K~| <= GRAM32_REL_ERR K~ + GRAM32_ABS_ERR between the Gram K of the
+float64 distances and that float32 Gram K~. Products that must be exact in
+K~ (the residuals behind selection's decisions, the QP's float64 phase, the
+MMD objective and the bound) are float64-accumulated (``product64``), so no
+float64 copy of K~ is made. The context's cross statistics against the
+training sample stay float64 and are reduced one row block of their Gram
+at a time, so no n x m or m x m array is made.
 
 Kernel-ridge fits (bandwidth selection and the bound's ridge path) run
 conjugate gradients preconditioned by a greedy pivoted Cholesky factor of
@@ -28,11 +37,11 @@ plain CG runs. Bandwidth selection solves the likely winner first, the
 candidate nearest sigma = sqrt(d/2), then stops every other candidate's
 solve as soon as the CG error bracket on its statistic shows that it cannot
 win, and builds a candidate's factor only after one plain step has not
-settled it. Selection's Grams are exponentiated in float32 and its CG
-products are float32 GEMMs; the residuals behind its decisions are taken
-with float64 products on the same float32 Gram, so what pruning certifies
-is the float32 Gram's statistic, which differs from the float64 Gram's by
-float32 rounding and exp error.
+settled it. On a float32 Gram, CG products are float32 GEMMs and the
+factor is float32; selection takes the residuals behind its decisions with
+``product64`` on the same Gram, so what pruning certifies is the float32
+Gram's statistic, which differs from the float64 Gram's by float32
+rounding and exp error.
 """
 
 import math
@@ -59,6 +68,22 @@ SELECTION_CG_TOL = 1e-6  # relative CG residual of bandwidth selection, which fl
 _EXP_FLOOR = float(np.log(np.finfo(np.float64).tiny))
 _EXP_FLOOR32 = float(np.float32(math.log(float(np.finfo(np.float32).tiny)) + 1e-4))
 _SQRT_TINY32 = math.sqrt(float(np.finfo(np.float32).tiny))
+# Entrywise |K - K~| <= GRAM32_REL_ERR K~ + GRAM32_ABS_ERR between the exact Gram K of the float64 squared
+# distances D (0 or normal in float32) and the float32 Gram K~ built from them. With u = 2^-24: rounding D to
+# float32, -2 sigma^2 to float32 and their quotient moves a kept exponent x by at most 3u |x| to first order, and
+# |x| < 88 above the float32 floor; numpy's float32 exp adds at most 3 ulps, 6u relative: 270u. 2u more covers the
+# second-order terms, bounding by K~ rather than K, and the rounding of a float64-accumulated product
+# (n 2^-53 <= u for n <= 2^29). An entry zeroed at the floor has K < exp(_EXP_FLOOR32 + 3u 88) < 2 float32 tiny.
+GRAM32_REL_ERR = 272 * 2.0**-24
+GRAM32_ABS_ERR = 2.0 * float(np.finfo(np.float32).tiny)
+
+
+def _exp_scale(sigma: float) -> float:
+    """-2 sigma^2, the divisor of every exponent, for a sigma that is
+    positive with 2 sigma^2 positive and finite (ValueError otherwise)."""
+    if not (sigma > 0 and 0 < 2.0 * sigma * sigma < math.inf):
+        raise ValueError(f"sigma must be positive with 2 sigma^2 positive and finite, got {sigma}")
+    return -2.0 * sigma**2
 
 
 @dataclass(frozen=True)
@@ -69,8 +94,7 @@ class KernelSpec:
     sigma: float
 
     def __post_init__(self):
-        if not (self.sigma > 0 and 0 < 2.0 * self.sigma * self.sigma < math.inf):
-            raise ValueError(f"sigma must be positive with 2 sigma^2 positive and finite, got {self.sigma}")
+        _exp_scale(self.sigma)  # raises ValueError for a sigma no exponent can be scaled by
 
 
 def bandwidth_grid(num_features: int, scales=None) -> list[KernelSpec]:
@@ -124,19 +148,22 @@ def _sq_dist_blocks(X1: np.ndarray, X2: np.ndarray, out: np.ndarray | None):
 
 def pairwise_sq_dists(X1, X2) -> np.ndarray:
     """Pairwise squared Euclidean distances between the rows of X1 and X2,
-    clipped at 0. No temporary of the result's size is made."""
+    clipped at 0, as a float32 array: each row block is computed in float64
+    (see ``_sq_dist_blocks``) and rounded once into it. No float64 array of
+    the result's size is made."""
     X1, X2 = np.asarray(X1, np.float64), np.asarray(X2, np.float64)
-    D2 = np.empty((X1.shape[0], X2.shape[0]))
-    for _ in _sq_dist_blocks(X1, X2, D2):
-        pass
+    D2 = np.empty((X1.shape[0], X2.shape[0]), np.float32)
+    for rows, block in _sq_dist_blocks(X1, X2, None):
+        D2[rows] = block
     return D2
 
 
 def _exp_block(D: np.ndarray, scale: float, out: np.ndarray) -> None:
     """exp(D / scale) into ``out`` (which may be D itself), in ``out``'s
     dtype, with every entry whose exponent lies below that dtype's floor
-    (``_EXP_FLOOR`` or ``_EXP_FLOOR32``) set to exactly 0. A float32 ``out``
-    takes the float64 quotient rounded once, then float32 exp.
+    (``_EXP_FLOOR`` or ``_EXP_FLOOR32``) set to exactly 0. The quotient is
+    taken in D's dtype (for a float32 D, with ``scale`` rounded to float32)
+    and rounded once into ``out``.
 
     Such an entry would come out subnormal, and subnormal values make exp
     and every later product with the Gram slow. On a block that holds one,
@@ -158,30 +185,31 @@ def _exp_block(D: np.ndarray, scale: float, out: np.ndarray) -> None:
 
 def _gram_from_sq_dists(D2: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
     """exp(D2 / (-2 sigma^2)) without subnormal entries, into ``out`` (which
-    may be D2 itself) or a new float64 array, one row block at a time.
+    may be D2 itself) or a new array of D2's dtype, one row block at a time;
+    sigma is checked as ``KernelSpec`` checks it.
 
     This is the exp half of ``gaussian_gram``, for squared distances that
-    are already built (``pairwise_sq_dists``): on them a float64 ``out``
-    gets the bits of ``gaussian_gram`` on the same points. Each block takes
-    plain exp, or the masked pass of ``_exp_block`` when it holds an entry
-    below the floor. A float32 ``out`` is exponentiated in place in float32:
-    each entry is within |x| 2^-24 relative plus a few float32 ulps of the
-    float64 Gram's, x its exponent, and is 0 or normal.
+    are already built. Each block takes plain exp, or the masked pass of
+    ``_exp_block`` when it holds an entry below the floor. On the float32
+    distances of ``pairwise_sq_dists`` it builds the calibration's float32
+    Gram, within GRAM32_REL_ERR relative (plus GRAM32_ABS_ERR) of the exact
+    Gram of the float64 distances, with every entry 0 or normal.
     """
     K = np.empty_like(D2) if out is None else out
-    scale = -2.0 * sigma**2
+    scale = _exp_scale(sigma)
     for rows in _row_blocks(D2.shape):
         _exp_block(D2[rows], scale, K[rows])
     return K
 
 
 def gaussian_gram(X1: np.ndarray, X2: np.ndarray, sigma: float) -> np.ndarray:
-    """Feature-space Gaussian Gram matrix between two point sets, built in
-    one pass per row block: product, squared distances, then exp. No
-    temporary of the result's size is made."""
+    """Feature-space Gaussian Gram matrix between two point sets, in
+    float64, built in one pass per row block: product, squared distances,
+    then exp. sigma is checked as ``KernelSpec`` checks it. No temporary of
+    the result's size is made."""
+    scale = _exp_scale(sigma)
     X1, X2 = np.asarray(X1, np.float64), np.asarray(X2, np.float64)
     K = np.empty((X1.shape[0], X2.shape[0]))
-    scale = -2.0 * sigma**2
     for _, block in _sq_dist_blocks(X1, X2, K):
         _exp_block(block, scale, block)
     return K
@@ -192,9 +220,12 @@ class KernelContext:
     """What the MMD objective of the weight QP and the coverage-gap bound read.
 
     ``base_gram`` is the n x n calibration Gram K0 (each label block of the
-    full pair kernel). ``cross_v``[i, y-1] collapses the cross Gram against
-    training pairs with label y, so the objective's linear term v is its
-    row-major flattening. ``train_self`` is the training sample's own mean
+    full pair kernel), in float32: the calibration's one n x n array, within
+    GRAM32_REL_ERR relative (plus GRAM32_ABS_ERR) of the exact Gram, and
+    read through float64-accumulated products (``product64``) wherever a
+    result must be exact in it. ``cross_v``[i, y-1] collapses the cross
+    Gram against training pairs with label y, so the objective's linear
+    term v is its row-major flattening. ``train_self`` is the training sample's own mean
     kernel, the constant completing the squared-MMD objective. ``n`` and
     ``m`` count the calibration and training samples, ``c`` the labels.
     """
@@ -213,20 +244,20 @@ def _gram_row_blocks(X1: np.ndarray, X2: np.ndarray, sigma: float):
     and X2, each with the bits of ``gaussian_gram(X1[rows], X2, sigma)`` and
     built in one buffer that every block reuses, so the full Gram is never
     made."""
-    scale = -2.0 * sigma**2
+    scale = _exp_scale(sigma)
     for rows, block in _sq_dist_blocks(X1, X2, None):
         _exp_block(block, scale, block)
         yield rows, block
 
 
 def _calibration_sq_dists(cal_instances: np.ndarray, sq_dists) -> np.ndarray:
-    """The calibration's (n, n) squared distances: ``sq_dists`` as handed
-    in, checked, or built here when it is None."""
+    """The calibration's float32 (n, n) squared distances: ``sq_dists`` as
+    handed in, checked, or built here when it is None."""
     if sq_dists is None:
         return pairwise_sq_dists(cal_instances, cal_instances)
     n = cal_instances.shape[0]
-    if not (isinstance(sq_dists, np.ndarray) and sq_dists.dtype == np.float64 and sq_dists.shape == (n, n)):
-        raise ValueError(f"sq_dists must be a float64 ({n}, {n}) array, got {getattr(sq_dists, 'shape', sq_dists)!r}")
+    if not (isinstance(sq_dists, np.ndarray) and sq_dists.dtype == np.float32 and sq_dists.shape == (n, n)):
+        raise ValueError(f"sq_dists must be a float32 ({n}, {n}) array, got {getattr(sq_dists, 'shape', sq_dists)!r}")
     return sq_dists
 
 
@@ -235,11 +266,12 @@ def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec, *
     """Assemble the kernel context from calibration features and a labeled
     training sample.
 
-    ``sq_dists``, when given, holds the calibration's pairwise squared
-    distances (``pairwise_sq_dists(cal_instances, cal_instances)``); K0 is
-    written over it in place and becomes ``base_gram``, so the caller must
-    not read it as distances afterwards. Without it, the distances are
-    built here, with the same bits.
+    ``sq_dists``, when given, holds the calibration's float32 pairwise
+    squared distances (``pairwise_sq_dists(cal_instances, cal_instances)``);
+    K0 is exponentiated over it in place, in float32, and becomes
+    ``base_gram``, so the caller must not read it as distances afterwards.
+    Without it, the distances are built here, with the same bits. Beyond
+    that one float32 n x n array, only row blocks are held.
     """
     cal_instances = np.asarray(cal_instances, dtype=np.float64)
     if cal_instances.ndim != 2 or cal_instances.shape[0] == 0:
@@ -296,9 +328,10 @@ def as_weight_matrix(w, n: int, c: int) -> np.ndarray:
 
 def mmd_objective(w, ctx: KernelContext) -> float:
     """Root of the clamped squared MMD between the weighted calibration
-    embedding and the training sample embedding."""
+    embedding and the training sample embedding, exact in the float32 K0
+    up to float64 rounding."""
     W = as_weight_matrix(w, ctx.n, ctx.c)
-    quad = float(np.sum(W * (W.T @ ctx.base_gram).T))  # K0 is symmetric; this form is the faster GEMM
+    quad = float(np.sum(W * product64(ctx.base_gram, 0.0, W)))
     cross = float(np.sum(W * ctx.cross_v))
     sq = quad / ctx.n**2 - 2.0 * cross / (ctx.n * ctx.m) + ctx.train_self
     return math.sqrt(max(sq, 0.0))
@@ -383,12 +416,22 @@ def _nystrom_preconditioner(K: np.ndarray, shifts: np.ndarray, width: int):
     return apply, rank
 
 
-def _product64(K: np.ndarray, shift: float, P: np.ndarray) -> np.ndarray:
+def _product(K: np.ndarray, shift, P: np.ndarray) -> np.ndarray:
+    """(K + shift I) P for a symmetric K, as a GEMM in K's dtype: float32
+    for a float32 K, on the float64 P rounded to it. It is taken as
+    (P^T K)^T, which BLAS runs about twice as fast as K P on thin P.
+    ``shift`` is a scalar or one value per column; the result is float64."""
+    KP = (P.T.astype(K.dtype, copy=False) @ K).T.astype(np.float64, copy=False)
+    KP += shift * P
+    return KP
+
+
+def product64(K: np.ndarray, shift: float, P: np.ndarray) -> np.ndarray:
     """(K + shift I) P in float64 arithmetic for a float32 K, whose entries
-    float64 holds exactly: one row block of K, of a quarter of
-    GRAM_BLOCK_ENTRIES, is upcast at a time into one scratch block, so no
-    float64 copy of K is made."""
-    out = np.empty((K.shape[0], P.shape[1]))
+    float64 holds exactly, and a vector or matrix P: one row block of K, of
+    a quarter of GRAM_BLOCK_ENTRIES, is upcast at a time into one scratch
+    block, so no float64 copy of K is made."""
+    out = np.empty((K.shape[0],) + P.shape[1:])
     blocks = _row_blocks((K.shape[0], 4 * K.shape[1]))
     scratch = np.empty((max((b.stop - b.start for b in blocks), default=0), K.shape[1]))
     for rows in blocks:
@@ -498,8 +541,14 @@ def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
     solve misses the tolerance within the cap (default CG_MAX_ITERS) reads
     ``converged`` False with its own residual; the other ridges are
     unaffected.
+
+    A float32 K is kept as it is: its products are float32 GEMMs and its
+    factor is float32, while the CG recurrence stays in float64, so the
+    tolerance holds on the recurrence residual of the float32 products. Any
+    other K is read as float64.
     """
-    K = np.asarray(K, dtype=np.float64)
+    K = np.asarray(K)
+    K = K if K.dtype == np.float32 else K.astype(np.float64, copy=False)
     u = np.asarray(u, dtype=np.float64)
     ridges = np.asarray(ridges, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -513,14 +562,12 @@ def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
     t = K.shape[0]
     if t == 0:
         raise EmptyInputError("empty system")
-    shifts = CG_JITTER_SCALE * float(K.trace() / t) + ridges
+    shifts = CG_JITTER_SCALE * float(K.trace(dtype=np.float64) / t) + ridges
     U = u if u.ndim == 2 else u[:, None]
     mu = np.repeat(shifts, U.shape[1])
     precond, rank = _nystrom_preconditioner(K, shifts, U.shape[1])
     stack = U[None].repeat(ridges.size, axis=0)
-    # K is symmetric: the product is taken as (P^T K)^T, which BLAS runs about
-    # twice as fast as K P on thin P
-    X, R, iters, converged = _cg_columns(lambda P: (P.T @ K).T + mu * P, stack, tol, max_iters, precond)
+    X, R, iters, converged = _cg_columns(lambda P: _product(K, mu, P), stack, tol, max_iters, precond)
     res = np.sqrt((R * R).sum(axis=1))
     return [
         InterpolationResult(
@@ -553,10 +600,10 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     Candidates are visited outward from the likely winner: first the one
     nearest sqrt(d/2) in log sigma (the base scale of ``bandwidth_grid``),
     then the rest by their distance from it in the ascending list, ties to
-    the larger sigma. Each Gram is exponentiated in float32 into one
-    shared buffer. The order sets only how much work is done, not the
-    selection: a candidate that is not pruned runs the same CG in any
-    order. Every CG iterate x, with residual r = u - A x and A = K + s I
+    the larger sigma. Each Gram is exponentiated in float32, from the
+    calibration's float32 squared distances, into one shared buffer. The
+    order sets only how much work is done, not the selection: a candidate
+    that is not pruned runs the same CG in any order. Every CG iterate x, with residual r = u - A x and A = K + s I
     (s the jittered ridge), brackets the statistic:
     u^T A^-1 u = u^T x + r^T x + r^T A^-1 r, with 0 <= r^T A^-1 r <=
     ||r||^2 / s (Strakos & Tichy, ETNA 13, 2002). A candidate is pruned,
@@ -566,12 +613,12 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     CG runs its products as float32 GEMMs on float64 vectors and stops at
     a relative residual of SELECTION_CG_TOL, but the true residuals, of the
     pruning confirmations and of each solved candidate's last iterate, come
-    from float64 products with the float32 Gram (``_product64``). So the
+    from float64 products with the float32 Gram (``product64``). So the
     brackets, a solved candidate's statistic (the lower end of its bracket,
     within ||r||^2 / s of the solve) and the pruning all certify the float32
     Gram's statistic up to float64 rounding; it differs from the float64
-    Gram's by float32 rounding and exp error (about 1e-8 relative), far
-    below the gaps between candidates that decide the argmin.
+    Gram's by float32 rounding and exp error, far below the gaps between
+    candidates that decide the argmin.
     Each candidate takes one plain CG step first. Only then does it build
     the pivoted Cholesky factor of its Gram (see ``ridge_path``) to
     continue, preconditioned, from that iterate, so one pruned or solved in
@@ -580,9 +627,10 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     residual, whether it was ``pruned``, and the ``lower`` and ``upper``
     ends of its bracket at its last iterate. Candidates whose solve fails
     to converge are skipped; equal statistics break toward the smaller
-    sigma. ``sq_dists``, when given, holds the calibration's pairwise
-    squared distances, which are read and left as they are; without it they
-    are built here. Returns (KernelSpec, diagnostics dict).
+    sigma. ``sq_dists``, when given, holds the calibration's float32
+    pairwise squared distances (``pairwise_sq_dists``), which are read and
+    left as they are; without it they are built here. Returns (KernelSpec,
+    diagnostics dict).
     """
     candidates = sorted(candidates, key=lambda s: s.sigma)
     if not candidates:
@@ -611,12 +659,10 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
         limit = (1.0 + PRUNE_MARGIN) * best_upper
 
         def matvec(P):  # a float32 GEMM; the CG recurrence stays in float64
-            KP = (P.T.astype(np.float32) @ K0).T.astype(np.float64)
-            KP += shift * P
-            return KP
+            return _product(K0, shift, P)
 
         def exact(P):  # the same product in float64 arithmetic, for the brackets that decide
-            return _product64(K0, shift, P)
+            return product64(K0, shift, P)
 
         def beaten(X, R):
             lower[j] = float(np.vdot(U + R, X))

@@ -24,12 +24,14 @@ drops the metric for good.
 
 The run stops on a certificate, the Frank-Wolfe duality gap on the cut set
 (Jaggi 2013), which bounds Phi(w) - Phi* and costs O(nc) per iteration from
-the cached K0 w. The products are memory-bound, so while the gap tolerance
-sits above float32's reach the run has two phases: a float32 phase on a
-float32 copy of K0 until it certifies, stalls in float32 rounding or is
-capped, then a float64 phase from its iterate. The reported certificate is
-always the float64 phase's, in the spirit of mixed-precision refinement
-(Carson & Higham 2018).
+the cached K0 w. K0 is the context's float32 Gram, and the QP makes no copy
+of it. The products are memory-bound, so while the gap tolerance sits above
+float32's reach the run has two phases: a float32 phase of float32 GEMMs
+until it certifies, stalls in float32 rounding or is capped, then a float64
+phase from its iterate whose products are float64-accumulated
+(``product64``), exact in K0 up to float64 rounding. The reported
+certificate is always the float64 phase's, in the spirit of mixed-precision
+refinement (Carson & Higham 2018).
 """
 
 import math
@@ -40,7 +42,7 @@ import numpy as np
 
 from .classifier import ProbModel, predict_labels, predict_proba_matrix
 from .errors import InfeasibleConstraintError
-from .kernel import KernelContext, as_weight_matrix
+from .kernel import KernelContext, as_weight_matrix, product64
 
 BLOCK_SUM_TOL = 1e-9
 SLACK_REL_TOL = 1e-8
@@ -52,7 +54,8 @@ LANCZOS_STEPS = 16  # most Lanczos steps behind the step constants
 POWER_MARGIN = 1.01  # headroom over the Lanczos estimate of lambda_max
 METRIC_MIN_N = 1000  # smallest n at which the step may run in the Perron metric (below, call overhead leads)
 LAMBDA2_MARGIN = 1.05  # headroom over the Lanczos estimate of lambda_2
-EPS64, TINY64 = float(np.finfo(np.float64).eps), float(np.finfo(np.float64).tiny)
+EPS32, EPS64 = float(np.finfo(np.float32).eps), float(np.finfo(np.float64).eps)
+TINY64 = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -183,11 +186,12 @@ class SolverReport:
 
     ``objective_value`` is the un-rooted quadratic form Phi(w). ``gap`` is
     the Frank-Wolfe duality gap at w on the loss-cut set, evaluated with a
-    float64 K0 w and the last projection's multiplier; it bounds Phi(w) -
-    Phi* from above, and ``converged`` is exactly gap <= rel_tol max(1,
-    |Phi|). ``step`` is the gradient step 1/L. ``switch_iteration`` is the
-    first iteration of the float64 phase that follows a float32 one, 0 when
-    that phase took no step or no float32 phase ran. The history holds the
+    float64-accumulated K0 w and the last projection's multiplier; it
+    bounds Phi(w) - Phi* from above, and ``converged`` is exactly gap <=
+    rel_tol max(1, |Phi|). ``step`` is the gradient step 1/L.
+    ``switch_iteration`` is the first iteration of the float64 phase that
+    follows a float32 one, 0 when that phase took no step or no float32
+    phase ran. The history holds the
     starting value and one value per iteration (see ``_fista`` for its
     monotonicity within each phase). ``inequality_slack`` is b - B w, +inf
     when unconstrained; it never drops below -1e-8 b. ``dual_lambda`` is
@@ -320,42 +324,48 @@ def _top_ritz(alpha: np.ndarray, beta: np.ndarray):
     return 0.5 * (lo + hi), s, theta2
 
 
-def _lanczos(K: np.ndarray):
-    """Estimates (lambda_1, v, lambda_2) of a nonnegative PSD Gram K.
+def _lanczos(product, eps: float, n: int):
+    """Estimates (lambda_1, v, lambda_2) of a nonnegative PSD n x n Gram K.
 
-    One Lanczos run of at most LANCZOS_STEPS products with K, in K's dtype,
-    on float64 vectors fully reorthogonalized (twice), from the all-ones
-    vector (close to a nonnegative Gram's Perron vector). It stops early at
-    n steps or when the next vector's norm falls to K's rounding. lambda_1
-    and lambda_2 are the top two Ritz values (lambda_2 NaN after one step),
-    v the unit top Ritz vector with a positive sum, all read off the
-    tridiagonal by ``_top_ritz`` (Sturm bisection, then two linear solves;
-    no LAPACK eigensolver, whose first call pages in about 0.75 MB). By
-    interlacing each sits at or below its eigenvalue, and on a clustered
-    spectrum the second converges far faster than power iteration kept
-    orthogonal to v (Kaniel-Paige; Golub & Van Loan 10.1). A plain
-    projected-gradient step 1/L stays non-increasing for any L above half
-    the true constant, so a residual underestimate of lambda_1 costs no
-    monotonicity.
+    One Lanczos run of at most LANCZOS_STEPS products with K, by
+    ``product`` (a float64 vector to float64 K times it, with rounding of
+    relative size ``eps``), on float64 vectors fully reorthogonalized
+    (twice), from the all-ones vector (close to a nonnegative Gram's Perron
+    vector). It stops early at n steps or when the next vector's norm falls
+    to the products' rounding. lambda_1 and lambda_2 are the top two Ritz
+    values (lambda_2 NaN after one step), v the unit top Ritz vector with a
+    positive sum, all read off the tridiagonal by ``_top_ritz`` (Sturm
+    bisection, then two linear solves; no LAPACK eigensolver, whose first
+    call pages in about 0.75 MB). By interlacing each sits at or below its
+    eigenvalue, and on a clustered spectrum the second converges far faster
+    than power iteration kept orthogonal to v (Kaniel-Paige; Golub & Van
+    Loan 10.1). A plain projected-gradient step 1/L stays non-increasing for
+    any L above half the true constant, so a residual underestimate of
+    lambda_1 costs no monotonicity.
     """
-    n = K.shape[0]
     k = min(LANCZOS_STEPS, n)
     Q, alpha, beta = np.empty((k, n)), np.empty(k), np.empty(k)
     q = np.full(n, 1.0 / math.sqrt(n))
     for j in range(k):
         Q[j] = q
-        w = (K @ q.astype(K.dtype)).astype(np.float64)
+        w = product(q)
         alpha[j] = q @ w
         for _ in range(2):
             w -= (Q[: j + 1] @ w) @ Q[: j + 1]
         beta[j] = np.linalg.norm(w)
-        if beta[j] <= math.sqrt(n) * np.finfo(K.dtype).eps * alpha[0]:
-            break  # an invariant subspace, to K's rounding: alpha[0] >= 1 on a unit diagonal
+        if beta[j] <= math.sqrt(n) * eps * alpha[0]:
+            break  # an invariant subspace, to the products' rounding: alpha[0] >= 1 on a unit diagonal
         q = w / beta[j]
     k = j + 1
     lam1, s, lam2 = _top_ritz(alpha[:k], beta[: k - 1])
     v = s @ Q[:k]  # its sum is s[0] sqrt(n), positive: T is unreduced
     return lam1, v / math.copysign(np.linalg.norm(v), v.sum()), lam2
+
+
+def _product32(K: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """K W as a float32 GEMM (or GEMV) on W rounded to float32, for the
+    float32 phase; W and the result are float64."""
+    return (K @ W.astype(np.float32)).astype(np.float64)
 
 
 class _MetricStep:
@@ -426,7 +436,7 @@ def _value_and_gap(W, KW, G, cut, lam):
     return q - s, 2.0 * q - s - lower, grad
 
 
-def _fista(K0, G, W0, max_iters, rel_tol, cut=None, K32=None):
+def _fista(K0, G, W0, max_iters, rel_tol, cut=None):
     """Accelerated projected gradient on h(W) = (1/n)<W, K0 W> - <G, W>.
     Returns the last iterate W and its SolverReport.
 
@@ -444,14 +454,16 @@ def _fista(K0, G, W0, max_iters, rel_tol, cut=None, K32=None):
     the Hessian (2/n) K0, but its Perron direction no longer sets the step
     in every other one. The cut's multiplier is then mu L_2 rather than mu L.
 
-    With ``K32``, a float32 copy of K0, the solve runs a float32 phase whose
-    products (the Lanczos run too) run on K32, then a float64 phase on K0;
-    without it, only the float64 phase. Iterates, gradients and sums stay
-    float64. Each phase evaluates its starting iterate with its own
-    products, restarts the momentum, and iterates until the gap certifies,
-    a step changes h by less than STALL_REL relative, or the solve reaches
-    ``max_iters`` iterations in all. The reported objective, gap and
-    ``converged`` are the float64 phase's, at the returned W.
+    K0 is float32. At ``rel_tol`` >= FLOAT32_GAP_FLOOR the solve runs a
+    float32 phase whose products (the Lanczos run too) are float32 GEMMs
+    (``_product32``), then a float64 phase whose products are
+    float64-accumulated (``product64``); below it, only the float64 phase,
+    Lanczos run included. Iterates, gradients and sums stay float64. Each
+    phase evaluates its starting iterate with its own products, restarts the
+    momentum, and iterates until the gap certifies, a step changes h by less
+    than STALL_REL relative, or the solve reaches ``max_iters`` iterations
+    in all. The reported objective, gap and ``converged`` are the float64
+    phase's, at the returned W.
 
     A step that raises h runs a two-rung fallback ladder, each rung followed
     by a plain step from the previous iterate, until one does not raise h:
@@ -476,8 +488,14 @@ def _fista(K0, G, W0, max_iters, rel_tol, cut=None, K32=None):
     recorded.
     """
     n = K0.shape[0]
-    phases = (K0,) if K32 is None else (K32, K0)
-    lam1, v, lam2 = _lanczos(phases[0])
+
+    def exact(W):
+        return product64(K0, 0.0, W)
+
+    phases = ((lambda W: _product32(K0, W), EPS32), (exact, EPS64))  # (products, their rounding)
+    if rel_tol < FLOAT32_GAP_FLOOR:
+        phases = phases[1:]
+    lam1, v, lam2 = _lanczos(*phases[0], n)
     lip, lip2 = POWER_MARGIN * 2.0 / n * lam1, LAMBDA2_MARGIN * 2.0 / n * lam2
     step = 1.0 / lip
     ratio = lam1 / lam2 if lam2 > 0.0 else math.nan  # NaN for a rank-one K0 or n <= 2
@@ -487,9 +505,8 @@ def _fista(K0, G, W0, max_iters, rel_tol, cut=None, K32=None):
         prox, dropped = _MetricStep(step, cut), -1
 
     def evaluate(W, mu):
-        # in the current phase's K; K0 is symmetric: (W^T K0)^T runs about twice as fast as K0 W on thin W
-        KW = (W.T @ K0).T if K is K0 else (K32 @ W.astype(np.float32)).astype(np.float64)
-        return _value_and_gap(W, KW, G, cut, mu / prox.step)
+        # in the current phase's products
+        return _value_and_gap(W, product(W), G, cut, mu / prox.step)
 
     def plain():
         # the step from X with no momentum, in the current metric
@@ -499,7 +516,7 @@ def _fista(K0, G, W0, max_iters, rel_tol, cut=None, K32=None):
     X, mu = _project_cut(W0, cut)
     prox.support = (X > 0.0).astype(np.float64)
     hist, iters, restarts = [], 0, 0
-    for K in phases:
+    for product, _ in phases:
         start = iters
         f, gap, gX = evaluate(X, mu)
         if not hist:
@@ -521,7 +538,7 @@ def _fista(K0, G, W0, max_iters, rel_tol, cut=None, K32=None):
                     mu *= step / prox.step
                     prox, dropped = _MetricStep(step, cut), iters + 1
                     Z, mu_z, fz, gap_z, gZ = plain()
-                if fz > f and K is not K0:
+                if fz > f and product is not exact:
                     break  # float32 rounding stalls progress: float64 products take this step
             iters += 1
             rel = abs(f - fz) / max(1.0, abs(fz))
@@ -539,7 +556,7 @@ def _fista(K0, G, W0, max_iters, rel_tol, cut=None, K32=None):
         objective_history=np.array(hist),
         gap=gap,
         step=step,
-        switch_iteration=start + 1 if K32 is not None and iters > start else 0,
+        switch_iteration=start + 1 if len(phases) > 1 and iters > start else 0,
         restarts=restarts,
         perron_ratio=ratio,
         metric_iteration=dropped,
@@ -559,13 +576,14 @@ def solve_label_weights(
     the first projection) when even the per-block loss-minimizing vertices
     violate the bound.
 
-    One FISTA solve (``_fista``) whose every step projects onto the
-    simplices cut by the loss constraint; ``options.max_iters`` caps the
-    whole solve. At ``options.rel_tol`` >= FLOAT32_GAP_FLOOR it runs a
-    float32 phase, on a float32 copy of K0 that lives only during the solve,
-    before its float64 phase; below, only the float64 phase. The reported
-    gap, objective and ``converged`` are evaluated at the returned weights
-    with a float64 K0 @ W, and the gap's multiplier is the last projection's
+    One FISTA solve (``_fista``) on the context's float32 K0, of which no
+    copy is made, whose every step projects onto the simplices cut by the
+    loss constraint; ``options.max_iters`` caps the whole solve. At
+    ``options.rel_tol`` >= FLOAT32_GAP_FLOOR it runs a float32 phase of
+    float32 GEMMs before its float64 phase; below, only the float64 phase.
+    The float64 phase's products, and so the reported gap, objective and
+    ``converged``, are float64-accumulated products of K0 (``product64``) at
+    the returned weights, and the gap's multiplier is the last projection's
     mu times the Euclidean step constant it ran at (L_2 in the metric).
     """
     options = options or SolverOptions()
@@ -573,7 +591,5 @@ def solve_label_weights(
     W0 = np.full((n, c), 1.0 / c) if init is None else as_weight_matrix(init, n, c).copy()
     if constraints is not None and constraints.loss_matrix.shape != (n, c):
         raise ValueError(f"loss_matrix shape {constraints.loss_matrix.shape} != ({n}, {c})")
-    K0 = ctx.base_gram
-    K32 = K0.astype(np.float32) if options.rel_tol >= FLOAT32_GAP_FLOOR else None
-    W, report = _fista(K0, (2.0 / ctx.m) * ctx.cross_v, W0, options.max_iters, options.rel_tol, constraints, K32)
+    W, report = _fista(ctx.base_gram, (2.0 / ctx.m) * ctx.cross_v, W0, options.max_iters, options.rel_tol, constraints)
     return LabelWeights(w=W.ravel(), n=n, c=c), report

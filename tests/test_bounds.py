@@ -5,11 +5,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unsupcp import bounds
 from unsupcp.bounds import BOUND_RIDGES, coverage_diagnostic_E, coverage_gap_bound, excess_gap_kernel
 from unsupcp.data import Dataset
-from unsupcp.kernel import KernelSpec, build_context, ridge_path
+from unsupcp.kernel import (
+    GRAM32_ABS_ERR,
+    GRAM32_REL_ERR,
+    KernelSpec,
+    _gram_from_sq_dists,
+    build_context,
+    gaussian_gram,
+    pairwise_sq_dists,
+    ridge_path,
+)
 from unsupcp.solver import supervised_weights
 
 
@@ -90,15 +101,19 @@ class TestCoverageGapBound:
         bound, path = coverage_gap_bound(ctx, u, 0.1, 10)
         assert len(fits) == len(BOUND_RIDGES)
         np.testing.assert_array_equal(path["ridges"], BOUND_RIDGES)
+        K = ctx.base_gram.astype(np.float64)
         for fit, certified in zip(fits, path["bounds"]):
             assert fit.converged
-            F = ctx.base_gram @ fit.gamma  # dense float64 K gamma
+            # dense float64 products with the float32 Gram, widened by its rounding terms
+            F, S, l1 = K @ fit.gamma, K @ np.abs(fit.gamma), np.abs(fit.gamma).sum(axis=0)
+            norm_sq = np.sum(fit.gamma * F) + GRAM32_REL_ERR * np.sum(np.abs(fit.gamma) * S) + GRAM32_ABS_ERR * l1 @ l1
+            approx = np.abs(U - F).sum() + GRAM32_REL_ERR * S.sum() + GRAM32_ABS_ERR * ctx.n * l1.sum()
             expected = excess_gap_kernel(
                 n=ctx.n,
                 m=ctx.m,
                 delta=0.1,
-                rkhs_norm=math.sqrt(max(float(np.sum(fit.gamma * F)), 0.0)),
-                approx_error=float(np.abs(U - F).sum()) / ctx.n,
+                rkhs_norm=math.sqrt(max(float(norm_sq), 0.0)),
+                approx_error=float(approx) / ctx.n,
                 num_candidates=10,
             )
             assert abs(certified - expected) <= 1e-12 * expected
@@ -123,6 +138,23 @@ class TestCoverageGapBound:
         ctx, u = _bound_inputs()
         with pytest.raises(ValueError, match="u shape"):
             coverage_gap_bound(ctx, u[:, :2], 0.1, 10)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), c=st.integers(1, 3),
+           log_sigma=st.floats(-2.5, 1.5), spread=st.floats(0.1, 4.0), log_scale=st.floats(-3.0, 3.0))
+    def test_rounding_terms_cover_the_float64_gram(self, seed, n, c, log_sigma, spread, log_scale):
+        # a fit's norm and approximation error, taken in the float32 Gram and widened by its rounding terms,
+        # are at least their values in the float64 Gram of the same points, for any coefficients
+        rng = np.random.default_rng(seed)
+        X = spread * rng.standard_normal((n, 2))
+        sigma = math.exp(log_sigma)
+        gamma = 10.0**log_scale * rng.standard_normal((n, c))
+        u = (rng.uniform(size=(n, c)) < 0.5).astype(np.float64)
+        K32 = _gram_from_sq_dists(pairwise_sq_dists(X, X), sigma)
+        F64 = gaussian_gram(X, X, sigma) @ gamma
+        ((norm_sq, approx),) = bounds._fit_terms(K32, u, [gamma])
+        assert norm_sq >= float(np.sum(gamma * F64))
+        assert approx >= float(np.abs(u - F64).sum()) / n
 
 
 class TestCoverageDiagnosticE:

@@ -185,6 +185,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             _tiny_config(**overrides)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_unscalable_bandwidth_rejected_at_construction(self, scale):
+        # a synthetic config knows d, so every sigma = scale sqrt(d/2) of its grid is checked before any trial runs
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            _tiny_config(bandwidth_scales=(1.0, scale))
+
     @pytest.mark.parametrize("overrides", NON_INTEGER_COUNTS)
     def test_non_integer_count_names_its_field(self, overrides):
         (name,) = overrides

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from _oracles import dense_pair_kernel, dual_witness_check, kernel_eval, plain_c
 from unsupcp.data import Dataset, SyntheticConfig, generate_synthetic
 from unsupcp.errors import EmptyInputError, InterpolationError
 from unsupcp.kernel import (
+    GRAM32_ABS_ERR,
+    GRAM32_REL_ERR,
     KernelSpec,
     _cg_columns,
     _gram_from_sq_dists,
@@ -26,8 +29,10 @@ from unsupcp.kernel import (
     ridge_path,
     select_kernel,
 )
-from unsupcp.scores import ScoreMatrix
-from unsupcp.solver import supervised_weights
+from unsupcp.classifier import estimate_loss_bound, train_logistic
+from unsupcp.harness import calibrate_unsupervised
+from unsupcp.scores import ScoreMatrix, build_score_matrix
+from unsupcp.solver import SolverOptions, solve_label_weights, supervised_weights
 
 
 def _fit(K, u, ridge=0.0, **kwargs):
@@ -45,6 +50,20 @@ def _samples(n=4, m=5, c=3, d=2, seed=0):
 
 def _context(n=4, m=5, c=3, d=2, sigma=1.0, seed=0):
     return build_context(*_samples(n, m, c, d, seed), KernelSpec(sigma=sigma))
+
+
+def _sq_dists64(X1, X2):
+    """The float64 squared distances by the single-GEMM formula, whose bits
+    every row block of the package's float64 distances keeps."""
+    n1, n2 = np.sum(X1 * X1, axis=1), np.sum(X2 * X2, axis=1)
+    D2 = np.add.outer(n1, n2)
+    D2 -= 2.0 * (X1 @ X2.T)
+    return np.maximum(D2, 0.0, out=D2)
+
+
+def _within_rounding(K32, K):
+    """Whether the float32 Gram K32 is within its stated rounding of K."""
+    return bool(np.all(np.abs(K32 - K) <= GRAM32_REL_ERR * K32 + GRAM32_ABS_ERR))
 
 
 def _simplex_weights(n, c, seed):
@@ -76,9 +95,13 @@ class TestKernelEval:
 
     @pytest.mark.parametrize("sigma", [math.inf, 1e200, 1e-200])
     def test_unscalable_sigma_rejected(self, sigma):
-        # 2 sigma^2 scales every exponent: inf or overflowing, or underflowing to 0, it cannot
-        with pytest.raises(ValueError, match="sigma"):
-            KernelSpec(sigma=sigma)
+        # 2 sigma^2 scales every exponent: inf or overflowing, or underflowing to 0, it cannot; the Gram
+        # builders that take a raw sigma check it as KernelSpec does
+        X = np.random.default_rng(3).standard_normal((4, 2))
+        for build in (lambda: KernelSpec(sigma=sigma), lambda: gaussian_gram(X, X, sigma),
+                      lambda: _gram_from_sq_dists(pairwise_sq_dists(X, X), sigma)):
+            with pytest.raises(ValueError, match="sigma"):
+                build()
 
 
 class TestBandwidthGrid:
@@ -121,6 +144,7 @@ class TestBuildContext:
     def test_gram_symmetric_unit_diagonal(self):
         ctx = _context(n=6, sigma=0.8)
         K0 = ctx.base_gram
+        assert K0.dtype == np.float32
         np.testing.assert_allclose(K0, K0.T, atol=1e-12)
         np.testing.assert_allclose(np.diag(K0), 1.0, atol=1e-15)
         assert K0.min() >= 0.0 and K0.max() <= 1.0
@@ -130,7 +154,8 @@ class TestBuildContext:
         ctx = build_context(cal, train, KernelSpec(0.9))
         pairs = [(x, y) for x in cal for y in range(1, ctx.c + 1)]  # (i, y) -> i*c + (y-1)
         want = [[kernel_eval(a, y, b, y2, ctx.spec) for b, y2 in pairs] for a, y in pairs]
-        np.testing.assert_allclose(dense_pair_kernel(ctx), want, rtol=0.0, atol=1e-15)
+        # the float32 Gram's entries, within its rounding of the exact ones
+        assert _within_rounding(dense_pair_kernel(ctx), np.array(want))
 
     def test_block_sparsity_fraction(self):
         ctx = _context(n=3, c=3)
@@ -171,7 +196,10 @@ class TestMmdObjective:
         train = Dataset(X, labels, num_classes=2)
         ctx = build_context(X, train, KernelSpec(0.9))
         w = supervised_weights(labels, 2)
-        assert mmd_objective(w, ctx) < 1e-7
+        # exact in the float64 Gram; in the float32 one the squared MMD moves by at most GRAM32_REL_ERR times
+        # (1/n^2) w^T K w <= 1, plus float64 rounding
+        assert mmd_objective(w, replace(ctx, base_gram=gaussian_gram(X, X, 0.9))) < 1e-7
+        assert mmd_objective(w, ctx) <= math.sqrt(2.0 * GRAM32_REL_ERR)
 
     def test_single_pair_hand_values(self):
         x0 = np.array([[0.0, 0.0]])
@@ -529,7 +557,7 @@ class TestDualWitness:
         ctx = build_context(X, train, KernelSpec(1.0))
         w = supervised_weights(labels, 2)
         out = dual_witness_check(w, ctx, X, train, probe_count=8, seed=15)
-        assert out["objective"] < 1e-7
+        assert out["objective"] <= math.sqrt(2.0 * GRAM32_REL_ERR)  # zero up to the float32 Gram's rounding
         assert np.all(out["probes"] <= 1e-7)
 
 
@@ -553,13 +581,13 @@ class TestHandedDistances:
         ctx = build_context(cal, train, KernelSpec(sigma))
         D2 = pairwise_sq_dists(cal, cal)
         ctx_h = build_context(cal, train, KernelSpec(sigma), sq_dists=D2)
-        assert ctx_h.base_gram is D2  # K0 overwrites the distances
+        assert ctx_h.base_gram is D2 and D2.dtype == np.float32  # K0 overwrites the distances
         assert ctx_h.base_gram.tobytes() == ctx.base_gram.tobytes()
-        assert ctx.base_gram.tobytes() == gaussian_gram(cal, cal, sigma).tobytes()  # one exp path
+        assert _within_rounding(ctx.base_gram, gaussian_gram(cal, cal, sigma))
         assert ctx_h.cross_v.tobytes() == ctx.cross_v.tobytes()
         assert repr(ctx_h.train_self) == repr(ctx.train_self)
 
-    @pytest.mark.parametrize("bad", [np.zeros((5, 6)), np.zeros((6, 6), np.float32), [[0.0] * 6] * 6])
+    @pytest.mark.parametrize("bad", [np.zeros((5, 6), np.float32), np.zeros((6, 6)), [[0.0] * 6] * 6])
     def test_wrong_distances_rejected(self, bad):
         cal, train = _samples(n=6, m=5, c=3, seed=38)
         with pytest.raises(ValueError, match="sq_dists"):
@@ -589,7 +617,7 @@ class TestGaussianGram:
         X1, X2 = rng.standard_normal((37, 4)), rng.standard_normal((23, 4))
         n1, n2 = np.sum(X1 * X1, axis=1), np.sum(X2 * X2, axis=1)
         want = np.maximum(n1[:, None] + n2[None, :] - 2.0 * (X1 @ X2.T), 0.0)
-        assert pairwise_sq_dists(X1, X2).tobytes() == want.tobytes()
+        assert pairwise_sq_dists(X1, X2).tobytes() == want.astype(np.float32).tobytes()  # rounded once
 
     @pytest.mark.parametrize("block", [7, kernel_mod.GRAM_BLOCK_ENTRIES])
     @pytest.mark.parametrize("sigma", [0.05, 0.1, 1.0])
@@ -597,7 +625,7 @@ class TestGaussianGram:
         monkeypatch.setattr(kernel_mod, "GRAM_BLOCK_ENTRIES", block)
         rng = np.random.default_rng(32)
         X1, X2 = 1.5 * rng.standard_normal((300, 2)), 1.5 * rng.standard_normal((450, 2))
-        D2 = pairwise_sq_dists(X1, X2)
+        D2 = _sq_dists64(X1, X2)
         plain = np.exp(D2 / (-2.0 * sigma**2))
         tiny = np.finfo(np.float64).tiny
         if sigma < 1.0:  # the fixture reaches the subnormal range
@@ -611,29 +639,32 @@ class TestGaussianGram:
     @pytest.mark.parametrize("block", [7, kernel_mod.GRAM_BLOCK_ENTRIES])
     @pytest.mark.parametrize("sigma", [0.05, 0.5, 1.0])
     def test_float32_exp_pass_has_no_subnormals_and_rounds_once(self, monkeypatch, sigma, block):
-        # selection's float32 Gram: each exponent is the float64 quotient rounded once to float32, then float32 exp
+        # the calibration's float32 Gram: each exponent is the float32 quotient of the distance, itself rounded
+        # once from float64, by -2 sigma^2 rounded to float32, then float32 exp
         monkeypatch.setattr(kernel_mod, "GRAM_BLOCK_ENTRIES", block)
         rng = np.random.default_rng(32)
         X1, X2 = 1.5 * rng.standard_normal((300, 2)), 1.5 * rng.standard_normal((450, 2))
         D2 = pairwise_sq_dists(X1, X2)
         kept = D2.copy()
-        K64 = _gram_from_sq_dists(D2, sigma)
+        K64 = gaussian_gram(X1, X2, sigma)
         K = _gram_from_sq_dists(D2, sigma, out=np.full(D2.shape, np.nan, np.float32))
-        assert K.dtype == np.float32 and D2.tobytes() == kept.tobytes()
+        assert D2.dtype == K.dtype == np.float32 and D2.tobytes() == kept.tobytes()
         tiny = np.finfo(np.float32).tiny
         if sigma < 1.0:  # the fixture reaches float32's subnormal range
             assert np.any((K64 > 0.0) & (K64 < tiny))
         assert not np.any((K > 0.0) & (K < tiny))
-        E = D2 / (-2.0 * sigma**2)
-        normal = E.astype(np.float32) >= kernel_mod._EXP_FLOOR32
+        E = D2 / np.float32(-2.0 * sigma**2)
+        normal = E >= kernel_mod._EXP_FLOOR32
         assert np.all(K[~normal] == 0.0)
-        assert K[normal].tobytes() == np.exp(E[normal].astype(np.float32)).tobytes()
-        # against the float64 Gram: rounding the exponent x to float32 moves it by at most |x| 2^-24, so the entry
-        # by a factor within exp(+-|x| 2^-24), and exp(t) - 1 <= t (1 + t) for t <= 88 * 2^-24; numpy's float32 exp
-        # adds at most 3 ulps (2.42 the worst over 2e8 sampled exponents), and the second-order term t^2 <= 3e-11
-        # and the float64 Gram's own rounding stay below one more ulp: 4 ulps in all
+        assert K[normal].tobytes() == np.exp(E[normal]).tobytes()
+        # against the float64 Gram: the three roundings move the exponent x by at most 3 |x| 2^-24 to first order,
+        # so the entry by a factor within exp(+-3 |x| 2^-24), and exp(t) - 1 <= t (1 + t) for t <= 264 * 2^-24;
+        # numpy's float32 exp adds at most 3 ulps (2.42 the worst over 2e8 sampled exponents), and the
+        # second-order terms and the float64 Gram's own rounding stay below one more ulp: 4 ulps in all
+        x = E[normal].astype(np.float64)
         err = np.abs(K[normal] - K64[normal])
-        assert np.all(err <= np.abs(E[normal]) * 2.0**-24 * K64[normal] + 4 * np.spacing(K[normal]))
+        assert np.all(err <= 3.0 * np.abs(x) * 2.0**-24 * K64[normal] + 4 * np.spacing(K[normal]))
+        assert _within_rounding(K, K64)  # the bound the coverage-gap bound widens its terms by
 
     def test_float32_floor_keeps_no_subnormal(self):
         # sigma = 0.5 makes each exponent D2 / -0.5 exact; a sweep of float64 exponents across log(float32 tiny)
@@ -656,7 +687,7 @@ class TestGaussianGram:
     def test_out_buffer_gives_same_bits(self):
         rng = np.random.default_rng(33)
         X = rng.standard_normal((60, 3))
-        D2 = pairwise_sq_dists(X, X)
+        D2 = _sq_dists64(X, X)
         fresh = _gram_from_sq_dists(D2, 0.4)
         buf = np.full_like(D2, np.nan)
         assert _gram_from_sq_dists(D2, 0.4, out=buf) is buf
@@ -673,11 +704,8 @@ class TestGaussianGram:
         monkeypatch.setattr(kernel_mod, "GRAM_BLOCK_ENTRIES", block)
         rng = np.random.default_rng(39)
         X1, X2 = 1.5 * rng.standard_normal((37, d)), 1.5 * rng.standard_normal((m, d))
-        n1, n2 = np.sum(X1 * X1, axis=1), np.sum(X2 * X2, axis=1)
-        want = np.add.outer(n1, n2)
-        want -= 2.0 * (X1 @ X2.T)
-        np.maximum(want, 0.0, out=want)
-        assert pairwise_sq_dists(X1, X2).tobytes() == want.tobytes()
+        want = _sq_dists64(X1, X2)
+        assert pairwise_sq_dists(X1, X2).tobytes() == want.astype(np.float32).tobytes()
         floor = math.log(np.finfo(np.float64).tiny)
         for sigma in (0.1 * math.sqrt(d / 2), 1.0):
             E = want / (-2.0 * sigma**2)
@@ -706,8 +734,8 @@ def _traced_peak(fn):
 
 
 class TestGramMemory:
-    """A dense calibration holds at most one n x n float64 array and one
-    n x n float32 array at once."""
+    """A dense calibration holds at most two n x n float32 arrays at once:
+    the distances and a Gram, or K0 alone once selection is done."""
 
     N = 1500
 
@@ -724,20 +752,20 @@ class TestGramMemory:
         # first calls import lazily; keep that out of the trace
         cal, train, scores, weights = self._inputs(20)
         spec, _ = select_kernel(bandwidth_grid(2)[2:5], cal, scores, weights, 0.1)
-        build_context(cal, train, spec)
+        solve_label_weights(build_context(cal, train, spec))
 
     def test_select_kernel_peak(self):
         self._warm_up()
         cal, _, scores, weights = self._inputs(self.N)
         peak = _traced_peak(lambda: select_kernel(bandwidth_grid(2)[2:5], cal, scores, weights, 0.1))
-        # the distances, the float32 Gram buffer and one factor of n / 16 rows
-        assert peak <= 1.6 * 8 * self.N**2
+        # the float32 distances, the float32 Gram buffer and one float32 factor of n / 16 rows
+        assert peak <= 1.1 * 8 * self.N**2
 
     def test_build_context_peak(self):
         self._warm_up()
         cal, train, _, _ = self._inputs(self.N)
         peak = _traced_peak(lambda: build_context(cal, train, KernelSpec(0.5)))
-        assert peak <= 1.1 * 8 * self.N**2
+        assert peak <= 0.6 * 8 * self.N**2
 
     def test_one_large_label_makes_no_training_gram(self):
         # m = 4n training points of a single label: their Gram would hold 16
@@ -748,7 +776,32 @@ class TestGramMemory:
         train = Dataset(rng.standard_normal((4 * n, 2)), np.ones(4 * n, dtype=np.int64), num_classes=2)
         self._warm_up()
         peak = _traced_peak(lambda: build_context(cal, train, KernelSpec(0.5)))
-        assert peak <= 1.1 * 8 * n**2
+        assert peak <= 0.6 * 8 * n**2
+
+    def test_solve_label_weights_makes_no_gram_array(self):
+        # the QP reads the context's float32 K0 in place: no copy of it, in either precision
+        self._warm_up()
+        cal, train, _, _ = self._inputs(self.N)
+        ctx = build_context(cal, train, KernelSpec(1.0))
+        peak = _traced_peak(lambda: solve_label_weights(ctx, options=SolverOptions(max_iters=50)))
+        assert peak <= 0.1 * 8 * self.N**2
+
+    def test_calibration_peak(self):
+        # a whole unsupervised calibration peaks in selection: the float32 distances and Gram buffer and a factor
+        n, c = self.N, 3
+        means = 1.45 * np.stack([np.cos(2 * np.pi * np.arange(c) / c), np.sin(2 * np.pi * np.arange(c) / c)], axis=1)
+        ds = generate_synthetic(SyntheticConfig(class_means=means, cov_scale=1.0, priors=np.full(c, 1.0 / c)),
+                                3 * n, seed=38)
+        fit = Dataset(ds.instances[:n], ds.labels[:n], c)
+        model = train_logistic(fit)
+        loss_bound = estimate_loss_bound(model, Dataset(ds.instances[n:2 * n], ds.labels[n:2 * n], c)).value
+        cal = ds.instances[2 * n:]
+        scores = build_score_matrix(model, cal, "adaptive", 37)
+        self._warm_up()
+        out = []
+        peak = _traced_peak(lambda: out.append(calibrate_unsupervised(model, cal, fit, scores, 0.1, loss_bound)))
+        assert out[0].report.converged
+        assert peak <= 1.15 * 8 * n**2
 
     def test_gaussian_gram_makes_no_full_temporary(self):
         self._warm_up()

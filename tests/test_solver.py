@@ -23,6 +23,7 @@ from unsupcp.solver import (
     SolverOptions,
     _fista,
     _lanczos,
+    _product32,
     _top_ritz,
     _project_cut,
     _project_rows,
@@ -449,9 +450,17 @@ def _gaussian_instance(seed, n, c, d=2):
     return ctx, supervised_weights(cal_labels, c)
 
 
+def _lanczos_of(K):
+    """The Lanczos run on K's own products: float32 GEMVs for a float32 K, as
+    the float32 phase runs them, and float64 ones otherwise."""
+    if K.dtype == np.float32:
+        return _lanczos(lambda q: _product32(K, q), float(np.finfo(np.float32).eps), K.shape[0])
+    return _lanczos(lambda q: K @ q, float(np.finfo(np.float64).eps), K.shape[0])
+
+
 def _lip(K):
     """The solver's step constant: POWER_MARGIN times 2/n lambda_1's estimate."""
-    return POWER_MARGIN * 2.0 / K.shape[0] * _lanczos(K)[0]
+    return POWER_MARGIN * 2.0 / K.shape[0] * _lanczos_of(K)[0]
 
 
 class TestCertificate:
@@ -495,19 +504,19 @@ class TestCertificate:
     def test_reported_step_is_the_power_step(self):
         ctx, init = _gaussian_instance(8, 60, 3)
         _, report = solve_label_weights(ctx, init=init)
-        lam_max = float(np.linalg.eigvalsh(ctx.base_gram)[-1])
+        lam_max = float(np.linalg.eigvalsh(ctx.base_gram.astype(np.float64))[-1])
         assert 2.0 * lam_max / ctx.n <= 1.0 / report.step <= 1.0101 * 2.0 * lam_max / ctx.n
 
-    def test_forced_float32_stall_switches_and_certifies(self):
-        # a float16-rounded copy stands in for the float32 one: its products
-        # are too coarse to certify 1e-5, so the solve must switch to float64
-        # products and certify there
+    def test_forced_float32_stall_switches_and_certifies(self, monkeypatch):
+        # float32 phase products on a float16-rounded K0 are too coarse to
+        # certify 1e-5, so the solve must switch to float64 products and
+        # certify there
+        monkeypatch.setattr(solver, "_product32", lambda K, W: _product32(K.astype(np.float16).astype(np.float32), W))
         ctx, init = _gaussian_instance(3, 200, 3)
         K0 = ctx.base_gram
         G = (2.0 / ctx.m) * ctx.cross_v
-        coarse = K0.astype(np.float16).astype(np.float32)
         tol = 1e-5
-        W, report = _fista(K0, G, init.matrix, 20000, tol, None, coarse)
+        W, report = _fista(K0, G, init.matrix, 20000, tol, None)
         assert report.switch_iteration > 0
         assert report.converged
         # the reported certificate is the float64 one at the returned iterate
@@ -551,21 +560,16 @@ class TestCertificate:
 
     @pytest.mark.parametrize("tol", [FLOAT32_GAP_FLOOR / 10, FLOAT32_GAP_FLOOR, 1e-4])
     def test_float32_products_only_above_the_floor(self, monkeypatch, tol):
+        # float32 products run on the context's own Gram, never on a copy, and only above the floor
         seen = []
-        fista = solver._fista
-
-        def spy(*args):
-            seen.append(args[6])
-            return fista(*args)
-
-        monkeypatch.setattr(solver, "_fista", spy)
+        monkeypatch.setattr(solver, "_product32", lambda K, W: seen.append(K) or _product32(K, W))
         ctx, init = _gaussian_instance(6, 40, 3)
         solve_label_weights(ctx, options=SolverOptions(rel_tol=tol), init=init)
+        assert ctx.base_gram.dtype == np.float32
         if tol < FLOAT32_GAP_FLOOR:
-            assert seen == [None]
+            assert seen == []
         else:
-            assert seen[0].dtype == np.float32
-            np.testing.assert_array_equal(seen[0], ctx.base_gram.astype(np.float32))
+            assert seen and all(K is ctx.base_gram for K in seen)
 
 
 def _metric_value(W, Y, g, v, step, beta):
@@ -787,8 +791,8 @@ class TestPerronMetric:
         seen = []
         lanczos = solver._lanczos
 
-        def spy(K):
-            seen.append(lanczos(K))
+        def spy(*args):
+            seen.append(lanczos(*args))
             return seen[-1]
 
         monkeypatch.setattr(solver, "_lanczos", spy)
@@ -831,9 +835,9 @@ class TestLanczos:
         # Gaussian Grams of both benchmark shapes at n = 400
         for seed in (1, 2):
             K = (_gaussian_instance(seed, 400, 3) if c == 3 else _perron_instance(seed, n=400))[0].base_gram
-            exact, U = np.linalg.eigh(K)
+            exact, U = np.linalg.eigh(K.astype(np.float64))
             exact = exact[::-1]
-            lam1, v, lam2 = _lanczos(K.astype(dtype))
+            lam1, v, lam2 = _lanczos_of(K.astype(dtype))
             # interlacing: at or below the exact values, up to the products' rounding
             slack = 10.0 * np.finfo(dtype).eps * exact[0]
             assert lam1 <= exact[0] + slack and lam2 <= exact[1] + slack
@@ -851,7 +855,7 @@ class TestLanczos:
         for seed in (1, 2, 3):
             K = (_gaussian_instance(seed, 400, 3) if c == 3 else _perron_instance(seed, n=400))[0].base_gram
             for dtype in (np.float64, np.float32):
-                lam1, v, lam2 = _lanczos(K.astype(dtype))
+                lam1, v, lam2 = _lanczos_of(K.astype(dtype))
                 alpha, beta = seen[-1]
                 T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
                 theta, S = np.linalg.eigh(T)
@@ -884,7 +888,7 @@ class TestLanczos:
 
         for name in ("eigh", "eigvalsh", "eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        lam1, v, lam2 = _lanczos(_gaussian_instance(1, 60, 3)[0].base_gram)
+        lam1, v, lam2 = _lanczos_of(_gaussian_instance(1, 60, 3)[0].base_gram)
         assert lam1 >= lam2 > 0.0 and v.sum() > 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 50])
@@ -898,10 +902,10 @@ class TestLanczos:
         ctx = build_context(cal, train, KernelSpec(1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for K in (ctx.base_gram, ctx.base_gram.astype(np.float32)):
-                lam1, v, lam2 = _lanczos(K)
+            for K in (ctx.base_gram.astype(np.float64), ctx.base_gram):
+                lam1, v, lam2 = _lanczos_of(K)
                 assert np.isnan(lam2) or lam2 == 0.0
-                assert abs(lam1 - np.linalg.eigvalsh(ctx.base_gram)[-1]) <= 1e-6 * lam1
+                assert abs(lam1 - np.linalg.eigvalsh(ctx.base_gram.astype(np.float64))[-1]) <= 1e-6 * lam1
                 assert v.sum() > 0.0
             _, report = solve_label_weights(ctx)
         assert np.isnan(report.perron_ratio)
