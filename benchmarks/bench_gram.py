@@ -11,7 +11,7 @@ picks on both shapes), and the exp pass at every candidate sigma of the
 bandwidth grid: into a float64 Gram from the distances in float64
 (``exp_s``, as the cross Gram's row blocks) and into a float32 one from the
 calibration's distances as built (``exp32_s``, what bandwidth selection
-builds for each candidate, and the context's K0). The best
+builds for each candidate). The best
 of 20 runs of a fixed float64 (3000, 10) @ (10, 3000) GEMM is recorded
 too, so machines of different speed compare through seconds / ref_gemm_s.
 The run is appended to ``--out``; ``--src`` times another checkout's package.

@@ -19,14 +19,19 @@ A calibration's one lasting n x n array is float32. Its squared distances
 are built once, each row block in float64 and rounded once into it;
 bandwidth selection exponentiates them in float32 into one more float32
 buffer, candidate after candidate, and the context build overwrites them in
-place with K0, which the QP, the MMD objective and the bound all read. Entrywise,
+place with K0, each row block exponentiated in float64 and rounded once.
+The QP, the MMD objective and the bound all read that K0. Entrywise,
 |K - K~| <= GRAM32_REL_ERR K~ + GRAM32_ABS_ERR between the Gram K of the
 float64 distances and that float32 Gram K~. Products that must be exact in
 K~ (the residuals behind selection's decisions, the QP's float64 phase, the
-MMD objective and the bound) are float64-accumulated (``product64``), so no
-float64 copy of K~ is made. The context's cross statistics against the
+MMD objective and the bound's fits) are float64-accumulated
+(``product64``), so no float64 copy of K~ is made; the others are float32
+GEMMs (``gemm_product``). The context's cross statistics against the
 training sample stay float64 and are reduced one row block of their Gram
-at a time, so no n x m or m x m array is made.
+at a time, so no n x m or m x m array is made. The MMD objective's
+quadratic term therefore carries K~'s rounding while its cross terms do
+not: where the three cancel, near an MMD of 0, it is exact only to about
+the square root of that rounding (see ``mmd_objective``).
 
 Kernel-ridge fits (bandwidth selection and the bound's ridge path) run
 conjugate gradients preconditioned by a greedy pivoted Cholesky factor of
@@ -67,29 +72,35 @@ SELECTION_CG_TOL = 1e-6  # relative CG residual of bandwidth selection, which fl
 # 800 float32 ulps above tiny, far beyond the few ulps by which numpy's float32 exp can miss
 _EXP_FLOOR = float(np.log(np.finfo(np.float64).tiny))
 _EXP_FLOOR32 = float(np.float32(math.log(float(np.finfo(np.float32).tiny)) + 1e-4))
-_SQRT_TINY32 = math.sqrt(float(np.finfo(np.float32).tiny))
+_TINY32, _MAX32 = float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max)
+_SQRT_TINY32 = math.sqrt(_TINY32)
 # Entrywise |K - K~| <= GRAM32_REL_ERR K~ + GRAM32_ABS_ERR between the exact Gram K of the float64 squared
-# distances D (0 or normal in float32) and the float32 Gram K~ built from them. With u = 2^-24: rounding D to
-# float32, -2 sigma^2 to float32 and their quotient moves a kept exponent x by at most 3u |x| to first order, and
-# |x| < 88 above the float32 floor; numpy's float32 exp adds at most 3 ulps, 6u relative: 270u. 2u more covers the
-# second-order terms, bounding by K~ rather than K, and the rounding of a float64-accumulated product
-# (n 2^-53 <= u for n <= 2^29). An entry zeroed at the floor has K < exp(_EXP_FLOOR32 + 3u 88) < 2 float32 tiny.
-GRAM32_REL_ERR = 272 * 2.0**-24
-GRAM32_ABS_ERR = 2.0 * float(np.finfo(np.float32).tiny)
+# distances D (below float32's max) and the calibration's float32 Gram K~ (``_context_gram``). With u = 2^-24:
+# rounding D to float32 moves a kept exponent x by at most u |x| < 88u (|x| < 88 above the float32 floor), or by
+# at most u absolute where D is below float32 tiny (2 sigma^2 >= tiny); the float64 quotient and exp add under
+# 2^-51 relative, and rounding the result to float32 u: 89u. 2u more covers the second-order terms, bounding by
+# K~ rather than K, and the rounding of a float64-accumulated product (n 2^-53 <= u for n <= 2^29). An entry
+# zeroed at the floor has K < exp(_EXP_FLOOR32 + 88u) < 2 float32 tiny.
+GRAM32_REL_ERR = 91 * 2.0**-24
+GRAM32_ABS_ERR = 2.0 * _TINY32
 
 
 def _exp_scale(sigma: float) -> float:
-    """-2 sigma^2, the divisor of every exponent, for a sigma that is
-    positive with 2 sigma^2 positive and finite (ValueError otherwise)."""
-    if not (sigma > 0 and 0 < 2.0 * sigma * sigma < math.inf):
-        raise ValueError(f"sigma must be positive with 2 sigma^2 positive and finite, got {sigma}")
+    """-2 sigma^2, the divisor of every exponent, for a positive sigma with
+    2 sigma^2 in float32's normal range (ValueError otherwise): the
+    calibration's Gram divides float32 distances by it rounded to float32,
+    which must then be normal and within u relative of it, as GRAM32_REL_ERR
+    assumes. Out of that range it would round to -0 (a NaN diagonal),
+    a subnormal or -inf."""
+    if not (sigma > 0 and _TINY32 <= 2.0 * sigma * sigma <= _MAX32):
+        raise ValueError(f"sigma must be positive with 2 sigma^2 in [{_TINY32:.3g}, {_MAX32:.3g}], got {sigma}")
     return -2.0 * sigma**2
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     """Bandwidth of the separable Gaussian kernel: positive, with 2 sigma^2,
-    which scales every exponent, positive and finite."""
+    which scales every exponent, in float32's normal range."""
 
     sigma: float
 
@@ -158,25 +169,29 @@ def pairwise_sq_dists(X1, X2) -> np.ndarray:
     return D2
 
 
-def _exp_block(D: np.ndarray, scale: float, out: np.ndarray) -> None:
+def _exp_block(D: np.ndarray, scale: float, out: np.ndarray, floor: float | None = None) -> None:
     """exp(D / scale) into ``out`` (which may be D itself), in ``out``'s
-    dtype, with every entry whose exponent lies below that dtype's floor
-    (``_EXP_FLOOR`` or ``_EXP_FLOOR32``) set to exactly 0. The quotient is
-    taken in D's dtype (for a float32 D, with ``scale`` rounded to float32)
-    and rounded once into ``out``.
+    dtype, with every entry whose exponent lies below ``floor`` set to
+    exactly 0; the floor defaults to that of ``out``'s dtype (``_EXP_FLOOR``
+    or ``_EXP_FLOOR32``). The quotient is taken in D's dtype (for a float32
+    D, with ``scale`` rounded to float32) and rounded once into ``out``.
 
     Such an entry would come out subnormal, and subnormal values make exp
     and every later product with the Gram slow. On a block that holds one,
-    its exponent is zeroed by a 0/1 mask before exp (so exp never sees a
-    near-floor input) and its result after; every other entry keeps the bits
-    of the plain formula. A block without one takes plain exp, which is
-    about twice as fast as the masked pass.
+    its exponent is clamped at the floor before exp (exp of the floor is
+    normal, so exp never makes a subnormal) and its result is zeroed by a
+    0/1 mask after; every other entry keeps the bits of the plain formula.
+    A quotient beyond the dtype's range is -inf, which the clamp takes too.
+    A block without one takes plain exp, which is about twice as fast as
+    the masked pass.
     """
-    floor = _EXP_FLOOR if out.dtype == np.float64 else _EXP_FLOOR32
-    np.divide(D, scale, out=out)
+    if floor is None:
+        floor = _EXP_FLOOR if out.dtype == np.float64 else _EXP_FLOOR32
+    with np.errstate(over="ignore"):  # an overflowing quotient is -inf, below the floor
+        np.divide(D, scale, out=out)
     if out.size and out.min() < floor:
         keep = out >= floor
-        np.multiply(out, keep, out=out)
+        np.maximum(out, floor, out=out)
         np.exp(out, out=out)
         np.multiply(out, keep, out=out)
     else:
@@ -191,15 +206,33 @@ def _gram_from_sq_dists(D2: np.ndarray, sigma: float, out: np.ndarray | None = N
     This is the exp half of ``gaussian_gram``, for squared distances that
     are already built. Each block takes plain exp, or the masked pass of
     ``_exp_block`` when it holds an entry below the floor. On the float32
-    distances of ``pairwise_sq_dists`` it builds the calibration's float32
-    Gram, within GRAM32_REL_ERR relative (plus GRAM32_ABS_ERR) of the exact
-    Gram of the float64 distances, with every entry 0 or normal.
+    distances of ``pairwise_sq_dists`` it builds selection's float32 Grams,
+    in float32 throughout, with every entry 0 or normal.
     """
     K = np.empty_like(D2) if out is None else out
     scale = _exp_scale(sigma)
     for rows in _row_blocks(D2.shape):
         _exp_block(D2[rows], scale, K[rows])
     return K
+
+
+def _context_gram(D2: np.ndarray, sigma: float) -> np.ndarray:
+    """The calibration's float32 Gram K0, over its float32 squared
+    distances D2 in place. Each row block, of a quarter of
+    GRAM_BLOCK_ENTRIES, is upcast into one float64 scratch block,
+    exponentiated there in float64 (with float32's floor, so no entry comes
+    out subnormal in float32) and rounded once back into D2: of the float32
+    pipeline's roundings only those of the distance and of the result
+    remain, and no float32 exp is taken."""
+    scale = _exp_scale(sigma)
+    blocks = _row_blocks((D2.shape[0], 4 * D2.shape[1]))
+    scratch = np.empty((max((b.stop - b.start for b in blocks), default=0), D2.shape[1]))
+    for rows in blocks:
+        block = scratch[:rows.stop - rows.start]
+        block[...] = D2[rows]
+        _exp_block(block, scale, block, _EXP_FLOOR32)
+        D2[rows] = block
+    return D2
 
 
 def gaussian_gram(X1: np.ndarray, X2: np.ndarray, sigma: float) -> np.ndarray:
@@ -268,10 +301,11 @@ def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec, *
 
     ``sq_dists``, when given, holds the calibration's float32 pairwise
     squared distances (``pairwise_sq_dists(cal_instances, cal_instances)``);
-    K0 is exponentiated over it in place, in float32, and becomes
-    ``base_gram``, so the caller must not read it as distances afterwards.
-    Without it, the distances are built here, with the same bits. Beyond
-    that one float32 n x n array, only row blocks are held.
+    K0 is exponentiated over it in place (``_context_gram``: float64 row
+    blocks, rounded once to float32) and becomes ``base_gram``, so the
+    caller must not read it as distances afterwards. Without it, the
+    distances are built here, with the same bits. Beyond that one float32
+    n x n array, only row blocks are held.
     """
     cal_instances = np.asarray(cal_instances, dtype=np.float64)
     if cal_instances.ndim != 2 or cal_instances.shape[0] == 0:
@@ -301,7 +335,7 @@ def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec, *
         train_self += sum(float(np.sum(block)) for _, block in _gram_row_blocks(T, T, spec.sigma))
     train_self /= m * m
     D2 = _calibration_sq_dists(cal_instances, sq_dists)
-    K0 = _gram_from_sq_dists(D2, spec.sigma, out=D2)
+    K0 = _context_gram(D2, spec.sigma)
     return KernelContext(
         spec=spec,
         base_gram=K0,
@@ -329,7 +363,14 @@ def as_weight_matrix(w, n: int, c: int) -> np.ndarray:
 def mmd_objective(w, ctx: KernelContext) -> float:
     """Root of the clamped squared MMD between the weighted calibration
     embedding and the training sample embedding, exact in the float32 K0
-    up to float64 rounding."""
+    up to float64 rounding.
+
+    Against the Gram K of the float64 distances, only the quadratic term
+    moves: by at most d = (GRAM32_REL_ERR |W|^T K0 |W| + GRAM32_ABS_ERR
+    ||W||_1^2) / n^2, summed over labels, so the squared MMD moves by at
+    most d and the MMD by at most min(sqrt(d), d / MMD). A calibration's
+    float32 K0 is the only Gram it has, and recomputing float64 blocks of
+    it here would build the distances a second time."""
     W = as_weight_matrix(w, ctx.n, ctx.c)
     quad = float(np.sum(W * product64(ctx.base_gram, 0.0, W)))
     cross = float(np.sum(W * ctx.cross_v))
@@ -416,13 +457,15 @@ def _nystrom_preconditioner(K: np.ndarray, shifts: np.ndarray, width: int):
     return apply, rank
 
 
-def _product(K: np.ndarray, shift, P: np.ndarray) -> np.ndarray:
+def gemm_product(K: np.ndarray, shift, P: np.ndarray) -> np.ndarray:
     """(K + shift I) P for a symmetric K, as a GEMM in K's dtype: float32
-    for a float32 K, on the float64 P rounded to it. It is taken as
-    (P^T K)^T, which BLAS runs about twice as fast as K P on thin P.
-    ``shift`` is a scalar or one value per column; the result is float64."""
-    KP = (P.T.astype(K.dtype, copy=False) @ K).T.astype(np.float64, copy=False)
-    KP += shift * P
+    for a float32 K, on the float64 P (a vector or matrix) rounded to it.
+    It is taken as (P^T K)^T, so for a K that is not exactly symmetric it is
+    (K^T + shift I) P. ``shift`` is a scalar or one value per column; a
+    scalar 0 adds nothing. The result is a C-ordered float64 array."""
+    KP = (P.T.astype(K.dtype, copy=False) @ K).T.astype(np.float64, order="C")
+    if isinstance(shift, np.ndarray) or shift:
+        KP += shift * P
     return KP
 
 
@@ -430,7 +473,7 @@ def product64(K: np.ndarray, shift: float, P: np.ndarray) -> np.ndarray:
     """(K + shift I) P in float64 arithmetic for a float32 K, whose entries
     float64 holds exactly, and a vector or matrix P: one row block of K, of
     a quarter of GRAM_BLOCK_ENTRIES, is upcast at a time into one scratch
-    block, so no float64 copy of K is made."""
+    block, so no float64 copy of K is made. A scalar 0 shift adds nothing."""
     out = np.empty((K.shape[0],) + P.shape[1:])
     blocks = _row_blocks((K.shape[0], 4 * K.shape[1]))
     scratch = np.empty((max((b.stop - b.start for b in blocks), default=0), K.shape[1]))
@@ -438,7 +481,8 @@ def product64(K: np.ndarray, shift: float, P: np.ndarray) -> np.ndarray:
         block = scratch[:rows.stop - rows.start]
         block[...] = K[rows]
         np.matmul(block, P, out=out[rows])
-        out[rows] += shift * P[rows]
+        if shift:
+            out[rows] += shift * P[rows]
     return out
 
 
@@ -567,7 +611,7 @@ def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
     mu = np.repeat(shifts, U.shape[1])
     precond, rank = _nystrom_preconditioner(K, shifts, U.shape[1])
     stack = U[None].repeat(ridges.size, axis=0)
-    X, R, iters, converged = _cg_columns(lambda P: _product(K, mu, P), stack, tol, max_iters, precond)
+    X, R, iters, converged = _cg_columns(lambda P: gemm_product(K, mu, P), stack, tol, max_iters, precond)
     res = np.sqrt((R * R).sum(axis=1))
     return [
         InterpolationResult(
@@ -659,7 +703,7 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
         limit = (1.0 + PRUNE_MARGIN) * best_upper
 
         def matvec(P):  # a float32 GEMM; the CG recurrence stays in float64
-            return _product(K0, shift, P)
+            return gemm_product(K0, shift, P)
 
         def exact(P):  # the same product in float64 arithmetic, for the brackets that decide
             return product64(K0, shift, P)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .classifier import ProbModel, predict_labels, predict_proba_matrix
 from .errors import InfeasibleConstraintError
-from .kernel import KernelContext, as_weight_matrix, product64
+from .kernel import KernelContext, as_weight_matrix, gemm_product, product64
 
 BLOCK_SUM_TOL = 1e-9
 SLACK_REL_TOL = 1e-8
@@ -362,12 +362,6 @@ def _lanczos(product, eps: float, n: int):
     return lam1, v / math.copysign(np.linalg.norm(v), v.sum()), lam2
 
 
-def _product32(K: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """K W as a float32 GEMM (or GEMV) on W rounded to float32, for the
-    float32 phase; W and the result are float64."""
-    return (K @ W.astype(np.float32)).astype(np.float64)
-
-
 class _MetricStep:
     """The projected step in the metric M = I / step + beta v v^T.
 
@@ -456,7 +450,7 @@ def _fista(K0, G, W0, max_iters, rel_tol, cut=None):
 
     K0 is float32. At ``rel_tol`` >= FLOAT32_GAP_FLOOR the solve runs a
     float32 phase whose products (the Lanczos run too) are float32 GEMMs
-    (``_product32``), then a float64 phase whose products are
+    (``gemm_product``), then a float64 phase whose products are
     float64-accumulated (``product64``); below it, only the float64 phase,
     Lanczos run included. Iterates, gradients and sums stay float64. Each
     phase evaluates its starting iterate with its own products, restarts the
@@ -492,7 +486,7 @@ def _fista(K0, G, W0, max_iters, rel_tol, cut=None):
     def exact(W):
         return product64(K0, 0.0, W)
 
-    phases = ((lambda W: _product32(K0, W), EPS32), (exact, EPS64))  # (products, their rounding)
+    phases = ((lambda W: gemm_product(K0, 0.0, W), EPS32), (exact, EPS64))  # (products, their rounding)
     if rel_tol < FLOAT32_GAP_FLOOR:
         phases = phases[1:]
     lam1, v, lam2 = _lanczos(*phases[0], n)

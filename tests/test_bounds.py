@@ -15,7 +15,7 @@ from unsupcp.kernel import (
     GRAM32_ABS_ERR,
     GRAM32_REL_ERR,
     KernelSpec,
-    _gram_from_sq_dists,
+    _context_gram,
     build_context,
     gaussian_gram,
     pairwise_sq_dists,
@@ -102,21 +102,21 @@ class TestCoverageGapBound:
         assert len(fits) == len(BOUND_RIDGES)
         np.testing.assert_array_equal(path["ridges"], BOUND_RIDGES)
         K = ctx.base_gram.astype(np.float64)
+
+        def expected(gamma, inflation):
+            # dense float64 products with the float32 Gram, widened by its rounding terms, whose K|gamma| is
+            # taken exactly and scaled by ``inflation``
+            F, S, l1 = K @ gamma, inflation * (K @ np.abs(gamma)), np.abs(gamma).sum(axis=0)
+            norm_sq = np.sum(gamma * F) + GRAM32_REL_ERR * np.sum(np.abs(gamma) * S) + GRAM32_ABS_ERR * l1 @ l1
+            approx = np.abs(U - F).sum() + GRAM32_REL_ERR * S.sum() + GRAM32_ABS_ERR * ctx.n * l1.sum()
+            return excess_gap_kernel(n=ctx.n, m=ctx.m, delta=0.1, rkhs_norm=math.sqrt(max(float(norm_sq), 0.0)),
+                                     approx_error=float(approx) / ctx.n, num_candidates=10)
+
         for fit, certified in zip(fits, path["bounds"]):
             assert fit.converged
-            # dense float64 products with the float32 Gram, widened by its rounding terms
-            F, S, l1 = K @ fit.gamma, K @ np.abs(fit.gamma), np.abs(fit.gamma).sum(axis=0)
-            norm_sq = np.sum(fit.gamma * F) + GRAM32_REL_ERR * np.sum(np.abs(fit.gamma) * S) + GRAM32_ABS_ERR * l1 @ l1
-            approx = np.abs(U - F).sum() + GRAM32_REL_ERR * S.sum() + GRAM32_ABS_ERR * ctx.n * l1.sum()
-            expected = excess_gap_kernel(
-                n=ctx.n,
-                m=ctx.m,
-                delta=0.1,
-                rkhs_norm=math.sqrt(max(float(norm_sq), 0.0)),
-                approx_error=float(approx) / ctx.n,
-                num_candidates=10,
-            )
-            assert abs(certified - expected) <= 1e-12 * expected
+            # K|gamma| comes from an inflated float32 GEMM: at least the exact value, and within 1e-5 of it here
+            low, high = expected(fit.gamma, 1.0), expected(fit.gamma, 1.0 + 1e-5)
+            assert low * (1.0 - 1e-12) <= certified <= high * (1.0 + 1e-12)
         assert path["zero"] == U.sum() / ctx.n
         assert bound == min(*path["bounds"], path["zero"])
 
@@ -150,11 +150,38 @@ class TestCoverageGapBound:
         sigma = math.exp(log_sigma)
         gamma = 10.0**log_scale * rng.standard_normal((n, c))
         u = (rng.uniform(size=(n, c)) < 0.5).astype(np.float64)
-        K32 = _gram_from_sq_dists(pairwise_sq_dists(X, X), sigma)
+        K32 = _context_gram(pairwise_sq_dists(X, X), sigma)
         F64 = gaussian_gram(X, X, sigma) @ gamma
         ((norm_sq, approx),) = bounds._fit_terms(K32, u, [gamma])
         assert norm_sq >= float(np.sum(gamma * F64))
         assert approx >= float(np.abs(u - F64).sum()) / n
+
+
+class TestUpperAbsProducts:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), k=st.integers(1, 4),
+           log_sigma=st.floats(-2.5, 1.5), log_lo=st.floats(-46.0, 0.0), log_hi=st.floats(0.0, 6.0))
+    def test_bounds_the_exact_products(self, seed, n, k, log_sigma, log_lo, log_hi):
+        # over entries from below float32's normal range to large ones: never below the float64 products of the
+        # float32 Gram, and above them only by the GEMM's forward error
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, 2))
+        K32 = _context_gram(pairwise_sq_dists(X, X), math.exp(log_sigma))
+        A = 10.0 ** rng.uniform(log_lo, log_hi, (n, k)) * (rng.uniform(size=(n, k)) < 0.8)
+        S, colsum = bounds._upper_abs_products(K32, A)
+        K = K32.astype(np.float64)
+        for got, exact in ((S, K.T @ A), (colsum, K.sum(axis=0))):
+            assert np.all(got >= exact)
+            assert np.all(got <= exact * (1.0 + 1e-5) + 1e-30)
+
+    def test_asymmetric_gram_uses_its_transpose(self):
+        # the widening terms need K^T |g| and K^T 1, so a K that is not exactly symmetric is bounded correctly
+        K32 = np.array([[1.0, 0.5], [0.0, 1.0]], np.float32)
+        A = np.array([[1.0], [2.0]])
+        S, colsum = bounds._upper_abs_products(K32, A)
+        np.testing.assert_allclose(S[:, 0], [1.0, 2.5], rtol=1e-6)
+        np.testing.assert_allclose(colsum, [1.0, 1.5], rtol=1e-6)
+        assert np.all(S[:, 0] >= [1.0, 2.5]) and np.all(colsum >= [1.0, 1.5])
 
 
 class TestCoverageDiagnosticE:

@@ -185,7 +185,7 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             _tiny_config(**overrides)
 
-    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e20, 1e-23])
     def test_unscalable_bandwidth_rejected_at_construction(self, scale):
         # a synthetic config knows d, so every sigma = scale sqrt(d/2) of its grid is checked before any trial runs
         with pytest.raises(ValueError, match="sigma must be positive"):

@@ -21,6 +21,7 @@ from unsupcp.kernel import (
     _gram_from_sq_dists,
     _nystrom_preconditioner,
     _pivoted_cholesky,
+    as_weight_matrix,
     bandwidth_grid,
     build_context,
     gaussian_gram,
@@ -66,6 +67,14 @@ def _within_rounding(K32, K):
     return bool(np.all(np.abs(K32 - K) <= GRAM32_REL_ERR * K32 + GRAM32_ABS_ERR))
 
 
+def _mmd_rounding(W, ctx):
+    """The bound d by which K0's rounding can move the squared MMD (see ``mmd_objective``)."""
+    A = np.abs(as_weight_matrix(W, ctx.n, ctx.c))
+    l1 = A.sum(axis=0)
+    return float((GRAM32_REL_ERR * np.sum(A * (ctx.base_gram.astype(np.float64) @ A)) + GRAM32_ABS_ERR * l1 @ l1)
+                 / ctx.n**2)
+
+
 def _simplex_weights(n, c, seed):
     rng = np.random.default_rng(seed)
     W = rng.uniform(0.1, 1.0, (n, c))
@@ -93,15 +102,25 @@ class TestKernelEval:
         with pytest.raises(ValueError, match="sigma"):
             KernelSpec(sigma=0.0)
 
-    @pytest.mark.parametrize("sigma", [math.inf, 1e200, 1e-200])
+    @pytest.mark.parametrize("sigma", [math.inf, 1e200, 1e-200, 1e20, 1e-23])
     def test_unscalable_sigma_rejected(self, sigma):
-        # 2 sigma^2 scales every exponent: inf or overflowing, or underflowing to 0, it cannot; the Gram
-        # builders that take a raw sigma check it as KernelSpec does
+        # 2 sigma^2 scales every exponent: inf or overflowing, or underflowing to 0, it cannot; and the float32
+        # Gram rounds it to float32, where it must stay normal (at 1e-23 it rounds to 0, at 1e20 to inf); the
+        # Gram builders that take a raw sigma check it as KernelSpec does
         X = np.random.default_rng(3).standard_normal((4, 2))
         for build in (lambda: KernelSpec(sigma=sigma), lambda: gaussian_gram(X, X, sigma),
-                      lambda: _gram_from_sq_dists(pairwise_sq_dists(X, X), sigma)):
+                      lambda: _gram_from_sq_dists(pairwise_sq_dists(X, X), sigma),
+                      lambda: kernel_mod._context_gram(pairwise_sq_dists(X, X), sigma)):
             with pytest.raises(ValueError, match="sigma"):
                 build()
+
+    @pytest.mark.parametrize("sigma", [1e-19, 1e19])
+    def test_float32_gram_at_the_ends_of_the_sigma_range(self, sigma):
+        # the smallest and largest accepted scales stay normal in float32: a unit diagonal, no NaN
+        X = np.random.default_rng(3).standard_normal((4, 2))
+        for gram in (_gram_from_sq_dists, kernel_mod._context_gram):
+            K = gram(pairwise_sq_dists(X, X), KernelSpec(sigma=sigma).sigma)
+            np.testing.assert_array_equal(K, np.eye(4) if sigma < 1.0 else np.ones((4, 4)))
 
 
 class TestBandwidthGrid:
@@ -196,10 +215,21 @@ class TestMmdObjective:
         train = Dataset(X, labels, num_classes=2)
         ctx = build_context(X, train, KernelSpec(0.9))
         w = supervised_weights(labels, 2)
-        # exact in the float64 Gram; in the float32 one the squared MMD moves by at most GRAM32_REL_ERR times
-        # (1/n^2) w^T K w <= 1, plus float64 rounding
+        # exact in the float64 Gram of the same points; the float32 K0 moves the squared MMD by at most its
+        # rounding bound d, so the MMD by at most sqrt(d)
         assert mmd_objective(w, replace(ctx, base_gram=gaussian_gram(X, X, 0.9))) < 1e-7
-        assert mmd_objective(w, ctx) <= math.sqrt(2.0 * GRAM32_REL_ERR)
+        assert mmd_objective(w, ctx) <= 1e-7 + math.sqrt(_mmd_rounding(w, ctx))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_within_its_rounding_bound_of_the_float64_gram(self, seed):
+        cal, train = _samples(n=30, m=25, c=3, seed=seed)
+        ctx = build_context(cal, train, KernelSpec(0.7))
+        W = _simplex_weights(30, 3, seed=seed + 10)
+        exact = mmd_objective(W, replace(ctx, base_gram=gaussian_gram(cal, cal, 0.7)))
+        got, d = mmd_objective(W, ctx), _mmd_rounding(W, ctx)
+        assert got != exact  # the float32 K0 is read
+        assert abs(got * got - exact * exact) <= d + 1e-15
+        assert abs(got - exact) <= (d + 1e-15) / (got + exact)
 
     def test_single_pair_hand_values(self):
         x0 = np.array([[0.0, 0.0]])
@@ -557,7 +587,8 @@ class TestDualWitness:
         ctx = build_context(X, train, KernelSpec(1.0))
         w = supervised_weights(labels, 2)
         out = dual_witness_check(w, ctx, X, train, probe_count=8, seed=15)
-        assert out["objective"] <= math.sqrt(2.0 * GRAM32_REL_ERR)  # zero up to the float32 Gram's rounding
+        # 0 in the float64 Gram (see TestMmdObjective); the float32 K0 moves it by at most sqrt(d)
+        assert out["objective"] <= 1e-7 + math.sqrt(_mmd_rounding(w, ctx))
         assert np.all(out["probes"] <= 1e-7)
 
 
@@ -639,7 +670,7 @@ class TestGaussianGram:
     @pytest.mark.parametrize("block", [7, kernel_mod.GRAM_BLOCK_ENTRIES])
     @pytest.mark.parametrize("sigma", [0.05, 0.5, 1.0])
     def test_float32_exp_pass_has_no_subnormals_and_rounds_once(self, monkeypatch, sigma, block):
-        # the calibration's float32 Gram: each exponent is the float32 quotient of the distance, itself rounded
+        # selection's float32 Grams: each exponent is the float32 quotient of the distance, itself rounded
         # once from float64, by -2 sigma^2 rounded to float32, then float32 exp
         monkeypatch.setattr(kernel_mod, "GRAM_BLOCK_ENTRIES", block)
         rng = np.random.default_rng(32)
@@ -664,7 +695,26 @@ class TestGaussianGram:
         x = E[normal].astype(np.float64)
         err = np.abs(K[normal] - K64[normal])
         assert np.all(err <= 3.0 * np.abs(x) * 2.0**-24 * K64[normal] + 4 * np.spacing(K[normal]))
-        assert _within_rounding(K, K64)  # the bound the coverage-gap bound widens its terms by
+
+    @pytest.mark.parametrize("block", [7, kernel_mod.GRAM_BLOCK_ENTRIES])
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, 1.0])
+    def test_context_gram_rounds_the_float64_exp_once(self, monkeypatch, sigma, block):
+        # K0: each float32 distance's float64 quotient by -2 sigma^2 and its float64 exp, rounded once to float32,
+        # with float32's floor, in place
+        monkeypatch.setattr(kernel_mod, "GRAM_BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(32)
+        X1, X2 = 1.5 * rng.standard_normal((300, 2)), 1.5 * rng.standard_normal((450, 2))
+        D2 = pairwise_sq_dists(X1, X2)
+        E = D2.astype(np.float64) / (-2.0 * sigma**2)
+        K = kernel_mod._context_gram(D2, sigma)
+        assert K is D2 and K.dtype == np.float32
+        normal = E >= kernel_mod._EXP_FLOOR32
+        if sigma < 1.0:  # the fixture reaches the floor
+            assert not normal.all()
+        assert np.all(K[~normal] == 0.0)
+        assert not np.any((K > 0.0) & (K < np.finfo(np.float32).tiny))
+        assert K[normal].tobytes() == np.exp(E[normal]).astype(np.float32).tobytes()
+        assert _within_rounding(K, gaussian_gram(X1, X2, sigma))  # the bound the coverage-gap bound widens by
 
     def test_float32_floor_keeps_no_subnormal(self):
         # sigma = 0.5 makes each exponent D2 / -0.5 exact; a sweep of float64 exponents across log(float32 tiny)

@@ -12,7 +12,7 @@ from unsupcp import solver
 from unsupcp.classifier import ProbModel
 from unsupcp.data import Dataset
 from unsupcp.errors import InfeasibleConstraintError
-from unsupcp.kernel import KernelSpec, build_context
+from unsupcp.kernel import KernelSpec, build_context, gemm_product
 from unsupcp.solver import (
     FLOAT32_GAP_FLOOR,
     LAMBDA2_MARGIN,
@@ -23,7 +23,6 @@ from unsupcp.solver import (
     SolverOptions,
     _fista,
     _lanczos,
-    _product32,
     _top_ritz,
     _project_cut,
     _project_rows,
@@ -454,7 +453,7 @@ def _lanczos_of(K):
     """The Lanczos run on K's own products: float32 GEMVs for a float32 K, as
     the float32 phase runs them, and float64 ones otherwise."""
     if K.dtype == np.float32:
-        return _lanczos(lambda q: _product32(K, q), float(np.finfo(np.float32).eps), K.shape[0])
+        return _lanczos(lambda q: gemm_product(K, 0.0, q), float(np.finfo(np.float32).eps), K.shape[0])
     return _lanczos(lambda q: K @ q, float(np.finfo(np.float64).eps), K.shape[0])
 
 
@@ -511,7 +510,8 @@ class TestCertificate:
         # float32 phase products on a float16-rounded K0 are too coarse to
         # certify 1e-5, so the solve must switch to float64 products and
         # certify there
-        monkeypatch.setattr(solver, "_product32", lambda K, W: _product32(K.astype(np.float16).astype(np.float32), W))
+        monkeypatch.setattr(solver, "gemm_product",
+                            lambda K, s, W: gemm_product(K.astype(np.float16).astype(np.float32), s, W))
         ctx, init = _gaussian_instance(3, 200, 3)
         K0 = ctx.base_gram
         G = (2.0 / ctx.m) * ctx.cross_v
@@ -562,7 +562,7 @@ class TestCertificate:
     def test_float32_products_only_above_the_floor(self, monkeypatch, tol):
         # float32 products run on the context's own Gram, never on a copy, and only above the floor
         seen = []
-        monkeypatch.setattr(solver, "_product32", lambda K, W: seen.append(K) or _product32(K, W))
+        monkeypatch.setattr(solver, "gemm_product", lambda K, s, W: seen.append(K) or gemm_product(K, s, W))
         ctx, init = _gaussian_instance(6, 40, 3)
         solve_label_weights(ctx, options=SolverOptions(rel_tol=tol), init=init)
         assert ctx.base_gram.dtype == np.float32
