@@ -6,12 +6,16 @@ For each shape (c=3, d=2, n=2000 and c=10, d=10, n=3000) and seed (1, 7)
 it draws n calibration and n training points and times, best of
 ``--repeats``: the calibration's squared distances (what bandwidth
 selection reads), the float64 ``gaussian_gram`` of the calibration points
-and their n x n cross Gram at sigma = sqrt(d/2) (the bandwidth selection
-picks on both shapes), and the exp pass at every candidate sigma of the
+(``k0_s``, kept to compare with older runs; the calibration does not call
+it) and their n x n cross Gram at sigma = sqrt(d/2) (the bandwidth
+selection picks on both shapes), and the exp pass at every candidate sigma of the
 bandwidth grid: into a float64 Gram from the distances in float64
 (``exp_s``, as the cross Gram's row blocks) and into a float32 one from the
 calibration's distances as built (``exp32_s``, what bandwidth selection
-builds for each candidate). The best
+builds for each candidate). ``context_gram_s`` times the context's K0
+as the calibration builds it: ``kernel._context_gram`` at sigma = sqrt(d/2)
+on a fresh copy of the float32 distances (it works in place; the copy is
+not timed), float64 exp rounded once to float32. The best
 of 20 runs of a fixed float64 (3000, 10) @ (10, 3000) GEMM is recorded
 too, so machines of different speed compare through seconds / ref_gemm_s.
 The run is appended to ``--out``; ``--src`` times another checkout's package.
@@ -42,9 +46,11 @@ def points(u, c, d, n, spread, seed):
     return X[:n], X[n:]
 
 
-def best_seconds(call, repeats):
+def best_seconds(call, repeats, setup=None):
     seconds = []
     for _ in range(repeats):
+        if setup is not None:
+            setup()  # untimed
         t = time.perf_counter()
         call()
         seconds.append(time.perf_counter() - t)
@@ -71,19 +77,21 @@ def main():
             X, T = points(u, c, d, n, spread, seed)
             sigma = math.sqrt(d / 2.0)
             D2 = sq_dists(X, X)
-            D64, K, K32 = D2.astype(np.float64), np.empty(D2.shape), np.empty(D2.shape, np.float32)
+            D64, K, K32, D32 = D2.astype(np.float64), np.empty(D2.shape), np.empty(D2.shape, np.float32), np.empty_like(D2)
             rows.append({
                 "shape": shape, "seed": seed,
                 "sq_dists_s": best_seconds(lambda: sq_dists(X, X), args.repeats),
                 "k0_s": best_seconds(lambda: u.gaussian_gram(X, X, sigma), args.repeats),
                 "cross_s": best_seconds(lambda: u.gaussian_gram(X, T, sigma), args.repeats),
+                "context_gram_s": best_seconds(lambda: kernel._context_gram(D32, sigma), args.repeats,
+                                               setup=lambda: np.copyto(D32, D2)),
                 "exp_s": {f"{s.sigma:.4g}": best_seconds(lambda s=s: kernel._gram_from_sq_dists(D64, s.sigma, out=K),
                                                          args.repeats)
                           for s in u.bandwidth_grid(d)},
                 "exp32_s": {f"{s.sigma:.4g}": best_seconds(lambda s=s: kernel._gram_from_sq_dists(D2, s.sigma, out=K32),
                                                            args.repeats)
                             for s in u.bandwidth_grid(d)}})
-            del D2, D64, K, K32
+            del D2, D64, K, K32, D32
             print(json.dumps(rows[-1]), flush=True)
     out = Path(args.out)  # older runs are kept, so parent and change sit side by side
     record = json.loads(out.read_text()) if out.exists() else {"runs": []}

@@ -503,12 +503,15 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResults
     instead of aborting the run: one raised inside a method's block names
     its ``method`` and the trial keeps its other methods' rows, one raised
     before any method ran loses the trial's record. A CSV dataset is loaded
-    once, before any trial runs (so one that does not load raises), and
+    once, before any trial runs (so one that does not load raises, as does
+    a bandwidth grid outside KernelSpec's range at its feature count), and
     every trial partitions that copy; synthetic data is drawn per trial.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     data = load_csv_dataset(cfg.dataset["path"], labeled=True) if cfg.dataset["type"] == "csv" else None
+    if data is not None and "unsupervised" in cfg.methods:
+        bandwidth_grid(data.num_features, cfg.bandwidth_scales)  # as __post_init__ checks a synthetic config's grid
     grid = [(n, t) for n in cfg.cal_sizes for t in range(cfg.trials)]
     outcomes = []
     if workers == 1:

@@ -129,6 +129,18 @@ def _row_blocks(shape):
     return [slice(i, j) for i, j in zip(starts, starts[1:] + [rows])]
 
 
+def _float64_row_blocks(A: np.ndarray):
+    """Yield (rows, block) for each row block of the float32 A, of a quarter
+    of GRAM_BLOCK_ENTRIES, with ``block`` that block upcast into one float64
+    scratch array shared by every block, so no float64 copy of A is made."""
+    blocks = _row_blocks((A.shape[0], 4 * A.shape[1]))
+    scratch = np.empty((max((b.stop - b.start for b in blocks), default=0), A.shape[1]))
+    for rows in blocks:
+        block = scratch[:rows.stop - rows.start]
+        block[...] = A[rows]
+        yield rows, block
+
+
 def _sq_dist_blocks(X1: np.ndarray, X2: np.ndarray, out: np.ndarray | None):
     """Write the squared distances between the rows of X1 and X2 one row
     block at a time, yielding (rows, block) once each block is done: into
@@ -225,11 +237,7 @@ def _context_gram(D2: np.ndarray, sigma: float) -> np.ndarray:
     pipeline's roundings only those of the distance and of the result
     remain, and no float32 exp is taken."""
     scale = _exp_scale(sigma)
-    blocks = _row_blocks((D2.shape[0], 4 * D2.shape[1]))
-    scratch = np.empty((max((b.stop - b.start for b in blocks), default=0), D2.shape[1]))
-    for rows in blocks:
-        block = scratch[:rows.stop - rows.start]
-        block[...] = D2[rows]
+    for rows, block in _float64_row_blocks(D2):
         _exp_block(block, scale, block, _EXP_FLOOR32)
         D2[rows] = block
     return D2
@@ -475,11 +483,7 @@ def product64(K: np.ndarray, shift: float, P: np.ndarray) -> np.ndarray:
     a quarter of GRAM_BLOCK_ENTRIES, is upcast at a time into one scratch
     block, so no float64 copy of K is made. A scalar 0 shift adds nothing."""
     out = np.empty((K.shape[0],) + P.shape[1:])
-    blocks = _row_blocks((K.shape[0], 4 * K.shape[1]))
-    scratch = np.empty((max((b.stop - b.start for b in blocks), default=0), K.shape[1]))
-    for rows in blocks:
-        block = scratch[:rows.stop - rows.start]
-        block[...] = K[rows]
+    for rows, block in _float64_row_blocks(K):
         np.matmul(block, P, out=out[rows])
         if shift:
             out[rows] += shift * P[rows]
@@ -572,9 +576,10 @@ def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
     ``u`` is one target vector or an (n, c) block of them; the block form
     fits every label column against the shared base Gram at once, since the
     pair kernel is block diagonal with identical blocks. The jitter is 1e-10
-    times the mean kernel diagonal. A zero ridge asks for plain
-    interpolation; a positive one solves the penalized system, whose
-    statistic u^T gamma equals min_f ||f||^2 + ||f(Z) - u||^2 / ridge.
+    times the mean kernel diagonal. Every ridge must be finite and
+    nonnegative. A zero ridge asks for plain interpolation; a positive one
+    solves the penalized system, whose statistic u^T gamma equals
+    min_f ||f||^2 + ||f(Z) - u||^2 / ridge.
 
     The targets of every ridge are stacked into one (n, k c) block, each
     column with its own shift, and solved at one product with K per
@@ -601,8 +606,8 @@ def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
         raise ValueError(f"u shape {u.shape} does not match K of size {K.shape[0]}")
     if ridges.ndim != 1 or ridges.size == 0:
         raise ValueError(f"ridges must be a non-empty sequence, got {ridges!r}")
-    if not (ridges >= 0).all():
-        raise ValueError(f"ridge must be nonnegative, got {ridges}")
+    if not ((ridges >= 0) & (ridges < math.inf)).all():
+        raise ValueError(f"ridge must be nonnegative and finite, got {ridges}")
     t = K.shape[0]
     if t == 0:
         raise EmptyInputError("empty system")

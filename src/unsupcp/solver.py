@@ -55,7 +55,6 @@ POWER_MARGIN = 1.01  # headroom over the Lanczos estimate of lambda_max
 METRIC_MIN_N = 1000  # smallest n at which the step may run in the Perron metric (below, call overhead leads)
 LAMBDA2_MARGIN = 1.05  # headroom over the Lanczos estimate of lambda_2
 EPS32, EPS64 = float(np.finfo(np.float32).eps), float(np.finfo(np.float64).eps)
-TINY64 = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -262,68 +261,6 @@ def _project_cut(V: np.ndarray, cut: ConstraintSet | None, mu: float = 0.0):
     return W_hi, hi
 
 
-def _count_below(a: list, b2: list, x: float, pivmin: float) -> int:
-    """The number of eigenvalues below x of the symmetric tridiagonal T with
-    diagonal ``a`` and squared off-diagonal ``b2`` (plain float lists,
-    ``b2[0]`` = 0): the negative pivots of the LDL^T factorization of
-    T - x I, exact for a T within a few ulps of it (Sturm; Demmel, Applied
-    Numerical Linear Algebra, 5.3.4). A pivot within ``pivmin`` of 0 is
-    taken as -pivmin.
-    """
-    below, q = 0, 1.0
-    for ai, bi in zip(a, b2):
-        q = ai - x - bi / q
-        if q < pivmin:
-            below += 1
-            if q > -pivmin:
-                q = -pivmin
-    return below
-
-
-def _bisect(a: list, b2: list, index: int, lo: float, hi: float, width: float, pivmin: float):
-    """The bracket (lo, hi], at most ``width`` wide, of the eigenvalue of T
-    with ``index`` eigenvalues below it, by bisection on Sturm counts."""
-    while hi - lo > width and lo < (x := 0.5 * (lo + hi)) < hi:
-        if _count_below(a, b2, x, pivmin) > index:
-            hi = x
-        else:
-            lo = x
-    return lo, hi
-
-
-def _top_ritz(alpha: np.ndarray, beta: np.ndarray):
-    """(theta_1, s, theta_2): the top two eigenvalues of the unreduced
-    symmetric tridiagonal T with diagonal ``alpha`` and off-diagonal
-    ``beta`` >= 0 (theta_2 NaN for a 1 x 1 T), and the unit eigenvector s of
-    theta_1, oriented by s[0] > 0.
-
-    Each eigenvalue is the midpoint of a bisection bracket 2 ulps of ||T||
-    wide: theta_1 from T's Gershgorin interval, then theta_2 from below the
-    upper end hi of theta_1's bracket. s is inverse iteration from e_1, two
-    solves with (hi + width) I - T: positive definite with nonpositive
-    off-diagonal, so its inverse is entrywise positive, and so is every
-    entry of s. One solve amplifies theta_1's component by about
-    gap / ulp(||T||); the second covers an e_1 nearly orthogonal to s. The
-    counts run on plain Python floats over at most LANCZOS_STEPS entries, and
-    ``np.linalg.solve`` loads no LAPACK eigensolver.
-    """
-    a, b = [float(x) for x in alpha], [abs(float(x)) for x in beta]
-    k, b2 = len(a), [0.0] + [x * x for x in b]
-    radius = [(b[i - 1] if i else 0.0) + (b[i] if i < k - 1 else 0.0) for i in range(k)]
-    floor, top = min(x - r for x, r in zip(a, radius)), max(x + r for x, r in zip(a, radius))
-    width = 2.0 * EPS64 * max(-floor, top, 1e-300)
-    pivmin = TINY64 * max(b2 + [1.0])
-    lo, hi = _bisect(a, b2, k - 1, floor - width, top + width, width, pivmin)
-    theta2 = 0.5 * sum(_bisect(a, b2, k - 2, floor - width, hi, width, pivmin)) if k > 1 else math.nan
-    M = np.diag(hi + width - np.array(a)) - np.diag(b, 1) - np.diag(b, -1)
-    s = np.zeros(k)
-    s[0] = 1.0
-    for _ in range(2):
-        s = np.linalg.solve(M, s)
-        s /= np.linalg.norm(s)
-    return 0.5 * (lo + hi), s, theta2
-
-
 def _lanczos(product, eps: float, n: int):
     """Estimates (lambda_1, v, lambda_2) of a nonnegative PSD n x n Gram K.
 
@@ -334,9 +271,8 @@ def _lanczos(product, eps: float, n: int):
     vector). It stops early at n steps or when the next vector's norm falls
     to the products' rounding. lambda_1 and lambda_2 are the top two Ritz
     values (lambda_2 NaN after one step), v the unit top Ritz vector with a
-    positive sum, all read off the tridiagonal by ``_top_ritz`` (Sturm
-    bisection, then two linear solves; no LAPACK eigensolver, whose first
-    call pages in about 0.75 MB). By interlacing each sits at or below its
+    positive sum: one ``np.linalg.eigh`` of the k x k tridiagonal gives
+    every Ritz pair. By interlacing each Ritz value sits at or below its
     eigenvalue, and on a clustered spectrum the second converges far faster
     than power iteration kept orthogonal to v (Kaniel-Paige; Golub & Van
     Loan 10.1). A plain projected-gradient step 1/L stays non-increasing for
@@ -357,9 +293,10 @@ def _lanczos(product, eps: float, n: int):
             break  # an invariant subspace, to the products' rounding: alpha[0] >= 1 on a unit diagonal
         q = w / beta[j]
     k = j + 1
-    lam1, s, lam2 = _top_ritz(alpha[:k], beta[: k - 1])
-    v = s @ Q[:k]  # its sum is s[0] sqrt(n), positive: T is unreduced
-    return lam1, v / math.copysign(np.linalg.norm(v), v.sum()), lam2
+    theta, S = np.linalg.eigh(np.diag(alpha[:k]) + np.diag(beta[: k - 1], 1) + np.diag(beta[: k - 1], -1))
+    v = S[:, -1] @ Q[:k]  # its sum is S[0, -1] sqrt(n), nonzero: T is unreduced
+    lam2 = float(theta[-2]) if k > 1 else math.nan
+    return float(theta[-1]), v / math.copysign(np.linalg.norm(v), v.sum()), lam2
 
 
 class _MetricStep:

@@ -661,6 +661,19 @@ class TestCli:
         assert "line 42: non-finite" in capsys.readouterr().err
         assert not os.path.exists(out_dir)
 
+    def test_unscalable_csv_bandwidth_exits_one(self, tmp_path, capsys, monkeypatch):
+        # a CSV config learns d only from its file: the grid is checked there, before any trial runs
+        trials = []
+        monkeypatch.setattr(harness, "_trial_task", lambda *args: trials.append(args))
+        cfg = dict(dataset={"type": "csv", "path": _two_blob_csv(tmp_path / "blobs.csv", 2, count=60)}, train_size=24,
+                   cal_sizes=[6], test_size=10, alpha=0.2, trials=2, seed=5, bandwidth_scales=[1e-25])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        assert "sigma must be positive" in capsys.readouterr().err
+        assert not os.path.exists(out_dir) and not trials
+
     def test_partial_failures_exit_two(self, tmp_path, capsys):
         cfg = dict(
             dataset={"type": "csv", "path": _two_blob_csv(tmp_path / "small.csv", 1)},

@@ -318,8 +318,9 @@ class TestMinNormInterpolation:
             _fit(np.eye(3), np.ones((2, 2)))
 
     def test_negative_ridge_rejected(self):
-        with pytest.raises(ValueError, match="ridge"):
-            _fit(np.eye(3), np.ones(3), ridge=-1.0)
+        for ridge in (-1.0, np.inf):  # an infinite ridge would run CG on inf shifts into a NaN residual
+            with pytest.raises(ValueError, match="ridge"):
+                _fit(np.eye(3), np.ones(3), ridge=ridge)
 
 
 class TestSelectKernel:
