@@ -5,9 +5,10 @@
 For each shape (c=3, d=2, n=2000 and c=10, d=10, n=3000) and seed (1, 7)
 it builds one unsupervised calibration's selection inputs with the input
 builder of bench_qp.py (logistic fit, calibration points) plus adaptive
-scores from ``build_score_matrix`` and the naive weights, then runs
-``select_kernel`` over the default bandwidth grid on the calibration's
-squared distances, built once, as ``calibrate_unsupervised`` does. It
+scores from ``build_score_matrix`` and, as ``calibrate_unsupervised`` does,
+the naive inclusion indicator u0 = 1{score <= q0}, q0 the weighted quantile
+at the naive weights; then it runs ``select_kernel`` on u0 over the default
+bandwidth grid on the calibration's squared distances, built once. It
 records the selected sigma, per candidate (by ascending sigma) the CG steps,
 the preconditioner's rank (0 where no factor was used) and whether it was
 pruned, the total steps, the winner's steps, the number of factors, and the
@@ -52,17 +53,18 @@ def main():
             model, cal, _, _ = calibration_inputs(u, c, d, n, train_size, spread, seed)
             scores = u.build_score_matrix(model, cal, "adaptive", seed)
             naive = u.naive_weights(model, cal).matrix
+            u0 = scores.values <= u.conformal_quantile_weighted(scores.values, naive, ALPHA)
             grid = u.bandwidth_grid(d)
             D2 = kernel.pairwise_sq_dists(cal, cal)
 
             def select():
-                return u.select_kernel(grid, cal, scores, naive, ALPHA, sq_dists=D2)
+                return u.select_kernel(grid, cal, u0, sq_dists=D2)
 
             spec, diag = select()
             select_s = median_seconds(select, args.repeats)
             del D2
             tracemalloc.start()
-            u.select_kernel(grid, cal, scores, naive, ALPHA)
+            u.select_kernel(grid, cal, u0)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             rows.append({

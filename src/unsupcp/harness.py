@@ -325,26 +325,31 @@ def calibrate_unsupervised(
     Starts from one-hot weights at the classifier's predictions and the
     constraint that the mean cross-entropy stays below ``loss_bound`` (an
     unsatisfiable one raises InfeasibleConstraintError before any Gram is
-    built), selects the bandwidth, builds the kernel context against the
-    labeled ``train`` sample, solves the weight QP under that constraint,
-    and takes the weighted conformal quantile. ``coverage_gap_bound``
-    certifies the final inclusion indicator u = 1{score <= q_hat},
-    union-corrected over the bandwidth candidates; its ridges do not depend
-    on ``selection_ridge``.
-    ``selection_ridge`` must be positive and finite: at 0 the smooth
-    candidates' selection solves run to the CG cap.
+    built), selects the bandwidth that best fits the naive indicator
+    u0 = 1{score <= q0} (q0 the naive weighted quantile), builds the kernel
+    context against the labeled ``train`` sample, solves the weight QP under
+    that constraint, and takes the weighted conformal quantile.
+    ``coverage_gap_bound`` certifies the final inclusion indicator
+    u = 1{score <= q_hat}, union-corrected over the bandwidth candidates;
+    its ridges do not depend on ``selection_ridge``. ``selection_ridge``
+    must be positive and finite: at 0 the smooth candidates' selection
+    solves run to the CG cap.
     """
     if not 0 < selection_ridge < math.inf:
         raise ValueError(f"selection_ridge must be positive and finite, got {selection_ridge}")
+    cal_instances = np.asarray(cal_instances, dtype=np.float64)
+    if not np.isfinite(cal_instances).all():
+        raise ValueError("calibration instances must be finite")
     naive_w = naive_weights(model, cal_instances)
     constraints = build_loss_constraints(model, cal_instances, loss_bound)
     grid = bandwidth_grid(cal_instances.shape[1], bandwidth_scales)
+    q0 = conformal_quantile_weighted(cal_scores.values, naive_w.matrix, alpha)
+    u0 = cal_scores.values <= q0
     # the calibration's float32 squared distances are built once, read by
     # selection, then overwritten by K0 in the context build: the QP and the
     # bound read that one float32 n x n array
     D2 = pairwise_sq_dists(cal_instances, cal_instances)
-    spec, selection = select_kernel(grid, cal_instances, cal_scores, naive_w.matrix, alpha, ridge=selection_ridge,
-                                    sq_dists=D2)
+    spec, selection = select_kernel(grid, cal_instances, u0, ridge=selection_ridge, sq_dists=D2)
     ctx = build_context(cal_instances, train, spec, sq_dists=D2)
     weights, report = solve_label_weights(ctx, constraints, solver_options, init=naive_w)
     q_hat = conformal_quantile_weighted(cal_scores.values, weights.matrix, alpha)

@@ -1,9 +1,10 @@
 """Separable Gaussian kernels on (instance, label) pairs.
 
 The kernel is K((x,y),(x',y')) = exp(-||x-x'||^2 / (2 sigma^2)) * 1{y = y'},
-bounded by 1. Ordering pairs as (i, y) -> i*c + (y-1) makes the full
-(n*c) x (n*c) Gram matrix block-diagonal after grouping by label, and every
-label block equals the single n x n calibration Gram. The context, which
+bounded by 1. Every per-pair array (scores, label weights, indicators, cross
+statistics) is an (n, c) matrix with pair (i, y) at [i, y-1]. Grouped by
+label, the full (n c) x (n c) pair Gram is block-diagonal, and every label
+block equals the single n x n calibration Gram. The context, which
 the weight QP's MMD objective and the coverage-gap bound read, therefore
 stores that one block plus the label-collapsed cross statistics against the
 training sample; the full matrix is never materialized, and the raw samples
@@ -56,7 +57,6 @@ import numpy as np
 
 from .data import Dataset
 from .errors import EmptyInputError, InterpolationError
-from .quantile import conformal_quantile_weighted
 
 BASE_BANDWIDTH_SCALES = tuple(10.0 ** (-1.0 + t / 3.0) for t in range(10))
 CG_JITTER_SCALE = 1e-10
@@ -141,27 +141,23 @@ def _float64_row_blocks(A: np.ndarray):
         yield rows, block
 
 
-def _sq_dist_blocks(X1: np.ndarray, X2: np.ndarray, out: np.ndarray | None):
-    """Write the squared distances between the rows of X1 and X2 one row
-    block at a time, yielding (rows, block) once each block is done: into
-    ``out`` in blocks of GRAM_BLOCK_ENTRIES, or, when it is None, into one
-    buffer that every block reuses, so a block must be read before the next
-    is asked for. That buffer and the norm sums hold GRAM_BLOCK_ENTRIES
-    together.
+def _sq_dist_blocks(X1: np.ndarray, X2: np.ndarray):
+    """Yield (rows, block) over row blocks of the squared distances between
+    the rows of X1 and X2, each built in one buffer that every block
+    reuses, so a block must be read before the next is asked for. That
+    buffer and the one block of norm sums hold GRAM_BLOCK_ENTRIES together.
 
     Each entry is (|x1|^2 + |x2|^2) - 2 <x1, x2>, clipped at 0, in that
     order, so it keeps the bits of the single-GEMM formula wherever BLAS
     computes a row block of the product as it computes the full product.
-    Beyond ``out`` (or the reused buffer), only one block of norm sums is
-    held.
     """
     n1 = np.sum(X1 * X1, axis=1)
     n2 = np.sum(X2 * X2, axis=1)
-    blocks = _row_blocks((X1.shape[0], X2.shape[0] * (1 if out is not None else 2)))
+    blocks = _row_blocks((X1.shape[0], 2 * X2.shape[0]))
     norms = np.empty((max((b.stop - b.start for b in blocks), default=0), X2.shape[0]))
-    buffer = np.empty_like(norms) if out is None else None
+    buffer = np.empty_like(norms)
     for rows in blocks:
-        D = out[rows] if out is not None else buffer[:rows.stop - rows.start]
+        D = buffer[:rows.stop - rows.start]
         np.matmul(X1[rows], X2.T, out=D)
         D *= 2.0
         np.subtract(np.add(n1[rows, None], n2, out=norms[:D.shape[0]]), D, out=D)
@@ -176,7 +172,7 @@ def pairwise_sq_dists(X1, X2) -> np.ndarray:
     the result's size is made."""
     X1, X2 = np.asarray(X1, np.float64), np.asarray(X2, np.float64)
     D2 = np.empty((X1.shape[0], X2.shape[0]), np.float32)
-    for rows, block in _sq_dist_blocks(X1, X2, None):
+    for rows, block in _sq_dist_blocks(X1, X2):
         D2[rows] = block
     return D2
 
@@ -210,10 +206,10 @@ def _exp_block(D: np.ndarray, scale: float, out: np.ndarray, floor: float | None
         np.exp(out, out=out)
 
 
-def _gram_from_sq_dists(D2: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
+def _gram_from_sq_dists(D2: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
     """exp(D2 / (-2 sigma^2)) without subnormal entries, into ``out`` (which
-    may be D2 itself) or a new array of D2's dtype, one row block at a time;
-    sigma is checked as ``KernelSpec`` checks it.
+    may be D2 itself), one row block at a time, in ``out``'s dtype; sigma
+    is checked as ``KernelSpec`` checks it. Returns ``out``.
 
     This is the exp half of ``gaussian_gram``, for squared distances that
     are already built. Each block takes plain exp, or the masked pass of
@@ -221,11 +217,10 @@ def _gram_from_sq_dists(D2: np.ndarray, sigma: float, out: np.ndarray | None = N
     distances of ``pairwise_sq_dists`` it builds selection's float32 Grams,
     in float32 throughout, with every entry 0 or normal.
     """
-    K = np.empty_like(D2) if out is None else out
     scale = _exp_scale(sigma)
     for rows in _row_blocks(D2.shape):
-        _exp_block(D2[rows], scale, K[rows])
-    return K
+        _exp_block(D2[rows], scale, out[rows])
+    return out
 
 
 def _context_gram(D2: np.ndarray, sigma: float) -> np.ndarray:
@@ -243,16 +238,26 @@ def _context_gram(D2: np.ndarray, sigma: float) -> np.ndarray:
     return D2
 
 
+def _gram_row_blocks(X1: np.ndarray, X2: np.ndarray, sigma: float):
+    """Yield (rows, block) over row blocks of the Gaussian Gram between X1
+    and X2, each with the bits of ``gaussian_gram(X1[rows], X2, sigma)`` and
+    built in one buffer that every block reuses, so the full Gram is never
+    made."""
+    scale = _exp_scale(sigma)
+    for rows, block in _sq_dist_blocks(X1, X2):
+        _exp_block(block, scale, block)
+        yield rows, block
+
+
 def gaussian_gram(X1: np.ndarray, X2: np.ndarray, sigma: float) -> np.ndarray:
     """Feature-space Gaussian Gram matrix between two point sets, in
-    float64, built in one pass per row block: product, squared distances,
-    then exp. sigma is checked as ``KernelSpec`` checks it. No temporary of
-    the result's size is made."""
-    scale = _exp_scale(sigma)
+    float64, built in one pass per row block (``_gram_row_blocks``):
+    product, squared distances, then exp. sigma is checked as
+    ``KernelSpec`` checks it. No temporary of the result's size is made."""
     X1, X2 = np.asarray(X1, np.float64), np.asarray(X2, np.float64)
     K = np.empty((X1.shape[0], X2.shape[0]))
-    for _, block in _sq_dist_blocks(X1, X2, K):
-        _exp_block(block, scale, block)
+    for rows, block in _gram_row_blocks(X1, X2, sigma):
+        K[rows] = block
     return K
 
 
@@ -265,10 +270,11 @@ class KernelContext:
     GRAM32_REL_ERR relative (plus GRAM32_ABS_ERR) of the exact Gram, and
     read through float64-accumulated products (``product64``) wherever a
     result must be exact in it. ``cross_v``[i, y-1] collapses the cross
-    Gram against training pairs with label y, so the objective's linear
-    term v is its row-major flattening. ``train_self`` is the training sample's own mean
-    kernel, the constant completing the squared-MMD objective. ``n`` and
-    ``m`` count the calibration and training samples, ``c`` the labels.
+    Gram against training pairs with label y: it is the objective's (n, c)
+    linear term, laid out like the weights. ``train_self`` is the training
+    sample's own mean kernel, the constant completing the squared-MMD
+    objective. ``n`` and ``m`` count the calibration and training samples,
+    ``c`` the labels.
     """
 
     spec: KernelSpec
@@ -278,17 +284,6 @@ class KernelContext:
     n: int
     m: int
     c: int
-
-
-def _gram_row_blocks(X1: np.ndarray, X2: np.ndarray, sigma: float):
-    """Yield (rows, block) over row blocks of the Gaussian Gram between X1
-    and X2, each with the bits of ``gaussian_gram(X1[rows], X2, sigma)`` and
-    built in one buffer that every block reuses, so the full Gram is never
-    made."""
-    scale = _exp_scale(sigma)
-    for rows, block in _sq_dist_blocks(X1, X2, None):
-        _exp_block(block, scale, block)
-        yield rows, block
 
 
 def _calibration_sq_dists(cal_instances: np.ndarray, sq_dists) -> np.ndarray:
@@ -326,6 +321,9 @@ def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec, *
         raise ValueError(
             f"feature dimension mismatch: calibration {cal_instances.shape[1]}, training {train.num_features}"
         )
+    for sample, X in (("calibration", cal_instances), ("training", train.instances)):
+        if not np.isfinite(X).all():
+            raise ValueError(f"{sample} instances must be finite")
     n, m, c = cal_instances.shape[0], len(train), train.num_classes
     # the cross Gram collapses to V and the same-label training Grams to
     # train_self one row block at a time, so neither is ever whole; then K0
@@ -356,14 +354,10 @@ def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec, *
 
 
 def as_weight_matrix(w, n: int, c: int) -> np.ndarray:
-    """View label weights (LabelWeights, flat pair-major vector or (n, c)
-    matrix) as an (n, c) matrix, checking the shape."""
-    W = np.asarray(getattr(w, "w", w), dtype=np.float64)
-    if W.ndim == 1:
-        if W.size != n * c:
-            raise ValueError(f"weight vector length {W.size} != n*c = {n * c}")
-        W = W.reshape(n, c)
-    elif W.shape != (n, c):
+    """Label weights (LabelWeights or an (n, c) matrix) as an (n, c)
+    float64 matrix, checking the shape."""
+    W = np.asarray(getattr(w, "matrix", w), dtype=np.float64)
+    if W.shape != (n, c):
         raise ValueError(f"weight matrix shape {W.shape} != ({n}, {c})")
     return W
 
@@ -499,50 +493,42 @@ def _residual(product, B: np.ndarray, X: np.ndarray) -> np.ndarray:
 def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None, X0=None, R0=None, stop=None,
                 exact=None):
     """Preconditioned conjugate gradients on an SPD operator A, every column
-    of B at once.
+    of the (n, k) block B at once.
 
-    ``B`` is one (n, c) block of targets or a (k, n, c) stack of k blocks;
-    ``matvec`` and ``precond`` act on the (n, k c) matrix of all columns,
-    block after block, so each column may carry its own shift. ``precond``
-    applies an SPD approximation of A^-1; None runs plain CG, bit for bit
-    the unpreconditioned recurrence. ``X0``, shaped like ``B``, starts the
-    run from that iterate, whose residual B - A X0 is ``R0`` when given and
-    costs one product otherwise; None starts from 0. Each column stops on
-    its residual r (b - A x by the recurrence) once ||r|| <= tol ||b||,
-    whatever the preconditioner, and then freezes (its alpha and beta are
-    forced to 0) so slow columns can keep iterating without disturbing
-    finished ones. A non-finite residual stops the iteration; its column
-    counts as not converged.
+    ``matvec`` and ``precond`` act on (n, k) blocks, so each column may
+    carry its own shift. ``precond`` applies an SPD approximation of A^-1;
+    None runs plain CG, bit for bit the unpreconditioned recurrence. ``X0``,
+    shaped like ``B``, starts the run from that iterate, whose residual
+    B - A X0 is ``R0`` when given and costs one product otherwise; None
+    starts from 0. Each column stops on its residual r (b - A x by the
+    recurrence) once ||r|| <= tol ||b||, whatever the preconditioner, and
+    then freezes (its alpha and beta are forced to 0) so slow columns can
+    keep iterating without disturbing finished ones. A non-finite residual
+    stops the iteration; its column counts as not converged.
 
     ``stop(X, R)``, when given, sees the iterate X after every step, with
-    its recurrence residual R, both (n, k c). If it returns True while a
-    column is still running, it is asked again on the true residual
-    B - A X (one product, by ``exact`` when given, else by ``matvec``), so
-    neither recurrence drift nor the rounding of cheaper products can stop
-    the run, and the run stops if it holds there too.
+    its recurrence residual R. If it returns True while a column is still
+    running, it is asked again on the true residual B - A X (one product,
+    by ``exact`` when given, else by ``matvec``), so neither recurrence
+    drift nor the rounding of cheaper products can stop the run, and the
+    run stops if it holds there too.
 
-    Returns the solutions and their recurrence residuals, both (k, n, c),
-    and per block the iterations its slowest column ran and whether all its
-    columns converged within ``max_iters``. A 2-d ``B`` is one block (k = 1).
+    Returns the solutions and their recurrence residuals, both (n, k), and
+    per column the steps it ran and whether it converged within
+    ``max_iters``.
     """
-    k, n, c = B.shape if B.ndim == 3 else (1, *B.shape)
-
-    def columns(Y):  # (k, n, c) or (n, c) -> (n, k c), a view where the layout allows
-        return Y.reshape(k, n, c).transpose(1, 0, 2).reshape(n, k * c)
-
-    B = columns(B)
     if X0 is None:
         X, R = np.zeros_like(B), B.copy()
     else:
-        X = columns(X0).copy()
-        R = B - matvec(X) if R0 is None else columns(R0).copy()
+        X = X0.copy()
+        R = B - matvec(X) if R0 is None else R0.copy()
     Z = R if precond is None else precond(R)
     P = Z.copy()
     rr = (R * R).sum(axis=0)
     rz = rr if precond is None else (R * Z).sum(axis=0)
     thresh = tol * np.maximum(np.sqrt((B * B).sum(axis=0)), 1e-300)
     active = ~(np.sqrt(rr) <= thresh)  # a NaN residual is not converged
-    steps = np.zeros(k * c, dtype=np.int64)
+    steps = np.zeros(B.shape[1], dtype=np.int64)
     iters = 0
     while bool(active.any()) and iters < max_iters and bool(np.isfinite(rr).all()):
         AP = matvec(P)
@@ -563,9 +549,7 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None,
         iters += 1
         if stop is not None and stop(X, R) and bool(active.any()) and stop(X, _residual(exact or matvec, B, X)):
             break
-    X = X.reshape(n, k, c).transpose(1, 0, 2)
-    R = R.reshape(n, k, c).transpose(1, 0, 2)
-    return X, R, steps.reshape(k, c).max(axis=1), ~active.reshape(k, c).any(axis=1)
+    return X, R, steps, ~active
 
 
 def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
@@ -577,14 +561,14 @@ def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
     fits every label column against the shared base Gram at once, since the
     pair kernel is block diagonal with identical blocks. The jitter is 1e-10
     times the mean kernel diagonal. Every ridge must be finite and
-    nonnegative. A zero ridge asks for plain interpolation; a positive one
-    solves the penalized system, whose statistic u^T gamma equals
-    min_f ||f||^2 + ||f(Z) - u||^2 / ridge.
+    nonnegative, and u finite. A zero ridge asks for plain interpolation; a
+    positive one solves the penalized system, whose statistic u^T gamma
+    equals min_f ||f||^2 + ||f(Z) - u||^2 / ridge.
 
-    The targets of every ridge are stacked into one (n, k c) block, each
-    column with its own shift, and solved at one product with K per
-    iteration, preconditioned by one pivoted Cholesky factor of K built at
-    the smallest ridge (plain CG where that factor cannot pay for itself).
+    The k ridges' copies of the targets are placed side by side in one
+    (n, k c) block, each column with its own shift, and solved at one
+    product with K per iteration, preconditioned by one pivoted Cholesky
+    factor of K built at the smallest ridge (plain CG where that factor cannot pay for itself).
     Returns one InterpolationResult per ridge, in the given order, with the
     iterations of its slowest column and the factor's rank. A ridge whose
     solve misses the tolerance within the cap (default CG_MAX_ITERS) reads
@@ -604,6 +588,8 @@ def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
         raise ValueError(f"K must be square, got shape {K.shape}")
     if u.ndim not in (1, 2) or u.shape[0] != K.shape[0]:
         raise ValueError(f"u shape {u.shape} does not match K of size {K.shape[0]}")
+    if not np.isfinite(u).all():
+        raise ValueError("the target u must be finite")
     if ridges.ndim != 1 or ridges.size == 0:
         raise ValueError(f"ridges must be a non-empty sequence, got {ridges!r}")
     if not ((ridges >= 0) & (ridges < math.inf)).all():
@@ -613,29 +599,31 @@ def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
         raise EmptyInputError("empty system")
     shifts = CG_JITTER_SCALE * float(K.trace(dtype=np.float64) / t) + ridges
     U = u if u.ndim == 2 else u[:, None]
-    mu = np.repeat(shifts, U.shape[1])
-    precond, rank = _nystrom_preconditioner(K, shifts, U.shape[1])
-    stack = U[None].repeat(ridges.size, axis=0)
-    X, R, iters, converged = _cg_columns(lambda P: gemm_product(K, mu, P), stack, tol, max_iters, precond)
-    res = np.sqrt((R * R).sum(axis=1))
+    k, c = ridges.size, U.shape[1]
+    mu = np.repeat(shifts, c)
+    precond, rank = _nystrom_preconditioner(K, shifts, c)
+    X, R, steps, converged = _cg_columns(lambda P: gemm_product(K, mu, P), np.tile(U, k), tol, max_iters, precond)
+    res = np.sqrt((R * R).sum(axis=0)).reshape(k, c).max(axis=1)
+    steps, converged = steps.reshape(k, c).max(axis=1), converged.reshape(k, c).all(axis=1)
     return [
         InterpolationResult(
-            gamma=X[j] if u.ndim == 2 else X[j, :, 0],
-            residual=float(res[j].max()),
-            iterations=int(iters[j]),
+            gamma=X[:, j * c:(j + 1) * c] if u.ndim == 2 else X[:, j],
+            residual=float(res[j]),
+            iterations=int(steps[j]),
             converged=bool(converged[j]),
             rank=rank,
         )
-        for j in range(ridges.size)
+        for j in range(k)
     ]
 
 
-def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha: float,
-                  ridge: float = SELECTION_RIDGE, *, sq_dists: np.ndarray | None = None):
-    """Pick the bandwidth whose kernel fits the naive coverage indicator
-    with the smallest penalized squared RKHS norm.
+def select_kernel(candidates, cal_instances, u, ridge: float = SELECTION_RIDGE, *,
+                  sq_dists: np.ndarray | None = None):
+    """Pick the bandwidth whose kernel fits the inclusion indicator u with
+    the smallest penalized squared RKHS norm.
 
-    The indicator u marks pairs at or below the naive weighted threshold.
+    ``u`` is a finite (n, c) target, n the rows of ``cal_instances``: the
+    calibration hands in the pairs at or below the naive weighted threshold.
     Each candidate is scored by u^T gamma with (K + ridge I) gamma = u, the
     value of min_f ||f||^2 + ||f(Z) - u||^2 / ridge. The ridge matters: u
     carries score randomization, so exact interpolants of it have norms that
@@ -652,8 +640,10 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     the larger sigma. Each Gram is exponentiated in float32, from the
     calibration's float32 squared distances, into one shared buffer. The
     order sets only how much work is done, not the selection: a candidate
-    that is not pruned runs the same CG in any order. Every CG iterate x, with residual r = u - A x and A = K + s I
-    (s the jittered ridge), brackets the statistic:
+    that is not pruned runs the same CG in any order.
+
+    Every CG iterate x, with residual r = u - A x and A = K + s I (s the
+    jittered ridge), brackets the statistic:
     u^T A^-1 u = u^T x + r^T x + r^T A^-1 r, with 0 <= r^T A^-1 r <=
     ||r||^2 / s (Strakos & Tichy, ETNA 13, 2002). A candidate is pruned,
     its statistic NaN, once its lower end exceeds (1 + PRUNE_MARGIN) times
@@ -668,6 +658,7 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     Gram's statistic up to float64 rounding; it differs from the float64
     Gram's by float32 rounding and exp error, far below the gaps between
     candidates that decide the argmin.
+
     Each candidate takes one plain CG step first. Only then does it build
     the pivoted Cholesky factor of its Gram (see ``ridge_path``) to
     continue, preconditioned, from that iterate, so one pruned or solved in
@@ -687,9 +678,9 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
     if not 0 < ridge < math.inf:
         raise ValueError(f"ridge must be positive and finite, got {ridge}")
     cal_instances = np.asarray(cal_instances, dtype=np.float64)
-    W = as_weight_matrix(naive_weights, score_matrix.n, score_matrix.c)
-    q0 = conformal_quantile_weighted(score_matrix.values, W, alpha)
-    U = (score_matrix.values <= q0).astype(np.float64)
+    U = np.asarray(u, dtype=np.float64)
+    if U.ndim != 2 or U.shape[0] != cal_instances.shape[0] or not np.isfinite(U).all():
+        raise ValueError(f"u must be a finite ({cal_instances.shape[0]}, c) matrix, got shape {U.shape}")
     D2 = _calibration_sq_dists(cal_instances, sq_dists)
     K0 = np.empty(D2.shape, np.float32)  # every candidate's float32 Gram is built into this one buffer
     count = len(candidates)
@@ -719,26 +710,26 @@ def select_kernel(candidates, cal_instances, score_matrix, naive_weights, alpha:
             return lower[j] > limit
 
         X, R, steps, done = _cg_columns(matvec, U, SELECTION_CG_TOL, min(1, CG_MAX_ITERS), stop=beaten, exact=exact)
-        if not (done[0] or lower[j] > limit) and steps[0] < CG_MAX_ITERS:
+        steps, done = int(steps.max()), bool(done.all())
+        if not (done or lower[j] > limit) and steps < CG_MAX_ITERS:
             precond, ranks[j] = _nystrom_preconditioner(K0, np.array([shift]), U.shape[1])
-            X, R, more, done = _cg_columns(matvec, U, SELECTION_CG_TOL, CG_MAX_ITERS - steps[0], precond, X, R,
+            X, R, more, done = _cg_columns(matvec, U, SELECTION_CG_TOL, CG_MAX_ITERS - steps, precond, X, R,
                                            beaten, exact)
-            steps += more
+            steps, done = steps + int(more.max()), bool(done.all())
             del precond  # the factor is freed before the next candidate's is built
-        if done[0]:  # a solved candidate's bracket, and so its statistic, comes from its true residual
-            R = _residual(exact, U, X[0])[None]
-            beaten(X[0], R[0])
+        if done:  # a solved candidate's bracket, and so its statistic, comes from its true residual
+            R = _residual(exact, U, X)
+            beaten(X, R)
             stats[j] = max(lower[j], 0.0)
             best_upper = min(best_upper, upper[j])
         else:
             pruned[j] = lower[j] > limit
-        iteration_counts[j] = steps[0]
-        residuals[j] = math.sqrt((R * R).sum(axis=1).max())
+        iteration_counts[j] = steps
+        residuals[j] = math.sqrt((R * R).sum(axis=0).max())
     if np.isnan(stats).all():
         raise InterpolationError("all kernel candidates failed to interpolate", residual=float(np.nanmin(residuals)))
     best = int(np.nanargmin(stats))
     diagnostics = {
-        "q_hat0": q0,
         "ridge": ridge,
         "sigmas": np.array([s.sigma for s in candidates]),
         "statistics": stats,

@@ -23,9 +23,9 @@ DEFAULT_NOISE_SCALE = 1e-9
 class ScoreMatrix:
     """Scores for all (instance, label) pairs.
 
-    ``values[i, y-1]`` is the score of pair (X_i, y). Flattening row-major
-    matches the pair ordering used by the kernel and solver modules: pair
-    index (i, y) -> i*c + (y-1).
+    ``values[i, y-1]`` is the score of pair (X_i, y), the (n, c) layout of
+    the label weights (``LabelWeights.matrix``) and of every other per-pair
+    array of the kernel and solver modules.
     """
 
     values: np.ndarray

@@ -1,9 +1,9 @@
 """Label-weight QP over a product of per-instance simplices.
 
-Minimizes Phi(w) = (1/n) w^T K w - (2/m) v^T w subject to each calibration
-instance's label weights lying on the simplex and an optional scalar loss
-constraint B w <= b. The quadratic couples instances only through the shared
-base Gram, so iterations run on (n, c) matrices with one GEMM each.
+Minimizes Phi(W) = (1/n) <W, K0 W> - (2/m) <V, W> over (n, c) label weights
+W (V the context's ``cross_v``) with every row on the simplex, subject to an
+optional scalar loss constraint <B, W> <= b. The quadratic couples instances
+only through the shared base Gram K0, so each iteration takes one GEMM.
 
 The inequality is part of the feasible set: one FISTA run projects every
 step onto the simplices cut by B w <= b, a projection that costs a short
@@ -59,33 +59,34 @@ EPS32, EPS64 = float(np.finfo(np.float32).eps), float(np.finfo(np.float64).eps)
 
 @dataclass(frozen=True)
 class LabelWeights:
-    """Per-instance label distributions, flattened pair-major.
+    """Per-instance label distributions as an (n, c) matrix, read-only.
 
-    ``w[i*c + (y-1)]`` is instance i's weight on label y. Every block is a
+    ``matrix[i, y-1]`` is instance i's weight on label y. Every row is a
     point of the probability simplex (checked at construction).
     """
 
-    w: np.ndarray
-    n: int
-    c: int
+    matrix: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        if w.shape != (self.n * self.c,):
-            raise ValueError(f"w length {w.shape} != n*c = {self.n * self.c}")
-        if not np.isfinite(w).all() or w.min() < 0:
+        W = np.asarray(self.matrix, dtype=np.float64)
+        if W.ndim != 2 or W.size == 0:
+            raise ValueError(f"weights must be a non-empty (n, c) matrix, got shape {W.shape}")
+        if not np.isfinite(W).all() or W.min() < 0:
             raise ValueError("weights must be finite and nonnegative")
-        sums = w.reshape(self.n, self.c).sum(axis=1)
-        worst = float(np.abs(sums - 1.0).max())
+        worst = float(np.abs(W.sum(axis=1) - 1.0).max())
         if worst > BLOCK_SUM_TOL:
             raise ValueError(f"block sums deviate from 1 by {worst:.2e}")
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
+        W = W.copy()
+        W.flags.writeable = False
+        object.__setattr__(self, "matrix", W)
 
     @property
-    def matrix(self) -> np.ndarray:
-        return self.w.reshape(self.n, self.c)
+    def n(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def c(self) -> int:
+        return self.matrix.shape[1]
 
 
 def supervised_weights(labels: np.ndarray, num_classes: int) -> LabelWeights:
@@ -97,7 +98,7 @@ def supervised_weights(labels: np.ndarray, num_classes: int) -> LabelWeights:
         raise ValueError(f"labels must lie in 1..{num_classes}")
     W = np.zeros((labels.size, num_classes))
     W[np.arange(labels.size), labels - 1] = 1.0
-    return LabelWeights(w=W.ravel(), n=labels.size, c=num_classes)
+    return LabelWeights(W)
 
 
 def naive_weights(model: ProbModel, instances: np.ndarray) -> LabelWeights:
@@ -523,4 +524,4 @@ def solve_label_weights(
     if constraints is not None and constraints.loss_matrix.shape != (n, c):
         raise ValueError(f"loss_matrix shape {constraints.loss_matrix.shape} != ({n}, {c})")
     W, report = _fista(ctx.base_gram, (2.0 / ctx.m) * ctx.cross_v, W0, options.max_iters, options.rel_tol, constraints)
-    return LabelWeights(w=W.ravel(), n=n, c=c), report
+    return LabelWeights(W), report

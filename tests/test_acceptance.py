@@ -213,7 +213,7 @@ def test_criterion_06_qp_matches_enumeration_oracle():
             constraints = ConstraintSet(loss_matrix=B, bound=bound)
             loss_row = B.ravel()
         weights, report = solve_label_weights(ctx, constraints=constraints, options=options)
-        assert weights.w.min() >= 0.0
+        assert weights.matrix.min() >= 0.0
         assert np.abs(weights.matrix.sum(axis=1) - 1.0).max() <= 1e-9
         if constraints is not None:
             assert report.inequality_slack >= -1e-8 * bound - 1e-15

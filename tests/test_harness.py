@@ -362,13 +362,61 @@ class TestCalibrateUnsupervised:
         builds = []
         blocks = kernel_mod._sq_dist_blocks
 
-        def counted(X1, X2, out):
+        def counted(X1, X2):
             builds.append((X1.shape[0], X2.shape[0], bool(np.array_equal(X1, X2))))
-            return blocks(X1, X2, out)
+            return blocks(X1, X2)
 
         monkeypatch.setattr(kernel_mod, "_sq_dist_blocks", counted)
         _direct_calibration(_tiny_config(**self.CFG), 12)  # m = 10, so only the calibration is 12 x 12
         assert builds.count((12, 12, True)) == 1
+
+    @staticmethod
+    def _counted_distance_builds(monkeypatch):
+        """The row counts of every squared-distance build from here on."""
+        builds = []
+        blocks = kernel_mod._sq_dist_blocks
+
+        def counted(X1, X2):
+            builds.append(X1.shape[0])
+            return blocks(X1, X2)
+
+        monkeypatch.setattr(kernel_mod, "_sq_dist_blocks", counted)
+        return builds
+
+    @staticmethod
+    def _small_inputs():
+        """A classifier, its 60-point calibration sample and a 30-point training sample."""
+        rng = np.random.default_rng(3)
+        labels = 1 + np.arange(90) % 3
+        X = rng.standard_normal((90, 2)) + np.array([[2.0, 0.0], [-1.0, 1.7], [-1.0, -1.7]])[labels - 1]
+        train = Dataset(X[:30], labels[:30], num_classes=3)
+        return train_logistic(train), X[30:], train
+
+    def test_mismatched_scores_fail_before_distances(self, monkeypatch):
+        # scores of another calibration sample are caught before any n x n
+        # array is built, by an error that names both shapes
+        builds = self._counted_distance_builds(monkeypatch)
+        model, cal, train = self._small_inputs()
+        scores = build_score_matrix(model, cal[:10], "adaptive", 0)
+        with pytest.raises(ValueError, match=r"\(10, 3\).*\(60, 3\)"):
+            calibrate_unsupervised(model, cal, train, scores, 0.1, 10.0)
+        assert builds == []
+
+    def test_nonfinite_features_rejected(self, monkeypatch):
+        # a NaN calibration row is named before any work, not read as a
+        # non-finite loss; a NaN training row is named by the context build
+        model, cal, train = self._small_inputs()
+        scores = build_score_matrix(model, cal, "adaptive", 0)
+        broken = cal.copy()
+        broken[5, 0] = np.nan
+        builds = self._counted_distance_builds(monkeypatch)
+        with pytest.raises(ValueError, match="calibration instances must be finite"):
+            calibrate_unsupervised(model, broken, train, scores, 0.1, 10.0)
+        assert builds == []
+        rows = train.instances.copy()
+        rows[7, 1] = np.inf
+        with pytest.raises(ValueError, match="training instances must be finite"):
+            calibrate_unsupervised(model, cal, Dataset(rows, train.labels, 3), scores, 0.1, 10.0)
 
     @pytest.mark.parametrize("ridge", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_selection_ridge_rejected(self, ridge):

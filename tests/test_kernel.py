@@ -32,6 +32,7 @@ from unsupcp.kernel import (
 )
 from unsupcp.classifier import estimate_loss_bound, train_logistic
 from unsupcp.harness import calibrate_unsupervised
+from unsupcp.quantile import conformal_quantile_weighted
 from unsupcp.scores import ScoreMatrix, build_score_matrix
 from unsupcp.solver import SolverOptions, solve_label_weights, supervised_weights
 
@@ -109,7 +110,7 @@ class TestKernelEval:
         # Gram builders that take a raw sigma check it as KernelSpec does
         X = np.random.default_rng(3).standard_normal((4, 2))
         for build in (lambda: KernelSpec(sigma=sigma), lambda: gaussian_gram(X, X, sigma),
-                      lambda: _gram_from_sq_dists(pairwise_sq_dists(X, X), sigma),
+                      lambda: _gram_from_sq_dists(pairwise_sq_dists(X, X), sigma, np.empty((4, 4), np.float32)),
                       lambda: kernel_mod._context_gram(pairwise_sq_dists(X, X), sigma)):
             with pytest.raises(ValueError, match="sigma"):
                 build()
@@ -118,7 +119,7 @@ class TestKernelEval:
     def test_float32_gram_at_the_ends_of_the_sigma_range(self, sigma):
         # the smallest and largest accepted scales stay normal in float32: a unit diagonal, no NaN
         X = np.random.default_rng(3).standard_normal((4, 2))
-        for gram in (_gram_from_sq_dists, kernel_mod._context_gram):
+        for gram in (lambda D2, s: _gram_from_sq_dists(D2, s, D2), kernel_mod._context_gram):
             K = gram(pairwise_sq_dists(X, X), KernelSpec(sigma=sigma).sigma)
             np.testing.assert_array_equal(K, np.eye(4) if sigma < 1.0 else np.ones((4, 4)))
 
@@ -205,6 +206,19 @@ class TestBuildContext:
         train = Dataset(np.zeros((2, 2)), np.array([1, 2]), num_classes=2)
         with pytest.raises(EmptyInputError):
             build_context(np.zeros((0, 2)), train, KernelSpec(1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_features_rejected(self, bad):
+        # a non-finite feature would make cross_v and train_self, or K0, NaN
+        cal, train = _samples(n=5, m=4, c=2, seed=9)
+        broken = cal.copy()
+        broken[2, 1] = bad
+        with pytest.raises(ValueError, match="calibration instances must be finite"):
+            build_context(broken, train, KernelSpec(1.0))
+        rows = train.instances.copy()
+        rows[3, 0] = bad
+        with pytest.raises(ValueError, match="training instances must be finite"):
+            build_context(cal, Dataset(rows, train.labels, train.num_classes), KernelSpec(1.0))
 
 
 class TestMmdObjective:
@@ -323,63 +337,70 @@ class TestMinNormInterpolation:
                 _fit(np.eye(3), np.ones(3), ridge=ridge)
 
 
+def _naive_indicator(scores, weights, alpha):
+    """The inclusion indicator selection fits, built as calibrate_unsupervised builds it."""
+    return scores.values <= conformal_quantile_weighted(scores.values, weights, alpha)
+
+
 class TestSelectKernel:
-    def _all_ones_fixture(self, n, c, alpha):
-        # level (1 - alpha)(1 + 1/n) > 1 makes q0 the +inf sentinel, so the
-        # coverage indicator is identically 1
-        rng = np.random.default_rng(7)
-        cal = np.array([[0.0, 0.0], [1.0, 0.0]])[:n]
-        scores = ScoreMatrix(values=rng.uniform(0, 1, (n, c)), kind="adaptive", noise_epsilon=1e-9, seed=0)
-        weights = np.full((n, c), 1.0 / c)
-        return cal, scores, weights, alpha
+    def _all_ones_fixture(self, n, c):
+        # an identically 1 coverage indicator on at most two points
+        return np.array([[0.0, 0.0], [1.0, 0.0]])[:n], np.ones((n, c))
 
     def test_singleton_returned(self):
-        cal, scores, weights, alpha = self._all_ones_fixture(2, 2, 0.1)
-        spec, diag = select_kernel([KernelSpec(1.3)], cal, scores, weights, alpha)
+        cal, u = self._all_ones_fixture(2, 2)
+        spec, diag = select_kernel([KernelSpec(1.3)], cal, u)
         assert spec.sigma == 1.3
         assert diag["selected_index"] == 0
 
     def test_smoother_kernel_wins_on_constant_indicator(self):
-        cal, scores, weights, alpha = self._all_ones_fixture(2, 2, 0.1)
-        spec, diag = select_kernel([KernelSpec(0.05), KernelSpec(5.0)], cal, scores, weights, alpha)
+        cal, u = self._all_ones_fixture(2, 2)
+        spec, diag = select_kernel([KernelSpec(0.05), KernelSpec(5.0)], cal, u)
         assert spec.sigma == 5.0
-        assert np.isinf(diag["q_hat0"])
         assert diag["statistics"][1] < diag["statistics"][0]
 
     def test_zero_ridge_rejected(self):
         # without a ridge the smooth candidates' solves run to the CG cap
-        cal, scores, weights, alpha = self._all_ones_fixture(2, 2, 0.1)
+        cal, u = self._all_ones_fixture(2, 2)
         with pytest.raises(ValueError, match="ridge must be positive"):
-            select_kernel([KernelSpec(0.05), KernelSpec(5.0)], cal, scores, weights, alpha, ridge=0.0)
+            select_kernel([KernelSpec(0.05), KernelSpec(5.0)], cal, u, ridge=0.0)
 
     def test_equal_statistics_tie_to_smaller_sigma(self):
         # n=1 blocks are 1x1, so the penalized statistic is sigma-independent
-        cal, scores, weights, alpha = self._all_ones_fixture(1, 2, 0.4)
-        spec, diag = select_kernel([KernelSpec(3.0), KernelSpec(0.7)], cal, scores, weights, alpha)
+        cal, u = self._all_ones_fixture(1, 2)
+        spec, diag = select_kernel([KernelSpec(3.0), KernelSpec(0.7)], cal, u)
         assert spec.sigma == 0.7
         np.testing.assert_allclose(diag["statistics"][0], diag["statistics"][1], rtol=1e-10)
         np.testing.assert_array_equal(diag["sigmas"], [0.7, 3.0])
 
     def test_empty_candidates(self):
-        cal, scores, weights, alpha = self._all_ones_fixture(2, 2, 0.1)
+        cal, u = self._all_ones_fixture(2, 2)
         with pytest.raises(EmptyInputError):
-            select_kernel([], cal, scores, weights, alpha)
+            select_kernel([], cal, u)
 
     def test_negative_ridge(self):
-        cal, scores, weights, alpha = self._all_ones_fixture(2, 2, 0.1)
+        cal, u = self._all_ones_fixture(2, 2)
         with pytest.raises(ValueError, match="ridge"):
-            select_kernel([KernelSpec(1.0)], cal, scores, weights, alpha, ridge=-0.5)
+            select_kernel([KernelSpec(1.0)], cal, u, ridge=-0.5)
         with pytest.raises(ValueError, match="ridge"):
-            select_kernel([KernelSpec(1.0)], cal, scores, weights, alpha, ridge=math.nan)
+            select_kernel([KernelSpec(1.0)], cal, u, ridge=math.nan)
         # an infinite ridge would leave every candidate's statistic NaN
         with pytest.raises(ValueError, match="ridge must be positive and finite"):
-            select_kernel([KernelSpec(1.0)], cal, scores, weights, alpha, ridge=math.inf)
+            select_kernel([KernelSpec(1.0)], cal, u, ridge=math.inf)
+
+    @pytest.mark.parametrize("u", [np.ones(2), np.ones((3, 2)), np.ones((2, 2, 1)), np.array([[1.0, np.nan]] * 2),
+                                   np.array([[np.inf, 0.0]] * 2)])
+    def test_indicator_checked(self, u):
+        # u must be a finite (n, c) matrix with a row per calibration point
+        cal, _ = self._all_ones_fixture(2, 2)
+        with pytest.raises(ValueError, match=r"u must be a finite \(2, c\) matrix"):
+            select_kernel([KernelSpec(1.0)], cal, u)
 
     def test_all_candidates_failing_raises(self, monkeypatch):
-        cal, scores, weights, alpha = self._all_ones_fixture(2, 2, 0.1)
+        cal, u = self._all_ones_fixture(2, 2)
         monkeypatch.setattr(kernel_mod, "CG_MAX_ITERS", 0)  # no candidate takes a step
         with pytest.raises(InterpolationError, match="candidates"):
-            select_kernel([KernelSpec(1.0), KernelSpec(2.0)], cal, scores, weights, alpha)
+            select_kernel([KernelSpec(1.0), KernelSpec(2.0)], cal, u)
 
     def test_capped_candidate_is_skipped(self, monkeypatch):
         # on this mixed coverage indicator sigma = 3 wins, is visited first
@@ -391,16 +412,16 @@ class TestSelectKernel:
         n, c = 40, 3
         cal = rng.standard_normal((n, 2))
         scores = ScoreMatrix(values=rng.uniform(0, 1, (n, c)), kind="adaptive", noise_epsilon=1e-9, seed=0)
-        weights = supervised_weights(1 + rng.integers(0, c, n), c).matrix
+        u = _naive_indicator(scores, supervised_weights(1 + rng.integers(0, c, n), c).matrix, 0.5)
         specs = [KernelSpec(0.3), KernelSpec(3.0), KernelSpec(30.0)]
-        _, free = select_kernel(specs, cal, scores, weights, 0.5)
-        _, alone = select_kernel(specs[2:], cal, scores, weights, 0.5)
+        _, free = select_kernel(specs, cal, u)
+        _, alone = select_kernel(specs[2:], cal, u)
         counts = free["iterations"]
         assert free["selected_index"] == 1
         assert counts[1] > alone["iterations"][0]
         cap = int(alone["iterations"][0])
         monkeypatch.setattr(kernel_mod, "CG_MAX_ITERS", cap)
-        spec, diag = select_kernel(specs, cal, scores, weights, 0.5)
+        spec, diag = select_kernel(specs, cal, u)
         assert math.isnan(diag["statistics"][1]) and not diag["pruned"][1]
         assert diag["iterations"][1] == cap
         assert diag["residuals"][1] > 1e-8 * math.sqrt(n)
@@ -410,9 +431,10 @@ class TestSelectKernel:
 
     @staticmethod
     def _mixture_fixture(seed, d, spread, posterior=False):
-        """n=400 points of a 3-class mixture, scored uniformly at random (the
-        smoothest kernels win) or by one minus the mixture posterior, whose
-        inclusion indicator has a boundary in x that a mid-grid sigma fits."""
+        """n=400 points of a 3-class mixture and their naive indicator at
+        alpha = 0.1, scored uniformly at random (the smoothest kernels win)
+        or by one minus the mixture posterior, whose inclusion indicator has
+        a boundary in x that a mid-grid sigma fits."""
         rng = np.random.default_rng(seed)
         n, c = 400, 3
         labels = rng.integers(0, c, n)
@@ -420,23 +442,23 @@ class TestSelectKernel:
         cal = means[labels] + rng.standard_normal((n, d))
         if not posterior:
             scores = ScoreMatrix(values=rng.uniform(0, 1, (n, c)), kind="adaptive", noise_epsilon=1e-9, seed=0)
-            return cal, scores, supervised_weights(labels + 1, c).matrix
+            return cal, _naive_indicator(scores, supervised_weights(labels + 1, c).matrix, 0.1)
         logits = -0.5 * ((cal[:, None, :] - means[None]) ** 2).sum(axis=2)
         p = np.exp(logits - logits.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
         values = 1.0 - p + 1e-3 * rng.uniform(0, 1, (n, c))
         scores = ScoreMatrix(values=values, kind="probability", noise_epsilon=1e-3, seed=0)
-        return cal, scores, supervised_weights(p.argmax(axis=1) + 1, c).matrix
+        return cal, _naive_indicator(scores, supervised_weights(p.argmax(axis=1) + 1, c).matrix, 0.1)
 
     @staticmethod
-    def _check_against_plain_cg(cal, scores, weights, d, ridge=kernel_mod.SELECTION_RIDGE):
+    def _check_against_plain_cg(cal, u, d, ridge=kernel_mod.SELECTION_RIDGE):
         """Selection with pruning and preconditioning against every candidate
         solved by plain CG from 0; returns the selected index."""
         grid = bandwidth_grid(d)
-        spec, diag = select_kernel(grid, cal, scores, weights, 0.1, ridge=ridge)
+        spec, diag = select_kernel(grid, cal, u, ridge=ridge)
         assert diag["ranks"].max() > 0
         assert np.all((diag["ranks"] >= 0) & (diag["ranks"] <= 400 // 16))
-        U = (scores.values <= diag["q_hat0"]).astype(np.float64)
+        U = u.astype(np.float64)
         D2 = pairwise_sq_dists(cal, cal)
         # the statistics come from direct solves on selection's float32 Gram,
         # upcast: plain CG at 1e-8 can land just past a pruned candidate's
@@ -450,7 +472,7 @@ class TestSelectKernel:
             _, _, plain_iters[j], converged = plain_cg_columns(lambda P: K @ P + shift * P, U, 1e-8, 1500)
             assert converged
             exact[j] = float(np.sum(U * np.linalg.solve(K + shift * np.eye(len(K)), U)))
-            K = _gram_from_sq_dists(D2, s.sigma)
+            K = gaussian_gram(cal, cal, s.sigma)
             exact64[j] = float(np.sum(U * np.linalg.solve(K + shift * np.eye(len(K)), U)))
         pruned = diag["pruned"]
         first = [s.sigma for s in grid].index(math.sqrt(d / 2.0))  # the candidate visited first
@@ -488,7 +510,7 @@ class TestSelectKernel:
         points in d dimensions."""
         built = []
 
-        def spy(D2, sigma, out=None):
+        def spy(D2, sigma, out):
             built.append(sigma)
             return _gram_from_sq_dists(D2, sigma, out=out)
 
@@ -497,7 +519,7 @@ class TestSelectKernel:
         n, c = 30, 3
         cal = rng.standard_normal((n, d))
         scores = ScoreMatrix(values=rng.uniform(0, 1, (n, c)), kind="adaptive", noise_epsilon=1e-9, seed=0)
-        select_kernel(specs, cal, scores, supervised_weights(1 + rng.integers(0, c, n), c).matrix, 0.1)
+        select_kernel(specs, cal, _naive_indicator(scores, supervised_weights(1 + rng.integers(0, c, n), c).matrix, 0.1))
         return built
 
     @pytest.mark.parametrize("d", [2, 10])
@@ -524,8 +546,8 @@ class TestSelectKernel:
         # the identity, is solved by its single plain step (at ridge 0.1 one
         # column's residual after it is 1.5e-8 relative, inside
         # SELECTION_CG_TOL)
-        cal, scores, weights = self._mixture_fixture(seed, d, spread, posterior=True)
-        _, diag = select_kernel(bandwidth_grid(d), cal, scores, weights, 0.1, ridge=ridge)
+        cal, u = self._mixture_fixture(seed, d, spread, posterior=True)
+        _, diag = select_kernel(bandwidth_grid(d), cal, u, ridge=ridge)
         order = self.DEFAULT_VISIT_ORDER
         after = np.array(order[order.index(diag["selected_index"]) + 1:])
         assert len(after) > 0
@@ -535,7 +557,7 @@ class TestSelectKernel:
         assert np.all(diag["iterations"][after] <= 2)
 
     def test_candidate_pruned_at_its_first_step_builds_no_factor(self, monkeypatch):
-        cal, scores, weights = self._mixture_fixture(40, 2, 1.5)
+        cal, u = self._mixture_fixture(40, 2, 1.5)
         built = []
 
         def counted(K, mu):
@@ -543,7 +565,7 @@ class TestSelectKernel:
             return _pivoted_cholesky(K, mu)
 
         monkeypatch.setattr(kernel_mod, "_pivoted_cholesky", counted)
-        _, diag = select_kernel(bandwidth_grid(2), cal, scores, weights, 0.1)
+        _, diag = select_kernel(bandwidth_grid(2), cal, u)
         first = diag["pruned"] & (diag["iterations"] == 1)
         assert first.any()
         assert np.all(diag["ranks"][first] == 0)
@@ -552,13 +574,13 @@ class TestSelectKernel:
         assert len(built) == int(np.sum(diag["iterations"] > 1)) == int(np.sum(diag["ranks"] > 0))
 
     def test_diagnostics_shape(self):
-        cal, scores, weights, alpha = self._all_ones_fixture(2, 3, 0.1)
+        cal, u = self._all_ones_fixture(2, 3)
         specs = [KernelSpec(0.5), KernelSpec(1.0), KernelSpec(2.0)]
-        spec, diag = select_kernel(specs, cal, scores, weights, alpha)
+        spec, diag = select_kernel(specs, cal, u)
         assert diag["ridge"] == kernel_mod.SELECTION_RIDGE
         assert len(diag["statistics"]) == 3
         assert len(diag["residuals"]) == 3
-        assert set(diag) == {"q_hat0", "ridge", "sigmas", "statistics", "residuals", "iterations", "ranks", "pruned",
+        assert set(diag) == {"ridge", "sigmas", "statistics", "residuals", "iterations", "ranks", "pruned",
                              "lower", "upper", "selected_index"}
         assert diag["pruned"].dtype == bool and len(diag["pruned"]) == 3
         assert len(diag["lower"]) == 3 and len(diag["upper"]) == 3
@@ -598,11 +620,11 @@ class TestHandedDistances:
     distances when handed them, with the bits of their own build."""
 
     def test_select_kernel_same_diagnostics(self):
-        cal, scores, weights = TestSelectKernel._mixture_fixture(40, 2, 1.5, posterior=True)
+        cal, u = TestSelectKernel._mixture_fixture(40, 2, 1.5, posterior=True)
         D2 = pairwise_sq_dists(cal, cal)
         kept = D2.copy()
-        spec, diag = select_kernel(bandwidth_grid(2), cal, scores, weights, 0.1)
-        spec_h, diag_h = select_kernel(bandwidth_grid(2), cal, scores, weights, 0.1, sq_dists=D2)
+        spec, diag = select_kernel(bandwidth_grid(2), cal, u)
+        spec_h, diag_h = select_kernel(bandwidth_grid(2), cal, u, sq_dists=D2)
         assert spec_h == spec
         assert repr(diag_h) == repr(diag)
         assert D2.tobytes() == kept.tobytes()  # selection only reads them
@@ -624,9 +646,8 @@ class TestHandedDistances:
         cal, train = _samples(n=6, m=5, c=3, seed=38)
         with pytest.raises(ValueError, match="sq_dists"):
             build_context(cal, train, KernelSpec(1.0), sq_dists=bad)
-        scores = ScoreMatrix(values=np.full((6, 3), 0.5), kind="adaptive", noise_epsilon=1e-9, seed=0)
         with pytest.raises(ValueError, match="sq_dists"):
-            select_kernel([KernelSpec(1.0)], cal, scores, np.full((6, 3), 1 / 3), 0.1, sq_dists=bad)
+            select_kernel([KernelSpec(1.0)], cal, np.ones((6, 3)), sq_dists=bad)
 
 
 class TestGaussianGram:
@@ -739,13 +760,12 @@ class TestGaussianGram:
         rng = np.random.default_rng(33)
         X = rng.standard_normal((60, 3))
         D2 = _sq_dists64(X, X)
-        fresh = _gram_from_sq_dists(D2, 0.4)
+        fresh = gaussian_gram(X, X, 0.4)
         buf = np.full_like(D2, np.nan)
         assert _gram_from_sq_dists(D2, 0.4, out=buf) is buf
         assert buf.tobytes() == fresh.tobytes()
         assert _gram_from_sq_dists(D2, 0.4, out=D2) is D2
         assert D2.tobytes() == fresh.tobytes()
-        assert gaussian_gram(X, X, 0.4).tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("block", [7, 64])
     @pytest.mark.parametrize("d", [2, 10])
@@ -768,7 +788,7 @@ class TestGaussianGram:
         # the block on the masked branch
         floor = kernel_mod._EXP_FLOOR
         E = np.array([[np.nextafter(floor, -np.inf), floor, np.nextafter(floor, np.inf), -1.0]])
-        K = _gram_from_sq_dists(-0.5 * E, 0.5)
+        K = _gram_from_sq_dists(-0.5 * E, 0.5, np.empty_like(E))
         assert K[0, 0] == 0.0 and not np.signbit(K[0, 0])
         assert K[0, 1:].tobytes() == np.exp(E[0, 1:]).tobytes()
 
@@ -797,24 +817,24 @@ class TestGramMemory:
         scores = ScoreMatrix(values=rng.uniform(0, 1, (n, c)), kind="adaptive", noise_epsilon=1e-9, seed=0)
         weights = np.zeros((n, c))
         weights[np.arange(n), rng.integers(0, c, n)] = 1.0
-        return cal, train, scores, weights
+        return cal, train, _naive_indicator(scores, weights, 0.1)
 
     def _warm_up(self):
         # first calls import lazily; keep that out of the trace
-        cal, train, scores, weights = self._inputs(20)
-        spec, _ = select_kernel(bandwidth_grid(2)[2:5], cal, scores, weights, 0.1)
+        cal, train, u = self._inputs(20)
+        spec, _ = select_kernel(bandwidth_grid(2)[2:5], cal, u)
         solve_label_weights(build_context(cal, train, spec))
 
     def test_select_kernel_peak(self):
         self._warm_up()
-        cal, _, scores, weights = self._inputs(self.N)
-        peak = _traced_peak(lambda: select_kernel(bandwidth_grid(2)[2:5], cal, scores, weights, 0.1))
+        cal, _, u = self._inputs(self.N)
+        peak = _traced_peak(lambda: select_kernel(bandwidth_grid(2)[2:5], cal, u))
         # the float32 distances, the float32 Gram buffer and one float32 factor of n / 16 rows
         assert peak <= 1.1 * 8 * self.N**2
 
     def test_build_context_peak(self):
         self._warm_up()
-        cal, train, _, _ = self._inputs(self.N)
+        cal, train, _ = self._inputs(self.N)
         peak = _traced_peak(lambda: build_context(cal, train, KernelSpec(0.5)))
         assert peak <= 0.6 * 8 * self.N**2
 
@@ -832,7 +852,7 @@ class TestGramMemory:
     def test_solve_label_weights_makes_no_gram_array(self):
         # the QP reads the context's float32 K0 in place: no copy of it, in either precision
         self._warm_up()
-        cal, train, _, _ = self._inputs(self.N)
+        cal, train, _ = self._inputs(self.N)
         ctx = build_context(cal, train, KernelSpec(1.0))
         peak = _traced_peak(lambda: solve_label_weights(ctx, options=SolverOptions(max_iters=50)))
         assert peak <= 0.1 * 8 * self.N**2
@@ -856,7 +876,7 @@ class TestGramMemory:
 
     def test_gaussian_gram_makes_no_full_temporary(self):
         self._warm_up()
-        cal, train, _, _ = self._inputs(self.N)
+        cal, train, _ = self._inputs(self.N)
         peak = _traced_peak(lambda: gaussian_gram(cal, train.instances[: self.N // 2], 0.5))
         # the result plus one row block of norm sums and one of the floor's mask
         assert peak <= 8 * self.N * (self.N // 2) + 2 * 8 * kernel_mod.GRAM_BLOCK_ENTRIES
@@ -864,7 +884,7 @@ class TestGramMemory:
     def test_handed_distances_add_no_full_array(self):
         # K0 overwrites the distances, and the cross statistics are built by row block
         self._warm_up()
-        cal, train, _, _ = self._inputs(self.N)
+        cal, train, _ = self._inputs(self.N)
         D2 = pairwise_sq_dists(cal, cal)
         peak = _traced_peak(lambda: build_context(cal, train, KernelSpec(0.5), sq_dists=D2))
         assert peak <= 0.1 * 8 * self.N**2
@@ -928,10 +948,10 @@ class TestRidgePath:
         for max_iters in (1500, 7):
             X, R, iters, converged = _cg_columns(matvec, u, 1e-8, max_iters)
             X0, res0, iters0, converged0 = plain_cg_columns(matvec, u, 1e-8, max_iters)
-            assert X.shape == R.shape == (1,) + u.shape
-            assert X[0].tobytes() == X0.tobytes()
-            assert np.sqrt(np.sum(R[0] * R[0], axis=0)).tobytes() == res0.tobytes()
-            assert (int(iters[0]), bool(converged[0])) == (iters0, converged0)
+            assert X.shape == R.shape == u.shape
+            assert X.tobytes() == X0.tobytes()
+            assert np.sqrt(np.sum(R * R, axis=0)).tobytes() == res0.tobytes()
+            assert (int(iters.max()), bool(converged.all())) == (iters0, converged0)
 
     def test_path_records_its_rank(self):
         rng = np.random.default_rng(37)
@@ -955,6 +975,18 @@ class TestRidgePath:
         with pytest.raises(ValueError, match="ridges"):
             ridge_path(K, u, ())
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_target_rejected(self, bad):
+        # an infinite target makes the stopping threshold tol ||u|| infinite, so CG would report a
+        # converged fit after 0 steps with gamma = 0 and an infinite residual
+        K, u = _ridge_fixture(n=30)
+        with pytest.raises(ValueError, match="target"):
+            ridge_path(K, np.full(30, bad), (1.0,))
+        u = u.copy()
+        u[4] = bad
+        with pytest.raises(ValueError, match="target"):
+            ridge_path(K, u, (1.0, 10.0))
+
 
 def _ill_conditioned_system(n=300, c=3, ridge=0.3, seed=38):
     """A smooth 2-d Gaussian Gram at ridge 0.3: plain CG needs many steps."""
@@ -973,15 +1005,15 @@ class TestPreconditionedCG:
         assert precond is not None and rank == 300 // 16
         X, R, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, precond)
         X0, res0, iters0, converged0 = plain_cg_columns(matvec, u, 1e-8, 1500)
-        assert bool(converged[0]) and converged0
-        assert int(iters[0]) < iters0
-        gamma = X[0]
+        assert bool(converged.all()) and converged0
+        assert int(iters.max()) < iters0
+        gamma = X
         assert np.linalg.norm(gamma - X0) <= 1e-6 * np.linalg.norm(X0)
         stat, stat0 = float(np.sum(u * gamma)), float(np.sum(u * X0))
         assert abs(stat - stat0) <= 1e-10 * abs(stat0)
         true_res = np.linalg.norm(u - matvec(gamma), axis=0)
         assert np.all(true_res <= 1e-8 * np.linalg.norm(u, axis=0))
-        assert np.all(np.linalg.norm(R[0], axis=0) <= 1e-8 * np.linalg.norm(u, axis=0))
+        assert np.all(np.linalg.norm(R, axis=0) <= 1e-8 * np.linalg.norm(u, axis=0))
 
     def test_flat_spectrum_falls_back_to_plain_cg(self):
         # a near-identity Gram: n // 16 pivots leave about 15/16 of the trace
@@ -1000,41 +1032,44 @@ class TestPreconditionedCG:
             return np.linalg.solve(M, R)
 
         X, R, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, precond)
-        assert bool(converged[0])
-        assert np.all(np.linalg.norm(R[0], axis=0) <= 1e-8 * np.linalg.norm(u, axis=0))
-        true_res = np.linalg.norm(u - matvec(X[0]), axis=0)
+        assert bool(converged.all())
+        assert np.all(np.linalg.norm(R, axis=0) <= 1e-8 * np.linalg.norm(u, axis=0))
+        true_res = np.linalg.norm(u - matvec(X), axis=0)
         assert np.all(true_res <= 1e-8 * np.linalg.norm(u, axis=0))
 
     def test_stacked_blocks_report_per_block(self):
+        # two copies of a 2-column block side by side, one per shift: each column reports its own steps
         K, u, _, _ = _ill_conditioned_system(n=120, c=2)
         shifts = np.repeat([0.3, 30.0], 2) + 1e-10
-        X, R, iters, converged = _cg_columns(lambda P: K @ P + shifts * P, np.stack([u, u]), 1e-8, 1500)
-        assert X.shape == R.shape == (2, 120, 2)
-        assert iters[0] > iters[1]  # the larger ridge converges sooner
-        assert converged.tolist() == [True, True]
+        X, R, iters, converged = _cg_columns(lambda P: K @ P + shifts * P, np.tile(u, 2), 1e-8, 1500)
+        assert X.shape == R.shape == (120, 4)
+        assert iters.shape == converged.shape == (4,)
+        assert iters[:2].max() > iters[2:].max()  # the larger ridge converges sooner
+        assert converged.tolist() == [True] * 4
         for j, ridge in enumerate((0.3, 30.0)):
-            true_res = u - (K @ X[j] + (ridge + 1e-10) * X[j])
+            Xj, Rj = X[:, 2 * j:2 * j + 2], R[:, 2 * j:2 * j + 2]
+            true_res = u - (K @ Xj + (ridge + 1e-10) * Xj)
             assert np.all(np.linalg.norm(true_res, axis=0) <= 1e-8 * np.linalg.norm(u, axis=0))
-            np.testing.assert_allclose(R[j], true_res, rtol=0.0, atol=1e-8 * np.linalg.norm(u))
+            np.testing.assert_allclose(Rj, true_res, rtol=0.0, atol=1e-8 * np.linalg.norm(u))
 
     def test_warm_start(self):
         K, u, mu, matvec = _ill_conditioned_system()
         exact = np.linalg.solve(K + mu * np.eye(300), u)
         X, _, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, X0=exact)
-        assert int(iters[0]) == 0 and bool(converged[0])
-        assert X[0].tobytes() == exact.tobytes()
+        assert int(iters.max()) == 0 and bool(converged.all())
+        assert X.tobytes() == exact.tobytes()
         # one plain step, then preconditioned CG from that iterate, with its
         # recurrence residual or with the one the start computes
         cold, _, _, _ = _cg_columns(matvec, u, 1e-8, 1500)
         X1, R1, one, _ = _cg_columns(matvec, u, 1e-8, 1)
-        assert int(one[0]) == 1
+        assert int(one.max()) == 1
         precond, _ = _nystrom_preconditioner(K, np.array([mu]), u.shape[1])
-        stat0 = float(np.sum(u * cold[0]))
+        stat0 = float(np.sum(u * cold))
         for R0 in (R1, None):
             X, R, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, precond, X1, R0)
-            assert bool(converged[0]) and int(iters[0]) >= 1
-            assert abs(float(np.sum(u * X[0])) - stat0) <= 1e-10 * abs(stat0)
-            true_res = np.linalg.norm(u - matvec(X[0]), axis=0)
+            assert bool(converged.all()) and int(iters.max()) >= 1
+            assert abs(float(np.sum(u * X)) - stat0) <= 1e-10 * abs(stat0)
+            true_res = np.linalg.norm(u - matvec(X), axis=0)
             assert np.all(true_res <= 1e-8 * np.linalg.norm(u, axis=0))
 
     def test_stop_is_confirmed_on_the_true_residual(self):
@@ -1048,16 +1083,16 @@ class TestPreconditionedCG:
         X, R, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, stop=refused)
         X0, R0, iters0, converged0 = _cg_columns(matvec, u, 1e-8, 1500)
         assert X.tobytes() == X0.tobytes() and R.tobytes() == R0.tobytes()
-        assert int(iters[0]) == int(iters0[0]) > 1 and bool(converged[0])
+        assert int(iters.max()) == int(iters0.max()) > 1 and bool(converged.all())
         # every step but the last, which converged, is checked on B - A X
-        assert len(seen) == 2 * int(iters[0]) - 1
+        assert len(seen) == 2 * int(iters.max()) - 1
         for Xk, Rk in seen[1::2]:
             assert Rk.tobytes() == (u - matvec(Xk)).tobytes()
 
         seen.clear()
         X, _, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, stop=lambda X, R: seen.append(R) or True)
-        assert int(iters[0]) == 1 and not bool(converged[0]) and len(seen) == 2
-        assert X[0].tobytes() == _cg_columns(matvec, u, 1e-8, 1)[0][0].tobytes()
+        assert int(iters.max()) == 1 and not bool(converged.all()) and len(seen) == 2
+        assert X.tobytes() == _cg_columns(matvec, u, 1e-8, 1)[0].tobytes()
 
 
 class TestPivotedCholesky:

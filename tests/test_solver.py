@@ -61,36 +61,39 @@ def _point_context():
 
 class TestLabelWeights:
     def test_matrix_view(self):
-        lw = LabelWeights(w=np.array([0.2, 0.8, 1.0, 0.0]), n=2, c=2)
+        lw = LabelWeights(np.array([[0.2, 0.8], [1.0, 0.0]]))
         np.testing.assert_array_equal(lw.matrix, [[0.2, 0.8], [1.0, 0.0]])
+        assert (lw.n, lw.c) == (2, 2)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            LabelWeights(w=np.array([1.2, -0.2]), n=1, c=2)
+            LabelWeights(np.array([[1.2, -0.2]]))
 
     @pytest.mark.parametrize("w", [[np.nan, np.nan], [np.inf, 0.0], [0.5, np.nan]])
     def test_nonfinite_rejected(self, w):
         with pytest.raises(ValueError, match="finite"):
-            LabelWeights(w=np.array(w), n=1, c=2)
+            LabelWeights(np.array([w]))
 
     def test_block_sum_rejected(self):
         with pytest.raises(ValueError, match="block sums"):
-            LabelWeights(w=np.array([0.6, 0.6]), n=1, c=2)
+            LabelWeights(np.array([[0.6, 0.6]]))
 
     def test_length_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            LabelWeights(w=np.ones(3), n=1, c=2)
+        # the weights are an (n, c) matrix: a flat vector of any length, or an empty matrix, is not one
+        for w in (np.array([0.5, 0.5]), np.ones(3), np.ones((1, 1, 2)) / 2, np.zeros((0, 2))):
+            with pytest.raises(ValueError, match=r"\(n, c\) matrix"):
+                LabelWeights(w)
 
     def test_frozen_vector(self):
-        lw = LabelWeights(w=np.array([0.5, 0.5]), n=1, c=2)
+        lw = LabelWeights(np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError):
-            lw.w[0] = 0.0
+            lw.matrix[0, 0] = 0.0
 
 
 class TestSupervisedWeights:
     def test_single_label(self):
         lw = supervised_weights(np.array([2]), 3)
-        np.testing.assert_array_equal(lw.w, [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(lw.matrix, [[0.0, 1.0, 0.0]])
 
     def test_two_labels(self):
         lw = supervised_weights(np.array([1, 3]), 3)
