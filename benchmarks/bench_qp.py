@@ -92,7 +92,8 @@ def main():
             qp_s = median_seconds(lambda: u.solve_label_weights(ctx, cut, None, init), args.repeats)
             tracemalloc.start()
             u.solve_label_weights(ctx, cut, None, init)
-            peak = ctx.base_gram.nbytes + tracemalloc.get_traced_memory()[1]
+            gram = getattr(ctx, "gram", None)  # a --src checkout from before kernel.Gram holds ctx.base_gram
+            peak = (ctx.base_gram if gram is None else gram.values).nbytes + tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             ratio = getattr(report, "perron_ratio", math.nan)
             rows.append({  # one (n, n) @ (n, c) product per gap evaluation

@@ -38,6 +38,7 @@ from .harness import (
     run_trial,
 )
 from .kernel import (
+    Gram,
     InterpolationResult,
     KernelContext,
     KernelSpec,
@@ -78,6 +79,7 @@ __all__ = [
     "Dataset",
     "ExperimentConfig",
     "ExperimentResults",
+    "Gram",
     "InterpolationResult",
     "KernelContext",
     "KernelSpec",

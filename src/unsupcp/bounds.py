@@ -7,27 +7,14 @@ optionally union-corrects over the number of bandwidth candidates searched
 one calibration: it fits the comparison functions and takes the tightest
 of their bounds. A fit's norm and approximation error hold for the Gram K
 of the calibration's float64 distances, although only its float32 rounding
-K~ is stored: with |K - K~| <= eps K~ + tau entrywise (GRAM32_REL_ERR and
-GRAM32_ABS_ERR), |(K - K~) g| <= eps K~|g| + tau ||g||_1 and
-|g^T (K - K~) g| <= eps |g|^T K~ |g| + tau ||g||_1^2 for any g. Those
-widening terms need only upper bounds of K~|g|, which a float32 GEMM
-gives once inflated by its forward error (``_upper_abs_products``).
+is stored: ``Gram.fit_terms`` widens them by that rounding.
 """
 
 import math
 
 import numpy as np
 
-from .kernel import (
-    CG_MAX_ITERS,
-    GRAM32_ABS_ERR,
-    GRAM32_REL_ERR,
-    KernelContext,
-    as_weight_matrix,
-    gemm_product,
-    product64,
-    ridge_path,
-)
+from .kernel import CG_MAX_ITERS, KernelContext, as_weight_matrix, ridge_path
 
 BOUND_RIDGES = (30.0, 300.0, 3000.0)  # ridges of the penalized fits the coverage-gap bound is minimized over
 
@@ -56,51 +43,6 @@ def excess_gap_kernel(n: int, m: int, delta: float, rkhs_norm: float = 1.0, appr
     return approx_error + 2.0 * dev * rate * rkhs_norm
 
 
-def _upper_abs_products(K: np.ndarray, A: np.ndarray):
-    """Upper bounds of K^T A and K^T 1, entrywise, for a float32 K with
-    entries in [0, 1] and a nonnegative float64 (n, k) A, from one float32
-    GEMM (``gemm_product``) of K with [A, 1].
-
-    With u = 2^-24 and tiny float32's smallest normal (which covers
-    underflow and flush to zero): rounding A to float32 gives A' with
-    A <= A' / (1 - u) + tiny, so K^T A <= K^T A' / (1 - u) + n tiny. The
-    GEMM's n-term sums y of nonnegative products, in any order, give
-    K^T A' <= (y + 3 n tiny) / (1 - gamma_n), gamma_j = j u / (1 - j u)
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    Sec. 3.5), the 3 n tiny covering underflow in its n products. As
-    (1 - gamma_n)(1 - u) >= 1 - gamma_{n+1}, each exact entry is at most
-    (y + 4 n tiny) / (1 - gamma_{n+1}). An overflowing A or y gives inf."""
-    n = K.shape[0]
-    gamma = (n + 1) * 2.0**-24 / (1.0 - (n + 1) * 2.0**-24)
-    Y = gemm_product(K, 0.0, np.hstack([A, np.ones((n, 1))]))
-    Y += 4.0 * n * float(np.finfo(np.float32).tiny)
-    Y /= 1.0 - gamma
-    return Y[:, :-1], Y[:, -1]
-
-
-def _fit_terms(K: np.ndarray, u: np.ndarray, gammas: list) -> list:
-    """(squared RKHS norm, approximation error) of each fit f = sum_i
-    gamma_i k(x_i, .) to the (n, c) indicator u, one label column per
-    column of its (n, c) gamma, that hold for the exact Gram K of which
-    ``K`` is the float32 rounding: each term is its value in ``K`` plus the
-    rounding terms of the module docstring. The fits' values are read off
-    one float64-accumulated product of ``K`` with Gamma; the rounding terms
-    take |g|^T K |g| = |g| . K^T|g| and sum(K |g|) = |g| . K^T 1 from upper
-    bounds (``_upper_abs_products``), which need K^T only, so they hold
-    whether or not K is exactly symmetric."""
-    n, c = u.shape
-    G = np.hstack(gammas)
-    A = np.abs(G)
-    F = product64(K, 0.0, G)
-    S, colsum = _upper_abs_products(K, A)
-    l1 = A.sum(axis=0)  # ||gamma||_1 of each column
-    norm_sq = (G * F).sum(axis=0) + GRAM32_REL_ERR * (A * S).sum(axis=0) + GRAM32_ABS_ERR * l1 * l1
-    approx = (np.abs(np.tile(u, len(gammas)) - F).sum(axis=0) + GRAM32_REL_ERR * (colsum @ A)
-              + GRAM32_ABS_ERR * n * l1)
-    norm_sq, approx = (x.reshape(len(gammas), c).sum(axis=1) for x in (norm_sq, approx))
-    return [(max(float(a), 0.0), float(b) / n) for a, b in zip(norm_sq, approx)]
-
-
 def coverage_gap_bound(ctx: KernelContext, u, delta: float, num_candidates: int) -> tuple[float, dict]:
     """The tightest certified coverage-gap bound for the inclusion indicator
     ``u`` (n, c) of one calibration, and the path it was minimized over.
@@ -109,11 +51,11 @@ def coverage_gap_bound(ctx: KernelContext, u, delta: float, num_candidates: int)
     its norm and its approximation error, union-corrected over the
     ``num_candidates`` bandwidths searched, so the minimum over several f is
     itself certified. They are the penalized fits of u against
-    ``ctx.base_gram`` at the ridges BOUND_RIDGES, solved in one
-    ``ridge_path`` run in float32, whose norm and error are then taken
-    exactly in ``ctx.base_gram`` and widened by its rounding terms
-    (``_fit_terms``), and f = 0, whose bound sum(u) / n costs no kernel
-    product, so a bound always exists.
+    ``ctx.gram`` at the ridges BOUND_RIDGES, solved in one ``ridge_path``
+    run in float32, whose norm and error are then taken exactly in
+    ``ctx.gram`` and widened by its rounding terms (``Gram.fit_terms``),
+    and f = 0, whose bound sum(u) / n costs no kernel product, so a bound
+    always exists.
 
     Returns (bound, bound_path). ``bound_path`` records the ``ridges``
     (BOUND_RIDGES), the ``rank`` of the path's CG preconditioner factor (0
@@ -124,13 +66,15 @@ def coverage_gap_bound(ctx: KernelContext, u, delta: float, num_candidates: int)
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (ctx.n, ctx.c):
         raise ValueError(f"u shape {u.shape} != ({ctx.n}, {ctx.c})")
-    fits = ridge_path(ctx.base_gram, u, BOUND_RIDGES, max_iters=CG_MAX_ITERS)
+    fits = ridge_path(ctx.gram, u, BOUND_RIDGES, max_iters=CG_MAX_ITERS)
     ok = [j for j, fit in enumerate(fits) if fit.converged]
     bounds = np.full(len(BOUND_RIDGES), np.nan)
-    if ok:
-        for j, (norm_sq, approx) in zip(ok, _fit_terms(ctx.base_gram, u, [fits[j].gamma for j in ok])):
-            bounds[j] = excess_gap_kernel(ctx.n, ctx.m, delta, rkhs_norm=math.sqrt(norm_sq), approx_error=approx,
-                                          num_candidates=num_candidates)
+    if ok:  # each fit's terms are summed over its label columns
+        G, U = np.hstack([fits[j].gamma for j in ok]), np.tile(u, len(ok))
+        norm_sq, approx = (x.reshape(len(ok), ctx.c).sum(axis=1) for x in ctx.gram.fit_terms(G, U))
+        for j, a, b in zip(ok, norm_sq, approx):
+            bounds[j] = excess_gap_kernel(ctx.n, ctx.m, delta, rkhs_norm=math.sqrt(max(float(a), 0.0)),
+                                          approx_error=float(b) / ctx.n, num_candidates=num_candidates)
     zero = float(u.sum()) / ctx.n  # f = 0 has norm 0, so its bound is its approximation error
     bound_path = {
         "ridges": np.array(BOUND_RIDGES),

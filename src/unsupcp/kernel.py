@@ -21,18 +21,18 @@ are built once, each row block in float64 and rounded once into it;
 bandwidth selection exponentiates them in float32 into one more float32
 buffer, candidate after candidate, and the context build overwrites them in
 place with K0, each row block exponentiated in float64 and rounded once.
-The QP, the MMD objective and the bound all read that K0. Entrywise,
-|K - K~| <= GRAM32_REL_ERR K~ + GRAM32_ABS_ERR between the Gram K of the
-float64 distances and that float32 Gram K~. Products that must be exact in
-K~ (the residuals behind selection's decisions, the QP's float64 phase, the
-MMD objective and the bound's fits) are float64-accumulated
-(``product64``), so no float64 copy of K~ is made; the others are float32
-GEMMs (``gemm_product``). The context's cross statistics against the
-training sample stay float64 and are reduced one row block of their Gram
-at a time, so no n x m or m x m array is made. The MMD objective's
-quadratic term therefore carries K~'s rounding while its cross terms do
-not: where the three cancel, near an MMD of 0, it is exact only to about
-the square root of that rounding (see ``mmd_objective``).
+The QP, the MMD objective and the bound all read that K0 through one
+``Gram``. Entrywise, |K - K~| <= GRAM32_REL_ERR K~ + GRAM32_ABS_ERR between
+the Gram K of the float64 distances and that float32 Gram K~. Products that
+must be exact in K~ (the residuals behind selection's decisions, the QP's
+float64 phase, the MMD objective and the bound's fits) are
+float64-accumulated (``Gram.product64``), so no float64 copy of K~ is made;
+the others are float32 GEMMs (``Gram.product``). The context's cross
+statistics against the training sample stay float64 and are reduced one row
+block of their Gram at a time, so no n x m or m x m array is made. The MMD
+objective's quadratic term therefore carries K~'s rounding while its cross
+terms do not: where the three cancel, near an MMD of 0, it is exact only to
+about the square root of that rounding (see ``mmd_objective``).
 
 Kernel-ridge fits (bandwidth selection and the bound's ridge path) run
 conjugate gradients preconditioned by a greedy pivoted Cholesky factor of
@@ -45,9 +45,9 @@ solve as soon as the CG error bracket on its statistic shows that it cannot
 win, and builds a candidate's factor only after one plain step has not
 settled it. On a float32 Gram, CG products are float32 GEMMs and the
 factor is float32; selection takes the residuals behind its decisions with
-``product64`` on the same Gram, so what pruning certifies is the float32
-Gram's statistic, which differs from the float64 Gram's by float32
-rounding and exp error.
+``Gram.product64``, so what pruning certifies is the float32 Gram's
+statistic, which differs from the float64 Gram's by float32 rounding and
+exp error.
 """
 
 import math
@@ -262,28 +262,127 @@ def gaussian_gram(X1: np.ndarray, X2: np.ndarray, sigma: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Gram:
+    """A symmetric n x n Gram K and the products its readers take with it.
+
+    ``values`` holds K: a float32 array as it is, with no copy, and any
+    other read as float64. It must be square. Each product is (K + shift I)
+    P for a vector or matrix P, with ``shift`` a scalar or one value per
+    column of P; a scalar 0 adds nothing.
+    """
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        K = np.asarray(self.values)
+        K = K if K.dtype == np.float32 else K.astype(np.float64, copy=False)
+        if K.ndim != 2 or K.shape[0] != K.shape[1]:
+            raise ValueError(f"K must be square, got shape {K.shape}")
+        object.__setattr__(self, "values", K)
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+    def product(self, P: np.ndarray, shift=0.0) -> np.ndarray:
+        """The product as a GEMM in K's dtype: float32 for a float32 K, on
+        the float64 P rounded to it. It is taken as (P^T K)^T, so for a K
+        that is not exactly symmetric it is (K^T + shift I) P. The result is
+        a C-ordered float64 array."""
+        K = self.values
+        KP = (P.T.astype(K.dtype, copy=False) @ K).T.astype(np.float64, order="C")
+        if isinstance(shift, np.ndarray) or shift:
+            KP += shift * P
+        return KP
+
+    def product64(self, P: np.ndarray, shift=0.0) -> np.ndarray:
+        """The product in float64 arithmetic, exact in a float32 K, whose
+        entries float64 holds exactly: one row block of K, of a quarter of
+        GRAM_BLOCK_ENTRIES, is upcast at a time into one scratch block, so
+        no float64 copy of K is made."""
+        out = np.empty((self.n,) + P.shape[1:])
+        for rows, block in _float64_row_blocks(self.values):
+            np.matmul(block, P, out=out[rows])
+            if isinstance(shift, np.ndarray) or shift:
+                out[rows] += shift * P[rows]
+        return out
+
+    def shift(self, ridge):
+        """``ridge`` (a scalar or an array) plus the CG jitter, CG_JITTER_SCALE
+        times the mean diagonal of K."""
+        return CG_JITTER_SCALE * float(self.values.trace(dtype=np.float64) / self.n) + ridge
+
+    def _upper_abs_products(self, A: np.ndarray):
+        """Upper bounds of K^T A and K^T 1, entrywise, for a float32 K with
+        entries in [0, 1] and a nonnegative float64 (n, k) A, from one
+        float32 GEMM (``product``) of K with [A, 1].
+
+        With u = 2^-24 and tiny float32's smallest normal (which covers
+        underflow and flush to zero): rounding A to float32 gives A' with
+        A <= A' / (1 - u) + tiny, so K^T A <= K^T A' / (1 - u) + n tiny. The
+        GEMM's n-term sums y of nonnegative products, in any order, give
+        K^T A' <= (y + 3 n tiny) / (1 - gamma_n), gamma_j = j u / (1 - j u)
+        (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+        Sec. 3.5), the 3 n tiny covering underflow in its n products. As
+        (1 - gamma_n)(1 - u) >= 1 - gamma_{n+1}, each exact entry is at most
+        (y + 4 n tiny) / (1 - gamma_{n+1}). An overflowing A or y gives inf."""
+        n = self.n
+        gamma = (n + 1) * 2.0**-24 / (1.0 - (n + 1) * 2.0**-24)
+        Y = self.product(np.hstack([A, np.ones((n, 1))]))
+        Y += 4.0 * n * _TINY32
+        Y /= 1.0 - gamma
+        return Y[:, :-1], Y[:, -1]
+
+    def fit_terms(self, G: np.ndarray, U: np.ndarray):
+        """Per column g of the (n, k) G and u of U: the squared RKHS norm
+        g^T K g and the summed error sum_i |u - K g|_i of the fit g to u,
+        each widened so that it holds for the exact Gram K of which this
+        float32 K~ is the rounding. Returns both as length-k arrays.
+
+        With |K - K~| <= eps K~ + tau entrywise (GRAM32_REL_ERR and
+        GRAM32_ABS_ERR), |(K - K~) g| <= eps K~|g| + tau ||g||_1 and
+        |g^T (K - K~) g| <= eps |g|^T K~ |g| + tau ||g||_1^2 for any g. The
+        values in K~ come from one float64-accumulated product
+        (``product64``); the widening terms take |g|^T K~ |g| = |g| . K~^T|g|
+        and sum(K~ |g|) = |g| . K~^T 1 from upper bounds
+        (``_upper_abs_products``), which need K~^T only, so they hold whether
+        or not K~ is exactly symmetric."""
+        A = np.abs(G)
+        F = self.product64(G)
+        S, colsum = self._upper_abs_products(A)
+        l1 = A.sum(axis=0)  # ||g||_1 of each column
+        norm_sq = (G * F).sum(axis=0) + GRAM32_REL_ERR * (A * S).sum(axis=0) + GRAM32_ABS_ERR * l1 * l1
+        approx = np.abs(U - F).sum(axis=0) + GRAM32_REL_ERR * (colsum @ A) + GRAM32_ABS_ERR * self.n * l1
+        return norm_sq, approx
+
+
+@dataclass(frozen=True)
 class KernelContext:
     """What the MMD objective of the weight QP and the coverage-gap bound read.
 
-    ``base_gram`` is the n x n calibration Gram K0 (each label block of the
-    full pair kernel), in float32: the calibration's one n x n array, within
-    GRAM32_REL_ERR relative (plus GRAM32_ABS_ERR) of the exact Gram, and
-    read through float64-accumulated products (``product64``) wherever a
-    result must be exact in it. ``cross_v``[i, y-1] collapses the cross
-    Gram against training pairs with label y: it is the objective's (n, c)
-    linear term, laid out like the weights. ``train_self`` is the training
-    sample's own mean kernel, the constant completing the squared-MMD
-    objective. ``n`` and ``m`` count the calibration and training samples,
-    ``c`` the labels.
+    ``gram`` is the n x n calibration Gram K0 (each label block of the full
+    pair kernel), in float32: the calibration's one n x n array, within
+    GRAM32_REL_ERR relative (plus GRAM32_ABS_ERR) of the exact Gram.
+    ``cross_v``[i, y-1] collapses the cross Gram against training pairs with
+    label y: it is the objective's (n, c) linear term, laid out like the
+    weights. ``train_self`` is the training sample's own mean kernel, the
+    constant completing the squared-MMD objective. ``n`` and ``m`` count
+    the calibration and training samples, ``c`` the labels.
     """
 
     spec: KernelSpec
-    base_gram: np.ndarray
+    gram: Gram
     cross_v: np.ndarray
     train_self: float
-    n: int
     m: int
-    c: int
+
+    @property
+    def n(self) -> int:
+        return self.gram.n
+
+    @property
+    def c(self) -> int:
+        return self.cross_v.shape[1]
 
 
 def _calibration_sq_dists(cal_instances: np.ndarray, sq_dists) -> np.ndarray:
@@ -305,8 +404,8 @@ def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec, *
     ``sq_dists``, when given, holds the calibration's float32 pairwise
     squared distances (``pairwise_sq_dists(cal_instances, cal_instances)``);
     K0 is exponentiated over it in place (``_context_gram``: float64 row
-    blocks, rounded once to float32) and becomes ``base_gram``, so the
-    caller must not read it as distances afterwards. Without it, the
+    blocks, rounded once to float32) and becomes the context's ``gram``, so
+    the caller must not read it as distances afterwards. Without it, the
     distances are built here, with the same bits. Beyond that one float32
     n x n array, only row blocks are held.
     """
@@ -342,15 +441,7 @@ def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec, *
     train_self /= m * m
     D2 = _calibration_sq_dists(cal_instances, sq_dists)
     K0 = _context_gram(D2, spec.sigma)
-    return KernelContext(
-        spec=spec,
-        base_gram=K0,
-        cross_v=V,
-        train_self=train_self,
-        n=n,
-        m=m,
-        c=c,
-    )
+    return KernelContext(spec=spec, gram=Gram(K0), cross_v=V, train_self=train_self, m=m)
 
 
 def as_weight_matrix(w, n: int, c: int) -> np.ndarray:
@@ -374,7 +465,7 @@ def mmd_objective(w, ctx: KernelContext) -> float:
     float32 K0 is the only Gram it has, and recomputing float64 blocks of
     it here would build the distances a second time."""
     W = as_weight_matrix(w, ctx.n, ctx.c)
-    quad = float(np.sum(W * product64(ctx.base_gram, 0.0, W)))
+    quad = float(np.sum(W * ctx.gram.product64(W)))
     cross = float(np.sum(W * ctx.cross_v))
     sq = quad / ctx.n**2 - 2.0 * cross / (ctx.n * ctx.m) + ctx.train_self
     return math.sqrt(max(sq, 0.0))
@@ -459,48 +550,22 @@ def _nystrom_preconditioner(K: np.ndarray, shifts: np.ndarray, width: int):
     return apply, rank
 
 
-def gemm_product(K: np.ndarray, shift, P: np.ndarray) -> np.ndarray:
-    """(K + shift I) P for a symmetric K, as a GEMM in K's dtype: float32
-    for a float32 K, on the float64 P (a vector or matrix) rounded to it.
-    It is taken as (P^T K)^T, so for a K that is not exactly symmetric it is
-    (K^T + shift I) P. ``shift`` is a scalar or one value per column; a
-    scalar 0 adds nothing. The result is a C-ordered float64 array."""
-    KP = (P.T.astype(K.dtype, copy=False) @ K).T.astype(np.float64, order="C")
-    if isinstance(shift, np.ndarray) or shift:
-        KP += shift * P
-    return KP
-
-
-def product64(K: np.ndarray, shift: float, P: np.ndarray) -> np.ndarray:
-    """(K + shift I) P in float64 arithmetic for a float32 K, whose entries
-    float64 holds exactly, and a vector or matrix P: one row block of K, of
-    a quarter of GRAM_BLOCK_ENTRIES, is upcast at a time into one scratch
-    block, so no float64 copy of K is made. A scalar 0 shift adds nothing."""
-    out = np.empty((K.shape[0],) + P.shape[1:])
-    for rows, block in _float64_row_blocks(K):
-        np.matmul(block, P, out=out[rows])
-        if shift:
-            out[rows] += shift * P[rows]
-    return out
-
-
-def _residual(product, B: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """B - product(X), written over the product."""
-    AX = product(X)
+def _residual(gram: Gram, shift, B: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """B - (K + shift I) X by ``gram.product64``, written over the product."""
+    AX = gram.product64(X, shift)
     return np.subtract(B, AX, out=AX)
 
 
-def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None, X0=None, R0=None, stop=None,
-                exact=None):
-    """Preconditioned conjugate gradients on an SPD operator A, every column
-    of the (n, k) block B at once.
+def _cg_columns(gram: Gram, shift, B: np.ndarray, tol: float, max_iters: int, precond=None, X0=None, R0=None,
+                stop=None):
+    """Preconditioned conjugate gradients on A = K + shift I, every column
+    of the (n, k) block B at once, with products ``gram.product``.
 
-    ``matvec`` and ``precond`` act on (n, k) blocks, so each column may
-    carry its own shift. ``precond`` applies an SPD approximation of A^-1;
-    None runs plain CG, bit for bit the unpreconditioned recurrence. ``X0``,
-    shaped like ``B``, starts the run from that iterate, whose residual
-    B - A X0 is ``R0`` when given and costs one product otherwise; None
-    starts from 0. Each column stops on its residual r (b - A x by the
+    ``shift`` is a scalar or one value per column. ``precond`` applies an
+    SPD approximation of A^-1 to (n, k) blocks; None runs plain CG, bit for
+    bit the unpreconditioned recurrence. ``X0``, shaped like ``B``, starts
+    the run from that iterate, whose residual B - A X0 is ``R0`` when given
+    and costs one product otherwise; None starts from 0. Each column stops on its residual r (b - A x by the
     recurrence) once ||r|| <= tol ||b||, whatever the preconditioner, and
     then freezes (its alpha and beta are forced to 0) so slow columns can
     keep iterating without disturbing finished ones. A non-finite residual
@@ -508,10 +573,10 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None,
 
     ``stop(X, R)``, when given, sees the iterate X after every step, with
     its recurrence residual R. If it returns True while a column is still
-    running, it is asked again on the true residual B - A X (one product,
-    by ``exact`` when given, else by ``matvec``), so neither recurrence
-    drift nor the rounding of cheaper products can stop the run, and the
-    run stops if it holds there too.
+    running, it is asked again on the true residual B - A X (one
+    ``gram.product64``), so neither recurrence drift nor the rounding of
+    cheaper products can stop the run, and the run stops if it holds there
+    too.
 
     Returns the solutions and their recurrence residuals, both (n, k), and
     per column the steps it ran and whether it converged within
@@ -521,7 +586,7 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None,
         X, R = np.zeros_like(B), B.copy()
     else:
         X = X0.copy()
-        R = B - matvec(X) if R0 is None else R0.copy()
+        R = B - gram.product(X, shift) if R0 is None else R0.copy()
     Z = R if precond is None else precond(R)
     P = Z.copy()
     rr = (R * R).sum(axis=0)
@@ -531,7 +596,7 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None,
     steps = np.zeros(B.shape[1], dtype=np.int64)
     iters = 0
     while bool(active.any()) and iters < max_iters and bool(np.isfinite(rr).all()):
-        AP = matvec(P)
+        AP = gram.product(P, shift)
         pAp = (P * AP).sum(axis=0)
         safe = np.where(pAp <= 0.0, 1.0, pAp)
         alpha = np.where(active & (pAp > 0.0), rz / safe, 0.0)
@@ -547,20 +612,20 @@ def _cg_columns(matvec, B: np.ndarray, tol: float, max_iters: int, precond=None,
         steps += active
         active = ~(np.sqrt(rr) <= thresh)
         iters += 1
-        if stop is not None and stop(X, R) and bool(active.any()) and stop(X, _residual(exact or matvec, B, X)):
+        if stop is not None and stop(X, R) and bool(active.any()) and stop(X, _residual(gram, shift, B, X)):
             break
     return X, R, steps, ~active
 
 
-def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
+def ridge_path(gram: Gram, u: np.ndarray, ridges, tol: float = 1e-8,
                max_iters: int = CG_MAX_ITERS) -> list[InterpolationResult]:
-    """Solve (K + (jitter + ridge) I) gamma = u at every ridge of ``ridges``
-    in one preconditioned CG run.
+    """Solve (K + (jitter + ridge) I) gamma = u, with K the ``gram``, at
+    every ridge of ``ridges`` in one preconditioned CG run.
 
     ``u`` is one target vector or an (n, c) block of them; the block form
-    fits every label column against the shared base Gram at once, since the
+    fits every label column against the shared Gram K at once, since the
     pair kernel is block diagonal with identical blocks. The jitter is 1e-10
-    times the mean kernel diagonal. Every ridge must be finite and
+    times the mean kernel diagonal (``Gram.shift``). Every ridge must be finite and
     nonnegative, and u finite. A zero ridge asks for plain interpolation; a
     positive one solves the penalized system, whose statistic u^T gamma
     equals min_f ||f||^2 + ||f(Z) - u||^2 / ridge.
@@ -575,34 +640,27 @@ def ridge_path(K: np.ndarray, u: np.ndarray, ridges, tol: float = 1e-8,
     ``converged`` False with its own residual; the other ridges are
     unaffected.
 
-    A float32 K is kept as it is: its products are float32 GEMMs and its
-    factor is float32, while the CG recurrence stays in float64, so the
-    tolerance holds on the recurrence residual of the float32 products. Any
-    other K is read as float64.
+    On a float32 K the products are float32 GEMMs and the factor is
+    float32, while the CG recurrence stays in float64, so the tolerance
+    holds on the recurrence residual of the float32 products.
     """
-    K = np.asarray(K)
-    K = K if K.dtype == np.float32 else K.astype(np.float64, copy=False)
     u = np.asarray(u, dtype=np.float64)
     ridges = np.asarray(ridges, dtype=np.float64)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError(f"K must be square, got shape {K.shape}")
-    if u.ndim not in (1, 2) or u.shape[0] != K.shape[0]:
-        raise ValueError(f"u shape {u.shape} does not match K of size {K.shape[0]}")
+    if u.ndim not in (1, 2) or u.shape[0] != gram.n:
+        raise ValueError(f"u shape {u.shape} does not match K of size {gram.n}")
     if not np.isfinite(u).all():
         raise ValueError("the target u must be finite")
     if ridges.ndim != 1 or ridges.size == 0:
         raise ValueError(f"ridges must be a non-empty sequence, got {ridges!r}")
     if not ((ridges >= 0) & (ridges < math.inf)).all():
         raise ValueError(f"ridge must be nonnegative and finite, got {ridges}")
-    t = K.shape[0]
-    if t == 0:
+    if gram.n == 0:
         raise EmptyInputError("empty system")
-    shifts = CG_JITTER_SCALE * float(K.trace(dtype=np.float64) / t) + ridges
+    shifts = gram.shift(ridges)
     U = u if u.ndim == 2 else u[:, None]
     k, c = ridges.size, U.shape[1]
-    mu = np.repeat(shifts, c)
-    precond, rank = _nystrom_preconditioner(K, shifts, c)
-    X, R, steps, converged = _cg_columns(lambda P: gemm_product(K, mu, P), np.tile(U, k), tol, max_iters, precond)
+    precond, rank = _nystrom_preconditioner(gram.values, shifts, c)
+    X, R, steps, converged = _cg_columns(gram, np.repeat(shifts, c), np.tile(U, k), tol, max_iters, precond)
     res = np.sqrt((R * R).sum(axis=0)).reshape(k, c).max(axis=1)
     steps, converged = steps.reshape(k, c).max(axis=1), converged.reshape(k, c).all(axis=1)
     return [
@@ -652,7 +710,7 @@ def select_kernel(candidates, cal_instances, u, ridge: float = SELECTION_RIDGE, 
     CG runs its products as float32 GEMMs on float64 vectors and stops at
     a relative residual of SELECTION_CG_TOL, but the true residuals, of the
     pruning confirmations and of each solved candidate's last iterate, come
-    from float64 products with the float32 Gram (``product64``). So the
+    from float64 products with the float32 Gram (``Gram.product64``). So the
     brackets, a solved candidate's statistic (the lower end of its bracket,
     within ||r||^2 / s of the solve) and the pruning all certify the float32
     Gram's statistic up to float64 rounding; it differs from the float64
@@ -694,31 +752,25 @@ def select_kernel(candidates, cal_instances, u, ridge: float = SELECTION_RIDGE, 
     root = math.sqrt(cal_instances.shape[1] / 2.0)
     start = min(range(count), key=lambda j: (abs(math.log(candidates[j].sigma / root)), -j))
     for j in sorted(range(count), key=lambda j: (abs(j - start), -j)):
-        _gram_from_sq_dists(D2, candidates[j].sigma, out=K0)
-        shift = CG_JITTER_SCALE * float(K0.trace(dtype=np.float64) / K0.shape[0]) + ridge
+        gram = Gram(_gram_from_sq_dists(D2, candidates[j].sigma, out=K0))
+        shift = gram.shift(ridge)
         limit = (1.0 + PRUNE_MARGIN) * best_upper
-
-        def matvec(P):  # a float32 GEMM; the CG recurrence stays in float64
-            return gemm_product(K0, shift, P)
-
-        def exact(P):  # the same product in float64 arithmetic, for the brackets that decide
-            return product64(K0, shift, P)
 
         def beaten(X, R):
             lower[j] = float(np.vdot(U + R, X))
             upper[j] = lower[j] + float(np.vdot(R, R)) / shift
             return lower[j] > limit
 
-        X, R, steps, done = _cg_columns(matvec, U, SELECTION_CG_TOL, min(1, CG_MAX_ITERS), stop=beaten, exact=exact)
+        X, R, steps, done = _cg_columns(gram, shift, U, SELECTION_CG_TOL, min(1, CG_MAX_ITERS), stop=beaten)
         steps, done = int(steps.max()), bool(done.all())
         if not (done or lower[j] > limit) and steps < CG_MAX_ITERS:
             precond, ranks[j] = _nystrom_preconditioner(K0, np.array([shift]), U.shape[1])
-            X, R, more, done = _cg_columns(matvec, U, SELECTION_CG_TOL, CG_MAX_ITERS - steps, precond, X, R,
-                                           beaten, exact)
+            X, R, more, done = _cg_columns(gram, shift, U, SELECTION_CG_TOL, CG_MAX_ITERS - steps, precond, X, R,
+                                           beaten)
             steps, done = steps + int(more.max()), bool(done.all())
             del precond  # the factor is freed before the next candidate's is built
         if done:  # a solved candidate's bracket, and so its statistic, comes from its true residual
-            R = _residual(exact, U, X)
+            R = _residual(gram, shift, U, X)
             beaten(X, R)
             stats[j] = max(lower[j], 0.0)
             best_upper = min(best_upper, upper[j])

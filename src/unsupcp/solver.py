@@ -24,14 +24,14 @@ drops the metric for good.
 
 The run stops on a certificate, the Frank-Wolfe duality gap on the cut set
 (Jaggi 2013), which bounds Phi(w) - Phi* and costs O(nc) per iteration from
-the cached K0 w. K0 is the context's float32 Gram, and the QP makes no copy
-of it. The products are memory-bound, so while the gap tolerance sits above
-float32's reach the run has two phases: a float32 phase of float32 GEMMs
-until it certifies, stalls in float32 rounding or is capped, then a float64
-phase from its iterate whose products are float64-accumulated
-(``product64``), exact in K0 up to float64 rounding. The reported
-certificate is always the float64 phase's, in the spirit of mixed-precision
-refinement (Carson & Higham 2018).
+the cached K0 w. K0 is the context's float32 ``Gram``, and the QP makes no
+copy of it. The products are memory-bound, so while the gap tolerance sits
+above float32's reach the run has two phases: a float32 phase of float32
+GEMMs (``Gram.product``) until it certifies, stalls in float32 rounding or
+is capped, then a float64 phase from its iterate whose products are
+float64-accumulated (``Gram.product64``), exact in K0 up to float64
+rounding. The reported certificate is always the float64 phase's, in the
+spirit of mixed-precision refinement (Carson & Higham 2018).
 """
 
 import math
@@ -42,7 +42,7 @@ import numpy as np
 
 from .classifier import ProbModel, predict_labels, predict_proba_matrix
 from .errors import InfeasibleConstraintError
-from .kernel import KernelContext, as_weight_matrix, gemm_product, product64
+from .kernel import Gram, KernelContext, as_weight_matrix
 
 BLOCK_SUM_TOL = 1e-9
 SLACK_REL_TOL = 1e-8
@@ -368,7 +368,7 @@ def _value_and_gap(W, KW, G, cut, lam):
     return q - s, 2.0 * q - s - lower, grad
 
 
-def _fista(K0, G, W0, max_iters, rel_tol, cut=None):
+def _fista(gram: Gram, G, W0, max_iters, rel_tol, cut=None):
     """Accelerated projected gradient on h(W) = (1/n)<W, K0 W> - <G, W>.
     Returns the last iterate W and its SolverReport.
 
@@ -386,16 +386,16 @@ def _fista(K0, G, W0, max_iters, rel_tol, cut=None):
     the Hessian (2/n) K0, but its Perron direction no longer sets the step
     in every other one. The cut's multiplier is then mu L_2 rather than mu L.
 
-    K0 is float32. At ``rel_tol`` >= FLOAT32_GAP_FLOOR the solve runs a
-    float32 phase whose products (the Lanczos run too) are float32 GEMMs
-    (``gemm_product``), then a float64 phase whose products are
-    float64-accumulated (``product64``); below it, only the float64 phase,
-    Lanczos run included. Iterates, gradients and sums stay float64. Each
-    phase evaluates its starting iterate with its own products, restarts the
-    momentum, and iterates until the gap certifies, a step changes h by less
-    than STALL_REL relative, or the solve reaches ``max_iters`` iterations
-    in all. The reported objective, gap and ``converged`` are the float64
-    phase's, at the returned W.
+    K0 is ``gram``, float32. At ``rel_tol`` >= FLOAT32_GAP_FLOOR the solve
+    runs a float32 phase whose products (the Lanczos run too) are float32
+    GEMMs (``Gram.product``), then a float64 phase whose products are
+    float64-accumulated (``Gram.product64``); below it, only the float64
+    phase, Lanczos run included. Iterates, gradients and sums stay float64.
+    Each phase evaluates its starting iterate with its own products,
+    restarts the momentum, and iterates until the gap certifies, a step
+    changes h by less than STALL_REL relative, or the solve reaches
+    ``max_iters`` iterations in all. The reported objective, gap and
+    ``converged`` are the float64 phase's, at the returned W.
 
     A step that raises h runs a two-rung fallback ladder, each rung followed
     by a plain step from the previous iterate, until one does not raise h:
@@ -419,12 +419,8 @@ def _fista(K0, G, W0, max_iters, rel_tol, cut=None):
     float64 phase steps from the last iterate's float64 value, which is not
     recorded.
     """
-    n = K0.shape[0]
-
-    def exact(W):
-        return product64(K0, 0.0, W)
-
-    phases = ((lambda W: gemm_product(K0, 0.0, W), EPS32), (exact, EPS64))  # (products, their rounding)
+    n = gram.n
+    phases = ((gram.product, EPS32), (gram.product64, EPS64))  # (products, their rounding)
     if rel_tol < FLOAT32_GAP_FLOOR:
         phases = phases[1:]
     lam1, v, lam2 = _lanczos(*phases[0], n)
@@ -448,7 +444,7 @@ def _fista(K0, G, W0, max_iters, rel_tol, cut=None):
     X, mu = _project_cut(W0, cut)
     prox.support = (X > 0.0).astype(np.float64)
     hist, iters, restarts = [], 0, 0
-    for product, _ in phases:
+    for product, eps in phases:
         start = iters
         f, gap, gX = evaluate(X, mu)
         if not hist:
@@ -470,7 +466,7 @@ def _fista(K0, G, W0, max_iters, rel_tol, cut=None):
                     mu *= step / prox.step
                     prox, dropped = _MetricStep(step, cut), iters + 1
                     Z, mu_z, fz, gap_z, gZ = plain()
-                if fz > f and product is not exact:
+                if fz > f and eps == EPS32:
                     break  # float32 rounding stalls progress: float64 products take this step
             iters += 1
             rel = abs(f - fz) / max(1.0, abs(fz))
@@ -514,14 +510,15 @@ def solve_label_weights(
     ``options.rel_tol`` >= FLOAT32_GAP_FLOOR it runs a float32 phase of
     float32 GEMMs before its float64 phase; below, only the float64 phase.
     The float64 phase's products, and so the reported gap, objective and
-    ``converged``, are float64-accumulated products of K0 (``product64``) at
-    the returned weights, and the gap's multiplier is the last projection's
-    mu times the Euclidean step constant it ran at (L_2 in the metric).
+    ``converged``, are float64-accumulated products of K0
+    (``Gram.product64``) at the returned weights, and the gap's multiplier
+    is the last projection's mu times the Euclidean step constant it ran at
+    (L_2 in the metric).
     """
     options = options or SolverOptions()
     n, c = ctx.n, ctx.c
     W0 = np.full((n, c), 1.0 / c) if init is None else as_weight_matrix(init, n, c).copy()
     if constraints is not None and constraints.loss_matrix.shape != (n, c):
         raise ValueError(f"loss_matrix shape {constraints.loss_matrix.shape} != ({n}, {c})")
-    W, report = _fista(ctx.base_gram, (2.0 / ctx.m) * ctx.cross_v, W0, options.max_iters, options.rel_tol, constraints)
+    W, report = _fista(ctx.gram, (2.0 / ctx.m) * ctx.cross_v, W0, options.max_iters, options.rel_tol, constraints)
     return LabelWeights(W), report

@@ -66,7 +66,7 @@ def kernel_eval(x1, y1: int, x2, y2: int, spec) -> float:
 def dense_pair_kernel(ctx) -> np.ndarray:
     """The full (n*c) x (n*c) pair kernel of a KernelContext, pairs ordered
     (i, y) -> i*c + (y-1). Small n only."""
-    return np.kron(ctx.base_gram, np.eye(ctx.c))
+    return np.kron(ctx.gram.values, np.eye(ctx.c))
 
 
 def _plain_gram(X1, X2, sigma: float) -> np.ndarray:

@@ -14,6 +14,7 @@ from unsupcp.data import Dataset
 from unsupcp.kernel import (
     GRAM32_ABS_ERR,
     GRAM32_REL_ERR,
+    Gram,
     KernelSpec,
     _context_gram,
     build_context,
@@ -101,7 +102,7 @@ class TestCoverageGapBound:
         bound, path = coverage_gap_bound(ctx, u, 0.1, 10)
         assert len(fits) == len(BOUND_RIDGES)
         np.testing.assert_array_equal(path["ridges"], BOUND_RIDGES)
-        K = ctx.base_gram.astype(np.float64)
+        K = ctx.gram.values.astype(np.float64)
 
         def expected(gamma, inflation):
             # dense float64 products with the float32 Gram, widened by its rounding terms, whose K|gamma| is
@@ -152,36 +153,9 @@ class TestCoverageGapBound:
         u = (rng.uniform(size=(n, c)) < 0.5).astype(np.float64)
         K32 = _context_gram(pairwise_sq_dists(X, X), sigma)
         F64 = gaussian_gram(X, X, sigma) @ gamma
-        ((norm_sq, approx),) = bounds._fit_terms(K32, u, [gamma])
-        assert norm_sq >= float(np.sum(gamma * F64))
-        assert approx >= float(np.abs(u - F64).sum()) / n
-
-
-class TestUpperAbsProducts:
-    @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), k=st.integers(1, 4),
-           log_sigma=st.floats(-2.5, 1.5), log_lo=st.floats(-46.0, 0.0), log_hi=st.floats(0.0, 6.0))
-    def test_bounds_the_exact_products(self, seed, n, k, log_sigma, log_lo, log_hi):
-        # over entries from below float32's normal range to large ones: never below the float64 products of the
-        # float32 Gram, and above them only by the GEMM's forward error
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((n, 2))
-        K32 = _context_gram(pairwise_sq_dists(X, X), math.exp(log_sigma))
-        A = 10.0 ** rng.uniform(log_lo, log_hi, (n, k)) * (rng.uniform(size=(n, k)) < 0.8)
-        S, colsum = bounds._upper_abs_products(K32, A)
-        K = K32.astype(np.float64)
-        for got, exact in ((S, K.T @ A), (colsum, K.sum(axis=0))):
-            assert np.all(got >= exact)
-            assert np.all(got <= exact * (1.0 + 1e-5) + 1e-30)
-
-    def test_asymmetric_gram_uses_its_transpose(self):
-        # the widening terms need K^T |g| and K^T 1, so a K that is not exactly symmetric is bounded correctly
-        K32 = np.array([[1.0, 0.5], [0.0, 1.0]], np.float32)
-        A = np.array([[1.0], [2.0]])
-        S, colsum = bounds._upper_abs_products(K32, A)
-        np.testing.assert_allclose(S[:, 0], [1.0, 2.5], rtol=1e-6)
-        np.testing.assert_allclose(colsum, [1.0, 1.5], rtol=1e-6)
-        assert np.all(S[:, 0] >= [1.0, 2.5]) and np.all(colsum >= [1.0, 1.5])
+        norm_sq, approx = (float(x.sum()) for x in Gram(K32).fit_terms(gamma, u))
+        assert max(norm_sq, 0.0) >= float(np.sum(gamma * F64))
+        assert approx / n >= float(np.abs(u - F64).sum()) / n
 
 
 class TestCoverageDiagnosticE:

@@ -318,9 +318,9 @@ class TestCalibrateUnsupervised:
         """The direct calibration plus the inclusion indicator its bound fits."""
         seen = []
 
-        def spy(K, u, ridges, **kwargs):
+        def spy(gram, u, ridges, **kwargs):
             seen.append(u)
-            return ridge_path(K, u, ridges, **kwargs)
+            return ridge_path(gram, u, ridges, **kwargs)
 
         monkeypatch.setattr(bounds, "ridge_path", spy)
         out = _direct_calibration(cfg, n)

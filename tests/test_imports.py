@@ -56,3 +56,21 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+GRAM_ROUNDING = {"GRAM32_REL_ERR", "GRAM32_ABS_ERR"}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "kernel.py"),
+                         ids=lambda p: p.name)
+def test_gram_rounding_stays_in_kernel(path):
+    # the float32 Gram's entrywise error is known to ``kernel`` alone; other modules read it through ``Gram``
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            named |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert named & GRAM_ROUNDING == set()

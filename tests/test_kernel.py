@@ -16,6 +16,7 @@ from unsupcp.errors import EmptyInputError, InterpolationError
 from unsupcp.kernel import (
     GRAM32_ABS_ERR,
     GRAM32_REL_ERR,
+    Gram,
     KernelSpec,
     _cg_columns,
     _gram_from_sq_dists,
@@ -39,7 +40,7 @@ from unsupcp.solver import SolverOptions, solve_label_weights, supervised_weight
 
 def _fit(K, u, ridge=0.0, **kwargs):
     """The kernel-ridge fit at one ridge."""
-    (fit,) = ridge_path(K, u, (ridge,), **kwargs)
+    (fit,) = ridge_path(Gram(K), u, (ridge,), **kwargs)
     return fit
 
 
@@ -72,7 +73,7 @@ def _mmd_rounding(W, ctx):
     """The bound d by which K0's rounding can move the squared MMD (see ``mmd_objective``)."""
     A = np.abs(as_weight_matrix(W, ctx.n, ctx.c))
     l1 = A.sum(axis=0)
-    return float((GRAM32_REL_ERR * np.sum(A * (ctx.base_gram.astype(np.float64) @ A)) + GRAM32_ABS_ERR * l1 @ l1)
+    return float((GRAM32_REL_ERR * np.sum(A * (ctx.gram.values.astype(np.float64) @ A)) + GRAM32_ABS_ERR * l1 @ l1)
                  / ctx.n**2)
 
 
@@ -163,7 +164,7 @@ class TestBuildContext:
 
     def test_gram_symmetric_unit_diagonal(self):
         ctx = _context(n=6, sigma=0.8)
-        K0 = ctx.base_gram
+        K0 = ctx.gram.values
         assert K0.dtype == np.float32
         np.testing.assert_allclose(K0, K0.T, atol=1e-12)
         np.testing.assert_allclose(np.diag(K0), 1.0, atol=1e-15)
@@ -231,7 +232,7 @@ class TestMmdObjective:
         w = supervised_weights(labels, 2)
         # exact in the float64 Gram of the same points; the float32 K0 moves the squared MMD by at most its
         # rounding bound d, so the MMD by at most sqrt(d)
-        assert mmd_objective(w, replace(ctx, base_gram=gaussian_gram(X, X, 0.9))) < 1e-7
+        assert mmd_objective(w, replace(ctx, gram=Gram(gaussian_gram(X, X, 0.9)))) < 1e-7
         assert mmd_objective(w, ctx) <= 1e-7 + math.sqrt(_mmd_rounding(w, ctx))
 
     @pytest.mark.parametrize("seed", range(4))
@@ -239,7 +240,7 @@ class TestMmdObjective:
         cal, train = _samples(n=30, m=25, c=3, seed=seed)
         ctx = build_context(cal, train, KernelSpec(0.7))
         W = _simplex_weights(30, 3, seed=seed + 10)
-        exact = mmd_objective(W, replace(ctx, base_gram=gaussian_gram(cal, cal, 0.7)))
+        exact = mmd_objective(W, replace(ctx, gram=Gram(gaussian_gram(cal, cal, 0.7))))
         got, d = mmd_objective(W, ctx), _mmd_rounding(W, ctx)
         assert got != exact  # the float32 K0 is read
         assert abs(got * got - exact * exact) <= d + 1e-15
@@ -272,6 +273,129 @@ class TestMmdObjective:
         assert means[0] > means[1] > means[2]
 
 
+def _ref_gemm_product(K, shift, P):
+    """(K + shift I) P by the float32 GEMM formula the Gram's products are held to."""
+    KP = (P.T.astype(K.dtype, copy=False) @ K).T.astype(np.float64, order="C")
+    if isinstance(shift, np.ndarray) or shift:
+        KP += shift * P
+    return KP
+
+
+def _ref_product64(K, shift, P):
+    """(K + shift I) P by the float64-accumulated row-block formula."""
+    out = np.empty((K.shape[0],) + P.shape[1:])
+    for rows, block in kernel_mod._float64_row_blocks(K):
+        np.matmul(block, P, out=out[rows])
+        if isinstance(shift, np.ndarray) or shift:
+            out[rows] += shift * P[rows]
+    return out
+
+
+def _ref_fit_terms(K, u, gammas):
+    """Per column, the widened squared norm and summed error of the fits
+    ``gammas`` to u, in the order of operations the bound certifies with."""
+    n = u.shape[0]
+    G = np.hstack(gammas)
+    A = np.abs(G)
+    F = _ref_product64(K, 0.0, G)
+    gamma = (n + 1) * 2.0**-24 / (1.0 - (n + 1) * 2.0**-24)
+    Y = _ref_gemm_product(K, 0.0, np.hstack([A, np.ones((n, 1))]))
+    Y += 4.0 * n * float(np.finfo(np.float32).tiny)
+    Y /= 1.0 - gamma
+    S, colsum = Y[:, :-1], Y[:, -1]
+    l1 = A.sum(axis=0)
+    norm_sq = (G * F).sum(axis=0) + GRAM32_REL_ERR * (A * S).sum(axis=0) + GRAM32_ABS_ERR * l1 * l1
+    approx = (np.abs(np.tile(u, len(gammas)) - F).sum(axis=0) + GRAM32_REL_ERR * (colsum @ A)
+              + GRAM32_ABS_ERR * n * l1)
+    return norm_sq, approx
+
+
+class TestGram:
+    @staticmethod
+    def _fixture(n=300, k=3, seed=41):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, 2))
+        return kernel_mod._context_gram(pairwise_sq_dists(X, X), 0.8), rng.standard_normal((n, k))
+
+    def test_float32_kept_without_copy(self):
+        K32, _ = self._fixture(n=20)
+        assert Gram(K32).values is K32
+        K64 = K32.astype(np.float64)
+        assert Gram(K64).values is K64
+        assert Gram(K32.astype(np.float16)).values.dtype == np.float64
+        assert Gram([[1, 0], [0, 1]]).values.dtype == np.float64
+
+    def test_nonsquare_rejected(self):
+        for bad in (np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="square"):
+                Gram(bad)
+
+    def test_context_sizes_follow_its_arrays(self):
+        ctx = _context(n=7, c=4)
+        assert (ctx.n, ctx.c, ctx.m) == (7, 4, 5)
+        assert ctx.n == ctx.gram.n == ctx.gram.values.shape[0]
+        assert replace(ctx, gram=Gram(np.eye(3)), cross_v=np.zeros((3, 2))).n == 3
+        assert replace(ctx, cross_v=np.zeros((7, 2))).c == 2
+
+    @pytest.mark.parametrize("shift", [0.0, 0.3, np.array([0.1, 2.0, 30.0])])
+    def test_products_keep_their_formulas(self, shift):
+        K32, P = self._fixture()
+        gram = Gram(K32)
+        assert gram.product(P, shift).tobytes() == _ref_gemm_product(K32, shift, P).tobytes()
+        assert gram.product64(P, shift).tobytes() == _ref_product64(K32, shift, P).tobytes()
+        assert gram.product(P, shift).flags.c_contiguous
+        if not isinstance(shift, np.ndarray):  # a vector, with a scalar shift
+            q = P[:, 0].copy()
+            assert gram.product(q, shift).tobytes() == _ref_gemm_product(K32, shift, q).tobytes()
+            assert gram.product64(q, shift).tobytes() == _ref_product64(K32, shift, q).tobytes()
+        # the default shift is 0
+        assert gram.product(P).tobytes() == _ref_gemm_product(K32, 0.0, P).tobytes()
+        assert gram.product64(P).tobytes() == _ref_product64(K32, 0.0, P).tobytes()
+
+    def test_shift_adds_the_jitter(self):
+        K32, _ = self._fixture()
+        mean = float(K32.trace(dtype=np.float64) / 300)
+        assert Gram(K32).shift(3.0) == kernel_mod.CG_JITTER_SCALE * mean + 3.0
+        ridges = np.array([30.0, 300.0])
+        assert Gram(K32).shift(ridges).tobytes() == (kernel_mod.CG_JITTER_SCALE * mean + ridges).tobytes()
+
+    def test_fit_terms_keep_the_bound_arithmetic(self):
+        K32, _ = self._fixture()
+        rng = np.random.default_rng(42)
+        u = (rng.uniform(size=(300, 3)) < 0.6).astype(np.float64)
+        gammas = [10.0**e * rng.standard_normal((300, 3)) for e in (-2, 0, 1)]
+        got = Gram(K32).fit_terms(np.hstack(gammas), np.tile(u, 3))
+        for a, b in zip(got, _ref_fit_terms(K32, u, gammas)):
+            assert a.shape == (9,) and a.tobytes() == b.tobytes()
+
+
+class TestUpperAbsProducts:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), k=st.integers(1, 4),
+           log_sigma=st.floats(-2.5, 1.5), log_lo=st.floats(-46.0, 0.0), log_hi=st.floats(0.0, 6.0))
+    def test_bounds_the_exact_products(self, seed, n, k, log_sigma, log_lo, log_hi):
+        # over entries from below float32's normal range to large ones: never below the float64 products of the
+        # float32 Gram, and above them only by the GEMM's forward error
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, 2))
+        K32 = kernel_mod._context_gram(pairwise_sq_dists(X, X), math.exp(log_sigma))
+        A = 10.0 ** rng.uniform(log_lo, log_hi, (n, k)) * (rng.uniform(size=(n, k)) < 0.8)
+        S, colsum = Gram(K32)._upper_abs_products(A)
+        K = K32.astype(np.float64)
+        for got, exact in ((S, K.T @ A), (colsum, K.sum(axis=0))):
+            assert np.all(got >= exact)
+            assert np.all(got <= exact * (1.0 + 1e-5) + 1e-30)
+
+    def test_asymmetric_gram_uses_its_transpose(self):
+        # the widening terms need K^T |g| and K^T 1, so a K that is not exactly symmetric is bounded correctly
+        K32 = np.array([[1.0, 0.5], [0.0, 1.0]], np.float32)
+        A = np.array([[1.0], [2.0]])
+        S, colsum = Gram(K32)._upper_abs_products(A)
+        np.testing.assert_allclose(S[:, 0], [1.0, 2.5], rtol=1e-6)
+        np.testing.assert_allclose(colsum, [1.0, 1.5], rtol=1e-6)
+        assert np.all(S[:, 0] >= [1.0, 2.5]) and np.all(colsum >= [1.0, 1.5])
+
+
 class TestMinNormInterpolation:
     def test_identity_system(self):
         u = np.array([1.0, -2.0, 0.5])
@@ -291,10 +415,6 @@ class TestMinNormInterpolation:
         res = _fit(np.eye(4), u)
         np.testing.assert_array_equal(res.gamma, 0.0)
         assert np.sum(u * res.gamma) == 0.0
-
-    def test_nonsquare_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            _fit(np.zeros((2, 3)), np.zeros(2))
 
     def test_iteration_cap_is_unconverged(self):
         res = _fit(np.eye(3), np.ones(3), max_iters=0)
@@ -635,9 +755,9 @@ class TestHandedDistances:
         ctx = build_context(cal, train, KernelSpec(sigma))
         D2 = pairwise_sq_dists(cal, cal)
         ctx_h = build_context(cal, train, KernelSpec(sigma), sq_dists=D2)
-        assert ctx_h.base_gram is D2 and D2.dtype == np.float32  # K0 overwrites the distances
-        assert ctx_h.base_gram.tobytes() == ctx.base_gram.tobytes()
-        assert _within_rounding(ctx.base_gram, gaussian_gram(cal, cal, sigma))
+        assert ctx_h.gram.values is D2 and D2.dtype == np.float32  # K0 overwrites the distances
+        assert ctx_h.gram.values.tobytes() == ctx.gram.values.tobytes()
+        assert _within_rounding(ctx.gram.values, gaussian_gram(cal, cal, sigma))
         assert ctx_h.cross_v.tobytes() == ctx.cross_v.tobytes()
         assert repr(ctx_h.train_self) == repr(ctx.train_self)
 
@@ -904,7 +1024,7 @@ class TestRidgePath:
     @pytest.mark.parametrize("c", [None, 3])
     def test_each_ridge_matches_its_own_solve(self, c):
         K, u = _ridge_fixture(c)
-        path = ridge_path(K, u, self.RIDGES)
+        path = ridge_path(Gram(K), u, self.RIDGES)
         for ridge, fit in zip(self.RIDGES, path):
             alone = _fit(K, u, ridge)
             assert fit.gamma.shape == u.shape
@@ -915,8 +1035,8 @@ class TestRidgePath:
 
     def test_order_follows_the_input(self):
         K, u = _ridge_fixture(3)
-        fwd = ridge_path(K, u, self.RIDGES)
-        rev = ridge_path(K, u, self.RIDGES[::-1])
+        fwd = ridge_path(Gram(K), u, self.RIDGES)
+        rev = ridge_path(Gram(K), u, self.RIDGES[::-1])
         assert [f.iterations for f in rev] == [f.iterations for f in fwd][::-1]
         for a, b in zip(fwd, rev[::-1]):
             np.testing.assert_allclose(a.gamma, b.gamma, rtol=1e-12, atol=0.0)
@@ -926,7 +1046,7 @@ class TestRidgePath:
         counts = [_fit(K, u, r).iterations for r in self.RIDGES]
         assert counts[0] > counts[1] + 2
         cap = counts[1] + 1
-        path = ridge_path(K, u, self.RIDGES, max_iters=cap)
+        path = ridge_path(Gram(K), u, self.RIDGES, max_iters=cap)
         assert path[0].converged is False
         assert path[0].iterations == cap
         assert path[0].residual > 1e-8 * np.linalg.norm(u, axis=0).max()
@@ -941,12 +1061,13 @@ class TestRidgePath:
     def test_single_shift_is_plain_cg_bit_for_bit(self):
         K, u = _ridge_fixture(4, n=120, seed=36)
         shift = 0.3 + 1e-10
+        gram = Gram(K)
 
         def matvec(P):
-            return K @ P + shift * P
+            return gram.product(P, shift)
 
         for max_iters in (1500, 7):
-            X, R, iters, converged = _cg_columns(matvec, u, 1e-8, max_iters)
+            X, R, iters, converged = _cg_columns(gram, shift, u, 1e-8, max_iters)
             X0, res0, iters0, converged0 = plain_cg_columns(matvec, u, 1e-8, max_iters)
             assert X.shape == R.shape == u.shape
             assert X.tobytes() == X0.tobytes()
@@ -958,7 +1079,7 @@ class TestRidgePath:
         X = rng.standard_normal((320, 2))
         K = gaussian_gram(X, X, 1.0)
         u = (rng.uniform(0.0, 1.0, (320, 3)) < 0.7).astype(np.float64)
-        path = ridge_path(K, u, self.RIDGES)
+        path = ridge_path(Gram(K), u, self.RIDGES)
         assert 0 < path[0].rank <= 320 // 16
         assert {fit.rank for fit in path} == {path[0].rank}
         assert all(fit.converged for fit in path)
@@ -971,9 +1092,9 @@ class TestRidgePath:
     def test_ridges_validated(self):
         K, u = _ridge_fixture()
         with pytest.raises(ValueError, match="ridge"):
-            ridge_path(K, u, (0.3, -1.0))
+            ridge_path(Gram(K), u, (0.3, -1.0))
         with pytest.raises(ValueError, match="ridges"):
-            ridge_path(K, u, ())
+            ridge_path(Gram(K), u, ())
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_nonfinite_target_rejected(self, bad):
@@ -981,11 +1102,11 @@ class TestRidgePath:
         # converged fit after 0 steps with gamma = 0 and an infinite residual
         K, u = _ridge_fixture(n=30)
         with pytest.raises(ValueError, match="target"):
-            ridge_path(K, np.full(30, bad), (1.0,))
+            ridge_path(Gram(K), np.full(30, bad), (1.0,))
         u = u.copy()
         u[4] = bad
         with pytest.raises(ValueError, match="target"):
-            ridge_path(K, u, (1.0, 10.0))
+            ridge_path(Gram(K), u, (1.0, 10.0))
 
 
 def _ill_conditioned_system(n=300, c=3, ridge=0.3, seed=38):
@@ -1003,7 +1124,7 @@ class TestPreconditionedCG:
         K, u, mu, matvec = _ill_conditioned_system()
         precond, rank = _nystrom_preconditioner(K, np.array([mu]), u.shape[1])
         assert precond is not None and rank == 300 // 16
-        X, R, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, precond)
+        X, R, iters, converged = _cg_columns(Gram(K), mu, u, 1e-8, 1500, precond)
         X0, res0, iters0, converged0 = plain_cg_columns(matvec, u, 1e-8, 1500)
         assert bool(converged.all()) and converged0
         assert int(iters.max()) < iters0
@@ -1031,7 +1152,7 @@ class TestPreconditionedCG:
         def precond(R):
             return np.linalg.solve(M, R)
 
-        X, R, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, precond)
+        X, R, iters, converged = _cg_columns(Gram(K), mu, u, 1e-8, 1500, precond)
         assert bool(converged.all())
         assert np.all(np.linalg.norm(R, axis=0) <= 1e-8 * np.linalg.norm(u, axis=0))
         true_res = np.linalg.norm(u - matvec(X), axis=0)
@@ -1041,7 +1162,7 @@ class TestPreconditionedCG:
         # two copies of a 2-column block side by side, one per shift: each column reports its own steps
         K, u, _, _ = _ill_conditioned_system(n=120, c=2)
         shifts = np.repeat([0.3, 30.0], 2) + 1e-10
-        X, R, iters, converged = _cg_columns(lambda P: K @ P + shifts * P, np.tile(u, 2), 1e-8, 1500)
+        X, R, iters, converged = _cg_columns(Gram(K), shifts, np.tile(u, 2), 1e-8, 1500)
         assert X.shape == R.shape == (120, 4)
         assert iters.shape == converged.shape == (4,)
         assert iters[:2].max() > iters[2:].max()  # the larger ridge converges sooner
@@ -1055,44 +1176,44 @@ class TestPreconditionedCG:
     def test_warm_start(self):
         K, u, mu, matvec = _ill_conditioned_system()
         exact = np.linalg.solve(K + mu * np.eye(300), u)
-        X, _, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, X0=exact)
+        X, _, iters, converged = _cg_columns(Gram(K), mu, u, 1e-8, 1500, X0=exact)
         assert int(iters.max()) == 0 and bool(converged.all())
         assert X.tobytes() == exact.tobytes()
         # one plain step, then preconditioned CG from that iterate, with its
         # recurrence residual or with the one the start computes
-        cold, _, _, _ = _cg_columns(matvec, u, 1e-8, 1500)
-        X1, R1, one, _ = _cg_columns(matvec, u, 1e-8, 1)
+        cold, _, _, _ = _cg_columns(Gram(K), mu, u, 1e-8, 1500)
+        X1, R1, one, _ = _cg_columns(Gram(K), mu, u, 1e-8, 1)
         assert int(one.max()) == 1
         precond, _ = _nystrom_preconditioner(K, np.array([mu]), u.shape[1])
         stat0 = float(np.sum(u * cold))
         for R0 in (R1, None):
-            X, R, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, precond, X1, R0)
+            X, R, iters, converged = _cg_columns(Gram(K), mu, u, 1e-8, 1500, precond, X1, R0)
             assert bool(converged.all()) and int(iters.max()) >= 1
             assert abs(float(np.sum(u * X)) - stat0) <= 1e-10 * abs(stat0)
             true_res = np.linalg.norm(u - matvec(X), axis=0)
             assert np.all(true_res <= 1e-8 * np.linalg.norm(u, axis=0))
 
     def test_stop_is_confirmed_on_the_true_residual(self):
-        K, u, mu, matvec = _ill_conditioned_system(n=120)
+        K, u, mu, _ = _ill_conditioned_system(n=120)
         seen = []
 
         def refused(X, R):  # yes on every recurrence residual, no on its check
             seen.append((X.copy(), R.copy()))
             return len(seen) % 2 == 1
 
-        X, R, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, stop=refused)
-        X0, R0, iters0, converged0 = _cg_columns(matvec, u, 1e-8, 1500)
+        X, R, iters, converged = _cg_columns(Gram(K), mu, u, 1e-8, 1500, stop=refused)
+        X0, R0, iters0, converged0 = _cg_columns(Gram(K), mu, u, 1e-8, 1500)
         assert X.tobytes() == X0.tobytes() and R.tobytes() == R0.tobytes()
         assert int(iters.max()) == int(iters0.max()) > 1 and bool(converged.all())
         # every step but the last, which converged, is checked on B - A X
         assert len(seen) == 2 * int(iters.max()) - 1
         for Xk, Rk in seen[1::2]:
-            assert Rk.tobytes() == (u - matvec(Xk)).tobytes()
+            assert Rk.tobytes() == (u - Gram(K).product64(Xk, mu)).tobytes()
 
         seen.clear()
-        X, _, iters, converged = _cg_columns(matvec, u, 1e-8, 1500, stop=lambda X, R: seen.append(R) or True)
+        X, _, iters, converged = _cg_columns(Gram(K), mu, u, 1e-8, 1500, stop=lambda X, R: seen.append(R) or True)
         assert int(iters.max()) == 1 and not bool(converged.all()) and len(seen) == 2
-        assert X.tobytes() == _cg_columns(matvec, u, 1e-8, 1)[0].tobytes()
+        assert X.tobytes() == _cg_columns(Gram(K), mu, u, 1e-8, 1)[0].tobytes()
 
 
 class TestPivotedCholesky:

@@ -12,7 +12,7 @@ from unsupcp import solver
 from unsupcp.classifier import ProbModel
 from unsupcp.data import Dataset
 from unsupcp.errors import InfeasibleConstraintError
-from unsupcp.kernel import KernelSpec, build_context, gemm_product
+from unsupcp.kernel import Gram, KernelSpec, build_context
 from unsupcp.solver import (
     FLOAT32_GAP_FLOOR,
     LAMBDA2_MARGIN,
@@ -456,7 +456,7 @@ def _lanczos_of(K):
     """The Lanczos run on K's own products: float32 GEMVs for a float32 K, as
     the float32 phase runs them, and float64 ones otherwise."""
     if K.dtype == np.float32:
-        return _lanczos(lambda q: gemm_product(K, 0.0, q), float(np.finfo(np.float32).eps), K.shape[0])
+        return _lanczos(Gram(K).product, float(np.finfo(np.float32).eps), K.shape[0])
     return _lanczos(lambda q: K @ q, float(np.finfo(np.float64).eps), K.shape[0])
 
 
@@ -506,20 +506,23 @@ class TestCertificate:
     def test_reported_step_is_the_power_step(self):
         ctx, init = _gaussian_instance(8, 60, 3)
         _, report = solve_label_weights(ctx, init=init)
-        lam_max = float(np.linalg.eigvalsh(ctx.base_gram.astype(np.float64))[-1])
+        lam_max = float(np.linalg.eigvalsh(ctx.gram.values.astype(np.float64))[-1])
         assert 2.0 * lam_max / ctx.n <= 1.0 / report.step <= 1.0101 * 2.0 * lam_max / ctx.n
 
     def test_forced_float32_stall_switches_and_certifies(self, monkeypatch):
         # float32 phase products on a float16-rounded K0 are too coarse to
         # certify 1e-5, so the solve must switch to float64 products and
         # certify there
-        monkeypatch.setattr(solver, "gemm_product",
-                            lambda K, s, W: gemm_product(K.astype(np.float16).astype(np.float32), s, W))
+        product = Gram.product
+
+        def float16_product(self, W, shift=0.0):
+            return product(Gram(self.values.astype(np.float16).astype(np.float32)), W, shift)
+
+        monkeypatch.setattr(Gram, "product", float16_product)
         ctx, init = _gaussian_instance(3, 200, 3)
-        K0 = ctx.base_gram
         G = (2.0 / ctx.m) * ctx.cross_v
         tol = 1e-5
-        W, report = _fista(K0, G, init.matrix, 20000, tol, None)
+        W, report = _fista(ctx.gram, G, init.matrix, 20000, tol, None)
         assert report.switch_iteration > 0
         assert report.converged
         # the reported certificate is the float64 one at the returned iterate
@@ -565,14 +568,15 @@ class TestCertificate:
     def test_float32_products_only_above_the_floor(self, monkeypatch, tol):
         # float32 products run on the context's own Gram, never on a copy, and only above the floor
         seen = []
-        monkeypatch.setattr(solver, "gemm_product", lambda K, s, W: seen.append(K) or gemm_product(K, s, W))
+        product = Gram.product
+        monkeypatch.setattr(Gram, "product", lambda self, W, s=0.0: seen.append(self.values) or product(self, W, s))
         ctx, init = _gaussian_instance(6, 40, 3)
         solve_label_weights(ctx, options=SolverOptions(rel_tol=tol), init=init)
-        assert ctx.base_gram.dtype == np.float32
+        assert ctx.gram.values.dtype == np.float32
         if tol < FLOAT32_GAP_FLOOR:
             assert seen == []
         else:
-            assert seen and all(K is ctx.base_gram for K in seen)
+            assert seen and all(K is ctx.gram.values for K in seen)
 
 
 def _metric_value(W, Y, g, v, step, beta):
@@ -732,8 +736,8 @@ def _perron_instance(seed, n=METRIC_MIN_N, c=10, d=10):
 def _gram_gap(ctx, constraints, W, lam):
     """(Phi, Frank-Wolfe gap) at W from a float64 K0 @ W and the cut's
     multiplier lam, for n too large for the dense pair kernel."""
-    grad = (2.0 / ctx.n) * (ctx.base_gram @ W) - (2.0 / ctx.m) * ctx.cross_v
-    value = float(np.sum(W * (ctx.base_gram @ W)) / ctx.n - 2.0 * np.sum(W * ctx.cross_v) / ctx.m)
+    grad = (2.0 / ctx.n) * (ctx.gram.values @ W) - (2.0 / ctx.m) * ctx.cross_v
+    value = float(np.sum(W * (ctx.gram.values @ W)) / ctx.n - 2.0 * np.sum(W * ctx.cross_v) / ctx.m)
     lower = float((grad + lam * constraints.loss_matrix).min(axis=1).sum()) - lam * constraints.bound
     return value, float(np.sum(grad * W)) - lower
 
@@ -837,7 +841,7 @@ class TestLanczos:
     def test_ritz_values_bracket_the_top_eigenvalues(self, c, dtype):
         # Gaussian Grams of both benchmark shapes at n = 400
         for seed in (1, 2):
-            K = (_gaussian_instance(seed, 400, 3) if c == 3 else _perron_instance(seed, n=400))[0].base_gram
+            K = (_gaussian_instance(seed, 400, 3) if c == 3 else _perron_instance(seed, n=400))[0].gram.values
             exact, U = np.linalg.eigh(K.astype(np.float64))
             exact = exact[::-1]
             lam1, v, lam2 = _lanczos_of(K.astype(dtype))
@@ -859,7 +863,7 @@ class TestLanczos:
             return eigh(T, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
-        lam1, v, lam2 = _lanczos_of(_gaussian_instance(1, 60, 3)[0].base_gram)
+        lam1, v, lam2 = _lanczos_of(_gaussian_instance(1, 60, 3)[0].gram.values)
         assert lam1 >= lam2 > 0.0 and v.sum() > 0.0
         solve_label_weights(_gaussian_instance(2, 60, 3)[0])  # one Lanczos run per solve
         assert len(shapes) == 2 and all(k == j <= LANCZOS_STEPS for k, j in shapes)
@@ -875,10 +879,10 @@ class TestLanczos:
         ctx = build_context(cal, train, KernelSpec(1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for K in (ctx.base_gram.astype(np.float64), ctx.base_gram):
+            for K in (ctx.gram.values.astype(np.float64), ctx.gram.values):
                 lam1, v, lam2 = _lanczos_of(K)
                 assert np.isnan(lam2) or lam2 == 0.0
-                assert abs(lam1 - np.linalg.eigvalsh(ctx.base_gram.astype(np.float64))[-1]) <= 1e-6 * lam1
+                assert abs(lam1 - np.linalg.eigvalsh(ctx.gram.values.astype(np.float64))[-1]) <= 1e-6 * lam1
                 assert v.sum() > 0.0
             _, report = solve_label_weights(ctx)
         assert np.isnan(report.perron_ratio)
