@@ -39,7 +39,6 @@ from .harness import (
 )
 from .kernel import (
     Gram,
-    InterpolationResult,
     KernelContext,
     KernelSpec,
     bandwidth_grid,
@@ -80,7 +79,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResults",
     "Gram",
-    "InterpolationResult",
     "KernelContext",
     "KernelSpec",
     "LabelWeights",

@@ -51,11 +51,12 @@ def coverage_gap_bound(ctx: KernelContext, u, delta: float, num_candidates: int)
     its norm and its approximation error, union-corrected over the
     ``num_candidates`` bandwidths searched, so the minimum over several f is
     itself certified. They are the penalized fits of u against
-    ``ctx.gram`` at the ridges BOUND_RIDGES, solved in one ``ridge_path``
-    run in float32, whose norm and error are then taken exactly in
-    ``ctx.gram`` and widened by its rounding terms (``Gram.fit_terms``),
-    and f = 0, whose bound sum(u) / n costs no kernel product, so a bound
-    always exists.
+    ``ctx.gram`` at the ridges BOUND_RIDGES, solved as one block in one
+    ``ridge_path`` run in float32, and f = 0, whose bound sum(u) / n costs
+    no kernel product, so a bound always exists. The converged fits'
+    columns are read from that block, and their norm and error are taken
+    exactly in ``ctx.gram`` and widened by its rounding terms
+    (``Gram.fit_terms``).
 
     Returns (bound, bound_path). ``bound_path`` records the ``ridges``
     (BOUND_RIDGES), the ``rank`` of the path's CG preconditioner factor (0
@@ -66,24 +67,17 @@ def coverage_gap_bound(ctx: KernelContext, u, delta: float, num_candidates: int)
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (ctx.n, ctx.c):
         raise ValueError(f"u shape {u.shape} != ({ctx.n}, {ctx.c})")
-    fits = ridge_path(ctx.gram, u, BOUND_RIDGES, max_iters=CG_MAX_ITERS)
-    ok = [j for j, fit in enumerate(fits) if fit.converged]
+    G, path = ridge_path(ctx.gram, u, BOUND_RIDGES, max_iters=CG_MAX_ITERS)
+    ok = path.pop("converged")
     bounds = np.full(len(BOUND_RIDGES), np.nan)
-    if ok:  # each fit's terms are summed over its label columns
-        G, U = np.hstack([fits[j].gamma for j in ok]), np.tile(u, len(ok))
-        norm_sq, approx = (x.reshape(len(ok), ctx.c).sum(axis=1) for x in ctx.gram.fit_terms(G, U))
-        for j, a, b in zip(ok, norm_sq, approx):
-            bounds[j] = excess_gap_kernel(ctx.n, ctx.m, delta, rkhs_norm=math.sqrt(max(float(a), 0.0)),
-                                          approx_error=float(b) / ctx.n, num_candidates=num_candidates)
+    if ok.any():  # the converged fits' columns, in C order as product64 reads them; terms summed per fit
+        G = G.reshape(ctx.n, len(BOUND_RIDGES), ctx.c)[:, ok].reshape(ctx.n, -1)
+        norm_sq, approx = (x.reshape(-1, ctx.c).sum(axis=1) for x in ctx.gram.fit_terms(G, np.tile(u, int(ok.sum()))))
+        bounds[ok] = [excess_gap_kernel(ctx.n, ctx.m, delta, rkhs_norm=math.sqrt(max(float(a), 0.0)),
+                                        approx_error=float(b) / ctx.n, num_candidates=num_candidates)
+                      for a, b in zip(norm_sq, approx)]
     zero = float(u.sum()) / ctx.n  # f = 0 has norm 0, so its bound is its approximation error
-    bound_path = {
-        "ridges": np.array(BOUND_RIDGES),
-        "iterations": np.array([fit.iterations for fit in fits]),
-        "residuals": np.array([fit.residual for fit in fits]),
-        "rank": fits[0].rank,
-        "bounds": bounds,
-        "zero": zero,
-    }
+    bound_path = {"ridges": np.array(BOUND_RIDGES), **path, "bounds": bounds, "zero": zero}
     return float(np.nanmin([*bounds, zero])), bound_path
 
 

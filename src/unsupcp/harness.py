@@ -30,7 +30,7 @@ import numpy as np
 from .bounds import coverage_diagnostic_E, coverage_gap_bound
 from .classifier import ProbModel, estimate_loss_bound, predict_labels, train_logistic
 from .data import Dataset, SplitSpec, SyntheticConfig, generate_synthetic, load_csv_dataset, split_dataset
-from .errors import EmptyInputError
+from .errors import EmptyInputError, SplitSizeError
 from .kernel import (
     SELECTION_RIDGE,
     KernelSpec,
@@ -100,8 +100,8 @@ class ExperimentConfig:
         synthetic = _synthetic_config(self.dataset) if self.dataset["type"] == "synthetic" else None
         if synthetic is None and not isinstance(self.dataset.get("path"), str):
             raise ValueError("a csv dataset needs a string 'path'")
-        if not self.cal_sizes or min(self.cal_sizes) < 1:
-            raise ValueError("cal_sizes must be non-empty positive ints")
+        if not self.cal_sizes or min(self.cal_sizes) < 1 or len(set(self.cal_sizes)) < len(self.cal_sizes):
+            raise ValueError(f"cal_sizes must be non-empty distinct positive ints, got {self.cal_sizes}")
         if not self.trials >= 1:
             raise ValueError("trials must be >= 1")
         if not self.seed >= 0:
@@ -111,18 +111,18 @@ class ExperimentConfig:
         if self.score not in SCORE_KINDS:
             raise ValueError(f"score must be one of {SCORE_KINDS}")
         unknown = set(self.methods) - set(METHODS)
-        if not self.methods or unknown:
-            raise ValueError(f"methods must be a non-empty subset of {METHODS}, got {self.methods}")
+        if not self.methods or unknown or len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods must be a non-empty subset of {METHODS} without repeats, got {self.methods}")
         if not (self.test_size >= 1 and self.train_size >= 2):
             raise ValueError("test_size must be >= 1 and train_size >= 2")
         if not 0 < self.selection_ridge < math.inf:
             raise ValueError(f"selection_ridge must be positive and finite, got {self.selection_ridge}")
         if self.m is not None and not self.m >= 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.bandwidth_scales is not None and not (
-            self.bandwidth_scales and all(math.isfinite(v) and v > 0 for v in self.bandwidth_scales)
-        ):
-            raise ValueError(f"bandwidth_scales must be non-empty, finite and positive, got {self.bandwidth_scales}")
+        scales = self.bandwidth_scales
+        if scales is not None and not (scales and all(math.isfinite(v) and v > 0 for v in scales)
+                                       and len(set(scales)) == len(scales)):
+            raise ValueError(f"bandwidth_scales must be non-empty, distinct, finite and positive, got {scales}")
         if synthetic is not None:
             bandwidth_grid(synthetic.num_features, self.bandwidth_scales)  # every sigma must pass KernelSpec
         if not 0 <= self.l2 < math.inf:
@@ -509,12 +509,16 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResults
     its ``method`` and the trial keeps its other methods' rows, one raised
     before any method ran loses the trial's record. A CSV dataset is loaded
     once, before any trial runs (so one that does not load raises, as does
-    a bandwidth grid outside KernelSpec's range at its feature count), and
-    every trial partitions that copy; synthetic data is drawn per trial.
+    a bandwidth grid outside KernelSpec's range at its feature count, or a
+    file too small for the largest calibration size), and every trial
+    partitions that copy; synthetic data is drawn per trial.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     data = load_csv_dataset(cfg.dataset["path"], labeled=True) if cfg.dataset["type"] == "csv" else None
+    need = cfg.train_size + max(cfg.cal_sizes) + cfg.test_size
+    if data is not None and len(data) < need:
+        raise SplitSizeError(f"the largest trial needs {need} samples but {cfg.dataset['path']} has {len(data)}")
     if data is not None and "unsupervised" in cfg.methods:
         bandwidth_grid(data.num_features, cfg.bandwidth_scales)  # as __post_init__ checks a synthetic config's grid
     grid = [(n, t) for n in cfg.cal_sizes for t in range(cfg.trials)]

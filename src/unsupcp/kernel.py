@@ -34,20 +34,21 @@ objective's quadratic term therefore carries K~'s rounding while its cross
 terms do not: where the three cancel, near an MMD of 0, it is exact only to
 about the square root of that rounding (see ``mmd_objective``).
 
-Kernel-ridge fits (bandwidth selection and the bound's ridge path) run
-conjugate gradients preconditioned by a greedy pivoted Cholesky factor of
-the Gram they solve against: at most n // 16 of its rows, read in place,
-give a Nystrom preconditioner for any ridge (Diaz, Epperly, Frangella,
-Tropp & Webber, arXiv:2304.12465). Where the factor cannot pay for itself,
-plain CG runs. Bandwidth selection solves the likely winner first, the
-candidate nearest sigma = sqrt(d/2), then stops every other candidate's
-solve as soon as the CG error bracket on its statistic shows that it cannot
-win, and builds a candidate's factor only after one plain step has not
-settled it. On a float32 Gram, CG products are float32 GEMMs and the
-factor is float32; selection takes the residuals behind its decisions with
-``Gram.product64``, so what pruning certifies is the float32 Gram's
-statistic, which differs from the float64 Gram's by float32 rounding and
-exp error.
+Kernel-ridge fits (bandwidth selection and the bound's ridge path) run one
+block conjugate-gradient recurrence on (n, c) targets, preconditioned by a
+greedy pivoted Cholesky factor of the Gram they solve against: at most
+n // 16 of its rows, read in place, give a Nystrom preconditioner for any
+ridge (Diaz, Epperly, Frangella, Tropp & Webber, arXiv:2304.12465). Where
+the factor cannot pay for itself, plain CG runs. ``ridge_path`` returns the
+(n, k c) block it solved for k ridges, with per-ridge diagnostics.
+Bandwidth selection solves the likely winner first, the candidate nearest
+sigma = sqrt(d/2), then stops every other candidate's solve as soon as the
+CG error bracket on its statistic shows that it cannot win, and builds a
+candidate's factor only after one plain step has not settled it. On a
+float32 Gram, CG products are float32 GEMMs and the factor is float32;
+selection takes the residuals behind its decisions with ``Gram.product64``,
+so what pruning certifies is the float32 Gram's statistic, which differs
+from the float64 Gram's by float32 rounding and exp error.
 """
 
 import math
@@ -471,21 +472,6 @@ def mmd_objective(w, ctx: KernelContext) -> float:
     return math.sqrt(max(sq, 0.0))
 
 
-@dataclass(frozen=True)
-class InterpolationResult:
-    """Kernel-ridge fit of targets u: coefficients (shaped like u), largest
-    column residual of the jittered solve, iteration count, whether every
-    column met the CG tolerance within the cap, and the rank of the
-    preconditioner's factor (0 when plain CG ran). An unconverged fit holds
-    the last iterate."""
-
-    gamma: np.ndarray
-    residual: float
-    iterations: int
-    converged: bool
-    rank: int = 0
-
-
 def _pivoted_cholesky(K: np.ndarray, mu: float):
     """Greedy pivoted partial Cholesky factor F, of shape (r, n), with
     K ~ F^T F for a symmetric PSD K.
@@ -564,29 +550,20 @@ def _cg_columns(gram: Gram, shift, B: np.ndarray, tol: float, max_iters: int, pr
     ``shift`` is a scalar or one value per column. ``precond`` applies an
     SPD approximation of A^-1 to (n, k) blocks; None runs plain CG, bit for
     bit the unpreconditioned recurrence. ``X0``, shaped like ``B``, starts
-    the run from that iterate, whose residual B - A X0 is ``R0`` when given
-    and costs one product otherwise; None starts from 0. Each column stops on its residual r (b - A x by the
+    the run from that iterate, with ``R0`` its residual B - A X0; None
+    starts from 0. Each column stops on its residual r (b - A x by the
     recurrence) once ||r|| <= tol ||b||, whatever the preconditioner, and
     then freezes (its alpha and beta are forced to 0) so slow columns can
     keep iterating without disturbing finished ones. A non-finite residual
-    stops the iteration; its column counts as not converged.
-
-    ``stop(X, R)``, when given, sees the iterate X after every step, with
-    its recurrence residual R. If it returns True while a column is still
-    running, it is asked again on the true residual B - A X (one
-    ``gram.product64``), so neither recurrence drift nor the rounding of
-    cheaper products can stop the run, and the run stops if it holds there
-    too.
+    stops the iteration; its column counts as not converged. ``stop(X, R)``,
+    when given, sees the iterate X and its recurrence residual R after
+    every step that leaves a column running, and True ends the run.
 
     Returns the solutions and their recurrence residuals, both (n, k), and
     per column the steps it ran and whether it converged within
     ``max_iters``.
     """
-    if X0 is None:
-        X, R = np.zeros_like(B), B.copy()
-    else:
-        X = X0.copy()
-        R = B - gram.product(X, shift) if R0 is None else R0.copy()
+    X, R = (np.zeros_like(B), B.copy()) if X0 is None else (X0.copy(), R0.copy())
     Z = R if precond is None else precond(R)
     P = Z.copy()
     rr = (R * R).sum(axis=0)
@@ -612,67 +589,58 @@ def _cg_columns(gram: Gram, shift, B: np.ndarray, tol: float, max_iters: int, pr
         steps += active
         active = ~(np.sqrt(rr) <= thresh)
         iters += 1
-        if stop is not None and stop(X, R) and bool(active.any()) and stop(X, _residual(gram, shift, B, X)):
+        if stop is not None and bool(active.any()) and stop(X, R):
             break
     return X, R, steps, ~active
 
 
-def ridge_path(gram: Gram, u: np.ndarray, ridges, tol: float = 1e-8,
-               max_iters: int = CG_MAX_ITERS) -> list[InterpolationResult]:
-    """Solve (K + (jitter + ridge) I) gamma = u, with K the ``gram``, at
-    every ridge of ``ridges`` in one preconditioned CG run.
+def ridge_path(gram: Gram, u: np.ndarray, ridges, tol: float = 1e-8, max_iters: int = CG_MAX_ITERS):
+    """Solve (K + (jitter + ridge) I) G = u, with K the ``gram`` and u an
+    (n, c) block of targets, at every ridge of ``ridges`` in one
+    preconditioned CG run.
 
-    ``u`` is one target vector or an (n, c) block of them; the block form
-    fits every label column against the shared Gram K at once, since the
+    Every label column is fit against the shared Gram K at once, since the
     pair kernel is block diagonal with identical blocks. The jitter is 1e-10
-    times the mean kernel diagonal (``Gram.shift``). Every ridge must be finite and
-    nonnegative, and u finite. A zero ridge asks for plain interpolation; a
-    positive one solves the penalized system, whose statistic u^T gamma
-    equals min_f ||f||^2 + ||f(Z) - u||^2 / ridge.
+    times the mean kernel diagonal (``Gram.shift``). Every ridge must be
+    finite and nonnegative, and u finite. A zero ridge asks for plain
+    interpolation; a positive one solves the penalized system, whose
+    statistic sum(u * G) equals min_f ||f||^2 + ||f(Z) - u||^2 / ridge.
 
-    The k ridges' copies of the targets are placed side by side in one
-    (n, k c) block, each column with its own shift, and solved at one
-    product with K per iteration, preconditioned by one pivoted Cholesky
-    factor of K built at the smallest ridge (plain CG where that factor cannot pay for itself).
-    Returns one InterpolationResult per ridge, in the given order, with the
-    iterations of its slowest column and the factor's rank. A ridge whose
-    solve misses the tolerance within the cap (default CG_MAX_ITERS) reads
-    ``converged`` False with its own residual; the other ridges are
-    unaffected.
+    The k ridges' copies of u are placed side by side in one (n, k c) block,
+    each column with its own shift, and solved at one product with K per
+    iteration, preconditioned by one pivoted Cholesky factor of K built at
+    the smallest ridge (plain CG where that factor cannot pay for itself).
+    Returns (G, path): G is that solved block, the fit at the j-th ridge in
+    its columns j c to (j + 1) c, and ``path`` holds per ridge, in the given
+    order, the ``iterations`` of its slowest column, its largest column
+    ``residuals`` and whether it ``converged``, plus the factor's ``rank``
+    (0 when plain CG ran). A ridge whose solve misses the tolerance within
+    the cap (default CG_MAX_ITERS) reads ``converged`` False, with its last
+    iterate in G; the other ridges are unaffected.
 
     On a float32 K the products are float32 GEMMs and the factor is
     float32, while the CG recurrence stays in float64, so the tolerance
     holds on the recurrence residual of the float32 products.
     """
-    u = np.asarray(u, dtype=np.float64)
+    U = np.asarray(u, dtype=np.float64)
     ridges = np.asarray(ridges, dtype=np.float64)
-    if u.ndim not in (1, 2) or u.shape[0] != gram.n:
-        raise ValueError(f"u shape {u.shape} does not match K of size {gram.n}")
-    if not np.isfinite(u).all():
-        raise ValueError("the target u must be finite")
-    if ridges.ndim != 1 or ridges.size == 0:
-        raise ValueError(f"ridges must be a non-empty sequence, got {ridges!r}")
-    if not ((ridges >= 0) & (ridges < math.inf)).all():
-        raise ValueError(f"ridge must be nonnegative and finite, got {ridges}")
+    if U.ndim != 2 or U.shape[0] != gram.n or not np.isfinite(U).all():
+        raise ValueError(f"the target u must be a finite ({gram.n}, c) matrix, got shape {U.shape}")
+    if ridges.ndim != 1 or ridges.size == 0 or not ((ridges >= 0) & (ridges < math.inf)).all():
+        raise ValueError(f"ridges must be a non-empty sequence of nonnegative finite values, got {ridges!r}")
     if gram.n == 0:
         raise EmptyInputError("empty system")
     shifts = gram.shift(ridges)
-    U = u if u.ndim == 2 else u[:, None]
     k, c = ridges.size, U.shape[1]
     precond, rank = _nystrom_preconditioner(gram.values, shifts, c)
-    X, R, steps, converged = _cg_columns(gram, np.repeat(shifts, c), np.tile(U, k), tol, max_iters, precond)
-    res = np.sqrt((R * R).sum(axis=0)).reshape(k, c).max(axis=1)
-    steps, converged = steps.reshape(k, c).max(axis=1), converged.reshape(k, c).all(axis=1)
-    return [
-        InterpolationResult(
-            gamma=X[:, j * c:(j + 1) * c] if u.ndim == 2 else X[:, j],
-            residual=float(res[j]),
-            iterations=int(steps[j]),
-            converged=bool(converged[j]),
-            rank=rank,
-        )
-        for j in range(k)
-    ]
+    G, R, steps, converged = _cg_columns(gram, np.repeat(shifts, c), np.tile(U, k), tol, max_iters, precond)
+    path = {
+        "iterations": steps.reshape(k, c).max(axis=1),
+        "residuals": np.sqrt((R * R).sum(axis=0)).reshape(k, c).max(axis=1),
+        "converged": converged.reshape(k, c).all(axis=1),
+        "rank": rank,
+    }
+    return G, path
 
 
 def select_kernel(candidates, cal_instances, u, ridge: float = SELECTION_RIDGE, *,
@@ -705,8 +673,9 @@ def select_kernel(candidates, cal_instances, u, ridge: float = SELECTION_RIDGE, 
     u^T A^-1 u = u^T x + r^T x + r^T A^-1 r, with 0 <= r^T A^-1 r <=
     ||r||^2 / s (Strakos & Tichy, ETNA 13, 2002). A candidate is pruned,
     its statistic NaN, once its lower end exceeds (1 + PRUNE_MARGIN) times
-    the smallest upper end of the candidates solved so far, a decision CG
-    confirms on the true residual; a pruned candidate cannot be the argmin.
+    the smallest upper end of the candidates solved so far, a decision
+    taken on the recurrence residual and confirmed on the true residual
+    before it stops the solve; a pruned candidate cannot be the argmin.
     CG runs its products as float32 GEMMs on float64 vectors and stops at
     a relative residual of SELECTION_CG_TOL, but the true residuals, of the
     pruning confirmations and of each solved candidate's last iterate, come
@@ -761,12 +730,15 @@ def select_kernel(candidates, cal_instances, u, ridge: float = SELECTION_RIDGE, 
             upper[j] = lower[j] + float(np.vdot(R, R)) / shift
             return lower[j] > limit
 
-        X, R, steps, done = _cg_columns(gram, shift, U, SELECTION_CG_TOL, min(1, CG_MAX_ITERS), stop=beaten)
+        def confirmed_beaten(X, R):  # a recurrence bracket's prune holds only if the true residual's confirms it
+            return beaten(X, R) and beaten(X, _residual(gram, shift, U, X))
+
+        X, R, steps, done = _cg_columns(gram, shift, U, SELECTION_CG_TOL, min(1, CG_MAX_ITERS), stop=confirmed_beaten)
         steps, done = int(steps.max()), bool(done.all())
         if not (done or lower[j] > limit) and steps < CG_MAX_ITERS:
             precond, ranks[j] = _nystrom_preconditioner(K0, np.array([shift]), U.shape[1])
             X, R, more, done = _cg_columns(gram, shift, U, SELECTION_CG_TOL, CG_MAX_ITERS - steps, precond, X, R,
-                                           beaten)
+                                           confirmed_beaten)
             steps, done = steps + int(more.max()), bool(done.all())
             del precond  # the factor is freed before the next candidate's is built
         if done:  # a solved candidate's bracket, and so its statistic, comes from its true residual

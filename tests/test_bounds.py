@@ -92,15 +92,17 @@ class TestCoverageGapBound:
     def test_each_ridge_certifies_its_fit(self, monkeypatch):
         ctx, u = _bound_inputs()
         U = u.astype(np.float64)
-        fits = []
+        paths = []
 
         def spy(*args, **kwargs):
-            fits.extend(ridge_path(*args, **kwargs))
-            return fits
+            G, fit_path = ridge_path(*args, **kwargs)
+            paths.append((G, dict(fit_path)))
+            return G, fit_path
 
         monkeypatch.setattr(bounds, "ridge_path", spy)
         bound, path = coverage_gap_bound(ctx, u, 0.1, 10)
-        assert len(fits) == len(BOUND_RIDGES)
+        ((G, fit_path),) = paths
+        assert G.shape == (ctx.n, len(BOUND_RIDGES) * ctx.c) and fit_path["converged"].all()
         np.testing.assert_array_equal(path["ridges"], BOUND_RIDGES)
         K = ctx.gram.values.astype(np.float64)
 
@@ -113,10 +115,10 @@ class TestCoverageGapBound:
             return excess_gap_kernel(n=ctx.n, m=ctx.m, delta=0.1, rkhs_norm=math.sqrt(max(float(norm_sq), 0.0)),
                                      approx_error=float(approx) / ctx.n, num_candidates=10)
 
-        for fit, certified in zip(fits, path["bounds"]):
-            assert fit.converged
+        for j, certified in enumerate(path["bounds"]):
+            gamma = G[:, j * ctx.c:(j + 1) * ctx.c]
             # K|gamma| comes from an inflated float32 GEMM: at least the exact value, and within 1e-5 of it here
-            low, high = expected(fit.gamma, 1.0), expected(fit.gamma, 1.0 + 1e-5)
+            low, high = expected(gamma, 1.0), expected(gamma, 1.0 + 1e-5)
             assert low * (1.0 - 1e-12) <= certified <= high * (1.0 + 1e-12)
         assert path["zero"] == U.sum() / ctx.n
         assert bound == min(*path["bounds"], path["zero"])
@@ -134,6 +136,23 @@ class TestCoverageGapBound:
         bound, path = coverage_gap_bound(ctx, u, 0.1, 10)
         assert np.all(np.isnan(path["bounds"]))
         assert bound == path["zero"] == u.sum() / ctx.n
+
+    def test_capped_ridge_leaves_the_others_bounds(self, monkeypatch):
+        # the converged fits' columns reach product64 in the C order of the block ridge_path solved, whatever is
+        # capped, so a capped smallest ridge changes no bit of the other ridges' certified bounds
+        ctx, u = _bound_inputs()
+        _, free = coverage_gap_bound(ctx, u, 0.1, 10)
+        U = u.astype(np.float64)
+        G, _ = ridge_path(ctx.gram, U, BOUND_RIDGES)
+        norm_sq, approx = (x.reshape(-1, ctx.c).sum(axis=1) for x in ctx.gram.fit_terms(G, np.tile(U, 3)))
+        assert free["bounds"].tolist() == [
+            excess_gap_kernel(ctx.n, ctx.m, 0.1, rkhs_norm=math.sqrt(max(float(a), 0.0)), approx_error=float(b) / ctx.n,
+                              num_candidates=10) for a, b in zip(norm_sq, approx)]
+        monkeypatch.setattr(bounds, "CG_MAX_ITERS", int(free["iterations"][1]))
+        _, capped = coverage_gap_bound(ctx, u, 0.1, 10)
+        assert math.isnan(capped["bounds"][0])
+        assert capped["bounds"][1:].tobytes() == free["bounds"][1:].tobytes()
+        assert list(capped) == list(free) == ["ridges", "iterations", "residuals", "rank", "bounds", "zero"]
 
     def test_shape_checked(self):
         ctx, u = _bound_inputs()

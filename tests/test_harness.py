@@ -16,7 +16,7 @@ from unsupcp import kernel as kernel_mod
 from unsupcp.classifier import estimate_loss_bound, train_logistic
 from unsupcp.cli import main
 from unsupcp.data import Dataset, SplitSpec, SyntheticConfig, generate_synthetic, load_csv_dataset, split_dataset
-from unsupcp.errors import EmptyInputError
+from unsupcp.errors import EmptyInputError, SplitSizeError
 from unsupcp.harness import (
     METHODS,
     RESULTS_SCHEMA,
@@ -106,6 +106,19 @@ def _two_blob_csv(path, seed, count=30, centre=2.0):
     return str(path)
 
 
+def _failing_split(cal_size):
+    """``split_dataset`` that raises for one calibration size: a trial that
+    fails before any method runs, which a valid config cannot bring about
+    since ``run_experiment`` checks a CSV's size."""
+
+    def split(dataset, spec):
+        if spec.cal_size == cal_size:
+            raise SplitSizeError(f"no split at n = {cal_size}")
+        return split_dataset(dataset, spec)
+
+    return split
+
+
 def _csv_config(tmp_path):
     """A CSV run of 2 calibration sizes x 3 trials with every method."""
     path = _two_blob_csv(tmp_path / "blobs.csv", 2, count=120, centre=0.5)
@@ -179,6 +192,9 @@ class TestExperimentConfig:
             *OUT_OF_RANGE_VALUES,
             dict(dataset={**TINY_DATASET, "cov_scale": math.inf}),
             dict(dataset={**TINY_DATASET, "class_means": [[-1.2, math.nan], [1.2, 0.0]]}),
+            dict(cal_sizes=(12, 12)),  # a repeat would run each of its trials twice
+            dict(methods=("naive", "naive")),  # ... or write each of its rows twice
+            dict(bandwidth_scales=(1.0, 1.0)),  # ... or count twice in the bound's union over the grid
         ],
     )
     def test_validation(self, overrides):
@@ -512,11 +528,12 @@ class TestRunExperiment:
         with open(paths["summary"], encoding="utf-8") as fh:
             jsonschema.validate(json.load(fh), RESULTS_SCHEMA)
 
-    def test_failures_recorded_not_raised(self, tmp_path):
+    def test_failures_recorded_not_raised(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "split_dataset", _failing_split(8))
         cfg = ExperimentConfig(
             dataset={"type": "csv", "path": _two_blob_csv(tmp_path / "small.csv", 0)},
             train_size=10,
-            cal_sizes=(4, 500),
+            cal_sizes=(4, 8),
             test_size=5,
             alpha=0.2,
             trials=1,
@@ -526,7 +543,7 @@ class TestRunExperiment:
         out = run_experiment(cfg, workers=1)
         assert [r.cal_size for r in out.records] == [4]
         assert len(out.failures) == 1
-        assert out.failures[0]["cal_size"] == 500
+        assert out.failures[0]["cal_size"] == 8
         assert "SplitSizeError" in out.failures[0]["error"]
         assert "method" not in out.failures[0]  # the split runs before any method: the whole trial failed
         tail = out.failures[0]["traceback"]
@@ -722,11 +739,12 @@ class TestCli:
         assert "sigma must be positive" in capsys.readouterr().err
         assert not os.path.exists(out_dir) and not trials
 
-    def test_partial_failures_exit_two(self, tmp_path, capsys):
+    def test_partial_failures_exit_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "split_dataset", _failing_split(8))
         cfg = dict(
             dataset={"type": "csv", "path": _two_blob_csv(tmp_path / "small.csv", 1)},
             train_size=10,
-            cal_sizes=[4, 500],
+            cal_sizes=[4, 8],
             test_size=5,
             alpha=0.2,
             trials=1,
@@ -742,6 +760,21 @@ class TestCli:
         assert "SplitSizeError" in captured.err
         with open(os.path.join(out_dir, "summary.json"), encoding="utf-8") as fh:
             assert len(json.load(fh)["failures"]) == 1
+
+    def test_csv_too_small_for_a_calibration_size_exits_one(self, tmp_path, capsys, monkeypatch):
+        # 30 + 40 + 10 rows exceed the file's 50: every n = 40 trial would fail to split, so the run stops
+        # before any trial, as for any other bad config
+        trials = []
+        monkeypatch.setattr(harness, "_trial_task", lambda *args: trials.append(args))
+        cfg = dict(dataset={"type": "csv", "path": _two_blob_csv(tmp_path / "small.csv", 1, count=50)},
+                   train_size=30, cal_sizes=[10, 40], test_size=10, alpha=0.2, trials=2, seed=3,
+                   methods=["supervised", "naive"])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        assert "needs 80 samples" in capsys.readouterr().err
+        assert not os.path.exists(out_dir) and not trials
 
     def test_method_failure_names_its_method(self, tmp_path, capsys):
         # the unsatisfiable loss bound of two of these trials fails their unsupervised method alone

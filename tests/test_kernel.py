@@ -39,9 +39,8 @@ from unsupcp.solver import SolverOptions, solve_label_weights, supervised_weight
 
 
 def _fit(K, u, ridge=0.0, **kwargs):
-    """The kernel-ridge fit at one ridge."""
-    (fit,) = ridge_path(Gram(K), u, (ridge,), **kwargs)
-    return fit
+    """The kernel-ridge fit of the (n, c) targets u at one ridge, and its path."""
+    return ridge_path(Gram(K), u, (ridge,), **kwargs)
 
 
 def _samples(n=4, m=5, c=3, d=2, seed=0):
@@ -398,63 +397,64 @@ class TestUpperAbsProducts:
 
 class TestMinNormInterpolation:
     def test_identity_system(self):
-        u = np.array([1.0, -2.0, 0.5])
-        res = _fit(np.eye(3), u)
-        np.testing.assert_allclose(res.gamma, u, rtol=1e-9)
-        assert abs(np.sum(u * res.gamma) - float(u @ u)) < 1e-8
+        u = np.array([[1.0], [-2.0], [0.5]])
+        G, _ = _fit(np.eye(3), u)
+        np.testing.assert_allclose(G, u, rtol=1e-9)
+        assert abs(np.sum(u * G) - float(np.sum(u * u))) < 1e-8
 
     def test_two_by_two_hand_solve(self):
         K = np.array([[1.0, 0.5], [0.5, 1.0]])
-        u = np.array([1.0, 1.0])
-        res = _fit(K, u)
-        np.testing.assert_allclose(res.gamma, [2 / 3, 2 / 3], rtol=1e-8)
-        assert abs(np.sum(u * res.gamma) - 4 / 3) < 1e-8
+        u = np.ones((2, 1))
+        G, _ = _fit(K, u)
+        np.testing.assert_allclose(G, [[2 / 3], [2 / 3]], rtol=1e-8)
+        assert abs(np.sum(u * G) - 4 / 3) < 1e-8
 
     def test_zero_targets(self):
-        u = np.zeros(4)
-        res = _fit(np.eye(4), u)
-        np.testing.assert_array_equal(res.gamma, 0.0)
-        assert np.sum(u * res.gamma) == 0.0
+        u = np.zeros((4, 1))
+        G, _ = _fit(np.eye(4), u)
+        np.testing.assert_array_equal(G, 0.0)
+        assert np.sum(u * G) == 0.0
 
     def test_iteration_cap_is_unconverged(self):
-        res = _fit(np.eye(3), np.ones(3), max_iters=0)
-        assert res.converged is False
-        assert res.iterations == 0
-        assert res.residual == math.sqrt(3.0)
+        _, path = _fit(np.eye(3), np.ones((3, 1)), max_iters=0)
+        assert path["converged"].tolist() == [False]
+        assert path["iterations"].tolist() == [0]
+        assert path["residuals"].tolist() == [math.sqrt(3.0)]
 
     def test_nan_residual_is_unconverged(self):
         K = np.eye(3)
         K[0, 1] = K[1, 0] = np.nan
-        res = _fit(K, np.ones(3))
-        assert res.converged is False
-        assert res.iterations == 1
-        assert math.isnan(res.residual)
+        _, path = _fit(K, np.ones((3, 1)))
+        assert path["converged"].tolist() == [False]
+        assert path["iterations"].tolist() == [1]
+        assert math.isnan(path["residuals"][0])
 
     def test_block_matches_columns(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((6, 2))
         K = gaussian_gram(X, X, 0.8)
         U = rng.uniform(0.0, 1.0, (6, 3))
-        block = _fit(K, U, ridge=0.5)
-        cols = [_fit(K, U[:, y], ridge=0.5) for y in range(3)]
-        assert block.gamma.shape == (6, 3)
+        block, _ = _fit(K, U, ridge=0.5)
+        cols = [_fit(K, U[:, [y]], ridge=0.5)[0] for y in range(3)]
+        assert block.shape == (6, 3)
         for y, col in enumerate(cols):
-            np.testing.assert_allclose(block.gamma[:, y], col.gamma, rtol=1e-7, atol=1e-10)
-        assert abs(np.sum(U * block.gamma) - sum(np.sum(U[:, y] * col.gamma) for y, col in enumerate(cols))) < 1e-8
+            np.testing.assert_allclose(block[:, [y]], col, rtol=1e-7, atol=1e-10)
+        assert abs(np.sum(U * block) - sum(np.sum(U[:, [y]] * col) for y, col in enumerate(cols))) < 1e-8
 
     def test_ridge_shifts_the_system(self):
-        u = np.array([1.0, -2.0, 0.5])
-        res = _fit(np.eye(3), u, ridge=3.0)
-        np.testing.assert_allclose(res.gamma, u / 4.0, rtol=1e-9)
+        u = np.array([[1.0], [-2.0], [0.5]])
+        G, _ = _fit(np.eye(3), u, ridge=3.0)
+        np.testing.assert_allclose(G, u / 4.0, rtol=1e-9)
 
     def test_target_shape_checked(self):
-        with pytest.raises(ValueError, match="shape"):
-            _fit(np.eye(3), np.ones((2, 2)))
+        for u in (np.ones((2, 2)), np.ones(3), np.ones((3, 1, 1))):  # only an (n, c) target is fit
+            with pytest.raises(ValueError, match="shape"):
+                _fit(np.eye(3), u)
 
     def test_negative_ridge_rejected(self):
         for ridge in (-1.0, np.inf):  # an infinite ridge would run CG on inf shifts into a NaN residual
             with pytest.raises(ValueError, match="ridge"):
-                _fit(np.eye(3), np.ones(3), ridge=ridge)
+                _fit(np.eye(3), np.ones((3, 1)), ridge=ridge)
 
 
 def _naive_indicator(scores, weights, alpha):
@@ -692,6 +692,25 @@ class TestSelectKernel:
         # a factor is built for exactly the candidates that went past their
         # plain step, and on this fixture every such factor is kept
         assert len(built) == int(np.sum(diag["iterations"] > 1)) == int(np.sum(diag["ranks"] > 0))
+
+    def test_prune_is_confirmed_on_the_true_residual(self, monkeypatch):
+        # every candidate but the winner is pruned here: a prune takes one
+        # true residual to confirm what its recurrence residual said, and
+        # the winner one for its statistic; each bracket is the true one
+        cal, u = self._mixture_fixture(40, 2, 1.5, posterior=True)
+        residual, taken = kernel_mod._residual, []
+
+        def spy(gram, shift, B, X):
+            taken.append((X.copy(), residual(gram, shift, B, X)))
+            return taken[-1][1].copy()
+
+        monkeypatch.setattr(kernel_mod, "_residual", spy)
+        _, diag = select_kernel(bandwidth_grid(2), cal, u)
+        assert int(diag["pruned"].sum()) == len(taken) - 1 == len(bandwidth_grid(2)) - 1
+        U = u.astype(np.float64)
+        for j, (X, R) in zip(self.DEFAULT_VISIT_ORDER, taken):
+            assert diag["lower"][j] == float(np.vdot(U + R, X))
+            assert diag["upper"][j] == diag["lower"][j] + float(np.vdot(R, R)) / (diag["ridge"] + 1e-10)
 
     def test_diagnostics_shape(self):
         cal, u = self._all_ones_fixture(2, 3)
@@ -1010,53 +1029,56 @@ class TestGramMemory:
         assert peak <= 0.1 * 8 * self.N**2
 
 
-def _ridge_fixture(c=None, n=80, seed=35):
+def _ridge_fixture(c=1, n=80, seed=35):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, 2))
     K = gaussian_gram(X, X, 0.6)
-    shape = (n,) if c is None else (n, c)
-    return K, (rng.uniform(0.0, 1.0, shape) < 0.7).astype(np.float64)
+    return K, (rng.uniform(0.0, 1.0, (n, c)) < 0.7).astype(np.float64)
+
+
+def _ridge_fits(G, c):
+    """The per-ridge (n, c) fits in the columns of a ridge path's block."""
+    return [G[:, j:j + c] for j in range(0, G.shape[1], c)]
 
 
 class TestRidgePath:
     RIDGES = (0.3, 3.0, 30.0)
 
-    @pytest.mark.parametrize("c", [None, 3])
+    @pytest.mark.parametrize("c", [1, 3])
     def test_each_ridge_matches_its_own_solve(self, c):
         K, u = _ridge_fixture(c)
-        path = ridge_path(Gram(K), u, self.RIDGES)
-        for ridge, fit in zip(self.RIDGES, path):
-            alone = _fit(K, u, ridge)
-            assert fit.gamma.shape == u.shape
-            assert np.linalg.norm(fit.gamma - alone.gamma) <= 1e-6 * np.linalg.norm(alone.gamma)
-            assert abs(np.sum(u * fit.gamma) - np.sum(u * alone.gamma)) <= 1e-6 * np.sum(u * alone.gamma)
-            assert abs(fit.iterations - alone.iterations) <= 1
-            assert fit.residual <= 1e-8 * np.linalg.norm(u, axis=0).max()
+        G, path = ridge_path(Gram(K), u, self.RIDGES)
+        assert G.shape == (80, len(self.RIDGES) * c)
+        for j, (ridge, fit) in enumerate(zip(self.RIDGES, _ridge_fits(G, c))):
+            alone, alone_path = _fit(K, u, ridge)
+            assert np.linalg.norm(fit - alone) <= 1e-6 * np.linalg.norm(alone)
+            assert abs(np.sum(u * fit) - np.sum(u * alone)) <= 1e-6 * np.sum(u * alone)
+            assert abs(path["iterations"][j] - alone_path["iterations"][0]) <= 1
+            assert path["residuals"][j] <= 1e-8 * np.linalg.norm(u, axis=0).max()
 
     def test_order_follows_the_input(self):
         K, u = _ridge_fixture(3)
-        fwd = ridge_path(Gram(K), u, self.RIDGES)
-        rev = ridge_path(Gram(K), u, self.RIDGES[::-1])
-        assert [f.iterations for f in rev] == [f.iterations for f in fwd][::-1]
-        for a, b in zip(fwd, rev[::-1]):
-            np.testing.assert_allclose(a.gamma, b.gamma, rtol=1e-12, atol=0.0)
+        fwd, fwd_path = ridge_path(Gram(K), u, self.RIDGES)
+        rev, rev_path = ridge_path(Gram(K), u, self.RIDGES[::-1])
+        assert rev_path["iterations"].tolist() == fwd_path["iterations"].tolist()[::-1]
+        for a, b in zip(_ridge_fits(fwd, 3), _ridge_fits(rev, 3)[::-1]):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
 
     def test_small_cap_fails_only_the_smallest_ridge(self):
         K, u = _ridge_fixture(3)
-        counts = [_fit(K, u, r).iterations for r in self.RIDGES]
+        counts = [int(_fit(K, u, r)[1]["iterations"][0]) for r in self.RIDGES]
         assert counts[0] > counts[1] + 2
         cap = counts[1] + 1
-        path = ridge_path(Gram(K), u, self.RIDGES, max_iters=cap)
-        assert path[0].converged is False
-        assert path[0].iterations == cap
-        assert path[0].residual > 1e-8 * np.linalg.norm(u, axis=0).max()
-        for ridge, fit in zip(self.RIDGES[1:], path[1:]):
-            assert fit.converged is True
-            alone = _fit(K, u, ridge)
-            assert np.linalg.norm(fit.gamma - alone.gamma) <= 1e-6 * np.linalg.norm(alone.gamma)
-        capped = _fit(K, u, self.RIDGES[0], max_iters=cap)
-        assert capped.converged is False
-        assert (capped.iterations, capped.residual) == (path[0].iterations, path[0].residual)
+        G, path = ridge_path(Gram(K), u, self.RIDGES, max_iters=cap)
+        assert path["converged"].tolist() == [False, True, True]
+        assert path["iterations"][0] == cap
+        assert path["residuals"][0] > 1e-8 * np.linalg.norm(u, axis=0).max()
+        for ridge, fit in zip(self.RIDGES[1:], _ridge_fits(G, 3)[1:]):
+            alone, _ = _fit(K, u, ridge)
+            assert np.linalg.norm(fit - alone) <= 1e-6 * np.linalg.norm(alone)
+        _, capped = _fit(K, u, self.RIDGES[0], max_iters=cap)
+        assert capped["converged"].tolist() == [False]
+        assert (capped["iterations"][0], capped["residuals"][0]) == (path["iterations"][0], path["residuals"][0])
 
     def test_single_shift_is_plain_cg_bit_for_bit(self):
         K, u = _ridge_fixture(4, n=120, seed=36)
@@ -1079,14 +1101,14 @@ class TestRidgePath:
         X = rng.standard_normal((320, 2))
         K = gaussian_gram(X, X, 1.0)
         u = (rng.uniform(0.0, 1.0, (320, 3)) < 0.7).astype(np.float64)
-        path = ridge_path(Gram(K), u, self.RIDGES)
-        assert 0 < path[0].rank <= 320 // 16
-        assert {fit.rank for fit in path} == {path[0].rank}
-        assert all(fit.converged for fit in path)
+        G, path = ridge_path(Gram(K), u, self.RIDGES)
+        assert list(path) == ["iterations", "residuals", "converged", "rank"]
+        assert 0 < path["rank"] <= 320 // 16
+        assert path["converged"].all()
         # the factor is built at the smallest shift, and each column of the
         # stacked solve stops on its own residual
-        for ridge, fit in zip(self.RIDGES, path):
-            true_res = u - (K @ fit.gamma + (ridge + 1e-10) * fit.gamma)
+        for ridge, fit in zip(self.RIDGES, _ridge_fits(G, 3)):
+            true_res = u - (K @ fit + (ridge + 1e-10) * fit)
             assert np.all(np.linalg.norm(true_res, axis=0) <= 1e-8 * np.linalg.norm(u, axis=0))
 
     def test_ridges_validated(self):
@@ -1102,7 +1124,7 @@ class TestRidgePath:
         # converged fit after 0 steps with gamma = 0 and an infinite residual
         K, u = _ridge_fixture(n=30)
         with pytest.raises(ValueError, match="target"):
-            ridge_path(Gram(K), np.full(30, bad), (1.0,))
+            ridge_path(Gram(K), np.full((30, 1), bad), (1.0,))
         u = u.copy()
         u[4] = bad
         with pytest.raises(ValueError, match="target"):
@@ -1175,45 +1197,38 @@ class TestPreconditionedCG:
 
     def test_warm_start(self):
         K, u, mu, matvec = _ill_conditioned_system()
+        gram = Gram(K)
         exact = np.linalg.solve(K + mu * np.eye(300), u)
-        X, _, iters, converged = _cg_columns(Gram(K), mu, u, 1e-8, 1500, X0=exact)
+        X, _, iters, converged = _cg_columns(gram, mu, u, 1e-8, 1500, X0=exact, R0=u - gram.product(exact, mu))
         assert int(iters.max()) == 0 and bool(converged.all())
         assert X.tobytes() == exact.tobytes()
-        # one plain step, then preconditioned CG from that iterate, with its
-        # recurrence residual or with the one the start computes
-        cold, _, _, _ = _cg_columns(Gram(K), mu, u, 1e-8, 1500)
-        X1, R1, one, _ = _cg_columns(Gram(K), mu, u, 1e-8, 1)
+        # one plain step, then preconditioned CG from that iterate and its recurrence residual
+        cold, _, _, _ = _cg_columns(gram, mu, u, 1e-8, 1500)
+        X1, R1, one, _ = _cg_columns(gram, mu, u, 1e-8, 1)
         assert int(one.max()) == 1
         precond, _ = _nystrom_preconditioner(K, np.array([mu]), u.shape[1])
         stat0 = float(np.sum(u * cold))
-        for R0 in (R1, None):
-            X, R, iters, converged = _cg_columns(Gram(K), mu, u, 1e-8, 1500, precond, X1, R0)
-            assert bool(converged.all()) and int(iters.max()) >= 1
-            assert abs(float(np.sum(u * X)) - stat0) <= 1e-10 * abs(stat0)
-            true_res = np.linalg.norm(u - matvec(X), axis=0)
-            assert np.all(true_res <= 1e-8 * np.linalg.norm(u, axis=0))
+        X, R, iters, converged = _cg_columns(gram, mu, u, 1e-8, 1500, precond, X1, R1)
+        assert bool(converged.all()) and int(iters.max()) >= 1
+        assert abs(float(np.sum(u * X)) - stat0) <= 1e-10 * abs(stat0)
+        true_res = np.linalg.norm(u - matvec(X), axis=0)
+        assert np.all(true_res <= 1e-8 * np.linalg.norm(u, axis=0))
 
-    def test_stop_is_confirmed_on_the_true_residual(self):
+    def test_true_stop_ends_the_run_after_that_step(self):
         K, u, mu, _ = _ill_conditioned_system(n=120)
+        gram = Gram(K)
         seen = []
-
-        def refused(X, R):  # yes on every recurrence residual, no on its check
-            seen.append((X.copy(), R.copy()))
-            return len(seen) % 2 == 1
-
-        X, R, iters, converged = _cg_columns(Gram(K), mu, u, 1e-8, 1500, stop=refused)
-        X0, R0, iters0, converged0 = _cg_columns(Gram(K), mu, u, 1e-8, 1500)
-        assert X.tobytes() == X0.tobytes() and R.tobytes() == R0.tobytes()
-        assert int(iters.max()) == int(iters0.max()) > 1 and bool(converged.all())
-        # every step but the last, which converged, is checked on B - A X
-        assert len(seen) == 2 * int(iters.max()) - 1
-        for Xk, Rk in seen[1::2]:
-            assert Rk.tobytes() == (u - Gram(K).product64(Xk, mu)).tobytes()
-
+        X, _, iters, converged = _cg_columns(gram, mu, u, 1e-8, 1500, stop=lambda X, R: seen.append(R) or True)
+        X1, R1, _, _ = _cg_columns(gram, mu, u, 1e-8, 1)
+        assert int(iters.max()) == 1 and not bool(converged.all()) and len(seen) == 1
+        assert X.tobytes() == X1.tobytes() and seen[0].tobytes() == R1.tobytes()
+        # a stop that never holds leaves the run as it is without one, and
+        # sees every step but the last, after which no column runs
         seen.clear()
-        X, _, iters, converged = _cg_columns(Gram(K), mu, u, 1e-8, 1500, stop=lambda X, R: seen.append(R) or True)
-        assert int(iters.max()) == 1 and not bool(converged.all()) and len(seen) == 2
-        assert X.tobytes() == _cg_columns(Gram(K), mu, u, 1e-8, 1)[0].tobytes()
+        X, R, iters, converged = _cg_columns(gram, mu, u, 1e-8, 1500, stop=lambda X, R: seen.append(R))
+        X0, R0, iters0, _ = _cg_columns(gram, mu, u, 1e-8, 1500)
+        assert X.tobytes() == X0.tobytes() and R.tobytes() == R0.tobytes()
+        assert bool(converged.all()) and len(seen) == int(iters0.max()) - 1 > 0
 
 
 class TestPivotedCholesky:
