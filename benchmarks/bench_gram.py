@@ -18,7 +18,9 @@ on a fresh copy of the float32 distances (it works in place; the copy is
 not timed), float64 exp rounded once to float32. The best
 of 20 runs of a fixed float64 (3000, 10) @ (10, 3000) GEMM is recorded
 too, so machines of different speed compare through seconds / ref_gemm_s.
-The run is appended to ``--out``; ``--src`` times another checkout's package.
+The run is appended to ``--out``; ``--src`` times another checkout's package,
+which must take sigma as a float (time older checkouts with their own copy
+of this script).
 """
 import argparse
 import importlib
@@ -67,8 +69,6 @@ def main():
     sys.path.insert(0, args.src)
     u = importlib.import_module("unsupcp")
     kernel = importlib.import_module("unsupcp.kernel")
-    # the distance builder is kernel.pairwise_sq_dists, or the private _sq_dists of checkouts before it
-    sq_dists = getattr(kernel, "pairwise_sq_dists", None) or kernel._sq_dists
     a, b = np.ones((3000, 10)), np.ones((10, 3000))
     ref = best_seconds(lambda: a @ b, 20)
     rows = []  # one per shape and seed
@@ -76,20 +76,18 @@ def main():
         for seed in SEEDS:
             X, T = points(u, c, d, n, spread, seed)
             sigma = math.sqrt(d / 2.0)
-            D2 = sq_dists(X, X)
+            D2 = kernel.pairwise_sq_dists(X, X)
             D64, K, K32, D32 = D2.astype(np.float64), np.empty(D2.shape), np.empty(D2.shape, np.float32), np.empty_like(D2)
             rows.append({
                 "shape": shape, "seed": seed,
-                "sq_dists_s": best_seconds(lambda: sq_dists(X, X), args.repeats),
+                "sq_dists_s": best_seconds(lambda: kernel.pairwise_sq_dists(X, X), args.repeats),
                 "k0_s": best_seconds(lambda: u.gaussian_gram(X, X, sigma), args.repeats),
                 "cross_s": best_seconds(lambda: u.gaussian_gram(X, T, sigma), args.repeats),
                 "context_gram_s": best_seconds(lambda: kernel._context_gram(D32, sigma), args.repeats,
                                                setup=lambda: np.copyto(D32, D2)),
-                "exp_s": {f"{s.sigma:.4g}": best_seconds(lambda s=s: kernel._gram_from_sq_dists(D64, s.sigma, out=K),
-                                                         args.repeats)
+                "exp_s": {f"{s:.4g}": best_seconds(lambda s=s: kernel._gram_from_sq_dists(D64, s, out=K), args.repeats)
                           for s in u.bandwidth_grid(d)},
-                "exp32_s": {f"{s.sigma:.4g}": best_seconds(lambda s=s: kernel._gram_from_sq_dists(D2, s.sigma, out=K32),
-                                                           args.repeats)
+                "exp32_s": {f"{s:.4g}": best_seconds(lambda s=s: kernel._gram_from_sq_dists(D2, s, out=K32), args.repeats)
                             for s in u.bandwidth_grid(d)}})
             del D2, D64, K, K32, D32
             print(json.dumps(rows[-1]), flush=True)

@@ -13,7 +13,9 @@ bytes of the context's Gram, which the solve reads throughout, plus the
 tracemalloc peak of one more solve. The median of a fixed
 float32 (3000, 3000) @ (3000, 10) GEMM is recorded too, so machines of
 different speed compare through qp_s / ref_gemm_s. The run is appended to
-``--out``; ``--src`` times another checkout's package.
+``--out``; ``--src`` times another checkout's package, which must take sigma
+as a float and hold the context's Gram as ``ctx.gram`` (time older checkouts
+with their own copy of this script).
 """
 import argparse
 import importlib
@@ -51,7 +53,7 @@ def calibration_inputs(u, c, d, n, train_size, spread, seed):
 
 def qp_inputs(u, c, d, n, train_size, spread, seed):
     model, cal, train, bound = calibration_inputs(u, c, d, n, train_size, spread, seed)
-    ctx = u.build_context(cal, train, u.KernelSpec(math.sqrt(d / 2.0)))
+    ctx = u.build_context(cal, train, math.sqrt(d / 2.0))
     return ctx, u.build_loss_constraints(model, cal, bound), u.naive_weights(model, cal)
 
 
@@ -92,15 +94,14 @@ def main():
             qp_s = median_seconds(lambda: u.solve_label_weights(ctx, cut, None, init), args.repeats)
             tracemalloc.start()
             u.solve_label_weights(ctx, cut, None, init)
-            gram = getattr(ctx, "gram", None)  # a --src checkout from before kernel.Gram holds ctx.base_gram
-            peak = (ctx.base_gram if gram is None else gram.values).nbytes + tracemalloc.get_traced_memory()[1]
+            peak = ctx.gram.values.nbytes + tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            ratio = getattr(report, "perron_ratio", math.nan)
+            ratio = report.perron_ratio
             rows.append({  # one (n, n) @ (n, c) product per gap evaluation
                 "shape": shape, "seed": seed, "iterations": report.iterations, "products": counts["gap"],
-                "projections": counts["proj"], "restarts": getattr(report, "restarts", None),
+                "projections": counts["proj"], "restarts": report.restarts,
                 "perron_ratio": None if math.isnan(ratio) else round(ratio, 4),
-                "metric": getattr(report, "metric_iteration", -1) >= 0, "converged": report.converged,
+                "metric": report.metric_iteration >= 0, "converged": report.converged,
                 "objective": report.objective_value, "qp_s": round(qp_s, 4), "peak_ratio": round(peak / (8 * n * n), 4)})
             print(json.dumps(rows[-1]), flush=True)
     out = Path(args.out)  # older runs are kept, so parent and change sit side by side

@@ -18,7 +18,8 @@ counts every array selection holds; ``peak_ratio`` divides it by the 8 n^2
 bytes of one (n, n) float64 array. The median of a fixed float64
 (3000, 3000) @ (3000, 10) GEMM is recorded too, so machines of different
 speed compare through select_s / ref_gemm_s. The run is appended to
-``--out``; ``--src`` times another checkout's package.
+``--out``; ``--src`` times another checkout's package, which must take sigma
+as a float (time older checkouts with their own copy of this script).
 """
 import argparse
 import importlib
@@ -60,7 +61,7 @@ def main():
             def select():
                 return u.select_kernel(grid, cal, u0, sq_dists=D2)
 
-            spec, diag = select()
+            sigma, diag = select()
             select_s = median_seconds(select, args.repeats)
             del D2
             tracemalloc.start()
@@ -68,7 +69,7 @@ def main():
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             rows.append({
-                "shape": shape, "seed": seed, "n": n, "sigma": spec.sigma,
+                "shape": shape, "seed": seed, "n": n, "sigma": sigma,
                 "iterations": diag["iterations"].tolist(), "ranks": diag["ranks"].tolist(),
                 "pruned": diag["pruned"].tolist(), "total_iterations": int(diag["iterations"].sum()),
                 "winner_iterations": int(diag["iterations"][diag["selected_index"]]),

@@ -40,7 +40,6 @@ from .harness import (
 from .kernel import (
     Gram,
     KernelContext,
-    KernelSpec,
     bandwidth_grid,
     build_context,
     gaussian_gram,
@@ -80,7 +79,6 @@ __all__ = [
     "ExperimentResults",
     "Gram",
     "KernelContext",
-    "KernelSpec",
     "LabelWeights",
     "LossBound",
     "MethodResult",

@@ -53,10 +53,11 @@ def coverage_gap_bound(ctx: KernelContext, u, delta: float, num_candidates: int)
     itself certified. They are the penalized fits of u against
     ``ctx.gram`` at the ridges BOUND_RIDGES, solved as one block in one
     ``ridge_path`` run in float32, and f = 0, whose bound sum(u) / n costs
-    no kernel product, so a bound always exists. The converged fits'
-    columns are read from that block, and their norm and error are taken
-    exactly in ``ctx.gram`` and widened by its rounding terms
-    (``Gram.fit_terms``).
+    no kernel product, so a bound always exists; it is taken first, so
+    ``excess_gap_kernel`` checks ``delta`` and ``num_candidates`` before any
+    fit runs. The converged fits' columns are read from that block, and
+    their norm and error are taken exactly in ``ctx.gram`` and widened by
+    its rounding terms (``Gram.fit_terms``).
 
     Returns (bound, bound_path). ``bound_path`` records the ``ridges``
     (BOUND_RIDGES), the ``rank`` of the path's CG preconditioner factor (0
@@ -67,6 +68,8 @@ def coverage_gap_bound(ctx: KernelContext, u, delta: float, num_candidates: int)
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (ctx.n, ctx.c):
         raise ValueError(f"u shape {u.shape} != ({ctx.n}, {ctx.c})")
+    zero = excess_gap_kernel(ctx.n, ctx.m, delta, rkhs_norm=0.0, approx_error=float(u.sum()) / ctx.n,
+                             num_candidates=num_candidates)
     G, path = ridge_path(ctx.gram, u, BOUND_RIDGES, max_iters=CG_MAX_ITERS)
     ok = path.pop("converged")
     bounds = np.full(len(BOUND_RIDGES), np.nan)
@@ -76,7 +79,6 @@ def coverage_gap_bound(ctx: KernelContext, u, delta: float, num_candidates: int)
         bounds[ok] = [excess_gap_kernel(ctx.n, ctx.m, delta, rkhs_norm=math.sqrt(max(float(a), 0.0)),
                                         approx_error=float(b) / ctx.n, num_candidates=num_candidates)
                       for a, b in zip(norm_sq, approx)]
-    zero = float(u.sum()) / ctx.n  # f = 0 has norm 0, so its bound is its approximation error
     bound_path = {"ridges": np.array(BOUND_RIDGES), **path, "bounds": bounds, "zero": zero}
     return float(np.nanmin([*bounds, zero])), bound_path
 

@@ -6,10 +6,11 @@ instances, then runs each requested method:
 
 - supervised: threshold from true-label calibration scores,
 - naive: threshold with one-hot weights at the classifier's predictions,
-- unsupervised: bandwidth selection, kernel context against m training
-  samples redrawn from the classifier's own training data, the constrained
-  weight QP, then the weighted threshold. Calibration labels stay hidden
-  from this path; the evaluator reads them only for diagnostics.
+- unsupervised: bandwidth selection at the ridge SELECTION_RIDGE, kernel
+  context against m training samples redrawn from the classifier's own
+  training data, the constrained weight QP, then the weighted threshold.
+  Calibration labels stay hidden from this path; the evaluator reads them
+  only for diagnostics.
 
 (config, seed) fixes every emitted number except wall-clock columns.
 """
@@ -32,8 +33,6 @@ from .classifier import ProbModel, estimate_loss_bound, predict_labels, train_lo
 from .data import Dataset, SplitSpec, SyntheticConfig, generate_synthetic, load_csv_dataset, split_dataset
 from .errors import EmptyInputError, SplitSizeError
 from .kernel import (
-    SELECTION_RIDGE,
-    KernelSpec,
     bandwidth_grid,
     build_context,
     mmd_objective,
@@ -78,7 +77,6 @@ class ExperimentConfig:
     methods: tuple = METHODS
     m: int | None = None
     bandwidth_scales: tuple | None = None
-    selection_ridge: float = SELECTION_RIDGE
     noise_epsilon: float | None = None
     l2: float = 1e-3
     classifier_max_iters: int = 500
@@ -115,16 +113,10 @@ class ExperimentConfig:
             raise ValueError(f"methods must be a non-empty subset of {METHODS} without repeats, got {self.methods}")
         if not (self.test_size >= 1 and self.train_size >= 2):
             raise ValueError("test_size must be >= 1 and train_size >= 2")
-        if not 0 < self.selection_ridge < math.inf:
-            raise ValueError(f"selection_ridge must be positive and finite, got {self.selection_ridge}")
         if self.m is not None and not self.m >= 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        scales = self.bandwidth_scales
-        if scales is not None and not (scales and all(math.isfinite(v) and v > 0 for v in scales)
-                                       and len(set(scales)) == len(scales)):
-            raise ValueError(f"bandwidth_scales must be non-empty, distinct, finite and positive, got {scales}")
         if synthetic is not None:
-            bandwidth_grid(synthetic.num_features, self.bandwidth_scales)  # every sigma must pass KernelSpec
+            bandwidth_grid(synthetic.num_features, self.bandwidth_scales)  # raises for a grid it cannot use
         if not 0 <= self.l2 < math.inf:
             raise ValueError(f"l2 must be nonnegative and finite, got {self.l2}")
         if self.noise_epsilon is not None and not 0 <= self.noise_epsilon < math.inf:
@@ -300,7 +292,7 @@ class CalibrationResult:
     q_hat: float
     weights: LabelWeights
     report: SolverReport
-    spec: KernelSpec
+    sigma: float
     selection: dict
     mmd: float
     kernel_bound: float
@@ -316,7 +308,6 @@ def calibrate_unsupervised(
     loss_bound: float,
     *,
     bandwidth_scales=None,
-    selection_ridge: float = SELECTION_RIDGE,
     solver_options: SolverOptions | None = None,
     delta: float = 0.1,
 ) -> CalibrationResult:
@@ -326,17 +317,14 @@ def calibrate_unsupervised(
     constraint that the mean cross-entropy stays below ``loss_bound`` (an
     unsatisfiable one raises InfeasibleConstraintError before any Gram is
     built), selects the bandwidth that best fits the naive indicator
-    u0 = 1{score <= q0} (q0 the naive weighted quantile), builds the kernel
-    context against the labeled ``train`` sample, solves the weight QP under
-    that constraint, and takes the weighted conformal quantile.
+    u0 = 1{score <= q0} (q0 the naive weighted quantile) at the ridge
+    SELECTION_RIDGE, builds the kernel context against the labeled ``train``
+    sample, solves the weight QP under that constraint, and takes the
+    weighted conformal quantile.
     ``coverage_gap_bound`` certifies the final inclusion indicator
-    u = 1{score <= q_hat}, union-corrected over the bandwidth candidates;
-    its ridges do not depend on ``selection_ridge``. ``selection_ridge``
-    must be positive and finite: at 0 the smooth candidates' selection
-    solves run to the CG cap.
+    u = 1{score <= q_hat}, union-corrected over the bandwidth candidates
+    of ``bandwidth_grid``; its ridges do not depend on SELECTION_RIDGE.
     """
-    if not 0 < selection_ridge < math.inf:
-        raise ValueError(f"selection_ridge must be positive and finite, got {selection_ridge}")
     cal_instances = np.asarray(cal_instances, dtype=np.float64)
     if not np.isfinite(cal_instances).all():
         raise ValueError("calibration instances must be finite")
@@ -349,8 +337,8 @@ def calibrate_unsupervised(
     # selection, then overwritten by K0 in the context build: the QP and the
     # bound read that one float32 n x n array
     D2 = pairwise_sq_dists(cal_instances, cal_instances)
-    spec, selection = select_kernel(grid, cal_instances, u0, ridge=selection_ridge, sq_dists=D2)
-    ctx = build_context(cal_instances, train, spec, sq_dists=D2)
+    sigma, selection = select_kernel(grid, cal_instances, u0, sq_dists=D2)
+    ctx = build_context(cal_instances, train, sigma, sq_dists=D2)
     weights, report = solve_label_weights(ctx, constraints, solver_options, init=naive_w)
     q_hat = conformal_quantile_weighted(cal_scores.values, weights.matrix, alpha)
     mmd = mmd_objective(weights, ctx)
@@ -359,7 +347,7 @@ def calibrate_unsupervised(
         q_hat=q_hat,
         weights=weights,
         report=report,
-        spec=spec,
+        sigma=sigma,
         selection=selection,
         mmd=mmd,
         kernel_bound=kernel_bound,
@@ -419,13 +407,12 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, cal_size: int | None = No
                     cfg.alpha,
                     loss_bound.value,
                     bandwidth_scales=cfg.bandwidth_scales,
-                    selection_ridge=cfg.selection_ridge,
                     solver_options=SolverOptions(max_iters=cfg.solver_max_iters, rel_tol=cfg.solver_rel_tol),
                     delta=cfg.delta,
                 )
                 q_hat = out.q_hat
                 extra = {
-                    "sigma": out.spec.sigma,
+                    "sigma": out.sigma,
                     "mmd": out.mmd,
                     "solver_objective": out.report.objective_value,
                     "solver_iterations": out.report.iterations,
@@ -508,8 +495,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResults
     instead of aborting the run: one raised inside a method's block names
     its ``method`` and the trial keeps its other methods' rows, one raised
     before any method ran loses the trial's record. A CSV dataset is loaded
-    once, before any trial runs (so one that does not load raises, as does
-    a bandwidth grid outside KernelSpec's range at its feature count, or a
+    once, before any trial runs (so one that does not load raises, as do
+    a bandwidth grid ``bandwidth_grid`` rejects at its feature count and a
     file too small for the largest calibration size), and every trial
     partitions that copy; synthetic data is drawn per trial.
     """

@@ -8,7 +8,8 @@ block equals the single n x n calibration Gram. The context, which
 the weight QP's MMD objective and the coverage-gap bound read, therefore
 stores that one block plus the label-collapsed cross statistics against the
 training sample; the full matrix is never materialized, and the raw samples
-are not kept.
+are not kept. A bandwidth sigma is a plain float; ``bandwidth_grid`` alone
+checks a grid of them.
 
 Squared distances and Gaussian Grams are built one row block of
 GRAM_BLOCK_ENTRIES entries at a time, while the block is in cache: a GEMM
@@ -98,24 +99,21 @@ def _exp_scale(sigma: float) -> float:
     return -2.0 * sigma**2
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Bandwidth of the separable Gaussian kernel: positive, with 2 sigma^2,
-    which scales every exponent, in float32's normal range."""
-
-    sigma: float
-
-    def __post_init__(self):
-        _exp_scale(self.sigma)  # raises ValueError for a sigma no exponent can be scaled by
-
-
-def bandwidth_grid(num_features: int, scales=None) -> list[KernelSpec]:
-    """Candidate bandwidths sigma0 * sqrt(d/2) over a decade-spanning grid."""
+def bandwidth_grid(num_features: int, scales=None) -> list[float]:
+    """Candidate bandwidths s * sqrt(d/2), ascending, over the scales s
+    (default BASE_BANDWIDTH_SCALES, a decade-spanning grid). The scales
+    must be non-empty, distinct, finite and positive, and every sigma must
+    pass ``_exp_scale``; this is the one place a grid is checked."""
     if num_features < 1:
         raise ValueError(f"num_features must be >= 1, got {num_features}")
     scales = BASE_BANDWIDTH_SCALES if scales is None else tuple(scales)
+    if not (scales and all(math.isfinite(v) and v > 0 for v in scales) and len(set(scales)) == len(scales)):
+        raise ValueError(f"bandwidth_scales must be non-empty, distinct, finite and positive, got {scales}")
     root = math.sqrt(num_features / 2.0)
-    return [KernelSpec(sigma=s * root) for s in sorted(scales)]
+    sigmas = [s * root for s in sorted(scales)]
+    for sigma in sigmas:
+        _exp_scale(sigma)
+    return sigmas
 
 
 def _row_blocks(shape):
@@ -210,7 +208,7 @@ def _exp_block(D: np.ndarray, scale: float, out: np.ndarray, floor: float | None
 def _gram_from_sq_dists(D2: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
     """exp(D2 / (-2 sigma^2)) without subnormal entries, into ``out`` (which
     may be D2 itself), one row block at a time, in ``out``'s dtype; sigma
-    is checked as ``KernelSpec`` checks it. Returns ``out``.
+    is checked by ``_exp_scale``. Returns ``out``.
 
     This is the exp half of ``gaussian_gram``, for squared distances that
     are already built. Each block takes plain exp, or the masked pass of
@@ -253,8 +251,8 @@ def _gram_row_blocks(X1: np.ndarray, X2: np.ndarray, sigma: float):
 def gaussian_gram(X1: np.ndarray, X2: np.ndarray, sigma: float) -> np.ndarray:
     """Feature-space Gaussian Gram matrix between two point sets, in
     float64, built in one pass per row block (``_gram_row_blocks``):
-    product, squared distances, then exp. sigma is checked as
-    ``KernelSpec`` checks it. No temporary of the result's size is made."""
+    product, squared distances, then exp. sigma is checked by
+    ``_exp_scale``. No temporary of the result's size is made."""
     X1, X2 = np.asarray(X1, np.float64), np.asarray(X2, np.float64)
     K = np.empty((X1.shape[0], X2.shape[0]))
     for rows, block in _gram_row_blocks(X1, X2, sigma):
@@ -368,10 +366,11 @@ class KernelContext:
     label y: it is the objective's (n, c) linear term, laid out like the
     weights. ``train_self`` is the training sample's own mean kernel, the
     constant completing the squared-MMD objective. ``n`` and ``m`` count
-    the calibration and training samples, ``c`` the labels.
+    the calibration and training samples, ``c`` the labels; ``sigma`` is
+    the bandwidth.
     """
 
-    spec: KernelSpec
+    sigma: float
     gram: Gram
     cross_v: np.ndarray
     train_self: float
@@ -397,10 +396,10 @@ def _calibration_sq_dists(cal_instances: np.ndarray, sq_dists) -> np.ndarray:
     return sq_dists
 
 
-def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec, *,
+def build_context(cal_instances: np.ndarray, train: Dataset, sigma: float, *,
                   sq_dists: np.ndarray | None = None) -> KernelContext:
     """Assemble the kernel context from calibration features and a labeled
-    training sample.
+    training sample, at the bandwidth ``sigma`` (checked by ``_exp_scale``).
 
     ``sq_dists``, when given, holds the calibration's float32 pairwise
     squared distances (``pairwise_sq_dists(cal_instances, cal_instances)``);
@@ -430,7 +429,7 @@ def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec, *
     onehot = np.zeros((m, c))
     onehot[np.arange(m), train.labels - 1] = 1.0
     V = np.empty((n, c))
-    for rows, block in _gram_row_blocks(cal_instances, train.instances, spec.sigma):
+    for rows, block in _gram_row_blocks(cal_instances, train.instances, sigma):
         np.matmul(block, onehot, out=V[rows])
     del block  # the block buffer is freed before the next one is made
     # the pair kernel vanishes across labels, so the training sample's mean
@@ -438,11 +437,11 @@ def build_context(cal_instances: np.ndarray, train: Dataset, spec: KernelSpec, *
     train_self = 0.0
     for y in np.flatnonzero(np.bincount(train.labels)):
         T = train.instances[train.labels == y]
-        train_self += sum(float(np.sum(block)) for _, block in _gram_row_blocks(T, T, spec.sigma))
+        train_self += sum(float(np.sum(block)) for _, block in _gram_row_blocks(T, T, sigma))
     train_self /= m * m
     D2 = _calibration_sq_dists(cal_instances, sq_dists)
-    K0 = _context_gram(D2, spec.sigma)
-    return KernelContext(spec=spec, gram=Gram(K0), cross_v=V, train_self=train_self, m=m)
+    K0 = _context_gram(D2, sigma)
+    return KernelContext(sigma=sigma, gram=Gram(K0), cross_v=V, train_self=train_self, m=m)
 
 
 def as_weight_matrix(w, n: int, c: int) -> np.ndarray:
@@ -690,18 +689,21 @@ def select_kernel(candidates, cal_instances, u, ridge: float = SELECTION_RIDGE, 
     the pivoted Cholesky factor of its Gram (see ``ridge_path``) to
     continue, preconditioned, from that iterate, so one pruned or solved in
     its plain step builds none. The diagnostics record, by ascending sigma,
-    each candidate's factor rank (0 where none was used), CG steps,
-    residual, whether it was ``pruned``, and the ``lower`` and ``upper``
-    ends of its bracket at its last iterate. Candidates whose solve fails
-    to converge are skipped; equal statistics break toward the smaller
-    sigma. ``sq_dists``, when given, holds the calibration's float32
-    pairwise squared distances (``pairwise_sq_dists``), which are read and
-    left as they are; without it they are built here. Returns (KernelSpec,
-    diagnostics dict).
+    each candidate's factor rank (0 where none was used), CG steps, whether
+    it was ``pruned``, the ``lower`` and ``upper`` ends of its bracket at its
+    last iterate, and the largest column norm of the residual that bracket
+    came from (u's, of x = 0, where it has none). Candidates whose solve
+    fails to converge are skipped; equal statistics break toward the smaller
+    sigma. Every sigma is checked before any Gram is built. ``sq_dists``,
+    when given, holds the calibration's float32 pairwise squared distances
+    (``pairwise_sq_dists``), which are read and left as they are; without
+    it they are built here. Returns (sigma, diagnostics dict).
     """
-    candidates = sorted(candidates, key=lambda s: s.sigma)
+    candidates = sorted(candidates)
     if not candidates:
         raise EmptyInputError("no kernel candidates")
+    for sigma in candidates:
+        _exp_scale(sigma)
     if not 0 < ridge < math.inf:
         raise ValueError(f"ridge must be positive and finite, got {ridge}")
     cal_instances = np.asarray(cal_instances, dtype=np.float64)
@@ -711,7 +713,8 @@ def select_kernel(candidates, cal_instances, u, ridge: float = SELECTION_RIDGE, 
     D2 = _calibration_sq_dists(cal_instances, sq_dists)
     K0 = np.empty(D2.shape, np.float32)  # every candidate's float32 Gram is built into this one buffer
     count = len(candidates)
-    stats, residuals, lower, upper = (np.full(count, np.nan) for _ in range(4))
+    stats, lower, upper = (np.full(count, np.nan) for _ in range(3))
+    residuals = np.full(count, math.sqrt((U * U).sum(axis=0).max()))  # x = 0's, until a bracket is taken
     iteration_counts = np.zeros(count, dtype=np.int64)
     ranks = np.zeros(count, dtype=np.int64)
     pruned = np.zeros(count, dtype=bool)
@@ -719,13 +722,14 @@ def select_kernel(candidates, cal_instances, u, ridge: float = SELECTION_RIDGE, 
     # the likely winner first, the candidate nearest sqrt(d/2) in log sigma (the grid's base scale), then
     # outward by grid distance, ties to the larger sigma: once the winner is solved the rest are pruned
     root = math.sqrt(cal_instances.shape[1] / 2.0)
-    start = min(range(count), key=lambda j: (abs(math.log(candidates[j].sigma / root)), -j))
+    start = min(range(count), key=lambda j: (abs(math.log(candidates[j] / root)), -j))
     for j in sorted(range(count), key=lambda j: (abs(j - start), -j)):
-        gram = Gram(_gram_from_sq_dists(D2, candidates[j].sigma, out=K0))
+        gram = Gram(_gram_from_sq_dists(D2, candidates[j], out=K0))
         shift = gram.shift(ridge)
         limit = (1.0 + PRUNE_MARGIN) * best_upper
 
         def beaten(X, R):
+            residuals[j] = math.sqrt((R * R).sum(axis=0).max())
             lower[j] = float(np.vdot(U + R, X))
             upper[j] = lower[j] + float(np.vdot(R, R)) / shift
             return lower[j] > limit
@@ -749,13 +753,12 @@ def select_kernel(candidates, cal_instances, u, ridge: float = SELECTION_RIDGE, 
         else:
             pruned[j] = lower[j] > limit
         iteration_counts[j] = steps
-        residuals[j] = math.sqrt((R * R).sum(axis=0).max())
     if np.isnan(stats).all():
         raise InterpolationError("all kernel candidates failed to interpolate", residual=float(np.nanmin(residuals)))
     best = int(np.nanargmin(stats))
     diagnostics = {
         "ridge": ridge,
-        "sigmas": np.array([s.sigma for s in candidates]),
+        "sigmas": np.array(candidates),
         "statistics": stats,
         "residuals": residuals,
         "iterations": iteration_counts,

@@ -55,12 +55,12 @@ def mixture_logistic_model(config: SyntheticConfig) -> ProbModel:
     )
 
 
-def kernel_eval(x1, y1: int, x2, y2: int, spec) -> float:
+def kernel_eval(x1, y1: int, x2, y2: int, sigma: float) -> float:
     """Separable Gaussian kernel between two (instance, label) pairs."""
     if y1 != y2:
         return 0.0
     diff = np.asarray(x1, dtype=np.float64) - np.asarray(x2, dtype=np.float64)
-    return float(math.exp(-float(diff @ diff) / (2.0 * spec.sigma**2)))
+    return float(math.exp(-float(diff @ diff) / (2.0 * sigma**2)))
 
 
 def dense_pair_kernel(ctx) -> np.ndarray:
@@ -84,7 +84,7 @@ def rkhs_probe(w, ctx, cal_instances, train, coeff_cal, coeff_train) -> float:
     training pairs of ``train`` (one coefficient each). Its value is
     |weighted calibration mean of f - training mean of f| / ||f||, zero when
     f vanishes. Kernel values are recomputed from ``cal_instances`` and
-    ``train`` at ``ctx.spec``, by exp of plain pairwise differences
+    ``train`` at ``ctx.sigma``, by exp of plain pairwise differences
     (``_plain_gram``), so the route shares none of the package's Gram
     code, squared distances or subnormal floor with ``mmd_objective``.
     """
@@ -92,7 +92,7 @@ def rkhs_probe(w, ctx, cal_instances, train, coeff_cal, coeff_train) -> float:
     W = as_weight_matrix(w, n, c)
     Gcal = np.asarray(coeff_cal, dtype=np.float64)
     gtr = np.asarray(coeff_train, dtype=np.float64)
-    sigma = ctx.spec.sigma
+    sigma = ctx.sigma
     Kcc = _plain_gram(cal_instances, cal_instances, sigma)
     Kct = _plain_gram(cal_instances, train.instances, sigma)
     Ktt = _plain_gram(train.instances, train.instances, sigma)

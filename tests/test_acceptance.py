@@ -25,7 +25,7 @@ from unsupcp.harness import (
     run_experiment,
     run_trial,
 )
-from unsupcp.kernel import KernelSpec, build_context, mmd_objective
+from unsupcp.kernel import build_context, mmd_objective
 from unsupcp.quantile import conformal_quantile_supervised, conformal_quantile_weighted, evaluate, prediction_mask
 from unsupcp.scores import build_score_matrix
 from unsupcp.solver import (
@@ -199,7 +199,7 @@ def test_criterion_06_qp_matches_enumeration_oracle():
         cal = rng.standard_normal((n, 2))
         m = n + int(rng.integers(1, 4))
         train = Dataset(rng.standard_normal((m, 2)), 1 + rng.integers(0, c, m), num_classes=c)
-        ctx = build_context(cal, train, KernelSpec(sigma))
+        ctx = build_context(cal, train, sigma)
         options = SolverOptions(max_iters=50000, rel_tol=1e-12)
         constraints = None
         loss_row = None
@@ -237,7 +237,7 @@ def test_criterion_07_dual_witness_equivalence():
         sigma = float(rng.uniform(0.5, 2.0))
         cal = rng.standard_normal((n, 2))
         train = Dataset(rng.standard_normal((m, 2)), 1 + rng.integers(0, c, m), num_classes=c)
-        ctx = build_context(cal, train, KernelSpec(sigma))
+        ctx = build_context(cal, train, sigma)
         w = rng.dirichlet(np.ones(c), size=n)
         worst = max(worst, abs(witness_probe(w, ctx, cal, train) - mmd_objective(w, ctx)))
         out = dual_witness_check(w, ctx, cal, train, probe_count=16, seed=i)
@@ -274,7 +274,7 @@ def test_criterion_08_supervised_reduction_identity(monkeypatch):
     def oracle_weights(model, cal_instances, train, cal_scores, alpha, loss_bound, **_):
         cal = seen["cal"]
         w_star = supervised_weights(cal.hidden_labels, cal.num_classes)
-        ctx = build_context(cal_instances, Dataset(train.instances[:4], train.labels[:4], train.num_classes), KernelSpec(1.0))
+        ctx = build_context(cal_instances, Dataset(train.instances[:4], train.labels[:4], train.num_classes), 1.0)
         report = SolverReport(
             objective_value=0.0,
             iterations=0,
@@ -287,7 +287,7 @@ def test_criterion_08_supervised_reduction_identity(monkeypatch):
             q_hat=conformal_quantile_weighted(cal_scores.values, w_star.matrix, alpha),
             weights=w_star,
             report=report,
-            spec=KernelSpec(1.0),
+            sigma=1.0,
             selection={},
             mmd=mmd_objective(w_star, ctx),
             kernel_bound=None,

@@ -15,7 +15,6 @@ from unsupcp.kernel import (
     GRAM32_ABS_ERR,
     GRAM32_REL_ERR,
     Gram,
-    KernelSpec,
     _context_gram,
     build_context,
     gaussian_gram,
@@ -84,7 +83,7 @@ class TestExcessGapKernel:
 def _bound_inputs(n=40, m=50, c=3, seed=2):
     rng = np.random.default_rng(seed)
     train = Dataset(rng.standard_normal((m, 2)), rng.integers(1, c + 1, m), num_classes=c)
-    ctx = build_context(rng.standard_normal((n, 2)), train, KernelSpec(sigma=1.0))
+    ctx = build_context(rng.standard_normal((n, 2)), train, 1.0)
     return ctx, rng.uniform(0.0, 1.0, (n, c)) < 0.6
 
 
@@ -158,6 +157,26 @@ class TestCoverageGapBound:
         ctx, u = _bound_inputs()
         with pytest.raises(ValueError, match="u shape"):
             coverage_gap_bound(ctx, u[:, :2], 0.1, 10)
+
+    @pytest.mark.parametrize("cap", [0, None])
+    @pytest.mark.parametrize("delta, num_candidates, message", [(2.0, 1, "delta"), (-1.0, 0, "delta"),
+                                                                (0.1, 0, "num_candidates")])
+    def test_confidence_inputs_checked_before_any_fit(self, monkeypatch, cap, delta, num_candidates, message):
+        # whether or not a fit would converge (cap 0: none does, and only f = 0 would bound), a bad delta or
+        # candidate count raises before the ridge path runs
+        fits = []
+
+        def spy(*args, **kwargs):
+            fits.append(args)
+            return ridge_path(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "ridge_path", spy)
+        if cap is not None:
+            monkeypatch.setattr(bounds, "CG_MAX_ITERS", cap)
+        ctx, u = _bound_inputs(n=30)
+        with pytest.raises(ValueError, match=message):
+            coverage_gap_bound(ctx, u, delta, num_candidates)
+        assert fits == []
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), c=st.integers(1, 3),

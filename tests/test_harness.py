@@ -66,7 +66,6 @@ OUT_OF_RANGE_VALUES = [
     dict(seed=-1),
     dict(classifier_max_iters=0),
     dict(classifier_max_iters=-3),
-    dict(selection_ridge=math.inf),
     dict(noise_epsilon=math.inf),
     dict(l2=math.inf),
     dict(solver_rel_tol=math.inf),
@@ -165,7 +164,6 @@ class TestExperimentConfig:
             dict(dataset="synthetic"),
             dict(test_size=0),
             dict(train_size=1),
-            dict(selection_ridge=-1.0),
             dict(delta=1.5),
             dict(delta=0.0),
             dict(m=0),
@@ -180,14 +178,12 @@ class TestExperimentConfig:
             dict(l2=-1e-3),
             dict(noise_epsilon=-0.1),
             dict(l2=math.nan),
-            dict(selection_ridge=math.nan),
             dict(noise_epsilon=math.nan),
             dict(dataset={**TINY_DATASET, "priors": [0.75, 0.75]}),
             dict(dataset={**TINY_DATASET, "priors": [math.nan, math.nan]}),
             dict(dataset={"type": "synthetic", "class_means": [[0.0], [1.0]]}),
             dict(dataset={"type": "csv"}),
             dict(dataset={"type": "csv", "path": 3}),
-            dict(selection_ridge=0.0),
             *NON_INTEGER_COUNTS,
             *OUT_OF_RANGE_VALUES,
             dict(dataset={**TINY_DATASET, "cov_scale": math.inf}),
@@ -302,14 +298,13 @@ def _direct_calibration(cfg, n, loss_bound=None):
         cfg.alpha,
         bound,
         bandwidth_scales=cfg.bandwidth_scales,
-        selection_ridge=cfg.selection_ridge,
         solver_options=SolverOptions(max_iters=cfg.solver_max_iters, rel_tol=cfg.solver_rel_tol),
         delta=cfg.delta,
     )
 
 
 class TestCalibrateUnsupervised:
-    CFG = dict(trials=1, m=10, bandwidth_scales=(0.3, 1.0, 3.0), selection_ridge=1.5, delta=0.2)
+    CFG = dict(trials=1, m=10, bandwidth_scales=(0.3, 1.0, 3.0), delta=0.2)
 
     def test_matches_harness_row(self):
         """The harness's unsupervised row reports exactly what a direct call
@@ -320,7 +315,7 @@ class TestCalibrateUnsupervised:
         row = next(r for r in run_trial(cfg, 0, n).results if r.method == "unsupervised")
         assert out.kernel_bound is not None
         assert out.q_hat == row.q_hat
-        assert out.spec.sigma == row.sigma
+        assert out.sigma == row.sigma and out.selection["ridge"] == kernel_mod.SELECTION_RIDGE
         assert out.mmd == row.mmd
         assert out.report.objective_value == row.solver_objective
         assert out.report.iterations == row.solver_iterations
@@ -347,7 +342,7 @@ class TestCalibrateUnsupervised:
         out, u = self._spied_calibration(monkeypatch, _tiny_config(**self.CFG), 12)
         path = out.bound_path
         assert set(path) == {"ridges", "iterations", "residuals", "rank", "bounds", "zero"}
-        np.testing.assert_array_equal(path["ridges"], bounds.BOUND_RIDGES)  # whatever the selection ridge
+        np.testing.assert_array_equal(path["ridges"], bounds.BOUND_RIDGES)
         assert np.all(path["iterations"] >= 1)
         assert np.all(np.diff(path["iterations"]) <= 0)  # larger ridges converge no later
         assert np.all(path["residuals"] <= 1e-8 * math.sqrt(12))
@@ -433,13 +428,6 @@ class TestCalibrateUnsupervised:
         rows[7, 1] = np.inf
         with pytest.raises(ValueError, match="training instances must be finite"):
             calibrate_unsupervised(model, cal, Dataset(rows, train.labels, 3), scores, 0.1, 10.0)
-
-    @pytest.mark.parametrize("ridge", [0.0, -1.0, math.nan, math.inf])
-    def test_nonpositive_selection_ridge_rejected(self, ridge):
-        # checked before any work: at a zero ridge the smooth candidates'
-        # selection solves run to the CG cap
-        with pytest.raises(ValueError, match="selection_ridge"):
-            calibrate_unsupervised(None, np.zeros((2, 2)), None, None, 0.1, 1.0, selection_ridge=ridge)
 
     def test_failed_ridge_reads_nan(self, monkeypatch):
         cfg = _tiny_config(**self.CFG)
@@ -689,13 +677,14 @@ class TestCli:
         assert "l2" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
-    def test_zero_selection_ridge_exits_one(self, tmp_path, capsys):
+    def test_selection_ridge_key_is_unknown_and_exits_one(self, tmp_path, capsys):
+        # the selection ridge is the constant SELECTION_RIDGE, not a config field
         path = tmp_path / "bad.json"
         payload = _tiny_config().to_dict()
         payload["selection_ridge"] = 0.0
         path.write_text(json.dumps(payload))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert "selection_ridge" in capsys.readouterr().err
+        assert "unknown config keys: ['selection_ridge']" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
     def test_fractional_m_exits_one(self, tmp_path, capsys):
@@ -737,6 +726,19 @@ class TestCli:
         out_dir = tmp_path / "out"
         assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
         assert "sigma must be positive" in capsys.readouterr().err
+        assert not os.path.exists(out_dir) and not trials
+
+    def test_repeated_csv_bandwidth_scales_exit_one(self, tmp_path, capsys, monkeypatch):
+        # the config leaves a CSV run's grid to ``bandwidth_grid``, which checks it once the file is loaded
+        trials = []
+        monkeypatch.setattr(harness, "_trial_task", lambda *args: trials.append(args))
+        cfg = dict(dataset={"type": "csv", "path": _two_blob_csv(tmp_path / "blobs.csv", 2, count=60)}, train_size=24,
+                   cal_sizes=[6], test_size=10, alpha=0.2, trials=2, seed=5, bandwidth_scales=[1.0, 1.0])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        assert "bandwidth_scales must be non-empty, distinct, finite and positive" in capsys.readouterr().err
         assert not os.path.exists(out_dir) and not trials
 
     def test_partial_failures_exit_two(self, tmp_path, capsys, monkeypatch):

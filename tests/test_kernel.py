@@ -17,7 +17,6 @@ from unsupcp.kernel import (
     GRAM32_ABS_ERR,
     GRAM32_REL_ERR,
     Gram,
-    KernelSpec,
     _cg_columns,
     _gram_from_sq_dists,
     _nystrom_preconditioner,
@@ -51,7 +50,7 @@ def _samples(n=4, m=5, c=3, d=2, seed=0):
 
 
 def _context(n=4, m=5, c=3, d=2, sigma=1.0, seed=0):
-    return build_context(*_samples(n, m, c, d, seed), KernelSpec(sigma=sigma))
+    return build_context(*_samples(n, m, c, d, seed), sigma)
 
 
 def _sq_dists64(X1, X2):
@@ -84,32 +83,35 @@ def _simplex_weights(n, c, seed):
 
 class TestKernelEval:
     def test_same_pair(self):
-        assert kernel_eval(np.array([1.0, 2.0]), 1, np.array([1.0, 2.0]), 1, KernelSpec(0.5)) == 1.0
+        assert kernel_eval(np.array([1.0, 2.0]), 1, np.array([1.0, 2.0]), 1, 0.5) == 1.0
 
     def test_label_mismatch(self):
-        assert kernel_eval(np.zeros(2), 1, np.zeros(2), 2, KernelSpec(0.5)) == 0.0
+        assert kernel_eval(np.zeros(2), 1, np.zeros(2), 2, 0.5) == 0.0
 
     def test_closed_form_at_two_sigma_squared(self):
         sigma = 0.7
         x2 = np.array([math.sqrt(2.0) * sigma, 0.0])
-        val = kernel_eval(np.zeros(2), 3, x2, 3, KernelSpec(sigma))
+        val = kernel_eval(np.zeros(2), 3, x2, 3, sigma)
         assert abs(val - math.exp(-1.0)) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            kernel_eval(np.zeros(2), 1, np.zeros(3), 1, KernelSpec(1.0))
+            kernel_eval(np.zeros(2), 1, np.zeros(3), 1, 1.0)
 
     def test_sigma_validation(self):
+        x0 = np.zeros((1, 2))
         with pytest.raises(ValueError, match="sigma"):
-            KernelSpec(sigma=0.0)
+            build_context(x0, Dataset(x0, np.array([1]), num_classes=2), 0.0)
 
     @pytest.mark.parametrize("sigma", [math.inf, 1e200, 1e-200, 1e20, 1e-23])
     def test_unscalable_sigma_rejected(self, sigma):
         # 2 sigma^2 scales every exponent: inf or overflowing, or underflowing to 0, it cannot; and the float32
         # Gram rounds it to float32, where it must stay normal (at 1e-23 it rounds to 0, at 1e20 to inf); the
-        # Gram builders that take a raw sigma check it as KernelSpec does
+        # functions that take a sigma check it by _exp_scale
         X = np.random.default_rng(3).standard_normal((4, 2))
-        for build in (lambda: KernelSpec(sigma=sigma), lambda: gaussian_gram(X, X, sigma),
+        train = Dataset(X, np.array([1, 2, 1, 2]), num_classes=2)
+        for build in (lambda: build_context(X, train, sigma), lambda: select_kernel([sigma], X, np.ones((4, 1))),
+                      lambda: gaussian_gram(X, X, sigma),
                       lambda: _gram_from_sq_dists(pairwise_sq_dists(X, X), sigma, np.empty((4, 4), np.float32)),
                       lambda: kernel_mod._context_gram(pairwise_sq_dists(X, X), sigma)):
             with pytest.raises(ValueError, match="sigma"):
@@ -120,7 +122,7 @@ class TestKernelEval:
         # the smallest and largest accepted scales stay normal in float32: a unit diagonal, no NaN
         X = np.random.default_rng(3).standard_normal((4, 2))
         for gram in (lambda D2, s: _gram_from_sq_dists(D2, s, D2), kernel_mod._context_gram):
-            K = gram(pairwise_sq_dists(X, X), KernelSpec(sigma=sigma).sigma)
+            K = gram(pairwise_sq_dists(X, X), sigma)
             np.testing.assert_array_equal(K, np.eye(4) if sigma < 1.0 else np.ones((4, 4)))
 
 
@@ -129,22 +131,31 @@ class TestBandwidthGrid:
         grid = bandwidth_grid(num_features=8)
         assert len(grid) == 10
         want = [10.0 ** (-1.0 + t / 3.0) * 2.0 for t in range(10)]
-        np.testing.assert_allclose([s.sigma for s in grid], want, rtol=1e-12)
+        np.testing.assert_allclose(grid, want, rtol=1e-12)
 
     def test_sorted_ascending(self):
         grid = bandwidth_grid(3, scales=(1.0, 0.1, 10.0))
-        assert [s.sigma for s in grid] == sorted(s.sigma for s in grid)
+        assert grid == sorted(grid)
 
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             bandwidth_grid(0)
+
+    def test_sigmas_are_the_scaled_floats(self):
+        # s * sqrt(d/2) over the sorted scales, so the config's grid and selection's candidates are the same floats
+        assert bandwidth_grid(6, [2.0, 0.5]) == [0.5 * math.sqrt(3.0), 2.0 * math.sqrt(3.0)]
+
+    @pytest.mark.parametrize("scales", [(), (1.0, 0.0), (-0.5,), (math.inf,), (math.nan,), (1.0, 1.0)])
+    def test_bad_scales_rejected(self, scales):
+        with pytest.raises(ValueError, match="bandwidth_scales must be non-empty, distinct, finite and positive"):
+            bandwidth_grid(2, scales)
 
 
 class TestBuildContext:
     def test_single_instance_identity(self):
         x0 = np.array([[0.3, -0.2]])
         train = Dataset(x0, np.array([1]), num_classes=2)
-        ctx = build_context(x0, train, KernelSpec(1.0))
+        ctx = build_context(x0, train, 1.0)
         np.testing.assert_allclose(dense_pair_kernel(ctx), np.eye(2), atol=1e-15)
         np.testing.assert_allclose(ctx.cross_v.ravel(), [1.0, 0.0], atol=1e-15)
         assert ctx.train_self == 1.0
@@ -154,7 +165,7 @@ class TestBuildContext:
         rng = np.random.default_rng(5)
         T = rng.standard_normal((40, 3))
         labels = rng.choice([1, 2, 4], size=40, p=[0.7, 0.2, 0.1])
-        ctx = build_context(rng.standard_normal((6, 3)), Dataset(T, labels, num_classes=4), KernelSpec(1.3))
+        ctx = build_context(rng.standard_normal((6, 3)), Dataset(T, labels, num_classes=4), 1.3)
         onehot = np.zeros((40, 4))
         onehot[np.arange(40), labels - 1] = 1.0
         Kt = gaussian_gram(T, T, 1.3)
@@ -171,9 +182,9 @@ class TestBuildContext:
 
     def test_dense_pair_kernel_matches_kernel_eval(self):
         cal, train = _samples(n=4, c=3, seed=6)
-        ctx = build_context(cal, train, KernelSpec(0.9))
+        ctx = build_context(cal, train, 0.9)
         pairs = [(x, y) for x in cal for y in range(1, ctx.c + 1)]  # (i, y) -> i*c + (y-1)
-        want = [[kernel_eval(a, y, b, y2, ctx.spec) for b, y2 in pairs] for a, y in pairs]
+        want = [[kernel_eval(a, y, b, y2, ctx.sigma) for b, y2 in pairs] for a, y in pairs]
         # the float32 Gram's entries, within its rounding of the exact ones
         assert _within_rounding(dense_pair_kernel(ctx), np.array(want))
 
@@ -195,17 +206,17 @@ class TestBuildContext:
     def test_unlabeled_train_rejected(self):
         train = Dataset(np.zeros((2, 2)), None, num_classes=2)
         with pytest.raises(ValueError, match="labeled"):
-            build_context(np.zeros((1, 2)), train, KernelSpec(1.0))
+            build_context(np.zeros((1, 2)), train, 1.0)
 
     def test_feature_mismatch(self):
         train = Dataset(np.zeros((2, 3)), np.array([1, 2]), num_classes=2)
         with pytest.raises(ValueError, match="dimension"):
-            build_context(np.zeros((1, 2)), train, KernelSpec(1.0))
+            build_context(np.zeros((1, 2)), train, 1.0)
 
     def test_empty_calibration(self):
         train = Dataset(np.zeros((2, 2)), np.array([1, 2]), num_classes=2)
         with pytest.raises(EmptyInputError):
-            build_context(np.zeros((0, 2)), train, KernelSpec(1.0))
+            build_context(np.zeros((0, 2)), train, 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_features_rejected(self, bad):
@@ -214,11 +225,11 @@ class TestBuildContext:
         broken = cal.copy()
         broken[2, 1] = bad
         with pytest.raises(ValueError, match="calibration instances must be finite"):
-            build_context(broken, train, KernelSpec(1.0))
+            build_context(broken, train, 1.0)
         rows = train.instances.copy()
         rows[3, 0] = bad
         with pytest.raises(ValueError, match="training instances must be finite"):
-            build_context(cal, Dataset(rows, train.labels, train.num_classes), KernelSpec(1.0))
+            build_context(cal, Dataset(rows, train.labels, train.num_classes), 1.0)
 
 
 class TestMmdObjective:
@@ -227,7 +238,7 @@ class TestMmdObjective:
         X = rng.standard_normal((6, 2))
         labels = rng.integers(1, 3, 6)
         train = Dataset(X, labels, num_classes=2)
-        ctx = build_context(X, train, KernelSpec(0.9))
+        ctx = build_context(X, train, 0.9)
         w = supervised_weights(labels, 2)
         # exact in the float64 Gram of the same points; the float32 K0 moves the squared MMD by at most its
         # rounding bound d, so the MMD by at most sqrt(d)
@@ -237,7 +248,7 @@ class TestMmdObjective:
     @pytest.mark.parametrize("seed", range(4))
     def test_within_its_rounding_bound_of_the_float64_gram(self, seed):
         cal, train = _samples(n=30, m=25, c=3, seed=seed)
-        ctx = build_context(cal, train, KernelSpec(0.7))
+        ctx = build_context(cal, train, 0.7)
         W = _simplex_weights(30, 3, seed=seed + 10)
         exact = mmd_objective(W, replace(ctx, gram=Gram(gaussian_gram(cal, cal, 0.7))))
         got, d = mmd_objective(W, ctx), _mmd_rounding(W, ctx)
@@ -248,7 +259,7 @@ class TestMmdObjective:
     def test_single_pair_hand_values(self):
         x0 = np.array([[0.0, 0.0]])
         train = Dataset(x0, np.array([1]), num_classes=2)
-        ctx = build_context(x0, train, KernelSpec(1.0))
+        ctx = build_context(x0, train, 1.0)
         assert mmd_objective(np.array([[1.0, 0.0]]), ctx) == 0.0
         assert abs(mmd_objective(np.array([[0.0, 1.0]]), ctx) - math.sqrt(2.0)) < 1e-12
 
@@ -266,7 +277,7 @@ class TestMmdObjective:
             for seed in range(5):
                 cal = generate_synthetic(cfg, n, seed=100 + seed)
                 train = generate_synthetic(cfg, n, seed=200 + seed)
-                ctx = build_context(cal.instances, train, KernelSpec(1.0))
+                ctx = build_context(cal.instances, train, 1.0)
                 vals.append(mmd_objective(supervised_weights(cal.labels, 2), ctx))
             means.append(np.mean(vals))
         assert means[0] > means[1] > means[2]
@@ -469,27 +480,27 @@ class TestSelectKernel:
 
     def test_singleton_returned(self):
         cal, u = self._all_ones_fixture(2, 2)
-        spec, diag = select_kernel([KernelSpec(1.3)], cal, u)
-        assert spec.sigma == 1.3
+        sigma, diag = select_kernel([1.3], cal, u)
+        assert sigma == 1.3
         assert diag["selected_index"] == 0
 
     def test_smoother_kernel_wins_on_constant_indicator(self):
         cal, u = self._all_ones_fixture(2, 2)
-        spec, diag = select_kernel([KernelSpec(0.05), KernelSpec(5.0)], cal, u)
-        assert spec.sigma == 5.0
+        sigma, diag = select_kernel([0.05, 5.0], cal, u)
+        assert sigma == 5.0
         assert diag["statistics"][1] < diag["statistics"][0]
 
     def test_zero_ridge_rejected(self):
         # without a ridge the smooth candidates' solves run to the CG cap
         cal, u = self._all_ones_fixture(2, 2)
         with pytest.raises(ValueError, match="ridge must be positive"):
-            select_kernel([KernelSpec(0.05), KernelSpec(5.0)], cal, u, ridge=0.0)
+            select_kernel([0.05, 5.0], cal, u, ridge=0.0)
 
     def test_equal_statistics_tie_to_smaller_sigma(self):
         # n=1 blocks are 1x1, so the penalized statistic is sigma-independent
         cal, u = self._all_ones_fixture(1, 2)
-        spec, diag = select_kernel([KernelSpec(3.0), KernelSpec(0.7)], cal, u)
-        assert spec.sigma == 0.7
+        sigma, diag = select_kernel([3.0, 0.7], cal, u)
+        assert sigma == 0.7
         np.testing.assert_allclose(diag["statistics"][0], diag["statistics"][1], rtol=1e-10)
         np.testing.assert_array_equal(diag["sigmas"], [0.7, 3.0])
 
@@ -501,12 +512,12 @@ class TestSelectKernel:
     def test_negative_ridge(self):
         cal, u = self._all_ones_fixture(2, 2)
         with pytest.raises(ValueError, match="ridge"):
-            select_kernel([KernelSpec(1.0)], cal, u, ridge=-0.5)
+            select_kernel([1.0], cal, u, ridge=-0.5)
         with pytest.raises(ValueError, match="ridge"):
-            select_kernel([KernelSpec(1.0)], cal, u, ridge=math.nan)
+            select_kernel([1.0], cal, u, ridge=math.nan)
         # an infinite ridge would leave every candidate's statistic NaN
         with pytest.raises(ValueError, match="ridge must be positive and finite"):
-            select_kernel([KernelSpec(1.0)], cal, u, ridge=math.inf)
+            select_kernel([1.0], cal, u, ridge=math.inf)
 
     @pytest.mark.parametrize("u", [np.ones(2), np.ones((3, 2)), np.ones((2, 2, 1)), np.array([[1.0, np.nan]] * 2),
                                    np.array([[np.inf, 0.0]] * 2)])
@@ -514,13 +525,13 @@ class TestSelectKernel:
         # u must be a finite (n, c) matrix with a row per calibration point
         cal, _ = self._all_ones_fixture(2, 2)
         with pytest.raises(ValueError, match=r"u must be a finite \(2, c\) matrix"):
-            select_kernel([KernelSpec(1.0)], cal, u)
+            select_kernel([1.0], cal, u)
 
     def test_all_candidates_failing_raises(self, monkeypatch):
         cal, u = self._all_ones_fixture(2, 2)
         monkeypatch.setattr(kernel_mod, "CG_MAX_ITERS", 0)  # no candidate takes a step
         with pytest.raises(InterpolationError, match="candidates"):
-            select_kernel([KernelSpec(1.0), KernelSpec(2.0)], cal, u)
+            select_kernel([1.0, 2.0], cal, u)
 
     def test_capped_candidate_is_skipped(self, monkeypatch):
         # on this mixed coverage indicator sigma = 3 wins, is visited first
@@ -533,21 +544,21 @@ class TestSelectKernel:
         cal = rng.standard_normal((n, 2))
         scores = ScoreMatrix(values=rng.uniform(0, 1, (n, c)), kind="adaptive", noise_epsilon=1e-9, seed=0)
         u = _naive_indicator(scores, supervised_weights(1 + rng.integers(0, c, n), c).matrix, 0.5)
-        specs = [KernelSpec(0.3), KernelSpec(3.0), KernelSpec(30.0)]
-        _, free = select_kernel(specs, cal, u)
-        _, alone = select_kernel(specs[2:], cal, u)
+        sigmas = [0.3, 3.0, 30.0]
+        _, free = select_kernel(sigmas, cal, u)
+        _, alone = select_kernel(sigmas[2:], cal, u)
         counts = free["iterations"]
         assert free["selected_index"] == 1
         assert counts[1] > alone["iterations"][0]
         cap = int(alone["iterations"][0])
         monkeypatch.setattr(kernel_mod, "CG_MAX_ITERS", cap)
-        spec, diag = select_kernel(specs, cal, u)
+        sigma, diag = select_kernel(sigmas, cal, u)
         assert math.isnan(diag["statistics"][1]) and not diag["pruned"][1]
         assert diag["iterations"][1] == cap
         assert diag["residuals"][1] > 1e-8 * math.sqrt(n)
         assert diag["statistics"][2] == alone["statistics"][0]
         assert diag["selected_index"] in (0, 2)
-        assert spec.sigma == diag["sigmas"][diag["selected_index"]]
+        assert sigma == diag["sigmas"][diag["selected_index"]]
 
     @staticmethod
     def _mixture_fixture(seed, d, spread, posterior=False):
@@ -575,7 +586,7 @@ class TestSelectKernel:
         """Selection with pruning and preconditioning against every candidate
         solved by plain CG from 0; returns the selected index."""
         grid = bandwidth_grid(d)
-        spec, diag = select_kernel(grid, cal, u, ridge=ridge)
+        sigma, diag = select_kernel(grid, cal, u, ridge=ridge)
         assert diag["ranks"].max() > 0
         assert np.all((diag["ranks"] >= 0) & (diag["ranks"] <= 400 // 16))
         U = u.astype(np.float64)
@@ -587,21 +598,21 @@ class TestSelectKernel:
         exact, exact64 = np.empty(len(grid)), np.empty(len(grid))
         plain_iters = np.empty(len(grid), dtype=np.int64)
         for j, s in enumerate(grid):
-            K = _gram_from_sq_dists(D2, s.sigma, out=np.empty(D2.shape, np.float32)).astype(np.float64)
+            K = _gram_from_sq_dists(D2, s, out=np.empty(D2.shape, np.float32)).astype(np.float64)
             shift = ridge + 1e-10
             _, _, plain_iters[j], converged = plain_cg_columns(lambda P: K @ P + shift * P, U, 1e-8, 1500)
             assert converged
             exact[j] = float(np.sum(U * np.linalg.solve(K + shift * np.eye(len(K)), U)))
-            K = gaussian_gram(cal, cal, s.sigma)
+            K = gaussian_gram(cal, cal, s)
             exact64[j] = float(np.sum(U * np.linalg.solve(K + shift * np.eye(len(K)), U)))
         pruned = diag["pruned"]
-        first = [s.sigma for s in grid].index(math.sqrt(d / 2.0))  # the candidate visited first
+        first = grid.index(math.sqrt(d / 2.0))  # the candidate visited first
         assert pruned.any() and not pruned[first]
         assert np.all(np.isnan(diag["statistics"][pruned]))
         np.testing.assert_allclose(diag["statistics"][~pruned], exact[~pruned], rtol=1e-9, atol=0.0)
         assert np.all(diag["lower"][pruned] <= exact[pruned])
         assert np.all(exact[pruned] <= diag["upper"][pruned])
-        assert spec == grid[int(np.argmin(exact))] == grid[int(np.argmin(exact64))]
+        assert sigma == grid[int(np.argmin(exact))] == grid[int(np.argmin(exact64))]
         # the factor pays where it is built: a solved candidate takes no more
         # CG steps, its first plain one included, than plain CG
         used = (diag["ranks"] > 0) & ~pruned
@@ -625,7 +636,7 @@ class TestSelectKernel:
     DEFAULT_VISIT_ORDER = [3, 4, 2, 5, 1, 6, 0, 7, 8, 9]
 
     @staticmethod
-    def _visited_sigmas(monkeypatch, specs, d):
+    def _visited_sigmas(monkeypatch, sigmas, d):
         """The sigmas whose Grams select_kernel builds, in order, on random
         points in d dimensions."""
         built = []
@@ -639,14 +650,14 @@ class TestSelectKernel:
         n, c = 30, 3
         cal = rng.standard_normal((n, d))
         scores = ScoreMatrix(values=rng.uniform(0, 1, (n, c)), kind="adaptive", noise_epsilon=1e-9, seed=0)
-        select_kernel(specs, cal, _naive_indicator(scores, supervised_weights(1 + rng.integers(0, c, n), c).matrix, 0.1))
+        select_kernel(sigmas, cal, _naive_indicator(scores, supervised_weights(1 + rng.integers(0, c, n), c).matrix, 0.1))
         return built
 
     @pytest.mark.parametrize("d", [2, 10])
     def test_default_grid_visited_outward_from_the_base_scale(self, monkeypatch, d):
         grid = bandwidth_grid(d)
         built = self._visited_sigmas(monkeypatch, grid, d)
-        assert built == [grid[j].sigma for j in self.DEFAULT_VISIT_ORDER]
+        assert built == [grid[j] for j in self.DEFAULT_VISIT_ORDER]
 
     @pytest.mark.parametrize("d, sigmas, visited", [
         # sqrt(8/2) = 2: 1.5 is nearest in log sigma; 3.0 and 0.5 are one grid step away, the larger first
@@ -655,8 +666,8 @@ class TestSelectKernel:
         (2, [0.25, 0.5, 2.0, 4.0], [2.0, 4.0, 0.5, 0.25]),
     ])
     def test_custom_grid_starts_nearest_the_base_scale(self, monkeypatch, d, sigmas, visited):
-        specs = [KernelSpec(s) for s in reversed(sigmas)]  # the given order does not matter
-        assert self._visited_sigmas(monkeypatch, specs, d) == visited
+        # the given order does not matter
+        assert self._visited_sigmas(monkeypatch, sigmas[::-1], d) == visited
 
     @pytest.mark.parametrize("seed, d, spread, ridge, unpruned", [(40, 2, 1.5, 3.0, 0), (42, 10, 2.2, 3.0, 1),
                                                                   (40, 2, 1.5, 0.3, 0), (42, 10, 2.2, 0.1, 1)])
@@ -712,10 +723,42 @@ class TestSelectKernel:
             assert diag["lower"][j] == float(np.vdot(U + R, X))
             assert diag["upper"][j] == diag["lower"][j] + float(np.vdot(R, R)) / (diag["ridge"] + 1e-10)
 
+    def test_residual_is_the_one_its_bracket_came_from(self, monkeypatch):
+        # a pruned candidate's residual is that of the true residual which
+        # confirmed its prune, not of the recurrence residual CG stopped on
+        cal, u = self._mixture_fixture(40, 2, 1.5, posterior=True)
+        residual, taken = kernel_mod._residual, []
+
+        def spy(gram, shift, B, X):
+            taken.append(residual(gram, shift, B, X))
+            return taken[-1].copy()
+
+        monkeypatch.setattr(kernel_mod, "_residual", spy)
+        _, diag = select_kernel(bandwidth_grid(2), cal, u)
+        assert len(taken) == len(bandwidth_grid(2))
+        for j, R in zip(self.DEFAULT_VISIT_ORDER, taken):
+            assert diag["residuals"][j] == math.sqrt((R * R).sum(axis=0).max())
+
+    def test_every_sigma_checked_before_any_gram(self, monkeypatch):
+        # the last candidate is out of range: nothing is built or solved for the others first
+        built = []
+
+        def counted(inner):
+            def call(*args, **kwargs):
+                built.append(inner.__name__)
+                return inner(*args, **kwargs)
+            return call
+
+        for name in ("_gram_from_sq_dists", "_sq_dist_blocks"):
+            monkeypatch.setattr(kernel_mod, name, counted(getattr(kernel_mod, name)))
+        cal, u = self._all_ones_fixture(2, 2)
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            select_kernel([0.5, 1.0, 1e200], cal, u)
+        assert built == []
+
     def test_diagnostics_shape(self):
         cal, u = self._all_ones_fixture(2, 3)
-        specs = [KernelSpec(0.5), KernelSpec(1.0), KernelSpec(2.0)]
-        spec, diag = select_kernel(specs, cal, u)
+        sigma, diag = select_kernel([0.5, 1.0, 2.0], cal, u)
         assert diag["ridge"] == kernel_mod.SELECTION_RIDGE
         assert len(diag["statistics"]) == 3
         assert len(diag["residuals"]) == 3
@@ -723,19 +766,19 @@ class TestSelectKernel:
                              "lower", "upper", "selected_index"}
         assert diag["pruned"].dtype == bool and len(diag["pruned"]) == 3
         assert len(diag["lower"]) == 3 and len(diag["upper"]) == 3
-        assert diag["sigmas"][diag["selected_index"]] == spec.sigma
+        assert diag["sigmas"][diag["selected_index"]] == sigma
 
 
 class TestDualWitness:
     def test_witness_probe_matches_objective(self):
         cal, train = _samples(n=5, m=4, c=2, seed=9)
-        ctx = build_context(cal, train, KernelSpec(1.2))
+        ctx = build_context(cal, train, 1.2)
         w = _simplex_weights(5, 2, seed=10)
         assert abs(witness_probe(w, ctx, cal, train) - mmd_objective(w, ctx)) < 1e-8
 
     def test_random_probes_never_exceed_objective(self):
         cal, train = _samples(n=4, m=6, c=3, seed=11)
-        ctx = build_context(cal, train, KernelSpec(0.8))
+        ctx = build_context(cal, train, 0.8)
         w = _simplex_weights(4, 3, seed=12)
         out = dual_witness_check(w, ctx, cal, train, probe_count=32, seed=13)
         assert out["best_probe"] <= out["objective"] + 1e-10
@@ -746,7 +789,7 @@ class TestDualWitness:
         X = rng.standard_normal((5, 2))
         labels = rng.integers(1, 3, 5)
         train = Dataset(X, labels, num_classes=2)
-        ctx = build_context(X, train, KernelSpec(1.0))
+        ctx = build_context(X, train, 1.0)
         w = supervised_weights(labels, 2)
         out = dual_witness_check(w, ctx, X, train, probe_count=8, seed=15)
         # 0 in the float64 Gram (see TestMmdObjective); the float32 K0 moves it by at most sqrt(d)
@@ -762,18 +805,18 @@ class TestHandedDistances:
         cal, u = TestSelectKernel._mixture_fixture(40, 2, 1.5, posterior=True)
         D2 = pairwise_sq_dists(cal, cal)
         kept = D2.copy()
-        spec, diag = select_kernel(bandwidth_grid(2), cal, u)
-        spec_h, diag_h = select_kernel(bandwidth_grid(2), cal, u, sq_dists=D2)
-        assert spec_h == spec
+        sigma, diag = select_kernel(bandwidth_grid(2), cal, u)
+        sigma_h, diag_h = select_kernel(bandwidth_grid(2), cal, u, sq_dists=D2)
+        assert sigma_h == sigma
         assert repr(diag_h) == repr(diag)
         assert D2.tobytes() == kept.tobytes()  # selection only reads them
 
     @pytest.mark.parametrize("sigma", [0.05, 0.9])
     def test_build_context_same_bytes_in_place(self, sigma):
         cal, train = _samples(n=50, m=40, c=3, seed=37)
-        ctx = build_context(cal, train, KernelSpec(sigma))
+        ctx = build_context(cal, train, sigma)
         D2 = pairwise_sq_dists(cal, cal)
-        ctx_h = build_context(cal, train, KernelSpec(sigma), sq_dists=D2)
+        ctx_h = build_context(cal, train, sigma, sq_dists=D2)
         assert ctx_h.gram.values is D2 and D2.dtype == np.float32  # K0 overwrites the distances
         assert ctx_h.gram.values.tobytes() == ctx.gram.values.tobytes()
         assert _within_rounding(ctx.gram.values, gaussian_gram(cal, cal, sigma))
@@ -784,9 +827,9 @@ class TestHandedDistances:
     def test_wrong_distances_rejected(self, bad):
         cal, train = _samples(n=6, m=5, c=3, seed=38)
         with pytest.raises(ValueError, match="sq_dists"):
-            build_context(cal, train, KernelSpec(1.0), sq_dists=bad)
+            build_context(cal, train, 1.0, sq_dists=bad)
         with pytest.raises(ValueError, match="sq_dists"):
-            select_kernel([KernelSpec(1.0)], cal, np.ones((6, 3)), sq_dists=bad)
+            select_kernel([1.0], cal, np.ones((6, 3)), sq_dists=bad)
 
 
 class TestGaussianGram:
@@ -801,7 +844,7 @@ class TestGaussianGram:
         rng = np.random.default_rng(30)
         X1, X2 = rng.standard_normal((6, 3)), rng.standard_normal((5, 3))
         K = gaussian_gram(X1, X2, sigma)
-        want = [[kernel_eval(a, 1, b, 1, KernelSpec(sigma)) for b in X2] for a in X1]
+        want = [[kernel_eval(a, 1, b, 1, sigma) for b in X2] for a in X1]
         np.testing.assert_allclose(K, want, rtol=1e-13, atol=0.0)
 
     def test_sq_dists_matches_broadcast_formula(self):
@@ -961,8 +1004,8 @@ class TestGramMemory:
     def _warm_up(self):
         # first calls import lazily; keep that out of the trace
         cal, train, u = self._inputs(20)
-        spec, _ = select_kernel(bandwidth_grid(2)[2:5], cal, u)
-        solve_label_weights(build_context(cal, train, spec))
+        sigma, _ = select_kernel(bandwidth_grid(2)[2:5], cal, u)
+        solve_label_weights(build_context(cal, train, sigma))
 
     def test_select_kernel_peak(self):
         self._warm_up()
@@ -974,7 +1017,7 @@ class TestGramMemory:
     def test_build_context_peak(self):
         self._warm_up()
         cal, train, _ = self._inputs(self.N)
-        peak = _traced_peak(lambda: build_context(cal, train, KernelSpec(0.5)))
+        peak = _traced_peak(lambda: build_context(cal, train, 0.5))
         assert peak <= 0.6 * 8 * self.N**2
 
     def test_one_large_label_makes_no_training_gram(self):
@@ -985,14 +1028,14 @@ class TestGramMemory:
         cal = rng.standard_normal((n, 2))
         train = Dataset(rng.standard_normal((4 * n, 2)), np.ones(4 * n, dtype=np.int64), num_classes=2)
         self._warm_up()
-        peak = _traced_peak(lambda: build_context(cal, train, KernelSpec(0.5)))
+        peak = _traced_peak(lambda: build_context(cal, train, 0.5))
         assert peak <= 0.6 * 8 * n**2
 
     def test_solve_label_weights_makes_no_gram_array(self):
         # the QP reads the context's float32 K0 in place: no copy of it, in either precision
         self._warm_up()
         cal, train, _ = self._inputs(self.N)
-        ctx = build_context(cal, train, KernelSpec(1.0))
+        ctx = build_context(cal, train, 1.0)
         peak = _traced_peak(lambda: solve_label_weights(ctx, options=SolverOptions(max_iters=50)))
         assert peak <= 0.1 * 8 * self.N**2
 
@@ -1025,7 +1068,7 @@ class TestGramMemory:
         self._warm_up()
         cal, train, _ = self._inputs(self.N)
         D2 = pairwise_sq_dists(cal, cal)
-        peak = _traced_peak(lambda: build_context(cal, train, KernelSpec(0.5), sq_dists=D2))
+        peak = _traced_peak(lambda: build_context(cal, train, 0.5, sq_dists=D2))
         assert peak <= 0.1 * 8 * self.N**2
 
 

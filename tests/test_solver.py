@@ -12,7 +12,7 @@ from unsupcp import solver
 from unsupcp.classifier import ProbModel
 from unsupcp.data import Dataset
 from unsupcp.errors import InfeasibleConstraintError
-from unsupcp.kernel import Gram, KernelSpec, build_context
+from unsupcp.kernel import Gram, build_context
 from unsupcp.solver import (
     FLOAT32_GAP_FLOOR,
     LAMBDA2_MARGIN,
@@ -39,7 +39,7 @@ def _context_from_seed(seed, n, m, c, d=2, sigma=1.0):
     rng = np.random.default_rng(seed)
     cal = rng.standard_normal((n, d))
     train = Dataset(rng.standard_normal((m, d)), 1 + rng.integers(0, c, m), num_classes=c)
-    return build_context(cal, train, KernelSpec(sigma))
+    return build_context(cal, train, sigma)
 
 
 def _tight_constraint_fixture():
@@ -56,7 +56,7 @@ def _point_context():
     # calibration point coincides with the single training point (label 1):
     # K0 = [[1]], v = (1, 0), so Phi(w) = w1^2 + w2^2 - 2 w1
     x0 = np.array([[0.0, 0.0]])
-    return build_context(x0, Dataset(x0, np.array([1]), num_classes=2), KernelSpec(1.0))
+    return build_context(x0, Dataset(x0, np.array([1]), num_classes=2), 1.0)
 
 
 class TestLabelWeights:
@@ -330,7 +330,7 @@ class TestSolveLabelWeights:
         cal = rng.standard_normal((n, 2))
         train = Dataset(rng.standard_normal((n, 2)), 1 + rng.integers(0, c, n), num_classes=c)
         B = -np.log(rng.dirichlet(np.ones(c), size=n))
-        ctx = build_context(cal, train, KernelSpec(1.0))
+        ctx = build_context(cal, train, 1.0)
         free_w, _ = solve_label_weights(ctx)
         free_loss = float(np.sum(B * free_w.matrix))
         bound = 0.5 * (float(B.min(axis=1).sum()) + free_loss)
@@ -363,7 +363,7 @@ class TestSolveLabelWeights:
         # simplex; the solver must report the uniform representative
         cal = np.array([[0.0, 0.0]])
         train = Dataset(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1, 2]), num_classes=2)
-        ctx = build_context(cal, train, KernelSpec(1.0))
+        ctx = build_context(cal, train, 1.0)
         weights, report = solve_label_weights(ctx, options=TIGHT)
         np.testing.assert_array_equal(weights.matrix, [[0.5, 0.5]])
         assert report.converged
@@ -448,7 +448,7 @@ def _gaussian_instance(seed, n, c, d=2):
     train_labels = 1 + rng.integers(0, c, n)
     cal_labels = 1 + rng.integers(0, c, n)
     train = Dataset(means[train_labels - 1] + rng.standard_normal((n, d)), train_labels, num_classes=c)
-    ctx = build_context(means[cal_labels - 1] + rng.standard_normal((n, d)), train, KernelSpec(1.0))
+    ctx = build_context(means[cal_labels - 1] + rng.standard_normal((n, d)), train, 1.0)
     return ctx, supervised_weights(cal_labels, c)
 
 
@@ -729,7 +729,7 @@ def _perron_instance(seed, n=METRIC_MIN_N, c=10, d=10):
     means = 2.2 * np.eye(c, d)
     train_labels, cal_labels = 1 + rng.integers(0, c, n), 1 + rng.integers(0, c, n)
     train = Dataset(means[train_labels - 1] + rng.standard_normal((n, d)), train_labels, num_classes=c)
-    ctx = build_context(means[cal_labels - 1] + rng.standard_normal((n, d)), train, KernelSpec(2.2))
+    ctx = build_context(means[cal_labels - 1] + rng.standard_normal((n, d)), train, 2.2)
     return ctx, supervised_weights(cal_labels, c), rng
 
 
@@ -829,7 +829,7 @@ class TestPerronMetric:
         monkeypatch.setattr(solver, "METRIC_MIN_N", 1)
         cal = np.stack([np.arange(60.0), np.zeros(60)], axis=1)
         train = Dataset(np.random.default_rng(0).standard_normal((8, 2)), 1 + np.arange(8) % 3, num_classes=3)
-        _, report = solve_label_weights(build_context(cal, train, KernelSpec(0.25)))
+        _, report = solve_label_weights(build_context(cal, train, 0.25))
         assert 1.0 < report.perron_ratio < LAMBDA2_MARGIN / POWER_MARGIN
         assert report.metric_iteration == -1
         assert report.converged
@@ -876,7 +876,7 @@ class TestLanczos:
         rng = np.random.default_rng(n)
         cal = np.zeros((n, 2)) if n == 50 else rng.standard_normal((n, 2))
         train = Dataset(rng.standard_normal((8, 2)), 1 + np.arange(8) % 3, num_classes=3)
-        ctx = build_context(cal, train, KernelSpec(1.0))
+        ctx = build_context(cal, train, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for K in (ctx.gram.values.astype(np.float64), ctx.gram.values):
