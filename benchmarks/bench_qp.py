@@ -6,7 +6,9 @@ For each shape (c=3, d=2, n=2000 and c=10, d=10, n=3000) and seed (1, 7, 8)
 it builds one unsupervised calibration's QP (logistic fit, loss constraint,
 naive start, context against m = n training points at sigma = sqrt(d/2), the
 bandwidth selection picks on both shapes). One counted solve records
-iterations, (n, n) @ (n, c) products, row projections and restarts; then
+iterations, (n, n) @ (n, c) products, row projections, restarts, the rank of
+the step's metric (0 when it never ran), the iteration that dropped it (-1
+never ran, 0 stayed on) and the Ritz values it read; then
 ``--repeats`` solves give the median QP seconds. ``peak_ratio`` is the
 QP's memory peak over the 8 n^2 bytes of one (n, n) float64 array: the
 bytes of the context's Gram, which the solve reads throughout, plus the
@@ -14,8 +16,9 @@ tracemalloc peak of one more solve. The median of a fixed
 float32 (3000, 3000) @ (3000, 10) GEMM is recorded too, so machines of
 different speed compare through qp_s / ref_gemm_s. The run is appended to
 ``--out``; ``--src`` times another checkout's package, which must take sigma
-as a float and hold the context's Gram as ``ctx.gram`` (time older checkouts
-with their own copy of this script).
+as a float, hold the context's Gram as ``ctx.gram`` and report the metric's
+``metric_rank`` and ``ritz_values`` (time older checkouts with their own copy
+of this script).
 """
 import argparse
 import importlib
@@ -96,12 +99,11 @@ def main():
             u.solve_label_weights(ctx, cut, None, init)
             peak = ctx.gram.values.nbytes + tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            ratio = report.perron_ratio
-            rows.append({  # one (n, n) @ (n, c) product per gap evaluation
+            rows.append({  # one (n, n) @ (n, c) product per gap evaluation, besides the Krylov run's
                 "shape": shape, "seed": seed, "iterations": report.iterations, "products": counts["gap"],
-                "projections": counts["proj"], "restarts": report.restarts,
-                "perron_ratio": None if math.isnan(ratio) else round(ratio, 4),
-                "metric": report.metric_iteration >= 0, "converged": report.converged,
+                "projections": counts["proj"], "restarts": report.restarts, "metric_rank": report.metric_rank,
+                "metric_iteration": report.metric_iteration, "ritz_values": [round(t, 2) for t in report.ritz_values],
+                "converged": report.converged,
                 "objective": report.objective_value, "qp_s": round(qp_s, 4), "peak_ratio": round(peak / (8 * n * n), 4)})
             print(json.dumps(rows[-1]), flush=True)
     out = Path(args.out)  # older runs are kept, so parent and change sit side by side

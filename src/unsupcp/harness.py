@@ -315,8 +315,8 @@ def calibrate_unsupervised(
 
     Starts from one-hot weights at the classifier's predictions and the
     constraint that the mean cross-entropy stays below ``loss_bound`` (an
-    unsatisfiable one raises InfeasibleConstraintError before any Gram is
-    built), selects the bandwidth that best fits the naive indicator
+    unsatisfiable one raises InfeasibleConstraintError, and a ``delta``
+    outside (0, 1) a ValueError, before any Gram is built), selects the bandwidth that best fits the naive indicator
     u0 = 1{score <= q0} (q0 the naive weighted quantile) at the ridge
     SELECTION_RIDGE, builds the kernel context against the labeled ``train``
     sample, solves the weight QP under that constraint, and takes the
@@ -325,6 +325,8 @@ def calibrate_unsupervised(
     u = 1{score <= q_hat}, union-corrected over the bandwidth candidates
     of ``bandwidth_grid``; its ridges do not depend on SELECTION_RIDGE.
     """
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
     cal_instances = np.asarray(cal_instances, dtype=np.float64)
     if not np.isfinite(cal_instances).all():
         raise ValueError("calibration instances must be finite")

@@ -11,16 +11,19 @@ one-dimensional search over row projections. The cut's multiplier at the
 last projection is the reported Lagrange multiplier lambda.
 
 The step is 1/L, with L from the largest eigenvalue of K0, whose
-eigenvector is the near-constant Perron vector; one Lanczos run estimates
-it, the second eigenvalue and v. For n >= METRIC_MIN_N, whenever L_1 > L_2
-> 0 (the constants of lambda_1 and lambda_2 with their margins), every
-step is taken in the metric M = L_2 I + (L_1 - L_2) v v^T instead, the
-rank-one-corrected prox of Becker & Fadili (NeurIPS 2012): the Perron
-direction keeps the step 1/L_1 while every other direction steps 1/L_2.
-The rank-one term is dualized into c variables whose c x c linear system
-comes from the last projection's row supports, so a step still costs one
-row projection. A plain metric step that fails to lower the objective
-drops the metric for good.
+eigenvector is the near-constant Perron vector. But K0's spectrum falls in
+shelves: past lambda_1 come about c - 1 cluster eigenvalues, then a bulk
+far below them. One block-Krylov run from [1, W0] (the start weights)
+estimates the leading eigenpairs and their residuals, and for n >=
+METRIC_MIN_N every step is taken in the rank-r metric M = L_{r+1} I +
+sum_{k<=r} (L_k - L_{r+1}) v_k v_k^T instead, with r read from the run's
+certified Ritz pairs (Becker & Fadili, NeurIPS 2012; the rank-r form in
+Becker, Fadili & Ochs, SIAM J. Optim. 29(4), 2019): each of the top r
+directions steps 1/L_k, and the rest 1/L_{r+1}. The rank-r term is
+dualized into r c variables whose (rc) x (rc) system comes from the row
+supports and is updated by the rows whose support changed, and a step
+refines its support with a few row projections. A metric step that
+fails to lower the objective drops the metric for good.
 
 The run stops on a certificate, the Frank-Wolfe duality gap on the cut set
 (Jaggi 2013), which bounds Phi(w) - Phi* and costs O(nc) per iteration from
@@ -50,10 +53,16 @@ CUT_RESOLUTION = 1e6  # largest mu * max(B) at which V - mu B resolves weights t
 CUT_STEPS = 100  # projections per multiplier search
 FLOAT32_GAP_FLOOR = 1e-6  # relative gap tolerances below this run float64 products from the start
 STALL_REL = 1e-12  # float64 relative change in Phi below which roundoff has stalled the solve
-LANCZOS_STEPS = 16  # most Lanczos steps behind the step constants
-POWER_MARGIN = 1.01  # headroom over the Lanczos estimate of lambda_max
-METRIC_MIN_N = 1000  # smallest n at which the step may run in the Perron metric (below, call overhead leads)
-LAMBDA2_MARGIN = 1.05  # headroom over the Lanczos estimate of lambda_2
+KRYLOV_DIM = 48  # basis vectors of the block-Krylov run behind the metric's constants
+STEP_KRYLOV_DIM = 16  # basis vectors of the run where only the step constant is read (n < METRIC_MIN_N)
+POWER_MARGIN = 1.01  # headroom over the Ritz value of lambda_max
+METRIC_MIN_N = 1000  # smallest n at which the step may run in the rank-r metric (below, call overhead leads)
+RITZ_MARGIN = 1.05  # headroom over the Ritz values of lambda_2 .. lambda_{r+1}
+RITZ_REL_RES = 0.05  # largest residual, relative to its value, of a Ritz pair the metric reads
+METRIC_MAX_RANK = 12  # most Ritz directions the metric steps at their own constants
+METRIC_MAX_SIZE = 120  # most unknowns r c of the metric step's linear system (r >= 1 at any c)
+SUPPORT_REFINEMENTS = 20  # most projections per metric step
+SYSTEM_ROWS = 256  # rows per chunk when the metric step's system is built or updated
 EPS32, EPS64 = float(np.finfo(np.float32).eps), float(np.finfo(np.float64).eps)
 
 
@@ -198,11 +207,13 @@ class SolverReport:
     the loss constraint's multiplier at the last projection, 0 when the cut
     was slack there. ``restarts`` counts the momentum restarts over both
     phases, each after a step with nonzero momentum raised Phi.
-    ``perron_ratio`` is the ratio of the top two Ritz values of K0 (see
-    ``_lanczos``), at every n: NaN when the second is not positive (a
-    rank-one K0, n <= 2). ``metric_iteration`` is the iteration at which the
-    Perron metric was dropped: 0 when it stayed on to the end, -1 when it
-    never ran.
+    ``ritz_values`` are the leading Ritz values of K0 that the block-Krylov
+    run certifies, descending, at every n (see ``_ritz_pairs``): the first
+    sets the step, and the metric reads all of them. ``metric_rank`` is the
+    rank r of the metric the solve started in, 0 when it never ran (n below
+    METRIC_MIN_N, or a spectrum with no drop past lambda_1, as on a
+    rank-one K0). ``metric_iteration`` is the iteration at which the metric
+    was dropped: 0 when it stayed on to the end, -1 when it never ran.
     """
 
     objective_value: float
@@ -215,7 +226,8 @@ class SolverReport:
     step: float = math.nan
     switch_iteration: int = 0
     restarts: int = 0
-    perron_ratio: float = math.nan
+    ritz_values: tuple[float, ...] = ()
+    metric_rank: int = 0
     metric_iteration: int = -1
 
 
@@ -262,91 +274,227 @@ def _project_cut(V: np.ndarray, cut: ConstraintSet | None, mu: float = 0.0):
     return W_hi, hi
 
 
-def _lanczos(product, eps: float, n: int):
-    """Estimates (lambda_1, v, lambda_2) of a nonnegative PSD n x n Gram K.
+def _orthonormal(F: np.ndarray, floor: float) -> np.ndarray:
+    """An orthonormal basis of F's columns: its left singular vectors whose
+    singular values exceed ``floor`` (the rest are rounding, and dropped)."""
+    U, sv, _ = np.linalg.svd(F, full_matrices=False)
+    return U[:, sv > floor]
 
-    One Lanczos run of at most LANCZOS_STEPS products with K, by
-    ``product`` (a float64 vector to float64 K times it, with rounding of
-    relative size ``eps``), on float64 vectors fully reorthogonalized
-    (twice), from the all-ones vector (close to a nonnegative Gram's Perron
-    vector). It stops early at n steps or when the next vector's norm falls
-    to the products' rounding. lambda_1 and lambda_2 are the top two Ritz
-    values (lambda_2 NaN after one step), v the unit top Ritz vector with a
-    positive sum: one ``np.linalg.eigh`` of the k x k tridiagonal gives
-    every Ritz pair. By interlacing each Ritz value sits at or below its
-    eigenvalue, and on a clustered spectrum the second converges far faster
-    than power iteration kept orthogonal to v (Kaniel-Paige; Golub & Van
-    Loan 10.1). A plain projected-gradient step 1/L stays non-increasing for
-    any L above half the true constant, so a residual underestimate of
-    lambda_1 costs no monotonicity.
+
+def _ritz_pairs(product, eps: float, W0: np.ndarray, dim: int = KRYLOV_DIM):
+    """Leading eigenpairs of a nonnegative PSD n x n Gram K from one
+    block-Krylov run; returns (theta, rho, V).
+
+    The run starts from the block [1, W0], W0 the (n, c) start weights: 1
+    is close to a nonnegative Gram's Perron vector, and W0's columns
+    approximate the cluster indicators whose span holds the next
+    eigenvectors (rows on the simplex sum to 1, so one-hot rows give a
+    block of rank c). Each block step takes one ``product`` with K (a
+    float64 block to float64 K times it, with rounding of relative size
+    ``eps``). Its remainder, orthogonalized against the basis twice, gives
+    the next block, less every direction of norm at most sqrt(n) eps times
+    the product's largest column (rounding). The run stops once the basis
+    holds ``dim`` vectors (n at most), or when a block deflates to
+    nothing (an invariant subspace). One ``np.linalg.eigh`` of the small
+    block-tridiagonal T gives every Ritz pair, and the block relation
+    K Q = Q T + F E^T gives each pair's residual ||K x - theta x|| from the
+    last remainder F, with no further product. By interlacing each Ritz
+    value sits at or below its eigenvalue, and a pair with residual rho
+    has an eigenvalue within rho of its value (Golub & Van Loan 10.1, 10.3).
+
+    ``theta`` and ``rho`` hold the Ritz values (descending) and residuals of
+    the leading pairs through the last of an unbroken run whose residuals
+    are at most RITZ_REL_RES of their values, at most r + 1 for
+    r = min(METRIC_MAX_RANK, max(1, METRIC_MAX_SIZE // c)), so the metric
+    step's state and system stay small. They hold the top pair always, and
+    the second whenever its value is past the products' rounding, sqrt(n)
+    eps theta_1, whatever its residual: it is a lower bound on lambda_2, as
+    the Perron metric's estimate was, and an underestimate is caught by the
+    fallback ladder. ``V`` (n, len(theta) - 1) holds the unit Ritz vectors
+    of all but the last.
     """
-    k = min(LANCZOS_STEPS, n)
-    Q, alpha, beta = np.empty((k, n)), np.empty(k), np.empty(k)
-    q = np.full(n, 1.0 / math.sqrt(n))
-    for j in range(k):
-        Q[j] = q
-        w = product(q)
-        alpha[j] = q @ w
+    n = W0.shape[0]
+    F = np.concatenate([np.ones((n, 1)), W0], axis=1)
+    block = _orthonormal(F, math.sqrt(n) * EPS64 * np.linalg.norm(F, axis=0).max())
+    Q = np.empty((n, min(n, dim + F.shape[1])))
+    T = np.zeros((Q.shape[1], Q.shape[1]))  # its lower triangle is the block-tridiagonal
+    k = 0
+    while True:
+        j, k = k, k + block.shape[1]
+        Q[:, j:k] = block
+        F = product(block)
+        floor = math.sqrt(n) * eps * np.linalg.norm(F, axis=0).max()
         for _ in range(2):
-            w -= (Q[: j + 1] @ w) @ Q[: j + 1]
-        beta[j] = np.linalg.norm(w)
-        if beta[j] <= math.sqrt(n) * eps * alpha[0]:
-            break  # an invariant subspace, to the products' rounding: alpha[0] >= 1 on a unit diagonal
-        q = w / beta[j]
-    k = j + 1
-    theta, S = np.linalg.eigh(np.diag(alpha[:k]) + np.diag(beta[: k - 1], 1) + np.diag(beta[: k - 1], -1))
-    v = S[:, -1] @ Q[:k]  # its sum is S[0, -1] sqrt(n), nonzero: T is unreduced
-    lam2 = float(theta[-2]) if k > 1 else math.nan
-    return float(theta[-1]), v / math.copysign(np.linalg.norm(v), v.sum()), lam2
+            h = Q[:, :k].T @ F
+            F -= Q[:, :k] @ h
+            T[:k, j:k] += h
+        if k >= min(dim, n):
+            break
+        block = _orthonormal(F, floor)[:, : Q.shape[1] - k]
+        if block.shape[1] == 0:
+            break
+        T[k : k + block.shape[1], j:k] = block.T @ F
+    theta, S = np.linalg.eigh(T[:k, :k])
+    theta, S = theta[::-1], S[:, ::-1]
+    last = S[j:k]
+    rho = np.sqrt(np.maximum(np.sum(last * ((F.T @ F) @ last), axis=0), 0.0))
+    above = theta > math.sqrt(n) * eps * theta[0]  # past the products' rounding
+    certified = np.append((rho <= RITZ_REL_RES * theta) & above, False)
+    rank = min(METRIC_MAX_RANK, max(1, METRIC_MAX_SIZE // W0.shape[1]))
+    # argmin: the first pair not certified; the second value counts whenever it is past the rounding
+    count = min(max(1 + int(above[1:2].any()), int(np.argmin(certified))), rank + 1)
+    return theta[:count], rho[:count], Q[:, :k] @ S[:, : count - 1]
+
+
+def _rows_differing(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The indices of the rows in which the (n, c) arrays S and T differ."""
+    return np.unique(np.flatnonzero(S != T) // S.shape[1])
 
 
 class _MetricStep:
-    """The projected step in the metric M = I / step + beta v v^T.
+    """The projected step in the metric M = I / step + V diag(beta) V^T.
 
-    M acts on every column of an (n, c) matrix, and v is a unit n-vector.
-    A call returns the minimizer W of <g, W> + 1/2 <W - Y, M (W - Y)> over
-    the row simplices cut by the loss constraint, with its cut multiplier
-    mu as ``_project_cut`` scales it. With beta = 0 that is
-    ``_project_cut(Y - step g, cut, mu)``, bit for bit.
+    M acts on every column of an (n, c) matrix; V is (n, r) with orthonormal
+    columns and beta (r,) is positive. A call returns the minimizer W of
+    <g, W> + 1/2 <W - Y, M (W - Y)> over the row simplices cut by the loss
+    constraint, with its cut multiplier mu as ``_project_cut`` scales it.
+    With no V (r = 0) that is ``_project_cut(Y - step g, cut, mu)``, bit
+    for bit.
 
-    With beta > 0 the rank-one term is dualized (Becker & Fadili 2012): W =
-    ``_project_cut(Y - step (g + v y^T), cut, mu)`` for the y in R^c that
-    solves y = beta v^T (W - Y). On a fixed support each row's projection
-    is affine in y, so y solves one c x c linear system,
-    (I + beta step A) y = beta a, with A = sum_i v_i^2 P_i (P_i the
-    Jacobian of row i's projection on its support) and a = v^T (W - Y) at
-    y = 0 under that affine model. The supports are predicted from the
-    last projection, and the rows shifted by the warm-start multiplier's
-    mu B as the cut shifts them. A depends only on those supports, which
-    change at nearly every step, so it is built on every call. Each call
-    costs one row projection (more only while the cut's multiplier search
-    runs) and one c x c inverse; a wrong prediction gives a point of the
-    cut set, but not the exact minimizer.
+    With r > 0 the rank-r term is dualized (Becker & Fadili 2012; Becker,
+    Fadili & Ochs 2019): W = ``_project_cut(Y - step (g + V y), cut, mu)``
+    for the (r, c) y that solves y = diag(beta) V^T (W - Y). On a fixed
+    support each row's projection is affine in y, so y solves one (rc) x
+    (rc) symmetric positive definite system, (diag(1/beta) (x) I + step A)
+    y = a, with A = sum_i (V_i V_i^T) (x) P_i (V_i row i of V, P_i the
+    Jacobian of row i's projection on its support, zero on a vertex) and
+    a = V^T (W - Y) at y = 0 under that affine model. While the cut binds,
+    its multiplier mu is solved for with y, from the cut's equation as one
+    more row and column of the system. The step refines the
+    support: it solves on the last projection's support, projects, and
+    repeats on the new support until a full step's projection keeps its
+    support or SUPPORT_REFINEMENTS projections have run. This is Newton's
+    method on the concave dual D(y) of the step's QP, whose inner
+    minimizer is the projection at y; a step that lowers D is halved and
+    projected again. A depends only on the supports, so it is kept and
+    updated by the rows whose support changed, which are few per step;
+    rows on a vertex add nothing. Any support gives a point of the cut
+    set, but the exact minimizer only when the refinement ends on a kept
+    support.
     """
 
-    def __init__(self, step, cut, v=None, beta=0.0):
-        self.step, self.cut, self.v, self.beta = step, cut, v, beta
-        self.support = None  # (n, c) 0/1 support of the last projection
+    def __init__(self, step, cut, V=None, beta=None):
+        self.step, self.cut, self.V, self.beta = step, cut, None, np.zeros(0)
+        if V is not None:
+            keep = np.asarray(beta, dtype=np.float64) > 0.0  # a direction with beta = 0 steps 1/step already
+            if keep.any():
+                self.V, self.beta = V[:, keep], np.asarray(beta, dtype=np.float64)[keep]
+        self.support = None  # (n, c) bool support that A is built on
+        self.A = None
 
-    def dual(self, V, Y, mu):
-        """y from the affine model of every row's projection of V - mu B on
-        ``self.support``; V = Y - step g."""
-        S = self.support
-        w2 = self.v * self.v
-        counts = S.sum(axis=1)
-        A = np.diag(w2 @ S) - (S * (w2 / counts)[:, None]).T @ S
-        Z = V - mu * self.cut.loss_matrix if mu > 0.0 else V
-        theta = ((Z * S).sum(axis=1) - 1.0) / counts
-        a = self.v @ (S * (Z - theta[:, None]) - Y)
-        return np.linalg.inv(np.eye(S.shape[1]) + (self.beta * self.step) * A) @ (self.beta * a)
+    @property
+    def rank(self) -> int:
+        return self.beta.size
+
+    def _accumulate(self, V, support, weight):
+        """A += sum_i weight_i (V_i V_i^T) (x) P_i over the rows of ``V`` and
+        ``support``. Rows on a vertex (P_i = 0) are skipped, and the rest
+        are taken SYSTEM_ROWS at a time, so no (n, rc) array is made."""
+        keep = support.sum(axis=1) > 1
+        V, support, weight = V[keep], support[keep], weight[keep]
+        r, c = V.shape[1], support.shape[1]
+        blocks, idx = self.A.reshape(r, c, r, c), np.arange(c)
+        for lo in range(0, weight.size, SYSTEM_ROWS):
+            S, Vc, w = support[lo : lo + SYSTEM_ROWS], V[lo : lo + SYSTEM_ROWS], weight[lo : lo + SYSTEM_ROWS]
+            U = (Vc[:, :, None] * S[:, None, :]).reshape(w.size, r * c)  # row i: V_i (x) s_i
+            # the diagonal blocks of (V_i V_i^T) (x) diag(s_i), then the rank-one (V_i (x) s_i)(...)^T / |s_i|
+            blocks[:, idx, :, idx] += ((U * w[:, None]).T @ Vc).reshape(r, c, r).transpose(1, 0, 2)
+            self.A -= (U * (w / S.sum(axis=1))[:, None]).T @ U
+
+    def set_support(self, support):
+        """Move A to ``support`` ((n, c) bool), by the rows whose support changed."""
+        if self.V is None:
+            return
+        if self.A is None:
+            r, c = self.rank, support.shape[1]
+            self.A = np.zeros((r * c, r * c))
+            self._accumulate(self.V, support, np.ones(support.shape[0]))
+        else:
+            rows = _rows_differing(support, self.support)
+            self._accumulate(self.V[np.concatenate([rows, rows])], np.concatenate([support[rows], self.support[rows]]),
+                             np.repeat([1.0, -1.0], rows.size))
+        self.support, self.mask = support, support.astype(np.float64)
+        self.inv_counts = 1.0 / (self.mask @ np.ones(support.shape[1]))
+
+    def dual(self, Z, Y, mu):
+        """(y, mu) from the affine model of every row's projection of
+        Z - step V y - mu B on ``self.support``; Z = Y - step g. With
+        mu = 0 (the cut slack at the last projection) mu is held at 0; else
+        it is solved for too, with the cut's equation aimed at the middle of
+        its slack band, and held at 0 again if it comes out nonpositive."""
+        mask = self.mask
+
+        def affine(X, total):
+            # rowwise P_i x_i + s_i total / |s_i|: the projection of x_i onto its support's plane
+            return mask * (X - ((np.einsum("ij,ij->i", X, mask) - total) * self.inv_counts)[:, None])
+
+        W = affine(Z, 1.0)
+        a = (self.V.T @ (W - Y)).ravel()
+        system = self.step * self.A
+        system[np.diag_indices_from(system)] += np.repeat(1.0 / self.beta, Y.shape[1])
+        if mu > 0.0:
+            B, b = self.cut.loss_matrix, self.cut.bound
+            PB = affine(B, 0.0)
+            h = (self.V.T @ PB).ravel()
+            bordered = np.block([[system, h[:, None]], [h[None, :], np.full((1, 1), np.vdot(B, PB) / self.step)]])
+            rhs = np.append(a, (np.vdot(B, W) - b * (1.0 + 0.5 * SLACK_REL_TOL)) / self.step)
+            x = np.linalg.solve(bordered, rhs)
+            if x[-1] > 0.0:
+                return x[:-1].reshape(-1, Y.shape[1]), float(x[-1])
+        return np.linalg.solve(system, a).reshape(-1, Y.shape[1]), 0.0
+
+    def _dual_value(self, W, Y, g, y):
+        """The concave dual of the step's QP at y, whose inner minimizer W
+        is the projection at y."""
+        D = W - Y
+        return float(np.vdot(g, W) + 0.5 / self.step * np.vdot(D, D) + np.vdot(y, self.V.T @ D)
+                     - 0.5 * np.sum(y * y / self.beta[:, None]))
+
+    def _project(self, Z, mu):
+        """``_project_cut(Z, cut, mu)``, exact to rounding, read off the
+        model's supports where they hold: a row whose entries stay above its
+        support's threshold on the support, and at or below it off the
+        support, keeps that support, so its projection is affine, and only
+        the other rows are sorted. A cut that binds goes to ``_project_cut``."""
+        if mu == 0.0:
+            shifted = Z - ((np.einsum("ij,ij->i", Z, self.mask) - 1.0) * self.inv_counts)[:, None]
+            W = np.maximum(shifted, 0.0)
+            rows = _rows_differing(shifted > 0.0, self.support)
+            if rows.size:
+                W[rows] = _project_rows(Z[rows])
+            if self.cut is None or float(np.vdot(self.cut.loss_matrix, W)) <= self.cut.bound * (1.0 + SLACK_REL_TOL):
+                return W, 0.0
+        return _project_cut(Z, self.cut, mu)
 
     def __call__(self, Y, g, mu):
-        V = Y - self.step * g
-        if self.beta == 0.0:
-            return _project_cut(V, self.cut, mu)
-        y = self.dual(V, Y, mu)
-        W, mu = _project_cut(V - np.outer(self.step * self.v, y), self.cut, mu)
-        self.support = (W > 0.0).astype(np.float64)
+        Z = Y - self.step * g
+        if self.V is None:
+            return _project_cut(Z, self.cut, mu)
+        y, value, t = np.zeros((self.rank, Y.shape[1])), -math.inf, 1.0
+        target, mu_target = self.dual(Z, Y, mu)
+        for _ in range(SUPPORT_REFINEMENTS):
+            y_t = y + t * (target - y)
+            W_t, mu_t = self._project(Z - self.step * (self.V @ y_t), mu_target if t == 1.0 else mu)
+            value_t = self._dual_value(W_t, Y, g, y_t)
+            if value_t < value:
+                t *= 0.5  # a damped Newton step on the concave dual: halved until the dual does not fall
+                continue
+            y, W, mu, value = y_t, W_t, mu_t, value_t
+            support = W > 0.0
+            if t == 1.0 and mu == mu_target and np.array_equal(support, self.support):
+                break  # (y, mu) solve the model of their own projection's support: W is the step
+            self.set_support(support)
+            (target, mu_target), t = self.dual(Z, Y, mu), 1.0
         return W, mu
 
 
@@ -378,19 +526,24 @@ def _fista(gram: Gram, G, W0, max_iters, rel_tol, cut=None):
     momentum point follow by linearity, and the gap from the same product.
     Each multiplier search starts from the last accepted one's mu.
 
-    The step is 1/L, with L = POWER_MARGIN 2/n lambda_1 from one Lanczos
-    run (``_lanczos``), which also estimates lambda_2 and v. At n >=
-    METRIC_MIN_N, whenever L > L_2 > 0 with L_2 = LAMBDA2_MARGIN 2/n
-    lambda_2, the steps run in the Perron metric M = L_2 I + (L - L_2) v v^T
-    instead, with v the Perron vector (see ``_MetricStep``): M still bounds
-    the Hessian (2/n) K0, but its Perron direction no longer sets the step
-    in every other one. The cut's multiplier is then mu L_2 rather than mu L.
+    The step is 1/L, with L = L_1 = POWER_MARGIN 2/n theta_1 from one
+    block-Krylov run (``_ritz_pairs``) started at the projected W0, which
+    also gives the next certified Ritz values theta_2 .. theta_{r+1} and the
+    Ritz vectors V of the top r; L_k = RITZ_MARGIN 2/n theta_k for k >= 2.
+    The run builds KRYLOV_DIM basis vectors, or STEP_KRYLOV_DIM below
+    METRIC_MIN_N, where only theta_1 is read.
+    At n >= METRIC_MIN_N, whenever L_1 > L_{r+1} > 0, the steps run in the
+    rank-r metric M = L_{r+1} I + V diag(L_k - L_{r+1}) V^T instead (see
+    ``_MetricStep``; directions with L_k = L_{r+1} drop out of V): M bounds
+    the Hessian (2/n) K0 when the pairs are exact, and no top direction
+    sets the step in the bulk. The cut's multiplier is then mu L_{r+1}
+    rather than mu L.
 
     K0 is ``gram``, float32. At ``rel_tol`` >= FLOAT32_GAP_FLOOR the solve
-    runs a float32 phase whose products (the Lanczos run too) are float32
+    runs a float32 phase whose products (the Krylov run too) are float32
     GEMMs (``Gram.product``), then a float64 phase whose products are
     float64-accumulated (``Gram.product64``); below it, only the float64
-    phase, Lanczos run included. Iterates, gradients and sums stay float64.
+    phase, Krylov run included. Iterates, gradients and sums stay float64.
     Each phase evaluates its starting iterate with its own products,
     restarts the momentum, and iterates until the gap certifies, a step
     changes h by less than STALL_REL relative, or the solve reaches
@@ -401,10 +554,10 @@ def _fista(gram: Gram, G, W0, max_iters, rel_tol, cut=None):
     by a plain step from the previous iterate, until one does not raise h:
     1. a momentum restart, only when the momentum was nonzero (otherwise the
        plain step is the step that failed); ``restarts`` counts these;
-    2. the Perron metric is dropped for good (lambda_2 underestimated, or a
-       wrong support prediction) and the step is 1/L again; its iteration
-       is ``metric_iteration``, 0 when the metric stayed on and -1 when it
-       never ran.
+    2. the metric is dropped for good (a Ritz value underestimated, or a
+       step whose support refinement ran out) and the step is 1/L again;
+       its iteration is ``metric_iteration``, 0 when the metric stayed on
+       and -1 when it never ran.
     A float32 step that still raises h ends the float32 phase untaken
     (float32 rounding stalls progress); the float64 phase keeps its step
     whatever its value. The momentum restarts from the next step whenever
@@ -423,14 +576,15 @@ def _fista(gram: Gram, G, W0, max_iters, rel_tol, cut=None):
     phases = ((gram.product, EPS32), (gram.product64, EPS64))  # (products, their rounding)
     if rel_tol < FLOAT32_GAP_FLOOR:
         phases = phases[1:]
-    lam1, v, lam2 = _lanczos(*phases[0], n)
-    lip, lip2 = POWER_MARGIN * 2.0 / n * lam1, LAMBDA2_MARGIN * 2.0 / n * lam2
-    step = 1.0 / lip
-    ratio = lam1 / lam2 if lam2 > 0.0 else math.nan  # NaN for a rank-one K0 or n <= 2
-    if n >= METRIC_MIN_N and lip > lip2 > 0.0:
-        prox, dropped = _MetricStep(1.0 / lip2, cut, v, lip - lip2), 0
+    X, mu = _project_cut(W0, cut)
+    theta, _, V = _ritz_pairs(*phases[0], X, KRYLOV_DIM if n >= METRIC_MIN_N else STEP_KRYLOV_DIM)
+    lips = (2.0 / n) * theta * np.where(np.arange(theta.size) == 0, POWER_MARGIN, RITZ_MARGIN)
+    step = 1.0 / lips[0]
+    if n >= METRIC_MIN_N and lips[0] > lips[-1] > 0.0:
+        prox, dropped = _MetricStep(1.0 / lips[-1], cut, V, lips[:-1] - lips[-1]), 0
     else:
         prox, dropped = _MetricStep(step, cut), -1
+    rank = prox.rank
 
     def evaluate(W, mu):
         # in the current phase's products
@@ -441,8 +595,7 @@ def _fista(gram: Gram, G, W0, max_iters, rel_tol, cut=None):
         Z, mu_z = prox(X, gX, mu)
         return (Z, mu_z) + evaluate(Z, mu_z)
 
-    X, mu = _project_cut(W0, cut)
-    prox.support = (X > 0.0).astype(np.float64)
+    prox.set_support(X > 0.0)
     hist, iters, restarts = [], 0, 0
     for product, eps in phases:
         start = iters
@@ -461,7 +614,7 @@ def _fista(gram: Gram, G, W0, max_iters, rel_tol, cut=None):
                 if beta > 0.0:
                     restarts += 1
                     Z, mu_z, fz, gap_z, gZ = plain()
-                if fz > f and prox.beta > 0.0:
+                if fz > f and prox.rank:
                     # the metric overshoots: drop it for good, rescaling X's multiplier to the step 1/L
                     mu *= step / prox.step
                     prox, dropped = _MetricStep(step, cut), iters + 1
@@ -486,7 +639,8 @@ def _fista(gram: Gram, G, W0, max_iters, rel_tol, cut=None):
         step=step,
         switch_iteration=start + 1 if len(phases) > 1 and iters > start else 0,
         restarts=restarts,
-        perron_ratio=ratio,
+        ritz_values=tuple(theta.tolist()),
+        metric_rank=rank,
         metric_iteration=dropped,
     )
 
@@ -513,7 +667,7 @@ def solve_label_weights(
     ``converged``, are float64-accumulated products of K0
     (``Gram.product64``) at the returned weights, and the gap's multiplier
     is the last projection's mu times the Euclidean step constant it ran at
-    (L_2 in the metric).
+    (L_{r+1} in the metric).
     """
     options = options or SolverOptions()
     n, c = ctx.n, ctx.c

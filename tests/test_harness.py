@@ -429,6 +429,19 @@ class TestCalibrateUnsupervised:
         with pytest.raises(ValueError, match="training instances must be finite"):
             calibrate_unsupervised(model, cal, Dataset(rows, train.labels, 3), scores, 0.1, 10.0)
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 2.0, -0.1, math.nan])
+    def test_bad_delta_rejected_before_selection(self, monkeypatch, delta):
+        # delta only enters the bound, but it is checked before selection,
+        # the context build or the QP runs
+        calls = []
+        monkeypatch.setattr(harness, "select_kernel", lambda *a, **k: calls.append(a))
+        builds = self._counted_distance_builds(monkeypatch)
+        model, cal, train = self._small_inputs()
+        scores = build_score_matrix(model, cal, "adaptive", 0)
+        with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
+            calibrate_unsupervised(model, cal, train, scores, 0.1, 10.0, delta=delta)
+        assert calls == [] and builds == []
+
     def test_failed_ridge_reads_nan(self, monkeypatch):
         cfg = _tiny_config(**self.CFG)
         counts = _direct_calibration(cfg, 12).bound_path["iterations"]

@@ -1,5 +1,7 @@
 """Weight structures, simplex projection, and the label-weight QP."""
 
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,17 +17,19 @@ from unsupcp.errors import InfeasibleConstraintError
 from unsupcp.kernel import Gram, build_context
 from unsupcp.solver import (
     FLOAT32_GAP_FLOOR,
-    LAMBDA2_MARGIN,
-    LANCZOS_STEPS,
+    KRYLOV_DIM,
     METRIC_MIN_N,
     POWER_MARGIN,
+    RITZ_MARGIN,
+    RITZ_REL_RES,
+    STEP_KRYLOV_DIM,
     ConstraintSet,
     LabelWeights,
     SolverOptions,
     _fista,
-    _lanczos,
     _project_cut,
     _project_rows,
+    _ritz_pairs,
     build_loss_constraints,
     naive_weights,
     solve_label_weights,
@@ -452,17 +456,21 @@ def _gaussian_instance(seed, n, c, d=2):
     return ctx, supervised_weights(cal_labels, c)
 
 
-def _lanczos_of(K):
-    """The Lanczos run on K's own products: float32 GEMVs for a float32 K, as
-    the float32 phase runs them, and float64 ones otherwise."""
+def _ritz_of(K, W0=None):
+    """The block-Krylov run on K's own products (float32 GEMMs for a float32
+    K, as the float32 phase runs them, and float64 ones otherwise) from the
+    start weights W0, uniform over 3 labels by default (as a solve with no
+    init starts)."""
+    n = K.shape[0]
+    W0 = np.full((n, 3), 1.0 / 3.0) if W0 is None else W0
     if K.dtype == np.float32:
-        return _lanczos(Gram(K).product, float(np.finfo(np.float32).eps), K.shape[0])
-    return _lanczos(lambda q: K @ q, float(np.finfo(np.float64).eps), K.shape[0])
+        return _ritz_pairs(Gram(K).product, float(np.finfo(np.float32).eps), W0)
+    return _ritz_pairs(lambda P: K @ P, float(np.finfo(np.float64).eps), W0)
 
 
 def _lip(K):
     """The solver's step constant: POWER_MARGIN times 2/n lambda_1's estimate."""
-    return POWER_MARGIN * 2.0 / K.shape[0] * _lanczos_of(K)[0]
+    return POWER_MARGIN * 2.0 / K.shape[0] * _ritz_of(K)[0][0]
 
 
 class TestCertificate:
@@ -579,110 +587,90 @@ class TestCertificate:
             assert seen and all(K is ctx.gram.values for K in seen)
 
 
-def _metric_value(W, Y, g, v, step, beta):
-    """<g, W> + 1/2 <W - Y, M (W - Y)> with M = I / step + beta v v^T on columns."""
+def _metric_value(W, Y, g, V, step, beta):
+    """<g, W> + 1/2 <W - Y, M (W - Y)> with M = I / step + V diag(beta) V^T on columns."""
     D = W - Y
-    return float(np.vdot(g, W) + 0.5 * (np.vdot(D, D) / step + beta * np.sum((v @ D) ** 2)))
+    return float(np.vdot(g, W) + 0.5 * (np.vdot(D, D) / step + np.sum(beta[:, None] * (V.T @ D) ** 2)))
 
 
-def _metric_oracle(Y, g, v, step, beta, cut):
-    """Minimum of the metric step's QP by support enumeration: the pair
-    matrix is M (x) I_c, fed to qp_oracle as (n / 2) M with m = 2."""
-    n, c = Y.shape
-    Mp = np.kron(np.eye(n) / step + beta * np.outer(v, v), np.eye(c))
-    y = Y.ravel()
-    lin = g.ravel() - Mp @ y
-    return 0.5 * y @ Mp @ y + qp_oracle(0.5 * n * Mp, -lin, n, 2, c,
-                                        loss_row=None if cut is None else cut.loss_matrix.ravel(),
-                                        bound=None if cut is None else cut.bound)
+def _metric_oracle(Y, g, V, step, beta, cut):
+    """The metric step's minimizer by brute force: accelerated projected
+    gradient in the Euclidean metric on the strongly convex QP, with the
+    momentum of its condition number 1 + step max(beta), run until the
+    iterates stop moving. Each projection is ``_project_cut``'s; returns
+    (W, the cut's multiplier in the QP's units)."""
+    L = 1.0 / step + float(beta.max())
+    kappa = L * step
+    momentum = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
+    X = Xp = _project_cut(Y, cut)[0]
+    mu = 0.0
+    for _ in range(20000):
+        Z = X + momentum * (X - Xp)
+        D = Z - Y
+        grad = g + D / step + V @ (beta[:, None] * (V.T @ D))
+        Xp, (X, mu) = X, _project_cut(Z - grad / L, cut, mu)
+        if np.abs(X - Xp).max() <= 1e-14:
+            break
+    return X, mu * L
 
 
-def _exact_simplex_step(ms, Y, g):
-    """The metric step onto the row simplices with its dual iterated to
-    convergence: Newton on the concave dual D(y), each target from
-    ``ms.dual`` on the support at y, halved until D does not fall."""
-    V = Y - ms.step * g
-    vY = ms.v @ Y
-
-    def at(y):
-        W = _project_rows(V - np.outer(ms.step * ms.v, y))
-        D = W - Y
-        return W, float(np.vdot(g + np.outer(ms.v, y), W) + np.vdot(D, D) / (2 * ms.step) - y @ vY - y @ y / (2 * ms.beta))
-
-    y = np.zeros(Y.shape[1])
-    W, d = at(y)
-    for _ in range(200):
-        ms.support = (W > 0.0).astype(np.float64)
-        target = ms.dual(V, Y, 0.0)
-        if np.abs(target - y).max() <= 1e-10 * (1.0 + np.abs(y).max()):
-            return W
-        t = 1.0
-        while True:
-            W_t, d_t = at(y + t * (target - y))
-            if d_t >= d or t < 1e-12:
-                break
-            t *= 0.5
-        y, W, d = y + t * (target - y), W_t, d_t
-    raise AssertionError("the metric step's dual did not converge")
-
-
-def _exact_metric_step(step, v, beta, Y, g, cut):
-    """(W, lambda): the metric step onto the cut set, by bisection on the
-    cut's multiplier lambda around the exact simplex step of g + lambda B."""
-    ms = solver._MetricStep(step, None, v, beta)
-    W = _exact_simplex_step(ms, Y, g)
-    if cut is None or float(np.sum(cut.loss_matrix * W)) <= cut.bound:
-        return W, 0.0
-    lo, hi = 0.0, 1.0
-    while float(np.sum(cut.loss_matrix * _exact_simplex_step(ms, Y, g + hi * cut.loss_matrix))) > cut.bound:
-        lo, hi = hi, 2.0 * hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if float(np.sum(cut.loss_matrix * _exact_simplex_step(ms, Y, g + mid * cut.loss_matrix))) > cut.bound:
-            lo = mid
-        else:
-            hi = mid
-    return _exact_simplex_step(ms, Y, g + hi * cut.loss_matrix), hi
-
-
-def _metric_problem(seed, n, c, with_cut):
-    """A random metric step: momentum point Y, gradient g, unit positive v,
-    step and beta, and (when ``with_cut``) a cut between the cheapest
-    vertices and the free step's loss, or None where the free step sits at
-    the cheapest vertices."""
+def _metric_problem(seed, n, c, r, with_cut):
+    """A random rank-r metric step: momentum point Y, gradient g, orthonormal
+    V (n, r), step and beta, and (when ``with_cut``) a cut between the
+    cheapest vertices and the free step's loss, or None where the free step
+    sits at the cheapest vertices."""
     rng = np.random.default_rng(seed)
     Y = rng.dirichlet(np.ones(c), size=n) + 0.3 * rng.standard_normal((n, c))
     g = rng.standard_normal((n, c))
-    v = rng.uniform(0.2, 1.0, n)
-    v /= np.linalg.norm(v)
-    step, beta = rng.uniform(0.2, 2.0), rng.uniform(0.5, 20.0)
+    V = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    step, beta = rng.uniform(0.2, 2.0), rng.uniform(0.5, 20.0, r)
     cut = None
     if with_cut:
         B = rng.uniform(0.1, 2.0, (n, c))
         floor = float(B.min(axis=1).sum())
-        free = float(np.sum(B * _exact_metric_step(step, v, beta, Y, g, None)[0]))
+        free = float(np.sum(B * _metric_oracle(Y, g, V, step, beta, None)[0]))
         if free > floor * (1.0 + 1e-3):
             cut = ConstraintSet(loss_matrix=B, bound=floor + rng.uniform(0.1, 0.9) * (free - floor))
-    return Y, g, v, step, beta, cut, rng
+    return Y, g, V, step, beta, cut, rng
+
+
+def _kron_system(V, support):
+    """sum_i (V_i V_i^T) (x) P_i, P_i = diag(s_i) - s_i s_i^T / |s_i|, densely."""
+    r, c = V.shape[1], support.shape[1]
+    A = np.zeros((r * c, r * c))
+    for Vi, si in zip(V, support.astype(np.float64)):
+        A += np.kron(np.outer(Vi, Vi), np.diag(si) - np.outer(si, si) / si.sum())
+    return A
 
 
 class TestMetricStep:
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), c=st.integers(2, 3), with_cut=st.booleans())
-    def test_converged_dual_solves_the_metric_qp(self, seed, n, c, with_cut):
-        Y, g, v, step, beta, cut, _ = _metric_problem(seed, n, c, with_cut)
-        W, lam = _exact_metric_step(step, v, beta, Y, g, cut)
-        value = _metric_value(W, Y, g, v, step, beta)
-        expect = _metric_oracle(Y, g, v, step, beta, cut)
-        # bisection leaves B W within roundoff of b on either side, which moves the value by lambda times that
-        over = 0.0 if cut is None else lam * abs(float(np.sum(cut.loss_matrix * W)) - cut.bound)
-        assert abs(value - expect) <= over + 1e-9 * max(1.0, abs(expect))
-        # given that step's supports, one projection of the solver's step is the same step
-        ms = solver._MetricStep(step, cut, v, beta)
-        ms.support = (W > 0.0).astype(np.float64)
-        W1, mu1 = ms(Y, g, lam * step)
-        np.testing.assert_allclose(W1, W, atol=1e-6)
-        assert abs(mu1 / step - lam) <= 1e-6 * max(1.0, lam)
+    @given(seed=st.integers(0, 2**32 - 1), c=st.sampled_from([3, 10]), r=st.sampled_from([1, 3, 11]),
+           extra=st.integers(0, 3), with_cut=st.booleans())
+    def test_converged_dual_solves_the_metric_qp(self, seed, c, r, extra, with_cut):
+        # from the supports of the plain step (a stale prediction) and a cold
+        # multiplier, the refinement run to its end is the brute-force
+        # minimizer. n = r makes V square, the hardest case for the
+        # refinement, so its cap is lifted here
+        Y, g, V, step, beta, cut, _ = _metric_problem(seed, r + extra, c, r, with_cut)
+        expect, lam = _metric_oracle(Y, g, V, step, beta, cut)
+        ms = solver._MetricStep(step, cut, V, beta)
+        ms.set_support(_project_rows(Y - step * g) > 0.0)
+        projections = []
+        project = solver._project_cut
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_project_cut", lambda *a: projections.append(1) or project(*a))
+            mp.setattr(solver, "SUPPORT_REFINEMENTS", 500)
+            W, mu = ms(Y, g, 0.0)
+        assert len(projections) < 500  # the refinement ended on a kept support
+        value, best = _metric_value(W, Y, g, V, step, beta), _metric_value(expect, Y, g, V, step, beta)
+        # both sit in the cut's 1e-8 b slack band, which moves the value by lambda times its width
+        band = 0.0 if cut is None else lam * 1e-8 * cut.bound
+        assert abs(value - best) <= band + 1e-9 * max(1.0, abs(best))
+        np.testing.assert_allclose(W, expect, atol=1e-6)
+        if cut is not None:
+            assert abs(mu / step - lam) <= 1e-5 * max(1.0, lam)
+        np.testing.assert_array_equal(ms.support, W > 0.0)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), c=st.integers(2, 5), with_cut=st.booleans(),
@@ -691,20 +679,23 @@ class TestMetricStep:
         rng = np.random.default_rng(seed)
         Y = rng.uniform(-1.0, 2.0, (n, c))
         g = rng.standard_normal((n, c))
-        v = rng.uniform(0.1, 1.0, n)
-        v /= np.linalg.norm(v)
+        r = int(rng.integers(1, n + 1))
+        V = np.linalg.qr(rng.standard_normal((n, r)))[0]
         B = rng.uniform(0.1, 2.0, (n, c))
         cut = ConstraintSet(loss_matrix=B, bound=float(B.min(axis=1).sum()) * 1.05 + 0.01) if with_cut else None
-        ms = solver._MetricStep(rng.uniform(0.1, 2.0), cut, v, rng.uniform(0.1, 50.0))
-        # any prediction, however wrong, still gives a feasible point
-        ms.support = (rng.random((n, c)) < 0.5).astype(np.float64)
-        ms.support[np.arange(n), rng.integers(0, c, n)] = 1.0
+        ms = solver._MetricStep(rng.uniform(0.1, 2.0), cut, V, rng.uniform(0.1, 50.0, r))
+        # any prediction, however wrong, still gives a feasible point, and
+        # the step ends tracking the supports of the point it returns
+        support = rng.random((n, c)) < 0.5
+        support[np.arange(n), rng.integers(0, c, n)] = True
+        ms.set_support(support)
         W, mu_out = ms(Y, g, mu * (cut is not None))
         assert W.min() >= 0.0
         np.testing.assert_allclose(W.sum(axis=1), 1.0, atol=1e-9)
         if cut is not None:
             assert float(np.sum(B * W)) <= cut.bound * (1.0 + 1e-8)
         np.testing.assert_array_equal(ms.support, W > 0.0)
+        np.testing.assert_allclose(ms.A, _kron_system(V, W > 0.0), atol=1e-12)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), with_cut=st.booleans(), mu=st.sampled_from([0.0, 0.01, 3.0]))
@@ -716,10 +707,67 @@ class TestMetricStep:
         cut = ConstraintSet(loss_matrix=B, bound=float(B.min(axis=1).sum()) * 1.1 + 0.01) if with_cut else None
         step = 1.0 / rng.uniform(0.5, 5.0)
         expect, mu_expect = _project_cut(Y - step * g, cut, mu)
-        for ms in (solver._MetricStep(step, cut), solver._MetricStep(step, cut, np.full(5, 5 ** -0.5), 0.0)):
+        V = np.linalg.qr(rng.standard_normal((5, 2)))[0]
+        for ms in (solver._MetricStep(step, cut), solver._MetricStep(step, cut, V, np.zeros(2))):
+            assert ms.rank == 0
+            ms.set_support(rng.random((5, 3)) < 0.5)  # a no-op on the plain step
             W, mu_out = ms(Y, g, mu)
             np.testing.assert_array_equal(W, expect)
             assert mu_out == mu_expect
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), c=st.sampled_from([2, 3, 10]),
+           flip=st.sampled_from([0.0, 0.05, 0.5]), with_cut=st.booleans())
+    def test_projection_read_off_the_supports_is_the_projection(self, seed, n, c, flip, with_cut):
+        # rows that keep the model's support are projected by its affine
+        # formula, the rest sorted: the same point as _project_cut, to rounding
+        rng = np.random.default_rng(seed)
+        Z = rng.uniform(-1.0, 2.0, (n, c))
+        support = _project_rows(Z) > 0.0
+        support ^= rng.random((n, c)) < flip  # a stale prediction in some rows
+        support[np.arange(n), np.argmax(Z, axis=1)] = True
+        B = rng.uniform(0.1, 2.0, (n, c))
+        cut = ConstraintSet(loss_matrix=B, bound=float(B.min(axis=1).sum()) * 1.05 + 0.01) if with_cut else None
+        ms = solver._MetricStep(1.0, cut, np.linalg.qr(rng.standard_normal((n, 1)))[0], np.ones(1))
+        ms.set_support(support)
+        W, mu = ms._project(Z, 0.0)
+        expect, mu_expect = _project_cut(Z, cut, 0.0)
+        np.testing.assert_allclose(W, expect, rtol=0.0, atol=1e-12)
+        assert abs(mu - mu_expect) <= 1e-9 * max(1.0, mu_expect)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), c=st.sampled_from([2, 3, 10]), r=st.sampled_from([1, 3, 11]))
+    def test_system_follows_the_supports(self, seed, c, r):
+        # A is updated by the rows whose support changed; after a run of
+        # random changes it still equals the dense sum over every row
+        rng = np.random.default_rng(seed)
+        n = r + int(rng.integers(0, 30))
+        V = np.linalg.qr(rng.standard_normal((n, r)))[0]
+        ms = solver._MetricStep(1.0, None, V, rng.uniform(0.5, 5.0, r))
+        for _ in range(4):
+            support = rng.random((n, c)) < rng.uniform(0.1, 0.9)
+            support[np.arange(n), rng.integers(0, c, n)] = True
+            ms.set_support(support)
+            np.testing.assert_allclose(ms.A, _kron_system(V, support), atol=1e-12)
+
+    def test_system_build_makes_no_wide_temporary(self):
+        # the rank-r state fits beside the QP's (n, c) arrays: the build and
+        # an update take no (n, r c) float64 array
+        n, c, r = 4000, 10, 11
+        rng = np.random.default_rng(5)
+        V = np.linalg.qr(rng.standard_normal((n, r)))[0]
+        labels = rng.integers(0, c, n)
+        support = rng.random((n, c)) < 0.15
+        support[np.arange(n), labels] = True
+        moved = support ^ (rng.random((n, c)) < 0.01)
+        moved[np.arange(n), labels] = True
+        ms = solver._MetricStep(1.0, None, V, np.ones(r))
+        tracemalloc.start()
+        ms.set_support(support)
+        ms.set_support(moved)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 0.5 * 8 * n * r * c
 
 
 def _perron_instance(seed, n=METRIC_MIN_N, c=10, d=10):
@@ -743,6 +791,8 @@ def _gram_gap(ctx, constraints, W, lam):
 
 
 class TestPerronMetric:
+    """The rank-r metric of the block-Krylov run's certified Ritz pairs."""
+
     def test_active_cut_certifies_with_the_metric_on(self):
         ctx, init, rng = _perron_instance(1)
         B = -np.log(rng.dirichlet(np.ones(ctx.c), size=ctx.n))
@@ -751,13 +801,29 @@ class TestPerronMetric:
         bound = 0.5 * (float(B.min(axis=1).sum()) + float(np.sum(B * free_w.matrix)))
         constraints = ConstraintSet(loss_matrix=B, bound=bound)
         weights, report = solve_label_weights(ctx, constraints=constraints, init=init)
-        assert report.perron_ratio > LAMBDA2_MARGIN / POWER_MARGIN
+        # the cluster shelf (lambda_2 .. lambda_10) sits in the metric, so its rank is past c - 1
+        assert report.metric_rank >= ctx.c
         assert report.metric_iteration == 0
         assert report.converged
         assert report.dual_lambda > 0.0
-        assert abs(report.inequality_slack) <= 1e-8 * bound
+        assert -1e-8 * bound <= report.inequality_slack <= 0.0
         value, gap = _gram_gap(ctx, constraints, weights.matrix, report.dual_lambda)
         assert abs(gap - report.gap) <= 1e-10 * max(1.0, abs(value))
+        assert gap <= 1e-4 * max(1.0, abs(value))
+        assert report.iterations < free.iterations + 20
+
+    def test_active_cut_certifies_at_the_grid_mixture(self):
+        # the same gate at c = 3, where the metric's rank runs past the cluster shelf into the bulk
+        ctx, init = _gaussian_instance(9, METRIC_MIN_N, 3)
+        B = -np.log(np.random.default_rng(4).dirichlet(np.ones(3), size=ctx.n))
+        free_w, free = solve_label_weights(ctx, init=init)
+        bound = 0.5 * (float(B.min(axis=1).sum()) + float(np.sum(B * free_w.matrix)))
+        constraints = ConstraintSet(loss_matrix=B, bound=bound)
+        weights, report = solve_label_weights(ctx, constraints=constraints, init=init)
+        assert report.metric_rank > 3 and report.metric_iteration == 0
+        assert report.converged and report.dual_lambda > 0.0
+        assert -1e-8 * bound <= report.inequality_slack <= 0.0
+        value, gap = _gram_gap(ctx, constraints, weights.matrix, report.dual_lambda)
         assert gap <= 1e-4 * max(1.0, abs(value))
 
     def test_metric_solve_matches_the_plain_one_in_fewer_iterations(self, monkeypatch):
@@ -766,25 +832,42 @@ class TestPerronMetric:
         monkeypatch.setattr(solver, "METRIC_MIN_N", np.inf)
         _, plain = solve_label_weights(ctx, init=init)
         assert (metric.metric_iteration, plain.metric_iteration) == (0, -1)
-        assert metric.step == plain.step
+        assert plain.metric_rank == 0 < metric.metric_rank
+        # the plain solve's smaller Krylov basis reads the same top Ritz value, to well inside its margin
+        assert abs(metric.step - plain.step) <= 1e-3 * plain.step
         assert metric.converged and plain.converged
         # both certify 1e-4, so their values differ by at most that
         assert abs(metric.objective_value - plain.objective_value) <= 1e-4 * abs(plain.objective_value)
-        assert metric.iterations < 0.6 * plain.iterations
+        assert metric.iterations < 0.4 * plain.iterations
+
+    def test_rank_r_takes_fewer_iterations_than_rank_one(self, monkeypatch):
+        # capping the system at c unknowns leaves the Perron direction alone
+        # in the metric; the rank-r metric also steps the cluster shelf at
+        # its own constants
+        ctx, init, _ = _perron_instance(2)
+        _, full = solve_label_weights(ctx, init=init)
+        monkeypatch.setattr(solver, "METRIC_MAX_SIZE", ctx.c)
+        _, rank_one = solve_label_weights(ctx, init=init)
+        assert rank_one.metric_rank == 1 and rank_one.metric_iteration == 0
+        assert full.metric_rank > ctx.c and full.metric_iteration == 0
+        assert full.converged and rank_one.converged
+        assert full.iterations < 0.6 * rank_one.iterations
 
     def test_lambda2_underestimate_drops_the_metric_for_good(self, monkeypatch):
-        # a fifth of the lambda_2 estimate lets the metric step overshoot; the
-        # solve must drop it at the first failed plain step and still certify
-        monkeypatch.setattr(solver, "LAMBDA2_MARGIN", 0.2)
+        # a fifth of the Ritz values past the first lets the metric step
+        # overshoot; the solve must drop it at the first failed plain step
+        # and still certify
+        monkeypatch.setattr(solver, "RITZ_MARGIN", 0.2)
         metric_steps = []
         step = solver._MetricStep.__call__
         monkeypatch.setattr(solver._MetricStep, "__call__",
-                            lambda prox, *a: metric_steps.append(prox.beta > 0.0) or step(prox, *a))
+                            lambda prox, *a: metric_steps.append(prox.rank > 0) or step(prox, *a))
         ctx, init, _ = _perron_instance(3)
         weights, report = solve_label_weights(ctx, init=init)
         # the first step has no momentum, so it fails as a plain metric step:
         # the metric is dropped at once, with no restart that redoes that step
         assert (report.metric_iteration, report.restarts, report.switch_iteration) == (1, 0, 0)
+        assert report.metric_rank > 1
         assert sum(metric_steps) == 1 and metric_steps[0]
         assert len(metric_steps) == report.iterations + 1
         assert report.converged
@@ -795,20 +878,26 @@ class TestPerronMetric:
 
     @pytest.mark.parametrize("n", [METRIC_MIN_N - 1, 40])
     def test_below_the_n_gate_the_metric_stays_off(self, monkeypatch, n):
-        seen = []
-        lanczos = solver._lanczos
+        seen, dims = [], []
+        ritz_pairs = solver._ritz_pairs
 
         def spy(*args):
-            seen.append(lanczos(*args))
+            dims.append(args[3])
+            seen.append(ritz_pairs(*args))
             return seen[-1]
 
-        monkeypatch.setattr(solver, "_lanczos", spy)
+        monkeypatch.setattr(solver, "_ritz_pairs", spy)
         ctx, init, _ = _perron_instance(4, n=n)
         _, report = solve_label_weights(ctx, init=init)
-        # one Lanczos run estimates both eigenvalues at every n; only the gate keeps the step 1/L
-        assert len(seen) == 1
-        assert report.perron_ratio == seen[0][0] / seen[0][2] > LAMBDA2_MARGIN / POWER_MARGIN
-        assert report.metric_iteration == -1
+        # one Krylov run estimates the spectrum at every n, on the smaller
+        # basis that the step constant needs; only the gate keeps the step 1/L
+        assert len(seen) == 1 and dims == [STEP_KRYLOV_DIM]
+        assert report.ritz_values == tuple(seen[0][0])
+        assert (report.metric_rank, report.metric_iteration) == (0, -1)
+        # a full run finds the drop past theta_1 that the metric would read
+        theta = _ritz_of(ctx.gram.values, init.matrix)[0]
+        assert abs(theta[0] - report.ritz_values[0]) <= 1e-3 * theta[0]
+        assert theta[0] / theta[-1] > RITZ_MARGIN / POWER_MARGIN
         assert report.converged
 
     def test_grid_mixture_runs_the_metric_in_fewer_iterations(self, monkeypatch):
@@ -818,44 +907,57 @@ class TestPerronMetric:
         _, metric = solve_label_weights(ctx, init=init)
         monkeypatch.setattr(solver, "METRIC_MIN_N", np.inf)
         _, plain = solve_label_weights(ctx, init=init)
-        assert 1.0 < metric.perron_ratio < 2.0
+        assert 1.0 < metric.ritz_values[0] / metric.ritz_values[1] < 2.0
         assert (metric.metric_iteration, plain.metric_iteration) == (0, -1)
+        assert metric.metric_rank > 3
         assert metric.converged and plain.converged
-        assert metric.iterations < plain.iterations
+        assert metric.iterations < 0.5 * plain.iterations
 
     def test_flat_spectrum_keeps_the_plain_step(self, monkeypatch):
-        # points 1 apart at sigma 0.25 give K0 within 1e-3 of I: L_1 <= L_2,
+        # points 1 apart at sigma 0.25 give K0 within 1e-3 of I: L_1 <= L_{r+1},
         # so the metric stays off even with no n gate
         monkeypatch.setattr(solver, "METRIC_MIN_N", 1)
         cal = np.stack([np.arange(60.0), np.zeros(60)], axis=1)
         train = Dataset(np.random.default_rng(0).standard_normal((8, 2)), 1 + np.arange(8) % 3, num_classes=3)
         _, report = solve_label_weights(build_context(cal, train, 0.25))
-        assert 1.0 < report.perron_ratio < LAMBDA2_MARGIN / POWER_MARGIN
-        assert report.metric_iteration == -1
+        assert 1.0 <= report.ritz_values[0] / report.ritz_values[-1] < RITZ_MARGIN / POWER_MARGIN
+        assert (report.metric_rank, report.metric_iteration) == (0, -1)
         assert report.converged
 
 
 class TestLanczos:
+    """The block-Krylov run (a block Lanczos process) behind the step constants."""
+
     @pytest.mark.parametrize("c", [3, 10])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_ritz_values_bracket_the_top_eigenvalues(self, c, dtype):
-        # Gaussian Grams of both benchmark shapes at n = 400
+        # Gaussian Grams of both benchmark shapes at n = 400, from the one-hot start
         for seed in (1, 2):
-            K = (_gaussian_instance(seed, 400, 3) if c == 3 else _perron_instance(seed, n=400))[0].gram.values
+            ctx, init = (_gaussian_instance(seed, 400, 3) if c == 3 else _perron_instance(seed, n=400))[:2]
+            K = ctx.gram.values.astype(dtype)
             exact, U = np.linalg.eigh(K.astype(np.float64))
             exact = exact[::-1]
-            lam1, v, lam2 = _lanczos_of(K.astype(dtype))
+            theta, rho, V = _ritz_of(K, init.matrix)
+            r = theta.size - 1
+            assert r >= c and V.shape == (400, r)
+            assert np.all(np.diff(theta) <= 0.0)
             # interlacing: at or below the exact values, up to the products' rounding
-            slack = 10.0 * np.finfo(dtype).eps * exact[0]
-            assert lam1 <= exact[0] + slack and lam2 <= exact[1] + slack
-            assert lam1 >= 0.9999 * exact[0]
-            assert lam2 >= 0.99 * exact[1]
-            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-            assert v.sum() > 0.0
-            assert abs(float(v @ U[:, -1])) >= 1.0 - 1e-6  # v is the Perron vector
+            slack = 10.0 * math.sqrt(400) * np.finfo(dtype).eps * exact[0]
+            assert np.all(theta <= exact[: theta.size] + slack)
+            # every pair the metric reads passes the residual test, and has an eigenvalue within its residual
+            assert np.all(rho <= RITZ_REL_RES * theta)
+            assert all(np.abs(exact - t).min() <= p + slack for t, p in zip(theta, rho))
+            # the residuals are the true ones of the returned vectors, which are orthonormal
+            K64 = K.astype(np.float64)
+            true = np.linalg.norm(K64 @ V - V * theta[:r], axis=0)
+            np.testing.assert_allclose(true, rho[:r], atol=slack)
+            np.testing.assert_allclose(V.T @ V, np.eye(r), atol=1e-10)
+            assert theta[0] >= 0.9999 * exact[0]
+            assert abs(float(V[:, 0] @ U[:, -1])) >= 1.0 - 1e-6  # the top vector is the Perron vector
 
     def test_lanczos_takes_one_small_eigh(self, monkeypatch):
-        # every Ritz pair comes from one eigh of the tridiagonal, at most LANCZOS_STEPS square: never an n x n one
+        # every Ritz pair comes from one eigh of the block-tridiagonal, of at
+        # most KRYLOV_DIM + c + 1 rows: never an n x n one
         shapes, eigh = [], np.linalg.eigh
 
         def spy(T, *args, **kwargs):
@@ -863,15 +965,56 @@ class TestLanczos:
             return eigh(T, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
-        lam1, v, lam2 = _lanczos_of(_gaussian_instance(1, 60, 3)[0].gram.values)
-        assert lam1 >= lam2 > 0.0 and v.sum() > 0.0
-        solve_label_weights(_gaussian_instance(2, 60, 3)[0])  # one Lanczos run per solve
-        assert len(shapes) == 2 and all(k == j <= LANCZOS_STEPS for k, j in shapes)
+        ctx, init = _gaussian_instance(1, 60, 3)
+        theta, rho, V = _ritz_of(ctx.gram.values, init.matrix)
+        assert theta[0] >= theta[-1] > 0.0 and V.shape[1] == theta.size - 1
+        solve_label_weights(_gaussian_instance(2, 60, 3)[0])  # one Krylov run per solve
+        assert len(shapes) == 2 and all(k == j <= KRYLOV_DIM + 4 < 60 for k, j in shapes)
+
+    @pytest.mark.parametrize("c", [3, 10])
+    def test_one_product_per_block(self, monkeypatch, c):
+        # the run takes one (n, n) @ (n, c) product per block, until the
+        # basis holds KRYLOV_DIM vectors: 5 products at c = 10, 16 at c = 3
+        # (a Lanczos run of KRYLOV_DIM single vectors would take KRYLOV_DIM)
+        ctx, init = (_gaussian_instance(1, 400, 3) if c == 3 else _perron_instance(1, n=400))[:2]
+        widths = []
+        product = Gram.product
+        monkeypatch.setattr(Gram, "product", lambda self, P, s=0.0: widths.append(P.shape[1]) or product(self, P, s))
+        _ritz_of(ctx.gram.values, init.matrix)
+        assert widths == [c] * -(-KRYLOV_DIM // c)
+
+    def test_second_value_is_read_at_any_residual(self):
+        # one block of a c = 10 Gram leaves lambda_2's pair far from converged;
+        # its Ritz value is still read (a lower bound, as the Perron metric's
+        # estimate was), and nothing past it
+        ctx, init, _ = _perron_instance(1, n=400)
+        exact = np.linalg.eigvalsh(ctx.gram.values.astype(np.float64))[::-1]
+        theta, rho, V = _ritz_pairs(Gram(ctx.gram.values).product, float(np.finfo(np.float32).eps), init.matrix, 10)
+        assert theta.size == 2 and V.shape == (400, 1)
+        assert rho[1] > RITZ_REL_RES * theta[1]
+        assert 0.0 < theta[1] <= exact[1] * (1.0 + 1e-6)
+
+    def test_many_classes_keep_the_perron_metric(self):
+        # at c = 30 the run holds two blocks, and lambda_2 .. lambda_30 sit in
+        # one cluster: no pair past the first certifies, and the metric runs
+        # at rank one, as the Perron metric did
+        rng = np.random.default_rng(30)
+        c, n = 30, METRIC_MIN_N
+        means = 3.0 * np.eye(c)
+        train_labels, cal_labels = 1 + rng.integers(0, c, n), 1 + rng.integers(0, c, n)
+        train = Dataset(means[train_labels - 1] + rng.standard_normal((n, c)), train_labels, num_classes=c)
+        ctx = build_context(means[cal_labels - 1] + rng.standard_normal((n, c)), train, math.sqrt(c / 2))
+        _, report = solve_label_weights(ctx, init=supervised_weights(cal_labels, c))
+        assert (report.metric_rank, report.metric_iteration) == (1, 0)
+        assert report.converged
 
     @pytest.mark.parametrize("n", [1, 2, 50])
     def test_rank_one_and_tiny_grams_keep_the_plain_step(self, monkeypatch, n):
-        # n identical points (so a rank-one K0) or n <= 2 points: lambda_2 is
-        # 0 or NaN without a warning, and the metric stays off even with no n gate
+        # n identical points (so a rank-one K0, 1 its eigenvector) or n <= 2
+        # points (K0 1 + its off-diagonal along 1): from the uniform start,
+        # [1, W0] spans 1 alone, an invariant subspace, so the run finds one
+        # Ritz value without a warning, and the metric stays off even with
+        # no n gate
         monkeypatch.setattr(solver, "METRIC_MIN_N", 1)
         rng = np.random.default_rng(n)
         cal = np.zeros((n, 2)) if n == 50 else rng.standard_normal((n, 2))
@@ -880,11 +1023,10 @@ class TestLanczos:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for K in (ctx.gram.values.astype(np.float64), ctx.gram.values):
-                lam1, v, lam2 = _lanczos_of(K)
-                assert np.isnan(lam2) or lam2 == 0.0
-                assert abs(lam1 - np.linalg.eigvalsh(ctx.gram.values.astype(np.float64))[-1]) <= 1e-6 * lam1
-                assert v.sum() > 0.0
+                theta, rho, V = _ritz_of(K)
+                assert theta.size == 1 and V.shape == (n, 0)
+                assert abs(theta[0] - np.linalg.eigvalsh(ctx.gram.values.astype(np.float64))[-1]) <= 1e-6 * theta[0]
             _, report = solve_label_weights(ctx)
-        assert np.isnan(report.perron_ratio)
-        assert report.metric_iteration == -1
+        assert len(report.ritz_values) == 1
+        assert (report.metric_rank, report.metric_iteration) == (0, -1)
         assert report.converged
