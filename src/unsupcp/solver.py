@@ -61,6 +61,7 @@ RITZ_MARGIN = 1.05  # headroom over the Ritz values of lambda_2 .. lambda_{r+1}
 RITZ_REL_RES = 0.05  # largest residual, relative to its value, of a Ritz pair the metric reads
 METRIC_MAX_RANK = 12  # most Ritz directions the metric steps at their own constants
 METRIC_MAX_SIZE = 120  # most unknowns r c of the metric step's linear system (r >= 1 at any c)
+METRIC_MIN_GAIN = 2.0  # least theta_2 / theta_{r+1} at which a rank r > 1 pays for its larger system
 SUPPORT_REFINEMENTS = 20  # most projections per metric step
 SYSTEM_ROWS = 256  # rows per chunk when the metric step's system is built or updated
 EPS32, EPS64 = float(np.finfo(np.float32).eps), float(np.finfo(np.float64).eps)
@@ -207,9 +208,9 @@ class SolverReport:
     the loss constraint's multiplier at the last projection, 0 when the cut
     was slack there. ``restarts`` counts the momentum restarts over both
     phases, each after a step with nonzero momentum raised Phi.
-    ``ritz_values`` are the leading Ritz values of K0 that the block-Krylov
-    run certifies, descending, at every n (see ``_ritz_pairs``): the first
-    sets the step, and the metric reads all of them. ``metric_rank`` is the
+    ``ritz_values`` are the Ritz values of K0 that the step reads,
+    descending, at every n (see ``_ritz_pairs`` and ``_fista``): theta_1
+    sets the step, and theta_2 .. theta_{r+1} the metric's constants. ``metric_rank`` is the
     rank r of the metric the solve started in, 0 when it never ran (n below
     METRIC_MIN_N, or a spectrum with no drop past lambda_1, as on a
     rank-one K0). ``metric_iteration`` is the iteration at which the metric
@@ -532,8 +533,11 @@ def _fista(gram: Gram, G, W0, max_iters, rel_tol, cut=None):
     Ritz vectors V of the top r; L_k = RITZ_MARGIN 2/n theta_k for k >= 2.
     The run builds KRYLOV_DIM basis vectors, or STEP_KRYLOV_DIM below
     METRIC_MIN_N, where only theta_1 is read.
-    At n >= METRIC_MIN_N, whenever L_1 > L_{r+1} > 0, the steps run in the
-    rank-r metric M = L_{r+1} I + V diag(L_k - L_{r+1}) V^T instead (see
+    A rank r > 1 is kept only when theta_{r+1} sits METRIC_MIN_GAIN below
+    theta_2; on a flatter spectrum past theta_2 (many classes in one
+    cluster) the larger system costs more than its larger steps save, and
+    r = 1, the Perron metric. At n >= METRIC_MIN_N, whenever L_1 > L_{r+1}
+    > 0, the steps run in the rank-r metric M = L_{r+1} I + V diag(L_k - L_{r+1}) V^T instead (see
     ``_MetricStep``; directions with L_k = L_{r+1} drop out of V): M bounds
     the Hessian (2/n) K0 when the pairs are exact, and no top direction
     sets the step in the bulk. The cut's multiplier is then mu L_{r+1}
@@ -578,6 +582,8 @@ def _fista(gram: Gram, G, W0, max_iters, rel_tol, cut=None):
         phases = phases[1:]
     X, mu = _project_cut(W0, cut)
     theta, _, V = _ritz_pairs(*phases[0], X, KRYLOV_DIM if n >= METRIC_MIN_N else STEP_KRYLOV_DIM)
+    if theta.size > 2 and theta[1] < METRIC_MIN_GAIN * theta[-1]:
+        theta, V = theta[:2], V[:, :1]
     lips = (2.0 / n) * theta * np.where(np.arange(theta.size) == 0, POWER_MARGIN, RITZ_MARGIN)
     step = 1.0 / lips[0]
     if n >= METRIC_MIN_N and lips[0] > lips[-1] > 0.0:

@@ -994,18 +994,25 @@ class TestLanczos:
         assert rho[1] > RITZ_REL_RES * theta[1]
         assert 0.0 < theta[1] <= exact[1] * (1.0 + 1e-6)
 
-    def test_many_classes_keep_the_perron_metric(self):
-        # at c = 30 the run holds two blocks, and lambda_2 .. lambda_30 sit in
-        # one cluster: no pair past the first certifies, and the metric runs
-        # at rank one, as the Perron metric did
-        rng = np.random.default_rng(30)
-        c, n = 30, METRIC_MIN_N
+    @pytest.mark.parametrize("c", [12, 30])
+    def test_many_classes_keep_the_perron_metric(self, c):
+        # lambda_2 .. lambda_c sit in one flat cluster. At c = 12 the run
+        # certifies pairs past it, but theta_{r+1} is not METRIC_MIN_GAIN below
+        # theta_2; at c = 30 its two blocks certify no pair past the first.
+        # Either way the metric runs at rank one, as the Perron metric did
+        rng = np.random.default_rng(c)
+        n = METRIC_MIN_N
         means = 3.0 * np.eye(c)
         train_labels, cal_labels = 1 + rng.integers(0, c, n), 1 + rng.integers(0, c, n)
         train = Dataset(means[train_labels - 1] + rng.standard_normal((n, c)), train_labels, num_classes=c)
         ctx = build_context(means[cal_labels - 1] + rng.standard_normal((n, c)), train, math.sqrt(c / 2))
-        _, report = solve_label_weights(ctx, init=supervised_weights(cal_labels, c))
+        init = supervised_weights(cal_labels, c)
+        theta = _ritz_of(ctx.gram.values, init.matrix)[0]
+        assert theta.size > 2 if c == 12 else theta.size == 2
+        assert theta[1] < solver.METRIC_MIN_GAIN * theta[-1]
+        _, report = solve_label_weights(ctx, init=init)
         assert (report.metric_rank, report.metric_iteration) == (1, 0)
+        assert report.ritz_values == tuple(theta[:2])
         assert report.converged
 
     @pytest.mark.parametrize("n", [1, 2, 50])
