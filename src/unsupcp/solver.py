@@ -532,12 +532,12 @@ def _fista(gram: Gram, G, W0, max_iters, rel_tol, cut=None):
     also gives the next certified Ritz values theta_2 .. theta_{r+1} and the
     Ritz vectors V of the top r; L_k = RITZ_MARGIN 2/n theta_k for k >= 2.
     The run builds KRYLOV_DIM basis vectors, or STEP_KRYLOV_DIM below
-    METRIC_MIN_N, where only theta_1 is read.
-    A rank r > 1 is kept only when theta_{r+1} sits METRIC_MIN_GAIN below
-    theta_2; on a flatter spectrum past theta_2 (many classes in one
-    cluster) the larger system costs more than its larger steps save, and
-    r = 1, the Perron metric. At n >= METRIC_MIN_N, whenever L_1 > L_{r+1}
-    > 0, the steps run in the rank-r metric M = L_{r+1} I + V diag(L_k - L_{r+1}) V^T instead (see
+    METRIC_MIN_N, where only theta_1 is read. A rank r > 1 is kept only
+    when theta_{r+1} sits METRIC_MIN_GAIN below theta_2; on a flatter
+    spectrum past theta_2 (many classes in one cluster) the larger system
+    costs more than its larger steps save, and r = 1, the Perron metric.
+    At n >= METRIC_MIN_N, whenever L_1 > L_{r+1} > 0, the steps run in the
+    rank-r metric M = L_{r+1} I + V diag(L_k - L_{r+1}) V^T instead (see
     ``_MetricStep``; directions with L_k = L_{r+1} drop out of V): M bounds
     the Hessian (2/n) K0 when the pairs are exact, and no top direction
     sets the step in the bulk. The cut's multiplier is then mu L_{r+1}
