@@ -13,8 +13,9 @@ last projection is the reported Lagrange multiplier lambda.
 The step is 1/L, with L from the largest eigenvalue of K0, whose
 eigenvector is the near-constant Perron vector. But K0's spectrum falls in
 shelves: past lambda_1 come about c - 1 cluster eigenvalues, then a bulk
-far below them. One block-Krylov run from [1, W0] (the start weights)
-estimates the leading eigenpairs and their residuals, and for n >=
+far below them. One block-Krylov run from [1, W0] (W0 the start weights,
+or where those are uniform the rows one-hot at the labels the linear term
+favours) estimates the leading eigenpairs and their residuals, and for n >=
 METRIC_MIN_N every step is taken in the rank-r metric M = L_{r+1} I +
 sum_{k<=r} (L_k - L_{r+1}) v_k v_k^T instead, with r read from the run's
 certified Ritz pairs (Becker & Fadili, NeurIPS 2012; the rank-r form in
@@ -290,9 +291,10 @@ def _ritz_pairs(product, eps: float, W0: np.ndarray, dim: int = KRYLOV_DIM):
     is close to a nonnegative Gram's Perron vector, and W0's columns
     approximate the cluster indicators whose span holds the next
     eigenvectors (rows on the simplex sum to 1, so one-hot rows give a
-    block of rank c). Each block step takes one ``product`` with K (a
-    float64 block to float64 K times it, with rounding of relative size
-    ``eps``). Its remainder, orthogonalized against the basis twice, gives
+    block of rank c, and a start block of rank w fills a basis of ``dim``
+    vectors in ceil(dim / w) products). Each block step takes one
+    ``product`` with K (a float64 block to float64 K times it, with rounding
+    of relative size ``eps``). Its remainder, orthogonalized against the basis twice, gives
     the next block, less every direction of norm at most sqrt(n) eps times
     the product's largest column (rounding). The run stops once the basis
     holds ``dim`` vectors (n at most), or when a block deflates to
@@ -466,13 +468,13 @@ class _MetricStep:
         model's supports where they hold: a row whose entries stay above its
         support's threshold on the support, and at or below it off the
         support, keeps that support, so its projection is affine, and only
-        the other rows are sorted. A cut that binds goes to ``_project_cut``."""
+        the other rows are sorted, by one ``_project_rows`` call as a whole
+        projection takes. A cut that binds goes to ``_project_cut``."""
         if mu == 0.0:
             shifted = Z - ((np.einsum("ij,ij->i", Z, self.mask) - 1.0) * self.inv_counts)[:, None]
             W = np.maximum(shifted, 0.0)
             rows = _rows_differing(shifted > 0.0, self.support)
-            if rows.size:
-                W[rows] = _project_rows(Z[rows])
+            W[rows] = _project_rows(Z[rows])
             if self.cut is None or float(np.vdot(self.cut.loss_matrix, W)) <= self.cut.bound * (1.0 + SLACK_REL_TOL):
                 return W, 0.0
         return _project_cut(Z, self.cut, mu)
@@ -528,9 +530,12 @@ def _fista(gram: Gram, G, W0, max_iters, rel_tol, cut=None):
     Each multiplier search starts from the last accepted one's mu.
 
     The step is 1/L, with L = L_1 = POWER_MARGIN 2/n theta_1 from one
-    block-Krylov run (``_ritz_pairs``) started at the projected W0, which
-    also gives the next certified Ritz values theta_2 .. theta_{r+1} and the
-    Ritz vectors V of the top r; L_k = RITZ_MARGIN 2/n theta_k for k >= 2.
+    block-Krylov run (``_ritz_pairs``) started at the projected W0 (where
+    every row of it is the same, as uniform blocks under a slack cut are, at
+    the rows one-hot at argmax_y G_iy: the Frank-Wolfe vertex of such a
+    start, whose K0 W0 has equal columns), which also gives the next
+    certified Ritz values theta_2 .. theta_{r+1} and the Ritz vectors V of
+    the top r; L_k = RITZ_MARGIN 2/n theta_k for k >= 2.
     The run builds KRYLOV_DIM basis vectors, or STEP_KRYLOV_DIM below
     METRIC_MIN_N, where only theta_1 is read. A rank r > 1 is kept only
     when theta_{r+1} sits METRIC_MIN_GAIN below theta_2; on a flatter
@@ -581,7 +586,9 @@ def _fista(gram: Gram, G, W0, max_iters, rel_tol, cut=None):
     if rel_tol < FLOAT32_GAP_FLOOR:
         phases = phases[1:]
     X, mu = _project_cut(W0, cut)
-    theta, _, V = _ritz_pairs(*phases[0], X, KRYLOV_DIM if n >= METRIC_MIN_N else STEP_KRYLOV_DIM)
+    # rows all equal span 1 alone, which would fill the basis one vector a product
+    start = X if np.ptp(X, axis=0).any() else np.eye(X.shape[1])[np.argmax(G, axis=1)]
+    theta, _, V = _ritz_pairs(*phases[0], start, KRYLOV_DIM if n >= METRIC_MIN_N else STEP_KRYLOV_DIM)
     if theta.size > 2 and theta[1] < METRIC_MIN_GAIN * theta[-1]:
         theta, V = theta[:2], V[:, :1]
     lips = (2.0 / n) * theta * np.where(np.arange(theta.size) == 0, POWER_MARGIN, RITZ_MARGIN)
